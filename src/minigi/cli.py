@@ -6,8 +6,9 @@ recorded run and compare logs byte for byte). Exit codes: 0 success,
 1 replay mismatch, 2 configuration error, 3 infrastructure error.
 
 Every randomized command needs a seed: give one with --seed or a fresh
-one is drawn and printed, and it is always written to the run's metadata
-sidecar so `replay` can reproduce the run offline.
+one is drawn and printed. `sample` and `ls` resolve their options once
+into a run record, written as the log's .meta.json sidecar; `replay`
+runs that record again offline. docs/logs.md lists the record's keys.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
 from minigi.evaluation import (
-    BUILTIN_ADAPTER,
     DEFAULT_MEASURE_REPEATS,
     DEFAULT_TIMEOUT_MS,
     ExternalToolchain,
@@ -143,9 +144,7 @@ def _resolve_seed(opts: Options) -> int:
 
 
 def _out_dir(opts: Options) -> Path:
-    out = Path(opts.get("out_dir", "minigi-out"))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return Path(opts.get("out_dir", "minigi-out"))
 
 
 def _parse_families(opts: Options) -> list[str]:
@@ -163,10 +162,11 @@ def _parse_families(opts: Options) -> list[str]:
     return families
 
 
-def _adapter_from(opts: Options) -> TargetAdapter:
+def _adapter_settings(opts: Options) -> tuple[str, Optional[dict]]:
+    """(adapter kind, ExternalToolchain fields or None for the builtin backend)."""
     kind = opts.get("adapter", "builtin")
     if kind == "builtin":
-        return BUILTIN_ADAPTER
+        return kind, None
     if kind != "external":
         raise ConfigError(f"unknown adapter {kind!r}")
     compile_cmd = opts.get("compile_cmd")
@@ -185,46 +185,37 @@ def _adapter_from(opts: Options) -> TargetAdapter:
         timeout_ms=opts.get_int("timeout_ms", DEFAULT_TIMEOUT_MS),
         measure_repeats=opts.get_int("measure_repeats", DEFAULT_MEASURE_REPEATS),
     )
-    return TargetAdapter("external", toolchain)
+    return kind, asdict(toolchain)
 
 
-def _llm_context(
+def _llm_settings(
     opts: Options, families: list[str], out_dir: Path, program_path: str
-) -> tuple[Optional[LlmSearchContext], Optional[dict]]:
+) -> Optional[dict]:
+    """LlmClientConfig fields under "client", the prompt's LlmSearchContext
+    fields under "prompt"; None when no family asks an LLM."""
     if not any(is_llm_family(f) for f in families):
-        return None, None
+        return None
     mode = opts.get("llm_mode", "mock")
-    transcript_dir = opts.get("transcript_dir") or str(out_dir / "transcripts")
-    config = LlmClientConfig(
+    if mode not in ("live", "replay", "mock"):
+        raise ConfigError(f"unknown llm_mode {mode!r}")
+    transcript_dir = opts.get("transcript_dir") or out_dir / "transcripts"
+    client = LlmClientConfig(
         endpoint_url=opts.get("endpoint", "https://api.openai.com/v1/chat/completions"),
         api_key_env_var=opts.get("api_key_env", "OPENAI_API_KEY"),
         model=opts.get("model", DEFAULT_MODEL),
-        temperature=float(opts.get("temperature", DEFAULT_TEMPERATURE)),
-        request_timeout=float(opts.get("request_timeout", 60.0)),
+        temperature=opts.get("temperature", DEFAULT_TEMPERATURE, float),
+        request_timeout=opts.get("request_timeout", 60.0, float),
         max_retries=opts.get_int("max_retries", 3),
-        transcript_dir=transcript_dir,
+        transcript_dir=str(Path(transcript_dir).resolve()),
         mode=mode,
     )
-    context = LlmSearchContext(
-        client=make_client(config),
-        project_name=opts.get("project_name", Path(program_path).stem),
-        language=opts.get("language", "MiniLang"),
-        code_label=opts.get("code_label", "minilang"),
-        variant_count=opts.get_int("variants", DEFAULT_VARIANT_COUNT),
-    )
-    meta = {
-        "mode": mode,
-        "endpoint": config.endpoint_url,
-        "api_key_env": config.api_key_env_var,
-        "model": config.model,
-        "temperature": config.temperature,
-        "transcript_dir": str(transcript_dir),
-        "project_name": context.project_name,
-        "language": context.language,
-        "code_label": context.code_label,
-        "variants": context.variant_count,
+    prompt = {
+        "project_name": opts.get("project_name", Path(program_path).stem),
+        "language": opts.get("language", "MiniLang"),
+        "code_label": opts.get("code_label", "minilang"),
+        "variant_count": opts.get_int("variants", DEFAULT_VARIANT_COUNT),
     }
-    return context, meta
+    return {"client": asdict(client), "prompt": prompt}
 
 
 def _hot_methods(opts: Options, unit, tests, step_budget: int) -> list[str]:
@@ -238,6 +229,78 @@ def _hot_methods(opts: Options, unit, tests, step_budget: int) -> list[str]:
     top_k = opts.get_int("top_k", DEFAULT_TOP_K)
     prof = profile(unit, tests, repeats=DEFAULT_REPEATS, top_k=top_k, step_budget=step_budget)
     return prof.hot_set
+
+
+# -- the run record --
+
+
+def _run_record(command: str, opts: Options, unit, tests, out_dir: Path) -> dict:
+    """Resolve every option that determines the run log, once.
+
+    The record is written as the run's .meta.json and is all `replay`
+    needs; docs/logs.md lists its keys.
+    """
+    args = opts.args
+    families = _parse_families(opts)
+    if command == "ls" and len(families) != 1:
+        raise ConfigError("local search takes exactly one --family")
+    seed = _resolve_seed(opts)
+    step_budget = opts.get_int("step_budget", DEFAULT_STEP_BUDGET)
+    adapter, toolchain = _adapter_settings(opts)
+    record = {
+        "command": command,
+        "program": str(Path(args.program).resolve()),
+        "tests": str(Path(args.tests).resolve()),
+        "seed": seed,
+        "families": families,
+        "step_budget": step_budget,
+        "adapter": adapter,
+        "toolchain": toolchain,
+        "llm": _llm_settings(opts, families, out_dir, args.program),
+        "methods": _hot_methods(opts, unit, tests, step_budget),
+        "original_digest": source_digest(unit),
+    }
+    if command == "sample":
+        record["budget"] = opts.get_int("budget", DEFAULT_SAMPLE_BUDGET)
+        record["log"] = SAMPLE_LOG
+    else:
+        record["evals"] = opts.get_int("evals", DEFAULT_LS_EVALS)
+        record["log"] = LS_LOG
+    return record
+
+
+def _execute(record: dict, unit, tests, out_dir: Path, workers: int = 1) -> int:
+    """Run a resolved record into `out_dir`; `workers` cannot change the log."""
+    external = ExternalToolchain(**record["toolchain"]) if record["toolchain"] else None
+    adapter = TargetAdapter(record["adapter"], external)
+    llm = None
+    if record["llm"] is not None:
+        client = make_client(LlmClientConfig(**record["llm"]["client"]))
+        llm = LlmSearchContext(client, **record["llm"]["prompt"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    log_path = out_dir / record["log"]
+    write_run_meta(log_path, record)
+    with RecordWriter(log_path) as writer:
+        if record["command"] == "sample":
+            cfg = RandomSamplingConfig(
+                tuple(record["families"]), record["budget"], record["seed"], record["step_budget"]
+            )
+            records = random_sampling(
+                unit, tests, record["methods"], cfg, adapter, llm,
+                sink=writer.write, workers=workers,
+            )
+        else:
+            cfg = LocalSearchConfig(
+                record["families"][0], tuple(record["methods"]), record["evals"],
+                record["seed"], record["step_budget"],
+            )
+            records = local_search(unit, tests, cfg, adapter, llm, sink=writer.write)
+    print(f"wrote {len(records)} records to {log_path}")
+    if record["command"] == "sample":
+        print(render_table1(aggregate_table1(records, record["original_digest"])), end="")
+    else:
+        print(render_table2(aggregate_table2(records)), end="")
+    return 0
 
 
 # -- subcommands --
@@ -254,7 +317,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         top_k=opts.get_int("top_k", DEFAULT_TOP_K),
         step_budget=opts.get_int("step_budget", DEFAULT_STEP_BUDGET),
     )
-    out = _out_dir(opts) / "profile.csv"
+    out_dir = _out_dir(opts)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    out = out_dir / "profile.csv"
     write_profile_csv(prof, out)
     totals = prof.total_costs()
     for rank, name in enumerate(prof.hot_set, start=1):
@@ -263,89 +328,14 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sample(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace) -> int:
+    """`sample` and `ls`: resolve the run record, then execute it."""
     opts = Options(args)
     unit = _load_program(args.program)
     tests = _load_tests(args.tests)
-    families = _parse_families(opts)
-    seed = _resolve_seed(opts)
     out_dir = _out_dir(opts)
-    step_budget = opts.get_int("step_budget", DEFAULT_STEP_BUDGET)
-    adapter = _adapter_from(opts)
-    llm, llm_meta = _llm_context(opts, families, out_dir, args.program)
-    cfg = RandomSamplingConfig(
-        families=tuple(families),
-        per_family_budget=opts.get_int("budget", DEFAULT_SAMPLE_BUDGET),
-        seed=seed,
-        step_budget=step_budget,
-    )
-    hot = _hot_methods(opts, unit, tests, step_budget)
-    log_path = out_dir / SAMPLE_LOG
-    meta = {
-        "command": "sample",
-        "program": str(Path(args.program).resolve()),
-        "tests": str(Path(args.tests).resolve()),
-        "seed": seed,
-        "families": families,
-        "budget": cfg.per_family_budget,
-        "step_budget": step_budget,
-        "hot": hot,
-        "llm": llm_meta,
-        "original_digest": source_digest(unit),
-        "log": log_path.name,
-    }
-    write_run_meta(log_path, meta)
-    with RecordWriter(log_path) as writer:
-        records = random_sampling(
-            unit, tests, hot, cfg, adapter, llm,
-            sink=writer.write, workers=opts.get_int("workers", 1),
-        )
-    print(f"wrote {len(records)} records to {log_path}")
-    print(render_table1(aggregate_table1(records, meta["original_digest"])), end="")
-    return 0
-
-
-def _cmd_ls(args: argparse.Namespace) -> int:
-    opts = Options(args)
-    unit = _load_program(args.program)
-    tests = _load_tests(args.tests)
-    families = _parse_families(opts)
-    if len(families) != 1:
-        raise ConfigError("local search takes exactly one --family")
-    family = families[0]
-    seed = _resolve_seed(opts)
-    out_dir = _out_dir(opts)
-    step_budget = opts.get_int("step_budget", DEFAULT_STEP_BUDGET)
-    adapter = _adapter_from(opts)
-    llm, llm_meta = _llm_context(opts, families, out_dir, args.program)
-    methods = _hot_methods(opts, unit, tests, step_budget)
-    cfg = LocalSearchConfig(
-        family=family,
-        runs=tuple(methods),
-        evals_per_run=opts.get_int("evals", DEFAULT_LS_EVALS),
-        seed=seed,
-        step_budget=step_budget,
-    )
-    log_path = out_dir / LS_LOG
-    meta = {
-        "command": "ls",
-        "program": str(Path(args.program).resolve()),
-        "tests": str(Path(args.tests).resolve()),
-        "seed": seed,
-        "family": family,
-        "methods": methods,
-        "evals": cfg.evals_per_run,
-        "step_budget": step_budget,
-        "llm": llm_meta,
-        "original_digest": source_digest(unit),
-        "log": log_path.name,
-    }
-    write_run_meta(log_path, meta)
-    with RecordWriter(log_path) as writer:
-        records = local_search(unit, tests, cfg, adapter, llm, sink=writer.write)
-    print(f"wrote {len(records)} records to {log_path}")
-    print(render_table2(aggregate_table2(records)), end="")
-    return 0
+    record = _run_record(args.command, opts, unit, tests, out_dir)
+    return _execute(record, unit, tests, out_dir, opts.get_int("workers", 1))
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -377,17 +367,20 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     if not metas:
         raise ConfigError(f"no run metadata (*.csv.meta.json) under {run_dir}")
     out_dir = Path(args.out_dir) if args.out_dir else run_dir / "replay"
+    if out_dir.resolve() == run_dir.resolve():
+        raise ConfigError("replay would overwrite the recorded logs; pick another --out-dir")
     mismatches = 0
     for meta_path in metas:
-        meta = read_run_meta(run_dir / meta_path.name.removesuffix(".meta.json"))
-        assert meta is not None
-        log_name = meta["log"]
-        print(f"replaying {meta['command']} run -> {out_dir / log_name}")
-        replay_args = _replay_namespace(meta, out_dir)
-        if meta["command"] == "sample":
-            _cmd_sample(replay_args)
-        else:
-            _cmd_ls(replay_args)
+        record = read_run_meta(run_dir / meta_path.name.removesuffix(".meta.json"))
+        assert record is not None
+        if record["llm"] is not None:
+            record["llm"]["client"]["mode"] = "replay"
+        log_name = record["log"]
+        print(f"replaying {record['command']} run -> {out_dir / log_name}")
+        unit = _load_program(record["program"])
+        if source_digest(unit) != record["original_digest"]:
+            raise ConfigError(f"{record['program']} changed since the run was recorded")
+        _execute(record, unit, _load_tests(record["tests"]), out_dir)
         original = (run_dir / log_name).read_bytes()
         replayed = (out_dir / log_name).read_bytes()
         if original == replayed:
@@ -396,52 +389,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             print(f"{log_name}: DIFFERS")
             mismatches += 1
     return 1 if mismatches else 0
-
-
-def _replay_namespace(meta: dict, out_dir: Path) -> argparse.Namespace:
-    """Rebuild command options from a run's metadata, forcing replay mode."""
-    llm = meta.get("llm") or {}
-    common = dict(
-        program=meta["program"],
-        tests=meta["tests"],
-        seed=meta["seed"],
-        step_budget=meta["step_budget"],
-        out_dir=str(out_dir),
-        config=None,
-        adapter=None,
-        compile_cmd=None, test_cmd=None, measure_cmd=None, patch_apply_cmd=None,
-        timeout_ms=None, measure_repeats=None,
-        llm_mode="replay" if llm else None,
-        endpoint=llm.get("endpoint"),
-        api_key_env=llm.get("api_key_env"),
-        model=llm.get("model"),
-        temperature=llm.get("temperature"),
-        request_timeout=None,
-        max_retries=None,
-        transcript_dir=llm.get("transcript_dir"),
-        project_name=llm.get("project_name"),
-        language=llm.get("language"),
-        code_label=llm.get("code_label"),
-        variants=llm.get("variants"),
-        prompt=None,
-        top_k=None,
-        workers=None,
-    )
-    if meta["command"] == "sample":
-        return argparse.Namespace(
-            family=",".join(meta["families"]),
-            budget=meta["budget"],
-            methods=",".join(meta["hot"]),
-            evals=None,
-            **common,
-        )
-    return argparse.Namespace(
-        family=meta["family"],
-        budget=None,
-        methods=",".join(meta["methods"]),
-        evals=meta["evals"],
-        **common,
-    )
 
 
 # -- argument parsing --
@@ -513,14 +460,14 @@ def build_parser() -> argparse.ArgumentParser:
                           "llm-simple, llm-medium, llm-detailed (or `llm` + --prompt)")
     p_sample.add_argument("--budget", type=int,
                           help=f"patches per family (default {DEFAULT_SAMPLE_BUDGET})")
-    p_sample.set_defaults(func=_cmd_sample)
+    p_sample.set_defaults(func=_cmd_run)
 
     p_ls = sub.add_parser("ls", help="local search experiment")
     _add_common_run_flags(p_ls)
     p_ls.add_argument("--family", help="one family to search with")
     p_ls.add_argument("--evals", type=int,
                       help=f"evaluations per run (default {DEFAULT_LS_EVALS})")
-    p_ls.set_defaults(func=_cmd_ls)
+    p_ls.set_defaults(func=_cmd_run)
 
     p_report = sub.add_parser("report", help="aggregate a run log into a table")
     p_report.add_argument("table", choices=["table1", "table2"])

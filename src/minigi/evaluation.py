@@ -10,8 +10,8 @@ external one.
 Two backends implement the ladder. The built-in backend validates and
 interprets in-process and is bit-deterministic. The external backend
 drives a user-supplied toolchain inside a private working copy; its
-command contract (placeholders, exit codes, watchdog) is documented in
-docs/adapters.md. Failures of the toolchain itself (missing binaries,
+command contract (placeholders, exit codes, watchdog) is stated on
+ExternalToolchain. Failures of the toolchain itself (missing binaries,
 unparsable measurements) raise InfrastructureError and are never
 misfiled as patch failures.
 """
@@ -118,12 +118,19 @@ def _result(
 
 @dataclass(frozen=True)
 class ExternalToolchain:
-    """Commands driving an external target; see docs/adapters.md.
+    """Commands driving an external target.
 
     Placeholders substituted into command tokens: {SRC} the unpatched
     source file, {PATCHED_FILE} the patched source file, {WORKDIR} the
     private working copy, {TEST} the current test name (test_cmd only;
     without it the whole suite runs as one process).
+
+    Exit codes: patch_apply_cmd and measure_cmd must exit 0, or the run
+    stops with InfrastructureError. compile_cmd exiting non-zero makes the
+    patch ValidOnly. test_cmd exiting non-zero, or outliving its
+    `timeout_ms` watchdog, fails that test. measure_cmd prints an integer
+    on its last stdout line; the median-low of `measure_repeats` runs is
+    the runtime.
     """
 
     compile_cmd: str
@@ -304,30 +311,6 @@ def _measure_external(
                 f"measure command printed no integer: {proc.stdout!r}"
             ) from None
     return int(statistics.median_low(samples))
-
-
-def measure_runtime(
-    unit: SourceUnit,
-    tests: list[TestCase],
-    adapter: TargetAdapter = BUILTIN_ADAPTER,
-    repeats: int = DEFAULT_MEASURE_REPEATS,
-    step_budget: int = DEFAULT_STEP_BUDGET,
-) -> int:
-    """Runtime of a passing program: exact steps (builtin) or median ms.
-
-    The built-in backend is deterministic, so `repeats` is irrelevant to
-    the value and kept only for interface parity with the external path.
-    """
-    if adapter.kind == "builtin":
-        outcomes = run_suite(unit, tests, step_budget)
-        if any(o.status is not Status.PASS for o in outcomes):
-            raise ValueError("cannot measure a program that fails its tests")
-        return sum(o.steps_used for o in outcomes)
-    result = evaluate(unit, Patch(unit.name), tests, adapter)
-    if not result.passed:
-        raise ValueError("cannot measure a program that fails its tests")
-    assert result.wall_clock_ms is not None
-    return result.wall_clock_ms
 
 
 def evaluate_batch(

@@ -1,9 +1,12 @@
 """Lexer and recursive-descent parser for MiniLang.
 
-The grammar is documented in docs/grammar.md. Parsing either yields a
-complete AST or raises ParseError with the 1-based line/column of the
-offending token; there are no partial results. A nesting-depth guard turns
-pathological inputs (deeply nested parentheses from machine-generated
+The grammar is the one the `_Parser` methods implement, read top-down:
+declarations (`parse_unit`, `parse_function`, `parse_type`), statements
+(`parse_statement` and the helpers it calls) and expressions by precedence
+climbing from `_parse_or` (loosest) to `_parse_primary`. Parsing either
+yields a complete AST or raises ParseError with the 1-based line/column of
+the offending token; there are no partial results. A nesting-depth guard
+turns pathological inputs (deeply nested parentheses from machine-generated
 code) into ParseError instead of a RecursionError.
 """
 

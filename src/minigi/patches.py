@@ -1,4 +1,4 @@
-"""Edits, patches, patch application and syntactic-equivalence dedup.
+"""Edits, patches, patch application and the one-line patch record.
 
 A patch is an ordered edit sequence against one named source unit. Edits
 apply one after another; every edit re-resolves its statement ids against
@@ -13,7 +13,7 @@ shares untouched subtrees.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
@@ -37,7 +37,6 @@ from minigi.lang.ast import (
     stmt_children,
 )
 from minigi.lang.parser import ParseError, parse_block
-from minigi.lang.printer import print_canonical, source_digest
 
 
 class EditKind(Enum):
@@ -121,11 +120,6 @@ class Patch:
 
     def without_edit(self, index: int) -> "Patch":
         return Patch(self.base, self.edits[:index] + self.edits[index + 1 :], self.seed)
-
-
-@dataclass(frozen=True)
-class PatchFingerprint:
-    digest: str
 
 
 class ApplyError(Exception):
@@ -383,16 +377,11 @@ def apply_patch(unit: SourceUnit, patch: Patch) -> SourceUnit:
     return current
 
 
-def fingerprint(unit: SourceUnit, patch: Patch) -> PatchFingerprint:
-    """Digest of the patched program's canonical printing; ApplyError propagates."""
-    return PatchFingerprint(source_digest(apply_patch(unit, patch)))
-
-
 def serialize_patch(patch: Patch, digest: Optional[str]) -> str:
     """One-line patch record: `seed | edit ; edit ; ... | fingerprint`.
 
-    `digest` is the patched program's fingerprint, or None when the patch
-    did not apply (written as the token `invalid`).
+    `digest` is the patched program's canonical digest (its fingerprint),
+    or None when the patch did not apply (written as the token `invalid`).
     """
     edits = " ; ".join(e.serialize() for e in patch.edits)
     return f"{patch.seed} | {edits} | {digest if digest is not None else 'invalid'}"
@@ -405,40 +394,3 @@ def split_patch_line(line: str) -> tuple[str, str, str]:
         raise ValueError(f"malformed patch line {line!r}")
     return parts[0], parts[1], parts[2]
 
-
-# -- uniqueness classification --
-
-
-@dataclass
-class UniquenessPartition:
-    unique_representatives: list[Patch] = field(default_factory=list)
-    duplicates: list[Patch] = field(default_factory=list)
-    equivalent_to_original: list[Patch] = field(default_factory=list)
-    invalid: list[Patch] = field(default_factory=list)
-
-
-def classify_uniqueness(patches: list[Patch], unit: SourceUnit) -> UniquenessPartition:
-    """Group patches by the canonical text of their patched programs.
-
-    The first-drawn patch of each fingerprint group is its representative;
-    later members are duplicates. Patches whose fingerprint equals the
-    unpatched program's digest are set aside as equivalent-to-original,
-    and patches that fail to apply land in `invalid`.
-    """
-    original = source_digest(unit)
-    partition = UniquenessPartition()
-    seen: set[str] = set()
-    for patch in patches:
-        try:
-            digest = fingerprint(unit, patch).digest
-        except ApplyError:
-            partition.invalid.append(patch)
-            continue
-        if digest == original:
-            partition.equivalent_to_original.append(patch)
-        elif digest in seen:
-            partition.duplicates.append(patch)
-        else:
-            seen.add(digest)
-            partition.unique_representatives.append(patch)
-    return partition

@@ -4,7 +4,7 @@ Three prompt categories exist. The simple prompt only asks for rewrites of
 the code; the medium prompt adds the project context and formatting
 instructions; the detailed prompt appends one canned before/after example
 of a useful change, the same example for every request. Templates are
-plain text files with placeholders (see docs/prompts.md):
+plain text files under templates/ with these placeholders:
 
     <code>         canonical text of the selected block
     <projectname>  project the code belongs to
@@ -43,14 +43,6 @@ class PromptCategory(Enum):
     DETAILED = "detailed"
 
 
-class ExtractError(Exception):
-    pass
-
-
-class NoCodeBlockError(ExtractError):
-    pass
-
-
 def _load_template(name: str) -> str:
     return (resources.files("minigi") / "templates" / name).read_text(encoding="utf-8")
 
@@ -68,7 +60,6 @@ class PromptTemplate:
     language: str = "MiniLang"
     code_label: str = "minilang"
     variant_count: int = DEFAULT_VARIANT_COUNT
-    template_text: Optional[str] = None  # overrides the packaged template file
 
     def __post_init__(self):
         if self.category is PromptCategory.DETAILED and self.example_change is None:
@@ -87,9 +78,7 @@ def render_template(text: str, values: dict[str, str]) -> str:
 
 def build_prompt(template: PromptTemplate, code: str) -> str:
     """Render the prompt for one block of code (its canonical printing)."""
-    text = template.template_text
-    if text is None:
-        text = _load_template(f"{template.category.value}.txt")
+    text = _load_template(f"{template.category.value}.txt")
     example = template.example_change or ""
     return render_template(
         text,
@@ -146,13 +135,6 @@ class LlmResponse:
 
     def __post_init__(self):
         object.__setattr__(self, "extracted_blocks", extract_code_blocks(self.raw_text))
-
-
-def extract_first_block(response: LlmResponse) -> str:
-    """Contents of the first fenced block; NoCodeBlockError when none exists."""
-    if not response.extracted_blocks:
-        raise NoCodeBlockError("response contains no fenced code block")
-    return response.extracted_blocks[0]
 
 
 # -- the mutation operator --

@@ -83,8 +83,8 @@ class ImprovementStats:
 class RunReport:
     family: str  # token, e.g. "llm-medium"
     all_counts: LadderCounts
-    unique_counts: LadderCounts
-    improvements: Optional[ImprovementStats] = None
+    unique_counts: Optional[LadderCounts] = None  # random sampling only
+    improvements: Optional[ImprovementStats] = None  # local search only
 
     @property
     def display_name(self) -> str:
@@ -149,24 +149,15 @@ def aggregate_table2(records: Sequence[EvalRecord]) -> list[RunReport]:
             baselines[record.run_id] = record.runtime
 
     all_counts: dict[str, LadderCounts] = {}
-    unique_counts: dict[str, LadderCounts] = {}
-    seen_keys: dict[str, set[str]] = {}
     deltas: dict[str, list[int]] = {}
     for row, record in enumerate(records, start=1):
-        digest, edits, empty = _parse_record(record, row)
+        _digest, _edits, empty = _parse_record(record, row)
         if empty:
             continue
         if record.run_id not in baselines:
             raise ReportError(f"row {row}: run {record.run_id} has no baseline evaluation")
         family = _family_of(record)
         all_counts[family] = all_counts.get(family, LadderCounts()).add(record.classification)
-        key = digest if digest != "invalid" else f"invalid:{edits}"
-        keys = seen_keys.setdefault(family, set())
-        if key not in keys:
-            keys.add(key)
-            unique_counts[family] = unique_counts.get(family, LadderCounts()).add(
-                record.classification
-            )
         if record.classification == "Passed" and record.runtime is not None:
             delta = baselines[record.run_id] - record.runtime
             if delta > 0:
@@ -180,9 +171,7 @@ def aggregate_table2(records: Sequence[EvalRecord]) -> list[RunReport]:
             best=max(family_deltas) if family_deltas else None,
             median=statistics.median(family_deltas) if family_deltas else None,
         )
-        reports.append(
-            RunReport(family, all_counts[family], unique_counts.get(family, LadderCounts()), stats)
-        )
+        reports.append(RunReport(family, all_counts[family], improvements=stats))
     return reports
 
 

@@ -224,9 +224,6 @@ def _draw_family(
 class SearchState:
     current_patch: Patch
     current_runtime: int
-    best_patch: Patch
-    best_runtime: int
-    evals_used: int = 0
     current_unit: Optional[SourceUnit] = None
     llm_queue: deque = field(default_factory=deque)
 
@@ -315,24 +312,13 @@ def _one_ls_run(unit, tests, cfg, adapter, llm, method, records, sink) -> None:
     _record(run_id, 0, empty, baseline, sink, records)
     runtime = baseline.runtime()
     assert runtime is not None
-    state = SearchState(
-        current_patch=empty,
-        current_runtime=runtime,
-        best_patch=empty,
-        best_runtime=runtime,
-        evals_used=1,
-        current_unit=unit,
-    )
+    state = SearchState(current_patch=empty, current_runtime=runtime, current_unit=unit)
     for index in range(1, cfg.evals_per_run):
         neighbor = propose_neighbor(state, cfg.family, rng, unit, method, llm)
         result = evaluate(unit, neighbor, tests, adapter, cfg.step_budget)
-        state.evals_used += 1
         _record(run_id, index, neighbor, result, sink, records)
         new_runtime = result.runtime()
         if result.passed and new_runtime is not None and new_runtime < state.current_runtime:
             state.current_patch = neighbor
             state.current_runtime = new_runtime
             state.current_unit = apply_patch(unit, neighbor)
-            if new_runtime < state.best_runtime:
-                state.best_patch = neighbor
-                state.best_runtime = new_runtime

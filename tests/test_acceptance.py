@@ -28,8 +28,7 @@ from minigi.patches import (
     InsertionPoint,
     Patch,
     apply_patch,
-    classify_uniqueness,
-    fingerprint,
+    serialize_patch,
     split_patch_line,
 )
 from minigi.profiling import profile, profile_runs
@@ -43,7 +42,6 @@ from minigi.reporting import (
     LadderCounts,
     aggregate_table1,
     read_records_csv,
-    render_table1,
 )
 from minigi.search import (
     EvalRecord,
@@ -358,20 +356,15 @@ def test_criterion_7_determinism_replay(tmp_path):
 def test_criterion_8_uniqueness_filter(bench_sort):
     unit, tests = bench_sort
     s0 = StatementId("sort", (0,))
-    s2 = StatementId("sort", (2,))
     noop_swap = Patch("bench_sort", (Edit(EditKind.SWAP, src=s0, dst=s0),))
     delete = Patch("bench_sort", (Edit(EditKind.DELETE, src=s0),))
 
-    partition = classify_uniqueness([noop_swap, delete, delete], unit)
-    assert partition.equivalent_to_original == [noop_swap]
-    assert partition.unique_representatives == [delete]
-    assert partition.duplicates == [delete]
-    assert fingerprint(unit, noop_swap).digest == source_digest(unit)
+    original = source_digest(unit)
+    assert source_digest(apply_patch(unit, noop_swap)) == original
+    assert source_digest(apply_patch(unit, delete)) != original
 
-    # the same rules drive the report: the no-op vanishes entirely, the
-    # duplicate collapses in the Unique columns only
-    from minigi.patches import serialize_patch
-
+    # the report keys uniqueness on that digest: the no-op vanishes
+    # entirely, the repeat collapses in the Unique columns only
     records = []
     for index, patch in enumerate([noop_swap, delete, delete]):
         result = evaluate(unit, patch, tests)
@@ -381,7 +374,8 @@ def test_criterion_8_uniqueness_filter(bench_sort):
                 result.classification.value, result.runtime(),
             )
         )
-    reports = aggregate_table1(records, source_digest(unit))
+    assert split_patch_line(records[0].patch_line)[2] == original
+    reports = aggregate_table1(records, original)
     assert reports[0].all_counts.patches == 2
     assert reports[0].unique_counts.patches == 1
     report_pass(8, "uniqueness filter")

@@ -198,6 +198,12 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
         "sample", str(unparsable), MAX_TESTS,
         "--family", "statement", "--out-dir", str(tmp_path),
     ) == 2
+    bad_mode = tmp_path / "bad_mode.conf"
+    bad_mode.write_text("llm_mode = bogus\n")
+    assert run(
+        "sample", MAX, MAX_TESTS, "--family", "llm", "--config", str(bad_mode),
+        "--out-dir", str(tmp_path),
+    ) == 2
     capsys.readouterr()
 
 
@@ -266,3 +272,54 @@ def test_partial_results_survive_infrastructure_abort(tmp_path, capsys):
     log_lines = (tmp_path / "out" / "sample_log.csv").read_text().splitlines()
     # header plus the rows finished before the toolchain broke
     assert len(log_lines) == 1 + 7
+
+
+def test_replay_of_external_adapter_run(tmp_path, capsys):
+    """The run record names the adapter and its commands, so replay drives
+    the same toolchain even after the --config file is gone."""
+    config = tmp_path / "adapter.conf"
+    config.write_text(
+        "adapter = external\n"
+        "compile_cmd = true\n"
+        "test_cmd = true\n"
+        "measure_cmd = echo 7\n"
+        "measure_repeats = 1\n"
+    )
+    run_dir = tmp_path / "run"
+    assert run(
+        "sample", MAX, MAX_TESTS, "--family", "statement", "--budget", "6",
+        "--seed", "1", "--config", str(config), "--out-dir", str(run_dir),
+    ) == 0
+    passed = [r for r in read_records_csv(run_dir / "sample_log.csv") if r.runtime is not None]
+    assert passed and all(r.runtime == 7 for r in passed)
+    config.unlink()
+    capsys.readouterr()
+    assert run("replay", str(run_dir), "--out-dir", str(tmp_path / "again")) == 0
+    assert "sample_log.csv: identical" in capsys.readouterr().out
+
+
+def test_replay_refuses_a_changed_program(tmp_path, capsys):
+    program = tmp_path / "bench_max.ml"
+    program.write_text(Path(MAX).read_text())
+    run_dir = tmp_path / "run"
+    assert run(
+        "sample", str(program), MAX_TESTS, "--family", "insert", "--budget", "3",
+        "--seed", "4", "--methods", "max2", "--out-dir", str(run_dir),
+    ) == 0
+    program.write_text(Path(MAX).read_text() + "\nfn extra() -> int { return 0; }\n")
+    capsys.readouterr()
+    assert run("replay", str(run_dir), "--out-dir", str(tmp_path / "again")) == 2
+    assert "changed since the run was recorded" in capsys.readouterr().err
+
+
+def test_replay_refuses_to_overwrite_the_recorded_run(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert run(
+        "sample", MAX, MAX_TESTS, "--family", "insert", "--budget", "3",
+        "--seed", "4", "--methods", "max2", "--out-dir", str(run_dir),
+    ) == 0
+    recorded = (run_dir / "sample_log.csv").read_bytes()
+    capsys.readouterr()
+    assert run("replay", str(run_dir), "--out-dir", str(run_dir)) == 2
+    assert "overwrite" in capsys.readouterr().err
+    assert (run_dir / "sample_log.csv").read_bytes() == recorded

@@ -13,7 +13,6 @@ from minigi.evaluation import (
     TargetAdapter,
     evaluate,
     evaluate_batch,
-    measure_runtime,
 )
 from minigi.lang.ast import StatementId
 from minigi.patches import Edit, EditKind, InsertionPoint, Patch
@@ -116,18 +115,19 @@ def test_ladder_invariants_enforced(bench_sort):
         )
 
 
-def test_measure_runtime_builtin_exact_and_repeats_irrelevant(bench_sort):
+def test_builtin_runtime_is_exact_steps(bench_sort):
     unit, tests = bench_sort
-    assert measure_runtime(unit, tests, repeats=1) == 1009
-    assert measure_runtime(unit, tests, repeats=7) == 1009
+    results = [evaluate(unit, Patch("bench_sort"), tests) for _ in range(2)]
+    assert [r.runtime() for r in results] == [1009, 1009]
 
 
-def test_measure_runtime_requires_passing_program(bench_sort):
+def test_failing_program_has_no_runtime(bench_sort):
     unit, _ = bench_sort
     from minigi.lang import parse_test_file
 
-    with pytest.raises(ValueError):
-        measure_runtime(unit, parse_test_file("test t: max2(1, 2) == 0"))
+    result = evaluate(unit, Patch("bench_sort"), parse_test_file("test t: max2(1, 2) == 0"))
+    assert result.classification is Classification.COMPILED_ONLY
+    assert result.runtime() is None
 
 
 def test_batch_results_keep_input_order(bench_sort):
@@ -164,7 +164,8 @@ def test_external_measure_parses_integer_ms(bench_sort):
     assert result.classification is Classification.PASSED
     assert result.wall_clock_ms == 421
     assert result.runtime_steps is None
-    assert measure_runtime(unit, tests, external(tc()), repeats=3) == 421
+    assert result.runtime() == 421
+    assert evaluate(unit, Patch("bench_sort"), tests, external(tc(measure_repeats=3))).runtime() == 421
 
 
 def test_external_compile_failure_is_valid_only(bench_sort):

@@ -21,8 +21,6 @@ from minigi.patches import (
     UnresolvableIdError,
     apply_edit,
     apply_patch,
-    classify_uniqueness,
-    fingerprint,
     serialize_patch,
     split_patch_line,
 )
@@ -50,14 +48,14 @@ def test_self_swap_is_identity(bench_sort):
     unit, _ = bench_sort
     s = sid("sort", 1)
     patch = Patch("bench_sort", (Edit(EditKind.SWAP, src=s, dst=s),))
-    assert fingerprint(unit, patch).digest == source_digest(unit)
+    assert source_digest(apply_patch(unit, patch)) == source_digest(unit)
 
 
 def test_self_replace_is_identity(bench_sort):
     unit, _ = bench_sort
     s = sid("sort", 0)
     patch = Patch("bench_sort", (Edit(EditKind.REPLACE, src=s, dst=s),))
-    assert fingerprint(unit, patch).digest == source_digest(unit)
+    assert source_digest(apply_patch(unit, patch)) == source_digest(unit)
 
 
 def test_every_statement_is_deletable(bench_sort):
@@ -80,7 +78,7 @@ def test_apply_does_not_mutate_input(bench_sort):
 
 def test_empty_patch_fingerprint_equals_original(bench_sort):
     unit, _ = bench_sort
-    assert fingerprint(unit, Patch("bench_sort")).digest == source_digest(unit)
+    assert source_digest(apply_patch(unit, Patch("bench_sort"))) == source_digest(unit)
 
 
 def test_wrong_base_name_rejected(bench_sort):
@@ -100,7 +98,7 @@ def test_copy_then_delete_equals_swap():
             Edit(EditKind.DELETE, src=sid("f", 0)),
         ),
     )
-    assert fingerprint(unit, swap) == fingerprint(unit, reorder)
+    assert source_digest(apply_patch(unit, swap)) == source_digest(apply_patch(unit, reorder))
 
 
 def test_swap_across_functions(bench_sort):
@@ -271,7 +269,7 @@ def test_serialization_round_trip_fields(bench_sort):
     unit, _ = bench_sort
     edit = Edit(EditKind.REPLACE, src=sid("sort", 0), dst=sid("sort", 2))
     patch = Patch("bench_sort", (edit,), seed="42:statement:7")
-    digest = fingerprint(unit, patch).digest
+    digest = source_digest(apply_patch(unit, patch))
     line = serialize_patch(patch, digest)
     seed, edits, fp = split_patch_line(line)
     assert seed == "42:statement:7"
@@ -281,45 +279,3 @@ def test_serialization_round_trip_fields(bench_sort):
     assert split_patch_line(invalid_line)[2] == "invalid"
     empty = serialize_patch(Patch("bench_sort", (), "s"), digest)
     assert split_patch_line(empty)[1] == ""
-
-
-def test_classify_uniqueness_buckets(bench_sort):
-    unit, _ = bench_sort
-    s = sid("sort", 1)
-    delete0 = Patch("bench_sort", (Edit(EditKind.DELETE, src=sid("sort", 0)),))
-    noop = Patch("bench_sort", (Edit(EditKind.SWAP, src=s, dst=s),))
-    bad = Patch(
-        "bench_sort",
-        (Edit(EditKind.DELETE, src=sid("sort", 2)), Edit(EditKind.DELETE, src=sid("sort", 2))),
-    )
-    partition = classify_uniqueness([delete0, delete0, noop, bad], unit)
-    assert partition.unique_representatives == [delete0]
-    assert partition.duplicates == [delete0]
-    assert partition.equivalent_to_original == [noop]
-    assert partition.invalid == [bad]
-
-
-def test_classify_uniqueness_golden_partition_seed_42(bench_sort):
-    """Frozen partition sizes for 1000 sampled Statement edits, seed 42."""
-    unit, _ = bench_sort
-    hot = ["sort", "max2"]
-    patches = []
-    for i in range(1000):
-        rng = random.Random(f"42:statement:{i}")
-        patches.append(Patch("bench_sort", (sample_statement_edit(unit, hot, rng),)))
-    partition = classify_uniqueness(patches, unit)
-    sizes = (
-        len(partition.unique_representatives),
-        len(partition.duplicates),
-        len(partition.equivalent_to_original),
-        len(partition.invalid),
-    )
-    assert sum(sizes) == 1000
-    assert len(partition.invalid) == 0  # fresh draws always apply
-    assert sizes == GOLDEN_PARTITION_SIZES
-
-
-# Computed once from the implementation at freeze time; regression guard.
-# Sanity: ~11% of draws are self-targeting Swap/Replace (2 kinds * 1/4 each
-# * mean 2/9 chance of src == dst), which lands near the 125 observed.
-GOLDEN_PARTITION_SIZES = (184, 691, 125, 0)

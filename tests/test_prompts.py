@@ -9,13 +9,11 @@ from minigi.llm import LlmClientConfig, MockLlmClient
 from minigi.patches import EditKind, apply_edit
 from minigi.prompts import (
     LlmResponse,
-    NoCodeBlockError,
     PromptCategory,
     PromptTemplate,
     build_prompt,
     default_example_change,
     extract_code_blocks,
-    extract_first_block,
     make_llm_edits,
 )
 
@@ -99,22 +97,23 @@ def test_placeholders_in_code_are_not_reexpanded():
 # -- extraction --
 
 
-def test_extract_first_block_of_many():
+def test_extract_blocks_of_many_in_order():
     resp = LlmResponse("intro\n```\nfirst\n```\nmiddle\n```\nsecond\n```\n")
     assert resp.extracted_blocks == ("first", "second")
-    assert extract_first_block(resp) == "first"
 
 
-def test_extract_prose_only_is_no_code_block():
-    resp = LlmResponse("No code here, only words.")
-    assert resp.extracted_blocks == ()
-    with pytest.raises(NoCodeBlockError):
-        extract_first_block(resp)
+def test_extract_prose_only_is_no_code_block(bench_sort):
+    unit, _ = bench_sort
+    prose = "No code here, only words."
+    assert LlmResponse(prose).extracted_blocks == ()
+    client = mock_client([prose])
+    edits = make_llm_edits(unit, ["sort"], random.Random(0), client, minilang_template())
+    assert [e.payload for e in edits] == [None] * 5
 
 
 def test_extract_strips_language_label():
     resp = LlmResponse("```java\n{ return 1; }\n```\n")
-    assert extract_first_block(resp) == "{ return 1; }"
+    assert resp.extracted_blocks == ("{ return 1; }",)
 
 
 def test_extract_unclosed_fence_runs_to_end():
@@ -167,7 +166,7 @@ def test_make_llm_edits_pads_missing_variants_as_blockless(bench_sort):
 
 def test_make_llm_edits_echo_keeps_original_fingerprint(bench_sort):
     from minigi.lang import source_digest
-    from minigi.patches import Patch, fingerprint
+    from minigi.patches import Patch, apply_patch
 
     unit, _ = bench_sort
 
@@ -178,7 +177,7 @@ def test_make_llm_edits_echo_keeps_original_fingerprint(bench_sort):
     client = mock_client(echo)
     edits = make_llm_edits(unit, ["sort"], random.Random(3), client, minilang_template(count := 1))
     patch = Patch("bench_sort", (edits[0],))
-    assert fingerprint(unit, patch).digest == source_digest(unit)
+    assert source_digest(apply_patch(unit, patch)) == source_digest(unit)
 
 
 def test_block_selection_uniform_over_blocks(bench_sort):

@@ -217,10 +217,7 @@ def test_equal_runtime_neighbor_not_accepted(bench_max):
 
 def test_propose_neighbor_empty_always_appends(bench_max):
     unit, _ = bench_max
-    state = SearchState(
-        current_patch=Patch("bench_max"), current_runtime=100,
-        best_patch=Patch("bench_max"), best_runtime=100, current_unit=unit,
-    )
+    state = SearchState(current_patch=Patch("bench_max"), current_runtime=100, current_unit=unit)
     for seed in range(50):
         neighbor = propose_neighbor(state, "statement", random.Random(seed), unit, "max2")
         assert len(neighbor.edits) == 1
@@ -232,12 +229,12 @@ def test_propose_neighbor_append_remove_split(bench_max):
     rng = random.Random(123)
     edits = tuple(
         propose_neighbor(
-            SearchState(base, 100, base, 100, current_unit=unit), "statement", rng, unit, "max2"
+            SearchState(base, 100, current_unit=unit), "statement", rng, unit, "max2"
         ).edits[0]
         for _ in range(3)
     )
     current = Patch("bench_max", edits)
-    state = SearchState(current, 100, current, 100, current_unit=unit)
+    state = SearchState(current, 100, current_unit=unit)
     counts = Counter()
     rng = random.Random(99)
     for _ in range(10_000):
@@ -252,8 +249,8 @@ def test_propose_neighbor_append_remove_split(bench_max):
 def test_propose_neighbor_deterministic(bench_max):
     unit, _ = bench_max
     base = Patch("bench_max")
-    state1 = SearchState(base, 100, base, 100, current_unit=unit)
-    state2 = SearchState(base, 100, base, 100, current_unit=unit)
+    state1 = SearchState(base, 100, current_unit=unit)
+    state2 = SearchState(base, 100, current_unit=unit)
     n1 = propose_neighbor(state1, "insert", random.Random(5), unit, "max2")
     n2 = propose_neighbor(state2, "insert", random.Random(5), unit, "max2")
     assert n1 == n2
@@ -262,8 +259,8 @@ def test_propose_neighbor_deterministic(bench_max):
 def test_statement_family_thousand_draw_golden_counts(bench_sort):
     """Frozen ladder counts for the default-size statement run, seed 42.
 
-    The partition golden in test_patches pins how many distinct programs
-    this run draws; criterion 2 of the acceptance suite checks the ladder
+    GOLDEN_PARTITION_SIZES pins how the draws split into distinct programs,
+    repeats, no-ops and invalid patches; criterion 2 of the acceptance suite checks the ladder
     itself, against an oracle built without `evaluate`, but only for
     Statement edits inside `sort` (hot list ["sort"], its own seed), so it
     never sees this run's `max2` draws or its `42:statement:i` stream.
@@ -289,11 +286,21 @@ def test_statement_family_thousand_draw_golden_counts(bench_sort):
     assert (counts.patches, counts.valid, counts.compiled, counts.passed) == GOLDEN_1000_ALL
     unique = report.unique_counts
     assert (unique.patches, unique.valid, unique.compiled, unique.passed) == GOLDEN_1000_UNIQUE
+    invalid = sum(1 for r in records if r.classification == "Invalid")
+    partition = (unique.patches, counts.patches - unique.patches, 1000 - counts.patches, invalid)
+    assert partition == GOLDEN_PARTITION_SIZES
+
+
+# Seed 42, the same 1000 draws: (distinct programs, repeats of an earlier
+# program, no-ops equivalent to the original, invalid). Fresh draws always
+# apply, so none is invalid. About 11 % of draws are self-targeting
+# Swap/Replace (2 kinds * 1/4 each * mean 2/9 chance of src == dst), which
+# lands near the 125 no-ops excluded from both ladders below.
+GOLDEN_PARTITION_SIZES = (184, 691, 125, 0)
 
 
 # Seed 42, bench_sort fixture. 125 of the 1000 draws were equivalent to the
-# original (see the matching partition golden in test_patches) and are
-# excluded from both ladders; the other 875 draws give 184 distinct programs.
+# original (see GOLDEN_PARTITION_SIZES) and are excluded from both ladders; the other 875 draws give 184 distinct programs.
 #
 # Every program carries one classification (asserted above), so the unique
 # ladder is the verdicts of the 184 programs: 46 CompiledOnly + 29 Passed
