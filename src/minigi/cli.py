@@ -14,6 +14,7 @@ runs that record again offline. docs/logs.md lists the record's keys.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from dataclasses import asdict
@@ -32,7 +33,6 @@ from minigi.lang.parser import ParseError, parse_source
 from minigi.lang.printer import source_digest
 from minigi.llm import ClientError, LlmClientConfig, make_client
 from minigi.profiling import (
-    DEFAULT_REPEATS,
     DEFAULT_TOP_K,
     ProfileOnFailingProgramError,
     profile,
@@ -74,12 +74,27 @@ class ConfigError(Exception):
 # -- option plumbing --
 
 
+@functools.cache
+def _config_keys() -> frozenset[str]:
+    """Option dests of every subcommand. One --config file may serve them
+    all, so a key that any subcommand takes is allowed in it."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return frozenset(
+        action.dest
+        for sub in commands.choices.values()
+        for action in sub._actions
+        if action.option_strings and action.dest != "help"
+    )
+
+
 def _read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
+    known = _config_keys()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -87,7 +102,10 @@ def _read_config_file(path: str) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected key=value")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key not in known:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        values[key] = value.strip()
     return values
 
 
@@ -226,9 +244,7 @@ def _hot_methods(opts: Options, unit, tests, step_budget: int) -> list[str]:
             if not unit.has_function(name):
                 raise ConfigError(f"method {name!r} not in program")
         return names
-    top_k = opts.get_int("top_k", DEFAULT_TOP_K)
-    prof = profile(unit, tests, repeats=DEFAULT_REPEATS, top_k=top_k, step_budget=step_budget)
-    return prof.hot_set
+    return profile(unit, tests, opts.get_int("top_k", DEFAULT_TOP_K), step_budget).hot_set
 
 
 # -- the run record --
@@ -269,8 +285,8 @@ def _run_record(command: str, opts: Options, unit, tests, out_dir: Path) -> dict
     return record
 
 
-def _execute(record: dict, unit, tests, out_dir: Path, workers: int = 1) -> int:
-    """Run a resolved record into `out_dir`; `workers` cannot change the log."""
+def _execute(record: dict, unit, tests, out_dir: Path) -> int:
+    """Run a resolved record into `out_dir`."""
     external = ExternalToolchain(**record["toolchain"]) if record["toolchain"] else None
     adapter = TargetAdapter(record["adapter"], external)
     llm = None
@@ -286,8 +302,7 @@ def _execute(record: dict, unit, tests, out_dir: Path, workers: int = 1) -> int:
                 tuple(record["families"]), record["budget"], record["seed"], record["step_budget"]
             )
             records = random_sampling(
-                unit, tests, record["methods"], cfg, adapter, llm,
-                sink=writer.write, workers=workers,
+                unit, tests, record["methods"], cfg, adapter, llm, sink=writer.write
             )
         else:
             cfg = LocalSearchConfig(
@@ -313,7 +328,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     prof = profile(
         unit,
         tests,
-        repeats=opts.get_int("repeats", DEFAULT_REPEATS),
         top_k=opts.get_int("top_k", DEFAULT_TOP_K),
         step_budget=opts.get_int("step_budget", DEFAULT_STEP_BUDGET),
     )
@@ -321,9 +335,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / "profile.csv"
     write_profile_csv(prof, out)
-    totals = prof.total_costs()
     for rank, name in enumerate(prof.hot_set, start=1):
-        print(f"{rank}. {name} ({totals.get(name, 0)} steps over {prof.repeats} runs)")
+        print(f"{rank}. {name} ({prof.costs[name]} steps)")
     print(f"wrote {out}")
     return 0
 
@@ -335,7 +348,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     tests = _load_tests(args.tests)
     out_dir = _out_dir(opts)
     record = _run_record(args.command, opts, unit, tests, out_dir)
-    return _execute(record, unit, tests, out_dir, opts.get_int("workers", 1))
+    return _execute(record, unit, tests, out_dir)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -428,7 +441,6 @@ def _add_common_run_flags(p: argparse.ArgumentParser) -> None:
                    help="HTTP timeout for live mode, seconds")
     p.add_argument("--max-retries", type=int, dest="max_retries",
                    help="retries on rate limiting in live mode")
-    p.add_argument("--workers", type=int, help="parallel evaluation width (default 1)")
     p.add_argument("--timeout-ms", type=int, dest="timeout_ms",
                    help="external adapter per-test watchdog (default 10000)")
     p.add_argument("--measure-repeats", type=int, dest="measure_repeats",
@@ -447,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile = sub.add_parser("profile", help="identify hot methods")
     p_profile.add_argument("program")
     p_profile.add_argument("tests")
-    p_profile.add_argument("--repeats", type=int, help=f"profiling runs (default {DEFAULT_REPEATS})")
     p_profile.add_argument("--top-k", type=int, dest="top_k")
     p_profile.add_argument("--step-budget", type=int, dest="step_budget")
     p_profile.add_argument("--out-dir", dest="out_dir")

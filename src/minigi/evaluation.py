@@ -18,11 +18,13 @@ misfiled as patch failures.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import shlex
+import signal
 import statistics
 import subprocess
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -57,60 +59,18 @@ class Classification(Enum):
 @dataclass(frozen=True)
 class EvaluationResult:
     patch: Patch
-    valid: bool
-    compiled: bool
-    passed: bool
-    tests_failed: int
-    runtime_steps: Optional[int]
-    wall_clock_ms: Optional[int]
     classification: Classification
-    fingerprint: Optional[str]  # canonical digest of the patched program
+    tests_failed: int = 0
+    runtime: Optional[int] = None  # Passed only: steps (builtin) or milliseconds (external)
+    fingerprint: Optional[str] = None  # canonical digest of the patched program
 
-    def runtime(self) -> Optional[int]:
-        return self.runtime_steps if self.runtime_steps is not None else self.wall_clock_ms
+    @property
+    def passed(self) -> bool:
+        return self.classification is Classification.PASSED
 
     def __post_init__(self):
-        if self.compiled and not self.valid:
-            raise ValueError("compiled implies valid")
-        if self.passed and not self.compiled:
-            raise ValueError("passed implies compiled")
-        if (self.runtime_steps is not None or self.wall_clock_ms is not None) and not self.passed:
-            raise ValueError("runtime recorded for a non-passing patch")
-        if self.passed and self.runtime_steps is None and self.wall_clock_ms is None:
-            raise ValueError("passing patch without a runtime")
-
-
-def _classify(valid: bool, compiled: bool, passed: bool) -> Classification:
-    if not valid:
-        return Classification.INVALID
-    if not compiled:
-        return Classification.VALID_ONLY
-    if not passed:
-        return Classification.COMPILED_ONLY
-    return Classification.PASSED
-
-
-def _result(
-    patch: Patch,
-    valid: bool,
-    compiled: bool = False,
-    passed: bool = False,
-    tests_failed: int = 0,
-    runtime_steps: Optional[int] = None,
-    wall_clock_ms: Optional[int] = None,
-    fingerprint: Optional[str] = None,
-) -> EvaluationResult:
-    return EvaluationResult(
-        patch=patch,
-        valid=valid,
-        compiled=compiled,
-        passed=passed,
-        tests_failed=tests_failed,
-        runtime_steps=runtime_steps,
-        wall_clock_ms=wall_clock_ms,
-        classification=_classify(valid, compiled, passed),
-        fingerprint=fingerprint,
-    )
+        if (self.runtime is not None) != self.passed:
+            raise ValueError("a runtime is recorded if and only if the patch passed")
 
 
 # -- adapters --
@@ -128,9 +88,10 @@ class ExternalToolchain:
     Exit codes: patch_apply_cmd and measure_cmd must exit 0, or the run
     stops with InfrastructureError. compile_cmd exiting non-zero makes the
     patch ValidOnly. test_cmd exiting non-zero, or outliving its
-    `timeout_ms` watchdog, fails that test. measure_cmd prints an integer
-    on its last stdout line; the median-low of `measure_repeats` runs is
-    the runtime.
+    `timeout_ms` watchdog, fails that test; every command runs in a
+    session of its own, and the watchdog kills its whole process group.
+    measure_cmd prints an integer on its last stdout line; the median-low
+    of `measure_repeats` runs is the runtime.
     """
 
     compile_cmd: str
@@ -170,7 +131,7 @@ def evaluate(
     try:
         patched = apply_patch(unit, patch)
     except ApplyError:
-        return _result(patch, valid=False)
+        return EvaluationResult(patch, Classification.INVALID)
     digest = source_digest(patched)
     if adapter.kind == "builtin":
         return _evaluate_builtin(patch, patched, tests, step_budget, digest)
@@ -185,18 +146,15 @@ def _evaluate_builtin(
     digest: str,
 ) -> EvaluationResult:
     if validate(patched):
-        return _result(patch, valid=True, fingerprint=digest)
+        return EvaluationResult(patch, Classification.VALID_ONLY, fingerprint=digest)
     outcomes = run_suite(patched, tests, step_budget)
     failed = sum(1 for o in outcomes if o.status is not Status.PASS)
     if failed:
-        return _result(
-            patch, valid=True, compiled=True, tests_failed=failed, fingerprint=digest
+        return EvaluationResult(
+            patch, Classification.COMPILED_ONLY, tests_failed=failed, fingerprint=digest
         )
-    total_steps = sum(o.steps_used for o in outcomes)
-    return _result(
-        patch, valid=True, compiled=True, passed=True,
-        runtime_steps=total_steps, fingerprint=digest,
-    )
+    steps = sum(o.steps_used for o in outcomes)
+    return EvaluationResult(patch, Classification.PASSED, runtime=steps, fingerprint=digest)
 
 
 def _substitute(cmd: str, mapping: dict[str, str]) -> list[str]:
@@ -212,14 +170,29 @@ def _substitute(cmd: str, mapping: dict[str, str]) -> list[str]:
 def _run_command(
     argv: list[str], cwd: Path, timeout_ms: Optional[int] = None
 ) -> subprocess.CompletedProcess:
+    """Run one command in a session of its own. On timeout, or any other
+    exception while it runs, its whole process group is killed and the
+    command reaped before the exception propagates, so no descendant in
+    the group outlives the watchdog."""
     try:
-        return subprocess.run(
+        with subprocess.Popen(
             argv,
             cwd=cwd,
-            capture_output=True,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
             text=True,
-            timeout=None if timeout_ms is None else timeout_ms / 1000.0,
-        )
+            start_new_session=True,
+        ) as proc:
+            try:
+                stdout, stderr = proc.communicate(
+                    timeout=None if timeout_ms is None else timeout_ms / 1000.0
+                )
+            except BaseException:
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+                raise
+        return subprocess.CompletedProcess(argv, proc.returncode, stdout, stderr)
     except FileNotFoundError as exc:
         raise InfrastructureError(f"command not found: {exc}") from None
     except OSError as exc:
@@ -253,17 +226,14 @@ def _evaluate_external(
                 )
         proc = _run_command(_substitute(toolchain.compile_cmd, mapping), workdir)
         if proc.returncode != 0:
-            return _result(patch, valid=True, fingerprint=digest)
+            return EvaluationResult(patch, Classification.VALID_ONLY, fingerprint=digest)
         failed = _run_external_tests(tests, toolchain, mapping, workdir)
         if failed:
-            return _result(
-                patch, valid=True, compiled=True, tests_failed=failed, fingerprint=digest
+            return EvaluationResult(
+                patch, Classification.COMPILED_ONLY, tests_failed=failed, fingerprint=digest
             )
         ms = _measure_external(toolchain, mapping, workdir, toolchain.measure_repeats)
-        return _result(
-            patch, valid=True, compiled=True, passed=True,
-            wall_clock_ms=ms, fingerprint=digest,
-        )
+        return EvaluationResult(patch, Classification.PASSED, runtime=ms, fingerprint=digest)
 
 
 def _run_external_tests(
@@ -311,19 +281,3 @@ def _measure_external(
                 f"measure command printed no integer: {proc.stdout!r}"
             ) from None
     return int(statistics.median_low(samples))
-
-
-def evaluate_batch(
-    unit: SourceUnit,
-    patches: Sequence[Patch],
-    tests: list[TestCase],
-    adapter: TargetAdapter = BUILTIN_ADAPTER,
-    step_budget: int = DEFAULT_STEP_BUDGET,
-    workers: int = 1,
-) -> list[EvaluationResult]:
-    """Evaluate patches independently; results in input order regardless of
-    completion order. Worker width > 1 mainly helps the external backend."""
-    if workers <= 1:
-        return [evaluate(unit, p, tests, adapter, step_budget) for p in patches]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda p: evaluate(unit, p, tests, adapter, step_budget), patches))

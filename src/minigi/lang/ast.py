@@ -198,15 +198,6 @@ class StatementId:
             return f"{self.function}:root"
         return f"{self.function}:" + ".".join(str(i) for i in self.path)
 
-    @staticmethod
-    def parse(text: str) -> "StatementId":
-        fn, _, rest = text.partition(":")
-        if not fn or not rest:
-            raise ValueError(f"malformed statement id {text!r}")
-        if rest == "root":
-            return StatementId(fn, ())
-        return StatementId(fn, tuple(int(p) for p in rest.split(".")))
-
 
 def stmt_children(stmt: Stmt) -> tuple[Stmt, ...]:
     if isinstance(stmt, Block):

@@ -1,12 +1,11 @@
-"""Hot-method identification by repeated profiling and set union.
+"""Hot-method identification by profiling.
 
 Costs are attributed to the function whose body is executing (self cost;
 a callee's interior steps belong to the callee). Profiling runs the whole
-suite `repeats` times, ranks functions per run by self cost, and unions
-the per-run top-K sets. With the deterministic built-in interpreter every
-run is identical and the union degenerates to a single run's top-K; the
-union machinery matters for nondeterministic cost providers such as
-wall-clock measurements.
+suite once and ranks functions by self cost, ties broken by name; the
+first K are the hot set. The paper unions the top-K sets of repeated
+profiling runs, but the step-counting interpreter is deterministic, so
+every run is the same and the union is one run's top-K.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Union
+from typing import Union
 
 from minigi.lang.ast import SourceUnit
 from minigi.lang.interpreter import (
@@ -25,7 +24,6 @@ from minigi.lang.interpreter import (
     run_suite,
 )
 
-DEFAULT_REPEATS = 20
 DEFAULT_TOP_K = 10
 
 
@@ -35,77 +33,34 @@ class ProfileOnFailingProgramError(Exception):
 
 @dataclass
 class HotMethodProfile:
-    per_run: list[dict[str, int]]
-    hot_set: list[str]  # union of per-run top-K, ordered by total cost desc
-    repeats: int
-    top_k: int
-
-    def total_costs(self) -> dict[str, int]:
-        totals: dict[str, int] = {}
-        for run in self.per_run:
-            for name, cost in run.items():
-                totals[name] = totals.get(name, 0) + cost
-        return totals
-
-    def top_k_of_run(self, index: int) -> list[str]:
-        return _top_k(self.per_run[index], self.top_k)
-
-
-def _top_k(costs: Mapping[str, int], k: int) -> list[str]:
-    ranked = sorted(costs.items(), key=lambda item: (-item[1], item[0]))
-    return [name for name, _cost in ranked[:k]]
-
-
-def profile_runs(
-    run_provider: Callable[[int], Mapping[str, int]],
-    repeats: int = DEFAULT_REPEATS,
-    top_k: int = DEFAULT_TOP_K,
-) -> HotMethodProfile:
-    """Core protocol over any per-run cost provider (index -> costs)."""
-    per_run = [dict(run_provider(i)) for i in range(repeats)]
-    union: set[str] = set()
-    for run in per_run:
-        union.update(_top_k(run, top_k))
-    totals: dict[str, int] = {}
-    for run in per_run:
-        for name, cost in run.items():
-            totals[name] = totals.get(name, 0) + cost
-    hot = sorted(union, key=lambda name: (-totals.get(name, 0), name))
-    return HotMethodProfile(per_run, hot, repeats, top_k)
+    costs: dict[str, int]  # self cost in steps, by cost descending, then by name
+    hot_set: list[str]  # the first top-K of `costs`
 
 
 def profile(
     unit: SourceUnit,
     tests: list[TestCase],
-    repeats: int = DEFAULT_REPEATS,
     top_k: int = DEFAULT_TOP_K,
     step_budget: int = DEFAULT_STEP_BUDGET,
 ) -> HotMethodProfile:
     """Profile a passing program over its test suite."""
-
-    def one_run(_index: int) -> dict[str, int]:
-        costs: dict[str, int] = {}
-        outcomes = run_suite(unit, tests, step_budget, profile=costs)
-        failing = [t.name for t, o in zip(tests, outcomes) if o.status is not Status.PASS]
-        if failing:
-            raise ProfileOnFailingProgramError(
-                f"cannot profile a failing program (failing tests: {', '.join(failing)})"
-            )
-        costs.pop(HARNESS_FRAME, None)
-        return costs
-
-    return profile_runs(one_run, repeats, top_k)
+    costs: dict[str, int] = {}
+    outcomes = run_suite(unit, tests, step_budget, profile=costs)
+    failing = [t.name for t, o in zip(tests, outcomes) if o.status is not Status.PASS]
+    if failing:
+        raise ProfileOnFailingProgramError(
+            f"cannot profile a failing program (failing tests: {', '.join(failing)})"
+        )
+    costs.pop(HARNESS_FRAME, None)
+    ranked = sorted(costs, key=lambda name: (-costs[name], name))
+    return HotMethodProfile({name: costs[name] for name in ranked}, ranked[:top_k])
 
 
 def write_profile_csv(prof: HotMethodProfile, path: Union[str, Path]) -> None:
-    """Report rows: function, totalSteps, appearancesInTopK."""
-    totals = prof.total_costs()
-    appearances: dict[str, int] = {}
-    for i in range(len(prof.per_run)):
-        for name in prof.top_k_of_run(i):
-            appearances[name] = appearances.get(name, 0) + 1
+    """Report rows: function, steps, hot (1 or 0), in the order of `costs`."""
+    hot = set(prof.hot_set)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["function", "totalSteps", "appearancesInTopK"])
-        for name in sorted(totals, key=lambda n: (-totals[n], n)):
-            writer.writerow([name, totals[name], appearances.get(name, 0)])
+        writer.writerow(["function", "steps", "hot"])
+        for name, steps in prof.costs.items():
+            writer.writerow([name, steps, int(name in hot)])

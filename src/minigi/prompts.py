@@ -99,7 +99,6 @@ def build_prompt(template: PromptTemplate, code: str) -> str:
 @dataclass(frozen=True)
 class LlmRequest:
     prompt: str
-    variant_count: int = DEFAULT_VARIANT_COUNT
     temperature: float = DEFAULT_TEMPERATURE
     model: str = DEFAULT_MODEL
 
@@ -166,7 +165,6 @@ def make_llm_edits(
     prompt = build_prompt(template, code)
     request = LlmRequest(
         prompt=prompt,
-        variant_count=template.variant_count,
         temperature=client.config.temperature,
         model=client.config.model,
     )

@@ -217,14 +217,6 @@ def render_table2(reports: Sequence[RunReport]) -> str:
 # -- run-log files --
 
 
-def write_records_csv(records: Sequence[EvalRecord], path: Union[str, Path]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(LOG_COLUMNS)
-        for rec in records:
-            writer.writerow(_record_row(rec))
-
-
 def _record_row(rec: EvalRecord) -> list[str]:
     return [
         rec.run_id,

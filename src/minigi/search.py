@@ -27,7 +27,6 @@ from minigi.evaluation import (
     EvaluationResult,
     TargetAdapter,
     evaluate,
-    evaluate_batch,
 )
 from minigi.lang.ast import SourceUnit
 from minigi.lang.interpreter import DEFAULT_STEP_BUDGET, TestCase
@@ -133,7 +132,7 @@ def _record(
         eval_index=index,
         patch_line=serialize_patch(patch, result.fingerprint),
         classification=result.classification.value,
-        runtime=result.runtime(),
+        runtime=result.runtime,
     )
     records.append(rec)
     if sink is not None:
@@ -155,15 +154,15 @@ def random_sampling(
     adapter: TargetAdapter = BUILTIN_ADAPTER,
     llm: Optional[LlmSearchContext] = None,
     sink: Optional[RecordSink] = None,
-    workers: int = 1,
 ) -> list[EvalRecord]:
     """Draw and evaluate `per_family_budget` single-edit patches per family.
 
     Families are independent: each gets its own RNG stream derived from
     (seed, family), and classic draws additionally reseed per index so any
-    logged patch can be re-drawn in isolation. Evaluations may fan out over
-    `workers`; records keep draw order either way, and the sink sees them
-    in chunks so an aborted run still leaves its finished rows behind.
+    logged patch can be re-drawn in isolation. A family's patches are all
+    drawn first, then evaluated one at a time in draw order; each record
+    reaches the sink as soon as its evaluation ends, so an aborted run
+    leaves its finished rows behind.
     """
     if not hot:
         raise SearchSetupError("empty hot-method list")
@@ -173,16 +172,10 @@ def random_sampling(
         if is_llm_family(family) and llm is None:
             raise SearchSetupError(f"family {family!r} needs an LLM context")
     records: list[EvalRecord] = []
-    chunk = 1 if workers <= 1 else max(16, workers * 4)
     for family in cfg.families:
-        patches = _draw_family(unit, hot, cfg, llm, family)
-        for start in range(0, len(patches), chunk):
-            group = patches[start : start + chunk]
-            results = evaluate_batch(
-                unit, group, tests, adapter, cfg.step_budget, workers=workers
-            )
-            for offset, (patch, result) in enumerate(zip(group, results)):
-                _record(family, start + offset, patch, result, sink, records)
+        for index, patch in enumerate(_draw_family(unit, hot, cfg, llm, family)):
+            result = evaluate(unit, patch, tests, adapter, cfg.step_budget)
+            _record(family, index, patch, result, sink, records)
     return records
 
 
@@ -310,15 +303,15 @@ def _one_ls_run(unit, tests, cfg, adapter, llm, method, records, sink) -> None:
             "local search needs a passing baseline"
         )
     _record(run_id, 0, empty, baseline, sink, records)
-    runtime = baseline.runtime()
-    assert runtime is not None
-    state = SearchState(current_patch=empty, current_runtime=runtime, current_unit=unit)
+    assert baseline.runtime is not None
+    state = SearchState(
+        current_patch=empty, current_runtime=baseline.runtime, current_unit=unit
+    )
     for index in range(1, cfg.evals_per_run):
         neighbor = propose_neighbor(state, cfg.family, rng, unit, method, llm)
         result = evaluate(unit, neighbor, tests, adapter, cfg.step_budget)
         _record(run_id, index, neighbor, result, sink, records)
-        new_runtime = result.runtime()
-        if result.passed and new_runtime is not None and new_runtime < state.current_runtime:
+        if result.runtime is not None and result.runtime < state.current_runtime:
             state.current_patch = neighbor
-            state.current_runtime = new_runtime
+            state.current_runtime = result.runtime
             state.current_unit = apply_patch(unit, neighbor)

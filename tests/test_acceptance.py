@@ -17,8 +17,17 @@ from minigi.evaluation import (
     TargetAdapter,
     evaluate,
 )
-from minigi.lang import Status, parse_test_file, run_suite, run_test, source_digest, validate
+from minigi.lang import (
+    Status,
+    parse_source,
+    parse_test_file,
+    run_suite,
+    run_test,
+    source_digest,
+    validate,
+)
 from minigi.lang.ast import StatementId, insertion_slots, list_statement_ids
+from minigi.lang.interpreter import HARNESS_FRAME
 from minigi.llm import LlmClientConfig, MockLlmClient
 from minigi.operators import sample_statement_edit
 from minigi.patches import (
@@ -31,7 +40,7 @@ from minigi.patches import (
     serialize_patch,
     split_patch_line,
 )
-from minigi.profiling import profile, profile_runs
+from minigi.profiling import profile
 from minigi.prompts import (
     PromptCategory,
     PromptTemplate,
@@ -371,7 +380,7 @@ def test_criterion_8_uniqueness_filter(bench_sort):
         records.append(
             EvalRecord(
                 "statement", index, serialize_patch(patch, result.fingerprint),
-                result.classification.value, result.runtime(),
+                result.classification.value, result.runtime,
             )
         )
     assert split_patch_line(records[0].patch_line)[2] == original
@@ -386,19 +395,17 @@ def test_criterion_8_uniqueness_filter(bench_sort):
 
 def test_criterion_9_profiler_protocol(bench_sort):
     unit, tests = bench_sort
-    prof = profile(unit, tests, repeats=20, top_k=10)
-    assert len(prof.per_run) == 20
-    assert prof.hot_set == prof.top_k_of_run(0)  # deterministic backend: union degenerates
+    costs: dict[str, int] = {}
+    run_suite(unit, tests, profile=costs)  # one run of the suite, self costs
+    costs.pop(HARNESS_FRAME, None)
+    prof = profile(unit, tests, top_k=10)
+    assert prof.costs == costs
+    ranked = sorted(costs, key=lambda name: (-costs[name], name))
+    assert prof.hot_set == ranked[:10] == ["sort", "max2"]
+    assert profile(unit, tests, top_k=1).hot_set == ["sort"]
 
-    # external-style timing jitter: the union must cover every run's top-K
-    names = [f"m{i:02d}" for i in range(25)]
-
-    def jittered(run_index: int):
-        rng = random.Random(run_index * 7919)
-        return {name: 5_000 + rng.randrange(1_000) for name in names}
-
-    jittery = profile_runs(jittered, repeats=20, top_k=10)
-    assert len(jittery.hot_set) > 10  # jitter varied the winners
-    for i in range(20):
-        assert set(jittery.top_k_of_run(i)) <= set(jittery.hot_set)
+    # equal self costs: the hot set breaks the tie by name
+    tied = parse_source("\n".join(f"fn {n}() -> int {{ return 1; }}" for n in "bca"))
+    tied_tests = parse_test_file("\n".join(f"test t{n}: {n}() == 1" for n in "bca"))
+    assert profile(tied, tied_tests, top_k=2).hot_set == ["a", "b"]
     report_pass(9, "profiler protocol")

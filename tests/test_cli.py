@@ -26,7 +26,7 @@ def test_profile_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0].startswith("1. sort")
     csv_text = (tmp_path / "profile.csv").read_text()
-    assert csv_text.startswith("function,totalSteps,appearancesInTopK\n")
+    assert csv_text.startswith("function,steps,hot\nsort,")
 
 
 def test_sample_writes_log_with_budget_rows(tmp_path, capsys):
@@ -168,7 +168,8 @@ def test_replay_of_ls_run(tmp_path, capsys):
 
 def test_config_file_provides_defaults_flags_win(tmp_path):
     config = tmp_path / "run.conf"
-    config.write_text("budget = 6\nseed = 10\n# comment\n")
+    # `evals` is a key of `ls`; one file may serve several subcommands
+    config.write_text("budget = 6\nseed = 10\n# comment\nevals = 4\n")
     out_a = tmp_path / "a"
     assert run(
         "sample", MAX, MAX_TESTS, "--family", "statement",
@@ -205,6 +206,14 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
         "--out-dir", str(tmp_path),
     ) == 2
     capsys.readouterr()
+    misspelled = tmp_path / "misspelled.conf"
+    misspelled.write_text("seed = 1\nstep_buget = 5\n")
+    assert run(
+        "sample", MAX, MAX_TESTS, "--family", "statement", "--budget", "2",
+        "--config", str(misspelled), "--out-dir", str(tmp_path / "misspelled"),
+    ) == 2
+    err = capsys.readouterr().err
+    assert f"{misspelled}:2" in err and "step_buget" in err
 
 
 def test_exit_code_2_on_usage_error():

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import os
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +15,6 @@ from minigi.evaluation import (
     InfrastructureError,
     TargetAdapter,
     evaluate,
-    evaluate_batch,
 )
 from minigi.lang.ast import StatementId
 from minigi.patches import Edit, EditKind, InsertionPoint, Patch
@@ -34,9 +36,8 @@ def test_empty_patch_passes_with_original_runtime(bench_sort):
     unit, tests = bench_sort
     result = evaluate(unit, Patch("bench_sort"), tests)
     assert result.classification is Classification.PASSED
-    assert result.valid and result.compiled and result.passed
-    assert result.runtime_steps == 1009  # frozen S0, see test_interpreter
-    assert result.wall_clock_ms is None
+    assert result.passed
+    assert result.runtime == 1009  # frozen S0, see test_interpreter
     assert result.tests_failed == 0
 
 
@@ -45,7 +46,7 @@ def test_unresolvable_patch_is_invalid(bench_sort):
     patch = Patch("bench_sort", (delete("sort", 2), delete("sort", 2)))
     result = evaluate(unit, patch, tests)
     assert result.classification is Classification.INVALID
-    assert not result.valid
+    assert not result.passed and result.runtime is None
     assert result.fingerprint is None
 
 
@@ -54,7 +55,8 @@ def test_insert_break_outside_loop_is_valid_only(bench_sort):
     edit = Edit(EditKind.INSERT_BREAK, dst=InsertionPoint(sid("max2"), 0))
     result = evaluate(unit, Patch("bench_sort", (edit,)), tests)
     assert result.classification is Classification.VALID_ONLY
-    assert result.valid and not result.compiled
+    assert not result.passed and result.runtime is None
+    assert result.fingerprint is not None  # it applied, so the patched program has a digest
 
 
 def test_failing_tests_give_compiled_only(bench_sort):
@@ -65,7 +67,7 @@ def test_failing_tests_give_compiled_only(bench_sort):
     result = evaluate(unit, drop_if, tests)
     assert result.classification is Classification.COMPILED_ONLY
     assert result.tests_failed == 3  # every sort test; max2 tests still pass
-    assert result.runtime_steps is None
+    assert result.runtime is None
 
 
 def test_infinite_loop_patch_times_out_as_compiled_only(bench_loop):
@@ -85,10 +87,10 @@ def test_planted_statement_deletion_delta_matches_trip_count_oracle(bench_sort):
         sort_planted_cost(arr) for arr in ([3, 1, 2], [5, 4, 3, 2, 1], [2, 2, 1])
     )
     assert expected_delta == 64
-    assert result.runtime_steps == 1009 - expected_delta
+    assert result.runtime == 1009 - expected_delta
     # and the oracle agrees with itself: removing the planted cost from the
     # per-call formula reproduces the measured total
-    assert result.runtime_steps == (
+    assert result.runtime == (
         sum(sort_call_steps(a) - sort_planted_cost(a) for a in ([3, 1, 2], [5, 4, 3, 2, 1], [2, 2, 1]))
         + 11 + 10  # max2 tests unchanged
     )
@@ -101,24 +103,22 @@ def test_evaluation_is_bit_deterministic(bench_sort):
 
 
 def test_ladder_invariants_enforced(bench_sort):
+    # a runtime is recorded if and only if the patch passed
+    for classification in (
+        Classification.INVALID, Classification.VALID_ONLY, Classification.COMPILED_ONLY
+    ):
+        with pytest.raises(ValueError):
+            EvaluationResult(Patch("x"), classification, tests_failed=1, runtime=10)
+        assert not EvaluationResult(Patch("x"), classification).passed
     with pytest.raises(ValueError):
-        EvaluationResult(
-            patch=Patch("x"), valid=False, compiled=True, passed=False,
-            tests_failed=0, runtime_steps=None, wall_clock_ms=None,
-            classification=Classification.INVALID, fingerprint=None,
-        )
-    with pytest.raises(ValueError):
-        EvaluationResult(
-            patch=Patch("x"), valid=True, compiled=True, passed=False,
-            tests_failed=1, runtime_steps=10, wall_clock_ms=None,
-            classification=Classification.COMPILED_ONLY, fingerprint=None,
-        )
+        EvaluationResult(Patch("x"), Classification.PASSED)
+    assert EvaluationResult(Patch("x"), Classification.PASSED, runtime=10).passed
 
 
 def test_builtin_runtime_is_exact_steps(bench_sort):
     unit, tests = bench_sort
     results = [evaluate(unit, Patch("bench_sort"), tests) for _ in range(2)]
-    assert [r.runtime() for r in results] == [1009, 1009]
+    assert [r.runtime for r in results] == [1009, 1009]
 
 
 def test_failing_program_has_no_runtime(bench_sort):
@@ -127,22 +127,7 @@ def test_failing_program_has_no_runtime(bench_sort):
 
     result = evaluate(unit, Patch("bench_sort"), parse_test_file("test t: max2(1, 2) == 0"))
     assert result.classification is Classification.COMPILED_ONLY
-    assert result.runtime() is None
-
-
-def test_batch_results_keep_input_order(bench_sort):
-    unit, tests = bench_sort
-    patches = [
-        Patch("bench_sort"),
-        Patch("bench_sort", (delete("sort", 1, 0, 0, 0, 0),)),
-        Patch("bench_sort", (delete("sort", 2), delete("sort", 2))),
-    ]
-    sequential = evaluate_batch(unit, patches, tests, workers=1)
-    parallel = evaluate_batch(unit, patches, tests, workers=4)
-    assert sequential == parallel
-    assert [r.classification for r in sequential] == [
-        Classification.PASSED, Classification.PASSED, Classification.INVALID,
-    ]
+    assert result.runtime is None
 
 
 # -- external adapter --
@@ -162,10 +147,8 @@ def test_external_measure_parses_integer_ms(bench_sort):
     unit, tests = bench_sort
     result = evaluate(unit, Patch("bench_sort"), tests, external(tc()))
     assert result.classification is Classification.PASSED
-    assert result.wall_clock_ms == 421
-    assert result.runtime_steps is None
-    assert result.runtime() == 421
-    assert evaluate(unit, Patch("bench_sort"), tests, external(tc(measure_repeats=3))).runtime() == 421
+    assert result.runtime == 421
+    assert evaluate(unit, Patch("bench_sort"), tests, external(tc(measure_repeats=3))).runtime == 421
 
 
 def test_external_compile_failure_is_valid_only(bench_sort):
@@ -194,6 +177,33 @@ def test_external_watchdog_kills_hung_test(bench_sort):
     assert result.tests_failed == 1  # whole-suite command, one watchdog kill
 
 
+def _alive(pid: int) -> bool:
+    """True while `pid` runs; a zombie (dead, not yet reaped) counts as gone."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    stat = Path(f"/proc/{pid}/stat")
+    try:
+        return stat.read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return not Path("/proc").is_dir()
+
+
+def test_external_watchdog_kills_the_whole_process_group(bench_sort, tmp_path):
+    """A child the test command started in the background dies with it."""
+    unit, tests = bench_sort
+    pid_file = tmp_path / "sleep.pid"
+    toolchain = tc(test_cmd=f"sh -c 'sleep 30 & echo $! > {pid_file}; wait'", timeout_ms=1000)
+    result = evaluate(unit, Patch("bench_sort"), tests, external(toolchain))
+    assert result.tests_failed == 1
+    pid = int(pid_file.read_text())
+    deadline = time.monotonic() + 2
+    while _alive(pid) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert not _alive(pid), f"background sleep {pid} outlived the watchdog"
+
+
 def test_external_median_of_repeats(bench_sort, tmp_path):
     unit, tests = bench_sort
     counter = tmp_path / "count.txt"
@@ -207,7 +217,7 @@ def test_external_median_of_repeats(bench_sort, tmp_path):
     )
     toolchain = tc(measure_cmd=f"{PY} {script}", measure_repeats=5)
     result = evaluate(unit, Patch("bench_sort"), tests, external(toolchain))
-    assert result.wall_clock_ms == 420  # median of the five samples
+    assert result.runtime == 420  # median of the five samples
 
 
 def test_external_command_not_found_is_infrastructure(bench_sort):

@@ -1,35 +1,35 @@
 from __future__ import annotations
 
 import csv
-import random
 
 import pytest
 
-from minigi.lang import parse_source, parse_test_file
+from minigi.lang import parse_source, parse_test_file, run_suite
+from minigi.lang.interpreter import HARNESS_FRAME
 from minigi.profiling import (
+    DEFAULT_TOP_K,
     HotMethodProfile,
     ProfileOnFailingProgramError,
     profile,
-    profile_runs,
     write_profile_csv,
 )
 
 
-def test_deterministic_backend_union_equals_single_run_top_k(bench_sort):
+def test_hot_set_is_the_top_k_of_one_run(bench_sort):
     unit, tests = bench_sort
-    prof = profile(unit, tests, repeats=20, top_k=10)
-    assert prof.repeats == 20
-    assert len(prof.per_run) == 20
-    assert all(run == prof.per_run[0] for run in prof.per_run)
-    assert prof.hot_set == prof.top_k_of_run(0)
+    costs: dict[str, int] = {}
+    run_suite(unit, tests, profile=costs)
+    costs.pop(HARNESS_FRAME, None)
+    prof = profile(unit, tests, top_k=10)
+    assert prof.costs == costs
+    assert prof.hot_set == sorted(costs, key=lambda name: (-costs[name], name))[:10]
 
 
 def test_bench_sort_hot_set_golden(bench_sort):
     unit, tests = bench_sort
     prof = profile(unit, tests)
     assert prof.hot_set == ["sort", "max2"]
-    totals = prof.total_costs()
-    assert totals["sort"] > 20 * totals["max2"]
+    assert prof.costs["sort"] > 20 * prof.costs["max2"]
 
 
 def test_self_cost_attribution_ranks_callee_above_caller():
@@ -47,64 +47,64 @@ def test_self_cost_attribution_ranks_callee_above_caller():
     """
     unit = parse_source(src)
     tests = parse_test_file("test t: f(1000) == 499501")
-    prof = profile(unit, tests, repeats=3, top_k=2)
+    prof = profile(unit, tests, top_k=2)
     assert prof.hot_set[0] == "g"
-    costs = prof.per_run[0]
-    assert costs["g"] > 1000
-    assert costs["f"] < 20  # call overhead only; g's interior is not f's
+    assert prof.costs["g"] > 1000
+    assert prof.costs["f"] < 20  # call overhead only; g's interior is not f's
 
 
 def test_profiling_a_failing_program_is_an_error(bench_sort):
     unit, _ = bench_sort
     bad = parse_test_file("test wrong: max2(1, 2) == 99")
     with pytest.raises(ProfileOnFailingProgramError):
-        profile(unit, bad, repeats=2, top_k=5)
+        profile(unit, bad, top_k=5)
 
 
-def test_top_k_truncates_ranking():
-    runs = [{"a": 100, "b": 90, "c": 10}]
-    prof = profile_runs(lambda i: runs[i], repeats=1, top_k=2)
-    assert prof.hot_set == ["a", "b"]
+def test_top_k_truncates_ranking(bench_sort):
+    unit, tests = bench_sort
+    prof = profile(unit, tests, top_k=1)
+    assert prof.hot_set == ["sort"]
+    assert list(prof.costs) == ["sort", "max2"]  # the ranking itself is not truncated
 
 
-def test_ties_break_by_name_for_determinism():
-    prof = profile_runs(lambda i: {"zeta": 50, "alpha": 50, "mid": 50}, repeats=2, top_k=2)
-    assert prof.top_k_of_run(0) == ["alpha", "mid"]
+# Three functions with the same self cost, each called by its own test.
+TIED = """
+fn zeta() -> int { return 1; }
+fn alpha() -> int { return 1; }
+fn mid() -> int { return 1; }
+"""
+TIED_TESTS = "test z: zeta() == 1\ntest a: alpha() == 1\ntest m: mid() == 1\n"
+
+
+def test_ties_break_by_name_for_determinism(tmp_path):
+    prof = profile(parse_source(TIED), parse_test_file(TIED_TESTS), top_k=2)
+    assert len(set(prof.costs.values())) == 1
+    assert list(prof.costs) == ["alpha", "mid", "zeta"]
     assert prof.hot_set == ["alpha", "mid"]
-
-
-def test_jittered_runs_union_is_superset_of_every_run_top_k():
-    """Nondeterministic cost shim: the union covers each run's top-K."""
-    names = [f"fn{i:02d}" for i in range(30)]
-
-    def jittered(run_index: int) -> dict[str, int]:
-        rng = random.Random(run_index)
-        return {name: 1000 + rng.randrange(200) for name in names}
-
-    prof = profile_runs(jittered, repeats=20, top_k=10)
-    for i in range(20):
-        top = set(prof.top_k_of_run(i))
-        assert top <= set(prof.hot_set)
-    # jitter actually varied the per-run winners, so the union grew
-    assert len(prof.hot_set) > 10
+    out = tmp_path / "profile.csv"
+    write_profile_csv(prof, out)
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert [(row[0], row[2]) for row in rows[1:]] == [("alpha", "1"), ("mid", "1"), ("zeta", "0")]
 
 
 def test_profile_csv_format(tmp_path, bench_sort):
     unit, tests = bench_sort
-    prof = profile(unit, tests, repeats=2, top_k=1)
+    prof = profile(unit, tests, top_k=1)
     out = tmp_path / "profile.csv"
     write_profile_csv(prof, out)
     rows = list(csv.reader(out.read_text().splitlines()))
-    assert rows[0] == ["function", "totalSteps", "appearancesInTopK"]
-    assert rows[1][0] == "sort"
-    assert int(rows[1][2]) == 2  # sort tops both runs
-    assert rows[2][0] == "max2"
-    assert int(rows[2][2]) == 0  # top_k=1 leaves max2 out
+    assert rows == [
+        ["function", "steps", "hot"],
+        ["sort", str(prof.costs["sort"]), "1"],
+        ["max2", str(prof.costs["max2"]), "0"],  # top_k=1 leaves max2 out
+    ]
 
 
-def test_profile_defaults_match_protocol(bench_sort):
-    unit, tests = bench_sort
-    prof = profile(unit, tests)
+def test_profile_defaults_match_protocol():
+    assert DEFAULT_TOP_K == 10
+    src = "\n".join(f"fn f{i:02d}() -> int {{ return {i}; }}" for i in range(12))
+    tests = "\n".join(f"test t{i:02d}: f{i:02d}() == {i}" for i in range(12))
+    prof = profile(parse_source(src), parse_test_file(tests))
     assert isinstance(prof, HotMethodProfile)
-    assert prof.repeats == 20
-    assert prof.top_k == 10
+    assert len(prof.costs) == 12
+    assert prof.hot_set == [f"f{i:02d}" for i in range(10)]

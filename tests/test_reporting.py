@@ -6,6 +6,7 @@ import pytest
 
 from minigi.reporting import (
     LadderCounts,
+    RecordWriter,
     ReportError,
     aggregate_table1,
     aggregate_table2,
@@ -14,7 +15,6 @@ from minigi.reporting import (
     read_run_meta,
     render_table1,
     render_table2,
-    write_records_csv,
     write_run_meta,
 )
 from minigi.search import EvalRecord
@@ -197,7 +197,9 @@ def test_records_csv_round_trip(tmp_path):
         rec("statement", 1, "Invalid", "invalid"),
     ]
     path = tmp_path / "log.csv"
-    write_records_csv(records, path)
+    with RecordWriter(path) as writer:
+        for record in records:
+            writer.write(record)
     assert read_records_csv(path) == records
     raw = path.read_bytes()
     assert b"\r\n" not in raw  # LF endings

@@ -45,12 +45,26 @@ def test_sampling_is_replayable_bit_exactly(bench_max):
     assert first == second
 
 
-def test_sampling_worker_width_does_not_change_records(bench_max):
+def test_sampling_sinks_each_record_before_the_next_evaluation(bench_max, monkeypatch):
+    import minigi.search as search
+
     unit, tests = bench_max
-    cfg = RandomSamplingConfig(families=("statement",), per_family_budget=25, seed=9)
-    sequential = random_sampling(unit, tests, ["max2"], cfg, workers=1)
-    parallel = random_sampling(unit, tests, ["max2"], cfg, workers=4)
-    assert sequential == parallel
+    sunk: list[EvalRecord] = []
+    sunk_before_each_evaluation: list[int] = []
+
+    def evaluate(*args, **kwargs):
+        sunk_before_each_evaluation.append(len(sunk))
+        return real_evaluate(*args, **kwargs)
+
+    real_evaluate = search.evaluate
+    monkeypatch.setattr(search, "evaluate", evaluate)
+    cfg = RandomSamplingConfig(families=("statement", "insert"), per_family_budget=5, seed=9)
+    records = random_sampling(unit, tests, ["max2"], cfg, sink=sunk.append)
+    assert sunk_before_each_evaluation == list(range(10))
+    assert sunk == records
+    assert [(r.run_id, r.eval_index) for r in records] == [
+        (family, i) for family in ("statement", "insert") for i in range(5)
+    ]
 
 
 def test_each_logged_classic_patch_is_replayable_from_its_seed(bench_max):
