@@ -12,8 +12,9 @@ interprets in-process and is bit-deterministic. The external backend
 drives a user-supplied toolchain inside a private working copy; its
 command contract (placeholders, exit codes, watchdog) is stated on
 ExternalToolchain. Failures of the toolchain itself (missing binaries,
-unparsable measurements) raise InfrastructureError and are never
-misfiled as patch failures.
+unparsable measurements, a hung measurement) raise InfrastructureError and
+are never misfiled as patch failures. `subprocess` loads on the first
+external command, so the builtin backend does not hold it in memory.
 """
 
 from __future__ import annotations
@@ -23,12 +24,11 @@ import os
 import shlex
 import signal
 import statistics
-import subprocess
 import tempfile
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from minigi.lang.ast import SourceUnit
 from minigi.lang.interpreter import (
@@ -40,6 +40,9 @@ from minigi.lang.interpreter import (
 from minigi.lang.printer import print_canonical, source_digest
 from minigi.lang.semantics import validate
 from minigi.patches import ApplyError, Patch, apply_patch
+
+if TYPE_CHECKING:
+    import subprocess
 
 DEFAULT_TIMEOUT_MS = 10_000
 DEFAULT_MEASURE_REPEATS = 5
@@ -88,10 +91,13 @@ class ExternalToolchain:
     Exit codes: patch_apply_cmd and measure_cmd must exit 0, or the run
     stops with InfrastructureError. compile_cmd exiting non-zero makes the
     patch ValidOnly. test_cmd exiting non-zero, or outliving its
-    `timeout_ms` watchdog, fails that test; every command runs in a
-    session of its own, and the watchdog kills its whole process group.
-    measure_cmd prints an integer on its last stdout line; the median-low
-    of `measure_repeats` runs is the runtime.
+    `timeout_ms` watchdog, fails that test. measure_cmd prints an integer
+    on its last stdout line; the median-low of `measure_repeats` runs is
+    the runtime, and a measure_cmd outliving `timeout_ms` stops the run
+    with InfrastructureError. Every command runs in a session of its own,
+    and its whole process group is killed when it returns or times out. A
+    descendant that starts a session of its own leaves the group and is
+    outside this contract.
     """
 
     compile_cmd: str
@@ -170,10 +176,11 @@ def _substitute(cmd: str, mapping: dict[str, str]) -> list[str]:
 def _run_command(
     argv: list[str], cwd: Path, timeout_ms: Optional[int] = None
 ) -> subprocess.CompletedProcess:
-    """Run one command in a session of its own. On timeout, or any other
-    exception while it runs, its whole process group is killed and the
-    command reaped before the exception propagates, so no descendant in
-    the group outlives the watchdog."""
+    """Run one command in a session of its own. When it returns, times out
+    or fails in any other way, its whole process group is killed and the
+    command reaped, so no descendant in the group outlives the command."""
+    import subprocess
+
     try:
         with subprocess.Popen(
             argv,
@@ -187,11 +194,12 @@ def _run_command(
                 stdout, stderr = proc.communicate(
                     timeout=None if timeout_ms is None else timeout_ms / 1000.0
                 )
-            except BaseException:
+            finally:
+                # The group keeps its id while any member lives, even after
+                # the command itself has been reaped.
                 with contextlib.suppress(ProcessLookupError):
                     os.killpg(proc.pid, signal.SIGKILL)
                 proc.wait()
-                raise
         return subprocess.CompletedProcess(argv, proc.returncode, stdout, stderr)
     except FileNotFoundError as exc:
         raise InfrastructureError(f"command not found: {exc}") from None
@@ -243,6 +251,8 @@ def _run_external_tests(
     workdir: Path,
 ) -> int:
     """Failed-test count; a watchdog kill at timeout_ms counts as a failure."""
+    import subprocess
+
     per_test = "{TEST}" in toolchain.test_cmd
     names: list[Optional[str]] = [t.name for t in tests] if per_test else [None]
     failed = 0
@@ -267,9 +277,17 @@ def _measure_external(
     workdir: Path,
     repeats: int,
 ) -> int:
+    import subprocess
+
     samples = []
     for _ in range(max(1, repeats)):
-        proc = _run_command(_substitute(toolchain.measure_cmd, mapping), workdir)
+        argv = _substitute(toolchain.measure_cmd, mapping)
+        try:
+            proc = _run_command(argv, workdir, timeout_ms=toolchain.timeout_ms)
+        except subprocess.TimeoutExpired:
+            raise InfrastructureError(
+                f"measure command outlived its {toolchain.timeout_ms} ms watchdog"
+            ) from None
         if proc.returncode != 0:
             raise InfrastructureError(
                 f"measure command failed ({proc.returncode}): {proc.stderr.strip()}"

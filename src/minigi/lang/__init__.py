@@ -2,111 +2,27 @@
 
 The subpackage bundles the AST, parser, canonical printer, semantic
 validator and the step-counting interpreter plus its unit-test runner.
+Its modules hold the full interface; the package re-exports the names
+callers import from it.
 """
 
-from minigi.lang.ast import (
-    ArrayLit,
-    Assign,
-    Binary,
-    Block,
-    BoolLit,
-    Break,
-    Call,
-    Continue,
-    Expr,
-    ExprStmt,
-    For,
-    Function,
-    If,
-    Index,
-    IntLit,
-    Param,
-    Return,
-    SourceUnit,
-    StatementId,
-    Stmt,
-    Type,
-    Unary,
-    Var,
-    VarDecl,
-    While,
-    block_ids,
-    get_statement,
-    insertion_slots,
-    list_statement_ids,
-    resolve,
-    statement_count,
-    walk_statements,
-)
-from minigi.lang.parser import ParseError, parse_block, parse_expression, parse_source
-from minigi.lang.printer import (
-    print_block,
-    print_canonical,
-    print_statement,
-    source_digest,
-)
-from minigi.lang.semantics import SemanticError, is_valid, validate
-from minigi.lang.interpreter import (
-    DEFAULT_STEP_BUDGET,
-    ExecutionOutcome,
-    Interpreter,
-    Status,
-    TestCase,
-    parse_test_file,
-    run_suite,
-    run_test,
-)
+from minigi.lang.ast import Block, Type
+from minigi.lang.interpreter import Status, parse_test_file, run_suite, run_test
+from minigi.lang.parser import ParseError, parse_block, parse_source
+from minigi.lang.printer import print_canonical, source_digest
+from minigi.lang.semantics import validate
 
 __all__ = [
-    "ArrayLit",
-    "Assign",
-    "Binary",
     "Block",
-    "BoolLit",
-    "Break",
-    "Call",
-    "Continue",
-    "DEFAULT_STEP_BUDGET",
-    "ExecutionOutcome",
-    "Expr",
-    "ExprStmt",
-    "For",
-    "Function",
-    "If",
-    "Index",
-    "IntLit",
-    "Interpreter",
-    "Param",
     "ParseError",
-    "Return",
-    "SemanticError",
-    "SourceUnit",
-    "StatementId",
     "Status",
-    "Stmt",
-    "TestCase",
     "Type",
-    "Unary",
-    "Var",
-    "VarDecl",
-    "While",
-    "block_ids",
-    "get_statement",
-    "insertion_slots",
-    "is_valid",
-    "list_statement_ids",
     "parse_block",
-    "parse_expression",
     "parse_source",
     "parse_test_file",
-    "print_block",
     "print_canonical",
-    "print_statement",
-    "resolve",
     "run_suite",
     "run_test",
     "source_digest",
-    "statement_count",
     "validate",
-    "walk_statements",
 ]

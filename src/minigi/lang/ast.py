@@ -264,7 +264,3 @@ def insertion_slots(fn: Function) -> list[tuple[StatementId, int]]:
             slots.extend((sid, i) for i in range(len(stmt.statements) + 1))
     return slots
 
-
-def statement_count(unit: SourceUnit) -> int:
-    """Number of list statements across all functions (the editable pool)."""
-    return sum(len(list_statement_ids(fn)) for fn in unit.functions)

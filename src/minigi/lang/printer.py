@@ -157,11 +157,6 @@ def print_statement(stmt: Stmt, depth: int = 0) -> str:
     return "\n".join(_stmt_lines(stmt, depth))
 
 
-def print_block(block: Block) -> str:
-    """Canonical text of a block at depth zero, braces on their own lines."""
-    return print_statement(block, 0)
-
-
 def _function_lines(fn: Function) -> list[str]:
     params = ", ".join(f"{p.name}: {_type(p.param_type)}" for p in fn.params)
     arrow = "" if fn.return_type is Type.VOID else f" -> {_type(fn.return_type)}"

@@ -306,6 +306,3 @@ def validate(unit: SourceUnit) -> list[SemanticError]:
     """All semantic errors in the unit; empty list means it compiles."""
     return _Checker(unit).run()
 
-
-def is_valid(unit: SourceUnit) -> bool:
-    return not validate(unit)

@@ -204,6 +204,31 @@ def test_external_watchdog_kills_the_whole_process_group(bench_sort, tmp_path):
     assert not _alive(pid), f"background sleep {pid} outlived the watchdog"
 
 
+def test_external_command_that_returns_leaves_no_background_child(bench_sort, tmp_path):
+    """A child that a passing test command left running dies when it returns."""
+    unit, tests = bench_sort
+    pid_file = tmp_path / "sleep.pid"
+    toolchain = tc(test_cmd=f"sh -c 'sleep 30 >/dev/null 2>&1 & echo $! > {pid_file}'")
+    result = evaluate(unit, Patch("bench_sort"), tests, external(toolchain))
+    assert result.classification is Classification.PASSED
+    pid = int(pid_file.read_text())
+    deadline = time.monotonic() + 2
+    while _alive(pid) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert not _alive(pid), f"background sleep {pid} outlived its command"
+
+
+def test_external_hung_measurement_is_infrastructure(bench_sort):
+    unit, tests = bench_sort
+    started = time.monotonic()
+    with pytest.raises(InfrastructureError, match="watchdog"):
+        evaluate(
+            unit, Patch("bench_sort"), tests,
+            external(tc(measure_cmd=f"{PY} -c 'import time; time.sleep(60)'", timeout_ms=300)),
+        )
+    assert time.monotonic() - started < 10
+
+
 def test_external_median_of_repeats(bench_sort, tmp_path):
     unit, tests = bench_sort
     counter = tmp_path / "count.txt"

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from minigi.lang import (
-    Interpreter,
     ParseError,
     Status,
     parse_source,
@@ -11,7 +12,9 @@ from minigi.lang import (
     run_suite,
     run_test,
 )
+from minigi.lang.ast import StatementId
 from minigi.lang.interpreter import value_equal
+from minigi.patches import Edit, EditKind, Patch, apply_patch
 
 from oracles import (
     count_to_call_steps,
@@ -177,13 +180,13 @@ def test_fail_carries_actual_value():
     assert outcome.value == 2
 
 
-def test_print_collects_output_without_affecting_outcome():
-    unit = parse_source("fn f() -> int { print(1, true, [1, 2]); return 7; }")
-    test = parse_test_file("test t: f() == 7")[0]
-    interp = Interpreter(unit)
-    outcome = interp.run_call(test.call)
-    assert outcome.value == 7
-    assert interp.prints == ["1 true [1, 2]"]
+def test_print_charges_its_arguments_without_affecting_outcome():
+    outcome = one_test("fn f() -> int { print(1, true, [1, 2]); return 7; }", "test t: f() == 7")
+    assert outcome.status is Status.PASS and outcome.value == 7
+    # call + body + statement + print + its three arguments (5) + return 7 (2)
+    assert outcome.steps_used == 11
+    as_value = one_test("fn f() -> int { return print(1); }", "test t: f() == 1")
+    assert as_value.status is Status.RUNTIME_ERROR and as_value.error == "print used as a value"
 
 
 def test_suite_runs_all_tests_without_short_circuit():
@@ -209,3 +212,76 @@ def test_test_file_parsing_and_errors():
         parse_test_file("test bad: f(x) == 1")
     with pytest.raises(ParseError):
         parse_test_file("not a test line")
+
+
+RECURSION_IN_LOOPS = """
+fn f(n: int) -> int {
+    for (var i: int = 0; i < 1; i = i + 1) {
+        while (true) {
+            {
+                if (n == 0) {
+                    return 0;
+                }
+                return f(n - 1) + 1;
+            }
+        }
+    }
+    return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("n", [100, 127])
+def test_recursion_through_nested_loops_stays_inside_the_language(n):
+    """Each call nests several statements deep; the host stack must not run
+    out before MAX_CALL_DEPTH (128) calls are active."""
+    outcome = one_test(RECURSION_IN_LOOPS, f"test t: f({n}) == {n}")
+    assert outcome.status is Status.PASS
+    deeper = one_test(RECURSION_IN_LOOPS, f"test t: f({n + 28}) == {n + 28}")
+    assert deeper.status is Status.RUNTIME_ERROR and deeper.error == "call depth exceeded"
+
+
+def test_mutant_nested_deeper_than_the_parser_allows_returns_outcomes():
+    """Two block rewrites stack two payloads of 90 nested ifs each, twice
+    what one parse allows; recursion through them is still an outcome."""
+    unit = parse_source("fn f(n: int) -> int { return 0; }")
+    ifs = "if (n > 0) { " * 90
+    outer = "{ " + ifs + "{ } " + "} " * 90 + "return 0; }"
+    inner = "{ " + ifs + "return f(n - 1) + 1; " + "} " * 90 + "}"
+    first = Edit(EditKind.LLM_BLOCK_REPLACE, src=StatementId("f", ()), payload=outer,
+                 prompt_category="medium")
+    innermost = StatementId("f", (0, 0) * 90 + (0,))
+    second = Edit(EditKind.LLM_BLOCK_REPLACE, src=innermost, payload=inner,
+                  prompt_category="medium")
+    mutant = apply_patch(unit, Patch("main", (first, second)))
+    shallow, deep = run_suite(mutant, parse_test_file("test a: f(3) == 3\ntest b: f(40) == 40"))
+    assert shallow.status is Status.PASS
+    assert deep.status is Status.RUNTIME_ERROR and deep.error == "call depth exceeded"
+
+
+def test_integers_wrap_like_java_longs():
+    src = """
+    fn edge(k: int) -> int {
+        var min: int = -9223372036854775807 - 1;
+        if (k == 0) { return 9223372036854775807 + 1; }
+        if (k == 1) { return min - 1; }
+        if (k == 2) { return min / -1; }
+        if (k == 3) { return min % -1; }
+        if (k == 4) { return -min; }
+        return 4294967296 * 4294967296;
+    }
+    fn square40(x: int) -> int {
+        for (var i: int = 0; i < 40; i = i + 1) {
+            x = x * x;
+        }
+        return x;
+    }
+    """
+    lowest, highest = -(2**63), 2**63 - 1
+    expected = [lowest, highest, lowest, 0, lowest, 0]
+    for k, value in enumerate(expected):
+        assert one_test(src, f"test t: edge({k}) == {value}").status is Status.PASS, k
+    started = time.monotonic()
+    outcome = one_test(src, "test t: square40(3) == -7860764868738023423")
+    assert outcome.status is Status.PASS
+    assert time.monotonic() - started < 1.0

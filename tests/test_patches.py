@@ -5,10 +5,10 @@ import random
 import pytest
 
 from minigi.lang import (
-    is_valid,
     parse_source,
     print_canonical,
     source_digest,
+    validate,
 )
 from minigi.lang.ast import StatementId, list_statement_ids
 from minigi.operators import sample_statement_edit
@@ -41,7 +41,7 @@ def test_delete_only_statement_leaves_valid_but_uncompilable():
     unit = parse_source(TINY)
     patched = apply_patch(unit, Patch("main", (Edit(EditKind.DELETE, src=sid("f", 0)),)))
     assert print_canonical(patched) == "fn f() -> int {\n}\n"
-    assert not is_valid(patched)  # missing return
+    assert validate(patched)  # missing return
 
 
 def test_self_swap_is_identity(bench_sort):
@@ -152,7 +152,7 @@ def test_insert_return_at_body_start_fails_nonzero_tests(bench_max):
     from minigi.lang import run_suite, Status
 
     patched = apply_edit(unit, Edit(EditKind.INSERT_RETURN, dst=ip("max2", (), 0)))
-    assert is_valid(patched)
+    assert validate(patched) == []
     outcomes = run_suite(patched, tests)
     max2_outcomes = [o for t, o in zip(tests, outcomes) if t.call.name == "max2"]
     assert all(o.status is Status.FAIL for o in max2_outcomes)

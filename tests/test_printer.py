@@ -1,8 +1,8 @@
 from __future__ import annotations
 
-from minigi.lang import parse_source, print_block, print_canonical, source_digest
+from minigi.lang import parse_source, print_canonical, source_digest
 from minigi.lang.parser import parse_block, parse_expression
-from minigi.lang.printer import print_expr
+from minigi.lang.printer import print_expr, print_statement
 
 
 def test_round_trip_fixpoint(bench_sort):
@@ -66,7 +66,7 @@ def test_expression_print_parse_fixpoint():
 
 def test_block_printing_shape():
     block = parse_block("{ x = 1; { y = 2; } }")
-    assert print_block(block) == "{\n    x = 1;\n    {\n        y = 2;\n    }\n}"
+    assert print_statement(block, 0) == "{\n    x = 1;\n    {\n        y = 2;\n    }\n}"
 
 
 def test_else_if_chain_prints_flat():

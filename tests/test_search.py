@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -345,3 +346,38 @@ def test_llm_local_search_amortizes_requests(bench_sort):
     # every append pops one queued variant; requests refill five at a time
     assert llm.client.requests_made == -(-appends // 5)  # ceil
     assert len(records) == 40
+
+
+def _nested_ifs(depth: int) -> str:
+    return "{ " + "if (n > 0) { " * depth + "return f(n - 1) + 1; " + "} " * depth + "return 0; }"
+
+
+def test_adversarial_rewrites_each_log_a_row_within_a_wall_bound():
+    """Mutants are adversarial. A rewrite that recurses without end through
+    nested loops, squares a value forty times, or nests as deep as a
+    payload may parse is an outcome like any other, and cheap."""
+    from minigi.lang import parse_block, parse_source, parse_test_file
+    from minigi.lang.parser import MAX_NESTING, ParseError
+
+    depth = MAX_NESTING - 3
+    parse_block(_nested_ifs(depth))
+    with pytest.raises(ParseError):
+        parse_block(_nested_ifs(depth + 1))
+    blocks = (
+        "{ for (var i: int = 0; i < 1; i = i + 1) { while (true) { { return f(n + 1); } } }"
+        " return 0; }",
+        "{ var x: int = n; for (var i: int = 0; i < 40; i = i + 1) { x = x * x; } return x; }",
+        _nested_ifs(depth),
+    )
+    response = "\n".join(f"```\n{block}\n```" for block in blocks)
+    unit = parse_source("fn f(n: int) -> int { return n; }", "adversary")
+    tests = parse_test_file("test three: f(3) == 3")
+    cfg = RandomSamplingConfig(families=("llm-medium",), per_family_budget=10, seed=0)
+    started = time.monotonic()
+    records = random_sampling(unit, tests, ["f"], cfg, llm=mock_context(lambda _: response))
+    assert time.monotonic() - started < 10.0
+    assert [r.eval_index for r in records] == list(range(10))
+    # per request: the three rewrites in order, then two variants without code
+    assert [r.classification for r in records[:5]] == [
+        "CompiledOnly", "CompiledOnly", "Passed", "Invalid", "Invalid",
+    ]
