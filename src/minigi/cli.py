@@ -17,7 +17,7 @@ import argparse
 import functools
 import random
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Optional
 
@@ -65,6 +65,17 @@ from minigi.search import (
 
 SAMPLE_LOG = "sample_log.csv"
 LS_LOG = "ls_log.csv"
+
+# The keys `_run_record` writes, by command, and the prompt keys
+# `_llm_settings` writes; docs/logs.md describes them.
+_RECORD_KEYS = {
+    command: frozenset({
+        "command", "program", "tests", "seed", "families", "step_budget", "adapter",
+        "toolchain", "llm", "methods", "original_digest", "log", count,
+    })
+    for command, count in (("sample", "budget"), ("ls", "evals"))
+}
+_PROMPT_KEYS = frozenset({"project_name", "language", "code_label", "variant_count"})
 
 
 class ConfigError(Exception):
@@ -199,7 +210,6 @@ def _adapter_settings(opts: Options) -> tuple[str, Optional[dict]]:
         compile_cmd=compile_cmd,
         test_cmd=test_cmd,
         measure_cmd=measure_cmd,
-        patch_apply_cmd=opts.get("patch_apply_cmd"),
         timeout_ms=opts.get_int("timeout_ms", DEFAULT_TIMEOUT_MS),
         measure_repeats=opts.get_int("measure_repeats", DEFAULT_MEASURE_REPEATS),
     )
@@ -283,6 +293,30 @@ def _run_record(command: str, opts: Options, unit, tests, out_dir: Path) -> dict
         record["evals"] = opts.get_int("evals", DEFAULT_LS_EVALS)
         record["log"] = LS_LOG
     return record
+
+
+def _check_record(record, meta_path: Path) -> None:
+    """ConfigError naming the sidecar unless `record` has exactly the keys
+    this version writes, so a malformed or older record is never run."""
+
+    def check(where: str, value, keys: frozenset[str]) -> None:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{meta_path}: {where} is not a JSON object")
+        problems = [f"missing key {k!r}" for k in sorted(keys - value.keys())]
+        problems += [f"unknown key {k!r}" for k in sorted(value.keys() - keys)]
+        if problems:
+            raise ConfigError(f"{meta_path}: {where}: {', '.join(problems)}")
+
+    if not isinstance(record, dict) or record.get("command") not in _RECORD_KEYS:
+        raise ConfigError(f"{meta_path}: not the record of a sample or ls run")
+    check("run record", record, _RECORD_KEYS[record["command"]])
+    toolchain, llm = record["toolchain"], record["llm"]
+    if toolchain is not None:
+        check("toolchain", toolchain, frozenset(f.name for f in fields(ExternalToolchain)))
+    if llm is not None:
+        check("llm", llm, frozenset({"client", "prompt"}))
+        check("llm.client", llm["client"], frozenset(f.name for f in fields(LlmClientConfig)))
+        check("llm.prompt", llm["prompt"], _PROMPT_KEYS)
 
 
 def _execute(record: dict, unit, tests, out_dir: Path) -> int:
@@ -384,8 +418,11 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         raise ConfigError("replay would overwrite the recorded logs; pick another --out-dir")
     mismatches = 0
     for meta_path in metas:
-        record = read_run_meta(run_dir / meta_path.name.removesuffix(".meta.json"))
-        assert record is not None
+        try:
+            record = read_run_meta(run_dir / meta_path.name.removesuffix(".meta.json"))
+        except ValueError as exc:
+            raise ConfigError(f"{meta_path}: not JSON: {exc}") from None
+        _check_record(record, meta_path)
         if record["llm"] is not None:
             record["llm"]["client"]["mode"] = "replay"
         log_name = record["log"]
@@ -445,7 +482,7 @@ def _add_common_run_flags(p: argparse.ArgumentParser) -> None:
                    help="external adapter per-test watchdog (default 10000)")
     p.add_argument("--measure-repeats", type=int, dest="measure_repeats",
                    help="external adapter timing repeats, median taken (default 5)")
-    for name in ("compile_cmd", "test_cmd", "measure_cmd", "patch_apply_cmd"):
+    for name in ("compile_cmd", "test_cmd", "measure_cmd"):
         p.add_argument(f"--{name.replace('_', '-')}", dest=name, help=argparse.SUPPRESS)
 
 

@@ -88,9 +88,9 @@ class ExternalToolchain:
     private working copy, {TEST} the current test name (test_cmd only;
     without it the whole suite runs as one process).
 
-    Exit codes: patch_apply_cmd and measure_cmd must exit 0, or the run
-    stops with InfrastructureError. compile_cmd exiting non-zero makes the
-    patch ValidOnly. test_cmd exiting non-zero, or outliving its
+    Exit codes: measure_cmd must exit 0, or the run stops with
+    InfrastructureError. compile_cmd exiting non-zero makes the patch
+    ValidOnly. test_cmd exiting non-zero, or outliving its
     `timeout_ms` watchdog, fails that test. measure_cmd prints an integer
     on its last stdout line; the median-low of `measure_repeats` runs is
     the runtime, and a measure_cmd outliving `timeout_ms` stops the run
@@ -103,7 +103,6 @@ class ExternalToolchain:
     compile_cmd: str
     test_cmd: str
     measure_cmd: str
-    patch_apply_cmd: Optional[str] = None
     timeout_ms: int = DEFAULT_TIMEOUT_MS
     measure_repeats: int = DEFAULT_MEASURE_REPEATS
 
@@ -226,12 +225,6 @@ def _evaluate_external(
             "PATCHED_FILE": str(patched_file),
             "WORKDIR": str(workdir),
         }
-        if toolchain.patch_apply_cmd:
-            proc = _run_command(_substitute(toolchain.patch_apply_cmd, mapping), workdir)
-            if proc.returncode != 0:
-                raise InfrastructureError(
-                    f"patch apply command failed ({proc.returncode}): {proc.stderr.strip()}"
-                )
         proc = _run_command(_substitute(toolchain.compile_cmd, mapping), workdir)
         if proc.returncode != 0:
             return EvaluationResult(patch, Classification.VALID_ONLY, fingerprint=digest)

@@ -9,9 +9,23 @@ code generation" (1987): each node becomes one closure that calls the
 closures of its children, so the dispatch on node kinds happens once per
 node instead of once per step. The compiled form lives for one
 `run_suite` call and is shared by its tests and, through `profile`, by
-profiling. Names resolve as they did in the tree-walking interpreter this
-replaced: a call starts a chain of scopes, and each block it enters adds
-one.
+profiling.
+
+Precondition. `run_suite` runs only programs that `semantics.validate`
+accepts, and relies on it: names are declared before use, values have
+the types their operators, conditions, indices and calls expect, every
+call names a function with as many parameters as it passes arguments,
+`print` is a statement, `break` and `continue` sit inside loops and a
+non-void function returns a value on every path. None of this is checked
+again while a program runs. The one input validation never sees is each
+test's harness call; `run_suite` checks it with `semantics.check_call`,
+and a call that fails the check is that test's RUNTIME_ERROR outcome.
+
+Variables. A call keeps all its variables in one dict. Blocks and `for`
+init clauses push no scope: validation forbids shadowing and enforces
+declare-before-use, so a name in scope is never hidden, and a
+declaration that reuses the name of a dead variable (from a sibling
+block or an earlier loop iteration) overwrites it before it is read.
 
 The cost model is unchanged:
 
@@ -32,11 +46,9 @@ Each closure charges its steps through one method that compares the
 counter with the budget. Reaching the budget clamps the counter to exactly
 the budget and reports a timeout, so `steps_used == budget` iff the run
 timed out; a finishing run always used strictly fewer steps. Division by
-zero, an out-of-bounds index, falling off a non-void function and calls
-nested too deeply are reported as runtime errors in the outcome, never
-raised out of the harness. A `break` or `continue` outside any loop ends
-the function body like falling off its end; validation rejects such
-programs.
+zero, an out-of-bounds index and calls nested too deeply are the runtime
+errors a valid program can hit; they are reported in the outcome, never
+raised out of the harness.
 
 Depth rule. A call fails with "call depth exceeded" when MAX_CALL_DEPTH
 calls are active, or when the weights of the active calls would exceed
@@ -79,13 +91,13 @@ from minigi.lang.ast import (
     IntLit,
     Return,
     SourceUnit,
-    Type,
     Unary,
     Var,
     VarDecl,
     While,
 )
 from minigi.lang.parser import ParseError, parse_expression
+from minigi.lang.semantics import check_call
 
 DEFAULT_STEP_BUDGET = 1_000_000
 MAX_CALL_DEPTH = 128
@@ -133,17 +145,10 @@ class _Timeout(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class _PrintStatement(Call):
-    """A `print` that is a statement of its own, the one place it may be void."""
-
-
 # What a statement closure returns besides None (carry on) and a 1-tuple
 # (the function returns its element): the innermost loop ends or continues.
 _BREAK = object()
 _CONTINUE = object()
-# The value of a void call, reported as None.
-_VOID = object()
 
 
 def value_equal(a: Any, b: Any) -> bool:
@@ -182,23 +187,18 @@ _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _di
 _COMPARISON = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
-def _index_error(array: Any, index: Any) -> MiniLangRuntimeError:
-    if type(array) is not list:
-        return MiniLangRuntimeError("indexed value is not an array")
-    if type(index) is not int:
-        return MiniLangRuntimeError("array index is not an int")
-    return MiniLangRuntimeError(f"index {index} out of bounds for length {len(array)}")
-
-
 class _Machine:
     """What the compiled closures of one `run_suite` share: the functions
     compiled so far and the counters of the test that is running."""
 
-    __slots__ = ("functions", "compiled", "budget", "profile", "steps", "calls", "weight", "inner")
+    __slots__ = (
+        "unit", "functions", "compiled", "budget", "profile", "steps", "calls", "weight", "inner"
+    )
 
     def __init__(self, unit: SourceUnit, budget: int, profile: Optional[dict[str, int]]):
+        self.unit = unit
         self.functions = {fn.name: fn for fn in unit.functions}
-        self.compiled: dict[str, tuple[Callable, int, bool]] = {}
+        self.compiled: dict[str, tuple[Callable, int]] = {}
         self.budget = budget
         self.profile = profile
         self.steps = 0
@@ -211,20 +211,19 @@ class _Machine:
         if self.steps >= self.budget:
             raise _Timeout()
 
-    def callee(self, name: str) -> tuple[Callable, int, bool]:
-        """The compiled function `name`: its body, its weight and whether
-        it is void. Compiling fails with the depth error when the weight
-        would not fit beside the active calls."""
+    def callee(self, name: str) -> tuple[Callable, int]:
+        """The compiled function `name`: its body and its weight. Compiling
+        fails with the depth error when the weight would not fit beside
+        the active calls."""
         entry = self.compiled.get(name)
         if entry is None:
-            fn = self.functions[name]
             compiler = _Compiler(self, MAX_NESTING_WEIGHT - self.weight - 1)
-            body = compiler.node(fn.body)
-            entry = (body, compiler.deepest + 1, fn.return_type is Type.VOID)
+            body = compiler.node(self.functions[name].body)
+            entry = (body, compiler.deepest + 1)
             self.compiled[name] = entry
         return entry
 
-    def profiled(self, name: str, body: Callable, env: list[dict]) -> Any:
+    def profiled(self, name: str, body: Callable, env: dict) -> Any:
         """Run a call's body, charging its own steps to `name`. The budget
         is reached inside the innermost call, so clamping to it charges
         every open call exactly."""
@@ -240,13 +239,16 @@ class _Machine:
             self.inner[-1] += spent
 
     def run(self, test: TestCase) -> ExecutionOutcome:
+        errors = check_call(self.unit, test.call)
+        if errors:
+            return ExecutionOutcome(Status.RUNTIME_ERROR, 0, error=errors[0].message)
         self.steps = self.calls = 0
         self.inner = [0]
         try:
             compiler = _Compiler(self, MAX_NESTING_WEIGHT)
             harness = compiler.node(test.call)
             self.weight = compiler.deepest
-            value = harness([{}])
+            value = harness({})
         except _Timeout:
             return ExecutionOutcome(Status.TIMEOUT, self.budget)
         except MiniLangRuntimeError as exc:
@@ -256,8 +258,6 @@ class _Machine:
                 own = min(self.steps, self.budget) - self.inner[0]
                 if own:
                     self.profile[HARNESS_FRAME] = self.profile.get(HARNESS_FRAME, 0) + own
-        if value is _VOID:
-            value = None
         status = Status.PASS if value_equal(value, test.expected) else Status.FAIL
         return ExecutionOutcome(status, self.steps, value=value)
 
@@ -265,9 +265,9 @@ class _Machine:
 class _Compiler:
     """Compiles one function body, or one test's call, into closures.
 
-    A closure takes the scope chain of its call, a list of dicts from
-    names to values, innermost last. Expression closures return a value,
-    statement closures None, _BREAK, _CONTINUE or a 1-tuple."""
+    A closure takes the variables of its call, one dict from names to
+    values. Expression closures return a value, statement closures None,
+    _BREAK, _CONTINUE or a 1-tuple."""
 
     def __init__(self, machine: _Machine, room: int):
         self.machine = machine
@@ -286,16 +286,6 @@ class _Compiler:
         self.level -= 1
         return closure
 
-    def fail(self, message: str) -> Callable:
-        """A node whose evaluation fails as soon as its step is charged."""
-        charge = self.charge
-
-        def f(env):
-            charge(1)
-            raise MiniLangRuntimeError(message)
-
-        return f
-
     # -- expressions --
 
     def literal(self, e):
@@ -309,14 +299,10 @@ class _Compiler:
 
     def variable(self, e):
         charge, name = self.charge, e.name
-        message = f"unknown variable {name!r}"
 
         def f(env):
             charge(1)
-            for scope in reversed(env):
-                if name in scope:
-                    return scope[name]
-            raise MiniLangRuntimeError(message)
+            return env[name]
 
         return f
 
@@ -338,20 +324,14 @@ class _Compiler:
 
             def f(env):
                 charge(1)
-                v = operand(env)
-                if type(v) is not int:
-                    raise MiniLangRuntimeError("operand of unary '-' is not an int")
-                v = -v
+                v = -operand(env)
                 return v if _MIN_INT <= v <= _MAX_INT else _wrap(v)
 
             return f
 
         def f(env):
             charge(1)
-            v = operand(env)
-            if type(v) is not bool:
-                raise MiniLangRuntimeError("operand of '!' is not a bool")
-            return not v
+            return not operand(env)
 
         return f
 
@@ -364,13 +344,7 @@ class _Compiler:
             def f(env):
                 charge(1)
                 v = left(env)
-                if v is decided:
-                    return v
-                if type(v) is bool:
-                    v = right(env)
-                    if type(v) is bool:
-                        return v
-                raise MiniLangRuntimeError("condition is not a bool")
+                return v if v is decided else right(env)
 
             return f
         if op in ("==", "!="):
@@ -379,21 +353,17 @@ class _Compiler:
 
             def f(env):
                 charge(1)
-                return value_equal(left(env), right(env)) is same
+                return (left(env) == right(env)) is same
 
             return f
         apply = _ARITHMETIC.get(op)
         wraps = apply is not None
         apply = apply or _COMPARISON[op]
-        message = f"operand of {op!r} is not an int"
         left, right = self.node(e.left), self.node(e.right)
 
         def f(env):
             charge(1)
-            x, y = left(env), right(env)
-            if type(x) is not int or type(y) is not int:
-                raise MiniLangRuntimeError(message)
-            v = apply(x, y)
+            v = apply(left(env), right(env))
             return v if not wraps or _MIN_INT <= v <= _MAX_INT else _wrap(v)
 
         return f
@@ -404,36 +374,26 @@ class _Compiler:
         def f(env):
             charge(1)
             array, k = base(env), subscript(env)
-            if type(array) is list and type(k) is int and 0 <= k < len(array):
+            if 0 <= k < len(array):
                 return array[k]
-            raise _index_error(array, k)
+            raise MiniLangRuntimeError(f"index {k} out of bounds for length {len(array)}")
 
         return f
 
     def call(self, e):
-        name, argc = e.name, len(e.args)
+        name = e.name
         if name == "len":
             return self.length(e)
-        charge = self.charge
+        charge, args = self.charge, [self.node(a) for a in e.args]
         if name == "print":
-            args, void = [self.node(a) for a in e.args], type(e) is _PrintStatement
 
             def f(env):
                 charge(1)
                 for arg in args:
                     arg(env)
-                if not void:
-                    raise MiniLangRuntimeError("print used as a value")
-                return _VOID
 
             return f
-        fn = self.machine.functions.get(name)
-        if fn is None:
-            return self.fail(f"unknown function {name!r}")
-        if argc != len(fn.params):
-            return self.fail(f"call to {name!r} with {argc} arguments, expected {len(fn.params)}")
-        m, args = self.machine, [self.node(a) for a in e.args]
-        params = [p.name for p in fn.params]
+        m, params = self.machine, [p.name for p in self.machine.functions[name].params]
 
         def f(env):
             charge(1)
@@ -442,10 +402,10 @@ class _Compiler:
                 values.append(arg(env))
             if m.calls >= MAX_CALL_DEPTH:
                 raise MiniLangRuntimeError("call depth exceeded")
-            body, weight, void = m.callee(name)
+            body, weight = m.callee(name)
             if m.weight + weight > MAX_NESTING_WEIGHT:
                 raise MiniLangRuntimeError("call depth exceeded")
-            callee_env = [dict(zip(params, values))]
+            callee_env = dict(zip(params, values))
             m.calls += 1
             m.weight += weight
             if m.profile is None:
@@ -454,25 +414,16 @@ class _Compiler:
                 signal = m.profiled(name, body, callee_env)
             m.calls -= 1
             m.weight -= weight
-            if type(signal) is tuple:
-                return signal[0]
-            if void:
-                return _VOID
-            raise MiniLangRuntimeError(f"{name!r} finished without returning a value")
+            return None if signal is None else signal[0]
 
         return f
 
     def length(self, e):
-        if len(e.args) != 1:
-            return self.fail("len takes exactly one argument")
         charge, arg = self.charge, self.node(e.args[0])
 
         def f(env):
             charge(1)
-            v = arg(env)
-            if type(v) is list:
-                return len(v)
-            raise MiniLangRuntimeError("argument of len is not an array")
+            return len(arg(env))
 
         return f
 
@@ -483,13 +434,10 @@ class _Compiler:
 
         def f(env):
             charge(1)
-            env.append({})
             for statement in body:
                 signal = statement(env)
                 if signal is not None:
-                    env.pop()
                     return signal
-            env.pop()
 
         return f
 
@@ -498,7 +446,7 @@ class _Compiler:
 
         def f(env):
             charge(1)
-            env[-1][name] = init(env)
+            env[name] = init(env)
 
         return f
 
@@ -511,23 +459,17 @@ class _Compiler:
             def f(env):
                 charge(2)
                 array, i, v = base(env), subscript(env), value(env)
-                if type(array) is list and type(i) is int and 0 <= i < len(array):
+                if 0 <= i < len(array):
                     array[i] = v
                     return
-                raise _index_error(array, i)
+                raise MiniLangRuntimeError(f"index {i} out of bounds for length {len(array)}")
 
             return f
         value, name = self.node(s.value), target.name
-        message = f"assignment to undeclared variable {name!r}"
 
         def f(env):
             charge(2)
-            v = value(env)
-            for scope in reversed(env):
-                if name in scope:
-                    scope[name] = v
-                    return
-            raise MiniLangRuntimeError(message)
+            env[name] = value(env)
 
         return f
 
@@ -537,18 +479,15 @@ class _Compiler:
 
         def f(env):
             charge(1)
-            v = cond(env)
-            if v is True:
+            if cond(env):
                 return then(env)
-            if v is False:
-                return None if orelse is None else orelse(env)
-            raise MiniLangRuntimeError("condition is not a bool")
+            return None if orelse is None else orelse(env)
 
         return f
 
     def loop(self, s):
-        """A `while`, or a `for`: its init clause runs once in a scope of
-        its own and its update clause after each iteration."""
+        """A `while`, or a `for`: its init clause runs once and its update
+        clause after each iteration."""
         init = self.node(s.init) if type(s) is For else None
         cond = self.node(s.cond)
         update = self.node(s.update) if type(s) is For else None
@@ -557,25 +496,13 @@ class _Compiler:
         def f(env):
             charge(1)
             if init is not None:
-                env.append({})
                 init(env)
-            result = None
-            while True:
-                v = cond(env)
-                if v is not True:
-                    if v is False:
-                        break
-                    raise MiniLangRuntimeError("condition is not a bool")
+            while cond(env):
                 signal = body(env)
                 if signal is not None and signal is not _CONTINUE:
-                    if signal is not _BREAK:
-                        result = signal
-                    break
+                    return None if signal is _BREAK else signal
                 if update is not None:
                     update(env)
-            if init is not None:
-                env.pop()
-            return result
 
         return f
 
@@ -594,7 +521,7 @@ class _Compiler:
 
             def f(env):
                 charge(1)
-                return (_VOID,)
+                return (None,)
 
             return f
         value = self.node(s.value)
@@ -606,10 +533,7 @@ class _Compiler:
         return f
 
     def expr_stmt(self, s):
-        e = s.expr
-        if type(e) is Call and e.name == "print":
-            e = _PrintStatement(e.name, e.args)
-        charge, expr = self.charge, self.node(e)
+        charge, expr = self.charge, self.node(s.expr)
 
         def f(env):
             charge(1)
@@ -627,7 +551,6 @@ _BUILDERS: dict[type, Callable] = {
     Binary: _Compiler.binary,
     Index: _Compiler.index,
     Call: _Compiler.call,
-    _PrintStatement: _Compiler.call,
     Block: _Compiler.block,
     VarDecl: _Compiler.var_decl,
     Assign: _Compiler.assign,
@@ -662,8 +585,11 @@ def run_suite(
 ) -> list[ExecutionOutcome]:
     """Run every test independently; no short-circuiting on failure.
 
+    `unit` must pass `semantics.validate` (the precondition in the module
+    docstring). A test whose harness call fails `semantics.check_call`
+    gets a RUNTIME_ERROR outcome, so no test file makes this raise.
     Functions compile on their first call and the compiled form is shared
-    by the tests. `profile`, when given, accumulates each function's self
+    by the tests; a call's variables live in one dict. `profile`, when given, accumulates each function's self
     cost in steps, and HARNESS_FRAME's. The process's recursion limit is
     lifted while the suite runs, so run one suite at a time per process."""
     if step_budget <= 0:

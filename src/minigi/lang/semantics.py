@@ -4,8 +4,9 @@ MiniLang is interpreted, so compilation is modeled as a static check:
 name resolution (declare-before-use, no shadowing), type checking, control
 flow legality (break/continue inside loops, return arity against the
 function's return type) and an all-paths-return analysis for non-void
-functions. A program that passes `validate` with no errors is safe to
-hand to the interpreter.
+functions. The interpreter runs only programs that pass `validate` with
+no errors and checks none of these rules again; `check_call` applies the
+same rules to a call made from outside the program, a test's harness call.
 """
 
 from __future__ import annotations
@@ -306,3 +307,11 @@ def validate(unit: SourceUnit) -> list[SemanticError]:
     """All semantic errors in the unit; empty list means it compiles."""
     return _Checker(unit).run()
 
+
+def check_call(unit: SourceUnit, call: Call) -> list[SemanticError]:
+    """Errors in a call from outside the unit whose arguments are literals,
+    such as a test's harness call; its value must be used, so it may not
+    be void."""
+    checker = _Checker(unit)
+    checker.infer(call, _Scope())
+    return checker.errors

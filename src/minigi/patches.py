@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from minigi.lang.ast import (
     ArrayLit,
@@ -163,34 +163,23 @@ def _rebuild(node: Stmt, index: int, new_child: Optional[Stmt]) -> Stmt:
     raise AssertionError(f"node {node!r} has no children")
 
 
+def _edit_at(root: Block, path: tuple[int, ...], leaf: Callable[[Stmt], Optional[Stmt]]) -> Block:
+    """`root` with the statement at `path` replaced by `leaf` of it; None
+    deletes it from its block. Only the spine down to it is rebuilt."""
+
+    def go(node: Stmt, rest: tuple[int, ...]) -> Optional[Stmt]:
+        if not rest:
+            return leaf(node)
+        idx = rest[0]
+        return _rebuild(node, idx, go(stmt_children(node)[idx], rest[1:]))
+
+    result = go(root, path)
+    assert isinstance(result, Block)
+    return result
+
+
 def _replace_at(root: Block, path: tuple[int, ...], new_stmt: Stmt) -> Block:
-    if not path:
-        assert isinstance(new_stmt, Block)
-        return new_stmt
-
-    def go(node: Stmt, rest: tuple[int, ...]) -> Stmt:
-        idx = rest[0]
-        children = stmt_children(node)
-        if len(rest) == 1:
-            return _rebuild(node, idx, new_stmt)
-        return _rebuild(node, idx, go(children[idx], rest[1:]))
-
-    result = go(root, path)
-    assert isinstance(result, Block)
-    return result
-
-
-def _delete_at(root: Block, path: tuple[int, ...]) -> Block:
-    def go(node: Stmt, rest: tuple[int, ...]) -> Stmt:
-        idx = rest[0]
-        children = stmt_children(node)
-        if len(rest) == 1:
-            return _rebuild(node, idx, None)
-        return _rebuild(node, idx, go(children[idx], rest[1:]))
-
-    result = go(root, path)
-    assert isinstance(result, Block)
-    return result
+    return _edit_at(root, path, lambda _: new_stmt)
 
 
 def _insert_at(root: Block, path: tuple[int, ...], index: int, stmt: Stmt) -> Block:
@@ -200,20 +189,7 @@ def _insert_at(root: Block, path: tuple[int, ...], index: int, stmt: Stmt) -> Bl
         stmts.insert(index, stmt)
         return Block(tuple(stmts))
 
-    if not path:
-        result = insert(root)
-    else:
-
-        def go(node: Stmt, rest: tuple[int, ...]) -> Stmt:
-            idx = rest[0]
-            children = stmt_children(node)
-            if len(rest) == 1:
-                return _rebuild(node, idx, insert(children[idx]))
-            return _rebuild(node, idx, go(children[idx], rest[1:]))
-
-        result = go(root, path)
-    assert isinstance(result, Block)
-    return result
+    return _edit_at(root, path, insert)
 
 
 # -- resolution helpers --
@@ -291,7 +267,7 @@ def apply_edit(unit: SourceUnit, edit: Edit) -> SourceUnit:
         assert edit.src is not None
         _list_element_at(unit, edit.src)
         fn = unit.function(edit.src.function)
-        return _with_body(unit, fn.name, _delete_at(fn.body, edit.src.path))
+        return _with_body(unit, fn.name, _edit_at(fn.body, edit.src.path, lambda _: None))
 
     if k is EditKind.COPY:
         assert edit.src is not None and isinstance(edit.dst, InsertionPoint)

@@ -23,6 +23,7 @@ from minigi.lang.interpreter import (
     TestCase,
     run_suite,
 )
+from minigi.lang.semantics import validate
 
 DEFAULT_TOP_K = 10
 
@@ -44,6 +45,9 @@ def profile(
     step_budget: int = DEFAULT_STEP_BUDGET,
 ) -> HotMethodProfile:
     """Profile a passing program over its test suite."""
+    errors = validate(unit)
+    if errors:
+        raise ProfileOnFailingProgramError(f"cannot profile an invalid program ({errors[0]})")
     costs: dict[str, int] = {}
     outcomes = run_suite(unit, tests, step_budget, profile=costs)
     failing = [t.name for t, o in zip(tests, outcomes) if o.status is not Status.PASS]

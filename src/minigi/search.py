@@ -11,8 +11,10 @@ otherwise.
 Every evaluation is appended to the run log as one record; the log plus
 the seed and the LLM transcripts fully determine a rerun. An LLM request
 returns `variant_count` edits at once; local search queues them and pops
-one per append, so request accounting matches random sampling
-(ceil(draws/variant_count) requests).
+one per append. Queued edits were drawn against the program of the move
+they were requested for, so an accepted move discards them and the next
+append sends a new request: local search sends ceil(draws/variant_count)
+requests only while no move is accepted, random sampling always.
 """
 
 from __future__ import annotations
@@ -315,3 +317,4 @@ def _one_ls_run(unit, tests, cfg, adapter, llm, method, records, sink) -> None:
             state.current_patch = neighbor
             state.current_runtime = result.runtime
             state.current_unit = apply_patch(unit, neighbor)
+            state.llm_queue.clear()

@@ -332,3 +332,42 @@ def test_replay_refuses_to_overwrite_the_recorded_run(tmp_path, capsys):
     assert run("replay", str(run_dir), "--out-dir", str(run_dir)) == 2
     assert "overwrite" in capsys.readouterr().err
     assert (run_dir / "sample_log.csv").read_bytes() == recorded
+
+
+def _drop_budget(record):
+    del record["budget"]
+
+
+def _older_external_record(record):
+    record["adapter"] = "external"
+    record["toolchain"] = {
+        "compile_cmd": "true", "test_cmd": "true", "measure_cmd": "echo 7",
+        "patch_apply_cmd": None, "timeout_ms": 10000, "measure_repeats": 1,
+    }
+
+
+def _prose_llm_prompt(record):
+    record["llm"] = {"client": {}, "prompt": "medium"}
+
+
+@pytest.mark.parametrize("tamper, complaint", [
+    (_drop_budget, "run record: missing key 'budget'"),
+    (_older_external_record, "toolchain: unknown key 'patch_apply_cmd'"),
+    (_prose_llm_prompt, "llm.client: missing key"),
+])
+def test_replay_of_a_malformed_record_is_a_config_error(tmp_path, capsys, tamper, complaint):
+    """A sidecar edited by hand or written by an older version exits 2 with
+    the sidecar named; exit 1 means that the logs differ."""
+    run_dir = tmp_path / "run"
+    assert run(
+        "sample", MAX, MAX_TESTS, "--family", "insert", "--budget", "3",
+        "--seed", "4", "--methods", "max2", "--out-dir", str(run_dir),
+    ) == 0
+    meta_path = run_dir / "sample_log.csv.meta.json"
+    record = json.loads(meta_path.read_text())
+    tamper(record)
+    meta_path.write_text(json.dumps(record))
+    capsys.readouterr()
+    assert run("replay", str(run_dir), "--out-dir", str(tmp_path / "again")) == 2
+    err = capsys.readouterr().err
+    assert str(meta_path) in err and complaint in err

@@ -263,15 +263,6 @@ def test_external_unparsable_measurement_is_infrastructure(bench_sort):
         )
 
 
-def test_external_patch_apply_hook_failure_is_infrastructure(bench_sort):
-    unit, tests = bench_sort
-    with pytest.raises(InfrastructureError):
-        evaluate(
-            unit, Patch("bench_sort"), tests,
-            external(tc(patch_apply_cmd="false")),
-        )
-
-
 def test_external_working_copy_gets_both_files(bench_sort, tmp_path):
     unit, tests = bench_sort
     probe = tmp_path / "probe.py"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+import re
 import time
 
 import pytest
@@ -11,10 +13,14 @@ from minigi.lang import (
     parse_test_file,
     run_suite,
     run_test,
+    validate,
 )
 from minigi.lang.ast import StatementId
 from minigi.lang.interpreter import value_equal
-from minigi.patches import Edit, EditKind, Patch, apply_patch
+from minigi.llm import LlmClientConfig, MockLlmClient
+from minigi.operators import sample_insert_edit, sample_statement_edit
+from minigi.patches import ApplyError, Edit, EditKind, Patch, apply_patch
+from minigi.prompts import PromptCategory, PromptTemplate, make_llm_edits
 
 from oracles import (
     count_to_call_steps,
@@ -137,12 +143,7 @@ def test_runtime_errors_are_outcomes_not_crashes():
     assert oob.status is Status.RUNTIME_ERROR and "out of bounds" in oob.error
 
     neg = one_test("fn f(a: int[]) -> int { return a[-1]; }", "test t: f([1]) == 1")
-    assert neg.status is Status.RUNTIME_ERROR
-
-    # reachable missing return (validation would flag it; the interpreter
-    # still must not crash when handed such a program)
-    missing = one_test("fn f(x: int) -> int { if (x > 0) { return 1; } }", "test t: f(-1) == 1")
-    assert missing.status is Status.RUNTIME_ERROR and "without returning" in missing.error
+    assert neg.status is Status.RUNTIME_ERROR and neg.error == "index -1 out of bounds for length 1"
 
 
 def test_unbounded_recursion_is_a_runtime_error():
@@ -185,8 +186,107 @@ def test_print_charges_its_arguments_without_affecting_outcome():
     assert outcome.status is Status.PASS and outcome.value == 7
     # call + body + statement + print + its three arguments (5) + return 7 (2)
     assert outcome.steps_used == 11
-    as_value = one_test("fn f() -> int { return print(1); }", "test t: f() == 1")
-    assert as_value.status is Status.RUNTIME_ERROR and as_value.error == "print used as a value"
+
+
+def test_harness_calls_that_fail_the_call_check_are_outcomes():
+    """The harness call is the one input validation never sees. An ill-typed
+    one is that test's runtime error, checked before it runs, and the other
+    tests still run."""
+    unit = parse_source(
+        "fn f(x: int) -> int { return x + 1; } fn g(a: int[]) -> int { return a[0] + 1; }"
+        " fn h() { }"
+    )
+    tests = parse_test_file(
+        "test unknown: k(1) == 1\n"
+        "test arity: f(1, 2) == 2\n"
+        "test array_for_int: f([1]) == 2\n"
+        "test nested_array: g([[1]]) == 2\n"
+        "test void: h() == 0\n"
+        "test fine: f(1) == 2"
+    )
+    outcomes = run_suite(unit, tests)
+    assert [(o.status, o.steps_used, o.error) for o in outcomes[:5]] == [
+        (Status.RUNTIME_ERROR, 0, "unknown function 'k'"),
+        (Status.RUNTIME_ERROR, 0, "call to 'f' with 2 arguments, expected 1"),
+        (Status.RUNTIME_ERROR, 0, "argument 'x' has type int[], expected int"),
+        (Status.RUNTIME_ERROR, 0, "array element has type int[], expected int"),
+        (Status.RUNTIME_ERROR, 0, "void call to 'h' used as a value"),
+    ]
+    assert outcomes[5].status is Status.PASS and outcomes[5].steps_used == 7
+
+
+# Each call keeps its variables in one dict; validation makes that sound.
+FLAT_SCOPES = [
+    # sibling blocks reuse `x`: call 1 + body 1 + `var r` 2 + two blocks of
+    # 1 + `var x` 2 + `r = r + x` 5, + `return r` 2
+    ("fn f() -> int { var r: int = 0; { var x: int = 1; r = r + x; }"
+     " { var x: int = 2; r = r + x; } return r; }", "f() == 3", 1 + 1 + 2 + 2 * 8 + 2),
+    # `sq` is declared on every iteration: call and argument 2 + body 1 +
+    # two decls 4 + while 1 + four checks of 3 + three bodies of 1 + 4 + 5 + 5
+    # + `return s` 2
+    ("fn f(n: int) -> int { var s: int = 0; var i: int = 0;"
+     " while (i < n) { var sq: int = i * i; s = s + sq; i = i + 1; } return s; }",
+     "f(3) == 5", 2 + 1 + 4 + 1 + 4 * 3 + 3 * 15 + 2),
+    # the loop's `i` is declared again after it: call 1 + body 1 + `var s` 2
+    # + for (1 + init 2 + four checks of 3 + three updates of 5 + three bodies
+    # of 6) + `var i` 2 + `return s + i` 4
+    ("fn f() -> int { var s: int = 0; for (var i: int = 0; i < 3; i = i + 1) { s = s + i; }"
+     " var i: int = 10; return s + i; }", "f() == 13", 1 + 1 + 2 + 48 + 2 + 4),
+    # each call has its own `x`: call and argument 2 + three calls with
+    # n > 0 of 17 own steps + f(0) 9
+    ("fn f(n: int) -> int { var x: int = n;"
+     " if (n > 0) { var y: int = f(n - 1); return x + y; } return x; }",
+     "f(3) == 6", 2 + 3 * 17 + 9),
+]
+
+
+@pytest.mark.parametrize("src, call, steps", FLAT_SCOPES)
+def test_one_variable_dict_per_call(src, call, steps):
+    unit = parse_source(src)
+    assert validate(unit) == []
+    outcome = run_test(unit, parse_test_file(f"test t: {call}")[0])
+    assert outcome.status is Status.PASS and outcome.steps_used == steps
+
+
+LANGUAGE_ERRORS = re.compile(
+    r"division by zero|call depth exceeded|index -?\d+ out of bounds for length \d+"
+)
+
+
+@pytest.mark.parametrize("name", ["bench_sort", "bench_loop", "bench_planted", "bench_max"])
+def test_valid_mutants_hit_only_language_errors(name):
+    """Seeded Statement, Insert and default-mock LLM mutants of a benchmark
+    that validate run without raising, time out exactly at the budget, and
+    fail at run time only in the three ways a valid program can."""
+    from conftest import load_bench
+
+    unit, tests = load_bench(name)
+    hot = [fn.name for fn in unit.functions]
+    client = MockLlmClient(LlmClientConfig(mode="mock"))
+    template = PromptTemplate(PromptCategory.MEDIUM, project_name=name)
+    rng = random.Random(f"mutants:{name}")
+    mutants = []
+    for _ in range(300):
+        draw = rng.choice(["statement", "insert", "llm"])
+        if draw == "statement":
+            edit = sample_statement_edit(unit, hot, rng)
+        elif draw == "insert":
+            edit = sample_insert_edit(unit, hot, rng)
+        else:
+            edit = rng.choice(make_llm_edits(unit, hot, rng, client, template))
+        try:
+            mutant = apply_patch(unit, Patch(name, (edit,)))
+        except ApplyError:
+            continue
+        if validate(mutant) == []:
+            mutants.append(mutant)
+    assert len(mutants) >= 60
+    for mutant in mutants:
+        for budget in (50, 5_000):
+            for outcome in run_suite(mutant, tests, budget):
+                assert (outcome.status is Status.TIMEOUT) == (outcome.steps_used == budget)
+                if outcome.status is Status.RUNTIME_ERROR:
+                    assert LANGUAGE_ERRORS.fullmatch(outcome.error), outcome.error
 
 
 def test_suite_runs_all_tests_without_short_circuit():

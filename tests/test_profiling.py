@@ -58,6 +58,10 @@ def test_profiling_a_failing_program_is_an_error(bench_sort):
     bad = parse_test_file("test wrong: max2(1, 2) == 99")
     with pytest.raises(ProfileOnFailingProgramError):
         profile(unit, bad, top_k=5)
+    # the interpreter runs only valid programs, so profiling validates first
+    invalid = parse_source("fn f() -> int { return x; }")
+    with pytest.raises(ProfileOnFailingProgramError, match="unknown variable 'x'"):
+        profile(invalid, parse_test_file("test t: f() == 1"))
 
 
 def test_top_k_truncates_ranking(bench_sort):

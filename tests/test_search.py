@@ -348,6 +348,32 @@ def test_llm_local_search_amortizes_requests(bench_sort):
     assert len(records) == 40
 
 
+def test_llm_local_search_requests_again_after_an_accepted_move():
+    """Queued variants were drawn against the program before the move, so
+    acceptance discards them: the next append asks about the new program."""
+    from minigi.lang import parse_source, parse_test_file
+
+    unit = parse_source(
+        "fn f(n: int) -> int { var s: int = 0; s = s + n; s = s + 0; return s; }", "slow"
+    )
+    tests = parse_test_file("test five: f(5) == 5")
+    records: list[EvalRecord] = []
+    requests = []  # (evaluations logged when the request was sent, prompt)
+
+    def script(request):
+        requests.append((len(records), request.prompt))
+        variants = ["{ return n; }"] + ["{ return n + 0; }"] * 4
+        return "\n".join(f"```\n{v}\n```" for v in variants)
+
+    cfg = LocalSearchConfig(family="llm-medium", runs=("f",), evals_per_run=12, seed=0)
+    local_search(unit, tests, cfg, llm=mock_context(script), sink=records.append)
+    assert records[1].runtime is not None and records[1].runtime < records[0].runtime
+    edit_counts = [len(split_patch_line(r.patch_line)[1].split(" ; ")) for r in records]
+    first_append = next(i for i in range(2, len(records)) if edit_counts[i] == 2)
+    assert [logged for logged, _ in requests[:2]] == [1, first_append]
+    assert "return n;" in requests[1][1] and "var s" not in requests[1][1]
+
+
 def _nested_ifs(depth: int) -> str:
     return "{ " + "if (n > 0) { " * depth + "return f(n - 1) + 1; " + "} " * depth + "return 0; }"
 

@@ -87,6 +87,7 @@ def test_call_checking():
     assert any("unknown function" in e for e in check("fn f() -> int { return h(); }"))
     void_as_value = "fn g() { } fn f() -> int { return g(); }"
     assert any("void call" in e for e in check(void_as_value))
+    assert "print used as a value" in check("fn f() -> int { return print(1); }")
     assert check("fn g() { print(1); } fn f() { g(); }") == []
 
 
