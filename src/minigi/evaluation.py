@@ -89,15 +89,15 @@ class ExternalToolchain:
     without it the whole suite runs as one process).
 
     Exit codes: measure_cmd must exit 0, or the run stops with
-    InfrastructureError. compile_cmd exiting non-zero makes the patch
-    ValidOnly. test_cmd exiting non-zero, or outliving its
-    `timeout_ms` watchdog, fails that test. measure_cmd prints an integer
-    on its last stdout line; the median-low of `measure_repeats` runs is
-    the runtime, and a measure_cmd outliving `timeout_ms` stops the run
-    with InfrastructureError. Every command runs in a session of its own,
-    and its whole process group is killed when it returns or times out. A
-    descendant that starts a session of its own leaves the group and is
-    outside this contract.
+    InfrastructureError. compile_cmd exiting non-zero, or outliving the
+    `timeout_ms` watchdog, makes the patch ValidOnly. test_cmd exiting
+    non-zero, or outliving the watchdog, fails that test. measure_cmd
+    prints an integer on its last stdout line; the median-low of
+    `measure_repeats` runs is the runtime, and a measure_cmd outliving
+    `timeout_ms` stops the run with InfrastructureError. Every command
+    runs in a session of its own, and its whole process group is killed
+    when it returns or times out. A descendant that starts a session of
+    its own leaves the group and is outside this contract.
     """
 
     compile_cmd: str
@@ -214,6 +214,8 @@ def _evaluate_external(
     toolchain: ExternalToolchain,
     digest: str,
 ) -> EvaluationResult:
+    import subprocess
+
     with tempfile.TemporaryDirectory(prefix="minigi-eval-") as tmp:
         workdir = Path(tmp)
         src = workdir / "original.ml"
@@ -225,8 +227,13 @@ def _evaluate_external(
             "PATCHED_FILE": str(patched_file),
             "WORKDIR": str(workdir),
         }
-        proc = _run_command(_substitute(toolchain.compile_cmd, mapping), workdir)
-        if proc.returncode != 0:
+        argv = _substitute(toolchain.compile_cmd, mapping)
+        try:
+            proc = _run_command(argv, workdir, timeout_ms=toolchain.timeout_ms)
+            compiled = proc.returncode == 0
+        except subprocess.TimeoutExpired:
+            compiled = False
+        if not compiled:
             return EvaluationResult(patch, Classification.VALID_ONLY, fingerprint=digest)
         failed = _run_external_tests(tests, toolchain, mapping, workdir)
         if failed:

@@ -5,11 +5,13 @@ wall-clock time in the built-in evaluation backend.
 
 Compile step. `run_suite` compiles each `Function` into nested Python
 closures on its first call, after Feeley & Lapalme, "Using closures for
-code generation" (1987): each node becomes one closure that calls the
+code generation" (1987): each node becomes a closure that calls the
 closures of its children, so the dispatch on node kinds happens once per
-node instead of once per step. The compiled form lives for one
-`run_suite` call and is shared by its tests and, through `profile`, by
-profiling.
+node instead of once per step. A parent reads a variable or literal
+operand inline, a block of one statement runs as that statement, and
+what follows a `break`, `continue` or `return` in a block is compiled for
+its nesting but never runs. The compiled form lives for one `run_suite`
+call and is shared by its tests and, through `profile`, by profiling.
 
 Precondition. `run_suite` runs only programs that `semantics.validate`
 accepts, and relies on it: names are declared before use, values have
@@ -42,13 +44,26 @@ The cost model is unchanged:
   * user calls charge 1 for the call node, each argument, then the callee
     body; `len` charges 1 plus its argument; `print` 1 plus arguments.
 
-Each closure charges its steps through one method that compares the
-counter with the budget. Reaching the budget clamps the counter to exactly
-the budget and reports a timeout, so `steps_used == budget` iff the run
-timed out; a finishing run always used strictly fewer steps. Division by
-zero, an out-of-bounds index and calls nested too deeply are the runtime
-errors a valid program can hit; they are reported in the outcome, never
-raised out of the harness.
+Steps are charged through one method that adds to the counter and
+compares it with the budget. Reaching the budget clamps the counter to
+exactly the budget and reports a timeout, so `steps_used == budget` iff
+the run timed out; a finishing run always used strictly fewer steps.
+
+Fused charges. A node's fixed steps, its own and the leading steps of the
+operands it evaluates first, are charged in one call before it runs,
+together with those of the nodes after it for as long as each node in
+between is flat: it charges nothing itself and can neither fail, branch,
+call nor return a signal. A loop charges its condition in one call per
+check, joined with the steps of its body and update where those are
+flat. This is exact: no failure point, branch or call lies between two
+merged charges, so a run reaches the budget, fails or ends after the
+same number of steps as when every node charges for itself, and
+timeouts, the steps at a runtime error, the profile's self costs and
+every logged runtime are the same.
+
+Division by zero, an out-of-bounds index and calls nested too deeply are
+the runtime errors a valid program can hit; they are reported in the
+outcome, never raised out of the harness.
 
 Depth rule. A call fails with "call depth exceeded" when MAX_CALL_DEPTH
 calls are active, or when the weights of the active calls would exceed
@@ -56,9 +71,9 @@ MAX_NESTING_WEIGHT. A call weighs one more than the deepest nesting of
 statements and expressions in its function, which compiling measures, so
 the verdict is a function of the program alone. Compiling a level of
 nesting takes at most _HOST_FRAMES_PER_LEVEL nested host calls and running
-it one, and `run_suite` lifts Python's recursion limit by enough frames
-for the whole weight, so the MiniLang limit is always reached first, also
-for mutants nested deeper than the parser allows.
+it at most two, and `run_suite` lifts Python's recursion limit by enough
+frames for the whole weight, so the MiniLang limit is always reached
+first, also for mutants nested deeper than the parser allows.
 
 Integers are 64-bit two's complement, as in Java: `+`, `-`, `*`, unary
 `-`, `/` and `%` wrap, `/` truncates toward zero and `%` takes the sign
@@ -103,7 +118,13 @@ DEFAULT_STEP_BUDGET = 1_000_000
 MAX_CALL_DEPTH = 128
 MAX_NESTING_WEIGHT = 2048  # the depth rule in the module docstring
 # One level of nesting compiles in at most three nested host calls (the
-# level's dispatch, its builder and a helper) and runs in at most one.
+# level's dispatch, its builder and a helper) and runs in at most two (its
+# closure and, for an operand whose steps could not join its parent's
+# charge, the closure that charges them); the frame a call adds to run its
+# body is the one its weight counts beyond its nesting. Active calls hold
+# at most two frames per unit of weight and a function being compiled at
+# most three per level of the room left beside them, so three frames per
+# unit of MAX_NESTING_WEIGHT bound both together.
 _HOST_FRAMES_PER_LEVEL = 3
 _HOST_FRAMES = _HOST_FRAMES_PER_LEVEL * MAX_NESTING_WEIGHT + 256
 
@@ -149,6 +170,7 @@ class _Timeout(Exception):
 # (the function returns its element): the innermost loop ends or continues.
 _BREAK = object()
 _CONTINUE = object()
+_JUMPS = (Break, Continue, Return)  # statements that always return a signal
 
 
 def value_equal(a: Any, b: Any) -> bool:
@@ -183,8 +205,11 @@ def _mod(left: int, right: int) -> int:
     return left - _div(left, right) * right
 
 
-_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div, "%": _mod}
-_COMPARISON = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_OPERATORS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div, "%": _mod,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "==": operator.eq, "!=": operator.ne,
+}
 
 
 class _Machine:
@@ -198,7 +223,7 @@ class _Machine:
     def __init__(self, unit: SourceUnit, budget: int, profile: Optional[dict[str, int]]):
         self.unit = unit
         self.functions = {fn.name: fn for fn in unit.functions}
-        self.compiled: dict[str, tuple[Callable, int]] = {}
+        self.compiled: dict[str, tuple[int, Callable, int]] = {}
         self.budget = budget
         self.profile = profile
         self.steps = 0
@@ -211,25 +236,26 @@ class _Machine:
         if self.steps >= self.budget:
             raise _Timeout()
 
-    def callee(self, name: str) -> tuple[Callable, int]:
-        """The compiled function `name`: its body and its weight. Compiling
-        fails with the depth error when the weight would not fit beside
-        the active calls."""
+    def callee(self, name: str) -> tuple[int, Callable, int]:
+        """The compiled function `name`: the steps its body charges first,
+        the body and its weight. Compiling fails with the depth error when
+        the weight would not fit beside the active calls."""
         entry = self.compiled.get(name)
         if entry is None:
             compiler = _Compiler(self, MAX_NESTING_WEIGHT - self.weight - 1)
-            body = compiler.node(self.functions[name].body)
-            entry = (body, compiler.deepest + 1)
+            lead, body, _flat = compiler.node(self.functions[name].body)
+            entry = (lead, body, compiler.deepest + 1)
             self.compiled[name] = entry
         return entry
 
-    def profiled(self, name: str, body: Callable, env: dict) -> Any:
+    def profiled(self, name: str, lead: int, body: Callable, env: dict) -> Any:
         """Run a call's body, charging its own steps to `name`. The budget
         is reached inside the innermost call, so clamping to it charges
         every open call exactly."""
         start = self.steps
         self.inner.append(0)
         try:
+            self.charge(lead)
             return body(env)
         finally:
             spent = min(self.steps, self.budget) - start
@@ -246,8 +272,9 @@ class _Machine:
         self.inner = [0]
         try:
             compiler = _Compiler(self, MAX_NESTING_WEIGHT)
-            harness = compiler.node(test.call)
+            lead, harness, _flat = compiler.node(test.call)
             self.weight = compiler.deepest
+            self.charge(lead)
             value = harness({})
         except _Timeout:
             return ExecutionOutcome(Status.TIMEOUT, self.budget)
@@ -262,8 +289,124 @@ class _Machine:
         return ExecutionOutcome(status, self.steps, value=value)
 
 
+def _charges(parts) -> list[int]:
+    """The steps to charge just before each of a sequence of compiled parts
+    runs. A part's cost joins the charge of the part before it when that
+    part is flat, so a run of flat parts and the part after them are
+    charged in one call, before the first of them runs; 0 marks a part
+    that an earlier charge covered."""
+    charges: list[int] = []
+    head = None  # index of the charge that the next part's cost joins
+    for cost, _closure, flat in parts:
+        if head is None:
+            head = len(charges)
+            charges.append(cost)
+        else:
+            charges[head] += cost
+            charges.append(0)
+        if not flat:
+            head = None
+    return charges
+
+
+def _charging(charge: Callable, cost: int, closure: Callable) -> Callable:
+    """`closure` behind a charge of `cost`: the form of an operand whose
+    cost could not join its parent's charge."""
+
+    def f(env):
+        charge(cost)
+        return closure(env)
+
+    return f
+
+
+def _values(closures: list[Callable]) -> Callable:
+    """The closure that evaluates `closures` in order into a list."""
+
+    def f(env):
+        values = []
+        for closure in closures:
+            values.append(closure(env))
+        return values
+
+    return f
+
+
+def _nothing(env) -> None:
+    """An empty block."""
+
+
+_VAR, _LIT, _FN = "var", "lit", "fn"
+
+
+def _read(e, closure) -> tuple[str, Any]:
+    """How a parent reads operand `e`: a variable by name and a literal as
+    its value, inline, and anything else through its closure."""
+    kind = type(e)
+    if kind is Var:
+        return _VAR, e.name
+    if kind is IntLit or kind is BoolLit:
+        return _LIT, e.value
+    return _FN, closure
+
+
+def _binary(apply: Callable, left: tuple[str, Any], right: tuple[str, Any]) -> Callable:
+    """`apply` to two operands read as `_read` says (a literal on the left
+    through its closure). Only arithmetic leaves the 64-bit range."""
+    (lk, a), (rk, b) = left, right
+    if lk is _VAR and rk is _VAR:
+
+        def f(env):
+            v = apply(env[a], env[b])
+            return v if _MIN_INT <= v <= _MAX_INT else _wrap(v)
+
+    elif lk is _VAR and rk is _LIT:
+
+        def f(env):
+            v = apply(env[a], b)
+            return v if _MIN_INT <= v <= _MAX_INT else _wrap(v)
+
+    elif lk is _VAR:
+
+        def f(env):
+            v = apply(env[a], b(env))
+            return v if _MIN_INT <= v <= _MAX_INT else _wrap(v)
+
+    elif rk is _VAR:
+
+        def f(env):
+            v = apply(a(env), env[b])
+            return v if _MIN_INT <= v <= _MAX_INT else _wrap(v)
+
+    elif rk is _LIT:
+
+        def f(env):
+            v = apply(a(env), b)
+            return v if _MIN_INT <= v <= _MAX_INT else _wrap(v)
+
+    else:
+
+        def f(env):
+            v = apply(a(env), b(env))
+            return v if _MIN_INT <= v <= _MAX_INT else _wrap(v)
+
+    return f
+
+
+def _index_error(k: int, array: list) -> MiniLangRuntimeError:
+    return MiniLangRuntimeError(f"index {k} out of bounds for length {len(array)}")
+
+
 class _Compiler:
     """Compiles one function body, or one test's call, into closures.
+
+    `node` returns a triple (cost, closure, flat). `cost` is the steps the
+    node charges before anything in it can fail or branch: its own step
+    and the leading steps of the operands it evaluates first. Whoever runs
+    the closure charges `cost` just before; the closure charges the rest.
+    `flat` means the closure charges nothing itself and can neither raise
+    nor return a signal, so the cost of what runs after it can join the
+    same charge (`_charges`).
 
     A closure takes the variables of its call, one dict from names to
     values. Expression closures return a value, statement closures None,
@@ -276,270 +419,317 @@ class _Compiler:
         self.deepest = 0
         self.room = room  # levels of nesting that fit beside the active calls
 
-    def node(self, n) -> Callable:
+    def node(self, n) -> tuple[int, Callable, bool]:
         self.level += 1
         if self.level > self.deepest:
             self.deepest = self.level
             if self.level > self.room:
                 raise MiniLangRuntimeError("call depth exceeded")
-        closure = _BUILDERS[type(n)](self, n)
+        compiled = _BUILDERS[type(n)](self, n)
         self.level -= 1
-        return closure
+        return compiled
+
+    def operands(self, nodes) -> tuple[int, list[Callable], bool]:
+        """Operands evaluated in order: the steps due before the first runs
+        (the costs of the operands up to the first one that is not flat),
+        the closures, each operand after that one charging for itself, and
+        whether all are flat."""
+        lead, closures, flat = 0, [], True
+        for x in nodes:
+            cost, closure, x_flat = self.node(x)
+            if flat:
+                lead += cost
+            else:
+                closure = _charging(self.charge, cost, closure)
+            closures.append(closure)
+            flat = flat and x_flat
+        return lead, closures, flat
 
     # -- expressions --
 
     def literal(self, e):
-        charge, value = self.charge, e.value
+        value = e.value
 
         def f(env):
-            charge(1)
             return value
 
-        return f
+        return 1, f, True
 
     def variable(self, e):
-        charge, name = self.charge, e.name
-
-        def f(env):
-            charge(1)
-            return env[name]
-
-        return f
+        return 1, operator.itemgetter(e.name), True
 
     def array(self, e):
-        charge, elements = self.charge, [self.node(x) for x in e.elements]
-
-        def f(env):
-            charge(1)
-            values = []
-            for element in elements:
-                values.append(element(env))
-            return values
-
-        return f
+        cost, elements, flat = self.operands(e.elements)
+        return 1 + cost, _values(elements), flat
 
     def unary(self, e):
-        charge, operand = self.charge, self.node(e.operand)
+        cost, operand, flat = self.node(e.operand)
         if e.op == "-":
 
             def f(env):
-                charge(1)
                 v = -operand(env)
                 return v if _MIN_INT <= v <= _MAX_INT else _wrap(v)
 
-            return f
+            return 1 + cost, f, flat
 
         def f(env):
-            charge(1)
             return not operand(env)
 
-        return f
+        return 1 + cost, f, flat
 
     def binary(self, e):
-        charge, op = self.charge, e.op
+        op = e.op
+        lc, left, lflat = self.node(e.left)
+        rc, right, rflat = self.node(e.right)
         if op in ("&&", "||"):
-            left, right = self.node(e.left), self.node(e.right)
-            decided = op == "||"  # the left value that skips the right operand
+            charge, decided = self.charge, op == "||"  # the left value that skips the right
 
             def f(env):
-                charge(1)
                 v = left(env)
-                return v if v is decided else right(env)
+                if v is decided:
+                    return v
+                charge(rc)
+                return right(env)
 
-            return f
-        if op in ("==", "!="):
-            left, right = self.node(e.left), self.node(e.right)
-            same = op == "=="
-
-            def f(env):
-                charge(1)
-                return (left(env) == right(env)) is same
-
-            return f
-        apply = _ARITHMETIC.get(op)
-        wraps = apply is not None
-        apply = apply or _COMPARISON[op]
-        left, right = self.node(e.left), self.node(e.right)
-
-        def f(env):
-            charge(1)
-            v = apply(left(env), right(env))
-            return v if not wraps or _MIN_INT <= v <= _MAX_INT else _wrap(v)
-
-        return f
+            return 1 + lc, f, False
+        reads_left = (_VAR, e.left.name) if type(e.left) is Var else (_FN, left)
+        if lflat:
+            cost, reads_right = 1 + lc + rc, _read(e.right, right)
+        else:
+            cost, reads_right = 1 + lc, (_FN, _charging(self.charge, rc, right))
+        flat = lflat and rflat and op not in ("/", "%")
+        return cost, _binary(_OPERATORS[op], reads_left, reads_right), flat
 
     def index(self, e):
-        charge, base, subscript = self.charge, self.node(e.base), self.node(e.index)
+        cost, base, bflat = self.node(e.base)
+        kc, subscript, _flat = self.node(e.index)
+        if bflat:
+            cost += kc
+        else:
+            subscript = _charging(self.charge, kc, subscript)
+        if type(e.base) is Var and type(e.index) is Var:
+            a, k = e.base.name, e.index.name
+
+            def f(env):
+                array, i = env[a], env[k]
+                if 0 <= i < len(array):
+                    return array[i]
+                raise _index_error(i, array)
+
+            return 1 + cost, f, False
 
         def f(env):
-            charge(1)
-            array, k = base(env), subscript(env)
-            if 0 <= k < len(array):
-                return array[k]
-            raise MiniLangRuntimeError(f"index {k} out of bounds for length {len(array)}")
+            array, i = base(env), subscript(env)
+            if 0 <= i < len(array):
+                return array[i]
+            raise _index_error(i, array)
 
-        return f
+        return 1 + cost, f, False
 
     def call(self, e):
         name = e.name
         if name == "len":
             return self.length(e)
-        charge, args = self.charge, [self.node(a) for a in e.args]
+        cost, args, flat = self.operands(e.args)
         if name == "print":
-
-            def f(env):
-                charge(1)
-                for arg in args:
-                    arg(env)
-
-            return f
+            return 1 + cost, _values(args), flat
         m, params = self.machine, [p.name for p in self.machine.functions[name].params]
 
         def f(env):
-            charge(1)
             values = []
             for arg in args:
                 values.append(arg(env))
             if m.calls >= MAX_CALL_DEPTH:
                 raise MiniLangRuntimeError("call depth exceeded")
-            body, weight = m.callee(name)
+            lead, body, weight = m.callee(name)
             if m.weight + weight > MAX_NESTING_WEIGHT:
                 raise MiniLangRuntimeError("call depth exceeded")
             callee_env = dict(zip(params, values))
             m.calls += 1
             m.weight += weight
             if m.profile is None:
+                m.charge(lead)
                 signal = body(callee_env)
             else:
-                signal = m.profiled(name, body, callee_env)
+                signal = m.profiled(name, lead, body, callee_env)
             m.calls -= 1
             m.weight -= weight
             return None if signal is None else signal[0]
 
-        return f
+        return 1 + cost, f, False
 
     def length(self, e):
-        charge, arg = self.charge, self.node(e.args[0])
+        cost, arg, flat = self.node(e.args[0])
+        if type(e.args[0]) is Var:
+            name = e.args[0].name
+
+            def f(env):
+                return len(env[name])
+
+            return 1 + cost, f, flat
 
         def f(env):
-            charge(1)
             return len(arg(env))
 
-        return f
+        return 1 + cost, f, flat
 
     # -- statements --
 
     def block(self, s):
-        charge, body = self.charge, [self.node(x) for x in s.statements]
+        parts, ends = [], False
+        for x in s.statements:
+            compiled = self.node(x)
+            if not ends:  # what follows a jump is compiled for its nesting only
+                parts.append(compiled)
+                ends = type(x) in _JUMPS
+        if not parts:
+            return 1, _nothing, True
+        charges = _charges(parts)
+        lead = 1 + charges[0]
+        if len(parts) == 1:
+            return lead, parts[0][1], parts[0][2]
+        flat = all(p[2] for p in parts)
+        charge = self.charge
+        charges[0] = 0
+        body = [(due, p[1]) for due, p in zip(charges, parts)]
 
         def f(env):
-            charge(1)
-            for statement in body:
+            for due, statement in body:
+                if due:
+                    charge(due)
                 signal = statement(env)
                 if signal is not None:
                     return signal
 
-        return f
+        return lead, f, flat
 
-    def var_decl(self, s):
-        charge, init, name = self.charge, self.node(s.init), s.name
-
-        def f(env):
-            charge(1)
-            env[name] = init(env)
-
-        return f
-
-    def assign(self, s):
-        charge, target = self.charge, s.target
-        if type(target) is Index:
-            base, subscript = self.node(target.base), self.node(target.index)
-            value = self.node(s.value)
+    def store(self, own: int, name: str, value: Expr):
+        """A declaration or an assignment to a variable; `own` is the
+        statement's own steps."""
+        cost, closure, flat = self.node(value)
+        if type(value) is IntLit or type(value) is BoolLit:
+            constant = value.value
 
             def f(env):
-                charge(2)
-                array, i, v = base(env), subscript(env), value(env)
-                if 0 <= i < len(array):
-                    array[i] = v
-                    return
-                raise MiniLangRuntimeError(f"index {i} out of bounds for length {len(array)}")
+                env[name] = constant
 
-            return f
-        value, name = self.node(s.value), target.name
+            return own + cost, f, flat
 
         def f(env):
-            charge(2)
-            env[name] = value(env)
+            env[name] = closure(env)
 
-        return f
+        return own + cost, f, flat
+
+    def var_decl(self, s):
+        return self.store(1, s.name, s.init)
+
+    def assign(self, s):
+        target = s.target
+        if type(target) is not Index:
+            return self.store(2, target.name, s.value)
+        cost, (base, subscript, value), _flat = self.operands(
+            (target.base, target.index, s.value)
+        )
+
+        def f(env):
+            array, i, v = base(env), subscript(env), value(env)
+            if 0 <= i < len(array):
+                array[i] = v
+                return
+            raise _index_error(i, array)
+
+        return 2 + cost, f, False
 
     def if_(self, s):
-        charge, cond, then = self.charge, self.node(s.cond), self.node(s.then_block)
-        orelse = self.node(s.orelse) if s.orelse is not None else None
+        cost, cond, _flat = self.node(s.cond)
+        then_cost, then, _flat = self.node(s.then_block)
+        charge = self.charge
+        if s.orelse is None:
+
+            def f(env):
+                if cond(env):
+                    charge(then_cost)
+                    return then(env)
+
+            return 1 + cost, f, False
+        else_cost, orelse, _flat = self.node(s.orelse)
 
         def f(env):
-            charge(1)
             if cond(env):
+                charge(then_cost)
                 return then(env)
-            return None if orelse is None else orelse(env)
+            charge(else_cost)
+            return orelse(env)
 
-        return f
+        return 1 + cost, f, False
 
     def loop(self, s):
         """A `while`, or a `for`: its init clause runs once and its update
-        clause after each iteration."""
-        init = self.node(s.init) if type(s) is For else None
+        clause after each iteration. The condition's cost is charged once
+        per check, joined with the update's and the body's where they are
+        flat."""
+        clauses = type(s) is For
+        init = self.node(s.init) if clauses else None
         cond = self.node(s.cond)
-        update = self.node(s.update) if type(s) is For else None
-        charge, body = self.charge, self.node(s.body)
+        update = self.node(s.update) if clauses else None
+        body = self.node(s.body)
+        if clauses:
+            lead, checked = _charges([init, cond])  # checked: due before the first check
+            body_due, updated, rechecked = _charges([body, update, cond])
+            init, update = init[1], update[1]
+        else:
+            lead, checked, updated = cond[0], 0, 0
+            body_due, rechecked = _charges([body, cond])
+        test, body, charge = cond[1], body[1], self.charge
 
         def f(env):
-            charge(1)
             if init is not None:
                 init(env)
-            while cond(env):
+            if checked:
+                charge(checked)
+            while test(env):
+                charge(body_due)
                 signal = body(env)
                 if signal is not None and signal is not _CONTINUE:
                     return None if signal is _BREAK else signal
                 if update is not None:
+                    if updated:
+                        charge(updated)
                     update(env)
+                if rechecked:
+                    charge(rechecked)
 
-        return f
+        return 1 + lead, f, False
 
     def jump(self, s):
-        charge, signal = self.charge, _BREAK if type(s) is Break else _CONTINUE
+        signal = _BREAK if type(s) is Break else _CONTINUE
 
         def f(env):
-            charge(1)
             return signal
 
-        return f
+        return 1, f, False
 
     def return_(self, s):
-        charge = self.charge
         if s.value is None:
 
             def f(env):
-                charge(1)
                 return (None,)
 
-            return f
-        value = self.node(s.value)
+            return 1, f, False
+        cost, value, _flat = self.node(s.value)
 
         def f(env):
-            charge(1)
             return (value(env),)
 
-        return f
+        return 1 + cost, f, False
 
     def expr_stmt(self, s):
-        charge, expr = self.charge, self.node(s.expr)
+        cost, expr, flat = self.node(s.expr)
 
         def f(env):
-            charge(1)
             expr(env)
 
-        return f
+        return 1 + cost, f, flat
 
 
 _BUILDERS: dict[type, Callable] = {
@@ -589,9 +779,10 @@ def run_suite(
     docstring). A test whose harness call fails `semantics.check_call`
     gets a RUNTIME_ERROR outcome, so no test file makes this raise.
     Functions compile on their first call and the compiled form is shared
-    by the tests; a call's variables live in one dict. `profile`, when given, accumulates each function's self
-    cost in steps, and HARNESS_FRAME's. The process's recursion limit is
-    lifted while the suite runs, so run one suite at a time per process."""
+    by the tests; a call's variables live in one dict. `profile`, when
+    given, accumulates each function's self cost in steps, and
+    HARNESS_FRAME's. The process's recursion limit is lifted while the
+    suite runs, so run one suite at a time per process."""
     if step_budget <= 0:
         raise ValueError("step budget must be positive")
     machine = _Machine(unit, step_budget, profile)

@@ -202,9 +202,15 @@ class _Checker:
 
     # -- expressions --
 
-    def require(self, expr: Expr, want: Type, scope: _Scope, what: str) -> None:
+    def require(
+        self, expr: Expr, want: Type, scope: _Scope, what: str, subject: str = ""
+    ) -> None:
+        """Check that `expr` has type `want`. `what` names the operand in the
+        error; a `{}` in it stands for `subject`, quoted, and is filled in
+        only when the error fires, so a passing check formats nothing."""
         got = self.infer(expr, scope)
         if got is not None and got is not want:
+            what = what.format(repr(subject))
             self.error(f"{what} has type {got.value}, expected {want.value}")
 
     def infer(self, expr: Expr, scope: _Scope, allow_void_call: bool = False) -> Optional[Type]:
@@ -241,8 +247,8 @@ class _Checker:
     def infer_binary(self, expr: Binary, scope: _Scope) -> Optional[Type]:
         op = expr.op
         if op in ("&&", "||"):
-            self.require(expr.left, Type.BOOL, scope, f"operand of {op!r}")
-            self.require(expr.right, Type.BOOL, scope, f"operand of {op!r}")
+            self.require(expr.left, Type.BOOL, scope, "operand of {}", op)
+            self.require(expr.right, Type.BOOL, scope, "operand of {}", op)
             return Type.BOOL
         if op in ("==", "!="):
             lt = self.infer(expr.left, scope)
@@ -251,11 +257,11 @@ class _Checker:
                 self.error(f"cannot compare {lt.value} with {rt.value}")
             return Type.BOOL
         if op in ("<", "<=", ">", ">="):
-            self.require(expr.left, Type.INT, scope, f"operand of {op!r}")
-            self.require(expr.right, Type.INT, scope, f"operand of {op!r}")
+            self.require(expr.left, Type.INT, scope, "operand of {}", op)
+            self.require(expr.right, Type.INT, scope, "operand of {}", op)
             return Type.BOOL
-        self.require(expr.left, Type.INT, scope, f"operand of {op!r}")
-        self.require(expr.right, Type.INT, scope, f"operand of {op!r}")
+        self.require(expr.left, Type.INT, scope, "operand of {}", op)
+        self.require(expr.right, Type.INT, scope, "operand of {}", op)
         return Type.INT
 
     def infer_call(self, expr: Call, scope: _Scope, allow_void_call: bool) -> Optional[Type]:
@@ -283,7 +289,7 @@ class _Checker:
             )
         else:
             for arg, param in zip(expr.args, fn.params):
-                self.require(arg, param.param_type, scope, f"argument {param.name!r}")
+                self.require(arg, param.param_type, scope, "argument {}", param.name)
         if fn.return_type is Type.VOID and not allow_void_call:
             self.error(f"void call to {expr.name!r} used as a value")
             return None

@@ -177,6 +177,16 @@ def test_external_watchdog_kills_hung_test(bench_sort):
     assert result.tests_failed == 1  # whole-suite command, one watchdog kill
 
 
+def test_external_watchdog_kills_hung_compile(bench_sort):
+    unit, tests = bench_sort
+    toolchain = tc(compile_cmd="sleep 60", test_cmd="false", timeout_ms=300)
+    started = time.monotonic()
+    result = evaluate(unit, Patch("bench_sort"), tests, external(toolchain))
+    assert time.monotonic() - started < 10
+    assert result.classification is Classification.VALID_ONLY  # as a failed compile
+    assert result.fingerprint is not None and result.tests_failed == 0
+
+
 def _alive(pid: int) -> bool:
     """True while `pid` runs; a zombie (dead, not yet reaped) counts as gone."""
     try:

@@ -15,8 +15,22 @@ from minigi.lang import (
     run_test,
     validate,
 )
-from minigi.lang.ast import StatementId
-from minigi.lang.interpreter import value_equal
+from minigi.lang.ast import (
+    Binary,
+    Block,
+    Call,
+    Function,
+    If,
+    Index,
+    IntLit,
+    Param,
+    Return,
+    SourceUnit,
+    StatementId,
+    Type,
+    Var,
+)
+from minigi.lang.interpreter import HARNESS_FRAME, value_equal
 from minigi.llm import LlmClientConfig, MockLlmClient
 from minigi.operators import sample_insert_edit, sample_statement_edit
 from minigi.patches import ApplyError, Edit, EditKind, Patch, apply_patch
@@ -359,6 +373,24 @@ def test_mutant_nested_deeper_than_the_parser_allows_returns_outcomes():
     assert deep.status is Status.RUNTIME_ERROR and deep.error == "call depth exceeded"
 
 
+def test_recursion_through_operands_that_charge_for_themselves_stays_inside_the_language():
+    """Each `a[0] + (...)` can fail before its right operand, so that operand
+    charges for itself and runs in two host frames per level: 150 levels
+    per call, recursing until the nesting weights fill MAX_NESTING_WEIGHT."""
+    expr = Call("f", (Binary("-", Var("n"), IntLit(1)), Var("a")))
+    for _ in range(150):
+        expr = Binary("+", Index(Var("a"), IntLit(0)), expr)
+    base_case = If(Binary("==", Var("n"), IntLit(0)), Block((Return(IntLit(0)),)))
+    params = (Param("n", Type.INT), Param("a", Type.INT_ARRAY))
+    body = Block((base_case, Return(expr)))
+    unit = SourceUnit("chain", (Function("f", params, Type.INT, body),))
+    assert validate(unit) == []
+    # a call weighs 156, so 13 active calls fit in 2,048 and 14 do not
+    fits, deeper = run_suite(unit, parse_test_file("test a: f(12, [0]) == 0\ntest b: f(13, [0]) == 0"))
+    assert fits.status is Status.PASS
+    assert deeper.status is Status.RUNTIME_ERROR and deeper.error == "call depth exceeded"
+
+
 def test_integers_wrap_like_java_longs():
     src = """
     fn edge(k: int) -> int {
@@ -385,3 +417,72 @@ def test_integers_wrap_like_java_longs():
     outcome = one_test(src, "test t: square40(3) == -7860764868738023423")
     assert outcome.status is Status.PASS
     assert time.monotonic() - started < 1.0
+
+
+# Programs whose failure points are derived by hand from the cost model;
+# (source, harness call, status, steps at the end, error, profile at the end).
+FAILURE_POINTS = [
+    # `a[j]` fails, so the right operand is never charged: call 1 + `[1]` 2
+    # + body 1 + `var j` 2 + return 1 + `>` 1 + `a[j]` 3
+    ("fn f(a: int[]) -> bool { var j: int = 1; return a[j] > a[j + 1]; }",
+     "f([1]) == true", Status.RUNTIME_ERROR, 3 + 1 + 2 + 1 + 1 + 3,
+     "index 1 out of bounds for length 1", None),
+    # the right operand fails after its own 5 steps: `a[j + 1]` is
+    # 1 + `a` 1 + `j + 1` 3, on top of 4 for the call and 8 for the rest
+    ("fn f(a: int[]) -> bool { var j: int = 1; return a[j] > a[j + 1]; }",
+     "f([1, 2]) == true", Status.RUNTIME_ERROR, 4 + 8 + 5,
+     "index 2 out of bounds for length 2", None),
+    # division by zero after a call, with a statement after it that never
+    # runs: harness 2; f: body 1 + `var y = g(x)` 3 + `var q = 10 / y` 4;
+    # g: body 1 + return 1 + `x - 1` 3
+    ("fn g(x: int) -> int { return x - 1; }"
+     " fn f(x: int) -> int { var y: int = g(x); var q: int = 10 / y; return q + 1; }",
+     "f(1) == 0", Status.RUNTIME_ERROR, 15, "division by zero",
+     {HARNESS_FRAME: 2, "f": 8, "g": 5}),
+    # `&&` and `||` both short-circuit, so `a[k] > 0` (5) is never charged
+    # and the read after them fails: call 4 + body 1 + two declarations of
+    # 1 + operator 1 + `k < len(a)` 4, + `return a[k]` 4
+    ("fn f(a: int[], k: int) -> int { var inside: bool = k < len(a) && a[k] > 0;"
+     " var outside: bool = k >= len(a) || a[k] > 0; return a[k]; }",
+     "f([1], 3) == 1", Status.RUNTIME_ERROR, 4 + 1 + 2 * 6 + 4,
+     "index 3 out of bounds for length 1", None),
+    # the same program where neither short-circuits: each right operand adds 5
+    ("fn f(a: int[], k: int) -> int { var inside: bool = k < len(a) && a[k] > 0;"
+     " var outside: bool = k >= len(a) || a[k] > 0; return a[k]; }",
+     "f([5], 0) == 5", Status.PASS, 4 + 1 + 2 * 11 + 4, None, None),
+    # an element store whose value reads out of bounds, before the store
+    # and the return after it: call 3 + body 1 + `var i` 2 + target 4 +
+    # `a[i + 1]` 5
+    ("fn f(a: int[]) -> int[] { var i: int = 0; a[i] = a[i + 1]; return a; }",
+     "f([7]) == [7]", Status.RUNTIME_ERROR, 3 + 1 + 2 + 4 + 5,
+     "index 1 out of bounds for length 1", None),
+    # a profiled recursive call: f(n > 0) charges 12 of its own (body 1, if
+    # 1 + `n == 0` 3, return 1, `+` 1, call 1 + `n - 1` 3, then `1` after
+    # the call returns), f(0) 8 (5 + then block 1 + return 1 + call 1), g 3
+    ("fn g() -> int { return 7; }"
+     " fn f(n: int) -> int { if (n == 0) { return g(); } return f(n - 1) + 1; }",
+     "f(2) == 9", Status.PASS, 2 + 12 + 12 + 8 + 3, None,
+     {HARNESS_FRAME: 2, "f": 32, "g": 3}),
+]
+
+
+@pytest.mark.parametrize("src, call, status, steps, error, profile", FAILURE_POINTS)
+def test_every_budget_stops_exactly_at_the_failure_point(src, call, status, steps, error, profile):
+    """Below the hand-derived step count every budget times out exactly at
+    the budget, with the profile summing to it; above it the run ends the
+    same way after exactly that many steps. A charge moved across a failure
+    point or a branch shifts one of these counts."""
+    unit = parse_source(src)
+    assert validate(unit) == []
+    test = parse_test_file(f"test t: {call}")[0]
+    for budget in range(1, steps + 3):
+        spent: dict[str, int] = {}
+        outcome = run_suite(unit, [test], budget, spent)[0]
+        if budget <= steps:
+            assert (outcome.status, outcome.steps_used) == (Status.TIMEOUT, budget), budget
+            assert sum(spent.values()) == budget, (budget, spent)
+        else:
+            assert (outcome.status, outcome.steps_used, outcome.error) == (status, steps, error)
+            assert sum(spent.values()) == steps
+            if profile is not None:
+                assert spent == profile

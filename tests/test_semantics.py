@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pytest
+
 from minigi.lang import parse_source, validate
 
 
@@ -103,3 +105,29 @@ def test_duplicate_function_rejected():
 
 def test_duplicate_parameter_rejected():
     assert any("duplicate parameter" in e for e in check("fn f(x: int, x: int) { }"))
+
+
+LABELLED_ERRORS = [
+    ("fn f() -> int { return -true; }", "operand of unary '-' has type bool, expected int"),
+    ("fn f() -> bool { return !1; }", "operand of '!' has type int, expected bool"),
+    ("fn f() -> int { return 1 + true; }", "operand of '+' has type bool, expected int"),
+    ("fn f() -> bool { return true < 1; }", "operand of '<' has type bool, expected int"),
+    ("fn f() -> bool { return 1 && true; }", "operand of '&&' has type int, expected bool"),
+    ("fn f() -> bool { return false || 0; }", "operand of '||' has type int, expected bool"),
+    ("fn f() -> int[] { return [1, true]; }", "array element has type bool, expected int"),
+    ("fn f(a: int[]) -> int { return a[true]; }", "array index has type bool, expected int"),
+    ("fn f(a: int[]) { a[false] = 1; }", "array index has type bool, expected int"),
+    ("fn f(x: int) -> int { return x[0]; }", "indexed value has type int, expected int[]"),
+    ("fn f() -> int { return len(3); }", "argument of len has type int, expected int[]"),
+    ("fn g(x: int) -> int { return x; } fn f() -> int { return g(true); }",
+     "argument 'x' has type bool, expected int"),
+    ("fn f() { if (1) { } }", "if condition has type int, expected bool"),
+    ("fn f() { while (0) { } }", "while condition has type int, expected bool"),
+    ("fn f() { for (var i: int = 0; i; i = i + 1) { } }",
+     "for condition has type int, expected bool"),
+]
+
+
+@pytest.mark.parametrize("src, message", LABELLED_ERRORS)
+def test_operand_type_errors_name_the_operand(src, message):
+    assert check(src) == [message]
