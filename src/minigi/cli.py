@@ -26,7 +26,6 @@ from minigi.evaluation import (
     DEFAULT_TIMEOUT_MS,
     ExternalToolchain,
     InfrastructureError,
-    TargetAdapter,
 )
 from minigi.lang.interpreter import DEFAULT_STEP_BUDGET, parse_test_file
 from minigi.lang.parser import ParseError, parse_source
@@ -38,7 +37,7 @@ from minigi.profiling import (
     profile,
     write_profile_csv,
 )
-from minigi.prompts import DEFAULT_MODEL, DEFAULT_TEMPERATURE, DEFAULT_VARIANT_COUNT
+from minigi.prompts import DEFAULT_MODEL, DEFAULT_TEMPERATURE, DEFAULT_VARIANT_COUNT, PromptTemplate
 from minigi.reporting import (
     RecordWriter,
     ReportError,
@@ -66,8 +65,8 @@ from minigi.search import (
 SAMPLE_LOG = "sample_log.csv"
 LS_LOG = "ls_log.csv"
 
-# The keys `_run_record` writes, by command, and the prompt keys
-# `_llm_settings` writes; docs/logs.md describes them.
+# The keys `_run_record` writes, by command; docs/logs.md describes them.
+# Each nested section is one dataclass's fields.
 _RECORD_KEYS = {
     command: frozenset({
         "command", "program", "tests", "seed", "families", "step_budget", "adapter",
@@ -75,7 +74,6 @@ _RECORD_KEYS = {
     })
     for command, count in (("sample", "budget"), ("ls", "evals"))
 }
-_PROMPT_KEYS = frozenset({"project_name", "language", "code_label", "variant_count"})
 
 
 class ConfigError(Exception):
@@ -191,11 +189,11 @@ def _parse_families(opts: Options) -> list[str]:
     return families
 
 
-def _adapter_settings(opts: Options) -> tuple[str, Optional[dict]]:
-    """(adapter kind, ExternalToolchain fields or None for the builtin backend)."""
+def _toolchain_settings(opts: Options) -> Optional[dict]:
+    """ExternalToolchain fields, or None for the builtin backend."""
     kind = opts.get("adapter", "builtin")
     if kind == "builtin":
-        return kind, None
+        return None
     if kind != "external":
         raise ConfigError(f"unknown adapter {kind!r}")
     compile_cmd = opts.get("compile_cmd")
@@ -213,14 +211,19 @@ def _adapter_settings(opts: Options) -> tuple[str, Optional[dict]]:
         timeout_ms=opts.get_int("timeout_ms", DEFAULT_TIMEOUT_MS),
         measure_repeats=opts.get_int("measure_repeats", DEFAULT_MEASURE_REPEATS),
     )
-    return kind, asdict(toolchain)
+    return asdict(toolchain)
+
+
+def _adapter_name(toolchain: Optional[dict]) -> str:
+    """The record's `adapter` key, which the toolchain alone determines."""
+    return "builtin" if toolchain is None else "external"
 
 
 def _llm_settings(
     opts: Options, families: list[str], out_dir: Path, program_path: str
 ) -> Optional[dict]:
-    """LlmClientConfig fields under "client", the prompt's LlmSearchContext
-    fields under "prompt"; None when no family asks an LLM."""
+    """LlmClientConfig fields under "client", PromptTemplate fields under
+    "prompt"; None when no family asks an LLM."""
     if not any(is_llm_family(f) for f in families):
         return None
     mode = opts.get("llm_mode", "mock")
@@ -237,13 +240,16 @@ def _llm_settings(
         transcript_dir=str(Path(transcript_dir).resolve()),
         mode=mode,
     )
-    prompt = {
-        "project_name": opts.get("project_name", Path(program_path).stem),
-        "language": opts.get("language", "MiniLang"),
-        "code_label": opts.get("code_label", "minilang"),
-        "variant_count": opts.get_int("variants", DEFAULT_VARIANT_COUNT),
-    }
-    return {"client": asdict(client), "prompt": prompt}
+    try:
+        prompt = PromptTemplate(
+            project_name=opts.get("project_name", Path(program_path).stem),
+            language=opts.get("language", "MiniLang"),
+            code_label=opts.get("code_label", "minilang"),
+            variant_count=opts.get_int("variants", DEFAULT_VARIANT_COUNT),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return {"client": asdict(client), "prompt": asdict(prompt)}
 
 
 def _hot_methods(opts: Options, unit, tests, step_budget: int) -> list[str]:
@@ -272,7 +278,7 @@ def _run_record(command: str, opts: Options, unit, tests, out_dir: Path) -> dict
         raise ConfigError("local search takes exactly one --family")
     seed = _resolve_seed(opts)
     step_budget = opts.get_int("step_budget", DEFAULT_STEP_BUDGET)
-    adapter, toolchain = _adapter_settings(opts)
+    toolchain = _toolchain_settings(opts)
     record = {
         "command": command,
         "program": str(Path(args.program).resolve()),
@@ -280,7 +286,7 @@ def _run_record(command: str, opts: Options, unit, tests, out_dir: Path) -> dict
         "seed": seed,
         "families": families,
         "step_budget": step_budget,
-        "adapter": adapter,
+        "adapter": _adapter_name(toolchain),
         "toolchain": toolchain,
         "llm": _llm_settings(opts, families, out_dir, args.program),
         "methods": _hot_methods(opts, unit, tests, step_budget),
@@ -297,7 +303,8 @@ def _run_record(command: str, opts: Options, unit, tests, out_dir: Path) -> dict
 
 def _check_record(record, meta_path: Path) -> None:
     """ConfigError naming the sidecar unless `record` has exactly the keys
-    this version writes, so a malformed or older record is never run."""
+    this version writes and an `adapter` that agrees with its `toolchain`,
+    so a malformed or older record is never run."""
 
     def check(where: str, value, keys: frozenset[str]) -> None:
         if not isinstance(value, dict):
@@ -307,26 +314,30 @@ def _check_record(record, meta_path: Path) -> None:
         if problems:
             raise ConfigError(f"{meta_path}: {where}: {', '.join(problems)}")
 
+    def field_names(section) -> frozenset[str]:
+        return frozenset(f.name for f in fields(section))
+
     if not isinstance(record, dict) or record.get("command") not in _RECORD_KEYS:
         raise ConfigError(f"{meta_path}: not the record of a sample or ls run")
     check("run record", record, _RECORD_KEYS[record["command"]])
     toolchain, llm = record["toolchain"], record["llm"]
     if toolchain is not None:
-        check("toolchain", toolchain, frozenset(f.name for f in fields(ExternalToolchain)))
+        check("toolchain", toolchain, field_names(ExternalToolchain))
+    if record["adapter"] != _adapter_name(toolchain):
+        raise ConfigError(f"{meta_path}: adapter {record['adapter']!r} disagrees with toolchain")
     if llm is not None:
         check("llm", llm, frozenset({"client", "prompt"}))
-        check("llm.client", llm["client"], frozenset(f.name for f in fields(LlmClientConfig)))
-        check("llm.prompt", llm["prompt"], _PROMPT_KEYS)
+        check("llm.client", llm["client"], field_names(LlmClientConfig))
+        check("llm.prompt", llm["prompt"], field_names(PromptTemplate))
 
 
 def _execute(record: dict, unit, tests, out_dir: Path) -> int:
     """Run a resolved record into `out_dir`."""
-    external = ExternalToolchain(**record["toolchain"]) if record["toolchain"] else None
-    adapter = TargetAdapter(record["adapter"], external)
+    toolchain = ExternalToolchain(**record["toolchain"]) if record["toolchain"] else None
     llm = None
     if record["llm"] is not None:
         client = make_client(LlmClientConfig(**record["llm"]["client"]))
-        llm = LlmSearchContext(client, **record["llm"]["prompt"])
+        llm = LlmSearchContext(client, PromptTemplate(**record["llm"]["prompt"]))
     out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / record["log"]
     write_run_meta(log_path, record)
@@ -336,14 +347,14 @@ def _execute(record: dict, unit, tests, out_dir: Path) -> int:
                 tuple(record["families"]), record["budget"], record["seed"], record["step_budget"]
             )
             records = random_sampling(
-                unit, tests, record["methods"], cfg, adapter, llm, sink=writer.write
+                unit, tests, record["methods"], cfg, toolchain, llm, sink=writer.write
             )
         else:
             cfg = LocalSearchConfig(
                 record["families"][0], tuple(record["methods"]), record["evals"],
                 record["seed"], record["step_budget"],
             )
-            records = local_search(unit, tests, cfg, adapter, llm, sink=writer.write)
+            records = local_search(unit, tests, cfg, toolchain, llm, sink=writer.write)
     print(f"wrote {len(records)} records to {log_path}")
     if record["command"] == "sample":
         print(render_table1(aggregate_table1(records, record["original_digest"])), end="")

@@ -7,14 +7,15 @@ its budget counts as a failure. Runtime is recorded only for passing
 patches: interpreter steps on the built-in backend, milliseconds on the
 external one.
 
-Two backends implement the ladder. The built-in backend validates and
-interprets in-process and is bit-deterministic. The external backend
-drives a user-supplied toolchain inside a private working copy; its
-command contract (placeholders, exit codes, watchdog) is stated on
-ExternalToolchain. Failures of the toolchain itself (missing binaries,
-unparsable measurements, a hung measurement) raise InfrastructureError and
-are never misfiled as patch failures. `subprocess` loads on the first
-external command, so the builtin backend does not hold it in memory.
+Two backends implement the ladder, chosen by whether an ExternalToolchain
+is given. Without one, the built-in backend validates and interprets
+in-process and is bit-deterministic. With one, the external backend drives
+that toolchain inside a private working copy; its command contract
+(placeholders, exit codes, watchdog) is stated on ExternalToolchain.
+Failures of the toolchain itself (missing binaries, unparsable
+measurements, a hung measurement) raise InfrastructureError and are never
+misfiled as patch failures. `subprocess` loads on the first external
+command, so the builtin backend does not hold it in memory.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ class Classification(Enum):
 
 @dataclass(frozen=True)
 class EvaluationResult:
-    patch: Patch
     classification: Classification
     tests_failed: int = 0
     runtime: Optional[int] = None  # Passed only: steps (builtin) or milliseconds (external)
@@ -76,7 +76,7 @@ class EvaluationResult:
             raise ValueError("a runtime is recorded if and only if the patch passed")
 
 
-# -- adapters --
+# -- the external backend's commands --
 
 
 @dataclass(frozen=True)
@@ -107,21 +107,6 @@ class ExternalToolchain:
     measure_repeats: int = DEFAULT_MEASURE_REPEATS
 
 
-@dataclass(frozen=True)
-class TargetAdapter:
-    kind: str = "builtin"  # builtin | external
-    external: Optional[ExternalToolchain] = None
-
-    def __post_init__(self):
-        if self.kind not in ("builtin", "external"):
-            raise ValueError(f"unknown adapter kind {self.kind!r}")
-        if self.kind == "external" and self.external is None:
-            raise ValueError("external adapter needs a toolchain")
-
-
-BUILTIN_ADAPTER = TargetAdapter()
-
-
 # -- evaluation --
 
 
@@ -129,37 +114,37 @@ def evaluate(
     unit: SourceUnit,
     patch: Patch,
     tests: list[TestCase],
-    adapter: TargetAdapter = BUILTIN_ADAPTER,
+    toolchain: Optional[ExternalToolchain] = None,
     step_budget: int = DEFAULT_STEP_BUDGET,
 ) -> EvaluationResult:
-    """Classify one patch; deterministic on the built-in backend."""
+    """Classify one patch: on `toolchain` when given, else on the built-in
+    backend, which is deterministic."""
     try:
         patched = apply_patch(unit, patch)
     except ApplyError:
-        return EvaluationResult(patch, Classification.INVALID)
+        return EvaluationResult(Classification.INVALID)
     digest = source_digest(patched)
-    if adapter.kind == "builtin":
-        return _evaluate_builtin(patch, patched, tests, step_budget, digest)
-    return _evaluate_external(unit, patch, patched, tests, adapter.external, digest)
+    if toolchain is None:
+        return _evaluate_builtin(patched, tests, step_budget, digest)
+    return _evaluate_external(unit, patched, tests, toolchain, digest)
 
 
 def _evaluate_builtin(
-    patch: Patch,
     patched: SourceUnit,
     tests: list[TestCase],
     step_budget: int,
     digest: str,
 ) -> EvaluationResult:
     if validate(patched):
-        return EvaluationResult(patch, Classification.VALID_ONLY, fingerprint=digest)
+        return EvaluationResult(Classification.VALID_ONLY, fingerprint=digest)
     outcomes = run_suite(patched, tests, step_budget)
     failed = sum(1 for o in outcomes if o.status is not Status.PASS)
     if failed:
         return EvaluationResult(
-            patch, Classification.COMPILED_ONLY, tests_failed=failed, fingerprint=digest
+            Classification.COMPILED_ONLY, tests_failed=failed, fingerprint=digest
         )
     steps = sum(o.steps_used for o in outcomes)
-    return EvaluationResult(patch, Classification.PASSED, runtime=steps, fingerprint=digest)
+    return EvaluationResult(Classification.PASSED, runtime=steps, fingerprint=digest)
 
 
 def _substitute(cmd: str, mapping: dict[str, str]) -> list[str]:
@@ -208,7 +193,6 @@ def _run_command(
 
 def _evaluate_external(
     unit: SourceUnit,
-    patch: Patch,
     patched: SourceUnit,
     tests: list[TestCase],
     toolchain: ExternalToolchain,
@@ -234,14 +218,14 @@ def _evaluate_external(
         except subprocess.TimeoutExpired:
             compiled = False
         if not compiled:
-            return EvaluationResult(patch, Classification.VALID_ONLY, fingerprint=digest)
+            return EvaluationResult(Classification.VALID_ONLY, fingerprint=digest)
         failed = _run_external_tests(tests, toolchain, mapping, workdir)
         if failed:
             return EvaluationResult(
-                patch, Classification.COMPILED_ONLY, tests_failed=failed, fingerprint=digest
+                Classification.COMPILED_ONLY, tests_failed=failed, fingerprint=digest
             )
         ms = _measure_external(toolchain, mapping, workdir, toolchain.measure_repeats)
-        return EvaluationResult(patch, Classification.PASSED, runtime=ms, fingerprint=digest)
+        return EvaluationResult(Classification.PASSED, runtime=ms, fingerprint=digest)
 
 
 def _run_external_tests(

@@ -7,7 +7,7 @@ callers import from it.
 """
 
 from minigi.lang.ast import Block, Type
-from minigi.lang.interpreter import Status, parse_test_file, run_suite, run_test
+from minigi.lang.interpreter import Status, parse_test_file, run_suite
 from minigi.lang.parser import ParseError, parse_block, parse_source
 from minigi.lang.printer import print_canonical, source_digest
 from minigi.lang.semantics import validate
@@ -22,7 +22,6 @@ __all__ = [
     "parse_test_file",
     "print_canonical",
     "run_suite",
-    "run_test",
     "source_digest",
     "validate",
 ]

@@ -757,16 +757,6 @@ _BUILDERS: dict[type, Callable] = {
 # -- unit-test harness --
 
 
-def run_test(
-    unit: SourceUnit,
-    test: TestCase,
-    step_budget: int = DEFAULT_STEP_BUDGET,
-    profile: Optional[dict[str, int]] = None,
-) -> ExecutionOutcome:
-    """Run one test case; a timeout or runtime error is an outcome, not a crash."""
-    return run_suite(unit, [test], step_budget, profile)[0]
-
-
 def run_suite(
     unit: SourceUnit,
     tests: list[TestCase],

@@ -2,9 +2,11 @@
 
 Three prompt categories exist. The simple prompt only asks for rewrites of
 the code; the medium prompt adds the project context and formatting
-instructions; the detailed prompt appends one canned before/after example
-of a useful change, the same example for every request. Templates are
-plain text files under templates/ with these placeholders:
+instructions; the detailed prompt appends the packaged before/after
+example of a useful change (templates/example.txt), the same for every
+request. A PromptTemplate holds the settings shared by the three; the
+category is chosen per request. Templates are plain text files under
+templates/ with these placeholders:
 
     <code>         canonical text of the selected block
     <projectname>  project the code belongs to
@@ -49,21 +51,19 @@ def _load_template(name: str) -> str:
 
 def default_example_change() -> str:
     """The canned example shipped with the package (an insert-edit speedup)."""
-    return _load_template("example_change.txt")
+    return _load_template("example.txt")
 
 
 @dataclass(frozen=True)
 class PromptTemplate:
-    category: PromptCategory
+    """Prompt settings of a run, stored as the run record's `llm.prompt`."""
+
     project_name: str = ""
-    example_change: Optional[str] = None
     language: str = "MiniLang"
     code_label: str = "minilang"
     variant_count: int = DEFAULT_VARIANT_COUNT
 
     def __post_init__(self):
-        if self.category is PromptCategory.DETAILED and self.example_change is None:
-            raise ValueError("detailed prompts need an example change")
         if self.variant_count < 1:
             raise ValueError("variant count must be at least 1")
 
@@ -76,10 +76,10 @@ def render_template(text: str, values: dict[str, str]) -> str:
     return _PLACEHOLDER.sub(lambda m: values[m.group(1)], text)
 
 
-def build_prompt(template: PromptTemplate, code: str) -> str:
-    """Render the prompt for one block of code (its canonical printing)."""
-    text = _load_template(f"{template.category.value}.txt")
-    example = template.example_change or ""
+def build_prompt(template: PromptTemplate, category: PromptCategory, code: str) -> str:
+    """Render the `category` prompt for one block of code (its canonical printing)."""
+    text = _load_template(f"{category.value}.txt")
+    example = default_example_change() if category is PromptCategory.DETAILED else ""
     return render_template(
         text,
         {
@@ -145,6 +145,7 @@ def make_llm_edits(
     rng: random.Random,
     client,
     template: PromptTemplate,
+    category: PromptCategory,
 ) -> list[Edit]:
     """Draw one block-rewrite request and turn it into up to N edits.
 
@@ -162,20 +163,20 @@ def make_llm_edits(
     block = resolve(unit, block_sid)
     assert block is not None
     code = print_statement(block)
-    prompt = build_prompt(template, code)
+    prompt = build_prompt(template, category, code)
     request = LlmRequest(
         prompt=prompt,
         temperature=client.config.temperature,
         model=client.config.model,
     )
     response = client.complete(request)
-    category = template.category.value
+    label = category.value
     edits = [
-        Edit(EditKind.LLM_BLOCK_REPLACE, src=block_sid, payload=body, prompt_category=category)
+        Edit(EditKind.LLM_BLOCK_REPLACE, src=block_sid, payload=body, prompt_category=label)
         for body in response.extracted_blocks[: template.variant_count]
     ]
     while len(edits) < template.variant_count:
         edits.append(
-            Edit(EditKind.LLM_BLOCK_REPLACE, src=block_sid, payload=None, prompt_category=category)
+            Edit(EditKind.LLM_BLOCK_REPLACE, src=block_sid, payload=None, prompt_category=label)
         )
     return edits

@@ -10,11 +10,12 @@ otherwise.
 
 Every evaluation is appended to the run log as one record; the log plus
 the seed and the LLM transcripts fully determine a rerun. An LLM request
-returns `variant_count` edits at once; local search queues them and pops
-one per append. Queued edits were drawn against the program of the move
-they were requested for, so an accepted move discards them and the next
-append sends a new request: local search sends ceil(draws/variant_count)
-requests only while no move is accepted, random sampling always.
+returns the prompt's `variant_count` edits at once; local search queues
+them and pops one per append. Queued edits were drawn against the program
+of the move they were requested for, so an accepted move discards them
+and the next append sends a new request: local search sends
+ceil(draws/variant_count) requests only while no move is accepted, random
+sampling always.
 """
 
 from __future__ import annotations
@@ -24,12 +25,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from minigi.evaluation import (
-    BUILTIN_ADAPTER,
-    EvaluationResult,
-    TargetAdapter,
-    evaluate,
-)
+from minigi.evaluation import EvaluationResult, ExternalToolchain, evaluate
 from minigi.lang.ast import SourceUnit
 from minigi.lang.interpreter import DEFAULT_STEP_BUDGET, TestCase
 from minigi.llm import LlmClientBase
@@ -39,13 +35,7 @@ from minigi.operators import (
     sample_statement_edit,
 )
 from minigi.patches import Patch, apply_patch, serialize_patch
-from minigi.prompts import (
-    DEFAULT_VARIANT_COUNT,
-    PromptCategory,
-    PromptTemplate,
-    default_example_change,
-    make_llm_edits,
-)
+from minigi.prompts import PromptCategory, PromptTemplate, make_llm_edits
 
 FAMILIES = ("statement", "insert", "llm-simple", "llm-medium", "llm-detailed")
 
@@ -65,29 +55,21 @@ def family_category(family: str) -> PromptCategory:
     return PromptCategory(family.removeprefix("llm-"))
 
 
-@dataclass
+@dataclass(frozen=True)
 class LlmSearchContext:
-    """Everything LLM families need besides the search config itself."""
+    """What LLM families need besides the search config: the client and the
+    prompt settings. Each family supplies its own prompt category."""
 
     client: LlmClientBase
-    project_name: str = ""
-    language: str = "MiniLang"
-    code_label: str = "minilang"
-    variant_count: int = DEFAULT_VARIANT_COUNT
-    example_change: Optional[str] = None
+    prompt: PromptTemplate = PromptTemplate()
 
-    def template_for(self, category: PromptCategory) -> PromptTemplate:
-        example = self.example_change
-        if category is PromptCategory.DETAILED and example is None:
-            example = default_example_change()
-        return PromptTemplate(
-            category=category,
-            project_name=self.project_name,
-            example_change=example,
-            language=self.language,
-            code_label=self.code_label,
-            variant_count=self.variant_count,
-        )
+
+def _check_families(families, llm: Optional[LlmSearchContext]) -> None:
+    for family in families:
+        if family not in FAMILIES:
+            raise SearchSetupError(f"unknown family {family!r}")
+        if is_llm_family(family) and llm is None:
+            raise SearchSetupError(f"family {family!r} needs an LLM context")
 
 
 @dataclass(frozen=True)
@@ -153,7 +135,7 @@ def random_sampling(
     tests: list[TestCase],
     hot: list[str],
     cfg: RandomSamplingConfig,
-    adapter: TargetAdapter = BUILTIN_ADAPTER,
+    toolchain: Optional[ExternalToolchain] = None,
     llm: Optional[LlmSearchContext] = None,
     sink: Optional[RecordSink] = None,
 ) -> list[EvalRecord]:
@@ -164,19 +146,16 @@ def random_sampling(
     logged patch can be re-drawn in isolation. A family's patches are all
     drawn first, then evaluated one at a time in draw order; each record
     reaches the sink as soon as its evaluation ends, so an aborted run
-    leaves its finished rows behind.
+    leaves its finished rows behind. `toolchain` selects the external
+    backend; without one, patches run on the built-in one.
     """
     if not hot:
         raise SearchSetupError("empty hot-method list")
-    for family in cfg.families:
-        if family not in FAMILIES:
-            raise SearchSetupError(f"unknown family {family!r}")
-        if is_llm_family(family) and llm is None:
-            raise SearchSetupError(f"family {family!r} needs an LLM context")
+    _check_families(cfg.families, llm)
     records: list[EvalRecord] = []
     for family in cfg.families:
         for index, patch in enumerate(_draw_family(unit, hot, cfg, llm, family)):
-            result = evaluate(unit, patch, tests, adapter, cfg.step_budget)
+            result = evaluate(unit, patch, tests, toolchain, cfg.step_budget)
             _record(family, index, patch, result, sink, records)
     return records
 
@@ -197,12 +176,12 @@ def _draw_family(
             patches.append(Patch(unit.name, (edit,), seed))
         return patches
     assert llm is not None
-    template = llm.template_for(family_category(family))
+    category = family_category(family)
     patches = []
     request_index = 0
     while len(patches) < cfg.per_family_budget:
         rng = random.Random(f"{cfg.seed}:{family}:req{request_index}")
-        edits = make_llm_edits(unit, hot, rng, llm.client, template)
+        edits = make_llm_edits(unit, hot, rng, llm.client, llm.prompt, category)
         request_index += 1
         for edit in edits:
             if len(patches) >= cfg.per_family_budget:
@@ -219,7 +198,7 @@ def _draw_family(
 class SearchState:
     current_patch: Patch
     current_runtime: int
-    current_unit: Optional[SourceUnit] = None
+    current_unit: SourceUnit  # current_patch applied to the base program
     llm_queue: deque = field(default_factory=deque)
 
 
@@ -227,7 +206,6 @@ def propose_neighbor(
     state: SearchState,
     family: str,
     rng: random.Random,
-    unit: SourceUnit,
     target_method: str,
     llm: Optional[LlmSearchContext] = None,
 ) -> Patch:
@@ -242,9 +220,8 @@ def propose_neighbor(
     current = state.current_patch
     append = current.is_empty() or rng.random() < 0.5
     if append:
-        base_unit = state.current_unit if state.current_unit is not None else unit
         try:
-            edit = _draw_edit(base_unit, family, rng, target_method, state, llm)
+            edit = _draw_edit(state, family, rng, target_method, llm)
         except NoTargetStatementsError:
             if current.is_empty():
                 raise
@@ -255,16 +232,15 @@ def propose_neighbor(
     return current.without_edit(index)
 
 
-def _draw_edit(base_unit, family, rng, target_method, state, llm):
+def _draw_edit(state, family, rng, target_method, llm):
     if not is_llm_family(family):
-        return _classic_sampler(family)(base_unit, [target_method], rng)
-    if llm is None:
-        raise SearchSetupError(f"family {family!r} needs an LLM context")
+        return _classic_sampler(family)(state.current_unit, [target_method], rng)
+    assert llm is not None
     if not state.llm_queue:
-        template = llm.template_for(family_category(family))
-        state.llm_queue.extend(
-            make_llm_edits(base_unit, [target_method], rng, llm.client, template)
-        )
+        state.llm_queue.extend(make_llm_edits(
+            state.current_unit, [target_method], rng, llm.client, llm.prompt,
+            family_category(family),
+        ))
     return state.llm_queue.popleft()
 
 
@@ -272,16 +248,13 @@ def local_search(
     unit: SourceUnit,
     tests: list[TestCase],
     cfg: LocalSearchConfig,
-    adapter: TargetAdapter = BUILTIN_ADAPTER,
+    toolchain: Optional[ExternalToolchain] = None,
     llm: Optional[LlmSearchContext] = None,
     sink: Optional[RecordSink] = None,
 ) -> list[EvalRecord]:
     """One hill-climbing run per target method, exactly `evals_per_run`
     evaluations each, the first on the unpatched program."""
-    if cfg.family not in FAMILIES:
-        raise SearchSetupError(f"unknown family {cfg.family!r}")
-    if is_llm_family(cfg.family) and llm is None:
-        raise SearchSetupError(f"family {cfg.family!r} needs an LLM context")
+    _check_families((cfg.family,), llm)
     if cfg.evals_per_run < 1:
         raise SearchSetupError("need at least one evaluation per run")
     for method in cfg.runs:
@@ -289,16 +262,16 @@ def local_search(
             raise SearchSetupError(f"target method {method!r} not in unit")
     records: list[EvalRecord] = []
     for method in cfg.runs:
-        _one_ls_run(unit, tests, cfg, adapter, llm, method, records, sink)
+        _one_ls_run(unit, tests, cfg, toolchain, llm, method, records, sink)
     return records
 
 
-def _one_ls_run(unit, tests, cfg, adapter, llm, method, records, sink) -> None:
+def _one_ls_run(unit, tests, cfg, toolchain, llm, method, records, sink) -> None:
     run_id = f"{cfg.family}/{method}"
     run_seed = f"{cfg.seed}:ls:{cfg.family}:{method}"
     rng = random.Random(run_seed)
     empty = Patch(unit.name, (), run_seed)
-    baseline = evaluate(unit, empty, tests, adapter, cfg.step_budget)
+    baseline = evaluate(unit, empty, tests, toolchain, cfg.step_budget)
     if not baseline.passed:
         raise SearchSetupError(
             f"unpatched program fails its tests ({baseline.tests_failed} failing); "
@@ -306,12 +279,10 @@ def _one_ls_run(unit, tests, cfg, adapter, llm, method, records, sink) -> None:
         )
     _record(run_id, 0, empty, baseline, sink, records)
     assert baseline.runtime is not None
-    state = SearchState(
-        current_patch=empty, current_runtime=baseline.runtime, current_unit=unit
-    )
+    state = SearchState(empty, baseline.runtime, unit)
     for index in range(1, cfg.evals_per_run):
-        neighbor = propose_neighbor(state, cfg.family, rng, unit, method, llm)
-        result = evaluate(unit, neighbor, tests, adapter, cfg.step_budget)
+        neighbor = propose_neighbor(state, cfg.family, rng, method, llm)
+        result = evaluate(unit, neighbor, tests, toolchain, cfg.step_budget)
         _record(run_id, index, neighbor, result, sink, records)
         if result.runtime is not None and result.runtime < state.current_runtime:
             state.current_patch = neighbor

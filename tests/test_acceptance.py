@@ -14,7 +14,6 @@ from minigi.cli import main
 from minigi.evaluation import (
     Classification,
     ExternalToolchain,
-    TargetAdapter,
     evaluate,
 )
 from minigi.lang import (
@@ -22,7 +21,6 @@ from minigi.lang import (
     parse_source,
     parse_test_file,
     run_suite,
-    run_test,
     source_digest,
     validate,
 )
@@ -107,7 +105,7 @@ def test_criterion_1_pipeline_ladder_exactness(bench_sort):
         return "\n".join(parts)
 
     client = MockLlmClient(LlmClientConfig(mode="mock"), script=scripted)
-    llm = LlmSearchContext(client=client, project_name="bench_sort")
+    llm = LlmSearchContext(client, PromptTemplate(project_name="bench_sort"))
     cfg = RandomSamplingConfig(families=("llm-medium",), per_family_budget=20, seed=13)
     records = random_sampling(unit, tests, ["sort"], cfg, llm=llm)
 
@@ -264,20 +262,15 @@ def test_criterion_5_prompt_byte_exactness():
         "label all code as java.\n"
     )
 
-    def template(category: PromptCategory, example=None) -> PromptTemplate:
-        return PromptTemplate(
-            category=category, project_name="bench", example_change=example,
-            language="Java", code_label="java",
-        )
+    template = PromptTemplate(project_name="bench", language="Java", code_label="java")
 
-    medium = build_prompt(template(PromptCategory.MEDIUM), "{ return 1; }")
+    medium = build_prompt(template, PromptCategory.MEDIUM, "{ return 1; }")
     assert medium == golden
 
-    simple = build_prompt(template(PromptCategory.SIMPLE), "{ return 1; }")
+    simple = build_prompt(template, PromptCategory.SIMPLE, "{ return 1; }")
     assert medium.startswith(simple) and simple != medium  # strict subset
 
-    example = "Before:\n```\nx\n```\nAfter:\n```\ny\n```"
-    detailed = build_prompt(template(PromptCategory.DETAILED, example), "{ return 1; }")
+    detailed = build_prompt(template, PromptCategory.DETAILED, "{ return 1; }")
     assert detailed.startswith(medium) and detailed != medium  # prefix property
     report_pass(5, "prompt byte-exactness")
 
@@ -299,7 +292,7 @@ def test_criterion_6_timeout_semantics(bench_loop):
 
     hung_unit = apply_patch(unit, hang)
     looping = parse_test_file("test t: count_to(5) == 5")[0]
-    outcome = run_test(hung_unit, looping, budget)
+    outcome = run_suite(hung_unit, [looping], budget)[0]
     assert outcome.status is Status.TIMEOUT
     assert outcome.steps_used == budget  # trapped within stepBudget steps
 
@@ -313,9 +306,7 @@ def test_criterion_6_timeout_semantics(bench_loop):
         timeout_ms=10_000,
     )
     started = time.monotonic()
-    external_result = evaluate(
-        unit, Patch("bench_loop"), tests, TargetAdapter("external", toolchain)
-    )
+    external_result = evaluate(unit, Patch("bench_loop"), tests, toolchain)
     elapsed_ms = (time.monotonic() - started) * 1000.0
     assert external_result.classification is Classification.COMPILED_ONLY
     assert external_result.tests_failed == 1

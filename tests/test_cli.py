@@ -15,6 +15,18 @@ SORT_TESTS = str(BENCHMARKS / "bench_sort.tests")
 MAX = str(BENCHMARKS / "bench_max.ml")
 MAX_TESTS = str(BENCHMARKS / "bench_max.tests")
 
+# The run record's keys at each level, as docs/logs.md lists them.
+RECORD_KEYS = {
+    "command", "program", "tests", "seed", "families", "step_budget", "adapter",
+    "toolchain", "llm", "methods", "original_digest", "log",
+}
+TOOLCHAIN_KEYS = {"compile_cmd", "test_cmd", "measure_cmd", "timeout_ms", "measure_repeats"}
+CLIENT_KEYS = {
+    "mode", "endpoint_url", "api_key_env_var", "model", "temperature", "request_timeout",
+    "max_retries", "transcript_dir",
+}
+PROMPT_KEYS = {"project_name", "language", "code_label", "variant_count"}
+
 
 def run(*argv: str) -> int:
     return main(list(argv))
@@ -77,6 +89,12 @@ def test_sample_with_mock_llm_family(tmp_path):
     assert len(records) == 10
     transcripts = list((tmp_path / "transcripts").glob("*.json"))
     assert len(transcripts) == 2  # ceil(10/5) requests recorded
+    meta = json.loads((tmp_path / "sample_log.csv.meta.json").read_text())
+    assert meta.keys() == RECORD_KEYS | {"budget"}
+    assert meta["adapter"] == "builtin" and meta["toolchain"] is None
+    assert meta["llm"].keys() == {"client", "prompt"}
+    assert meta["llm"]["client"].keys() == CLIENT_KEYS
+    assert meta["llm"]["prompt"].keys() == PROMPT_KEYS
 
 
 def test_bare_llm_family_token_uses_prompt_flag(tmp_path):
@@ -205,6 +223,11 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
         "sample", MAX, MAX_TESTS, "--family", "llm", "--config", str(bad_mode),
         "--out-dir", str(tmp_path),
     ) == 2
+    assert run(
+        "sample", SORT, SORT_TESTS, "--family", "llm-medium", "--variants", "0",
+        "--out-dir", str(tmp_path / "no_variants"),
+    ) == 2
+    assert not (tmp_path / "no_variants").exists()
     capsys.readouterr()
     misspelled = tmp_path / "misspelled.conf"
     misspelled.write_text("seed = 1\nstep_buget = 5\n")
@@ -285,7 +308,8 @@ def test_partial_results_survive_infrastructure_abort(tmp_path, capsys):
 
 def test_replay_of_external_adapter_run(tmp_path, capsys):
     """The run record names the adapter and its commands, so replay drives
-    the same toolchain even after the --config file is gone."""
+    the same toolchain, for `sample` and `ls`, even after the --config file
+    is gone."""
     config = tmp_path / "adapter.conf"
     config.write_text(
         "adapter = external\n"
@@ -301,10 +325,19 @@ def test_replay_of_external_adapter_run(tmp_path, capsys):
     ) == 0
     passed = [r for r in read_records_csv(run_dir / "sample_log.csv") if r.runtime is not None]
     assert passed and all(r.runtime == 7 for r in passed)
+    assert run(
+        "ls", MAX, MAX_TESTS, "--family", "statement", "--evals", "5", "--seed", "1",
+        "--methods", "max2", "--config", str(config), "--out-dir", str(run_dir),
+    ) == 0
+    meta = json.loads((run_dir / "ls_log.csv.meta.json").read_text())
+    assert meta.keys() == RECORD_KEYS | {"evals"}
+    assert meta["adapter"] == "external" and meta["llm"] is None
+    assert meta["toolchain"].keys() == TOOLCHAIN_KEYS
     config.unlink()
     capsys.readouterr()
     assert run("replay", str(run_dir), "--out-dir", str(tmp_path / "again")) == 0
-    assert "sample_log.csv: identical" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "sample_log.csv: identical" in out and "ls_log.csv: identical" in out
 
 
 def test_replay_refuses_a_changed_program(tmp_path, capsys):
@@ -350,10 +383,28 @@ def _prose_llm_prompt(record):
     record["llm"] = {"client": {}, "prompt": "medium"}
 
 
+def _external_adapter_without_toolchain(record):
+    record["adapter"] = "external"
+
+
+def _unknown_adapter(record):
+    record["adapter"] = "quantum"
+
+
+def _builtin_adapter_with_toolchain(record):
+    record["toolchain"] = {
+        "compile_cmd": "true", "test_cmd": "true", "measure_cmd": "echo 7",
+        "timeout_ms": 10000, "measure_repeats": 1,
+    }
+
+
 @pytest.mark.parametrize("tamper, complaint", [
     (_drop_budget, "run record: missing key 'budget'"),
     (_older_external_record, "toolchain: unknown key 'patch_apply_cmd'"),
     (_prose_llm_prompt, "llm.client: missing key"),
+    (_external_adapter_without_toolchain, "adapter 'external' disagrees with toolchain"),
+    (_unknown_adapter, "adapter 'quantum' disagrees with toolchain"),
+    (_builtin_adapter_with_toolchain, "adapter 'builtin' disagrees with toolchain"),
 ])
 def test_replay_of_a_malformed_record_is_a_config_error(tmp_path, capsys, tamper, complaint):
     """A sidecar edited by hand or written by an older version exits 2 with

@@ -8,12 +8,10 @@ from pathlib import Path
 import pytest
 
 from minigi.evaluation import (
-    BUILTIN_ADAPTER,
     Classification,
     EvaluationResult,
     ExternalToolchain,
     InfrastructureError,
-    TargetAdapter,
     evaluate,
 )
 from minigi.lang.ast import StatementId
@@ -108,11 +106,11 @@ def test_ladder_invariants_enforced(bench_sort):
         Classification.INVALID, Classification.VALID_ONLY, Classification.COMPILED_ONLY
     ):
         with pytest.raises(ValueError):
-            EvaluationResult(Patch("x"), classification, tests_failed=1, runtime=10)
-        assert not EvaluationResult(Patch("x"), classification).passed
+            EvaluationResult(classification, tests_failed=1, runtime=10)
+        assert not EvaluationResult(classification).passed
     with pytest.raises(ValueError):
-        EvaluationResult(Patch("x"), Classification.PASSED)
-    assert EvaluationResult(Patch("x"), Classification.PASSED, runtime=10).passed
+        EvaluationResult(Classification.PASSED)
+    assert EvaluationResult(Classification.PASSED, runtime=10).passed
 
 
 def test_builtin_runtime_is_exact_steps(bench_sort):
@@ -133,10 +131,6 @@ def test_failing_program_has_no_runtime(bench_sort):
 # -- external adapter --
 
 
-def external(toolchain: ExternalToolchain) -> TargetAdapter:
-    return TargetAdapter("external", toolchain)
-
-
 def tc(**kwargs) -> ExternalToolchain:
     defaults = dict(compile_cmd="true", test_cmd="true", measure_cmd=f"{PY} -c 'print(421)'")
     defaults.update(kwargs)
@@ -145,15 +139,15 @@ def tc(**kwargs) -> ExternalToolchain:
 
 def test_external_measure_parses_integer_ms(bench_sort):
     unit, tests = bench_sort
-    result = evaluate(unit, Patch("bench_sort"), tests, external(tc()))
+    result = evaluate(unit, Patch("bench_sort"), tests, tc())
     assert result.classification is Classification.PASSED
     assert result.runtime == 421
-    assert evaluate(unit, Patch("bench_sort"), tests, external(tc(measure_repeats=3))).runtime == 421
+    assert evaluate(unit, Patch("bench_sort"), tests, tc(measure_repeats=3)).runtime == 421
 
 
 def test_external_compile_failure_is_valid_only(bench_sort):
     unit, tests = bench_sort
-    result = evaluate(unit, Patch("bench_sort"), tests, external(tc(compile_cmd="false")))
+    result = evaluate(unit, Patch("bench_sort"), tests, tc(compile_cmd="false"))
     assert result.classification is Classification.VALID_ONLY
 
 
@@ -164,7 +158,7 @@ def test_external_per_test_command_counts_failures(bench_sort, tmp_path):
         "import sys\nsys.exit(0 if sys.argv[1].startswith('max') else 1)\n"
     )
     toolchain = tc(test_cmd=f"{PY} {script} {{TEST}}")
-    result = evaluate(unit, Patch("bench_sort"), tests, external(toolchain))
+    result = evaluate(unit, Patch("bench_sort"), tests, toolchain)
     assert result.classification is Classification.COMPILED_ONLY
     assert result.tests_failed == 3  # the three sort tests
 
@@ -172,7 +166,7 @@ def test_external_per_test_command_counts_failures(bench_sort, tmp_path):
 def test_external_watchdog_kills_hung_test(bench_sort):
     unit, tests = bench_sort
     toolchain = tc(test_cmd=f"{PY} -c 'import time; time.sleep(60)'", timeout_ms=300)
-    result = evaluate(unit, Patch("bench_sort"), tests, external(toolchain))
+    result = evaluate(unit, Patch("bench_sort"), tests, toolchain)
     assert result.classification is Classification.COMPILED_ONLY
     assert result.tests_failed == 1  # whole-suite command, one watchdog kill
 
@@ -181,7 +175,7 @@ def test_external_watchdog_kills_hung_compile(bench_sort):
     unit, tests = bench_sort
     toolchain = tc(compile_cmd="sleep 60", test_cmd="false", timeout_ms=300)
     started = time.monotonic()
-    result = evaluate(unit, Patch("bench_sort"), tests, external(toolchain))
+    result = evaluate(unit, Patch("bench_sort"), tests, toolchain)
     assert time.monotonic() - started < 10
     assert result.classification is Classification.VALID_ONLY  # as a failed compile
     assert result.fingerprint is not None and result.tests_failed == 0
@@ -205,7 +199,7 @@ def test_external_watchdog_kills_the_whole_process_group(bench_sort, tmp_path):
     unit, tests = bench_sort
     pid_file = tmp_path / "sleep.pid"
     toolchain = tc(test_cmd=f"sh -c 'sleep 30 & echo $! > {pid_file}; wait'", timeout_ms=1000)
-    result = evaluate(unit, Patch("bench_sort"), tests, external(toolchain))
+    result = evaluate(unit, Patch("bench_sort"), tests, toolchain)
     assert result.tests_failed == 1
     pid = int(pid_file.read_text())
     deadline = time.monotonic() + 2
@@ -219,7 +213,7 @@ def test_external_command_that_returns_leaves_no_background_child(bench_sort, tm
     unit, tests = bench_sort
     pid_file = tmp_path / "sleep.pid"
     toolchain = tc(test_cmd=f"sh -c 'sleep 30 >/dev/null 2>&1 & echo $! > {pid_file}'")
-    result = evaluate(unit, Patch("bench_sort"), tests, external(toolchain))
+    result = evaluate(unit, Patch("bench_sort"), tests, toolchain)
     assert result.classification is Classification.PASSED
     pid = int(pid_file.read_text())
     deadline = time.monotonic() + 2
@@ -234,7 +228,7 @@ def test_external_hung_measurement_is_infrastructure(bench_sort):
     with pytest.raises(InfrastructureError, match="watchdog"):
         evaluate(
             unit, Patch("bench_sort"), tests,
-            external(tc(measure_cmd=f"{PY} -c 'import time; time.sleep(60)'", timeout_ms=300)),
+            tc(measure_cmd=f"{PY} -c 'import time; time.sleep(60)'", timeout_ms=300),
         )
     assert time.monotonic() - started < 10
 
@@ -251,7 +245,7 @@ def test_external_median_of_repeats(bench_sort, tmp_path):
         "print([500, 410, 430, 405, 420][n % 5])\n"
     )
     toolchain = tc(measure_cmd=f"{PY} {script}", measure_repeats=5)
-    result = evaluate(unit, Patch("bench_sort"), tests, external(toolchain))
+    result = evaluate(unit, Patch("bench_sort"), tests, toolchain)
     assert result.runtime == 420  # median of the five samples
 
 
@@ -260,7 +254,7 @@ def test_external_command_not_found_is_infrastructure(bench_sort):
     with pytest.raises(InfrastructureError):
         evaluate(
             unit, Patch("bench_sort"), tests,
-            external(tc(compile_cmd="definitely-not-a-binary-xyz")),
+            tc(compile_cmd="definitely-not-a-binary-xyz"),
         )
 
 
@@ -269,7 +263,7 @@ def test_external_unparsable_measurement_is_infrastructure(bench_sort):
     with pytest.raises(InfrastructureError):
         evaluate(
             unit, Patch("bench_sort"), tests,
-            external(tc(measure_cmd=f"{PY} -c 'print(\"fast\")'")),
+            tc(measure_cmd=f"{PY} -c 'print(\"fast\")'"),
         )
 
 
@@ -284,7 +278,7 @@ def test_external_working_copy_gets_both_files(bench_sort, tmp_path):
         "sys.exit(0)\n"
     )
     toolchain = tc(compile_cmd=f"{PY} {probe} {{SRC}} {{PATCHED_FILE}}")
-    result = evaluate(unit, Patch("bench_sort"), tests, external(toolchain))
+    result = evaluate(unit, Patch("bench_sort"), tests, toolchain)
     assert result.classification is Classification.PASSED
 
 
@@ -293,14 +287,6 @@ def test_invalid_patch_never_reaches_the_toolchain(bench_sort):
     patch = Patch("bench_sort", (delete("sort", 2), delete("sort", 2)))
     # a compile command that would blow up if ever invoked
     result = evaluate(
-        unit, patch, tests, external(tc(compile_cmd="definitely-not-a-binary-xyz"))
+        unit, patch, tests, tc(compile_cmd="definitely-not-a-binary-xyz")
     )
     assert result.classification is Classification.INVALID
-
-
-def test_adapter_validation():
-    with pytest.raises(ValueError):
-        TargetAdapter("external")
-    with pytest.raises(ValueError):
-        TargetAdapter("quantum")
-    assert BUILTIN_ADAPTER.kind == "builtin"

@@ -12,7 +12,6 @@ from minigi.lang import (
     parse_source,
     parse_test_file,
     run_suite,
-    run_test,
     validate,
 )
 from minigi.lang.ast import (
@@ -47,7 +46,7 @@ from oracles import (
 def one_test(src: str, line: str, budget: int = 100_000):
     unit = parse_source(src)
     test = parse_test_file(line)[0]
-    return run_test(unit, test, budget)
+    return run_suite(unit, [test], budget)[0]
 
 
 def test_trivial_call_steps_exact():
@@ -93,7 +92,7 @@ def test_bench_sort_golden_steps(bench_sort):
 def test_hand_simulated_two_element_sort(bench_sort):
     unit, _ = bench_sort
     test = parse_test_file("test two: sort([2, 1]) == [1, 2]")[0]
-    outcome = run_test(unit, test)
+    outcome = run_suite(unit, [test])[0]
     assert outcome.status is Status.PASS
     assert outcome.steps_used == 102  # full hand simulation, see oracles.py
     assert outcome.steps_used == sort_call_steps([2, 1])
@@ -123,11 +122,11 @@ def test_determinism_bit_identical(bench_sort):
 def test_step_monotonicity_under_budget_growth(bench_loop):
     unit, _ = bench_loop
     test = parse_test_file("test t: count_to(50) == 50")[0]
-    full = run_test(unit, test)
+    full = run_suite(unit, [test])[0]
     assert full.status is Status.PASS
     statuses = []
     for budget in range(1, full.steps_used + 10):
-        outcome = run_test(unit, test, budget)
+        outcome = run_suite(unit, [test], budget)[0]
         statuses.append(outcome.status)
         if outcome.status is Status.TIMEOUT:
             assert outcome.steps_used == budget
@@ -258,7 +257,7 @@ FLAT_SCOPES = [
 def test_one_variable_dict_per_call(src, call, steps):
     unit = parse_source(src)
     assert validate(unit) == []
-    outcome = run_test(unit, parse_test_file(f"test t: {call}")[0])
+    outcome = run_suite(unit, parse_test_file(f"test t: {call}"))[0]
     assert outcome.status is Status.PASS and outcome.steps_used == steps
 
 
@@ -277,7 +276,7 @@ def test_valid_mutants_hit_only_language_errors(name):
     unit, tests = load_bench(name)
     hot = [fn.name for fn in unit.functions]
     client = MockLlmClient(LlmClientConfig(mode="mock"))
-    template = PromptTemplate(PromptCategory.MEDIUM, project_name=name)
+    template = PromptTemplate(project_name=name)
     rng = random.Random(f"mutants:{name}")
     mutants = []
     for _ in range(300):
@@ -287,7 +286,9 @@ def test_valid_mutants_hit_only_language_errors(name):
         elif draw == "insert":
             edit = sample_insert_edit(unit, hot, rng)
         else:
-            edit = rng.choice(make_llm_edits(unit, hot, rng, client, template))
+            edit = rng.choice(
+                make_llm_edits(unit, hot, rng, client, template, PromptCategory.MEDIUM)
+            )
         try:
             mutant = apply_patch(unit, Patch(name, (edit,)))
         except ApplyError:

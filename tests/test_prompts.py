@@ -2,8 +2,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from minigi.lang.ast import block_ids
 from minigi.llm import LlmClientConfig, MockLlmClient
 from minigi.patches import EditKind, apply_edit
@@ -29,24 +27,18 @@ JAVA_MEDIUM_GOLDEN = (
 )
 
 
-def java_template(category: PromptCategory, example: str | None = None) -> PromptTemplate:
-    return PromptTemplate(
-        category=category,
-        project_name="bench",
-        example_change=example,
-        language="Java",
-        code_label="java",
-    )
+JAVA = PromptTemplate(project_name="bench", language="Java", code_label="java")
+MEDIUM = PromptCategory.MEDIUM
 
 
 def test_medium_prompt_byte_exact_golden():
-    prompt = build_prompt(java_template(PromptCategory.MEDIUM), "{ return 1; }")
+    prompt = build_prompt(JAVA, MEDIUM, "{ return 1; }")
     assert prompt == JAVA_MEDIUM_GOLDEN
 
 
 def test_simple_prompt_is_strict_prefix_without_instructions():
-    simple = build_prompt(java_template(PromptCategory.SIMPLE), "{ return 1; }")
-    medium = build_prompt(java_template(PromptCategory.MEDIUM), "{ return 1; }")
+    simple = build_prompt(JAVA, PromptCategory.SIMPLE, "{ return 1; }")
+    medium = build_prompt(JAVA, MEDIUM, "{ return 1; }")
     assert medium.startswith(simple)
     assert simple != medium
     assert "Give me 5 different Java implementations" in simple
@@ -56,16 +48,10 @@ def test_simple_prompt_is_strict_prefix_without_instructions():
 
 
 def test_detailed_prompt_is_medium_plus_example_section():
-    example = "Before:\n```\nold\n```\nAfter:\n```\nnew\n```"
-    detailed = build_prompt(java_template(PromptCategory.DETAILED, example), "{ return 1; }")
-    medium = build_prompt(java_template(PromptCategory.MEDIUM), "{ return 1; }")
-    assert detailed.startswith(medium)
+    detailed = build_prompt(JAVA, PromptCategory.DETAILED, "{ return 1; }")
+    medium = build_prompt(JAVA, MEDIUM, "{ return 1; }")
+    example = default_example_change().rstrip("\n")
     assert detailed == medium + "Here is an example of a useful change:\n" + example + "\n"
-
-
-def test_detailed_requires_example_change():
-    with pytest.raises(ValueError):
-        PromptTemplate(category=PromptCategory.DETAILED)
 
 
 def test_default_example_change_is_an_insert_style_speedup():
@@ -78,19 +64,18 @@ def test_default_example_change_is_an_insert_style_speedup():
 
 def test_variant_count_is_configurable_in_prompt_text():
     template = PromptTemplate(
-        category=PromptCategory.MEDIUM, project_name="p", language="Java",
-        code_label="java", variant_count=3,
+        project_name="p", language="Java", code_label="java", variant_count=3
     )
-    assert build_prompt(template, "{ }").startswith("Give me 3 different Java implementations")
+    prompt = build_prompt(template, MEDIUM, "{ }")
+    assert prompt.startswith("Give me 3 different Java implementations")
 
 
 def test_prompt_build_is_pure():
-    template = java_template(PromptCategory.MEDIUM)
-    assert build_prompt(template, "{ x = 1; }") == build_prompt(template, "{ x = 1; }")
+    assert build_prompt(JAVA, MEDIUM, "{ x = 1; }") == build_prompt(JAVA, MEDIUM, "{ x = 1; }")
 
 
 def test_placeholders_in_code_are_not_reexpanded():
-    prompt = build_prompt(java_template(PromptCategory.MEDIUM), "{ x = <projectname>; }")
+    prompt = build_prompt(JAVA, MEDIUM, "{ x = <projectname>; }")
     assert "{ x = <projectname>; }" in prompt
 
 
@@ -107,7 +92,7 @@ def test_extract_prose_only_is_no_code_block(bench_sort):
     prose = "No code here, only words."
     assert LlmResponse(prose).extracted_blocks == ()
     client = mock_client([prose])
-    edits = make_llm_edits(unit, ["sort"], random.Random(0), client, minilang_template())
+    edits = make_llm_edits(unit, ["sort"], random.Random(0), client, minilang_template(), MEDIUM)
     assert [e.payload for e in edits] == [None] * 5
 
 
@@ -134,16 +119,14 @@ def mock_client(script) -> MockLlmClient:
 
 
 def minilang_template(count: int = 5) -> PromptTemplate:
-    return PromptTemplate(
-        category=PromptCategory.MEDIUM, project_name="bench_sort", variant_count=count
-    )
+    return PromptTemplate(project_name="bench_sort", variant_count=count)
 
 
 def test_make_llm_edits_five_wellformed_variants(bench_sort):
     unit, _ = bench_sort
     response = "\n".join(f"{i}.\n```\n{{ n = len(a); }}\n```" for i in range(1, 6))
     client = mock_client([response])
-    edits = make_llm_edits(unit, ["sort"], random.Random(0), client, minilang_template())
+    edits = make_llm_edits(unit, ["sort"], random.Random(0), client, minilang_template(), MEDIUM)
     assert len(edits) == 5
     for edit in edits:
         assert edit.kind is EditKind.LLM_BLOCK_REPLACE
@@ -159,7 +142,7 @@ def test_make_llm_edits_pads_missing_variants_as_blockless(bench_sort):
         "4. In prose form.\n5. Also prose."
     )
     client = mock_client([response])
-    edits = make_llm_edits(unit, ["sort"], random.Random(0), client, minilang_template())
+    edits = make_llm_edits(unit, ["sort"], random.Random(0), client, minilang_template(), MEDIUM)
     assert len(edits) == 5
     assert [e.payload for e in edits] == ["{ }", "{ }", "{ }", None, None]
 
@@ -175,7 +158,9 @@ def test_make_llm_edits_echo_keeps_original_fingerprint(bench_sort):
         return "```\n" + code + "\n```"
 
     client = mock_client(echo)
-    edits = make_llm_edits(unit, ["sort"], random.Random(3), client, minilang_template(count := 1))
+    edits = make_llm_edits(
+        unit, ["sort"], random.Random(3), client, minilang_template(count := 1), MEDIUM
+    )
     patch = Patch("bench_sort", (edits[0],))
     assert source_digest(apply_patch(unit, patch)) == source_digest(unit)
 
@@ -189,7 +174,7 @@ def test_block_selection_uniform_over_blocks(bench_sort):
     counts = {}
     for seed in range(600):
         edits = make_llm_edits(
-            unit, ["sort"], random.Random(seed), client, minilang_template(1)
+            unit, ["sort"], random.Random(seed), client, minilang_template(1), MEDIUM
         )
         sid = edits[0].src
         seen.add(sid)
@@ -203,7 +188,9 @@ def test_body_root_block_is_eligible(bench_sort):
     unit, _ = bench_sort
     client = mock_client(lambda req: "```\n{ return a; }\n```")
     for seed in range(200):
-        edits = make_llm_edits(unit, ["sort"], random.Random(seed), client, minilang_template(1))
+        edits = make_llm_edits(
+            unit, ["sort"], random.Random(seed), client, minilang_template(1), MEDIUM
+        )
         if edits[0].src.path == ():
             return
     raise AssertionError("body root block never selected in 200 draws")
@@ -218,7 +205,7 @@ def test_prompt_code_is_canonical_block_text(bench_sort):
         return "```\n{ }\n```"
 
     client = mock_client(capture)
-    make_llm_edits(unit, ["max2"], random.Random(1), client, minilang_template(1))
+    make_llm_edits(unit, ["max2"], random.Random(1), client, minilang_template(1), MEDIUM)
     assert "```\n{\n" in captured["prompt"] or "```\n{ }" not in captured["prompt"]
     # the fenced code parses back as a block
     from minigi.lang import parse_block

@@ -9,6 +9,7 @@ import pytest
 from minigi.lang import source_digest
 from minigi.llm import LlmClientConfig, MockLlmClient
 from minigi.patches import Patch, split_patch_line
+from minigi.prompts import PromptTemplate
 from minigi.search import (
     EvalRecord,
     LlmSearchContext,
@@ -24,9 +25,9 @@ from minigi.search import (
 from oracles import poly_sum_call_steps, poly_sum_planted_cost
 
 
-def mock_context(script=None, **kwargs) -> LlmSearchContext:
+def mock_context(script=None) -> LlmSearchContext:
     client = MockLlmClient(LlmClientConfig(mode="mock"), script=script)
-    return LlmSearchContext(client=client, project_name="bench", **kwargs)
+    return LlmSearchContext(client, PromptTemplate(project_name="bench"))
 
 
 def test_sampling_respects_budget_and_indices(bench_max):
@@ -234,7 +235,7 @@ def test_propose_neighbor_empty_always_appends(bench_max):
     unit, _ = bench_max
     state = SearchState(current_patch=Patch("bench_max"), current_runtime=100, current_unit=unit)
     for seed in range(50):
-        neighbor = propose_neighbor(state, "statement", random.Random(seed), unit, "max2")
+        neighbor = propose_neighbor(state, "statement", random.Random(seed), "max2")
         assert len(neighbor.edits) == 1
 
 
@@ -243,17 +244,15 @@ def test_propose_neighbor_append_remove_split(bench_max):
     base = Patch("bench_max")
     rng = random.Random(123)
     edits = tuple(
-        propose_neighbor(
-            SearchState(base, 100, current_unit=unit), "statement", rng, unit, "max2"
-        ).edits[0]
+        propose_neighbor(SearchState(base, 100, unit), "statement", rng, "max2").edits[0]
         for _ in range(3)
     )
     current = Patch("bench_max", edits)
-    state = SearchState(current, 100, current_unit=unit)
+    state = SearchState(current, 100, unit)
     counts = Counter()
     rng = random.Random(99)
     for _ in range(10_000):
-        neighbor = propose_neighbor(state, "statement", rng, unit, "max2")
+        neighbor = propose_neighbor(state, "statement", rng, "max2")
         counts[len(neighbor.edits)] += 1
     appends, removals = counts[4], counts[2]
     assert appends + removals == 10_000
@@ -264,10 +263,10 @@ def test_propose_neighbor_append_remove_split(bench_max):
 def test_propose_neighbor_deterministic(bench_max):
     unit, _ = bench_max
     base = Patch("bench_max")
-    state1 = SearchState(base, 100, current_unit=unit)
-    state2 = SearchState(base, 100, current_unit=unit)
-    n1 = propose_neighbor(state1, "insert", random.Random(5), unit, "max2")
-    n2 = propose_neighbor(state2, "insert", random.Random(5), unit, "max2")
+    state1 = SearchState(base, 100, unit)
+    state2 = SearchState(base, 100, unit)
+    n1 = propose_neighbor(state1, "insert", random.Random(5), "max2")
+    n2 = propose_neighbor(state2, "insert", random.Random(5), "max2")
     assert n1 == n2
 
 
