@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import random
 import sys
 from dataclasses import asdict, fields
@@ -64,6 +65,7 @@ from minigi.search import (
 
 SAMPLE_LOG = "sample_log.csv"
 LS_LOG = "ls_log.csv"
+_LOGS = {"sample": SAMPLE_LOG, "ls": LS_LOG}
 
 # The keys `_run_record` writes, by command; docs/logs.md describes them.
 # Each nested section is one dataclass's fields.
@@ -74,6 +76,22 @@ _RECORD_KEYS = {
     })
     for command, count in (("sample", "budget"), ("ls", "evals"))
 }
+
+
+# The JSON type `_run_record` writes for each top-level value that is not
+# checked otherwise: `command`, `adapter` and `log` name one of a few
+# choices, and `toolchain` and `llm` are sections.
+_RECORD_TYPES = {
+    "program": "string", "tests": "string", "seed": "integer", "families": "list of strings",
+    "step_budget": "integer", "methods": "list of strings", "original_digest": "string",
+    "budget": "integer", "evals": "integer",
+}
+
+
+def _json_type(value) -> str:
+    if type(value) is list:
+        return "list of strings" if all(type(v) is str for v in value) else "list"
+    return {int: "integer", str: "string"}.get(type(value), "other")  # a JSON true is no integer
 
 
 class ConfigError(Exception):
@@ -294,17 +312,21 @@ def _run_record(command: str, opts: Options, unit, tests, out_dir: Path) -> dict
     }
     if command == "sample":
         record["budget"] = opts.get_int("budget", DEFAULT_SAMPLE_BUDGET)
-        record["log"] = SAMPLE_LOG
     else:
         record["evals"] = opts.get_int("evals", DEFAULT_LS_EVALS)
-        record["log"] = LS_LOG
+    record["log"] = _LOGS[command]
     return record
 
 
 def _check_record(record, meta_path: Path) -> None:
     """ConfigError naming the sidecar unless `record` has exactly the keys
-    this version writes and an `adapter` that agrees with its `toolchain`,
-    so a malformed or older record is never run."""
+    this version writes, each top-level value of the JSON type written, an
+    `adapter` that agrees with its `toolchain`, and sections from which the
+    toolchain and LLM settings build, so a malformed or older record is
+    never run."""
+
+    def fail(where: str, problem: str):
+        raise ConfigError(f"{meta_path}: {where}: {problem}")
 
     def check(where: str, value, keys: frozenset[str]) -> None:
         if not isinstance(value, dict):
@@ -312,23 +334,32 @@ def _check_record(record, meta_path: Path) -> None:
         problems = [f"missing key {k!r}" for k in sorted(keys - value.keys())]
         problems += [f"unknown key {k!r}" for k in sorted(value.keys() - keys)]
         if problems:
-            raise ConfigError(f"{meta_path}: {where}: {', '.join(problems)}")
+            fail(where, ", ".join(problems))
 
-    def field_names(section) -> frozenset[str]:
-        return frozenset(f.name for f in fields(section))
+    def build(where: str, section, values: dict) -> None:
+        check(where, values, frozenset(f.name for f in fields(section)))
+        try:
+            section(**values)
+        except (TypeError, ValueError) as exc:
+            fail(where, str(exc))
 
     if not isinstance(record, dict) or record.get("command") not in _RECORD_KEYS:
         raise ConfigError(f"{meta_path}: not the record of a sample or ls run")
     check("run record", record, _RECORD_KEYS[record["command"]])
+    for key, expected in _RECORD_TYPES.items():
+        if key in record and _json_type(record[key]) != expected:
+            fail(key, f"expected {expected}, got {json.dumps(record[key])}")
+    if record["log"] != _LOGS[record["command"]]:
+        fail("log", f"a {record['command']} run logs to {_LOGS[record['command']]}")
     toolchain, llm = record["toolchain"], record["llm"]
     if toolchain is not None:
-        check("toolchain", toolchain, field_names(ExternalToolchain))
+        build("toolchain", ExternalToolchain, toolchain)
     if record["adapter"] != _adapter_name(toolchain):
         raise ConfigError(f"{meta_path}: adapter {record['adapter']!r} disagrees with toolchain")
     if llm is not None:
         check("llm", llm, frozenset({"client", "prompt"}))
-        check("llm.client", llm["client"], field_names(LlmClientConfig))
-        check("llm.prompt", llm["prompt"], field_names(PromptTemplate))
+        build("llm.client", LlmClientConfig, llm["client"])
+        build("llm.prompt", PromptTemplate, llm["prompt"])
 
 
 def _execute(record: dict, unit, tests, out_dir: Path) -> int:

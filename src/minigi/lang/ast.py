@@ -1,8 +1,16 @@
 """AST node types and tree addressing for MiniLang.
 
-All nodes are frozen dataclasses with tuple-typed children, so trees are
+All nodes are `@record` classes with tuple-typed children, so trees are
 immutable after construction and may be shared freely between program
-variants. Statements are addressed by a `StatementId`: the owning function
+variants. `record` gives a class what `@dataclass(frozen=True)` would: a
+constructor taking the annotated fields by position or keyword (a class
+attribute is the field's default), `==` between records of the same class
+with equal fields, a hash of the field tuple, the dataclass `repr`, and
+`AttributeError` on assignment or deletion. It is defined here because
+importing `dataclasses` would cost each toolchain process most of its
+start-up (see the package docstring).
+
+Statements are addressed by a `StatementId`: the owning function
 name plus the child-index path from the function body root. The body root
 itself has the empty path.
 
@@ -21,9 +29,8 @@ statements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from enum import Enum
-from typing import Iterator, Optional, Union
 
 
 class Type(Enum):
@@ -33,54 +40,99 @@ class Type(Enum):
     VOID = "void"
 
 
+def _frozen_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def record(cls):
+    """Make `cls` an immutable value class over its annotated fields.
+
+    The methods are generated once per class, from source, as `dataclasses`
+    does, so construction runs no per-call loop over the field names.
+    """
+    names = getattr(cls, "__match_args__", ()) + tuple(cls.__dict__.get("__annotations__", ()))
+    params = "".join(f"{n}=_default_{n}, " if n in cls.__dict__ else f"{n}, " for n in names)
+    sets = "".join(f"    _set(self, {n!r}, {n})\n" for n in names)
+    fields = "".join(f"self.{n}, " for n in names)
+    others = "".join(f"other.{n}, " for n in names)
+    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+    source = f"""
+def __init__(self, {params}):
+{sets}    pass
+def __eq__(self, other):
+    if other.__class__ is self.__class__:
+        return ({fields}) == ({others})
+    return NotImplemented
+def __hash__(self):
+    return hash(({fields}))
+def __repr__(self):
+    return f"{{self.__class__.__qualname__}}({shown})"
+"""
+    namespace = {"_set": object.__setattr__}
+    namespace.update((f"_default_{n}", cls.__dict__[n]) for n in names if n in cls.__dict__)
+    exec(source, namespace)
+    for method in ("__init__", "__eq__", "__hash__", "__repr__"):
+        function = namespace[method]
+        function.__qualname__ = f"{cls.__qualname__}.{method}"
+        setattr(cls, method, function)
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
+    cls.__match_args__ = names
+    return cls
+
+
 # --- expressions ---
 
 
-@dataclass(frozen=True)
+@record
 class Expr:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class IntLit(Expr):
     value: int
 
 
-@dataclass(frozen=True)
+@record
 class BoolLit(Expr):
     value: bool
 
 
-@dataclass(frozen=True)
+@record
 class ArrayLit(Expr):
     elements: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Unary(Expr):
     op: str  # "-" or "!"
     operand: Expr
 
 
-@dataclass(frozen=True)
+@record
 class Binary(Expr):
     op: str
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@record
 class Index(Expr):
     base: Expr
     index: Expr
 
 
-@dataclass(frozen=True)
+@record
 class Call(Expr):
     name: str
     args: tuple[Expr, ...]
@@ -89,66 +141,66 @@ class Call(Expr):
 # --- statements ---
 
 
-@dataclass(frozen=True)
+@record
 class Stmt:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Block(Stmt):
     statements: tuple[Stmt, ...]
 
 
-@dataclass(frozen=True)
+@record
 class VarDecl(Stmt):
     name: str
     var_type: Type
     init: Expr
 
 
-@dataclass(frozen=True)
+@record
 class Assign(Stmt):
-    target: Union[Var, Index]
+    target: Var | Index
     value: Expr
 
 
-@dataclass(frozen=True)
+@record
 class If(Stmt):
     cond: Expr
     then_block: Block
-    orelse: Optional[Stmt] = None  # Block or If (else-if chain)
+    orelse: Stmt | None = None  # Block or If (else-if chain)
 
 
-@dataclass(frozen=True)
+@record
 class While(Stmt):
     cond: Expr
     body: Block
 
 
-@dataclass(frozen=True)
+@record
 class For(Stmt):
-    init: Union[VarDecl, Assign]
+    init: VarDecl | Assign
     cond: Expr
     update: Assign
     body: Block
 
 
-@dataclass(frozen=True)
+@record
 class Break(Stmt):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Continue(Stmt):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Return(Stmt):
-    value: Optional[Expr] = None
+    value: Expr | None = None
 
 
-@dataclass(frozen=True)
+@record
 class ExprStmt(Stmt):
     expr: Expr
 
@@ -156,13 +208,13 @@ class ExprStmt(Stmt):
 # --- declarations ---
 
 
-@dataclass(frozen=True)
+@record
 class Param:
     name: str
     param_type: Type
 
 
-@dataclass(frozen=True)
+@record
 class Function:
     name: str
     params: tuple[Param, ...]
@@ -170,7 +222,7 @@ class Function:
     body: Block
 
 
-@dataclass(frozen=True)
+@record
 class SourceUnit:
     name: str
     functions: tuple[Function, ...]
@@ -188,7 +240,7 @@ class SourceUnit:
 # --- statement addressing ---
 
 
-@dataclass(frozen=True)
+@record
 class StatementId:
     function: str
     path: tuple[int, ...]
@@ -209,7 +261,7 @@ def stmt_children(stmt: Stmt) -> tuple[Stmt, ...]:
     return ()
 
 
-def get_statement(fn: Function, path: tuple[int, ...]) -> Optional[Stmt]:
+def get_statement(fn: Function, path: tuple[int, ...]) -> Stmt | None:
     """Resolve a path against a function body; None when it falls off the tree."""
     node: Stmt = fn.body
     for idx in path:
@@ -220,16 +272,16 @@ def get_statement(fn: Function, path: tuple[int, ...]) -> Optional[Stmt]:
     return node
 
 
-def resolve(unit: SourceUnit, sid: StatementId) -> Optional[Stmt]:
+def resolve(unit: SourceUnit, sid: StatementId) -> Stmt | None:
     if not unit.has_function(sid.function):
         return None
     return get_statement(unit.function(sid.function), sid.path)
 
 
-def walk_statements(fn: Function) -> Iterator[tuple[tuple[int, ...], Stmt, Optional[Stmt]]]:
+def walk_statements(fn: Function) -> Iterator[tuple[tuple[int, ...], Stmt, Stmt | None]]:
     """Pre-order (path, statement, parent) triples; the body root comes first."""
 
-    def go(path: tuple[int, ...], node: Stmt, parent: Optional[Stmt]):
+    def go(path: tuple[int, ...], node: Stmt, parent: Stmt | None):
         yield path, node, parent
         for i, child in enumerate(stmt_children(node)):
             yield from go(path + (i,), child, node)

@@ -85,9 +85,8 @@ from __future__ import annotations
 
 import operator
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable
 from enum import Enum
-from typing import Any, Callable, Optional
 
 from minigi.lang.ast import (
     ArrayLit,
@@ -110,6 +109,7 @@ from minigi.lang.ast import (
     Var,
     VarDecl,
     While,
+    record,
 )
 from minigi.lang.parser import ParseError, parse_expression
 from minigi.lang.semantics import check_call
@@ -143,19 +143,19 @@ class Status(Enum):
     TIMEOUT = "timeout"
 
 
-@dataclass(frozen=True)
+@record
 class ExecutionOutcome:
     status: Status
     steps_used: int
-    value: Optional[Any] = None
-    error: Optional[str] = None
+    value: object = None
+    error: str | None = None
 
 
-@dataclass(frozen=True)
+@record
 class TestCase:
     name: str
     call: Call
-    expected: Any  # int, bool, or list[int]
+    expected: object  # int, bool, or list[int]
 
 
 class MiniLangRuntimeError(Exception):
@@ -173,7 +173,7 @@ _CONTINUE = object()
 _JUMPS = (Break, Continue, Return)  # statements that always return a signal
 
 
-def value_equal(a: Any, b: Any) -> bool:
+def value_equal(a: object, b: object) -> bool:
     """Structural equality keeping bool and int apart (unlike Python's ==)."""
     kind = type(a)
     if kind is not type(b):
@@ -220,7 +220,7 @@ class _Machine:
         "unit", "functions", "compiled", "budget", "profile", "steps", "calls", "weight", "inner"
     )
 
-    def __init__(self, unit: SourceUnit, budget: int, profile: Optional[dict[str, int]]):
+    def __init__(self, unit: SourceUnit, budget: int, profile: dict[str, int] | None):
         self.unit = unit
         self.functions = {fn.name: fn for fn in unit.functions}
         self.compiled: dict[str, tuple[int, Callable, int]] = {}
@@ -248,7 +248,7 @@ class _Machine:
             self.compiled[name] = entry
         return entry
 
-    def profiled(self, name: str, lead: int, body: Callable, env: dict) -> Any:
+    def profiled(self, name: str, lead: int, body: Callable, env: dict) -> object:
         """Run a call's body, charging its own steps to `name`. The budget
         is reached inside the innermost call, so clamping to it charges
         every open call exactly."""
@@ -339,7 +339,7 @@ def _nothing(env) -> None:
 _VAR, _LIT, _FN = "var", "lit", "fn"
 
 
-def _read(e, closure) -> tuple[str, Any]:
+def _read(e, closure) -> tuple[str, object]:
     """How a parent reads operand `e`: a variable by name and a literal as
     its value, inline, and anything else through its closure."""
     kind = type(e)
@@ -350,7 +350,7 @@ def _read(e, closure) -> tuple[str, Any]:
     return _FN, closure
 
 
-def _binary(apply: Callable, left: tuple[str, Any], right: tuple[str, Any]) -> Callable:
+def _binary(apply: Callable, left: tuple[str, object], right: tuple[str, object]) -> Callable:
     """`apply` to two operands read as `_read` says (a literal on the left
     through its closure). Only arithmetic leaves the 64-bit range."""
     (lk, a), (rk, b) = left, right
@@ -761,7 +761,7 @@ def run_suite(
     unit: SourceUnit,
     tests: list[TestCase],
     step_budget: int = DEFAULT_STEP_BUDGET,
-    profile: Optional[dict[str, int]] = None,
+    profile: dict[str, int] | None = None,
 ) -> list[ExecutionOutcome]:
     """Run every test independently; no short-circuiting on failure.
 
@@ -788,7 +788,7 @@ def run_suite(
 # -- test-file format: `test <name>: <callExpr> == <literal>` --
 
 
-def _literal_value(expr: Expr) -> Any:
+def _literal_value(expr: Expr) -> object:
     if isinstance(expr, IntLit):
         return expr.value
     if isinstance(expr, BoolLit):

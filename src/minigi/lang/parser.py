@@ -12,9 +12,6 @@ code) into ParseError instead of a RecursionError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from minigi.lang.ast import (
     ArrayLit,
     Assign,
@@ -40,6 +37,7 @@ from minigi.lang.ast import (
     Var,
     VarDecl,
     While,
+    record,
 )
 
 KEYWORDS = {
@@ -61,7 +59,7 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
+@record
 class Token:
     kind: str  # "ident", "int", "punct", "eof"
     text: str
@@ -299,7 +297,7 @@ class _Parser:
         cond = self.parse_expr()
         self.expect_punct(")")
         then_block = self.parse_braced_block()
-        orelse: Optional[Stmt] = None
+        orelse: Stmt | None = None
         if self.at_keyword("else"):
             self.next()
             if self.at_keyword("if"):

@@ -11,9 +11,6 @@ same rules to a call made from outside the program, a test's harness call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from minigi.lang.ast import (
     ArrayLit,
     Assign,
@@ -38,12 +35,13 @@ from minigi.lang.ast import (
     Var,
     VarDecl,
     While,
+    record,
 )
 
 BUILTINS = ("len", "print")
 
 
-@dataclass(frozen=True)
+@record
 class SemanticError:
     function: str  # "" for unit-level errors
     message: str
@@ -53,12 +51,12 @@ class SemanticError:
 
 
 class _Scope:
-    def __init__(self, parent: Optional["_Scope"] = None):
+    def __init__(self, parent: _Scope | None = None):
         self.parent = parent
         self.names: dict[str, Type] = {}
 
-    def lookup(self, name: str) -> Optional[Type]:
-        scope: Optional[_Scope] = self
+    def lookup(self, name: str) -> Type | None:
+        scope: _Scope | None = self
         while scope is not None:
             if name in scope.names:
                 return scope.names[name]
@@ -78,7 +76,7 @@ class _Checker:
         self.unit = unit
         self.errors: list[SemanticError] = []
         self.signatures = {fn.name: fn for fn in unit.functions}
-        self.current: Optional[Function] = None
+        self.current: Function | None = None
 
     def error(self, message: str) -> None:
         name = self.current.name if self.current is not None else ""
@@ -213,7 +211,7 @@ class _Checker:
             what = what.format(repr(subject))
             self.error(f"{what} has type {got.value}, expected {want.value}")
 
-    def infer(self, expr: Expr, scope: _Scope, allow_void_call: bool = False) -> Optional[Type]:
+    def infer(self, expr: Expr, scope: _Scope, allow_void_call: bool = False) -> Type | None:
         """Expression type, or None when a nested error already fired."""
         if isinstance(expr, IntLit):
             return Type.INT
@@ -244,7 +242,7 @@ class _Checker:
             return self.infer_call(expr, scope, allow_void_call)
         raise TypeError(f"unknown expression node {expr!r}")
 
-    def infer_binary(self, expr: Binary, scope: _Scope) -> Optional[Type]:
+    def infer_binary(self, expr: Binary, scope: _Scope) -> Type | None:
         op = expr.op
         if op in ("&&", "||"):
             self.require(expr.left, Type.BOOL, scope, "operand of {}", op)
@@ -264,7 +262,7 @@ class _Checker:
         self.require(expr.right, Type.INT, scope, "operand of {}", op)
         return Type.INT
 
-    def infer_call(self, expr: Call, scope: _Scope, allow_void_call: bool) -> Optional[Type]:
+    def infer_call(self, expr: Call, scope: _Scope, allow_void_call: bool) -> Type | None:
         if expr.name == "len":
             if len(expr.args) != 1:
                 self.error("len takes exactly one argument")

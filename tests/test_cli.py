@@ -398,8 +398,33 @@ def _builtin_adapter_with_toolchain(record):
     }
 
 
+def _zero_prompt_variants(record):
+    record["llm"] = {
+        "client": {
+            "endpoint_url": "http://localhost:9", "api_key_env_var": "KEY", "model": "m",
+            "temperature": 0.7, "request_timeout": 1.0, "max_retries": 0,
+            "transcript_dir": "transcripts", "mode": "mock",
+        },
+        "prompt": {
+            "project_name": "bench_max", "language": "MiniLang", "code_label": "minilang",
+            "variant_count": 0,
+        },
+    }
+
+
+def _budget_in_words(record):
+    record["budget"] = "five"
+
+
+def _log_outside_the_run(record):
+    record["log"] = "../sample_log.csv"
+
+
 @pytest.mark.parametrize("tamper, complaint", [
     (_drop_budget, "run record: missing key 'budget'"),
+    (_zero_prompt_variants, "llm.prompt: variant count must be at least 1"),
+    (_budget_in_words, 'budget: expected integer, got "five"'),
+    (_log_outside_the_run, "log: a sample run logs to sample_log.csv"),
     (_older_external_record, "toolchain: unknown key 'patch_apply_cmd'"),
     (_prose_llm_prompt, "llm.client: missing key"),
     (_external_adapter_without_toolchain, "adapter 'external' disagrees with toolchain"),
