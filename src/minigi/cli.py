@@ -5,29 +5,29 @@ report (aggregate run logs into the two tables) and replay (re-execute a
 recorded run and compare logs byte for byte). Exit codes: 0 success,
 1 replay mismatch, 2 configuration error, 3 infrastructure error.
 
+Each option's default is read from the setting it fills. A --config file
+of key=value lines replaces defaults, so a flag wins over the file, which
+wins over the default, and each value is converted by its flag's type.
 Every randomized command needs a seed: give one with --seed or a fresh
 one is drawn and printed. `sample` and `ls` resolve their options once
 into a run record, written as the log's .meta.json sidecar; `replay`
-runs that record again offline. docs/logs.md lists the record's keys.
+runs that record again offline. A fresh run and a replay build the run's
+settings from the record the same way, and each setting refuses its own
+bad values, with exit code 2, before any file is written. docs/logs.md
+lists the record's keys.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import random
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
-from minigi.evaluation import (
-    DEFAULT_MEASURE_REPEATS,
-    DEFAULT_TIMEOUT_MS,
-    ExternalToolchain,
-    InfrastructureError,
-)
+from minigi.evaluation import ExternalToolchain, InfrastructureError
 from minigi.lang.interpreter import DEFAULT_STEP_BUDGET, parse_test_file
 from minigi.lang.parser import ParseError, parse_source
 from minigi.lang.printer import source_digest
@@ -38,7 +38,7 @@ from minigi.profiling import (
     profile,
     write_profile_csv,
 )
-from minigi.prompts import DEFAULT_MODEL, DEFAULT_TEMPERATURE, DEFAULT_VARIANT_COUNT, PromptTemplate
+from minigi.prompts import PromptTemplate
 from minigi.reporting import (
     RecordWriter,
     ReportError,
@@ -51,13 +51,13 @@ from minigi.reporting import (
     write_run_meta,
 )
 from minigi.search import (
-    DEFAULT_LS_EVALS,
-    DEFAULT_SAMPLE_BUDGET,
     FAMILIES,
     LlmSearchContext,
     LocalSearchConfig,
     RandomSamplingConfig,
     SearchSetupError,
+    check_families,
+    check_targets,
     is_llm_family,
     local_search,
     random_sampling,
@@ -101,27 +101,12 @@ class ConfigError(Exception):
 # -- option plumbing --
 
 
-@functools.cache
-def _config_keys() -> frozenset[str]:
-    """Option dests of every subcommand. One --config file may serve them
-    all, so a key that any subcommand takes is allowed in it."""
-    parser = build_parser()
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return frozenset(
-        action.dest
-        for sub in commands.choices.values()
-        for action in sub._actions
-        if action.option_strings and action.dest != "help"
-    )
-
-
-def _read_config_file(path: str) -> dict[str, str]:
+def _read_config_file(path: str, known: set[str]) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
-    known = _config_keys()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -134,28 +119,6 @@ def _read_config_file(path: str) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = value.strip()
     return values
-
-
-class Options:
-    """Flag > config file > built-in default, resolved per key."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.config = _read_config_file(args.config) if getattr(args, "config", None) else {}
-
-    def get(self, key: str, default=None, convert=str):
-        flag = getattr(self.args, key, None)
-        if flag is not None:
-            return flag
-        if key in self.config:
-            try:
-                return convert(self.config[key])
-            except ValueError as exc:
-                raise ConfigError(f"config key {key}: {exc}") from None
-        return default
-
-    def get_int(self, key: str, default: Optional[int] = None) -> Optional[int]:
-        return self.get(key, default, int)
 
 
 def _load_program(path: str):
@@ -180,56 +143,19 @@ def _load_tests(path: str):
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _resolve_seed(opts: Options) -> int:
-    seed = opts.get_int("seed")
+def _resolve_seed(seed: Optional[int]) -> int:
     if seed is None:
         seed = random.SystemRandom().randrange(2**31)
         print(f"seed: {seed} (drawn; pass --seed {seed} to reproduce)")
     return seed
 
 
-def _out_dir(opts: Options) -> Path:
-    return Path(opts.get("out_dir", "minigi-out"))
-
-
-def _parse_families(opts: Options) -> list[str]:
-    raw = opts.get("family")
-    if not raw:
-        raise ConfigError("--family is required (e.g. --family statement,insert)")
-    families = []
-    for token in str(raw).split(","):
-        token = token.strip()
-        if token == "llm":
-            token = f"llm-{opts.get('prompt', 'medium')}"
-        if token not in FAMILIES:
-            raise ConfigError(f"unknown family {token!r}; known: {', '.join(FAMILIES)}")
-        families.append(token)
-    return families
-
-
-def _toolchain_settings(opts: Options) -> Optional[dict]:
-    """ExternalToolchain fields, or None for the builtin backend."""
-    kind = opts.get("adapter", "builtin")
-    if kind == "builtin":
+def _toolchain_settings(args: argparse.Namespace) -> Optional[dict]:
+    """ExternalToolchain fields, or None for the builtin backend; each
+    field has the option of its name."""
+    if args.adapter == "builtin":
         return None
-    if kind != "external":
-        raise ConfigError(f"unknown adapter {kind!r}")
-    compile_cmd = opts.get("compile_cmd")
-    test_cmd = opts.get("test_cmd")
-    measure_cmd = opts.get("measure_cmd")
-    if not (compile_cmd and test_cmd and measure_cmd):
-        raise ConfigError(
-            "external adapter needs compile_cmd, test_cmd and measure_cmd "
-            "(set them in the --config file)"
-        )
-    toolchain = ExternalToolchain(
-        compile_cmd=compile_cmd,
-        test_cmd=test_cmd,
-        measure_cmd=measure_cmd,
-        timeout_ms=opts.get_int("timeout_ms", DEFAULT_TIMEOUT_MS),
-        measure_repeats=opts.get_int("measure_repeats", DEFAULT_MEASURE_REPEATS),
-    )
-    return asdict(toolchain)
+    return {f.name: getattr(args, f.name) for f in fields(ExternalToolchain)}
 
 
 def _adapter_name(toolchain: Optional[dict]) -> str:
@@ -237,93 +163,82 @@ def _adapter_name(toolchain: Optional[dict]) -> str:
     return "builtin" if toolchain is None else "external"
 
 
-def _llm_settings(
-    opts: Options, families: list[str], out_dir: Path, program_path: str
-) -> Optional[dict]:
+def _llm_settings(args: argparse.Namespace, families: list[str]) -> Optional[dict]:
     """LlmClientConfig fields under "client", PromptTemplate fields under
     "prompt"; None when no family asks an LLM."""
     if not any(is_llm_family(f) for f in families):
         return None
-    mode = opts.get("llm_mode", "mock")
-    if mode not in ("live", "replay", "mock"):
-        raise ConfigError(f"unknown llm_mode {mode!r}")
-    transcript_dir = opts.get("transcript_dir") or out_dir / "transcripts"
-    client = LlmClientConfig(
-        endpoint_url=opts.get("endpoint", "https://api.openai.com/v1/chat/completions"),
-        api_key_env_var=opts.get("api_key_env", "OPENAI_API_KEY"),
-        model=opts.get("model", DEFAULT_MODEL),
-        temperature=opts.get("temperature", DEFAULT_TEMPERATURE, float),
-        request_timeout=opts.get("request_timeout", 60.0, float),
-        max_retries=opts.get_int("max_retries", 3),
-        transcript_dir=str(Path(transcript_dir).resolve()),
-        mode=mode,
-    )
+    transcript_dir = args.transcript_dir or Path(args.out_dir) / "transcripts"
+    client = {
+        "endpoint_url": args.endpoint,
+        "api_key_env_var": args.api_key_env,
+        "model": args.model,
+        "temperature": args.temperature,
+        "request_timeout": args.request_timeout,
+        "max_retries": args.max_retries,
+        "transcript_dir": str(Path(transcript_dir).resolve()),
+        "mode": args.llm_mode,
+    }
+    prompt = {
+        "project_name": Path(args.program).stem if args.project_name is None else args.project_name,
+        "language": args.language,
+        "code_label": args.code_label,
+        "variant_count": args.variants,
+    }
+    return {"client": client, "prompt": prompt}
+
+
+def _profile(args: argparse.Namespace, unit, tests):
     try:
-        prompt = PromptTemplate(
-            project_name=opts.get("project_name", Path(program_path).stem),
-            language=opts.get("language", "MiniLang"),
-            code_label=opts.get("code_label", "minilang"),
-            variant_count=opts.get_int("variants", DEFAULT_VARIANT_COUNT),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return {"client": asdict(client), "prompt": asdict(prompt)}
+        return profile(unit, tests, args.top_k, args.step_budget)
+    except ValueError as exc:  # the interpreter refuses a step budget below 1
+        raise ConfigError(f"step_budget {args.step_budget}: {exc}") from None
 
 
-def _hot_methods(opts: Options, unit, tests, step_budget: int) -> list[str]:
-    methods = opts.get("methods")
-    if methods:
-        names = [m.strip() for m in str(methods).split(",") if m.strip()]
-        for name in names:
-            if not unit.has_function(name):
-                raise ConfigError(f"method {name!r} not in program")
-        return names
-    return profile(unit, tests, opts.get_int("top_k", DEFAULT_TOP_K), step_budget).hot_set
+def _hot_methods(args: argparse.Namespace, unit, tests) -> list[str]:
+    if args.methods:
+        return [m.strip() for m in args.methods.split(",") if m.strip()]
+    return _profile(args, unit, tests).hot_set
 
 
 # -- the run record --
 
 
-def _run_record(command: str, opts: Options, unit, tests, out_dir: Path) -> dict:
+def _run_record(command: str, args: argparse.Namespace, unit, tests) -> dict:
     """Resolve every option that determines the run log, once.
 
     The record is written as the run's .meta.json and is all `replay`
-    needs; docs/logs.md lists its keys.
+    needs; docs/logs.md lists its keys. `_settings` checks its values.
     """
-    args = opts.args
-    families = _parse_families(opts)
-    if command == "ls" and len(families) != 1:
-        raise ConfigError("local search takes exactly one --family")
-    seed = _resolve_seed(opts)
-    step_budget = opts.get_int("step_budget", DEFAULT_STEP_BUDGET)
-    toolchain = _toolchain_settings(opts)
+    families = [token.strip() for token in args.family.split(",")] if args.family else []
+    toolchain = _toolchain_settings(args)
     record = {
         "command": command,
         "program": str(Path(args.program).resolve()),
         "tests": str(Path(args.tests).resolve()),
-        "seed": seed,
+        "seed": _resolve_seed(args.seed),
         "families": families,
-        "step_budget": step_budget,
+        "step_budget": args.step_budget,
         "adapter": _adapter_name(toolchain),
         "toolchain": toolchain,
-        "llm": _llm_settings(opts, families, out_dir, args.program),
-        "methods": _hot_methods(opts, unit, tests, step_budget),
+        "llm": _llm_settings(args, families),
+        "methods": _hot_methods(args, unit, tests),
         "original_digest": source_digest(unit),
     }
     if command == "sample":
-        record["budget"] = opts.get_int("budget", DEFAULT_SAMPLE_BUDGET)
+        record["budget"] = args.budget
     else:
-        record["evals"] = opts.get_int("evals", DEFAULT_LS_EVALS)
+        record["evals"] = args.evals
     record["log"] = _LOGS[command]
     return record
 
 
 def _check_record(record, meta_path: Path) -> None:
     """ConfigError naming the sidecar unless `record` has exactly the keys
-    this version writes, each top-level value of the JSON type written, an
-    `adapter` that agrees with its `toolchain`, and sections from which the
-    toolchain and LLM settings build, so a malformed or older record is
-    never run."""
+    this version writes, at every level, each top-level value of the JSON
+    type written, the command's log name and an `adapter` that agrees with
+    its `toolchain`, so a malformed or older record is never run.
+    `_settings` then checks the values."""
 
     def fail(where: str, problem: str):
         raise ConfigError(f"{meta_path}: {where}: {problem}")
@@ -336,12 +251,8 @@ def _check_record(record, meta_path: Path) -> None:
         if problems:
             fail(where, ", ".join(problems))
 
-    def build(where: str, section, values: dict) -> None:
-        check(where, values, frozenset(f.name for f in fields(section)))
-        try:
-            section(**values)
-        except (TypeError, ValueError) as exc:
-            fail(where, str(exc))
+    def field_names(section) -> frozenset[str]:
+        return frozenset(f.name for f in fields(section))
 
     if not isinstance(record, dict) or record.get("command") not in _RECORD_KEYS:
         raise ConfigError(f"{meta_path}: not the record of a sample or ls run")
@@ -353,38 +264,67 @@ def _check_record(record, meta_path: Path) -> None:
         fail("log", f"a {record['command']} run logs to {_LOGS[record['command']]}")
     toolchain, llm = record["toolchain"], record["llm"]
     if toolchain is not None:
-        build("toolchain", ExternalToolchain, toolchain)
+        check("toolchain", toolchain, field_names(ExternalToolchain))
     if record["adapter"] != _adapter_name(toolchain):
         raise ConfigError(f"{meta_path}: adapter {record['adapter']!r} disagrees with toolchain")
     if llm is not None:
         check("llm", llm, frozenset({"client", "prompt"}))
-        build("llm.client", LlmClientConfig, llm["client"])
-        build("llm.prompt", PromptTemplate, llm["prompt"])
+        check("llm.client", llm["client"], field_names(LlmClientConfig))
+        check("llm.prompt", llm["prompt"], field_names(PromptTemplate))
 
 
-def _execute(record: dict, unit, tests, out_dir: Path) -> int:
-    """Run a resolved record into `out_dir`."""
-    toolchain = ExternalToolchain(**record["toolchain"]) if record["toolchain"] else None
+def _settings(record: dict, unit, prefix: str = ""):
+    """The search config, toolchain and LLM context of a record, for a
+    fresh run and a replay alike. Each setting checks its own values; a
+    value it refuses is a ConfigError that starts with `prefix` and names
+    the setting, raised before any file is written."""
+
+    def build(where: str, make, *args, **kwargs):
+        try:
+            return make(*args, **kwargs)
+        except (TypeError, ValueError, SearchSetupError) as exc:
+            raise ConfigError(f"{prefix}{where}: {exc}") from None
+
+    toolchain = None
+    if record["toolchain"] is not None:
+        toolchain = build("toolchain", ExternalToolchain, **record["toolchain"])
     llm = None
     if record["llm"] is not None:
-        client = make_client(LlmClientConfig(**record["llm"]["client"]))
-        llm = LlmSearchContext(client, PromptTemplate(**record["llm"]["prompt"]))
+        client = build("llm.client", LlmClientConfig, **record["llm"]["client"])
+        llm = LlmSearchContext(
+            build("llm.client", make_client, client),
+            build("llm.prompt", PromptTemplate, **record["llm"]["prompt"]),
+        )
+    command = record["command"]
+    if command == "ls" and len(record["families"]) != 1:
+        raise ConfigError(f"{prefix}families: local search takes exactly one family")
+    build("families", check_families, record["families"], llm)
+    build("methods", check_targets, unit, record["methods"])
+    if command == "sample":
+        cfg = build(
+            command, RandomSamplingConfig,
+            tuple(record["families"]), record["budget"], record["seed"], record["step_budget"],
+        )
+    else:
+        cfg = build(
+            command, LocalSearchConfig, record["families"][0], tuple(record["methods"]),
+            record["evals"], record["seed"], record["step_budget"],
+        )
+    return cfg, toolchain, llm
+
+
+def _execute(record: dict, unit, tests, out_dir: Path, settings) -> int:
+    """Run a resolved record, with the settings built from it, into `out_dir`."""
+    cfg, toolchain, llm = settings
     out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / record["log"]
     write_run_meta(log_path, record)
     with RecordWriter(log_path) as writer:
         if record["command"] == "sample":
-            cfg = RandomSamplingConfig(
-                tuple(record["families"]), record["budget"], record["seed"], record["step_budget"]
-            )
             records = random_sampling(
                 unit, tests, record["methods"], cfg, toolchain, llm, sink=writer.write
             )
         else:
-            cfg = LocalSearchConfig(
-                record["families"][0], tuple(record["methods"]), record["evals"],
-                record["seed"], record["step_budget"],
-            )
             records = local_search(unit, tests, cfg, toolchain, llm, sink=writer.write)
     print(f"wrote {len(records)} records to {log_path}")
     if record["command"] == "sample":
@@ -398,16 +338,10 @@ def _execute(record: dict, unit, tests, out_dir: Path) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    opts = Options(args)
     unit = _load_program(args.program)
     tests = _load_tests(args.tests)
-    prof = profile(
-        unit,
-        tests,
-        top_k=opts.get_int("top_k", DEFAULT_TOP_K),
-        step_budget=opts.get_int("step_budget", DEFAULT_STEP_BUDGET),
-    )
-    out_dir = _out_dir(opts)
+    prof = _profile(args, unit, tests)
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / "profile.csv"
     write_profile_csv(prof, out)
@@ -419,12 +353,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     """`sample` and `ls`: resolve the run record, then execute it."""
-    opts = Options(args)
     unit = _load_program(args.program)
     tests = _load_tests(args.tests)
-    out_dir = _out_dir(opts)
-    record = _run_record(args.command, opts, unit, tests, out_dir)
-    return _execute(record, unit, tests, out_dir)
+    record = _run_record(args.command, args, unit, tests)
+    return _execute(record, unit, tests, Path(args.out_dir), _settings(record, unit))
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -472,7 +404,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         unit = _load_program(record["program"])
         if source_digest(unit) != record["original_digest"]:
             raise ConfigError(f"{record['program']} changed since the run was recorded")
-        _execute(record, unit, _load_tests(record["tests"]), out_dir)
+        tests = _load_tests(record["tests"])
+        _execute(record, unit, tests, out_dir, _settings(record, unit, f"{meta_path}: "))
         original = (run_dir / log_name).read_bytes()
         replayed = (out_dir / log_name).read_bytes()
         if original == replayed:
@@ -486,44 +419,52 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 # -- argument parsing --
 
 
-def _add_common_run_flags(p: argparse.ArgumentParser) -> None:
+def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("program", help="MiniLang source file (.ml)")
     p.add_argument("tests", help="test file (one `test name: call == literal` per line)")
-    p.add_argument("--seed", type=int, help="RNG seed; drawn and printed when omitted")
-    p.add_argument("--step-budget", type=int, dest="step_budget",
-                   help=f"interpreter steps per test (default {DEFAULT_STEP_BUDGET})")
-    p.add_argument("--out-dir", dest="out_dir", help="output directory (default minigi-out)")
+    p.add_argument("--step-budget", type=int, default=DEFAULT_STEP_BUDGET,
+                   help="interpreter steps per test (default %(default)s)")
+    p.add_argument("--top-k", type=int, default=DEFAULT_TOP_K,
+                   help="hot methods to target (default %(default)s)")
+    p.add_argument("--out-dir", default="minigi-out", help="output directory (default %(default)s)")
     p.add_argument("--config", help="key=value file overriding defaults (flags win)")
-    p.add_argument("--adapter", choices=["builtin", "external"],
-                   help="evaluation backend (external commands come from --config)")
-    p.add_argument("--top-k", type=int, dest="top_k",
-                   help=f"hot methods to target (default {DEFAULT_TOP_K})")
+
+
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    _add_input_flags(p)
+    p.add_argument("--seed", type=int, help="RNG seed; drawn and printed when omitted")
+    p.add_argument("--adapter", choices=["builtin", "external"], default="builtin",
+                   help="evaluation backend (default %(default)s; external commands come "
+                   "from --config)")
     p.add_argument("--methods", help="comma-separated target methods (skips profiling)")
-    p.add_argument("--llm-mode", dest="llm_mode", choices=["live", "replay", "mock"],
-                   help="LLM transport (default mock)")
-    p.add_argument("--prompt", choices=["simple", "medium", "detailed"],
-                   help="prompt category for the bare `llm` family token")
-    p.add_argument("--model", help=f"model name (default {DEFAULT_MODEL})")
-    p.add_argument("--endpoint", help="chat-completions endpoint URL")
-    p.add_argument("--api-key-env", dest="api_key_env",
-                   help="environment variable holding the API key")
-    p.add_argument("--temperature", type=float, help="sampling temperature (default 0.7)")
-    p.add_argument("--variants", type=int, help="variations requested per prompt (default 5)")
-    p.add_argument("--transcript-dir", dest="transcript_dir",
+    p.add_argument("--llm-mode", choices=["live", "replay", "mock"], default=LlmClientConfig.mode,
+                   help="LLM transport (default %(default)s)")
+    p.add_argument("--model", default=LlmClientConfig.model,
+                   help="model name (default %(default)s)")
+    p.add_argument("--endpoint", default=LlmClientConfig.endpoint_url,
+                   help="chat-completions endpoint URL (default %(default)s)")
+    p.add_argument("--api-key-env", default=LlmClientConfig.api_key_env_var,
+                   help="environment variable holding the API key (default %(default)s)")
+    p.add_argument("--temperature", type=float, default=LlmClientConfig.temperature,
+                   help="sampling temperature (default %(default)s)")
+    p.add_argument("--variants", type=int, default=PromptTemplate.variant_count,
+                   help="variations requested per prompt (default %(default)s)")
+    p.add_argument("--transcript-dir",
                    help="LLM transcript directory (default <out-dir>/transcripts)")
-    p.add_argument("--project-name", dest="project_name",
-                   help="project name substituted into prompts")
-    p.add_argument("--language", help="language name used in prompts (default MiniLang)")
-    p.add_argument("--code-label", dest="code_label",
-                   help="code-fence label requested in prompts (default minilang)")
-    p.add_argument("--request-timeout", type=float, dest="request_timeout",
-                   help="HTTP timeout for live mode, seconds")
-    p.add_argument("--max-retries", type=int, dest="max_retries",
-                   help="retries on rate limiting in live mode")
-    p.add_argument("--timeout-ms", type=int, dest="timeout_ms",
-                   help="external adapter per-test watchdog (default 10000)")
-    p.add_argument("--measure-repeats", type=int, dest="measure_repeats",
-                   help="external adapter timing repeats, median taken (default 5)")
+    p.add_argument("--project-name",
+                   help="project name substituted into prompts (default the program's file stem)")
+    p.add_argument("--language", default=PromptTemplate.language,
+                   help="language name used in prompts (default %(default)s)")
+    p.add_argument("--code-label", default=PromptTemplate.code_label,
+                   help="code-fence label requested in prompts (default %(default)s)")
+    p.add_argument("--request-timeout", type=float, default=LlmClientConfig.request_timeout,
+                   help="HTTP timeout for live mode, seconds (default %(default)s)")
+    p.add_argument("--max-retries", type=int, default=LlmClientConfig.max_retries,
+                   help="retries on rate limiting in live mode (default %(default)s)")
+    p.add_argument("--timeout-ms", type=int, default=ExternalToolchain.timeout_ms,
+                   help="external adapter per-test watchdog (default %(default)s)")
+    p.add_argument("--measure-repeats", type=int, default=ExternalToolchain.measure_repeats,
+                   help="external adapter timing repeats, median taken (default %(default)s)")
     for name in ("compile_cmd", "test_cmd", "measure_cmd"):
         p.add_argument(f"--{name.replace('_', '-')}", dest=name, help=argparse.SUPPRESS)
 
@@ -536,27 +477,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_profile = sub.add_parser("profile", help="identify hot methods")
-    p_profile.add_argument("program")
-    p_profile.add_argument("tests")
-    p_profile.add_argument("--top-k", type=int, dest="top_k")
-    p_profile.add_argument("--step-budget", type=int, dest="step_budget")
-    p_profile.add_argument("--out-dir", dest="out_dir")
-    p_profile.add_argument("--config")
+    _add_input_flags(p_profile)
     p_profile.set_defaults(func=_cmd_profile)
 
     p_sample = sub.add_parser("sample", help="random sampling experiment")
-    _add_common_run_flags(p_sample)
-    p_sample.add_argument("--family", help="comma-separated families: statement, insert, "
-                          "llm-simple, llm-medium, llm-detailed (or `llm` + --prompt)")
-    p_sample.add_argument("--budget", type=int,
-                          help=f"patches per family (default {DEFAULT_SAMPLE_BUDGET})")
+    _add_run_flags(p_sample)
+    p_sample.add_argument("--family", help=f"comma-separated families: {', '.join(FAMILIES)}")
+    p_sample.add_argument("--budget", type=int, default=RandomSamplingConfig.per_family_budget,
+                          help="patches per family (default %(default)s)")
     p_sample.set_defaults(func=_cmd_run)
 
     p_ls = sub.add_parser("ls", help="local search experiment")
-    _add_common_run_flags(p_ls)
+    _add_run_flags(p_ls)
     p_ls.add_argument("--family", help="one family to search with")
-    p_ls.add_argument("--evals", type=int,
-                      help=f"evaluations per run (default {DEFAULT_LS_EVALS})")
+    p_ls.add_argument("--evals", type=int, default=LocalSearchConfig.evals_per_run,
+                      help="evaluations per run (default %(default)s)")
     p_ls.set_defaults(func=_cmd_run)
 
     p_report = sub.add_parser("report", help="aggregate a run log into a table")
@@ -575,10 +510,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def _parse_args(argv: Optional[list[str]]) -> argparse.Namespace:
+    """Flag > --config file > default. The file's values become the
+    subcommand's defaults, so each is converted by its flag's type and
+    checked against its flag's choices."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "config", None) is None:
+        return args
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    # One --config file may serve every subcommand, so a key that any of them takes is allowed.
+    known = {
+        action.dest
+        for sub in commands.choices.values()
+        for action in sub._actions
+        if action.option_strings and action.dest != "help"
+    }
+    sub = commands.choices[args.command]
+    sub.set_defaults(**_read_config_file(args.config, known))
+    args = parser.parse_args(argv)
+    for action in sub._actions:
+        if action.choices is not None and getattr(args, action.dest) not in action.choices:
+            sub.error(f"argument {action.option_strings[0]}: invalid choice: "
+                      f"{getattr(args, action.dest)!r} (choose from {', '.join(action.choices)})")
+    return args
+
+
+def main(argv: Optional[list[str]] = None) -> int:
     try:
+        args = _parse_args(argv)
         return args.func(args)
     except (ConfigError, SearchSetupError, ProfileOnFailingProgramError, ReportError) as exc:
         print(f"error: {exc}", file=sys.stderr)

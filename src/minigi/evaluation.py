@@ -45,9 +45,6 @@ from minigi.patches import ApplyError, Patch, apply_patch
 if TYPE_CHECKING:
     import subprocess
 
-DEFAULT_TIMEOUT_MS = 10_000
-DEFAULT_MEASURE_REPEATS = 5
-
 
 class InfrastructureError(Exception):
     """Toolchain breakage; excluded from every report counter."""
@@ -95,16 +92,28 @@ class ExternalToolchain:
     prints an integer on its last stdout line; the median-low of
     `measure_repeats` runs is the runtime, and a measure_cmd outliving
     `timeout_ms` stops the run with InfrastructureError. Every command
-    runs in a session of its own, and its whole process group is killed
-    when it returns or times out. A descendant that starts a session of
-    its own leaves the group and is outside this contract.
+    runs in a process group of its own, and its whole process group is
+    killed when it returns or times out. A descendant that starts a group
+    or session of its own leaves the group and is outside this contract.
+    Construction refuses a command that is not a non-empty string and a
+    count that is not an integer of at least 1.
     """
 
     compile_cmd: str
     test_cmd: str
     measure_cmd: str
-    timeout_ms: int = DEFAULT_TIMEOUT_MS
-    measure_repeats: int = DEFAULT_MEASURE_REPEATS
+    timeout_ms: int = 10_000
+    measure_repeats: int = 5
+
+    def __post_init__(self):
+        for name in ("compile_cmd", "test_cmd", "measure_cmd"):
+            value = getattr(self, name)
+            if type(value) is not str or not value.strip():
+                raise ValueError(f"{name} must be a non-empty command, got {value!r}")
+        for name in ("timeout_ms", "measure_repeats"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:  # a JSON true is no count
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
 
 
 # -- evaluation --
@@ -160,19 +169,21 @@ def _substitute(cmd: str, mapping: dict[str, str]) -> list[str]:
 def _run_command(
     argv: list[str], cwd: Path, timeout_ms: Optional[int] = None
 ) -> subprocess.CompletedProcess:
-    """Run one command in a session of its own. When it returns, times out
-    or fails in any other way, its whole process group is killed and the
-    command reaped, so no descendant in the group outlives the command."""
+    """Run one command in a process group of its own, reading no terminal
+    input. When it returns, times out or fails in any other way, its whole
+    process group is killed and the command reaped, so no descendant in
+    the group outlives the command."""
     import subprocess
 
     try:
         with subprocess.Popen(
             argv,
             cwd=cwd,
+            stdin=subprocess.DEVNULL,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
-            start_new_session=True,
+            process_group=0,
         ) as proc:
             try:
                 stdout, stderr = proc.communicate(
@@ -224,7 +235,7 @@ def _evaluate_external(
             return EvaluationResult(
                 Classification.COMPILED_ONLY, tests_failed=failed, fingerprint=digest
             )
-        ms = _measure_external(toolchain, mapping, workdir, toolchain.measure_repeats)
+        ms = _measure_external(toolchain, mapping, workdir)
         return EvaluationResult(Classification.PASSED, runtime=ms, fingerprint=digest)
 
 
@@ -259,12 +270,11 @@ def _measure_external(
     toolchain: ExternalToolchain,
     mapping: dict[str, str],
     workdir: Path,
-    repeats: int,
 ) -> int:
     import subprocess
 
     samples = []
-    for _ in range(max(1, repeats)):
+    for _ in range(toolchain.measure_repeats):
         argv = _substitute(toolchain.measure_cmd, mapping)
         try:
             proc = _run_command(argv, workdir, timeout_ms=toolchain.timeout_ms)

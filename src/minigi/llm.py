@@ -142,6 +142,33 @@ class LlmClientBase:
         )
 
 
+def _post_json(url: str, body: dict, headers: dict, timeout: float) -> tuple[int, str]:
+    """POST `body` as JSON; the HTTP status and the response text. An error
+    status is returned, not raised. `urllib.request` loads here, on the
+    first live request, so other modes do not hold it in memory."""
+    import http.client
+    import urllib.error
+    import urllib.request
+
+    data = json.dumps(body).encode("utf-8")
+    try:
+        request = urllib.request.Request(
+            url, data=data, headers={**headers, "Content-Type": "application/json"}, method="POST"
+        )
+        with urllib.request.urlopen(request, timeout=timeout) as resp:
+            return resp.status, resp.read().decode("utf-8", "replace")
+    except urllib.error.HTTPError as exc:
+        return exc.code, exc.read().decode("utf-8", "replace")
+    except TimeoutError as exc:
+        raise TimedOutError(str(exc)) from None
+    except urllib.error.URLError as exc:
+        if isinstance(exc.reason, TimeoutError):
+            raise TimedOutError(str(exc.reason)) from None
+        raise NetworkError(str(exc.reason)) from None
+    except (OSError, ValueError, http.client.HTTPException) as exc:  # ValueError: a malformed URL
+        raise NetworkError(str(exc)) from None
+
+
 class LiveLlmClient(LlmClientBase):
     """Talks to any chat-completions-compatible endpoint.
 
@@ -151,8 +178,6 @@ class LiveLlmClient(LlmClientBase):
     """
 
     def _complete_text(self, request: LlmRequest) -> str:
-        import requests as requests_lib
-
         api_key = os.environ.get(self.config.api_key_env_var, "")
         if not api_key:
             raise ClientError(f"API key env var {self.config.api_key_env_var} is not set")
@@ -164,29 +189,21 @@ class LiveLlmClient(LlmClientBase):
         headers = {"Authorization": f"Bearer {api_key}"}
         delay = 1.0
         for attempt in range(self.config.max_retries + 1):
-            try:
-                resp = requests_lib.post(
-                    self.config.endpoint_url,
-                    json=body,
-                    headers=headers,
-                    timeout=self.config.request_timeout,
-                )
-            except requests_lib.Timeout as exc:
-                raise TimedOutError(str(exc)) from None
-            except requests_lib.RequestException as exc:
-                raise NetworkError(str(exc)) from None
-            if resp.status_code == 429:
+            status, text = _post_json(
+                self.config.endpoint_url, body, headers, self.config.request_timeout
+            )
+            if status == 429:
                 if attempt == self.config.max_retries:
                     raise RateLimitedError("rate limited and retries exhausted")
                 time.sleep(delay)
                 delay *= 2
                 continue
-            if resp.status_code != 200:
-                raise BadStatusError(resp.status_code, resp.text)
+            if status != 200:
+                raise BadStatusError(status, text)
             try:
-                return resp.json()["choices"][0]["message"]["content"]
-            except (KeyError, IndexError, ValueError) as exc:
-                raise BadStatusError(resp.status_code, f"malformed response body: {exc}") from None
+                return json.loads(text)["choices"][0]["message"]["content"]
+            except (KeyError, IndexError, TypeError, ValueError) as exc:
+                raise BadStatusError(status, f"malformed response body: {exc}") from None
         raise RateLimitedError("rate limited and retries exhausted")
 
 

@@ -5,7 +5,8 @@ Insert family draws one of break/continue/return. Targeting is two-stage:
 first a hot function uniformly, then positions inside that function, so
 each hot method gets equal attention regardless of its size. Draws depend
 only on the unit, the hot list and the RNG state, which makes every edit
-replayable from a logged seed.
+replayable from a logged seed. The hot list must name functions of the
+unit; the search drivers check that once per run (search.check_targets).
 
 RNG call order is part of the replay contract: kind, function (with up to
 10 redraws when the chosen function has no statements), source statement,
@@ -26,15 +27,6 @@ class NoTargetStatementsError(Exception):
     pass
 
 
-def _hot_functions(unit: SourceUnit, hot: list[str]) -> list[Function]:
-    missing = [name for name in hot if not unit.has_function(name)]
-    if missing:
-        raise ValueError(f"hot methods not in unit: {', '.join(missing)}")
-    if not hot:
-        raise ValueError("empty hot-method list")
-    return [unit.function(name) for name in hot]
-
-
 def _pick_function_with_statements(
     functions: list[Function], rng: random.Random
 ) -> Function:
@@ -51,7 +43,7 @@ def _pick_function_with_statements(
 def sample_statement_edit(unit: SourceUnit, hot: list[str], rng: random.Random) -> Edit:
     """One uniform draw from the Statement family inside one hot function."""
     kind = rng.choice(STATEMENT_KINDS)
-    fn = _pick_function_with_statements(_hot_functions(unit, hot), rng)
+    fn = _pick_function_with_statements([unit.function(name) for name in hot], rng)
     statements = list_statement_ids(fn)
     src = rng.choice(statements)
     if kind is EditKind.DELETE:
@@ -66,6 +58,6 @@ def sample_statement_edit(unit: SourceUnit, hot: list[str], rng: random.Random) 
 def sample_insert_edit(unit: SourceUnit, hot: list[str], rng: random.Random) -> Edit:
     """One uniform draw from the Insert family; every function has slots."""
     kind = rng.choice(INSERT_KINDS)
-    fn = rng.choice(_hot_functions(unit, hot))
+    fn = unit.function(rng.choice(hot))
     block, index = rng.choice(insertion_slots(fn))
     return Edit(kind, dst=InsertionPoint(block, index))

@@ -26,8 +26,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
+from minigi.evaluation import Classification
 from minigi.patches import split_patch_line
-from minigi.search import EvalRecord
+from minigi.search import FAMILIES, EvalRecord
 
 LOG_COLUMNS = ["runId", "evalIndex", "patch", "classification", "runtime"]
 TABLE1_COLUMNS = [
@@ -40,16 +41,13 @@ TABLE2_COLUMNS = [
     "ImprovFound", "BestImprov", "Median",
 ]
 
-FAMILY_DISPLAY = {
-    "statement": "Statement",
-    "insert": "Insert",
-    "llm-simple": "Simple",
-    "llm-medium": "Medium",
-    "llm-detailed": "Detailed",
-}
-FAMILY_ORDER = tuple(FAMILY_DISPLAY)
+# Table row names, one per family of search.FAMILIES, in its order.
+FAMILY_DISPLAY = dict(zip(FAMILIES, ("Statement", "Insert", "Simple", "Medium", "Detailed")))
 
-CLASSIFICATIONS = ("Invalid", "ValidOnly", "CompiledOnly", "Passed")
+CLASSIFICATIONS = tuple(c.value for c in Classification)
+_INVALID = Classification.INVALID.value
+_PASSED = Classification.PASSED.value
+_COMPILED = (Classification.COMPILED_ONLY.value, _PASSED)
 
 
 class ReportError(Exception):
@@ -66,9 +64,9 @@ class LadderCounts:
     def add(self, classification: str) -> "LadderCounts":
         return LadderCounts(
             self.patches + 1,
-            self.valid + (classification != "Invalid"),
-            self.compiled + (classification in ("CompiledOnly", "Passed")),
-            self.passed + (classification == "Passed"),
+            self.valid + (classification != _INVALID),
+            self.compiled + (classification in _COMPILED),
+            self.passed + (classification == _PASSED),
         )
 
 
@@ -107,8 +105,8 @@ def _parse_record(record: EvalRecord, row: int) -> tuple[str, str, bool]:
 
 
 def _ordered_families(seen: Sequence[str]) -> list[str]:
-    known = [f for f in FAMILY_ORDER if f in seen]
-    extra = sorted(set(seen) - set(FAMILY_ORDER))
+    known = [f for f in FAMILIES if f in seen]
+    extra = sorted(set(seen) - set(FAMILIES))
     return known + extra
 
 
@@ -158,7 +156,7 @@ def aggregate_table2(records: Sequence[EvalRecord]) -> list[RunReport]:
             raise ReportError(f"row {row}: run {record.run_id} has no baseline evaluation")
         family = _family_of(record)
         all_counts[family] = all_counts.get(family, LadderCounts()).add(record.classification)
-        if record.classification == "Passed" and record.runtime is not None:
+        if record.classification == _PASSED and record.runtime is not None:
             delta = baselines[record.run_id] - record.runtime
             if delta > 0:
                 deltas.setdefault(family, []).append(delta)

@@ -39,9 +39,6 @@ from minigi.prompts import PromptCategory, PromptTemplate, make_llm_edits
 
 FAMILIES = ("statement", "insert", "llm-simple", "llm-medium", "llm-detailed")
 
-DEFAULT_SAMPLE_BUDGET = 1000
-DEFAULT_LS_EVALS = 100
-
 
 class SearchSetupError(Exception):
     """Configuration problem, e.g. the unpatched program fails its tests."""
@@ -64,29 +61,56 @@ class LlmSearchContext:
     prompt: PromptTemplate = PromptTemplate()
 
 
-def _check_families(families, llm: Optional[LlmSearchContext]) -> None:
+def check_families(families, llm: Optional[LlmSearchContext]) -> None:
+    """SearchSetupError unless every family is known and an LLM family has
+    its context; both drivers check their families here."""
     for family in families:
         if family not in FAMILIES:
-            raise SearchSetupError(f"unknown family {family!r}")
+            raise SearchSetupError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
         if is_llm_family(family) and llm is None:
             raise SearchSetupError(f"family {family!r} needs an LLM context")
+
+
+def check_targets(unit: SourceUnit, methods) -> None:
+    """SearchSetupError unless `methods` names at least one method and
+    every one is a function of `unit`; both drivers check their targets
+    here before the first draw."""
+    if not methods:
+        raise SearchSetupError("empty target-method list")
+    missing = [name for name in methods if not unit.has_function(name)]
+    if missing:
+        raise SearchSetupError(f"target methods not in program: {', '.join(missing)}")
+
+
+def _check_counts(**counts) -> None:
+    for name, value in counts.items():
+        if type(value) is not int or value < 1:
+            raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
 
 
 @dataclass(frozen=True)
 class RandomSamplingConfig:
     families: tuple[str, ...]
-    per_family_budget: int = DEFAULT_SAMPLE_BUDGET
+    per_family_budget: int = 1000
     seed: int = 0
     step_budget: int = DEFAULT_STEP_BUDGET
+
+    def __post_init__(self):
+        if not self.families:
+            raise ValueError("random sampling takes at least one family")
+        _check_counts(budget=self.per_family_budget, step_budget=self.step_budget)
 
 
 @dataclass(frozen=True)
 class LocalSearchConfig:
     family: str
     runs: tuple[str, ...]  # target methods, one run each
-    evals_per_run: int = DEFAULT_LS_EVALS
+    evals_per_run: int = 100
     seed: int = 0
     step_budget: int = DEFAULT_STEP_BUDGET
+
+    def __post_init__(self):
+        _check_counts(evals=self.evals_per_run, step_budget=self.step_budget)
 
 
 @dataclass(frozen=True)
@@ -149,9 +173,8 @@ def random_sampling(
     leaves its finished rows behind. `toolchain` selects the external
     backend; without one, patches run on the built-in one.
     """
-    if not hot:
-        raise SearchSetupError("empty hot-method list")
-    _check_families(cfg.families, llm)
+    check_targets(unit, hot)
+    check_families(cfg.families, llm)
     records: list[EvalRecord] = []
     for family in cfg.families:
         for index, patch in enumerate(_draw_family(unit, hot, cfg, llm, family)):
@@ -254,12 +277,8 @@ def local_search(
 ) -> list[EvalRecord]:
     """One hill-climbing run per target method, exactly `evals_per_run`
     evaluations each, the first on the unpatched program."""
-    _check_families((cfg.family,), llm)
-    if cfg.evals_per_run < 1:
-        raise SearchSetupError("need at least one evaluation per run")
-    for method in cfg.runs:
-        if not unit.has_function(method):
-            raise SearchSetupError(f"target method {method!r} not in unit")
+    check_targets(unit, cfg.runs)
+    check_families((cfg.family,), llm)
     records: list[EvalRecord] = []
     for method in cfg.runs:
         _one_ls_run(unit, tests, cfg, toolchain, llm, method, records, sink)

@@ -29,7 +29,12 @@ PROMPT_KEYS = {"project_name", "language", "code_label", "variant_count"}
 
 
 def run(*argv: str) -> int:
-    return main(list(argv))
+    """The exit status of `minigi ARGV`: main's return value, or the code
+    that argparse exits with on a usage or option-value error."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
 
 
 def test_profile_command(tmp_path, capsys):
@@ -95,16 +100,6 @@ def test_sample_with_mock_llm_family(tmp_path):
     assert meta["llm"].keys() == {"client", "prompt"}
     assert meta["llm"]["client"].keys() == CLIENT_KEYS
     assert meta["llm"]["prompt"].keys() == PROMPT_KEYS
-
-
-def test_bare_llm_family_token_uses_prompt_flag(tmp_path):
-    code = run(
-        "sample", SORT, SORT_TESTS, "--family", "llm", "--prompt", "detailed",
-        "--budget", "5", "--seed", "1", "--out-dir", str(tmp_path),
-    )
-    assert code == 0
-    records = read_records_csv(tmp_path / "sample_log.csv")
-    assert all(r.run_id == "llm-detailed" for r in records)
 
 
 def test_ls_command_and_table2(tmp_path, capsys):
@@ -204,9 +199,11 @@ def test_config_file_provides_defaults_flags_win(tmp_path):
 
 def test_exit_code_2_on_config_errors(tmp_path, capsys):
     assert run("sample", MAX, MAX_TESTS, "--out-dir", str(tmp_path)) == 2  # no family
-    assert run(
-        "sample", MAX, MAX_TESTS, "--family", "bogus", "--out-dir", str(tmp_path)
-    ) == 2
+    for family in ("bogus", "llm"):
+        assert run(
+            "sample", MAX, MAX_TESTS, "--family", family, "--out-dir", str(tmp_path)
+        ) == 2
+        assert f"unknown family {family!r}" in capsys.readouterr().err
     assert run(
         "sample", str(tmp_path / "missing.ml"), MAX_TESTS,
         "--family", "statement", "--out-dir", str(tmp_path),
@@ -220,9 +217,10 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
     bad_mode = tmp_path / "bad_mode.conf"
     bad_mode.write_text("llm_mode = bogus\n")
     assert run(
-        "sample", MAX, MAX_TESTS, "--family", "llm", "--config", str(bad_mode),
+        "sample", MAX, MAX_TESTS, "--family", "llm-medium", "--config", str(bad_mode),
         "--out-dir", str(tmp_path),
     ) == 2
+    assert "--llm-mode" in capsys.readouterr().err
     assert run(
         "sample", SORT, SORT_TESTS, "--family", "llm-medium", "--variants", "0",
         "--out-dir", str(tmp_path / "no_variants"),
@@ -237,6 +235,32 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
     ) == 2
     err = capsys.readouterr().err
     assert f"{misspelled}:2" in err and "step_buget" in err
+    # Each value below is refused, named, and leaves the out-dir unwritten.
+    toolchain = "adapter = external\ncompile_cmd = true\ntest_cmd = true\nmeasure_cmd = echo 7\n"
+    for command, flags, config, complaint in [
+        ("sample", ["--step-budget", "0"], "", "step_budget 0"),
+        ("sample", ["--step-budget", "0", "--methods", "max2"], "",
+         "step_budget must be an integer of at least 1, got 0"),
+        ("sample", ["--budget", "-1"], "", "budget must be an integer of at least 1, got -1"),
+        ("ls", ["--evals", "0"], "", "evals must be an integer of at least 1, got 0"),
+        ("sample", ["--methods", "max2,nothere"], "", "target methods not in program: nothere"),
+        ("ls", ["--family", "statement,insert"], "", "local search takes exactly one family"),
+        ("sample", [], toolchain + "timeout_ms = -5\n",
+         "timeout_ms must be an integer of at least 1, got -5"),
+        ("sample", [], toolchain + "measure_repeats = 0\n",
+         "measure_repeats must be an integer of at least 1, got 0"),
+        ("sample", [], "temperature = warm\n",
+         "argument --temperature: invalid float value: 'warm'"),
+    ]:
+        out_dir = tmp_path / "refused"
+        conf = tmp_path / "refused.conf"
+        conf.write_text(config)
+        assert run(
+            command, MAX, MAX_TESTS, "--family", "statement", "--seed", "1", *flags,
+            "--config", str(conf), "--out-dir", str(out_dir),
+        ) == 2, flags + [config]
+        assert complaint in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 def test_exit_code_2_on_usage_error():
@@ -420,11 +444,38 @@ def _log_outside_the_run(record):
     record["log"] = "../sample_log.csv"
 
 
+def _zero_step_budget(record):
+    record["step_budget"] = 0
+
+
+def _negative_budget(record):
+    record["budget"] = -1
+
+
+def _method_not_in_program(record):
+    record["methods"] = ["nothere"]
+
+
+def _no_families(record):
+    record["families"] = []
+
+
+def _timeout_in_words(record):
+    _builtin_adapter_with_toolchain(record)
+    record["adapter"] = "external"
+    record["toolchain"]["timeout_ms"] = "x"
+
+
 @pytest.mark.parametrize("tamper, complaint", [
     (_drop_budget, "run record: missing key 'budget'"),
     (_zero_prompt_variants, "llm.prompt: variant count must be at least 1"),
     (_budget_in_words, 'budget: expected integer, got "five"'),
     (_log_outside_the_run, "log: a sample run logs to sample_log.csv"),
+    (_zero_step_budget, "sample: step_budget must be an integer of at least 1, got 0"),
+    (_negative_budget, "sample: budget must be an integer of at least 1, got -1"),
+    (_method_not_in_program, "methods: target methods not in program: nothere"),
+    (_timeout_in_words, "toolchain: timeout_ms must be an integer of at least 1, got 'x'"),
+    (_no_families, "sample: random sampling takes at least one family"),
     (_older_external_record, "toolchain: unknown key 'patch_apply_cmd'"),
     (_prose_llm_prompt, "llm.client: missing key"),
     (_external_adapter_without_toolchain, "adapter 'external' disagrees with toolchain"),

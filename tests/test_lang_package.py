@@ -244,3 +244,21 @@ def test_importing_the_language_loads_neither_dataclasses_nor_typing():
     modules = set(result.stdout.split())
     assert "minigi.lang.interpreter" in modules
     assert not modules & {"dataclasses", "typing", "inspect"}
+
+
+def test_importing_the_cli_loads_no_http_client():
+    """The LLM transport loads on the first live request; every other run
+    keeps `urllib.request`, and so `http.client` and `ssl`, out of memory."""
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import minigi.cli; "
+        "print(' '.join(sorted(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(REPO_ROOT / "src")],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    modules = set(result.stdout.split())
+    assert "minigi.llm" in modules
+    assert not modules & {"requests", "urllib.request", "http.client", "ssl"}

@@ -1,18 +1,24 @@
 from __future__ import annotations
 
+import http.server
 import json
+import socket
+import threading
 
 import pytest
 
+from minigi import llm
 from minigi.llm import (
     BadStatusError,
     LiveLlmClient,
     LlmClientConfig,
     MockLlmClient,
     MockScriptExhaustedError,
+    NetworkError,
     RateLimitedError,
     ReplayLlmClient,
     TranscriptMissError,
+    TimedOutError,
     TranscriptStore,
     make_client,
     request_digest,
@@ -91,31 +97,15 @@ def test_make_client_dispatch(tmp_path):
         make_client(LlmClientConfig(mode="telepathy"))
 
 
-class _FakeResponse:
-    def __init__(self, status_code: int, payload=None, text: str = ""):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = text
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no json")
-        return self._payload
-
-
 def test_live_request_shape(monkeypatch, tmp_path):
     """One user message with the prompt; temperature and model in the body."""
     captured = {}
 
-    def fake_post(url, json=None, headers=None, timeout=None):
-        captured.update(url=url, body=json, headers=headers, timeout=timeout)
-        return _FakeResponse(
-            200, {"choices": [{"message": {"content": "the answer"}}]}
-        )
+    def fake_post(url, body, headers, timeout):
+        captured.update(url=url, body=body, headers=headers, timeout=timeout)
+        return 200, json.dumps({"choices": [{"message": {"content": "the answer"}}]})
 
-    import requests
-
-    monkeypatch.setattr(requests, "post", fake_post)
+    monkeypatch.setattr(llm, "_post_json", fake_post)
     monkeypatch.setenv("TEST_API_KEY", "sk-test")
     config = LlmClientConfig(
         mode="live",
@@ -151,13 +141,11 @@ def test_live_missing_api_key(monkeypatch):
 def test_live_rate_limit_retries_then_fails(monkeypatch):
     calls = {"n": 0}
 
-    def always_429(url, json=None, headers=None, timeout=None):
+    def always_429(url, body, headers, timeout):
         calls["n"] += 1
-        return _FakeResponse(429, text="slow down")
+        return 429, "slow down"
 
-    import requests
-
-    monkeypatch.setattr(requests, "post", always_429)
+    monkeypatch.setattr(llm, "_post_json", always_429)
     monkeypatch.setattr("time.sleep", lambda s: None)
     monkeypatch.setenv("TEST_API_KEY", "k")
     client = LiveLlmClient(
@@ -169,12 +157,82 @@ def test_live_rate_limit_retries_then_fails(monkeypatch):
 
 
 def test_live_bad_status(monkeypatch):
-    import requests
-
-    monkeypatch.setattr(
-        requests, "post", lambda *a, **k: _FakeResponse(500, text="boom")
-    )
+    monkeypatch.setattr(llm, "_post_json", lambda *a: (500, "boom"))
     monkeypatch.setenv("TEST_API_KEY", "k")
     client = LiveLlmClient(LlmClientConfig(mode="live", api_key_env_var="TEST_API_KEY"))
     with pytest.raises(BadStatusError):
+        client.complete(LlmRequest("p"))
+
+
+class _Endpoint(http.server.BaseHTTPRequestHandler):
+    """A chat-completions endpoint on localhost whose answer the path picks."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        if self.path == "/slow":
+            threading.Event().wait(1.0)  # the tests stub out time.sleep
+        status, text = {
+            "/ok": (200, json.dumps({"choices": [{"message": {"content": "hi"}}]})),
+            "/limited": (429, "slow down"),
+            "/broken": (500, "boom"),
+            "/malformed": (200, json.dumps({"choices": []})),
+        }.get(self.path, (200, "{}"))
+        self.send_response(status)
+        self.end_headers()
+        self.wfile.write(text.encode("utf-8"))
+
+    def log_message(self, *args):
+        pass
+
+
+class _QuietServer(http.server.ThreadingHTTPServer):
+    def handle_error(self, request, client_address):
+        pass  # the client hung up on /slow
+
+
+@pytest.fixture
+def endpoint():
+    server = _QuietServer(("127.0.0.1", 0), _Endpoint)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+@pytest.mark.parametrize("path, outcome", [
+    ("/ok", "hi"),
+    ("/limited", RateLimitedError),
+    ("/broken", BadStatusError),
+    ("/malformed", BadStatusError),
+    ("/slow", TimedOutError),
+])
+def test_live_transport_maps_each_answer(monkeypatch, endpoint, path, outcome):
+    """The standard-library transport against a local endpoint: a status or
+    body the client cannot use, and a timeout, are client errors."""
+    monkeypatch.setattr("time.sleep", lambda s: None)
+    monkeypatch.setenv("TEST_API_KEY", "k")
+    client = LiveLlmClient(LlmClientConfig(
+        mode="live", endpoint_url=endpoint + path, api_key_env_var="TEST_API_KEY",
+        request_timeout=0.2, max_retries=1,
+    ))
+    if isinstance(outcome, str):
+        assert client.complete(LlmRequest("p")).raw_text == outcome
+    else:
+        with pytest.raises(outcome):
+            client.complete(LlmRequest("p"))
+
+
+def test_live_transport_refused_connection_is_a_network_error(monkeypatch):
+    monkeypatch.setenv("TEST_API_KEY", "k")
+    with socket.socket() as probe:  # a port that nothing listens on
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    client = LiveLlmClient(LlmClientConfig(
+        mode="live", endpoint_url=f"http://127.0.0.1:{port}/v1", api_key_env_var="TEST_API_KEY",
+    ))
+    with pytest.raises(NetworkError):
         client.complete(LlmRequest("p"))

@@ -129,14 +129,6 @@ def test_insert_always_possible_even_in_empty_function():
     assert edit.dst.index == 0
 
 
-def test_unknown_hot_method_rejected(bench_sort):
-    unit, _ = bench_sort
-    with pytest.raises(ValueError):
-        sample_statement_edit(unit, ["nope"], random.Random(0))
-    with pytest.raises(ValueError):
-        sample_statement_edit(unit, [], random.Random(0))
-
-
 def test_statement_dst_stays_within_the_chosen_function(bench_sort):
     unit, _ = bench_sort
     for seed in range(500):

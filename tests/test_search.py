@@ -112,6 +112,28 @@ def test_unknown_family_rejected(bench_sort):
         random_sampling(unit, tests, ["sort"], cfg)
 
 
+def test_unknown_hot_method_rejected(bench_sort):
+    """Both drivers check their target methods before the first draw."""
+    unit, tests = bench_sort
+    cfg = RandomSamplingConfig(families=("statement",), per_family_budget=5, seed=1)
+    for hot in (["nope"], [], ["sort", "nope"]):
+        with pytest.raises(SearchSetupError):
+            random_sampling(unit, tests, hot, cfg)
+        with pytest.raises(SearchSetupError):
+            local_search(unit, tests, LocalSearchConfig("statement", tuple(hot), 5))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: RandomSamplingConfig(("statement",), per_family_budget=0),
+    lambda: RandomSamplingConfig(("statement",), step_budget=0),
+    lambda: LocalSearchConfig("statement", ("sort",), evals_per_run=0),
+    lambda: LocalSearchConfig("statement", ("sort",), step_budget=-1),
+])
+def test_configs_refuse_counts_below_one(make):
+    with pytest.raises(ValueError, match="must be an integer of at least 1"):
+        make()
+
+
 def test_sink_sees_every_record_in_order(bench_max):
     unit, tests = bench_max
     seen: list[EvalRecord] = []
