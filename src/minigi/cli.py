@@ -31,7 +31,7 @@ from minigi.evaluation import ExternalToolchain, InfrastructureError
 from minigi.lang.interpreter import DEFAULT_STEP_BUDGET, parse_test_file
 from minigi.lang.parser import ParseError, parse_source
 from minigi.lang.printer import source_digest
-from minigi.llm import ClientError, LlmClientConfig, make_client
+from minigi.llm import MODES, ClientError, LlmClientConfig, make_client
 from minigi.profiling import (
     DEFAULT_TOP_K,
     ProfileOnFailingProgramError,
@@ -191,8 +191,10 @@ def _llm_settings(args: argparse.Namespace, families: list[str]) -> Optional[dic
 def _profile(args: argparse.Namespace, unit, tests):
     try:
         return profile(unit, tests, args.top_k, args.step_budget)
-    except ValueError as exc:  # the interpreter refuses a step budget below 1
-        raise ConfigError(f"step_budget {args.step_budget}: {exc}") from None
+    except ValueError as exc:  # profile refuses a top_k, the interpreter a step budget, below 1
+        raise ConfigError(
+            f"profile (top_k {args.top_k}, step_budget {args.step_budget}): {exc}"
+        ) from None
 
 
 def _hot_methods(args: argparse.Namespace, unit, tests) -> list[str]:
@@ -437,7 +439,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
                    help="evaluation backend (default %(default)s; external commands come "
                    "from --config)")
     p.add_argument("--methods", help="comma-separated target methods (skips profiling)")
-    p.add_argument("--llm-mode", choices=["live", "replay", "mock"], default=LlmClientConfig.mode,
+    p.add_argument("--llm-mode", choices=MODES, default=LlmClientConfig.mode,
                    help="LLM transport (default %(default)s)")
     p.add_argument("--model", default=LlmClientConfig.model,
                    help="model name (default %(default)s)")

@@ -40,7 +40,7 @@ from minigi.lang.interpreter import (
 )
 from minigi.lang.printer import print_canonical, source_digest
 from minigi.lang.semantics import validate
-from minigi.patches import ApplyError, Patch, apply_patch
+from minigi.patches import ApplyError, Patch, PayloadMemo, apply_patch
 
 if TYPE_CHECKING:
     import subprocess
@@ -125,11 +125,13 @@ def evaluate(
     tests: list[TestCase],
     toolchain: Optional[ExternalToolchain] = None,
     step_budget: int = DEFAULT_STEP_BUDGET,
+    payloads: Optional[PayloadMemo] = None,
 ) -> EvaluationResult:
     """Classify one patch: on `toolchain` when given, else on the built-in
-    backend, which is deterministic."""
+    backend, which is deterministic. `payloads` is the run's payload memo
+    (see `apply_patch`); it changes no result."""
     try:
-        patched = apply_patch(unit, patch)
+        patched = apply_patch(unit, patch, payloads)
     except ApplyError:
         return EvaluationResult(Classification.INVALID)
     digest = source_digest(patched)

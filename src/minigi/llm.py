@@ -34,6 +34,9 @@ from minigi.prompts import (
 )
 
 
+MODES = ("live", "replay", "mock")
+
+
 class ClientError(Exception):
     pass
 
@@ -66,6 +69,10 @@ class MockScriptExhaustedError(ClientError):
 
 @dataclass(frozen=True)
 class LlmClientConfig:
+    """How a client reaches the model. Construction refuses a retry count
+    that is not an integer of at least 0, a timeout that is not a number
+    above 0 and a mode outside MODES."""
+
     endpoint_url: str = "https://api.openai.com/v1/chat/completions"
     api_key_env_var: str = "OPENAI_API_KEY"
     model: str = DEFAULT_MODEL
@@ -73,7 +80,19 @@ class LlmClientConfig:
     request_timeout: float = 60.0
     max_retries: int = 3
     transcript_dir: Optional[Union[str, Path]] = None
-    mode: str = "mock"  # live | replay | mock
+    mode: str = "mock"  # one of MODES
+
+    def __post_init__(self):
+        if type(self.max_retries) is not int or self.max_retries < 0:  # a JSON true is no count
+            raise ValueError(
+                f"max_retries must be an integer of at least 0, got {self.max_retries!r}"
+            )
+        if type(self.request_timeout) not in (int, float) or not self.request_timeout > 0:
+            raise ValueError(
+                f"request_timeout must be a number above 0 seconds, got {self.request_timeout!r}"
+            )
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
 
 
 def request_digest(request: LlmRequest) -> str:
@@ -281,6 +300,4 @@ def make_client(config: LlmClientConfig, script: Optional[MockScript] = None) ->
         return LiveLlmClient(config)
     if config.mode == "replay":
         return ReplayLlmClient(config)
-    if config.mode == "mock":
-        return MockLlmClient(config, script)
-    raise ValueError(f"unknown client mode {config.mode!r}")
+    return MockLlmClient(config, script)

@@ -7,7 +7,10 @@ later one. A stranded edit makes the whole patch invalid (UnresolvableId)
 rather than being skipped silently.
 
 Application never mutates its input: trees are immutable, and rebuilding
-shares untouched subtrees.
+shares untouched subtrees. For the same reason one parsed LLM payload can
+be shared by every program it is applied to, so a run parses each
+distinct payload text once: its driver passes one payload memo to every
+application, and each text is looked up there before it is parsed.
 """
 
 from __future__ import annotations
@@ -136,6 +139,25 @@ class PayloadUnparsableError(ApplyError):
     pass
 
 
+# Payload text -> its parsed block, or the message of its parse error. An
+# error is kept as text so each failed application raises a fresh exception.
+PayloadMemo = dict[str, Union[Block, str]]
+
+
+def _parse_payload(payload: str, memo: PayloadMemo) -> Block:
+    """`payload` parsed as a block, parsing each text at most once per memo."""
+    parsed = memo.get(payload)
+    if parsed is None:
+        try:
+            parsed = parse_block(payload)
+        except ParseError as exc:
+            parsed = f"payload does not parse: {exc}"
+        memo[payload] = parsed
+    if isinstance(parsed, str):
+        raise PayloadUnparsableError(parsed)
+    return parsed
+
+
 # -- tree surgery (pure; rebuilds the spine, shares the rest) --
 
 
@@ -261,7 +283,11 @@ def _is_prefix(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
 # -- edit application --
 
 
-def apply_edit(unit: SourceUnit, edit: Edit) -> SourceUnit:
+def apply_edit(
+    unit: SourceUnit, edit: Edit, payloads: Optional[PayloadMemo] = None
+) -> SourceUnit:
+    """`unit` with `edit` applied; an LLM payload is looked up in
+    `payloads` (a fresh memo when None) before it is parsed."""
     k = edit.kind
     if k is EditKind.DELETE:
         assert edit.src is not None
@@ -308,10 +334,7 @@ def apply_edit(unit: SourceUnit, edit: Edit) -> SourceUnit:
     _block_at(unit, block_sid)
     if edit.payload is None:
         raise PayloadUnparsableError("response contained no code block")
-    try:
-        new_block = parse_block(edit.payload)
-    except ParseError as exc:
-        raise PayloadUnparsableError(f"payload does not parse: {exc}") from None
+    new_block = _parse_payload(edit.payload, {} if payloads is None else payloads)
     fn = unit.function(block_sid.function)
     return _with_body(unit, fn.name, _replace_at(fn.body, block_sid.path, new_block))
 
@@ -343,13 +366,16 @@ def _apply_swap(unit: SourceUnit, src: StatementId, dst: StatementId) -> SourceU
     return _with_body(unit, fn.name, body)
 
 
-def apply_patch(unit: SourceUnit, patch: Patch) -> SourceUnit:
-    """Apply all edits in order; raises ApplyError on the first failure."""
+def apply_patch(
+    unit: SourceUnit, patch: Patch, payloads: Optional[PayloadMemo] = None
+) -> SourceUnit:
+    """Apply all edits in order; raises ApplyError on the first failure.
+    LLM payloads go through the memo `payloads`, as in `apply_edit`."""
     if patch.base != unit.name:
         raise ValueError(f"patch targets {patch.base!r}, unit is {unit.name!r}")
     current = unit
     for edit in patch.edits:
-        current = apply_edit(current, edit)
+        current = apply_edit(current, edit, payloads)
     return current
 
 

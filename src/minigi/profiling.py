@@ -44,7 +44,10 @@ def profile(
     top_k: int = DEFAULT_TOP_K,
     step_budget: int = DEFAULT_STEP_BUDGET,
 ) -> HotMethodProfile:
-    """Profile a passing program over its test suite."""
+    """Profile a passing program over its test suite; ValueError for a
+    `top_k` below 1, which would slice the ranking from its end."""
+    if type(top_k) is not int or top_k < 1:
+        raise ValueError(f"top_k must be an integer of at least 1, got {top_k!r}")
     errors = validate(unit)
     if errors:
         raise ProfileOnFailingProgramError(f"cannot profile an invalid program ({errors[0]})")

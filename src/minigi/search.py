@@ -16,6 +16,11 @@ of the move they were requested for, so an accepted move discards them
 and the next append sends a new request: local search sends
 ceil(draws/variant_count) requests only while no move is accepted, random
 sampling always.
+
+LLM edits repeat their payload texts, so each driver run (one
+`random_sampling` call, one local-search run per method) owns a payload
+memo and passes it to every patch application, which then parses each
+distinct payload once per run. The memo lives no longer than the run.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from minigi.operators import (
     sample_insert_edit,
     sample_statement_edit,
 )
-from minigi.patches import Patch, apply_patch, serialize_patch
+from minigi.patches import Patch, PayloadMemo, apply_patch, serialize_patch
 from minigi.prompts import PromptCategory, PromptTemplate, make_llm_edits
 
 FAMILIES = ("statement", "insert", "llm-simple", "llm-medium", "llm-detailed")
@@ -176,9 +181,10 @@ def random_sampling(
     check_targets(unit, hot)
     check_families(cfg.families, llm)
     records: list[EvalRecord] = []
+    payloads: PayloadMemo = {}
     for family in cfg.families:
         for index, patch in enumerate(_draw_family(unit, hot, cfg, llm, family)):
-            result = evaluate(unit, patch, tests, toolchain, cfg.step_budget)
+            result = evaluate(unit, patch, tests, toolchain, cfg.step_budget, payloads)
             _record(family, index, patch, result, sink, records)
     return records
 
@@ -299,12 +305,13 @@ def _one_ls_run(unit, tests, cfg, toolchain, llm, method, records, sink) -> None
     _record(run_id, 0, empty, baseline, sink, records)
     assert baseline.runtime is not None
     state = SearchState(empty, baseline.runtime, unit)
+    payloads: PayloadMemo = {}
     for index in range(1, cfg.evals_per_run):
         neighbor = propose_neighbor(state, cfg.family, rng, method, llm)
-        result = evaluate(unit, neighbor, tests, toolchain, cfg.step_budget)
+        result = evaluate(unit, neighbor, tests, toolchain, cfg.step_budget, payloads)
         _record(run_id, index, neighbor, result, sink, records)
         if result.runtime is not None and result.runtime < state.current_runtime:
             state.current_patch = neighbor
             state.current_runtime = result.runtime
-            state.current_unit = apply_patch(unit, neighbor)
+            state.current_unit = apply_patch(unit, neighbor, payloads)
             state.llm_queue.clear()

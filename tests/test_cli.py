@@ -46,6 +46,16 @@ def test_profile_command(tmp_path, capsys):
     assert csv_text.startswith("function,steps,hot\nsort,")
 
 
+@pytest.mark.parametrize("top_k", ["0", "-1"])
+def test_profile_refuses_a_top_k_below_one(tmp_path, capsys, top_k):
+    """A negative top_k would slice the ranking from its end and drop the
+    last hot method without a word."""
+    out_dir = tmp_path / "out"
+    assert run("profile", SORT, SORT_TESTS, "--top-k", top_k, "--out-dir", str(out_dir)) == 2
+    assert f"top_k must be an integer of at least 1, got {top_k}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_sample_writes_log_with_budget_rows(tmp_path, capsys):
     code = run(
         "sample", MAX, MAX_TESTS, "--family", "statement",
@@ -239,6 +249,11 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
     toolchain = "adapter = external\ncompile_cmd = true\ntest_cmd = true\nmeasure_cmd = echo 7\n"
     for command, flags, config, complaint in [
         ("sample", ["--step-budget", "0"], "", "step_budget 0"),
+        ("sample", ["--top-k", "-1"], "", "top_k must be an integer of at least 1, got -1"),
+        ("sample", ["--family", "llm-medium", "--max-retries", "-1"], "",
+         "max_retries must be an integer of at least 0, got -1"),
+        ("ls", ["--family", "llm-medium", "--request-timeout", "0"], "",
+         "request_timeout must be a number above 0 seconds, got 0.0"),
         ("sample", ["--step-budget", "0", "--methods", "max2"], "",
          "step_budget must be an integer of at least 1, got 0"),
         ("sample", ["--budget", "-1"], "", "budget must be an integer of at least 1, got -1"),
@@ -422,18 +437,34 @@ def _builtin_adapter_with_toolchain(record):
     }
 
 
-def _zero_prompt_variants(record):
-    record["llm"] = {
+def _llm_section(client=(), prompt=()):
+    return {
         "client": {
             "endpoint_url": "http://localhost:9", "api_key_env_var": "KEY", "model": "m",
             "temperature": 0.7, "request_timeout": 1.0, "max_retries": 0,
-            "transcript_dir": "transcripts", "mode": "mock",
+            "transcript_dir": "transcripts", "mode": "mock", **dict(client),
         },
         "prompt": {
             "project_name": "bench_max", "language": "MiniLang", "code_label": "minilang",
-            "variant_count": 0,
+            "variant_count": 5, **dict(prompt),
         },
     }
+
+
+def _zero_prompt_variants(record):
+    record["llm"] = _llm_section(prompt={"variant_count": 0})
+
+
+def _negative_retries(record):
+    record["llm"] = _llm_section(client={"max_retries": -1})
+
+
+def _retries_as_true(record):
+    record["llm"] = _llm_section(client={"max_retries": True})
+
+
+def _zero_request_timeout(record):
+    record["llm"] = _llm_section(client={"request_timeout": 0})
 
 
 def _budget_in_words(record):
@@ -469,6 +500,10 @@ def _timeout_in_words(record):
 @pytest.mark.parametrize("tamper, complaint", [
     (_drop_budget, "run record: missing key 'budget'"),
     (_zero_prompt_variants, "llm.prompt: variant count must be at least 1"),
+    (_negative_retries, "llm.client: max_retries must be an integer of at least 0, got -1"),
+    (_retries_as_true, "llm.client: max_retries must be an integer of at least 0, got True"),
+    (_zero_request_timeout,
+     "llm.client: request_timeout must be a number above 0 seconds, got 0"),
     (_budget_in_words, 'budget: expected integer, got "five"'),
     (_log_outside_the_run, "log: a sample run logs to sample_log.csv"),
     (_zero_step_budget, "sample: step_budget must be an integer of at least 1, got 0"),
@@ -498,3 +533,4 @@ def test_replay_of_a_malformed_record_is_a_config_error(tmp_path, capsys, tamper
     assert run("replay", str(run_dir), "--out-dir", str(tmp_path / "again")) == 2
     err = capsys.readouterr().err
     assert str(meta_path) in err and complaint in err
+    assert not (tmp_path / "again").exists()

@@ -100,6 +100,33 @@ def test_evaluation_is_bit_deterministic(bench_sort):
     assert evaluate(unit, patch, tests) == evaluate(unit, patch, tests)
 
 
+def test_the_payload_memo_changes_no_result(bench_sort):
+    """A payload memo that already holds every payload, as a run's does
+    after its first evaluations, gives the results a fresh memo gives."""
+    unit, tests = bench_sort
+    body = sid("max2")
+    payloads = [
+        "{ if (y > x) { return y; } return x; }",  # Passed
+        "{ return x; }",  # CompiledOnly
+        "{ return z; }",  # ValidOnly
+        "{ return ((( ; }",  # Invalid: does not parse
+        None,  # Invalid: no code block
+    ]
+    patches = [
+        Patch("bench_sort", (Edit(EditKind.LLM_BLOCK_REPLACE, src=body, payload=text,
+                                  prompt_category="medium"),))
+        for text in payloads
+    ]
+    fresh = [evaluate(unit, patch, tests) for patch in patches]
+    assert [r.classification.value for r in fresh] == [
+        "Passed", "CompiledOnly", "ValidOnly", "Invalid", "Invalid",
+    ]
+    memo: dict = {}
+    for _ in range(2):
+        assert [evaluate(unit, patch, tests, payloads=memo) for patch in patches] == fresh
+    assert list(memo) == payloads[:4]
+
+
 def test_ladder_invariants_enforced(bench_sort):
     # a runtime is recorded if and only if the patch passed
     for classification in (

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import http.server
 import json
+import re
 import socket
 import threading
 
@@ -95,6 +96,21 @@ def test_make_client_dispatch(tmp_path):
     assert isinstance(make_client(LlmClientConfig(mode="live")), LiveLlmClient)
     with pytest.raises(ValueError):
         make_client(LlmClientConfig(mode="telepathy"))
+
+
+@pytest.mark.parametrize("field, value, complaint", [
+    ("max_retries", -1, "max_retries must be an integer of at least 0, got -1"),
+    ("max_retries", 1.0, "max_retries must be an integer of at least 0, got 1.0"),
+    ("request_timeout", 0, "request_timeout must be a number above 0 seconds, got 0"),
+    ("request_timeout", -2.5, "request_timeout must be a number above 0 seconds, got -2.5"),
+    ("request_timeout", float("nan"), "request_timeout must be a number above 0 seconds"),
+    ("request_timeout", "60", "request_timeout must be a number above 0 seconds, got '60'"),
+    ("mode", "telepathy", "mode must be one of live, replay, mock, got 'telepathy'"),
+])
+def test_client_config_refuses_bad_values(field, value, complaint):
+    with pytest.raises(ValueError, match=re.escape(complaint)):
+        LlmClientConfig(**{field: value})
+    assert LlmClientConfig(max_retries=0, request_timeout=1).max_retries == 0
 
 
 def test_live_request_shape(monkeypatch, tmp_path):

@@ -69,6 +69,9 @@ def test_top_k_truncates_ranking(bench_sort):
     prof = profile(unit, tests, top_k=1)
     assert prof.hot_set == ["sort"]
     assert list(prof.costs) == ["sort", "max2"]  # the ranking itself is not truncated
+    for bad in (0, -1, True):  # -1 would drop the last method of the ranking
+        with pytest.raises(ValueError, match=f"top_k must be an integer of at least 1, got {bad}"):
+            profile(unit, tests, top_k=bad)
 
 
 # Three functions with the same self cost, each called by its own test.

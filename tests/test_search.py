@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import hashlib
 import random
+import re
 import time
+import traceback
 from collections import Counter
 
 import pytest
 
 from minigi.lang import source_digest
 from minigi.llm import LlmClientConfig, MockLlmClient
-from minigi.patches import Patch, split_patch_line
+from minigi.patches import Patch, PayloadUnparsableError, split_patch_line
 from minigi.prompts import PromptTemplate
 from minigi.search import (
     EvalRecord,
@@ -428,3 +431,98 @@ def test_adversarial_rewrites_each_log_a_row_within_a_wall_bound():
     assert [r.classification for r in records[:5]] == [
         "CompiledOnly", "CompiledOnly", "Passed", "Invalid", "Invalid",
     ]
+
+
+# -- the per-run payload memo --
+
+LOGGED_PAYLOAD = re.compile(r",([0-9a-f]{64})\)")
+
+
+def count_parses(monkeypatch) -> list[str]:
+    """Every text `apply_edit` hands to the parser from now on."""
+    import minigi.patches as patches
+
+    parsed: list[str] = []
+    real = patches.parse_block
+
+    def parse_block(text):
+        parsed.append(text)
+        return real(text)
+
+    monkeypatch.setattr(patches, "parse_block", parse_block)
+    return parsed
+
+
+def logged_payloads(records) -> list[str]:
+    """The payload digest of every LLM edit with code in every logged patch."""
+    return [d for r in records for d in LOGGED_PAYLOAD.findall(r.patch_line)]
+
+
+def digests(texts) -> list[str]:
+    return sorted(hashlib.sha256(t.encode("utf-8")).hexdigest() for t in texts)
+
+
+def test_sampling_parses_each_distinct_payload_once_per_run(bench_sort, monkeypatch):
+    unit, tests = bench_sort
+    parsed = count_parses(monkeypatch)
+    cfg = RandomSamplingConfig(families=("llm-medium",), per_family_budget=40, seed=3)
+    first = random_sampling(unit, tests, ["sort", "max2"], cfg, llm=mock_context())
+    logged = logged_payloads(first)
+    assert len(logged) > 3 * len(set(logged))  # the mock repeats its payloads
+    assert digests(parsed) == sorted(set(logged))
+    # the memo lives no longer than its run: running it again parses them again
+    second = random_sampling(unit, tests, ["sort", "max2"], cfg, llm=mock_context())
+    assert second == first
+    assert digests(parsed) == sorted(2 * list(set(logged)))
+
+
+def test_local_search_parses_each_distinct_payload_once_across_moves(monkeypatch):
+    """Every evaluation re-applies the current patch's edits, and an
+    accepted move applies the patch once more; none of these parses a
+    payload the run has already parsed."""
+    from minigi.lang import parse_source, parse_test_file
+
+    unit = parse_source(
+        "fn f(n: int) -> int { var s: int = 0; s = s + n; s = s + 0; return s; }", "slow"
+    )
+    tests = parse_test_file("test five: f(5) == 5")
+    variants = ["{ return n; }"] + ["{ return n + 0; }"] * 3 + ["{ return ((( ; }"]
+    response = "\n".join(f"```\n{v}\n```" for v in variants)
+    parsed = count_parses(monkeypatch)
+    cfg = LocalSearchConfig(family="llm-medium", runs=("f",), evals_per_run=40, seed=0)
+    records = local_search(unit, tests, cfg, llm=mock_context(lambda _: response))
+    assert records[1].runtime is not None and records[1].runtime < records[0].runtime
+    edit_counts = Counter(len(split_patch_line(r.patch_line)[1].split(" ; ")) for r in records)
+    assert edit_counts[2] > 10  # appends to the accepted one-edit patch
+    assert len(logged_payloads(records)) > 30
+    assert sorted(parsed) == sorted(set(variants))
+
+
+def test_a_repeated_unparsable_payload_raises_a_fresh_error_each_time(bench_sort, monkeypatch):
+    """The memo keeps an error's message, not the exception: one stored
+    exception raised again would grow its traceback on every raise."""
+    import minigi.evaluation as evaluation
+
+    unit, tests = bench_sort
+    parsed = count_parses(monkeypatch)
+    raised: list[PayloadUnparsableError] = []
+    real_apply_patch = evaluation.apply_patch
+
+    def apply_patch(*args):
+        try:
+            return real_apply_patch(*args)
+        except PayloadUnparsableError as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(evaluation, "apply_patch", apply_patch)
+    client = MockLlmClient(LlmClientConfig(mode="mock"), script=["```\nnot ((( code\n```"] * 3)
+    llm = LlmSearchContext(client, PromptTemplate(project_name="bench", variant_count=1))
+    cfg = RandomSamplingConfig(families=("llm-medium",), per_family_budget=3, seed=1)
+    records = random_sampling(unit, tests, ["sort"], cfg, llm=llm)
+    assert [r.classification for r in records] == ["Invalid"] * 3
+    assert parsed == ["not ((( code"]
+    assert len(raised) == 3 and len({id(exc) for exc in raised}) == 3
+    assert len({str(exc) for exc in raised}) == 1
+    assert str(raised[0]).startswith("payload does not parse: ")
+    assert len({len(traceback.extract_tb(exc.__traceback__)) for exc in raised}) == 1
