@@ -16,6 +16,16 @@ Failures of the toolchain itself (missing binaries, unparsable
 measurements, a hung measurement) raise InfrastructureError and are never
 misfiled as patch failures. `subprocess` loads on the first external
 command, so the builtin backend does not hold it in memory.
+
+A driver run passes every evaluation one `BaseProgram`, built from its
+base program and tests and living no longer than the run. It holds each
+LLM payload parsed once and, keyed on the identity of the base's own
+functions, their canonical text, semantic errors and compiled closures,
+plus each test's checked and compiled harness call. Patch application
+keeps every function a patch does not edit as the base's own object, so
+an evaluation prints, validates and compiles only the functions its
+patch changed, and the external backend prints the unpatched program
+once per run. No result depends on it.
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from minigi.lang.ast import SourceUnit
+from minigi.lang.ast import BaseProgram, SourceUnit
 from minigi.lang.interpreter import (
     DEFAULT_STEP_BUDGET,
     Status,
@@ -40,7 +50,7 @@ from minigi.lang.interpreter import (
 )
 from minigi.lang.printer import print_canonical, source_digest
 from minigi.lang.semantics import validate
-from minigi.patches import ApplyError, Patch, PayloadMemo, apply_patch
+from minigi.patches import ApplyError, Patch, apply_patch
 
 if TYPE_CHECKING:
     import subprocess
@@ -125,19 +135,24 @@ def evaluate(
     tests: list[TestCase],
     toolchain: Optional[ExternalToolchain] = None,
     step_budget: int = DEFAULT_STEP_BUDGET,
-    payloads: Optional[PayloadMemo] = None,
+    base: Optional[BaseProgram] = None,
 ) -> EvaluationResult:
     """Classify one patch: on `toolchain` when given, else on the built-in
-    backend, which is deterministic. `payloads` is the run's payload memo
-    (see `apply_patch`); it changes no result."""
+    backend, which is deterministic.
+
+    `base` is the run's BaseProgram (see the module docstring), built
+    from this very `unit` and `tests` object; ValueError for one built
+    from another program. It changes no result."""
+    if base is not None and (base.unit is not unit or base.tests is not tests):
+        raise ValueError("evaluate takes the BaseProgram of its own program and tests")
     try:
-        patched = apply_patch(unit, patch, payloads)
+        patched = apply_patch(unit, patch, None if base is None else base.payloads)
     except ApplyError:
         return EvaluationResult(Classification.INVALID)
-    digest = source_digest(patched)
+    digest = source_digest(patched, base)
     if toolchain is None:
-        return _evaluate_builtin(patched, tests, step_budget, digest)
-    return _evaluate_external(unit, patched, tests, toolchain, digest)
+        return _evaluate_builtin(patched, tests, step_budget, digest, base)
+    return _evaluate_external(unit, patched, tests, toolchain, digest, base)
 
 
 def _evaluate_builtin(
@@ -145,10 +160,11 @@ def _evaluate_builtin(
     tests: list[TestCase],
     step_budget: int,
     digest: str,
+    base: Optional[BaseProgram],
 ) -> EvaluationResult:
-    if validate(patched):
+    if validate(patched, base):
         return EvaluationResult(Classification.VALID_ONLY, fingerprint=digest)
-    outcomes = run_suite(patched, tests, step_budget)
+    outcomes = run_suite(patched, tests, step_budget, base=base)
     failed = sum(1 for o in outcomes if o.status is not Status.PASS)
     if failed:
         return EvaluationResult(
@@ -210,6 +226,7 @@ def _evaluate_external(
     tests: list[TestCase],
     toolchain: ExternalToolchain,
     digest: str,
+    base: Optional[BaseProgram],
 ) -> EvaluationResult:
     import subprocess
 
@@ -217,8 +234,8 @@ def _evaluate_external(
         workdir = Path(tmp)
         src = workdir / "original.ml"
         patched_file = workdir / "patched.ml"
-        src.write_text(print_canonical(unit), encoding="utf-8")
-        patched_file.write_text(print_canonical(patched), encoding="utf-8")
+        src.write_text(print_canonical(unit, base), encoding="utf-8")
+        patched_file.write_text(print_canonical(patched, base), encoding="utf-8")
         mapping = {
             "SRC": str(src),
             "PATCHED_FILE": str(patched_file),

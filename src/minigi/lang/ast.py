@@ -25,6 +25,10 @@ A statement is a "list statement" when its parent is a Block, i.e. it sits
 in a statement list and can be deleted, replaced or swapped. Structural
 blocks (if branches, loop bodies) are addressable but are not list
 statements.
+
+`BaseProgram` is not a record: it is the store in which the printer, the
+validator and the interpreter keep, for one driver run, what they derive
+from the run's unpatched program and its tests.
 """
 
 from __future__ import annotations
@@ -235,6 +239,45 @@ class SourceUnit:
 
     def has_function(self, name: str) -> bool:
         return any(fn.name == name for fn in self.functions)
+
+
+class BaseProgram:
+    """The unpatched program of one driver run, its tests, and the work each
+    layer does on them once for the whole run.
+
+    An edit changes function bodies and nothing else (no name, parameter
+    or return type), and patch application keeps every function it leaves
+    untouched as the base's own `Function` object. So whatever depends on one base function and
+    the (shared) signatures alone holds for every patch of the run: its
+    canonical text (`texts`, printer), its semantic errors (`errors`,
+    semantics) and its compiled closures (`compiled`, interpreter). Each
+    is keyed by function name and used only for the base's own object
+    (`owns`), never for an equal one, so an entry cannot outlive what it
+    was made from; a patched function is worked on afresh and nothing of
+    it is kept. `harness` holds each test's checked and compiled harness
+    call by position in `tests`, `machine` the interpreter state its
+    closures share, and `payloads` each LLM payload text parsed once (see
+    `patches.apply_patch`). The object lives no longer than its run."""
+
+    __slots__ = (
+        "unit", "tests", "functions", "payloads", "texts", "errors", "compiled", "harness",
+        "machine",
+    )
+
+    def __init__(self, unit: SourceUnit, tests):
+        self.unit = unit
+        self.tests = tests
+        self.functions = {fn.name: fn for fn in unit.functions}
+        self.payloads: dict = {}
+        self.texts: dict[str, str] = {}
+        self.errors: dict[str, list] = {}
+        self.compiled: dict[str, tuple] = {}
+        self.harness: dict[int, object] = {}
+        self.machine = None
+
+    def owns(self, fn: Function) -> bool:
+        """Whether `fn` is the base program's own object, not a patched copy."""
+        return self.functions.get(fn.name) is fn
 
 
 # --- statement addressing ---

@@ -10,8 +10,15 @@ closures of its children, so the dispatch on node kinds happens once per
 node instead of once per step. A parent reads a variable or literal
 operand inline, a block of one statement runs as that statement, and
 what follows a `break`, `continue` or `return` in a block is compiled for
-its nesting but never runs. The compiled form lives for one `run_suite`
-call and is shared by its tests and, through `profile`, by profiling.
+its nesting but never runs. A compiled function is shared by the tests of
+its suite and, through `profile`, by profiling. Without a BaseProgram it
+lives for one `run_suite` call. With one (`ast.BaseProgram`, one per
+driver run), the closures of the base program's own functions and of each
+test's harness call are kept in it and reused by every suite of the run:
+a compiled body refers to no program, only to the run's one machine,
+which each suite points at its own functions, and a call finds its callee
+by name in the running program. What is compiled from a patched function
+is dropped when its suite ends.
 
 Precondition. `run_suite` runs only programs that `semantics.validate`
 accepts, and relies on it: names are declared before use, values have
@@ -20,8 +27,11 @@ call names a function with as many parameters as it passes arguments,
 `print` is a statement, `break` and `continue` sit inside loops and a
 non-void function returns a value on every path. None of this is checked
 again while a program runs. The one input validation never sees is each
-test's harness call; `run_suite` checks it with `semantics.check_call`,
-and a call that fails the check is that test's RUNTIME_ERROR outcome.
+test's harness call. It is checked with `semantics.check_call` and
+compiled before the test runs, once per `run_suite` call or, with a
+BaseProgram, once per run: a patch changes no signature, so the verdict
+holds for every patch. A call that fails the check is that test's
+RUNTIME_ERROR outcome.
 
 Variables. A call keeps all its variables in one dict. Blocks and `for`
 init clauses push no scope: validation forbids shadowing and enforces
@@ -69,11 +79,17 @@ Depth rule. A call fails with "call depth exceeded" when MAX_CALL_DEPTH
 calls are active, or when the weights of the active calls would exceed
 MAX_NESTING_WEIGHT. A call weighs one more than the deepest nesting of
 statements and expressions in its function, which compiling measures, so
-the verdict is a function of the program alone. Compiling a level of
-nesting takes at most _HOST_FRAMES_PER_LEVEL nested host calls and running
-it at most two, and `run_suite` lifts Python's recursion limit by enough
-frames for the whole weight, so the MiniLang limit is always reached
-first, also for mutants nested deeper than the parser allows.
+the verdict is a function of the program alone. The first call compiles
+the callee only as deep as fits beside the active calls and fails when it
+does not fit, storing nothing; every later call, in this suite or (for a
+base function) a later one, applies the same condition to the stored
+weight, so a function refused under deep calls still runs when it is
+reached shallowly, with the same outcome as in a fresh suite. Compiling
+a level of nesting takes at most _HOST_FRAMES_PER_LEVEL nested host calls
+and running it at most two, and `run_suite` lifts Python's recursion
+limit by enough frames for the whole weight, so the MiniLang limit is
+always reached first, also for mutants nested deeper than the parser
+allows.
 
 Integers are 64-bit two's complement, as in Java: `+`, `-`, `*`, unary
 `-`, `/` and `%` wrap, `/` truncates toward zero and `%` takes the sign
@@ -91,6 +107,7 @@ from enum import Enum
 from minigi.lang.ast import (
     ArrayLit,
     Assign,
+    BaseProgram,
     Binary,
     Block,
     BoolLit,
@@ -100,6 +117,7 @@ from minigi.lang.ast import (
     Expr,
     ExprStmt,
     For,
+    Function,
     If,
     Index,
     IntLit,
@@ -213,23 +231,38 @@ _OPERATORS = {
 
 
 class _Machine:
-    """What the compiled closures of one `run_suite` share: the functions
-    compiled so far and the counters of the test that is running."""
+    """What compiled closures share: the functions of the suite that is
+    running, those compiled so far and the counters of the running test.
+    Without a BaseProgram a machine serves one `run_suite`; with one it
+    serves every suite of the run, and the base's own functions and the
+    harness calls stay compiled between suites."""
 
     __slots__ = (
-        "unit", "functions", "compiled", "budget", "profile", "steps", "calls", "weight", "inner"
+        "base", "functions", "compiled", "budget", "profile", "steps", "calls", "weight", "inner"
     )
 
-    def __init__(self, unit: SourceUnit, budget: int, profile: dict[str, int] | None):
-        self.unit = unit
-        self.functions = {fn.name: fn for fn in unit.functions}
+    def __init__(self, base: BaseProgram | None):
+        self.base = base
+        self.functions: dict[str, Function] = {}
         self.compiled: dict[str, tuple[int, Callable, int]] = {}
-        self.budget = budget
-        self.profile = profile
+        self.budget = 0
+        self.profile: dict[str, int] | None = None
         self.steps = 0
         self.calls = 0  # active MiniLang calls
         self.weight = 0  # summed weight of the active calls
         self.inner = [0]  # profiling: steps of the callees of each open call
+
+    def start(self, unit: SourceUnit, budget: int, profile: dict[str, int] | None) -> None:
+        self.functions = {fn.name: fn for fn in unit.functions}
+        self.budget = budget
+        self.profile = profile
+
+    def finish(self) -> None:
+        """Drop the suite's program and what was compiled from it alone;
+        the closures refer back to the machine."""
+        self.functions = {}
+        self.compiled.clear()
+        self.profile = None
 
     def charge(self, steps: int) -> None:
         self.steps += steps
@@ -238,15 +271,37 @@ class _Machine:
 
     def callee(self, name: str) -> tuple[int, Callable, int]:
         """The compiled function `name`: the steps its body charges first,
-        the body and its weight. Compiling fails with the depth error when
-        the weight would not fit beside the active calls."""
+        the body and its weight. Compiling stops with the depth error when
+        the function's nesting would not fit beside the active calls; a
+        function compiled earlier is held to the same rule at each call."""
         entry = self.compiled.get(name)
         if entry is None:
-            compiler = _Compiler(self, MAX_NESTING_WEIGHT - self.weight - 1)
-            lead, body, _flat = compiler.node(self.functions[name].body)
-            entry = (lead, body, compiler.deepest + 1)
+            fn, base = self.functions[name], self.base
+            owned = base is not None and base.owns(fn)
+            if owned:
+                entry = base.compiled.get(name)
+            if entry is None:
+                compiler = _Compiler(self, MAX_NESTING_WEIGHT - self.weight - 1)
+                lead, body, _flat = compiler.node(fn.body)
+                entry = (lead, body, compiler.deepest + 1)
+                if owned:
+                    base.compiled[name] = entry
             self.compiled[name] = entry
         return entry
+
+    def harness(self, unit: SourceUnit, test: TestCase) -> tuple[int, Callable, int] | str:
+        """`test`'s harness call compiled: the steps it charges first, its
+        closure and its weight; or the message of the error that makes the
+        test a RUNTIME_ERROR before any step is charged."""
+        errors = check_call(unit, test.call)
+        if errors:
+            return errors[0].message
+        compiler = _Compiler(self, MAX_NESTING_WEIGHT)
+        try:
+            lead, call, _flat = compiler.node(test.call)
+        except MiniLangRuntimeError as exc:
+            return str(exc)
+        return lead, call, compiler.deepest
 
     def profiled(self, name: str, lead: int, body: Callable, env: dict) -> object:
         """Run a call's body, charging its own steps to `name`. The budget
@@ -264,18 +319,15 @@ class _Machine:
                 self.profile[name] = self.profile.get(name, 0) + own
             self.inner[-1] += spent
 
-    def run(self, test: TestCase) -> ExecutionOutcome:
-        errors = check_call(self.unit, test.call)
-        if errors:
-            return ExecutionOutcome(Status.RUNTIME_ERROR, 0, error=errors[0].message)
+    def run(self, test: TestCase, harness: tuple[int, Callable, int] | str) -> ExecutionOutcome:
+        if type(harness) is str:
+            return ExecutionOutcome(Status.RUNTIME_ERROR, 0, error=harness)
+        lead, call, self.weight = harness
         self.steps = self.calls = 0
         self.inner = [0]
         try:
-            compiler = _Compiler(self, MAX_NESTING_WEIGHT)
-            lead, harness, _flat = compiler.node(test.call)
-            self.weight = compiler.deepest
             self.charge(lead)
-            value = harness({})
+            value = call({})
         except _Timeout:
             return ExecutionOutcome(Status.TIMEOUT, self.budget)
         except MiniLangRuntimeError as exc:
@@ -762,6 +814,7 @@ def run_suite(
     tests: list[TestCase],
     step_budget: int = DEFAULT_STEP_BUDGET,
     profile: dict[str, int] | None = None,
+    base: BaseProgram | None = None,
 ) -> list[ExecutionOutcome]:
     """Run every test independently; no short-circuiting on failure.
 
@@ -772,17 +825,40 @@ def run_suite(
     by the tests; a call's variables live in one dict. `profile`, when
     given, accumulates each function's self cost in steps, and
     HARNESS_FRAME's. The process's recursion limit is lifted while the
-    suite runs, so run one suite at a time per process."""
+    suite runs, so run one suite at a time per process.
+
+    With `base`, the run's BaseProgram, `unit` must be a patch of
+    `base.unit` (same functions, same signatures) and `tests` must be
+    `base.tests`. Each test's harness call is then checked and compiled
+    once per run, and each of the base's own functions, recognised by
+    object identity, compiled once per run; both are kept in `base`,
+    which lives no longer than the run. What is compiled from a patched
+    function is dropped when the suite ends. Outcomes are the same as
+    without `base`."""
     if step_budget <= 0:
         raise ValueError("step budget must be positive")
-    machine = _Machine(unit, step_budget, profile)
+    if base is None:
+        machine, harness = _Machine(None), {}
+    else:
+        if tests is not base.tests:
+            raise ValueError("run_suite takes the tests its BaseProgram was built with")
+        if base.machine is None:
+            base.machine = _Machine(base)
+        machine, harness = base.machine, base.harness
+    machine.start(unit, step_budget, profile)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + _HOST_FRAMES)
     try:
-        return [machine.run(t) for t in tests]
+        outcomes = []
+        for i, test in enumerate(tests):
+            compiled = harness.get(i)
+            if compiled is None:
+                compiled = harness[i] = machine.harness(unit, test)
+            outcomes.append(machine.run(test, compiled))
+        return outcomes
     finally:
         sys.setrecursionlimit(limit)
-        machine.compiled.clear()  # the closures refer back to the machine
+        machine.finish()
 
 
 # -- test-file format: `test <name>: <callExpr> == <literal>` --

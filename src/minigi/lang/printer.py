@@ -13,6 +13,7 @@ import hashlib
 from minigi.lang.ast import (
     ArrayLit,
     Assign,
+    BaseProgram,
     Binary,
     Block,
     BoolLit,
@@ -167,16 +168,28 @@ def _function_lines(fn: Function) -> list[str]:
     return lines
 
 
-def print_canonical(unit: SourceUnit) -> str:
-    """Canonical text of a whole unit; single trailing newline, LF endings."""
-    chunks = ["\n".join(_function_lines(fn)) for fn in unit.functions]
+def _function_text(fn: Function, base: BaseProgram | None) -> str:
+    if base is None or not base.owns(fn):
+        return "\n".join(_function_lines(fn))
+    text = base.texts.get(fn.name)
+    if text is None:
+        text = base.texts[fn.name] = "\n".join(_function_lines(fn))
+    return text
+
+
+def print_canonical(unit: SourceUnit, base: BaseProgram | None = None) -> str:
+    """Canonical text of a whole unit; single trailing newline, LF endings.
+
+    With `base`, the run's BaseProgram, each of the base's own functions
+    is printed once per run and its text reused."""
+    chunks = [_function_text(fn, base) for fn in unit.functions]
     return "\n\n".join(chunks) + "\n"
 
 
-def source_digest(unit: SourceUnit) -> str:
-    """SHA-256 hex digest of the canonical printing.
+def source_digest(unit: SourceUnit, base: BaseProgram | None = None) -> str:
+    """SHA-256 hex digest of the canonical printing (`base` as there).
 
     Digest equality is used as syntactic program equality; collision risk
     is delegated to the 256-bit hash.
     """
-    return hashlib.sha256(print_canonical(unit).encode("utf-8")).hexdigest()
+    return hashlib.sha256(print_canonical(unit, base).encode("utf-8")).hexdigest()

@@ -14,6 +14,7 @@ from __future__ import annotations
 from minigi.lang.ast import (
     ArrayLit,
     Assign,
+    BaseProgram,
     Binary,
     Block,
     BoolLit,
@@ -72,17 +73,19 @@ class _Scope:
 
 
 class _Checker:
-    def __init__(self, unit: SourceUnit):
+    def __init__(self, unit: SourceUnit, signatures: dict[str, Function] | None = None):
         self.unit = unit
         self.errors: list[SemanticError] = []
-        self.signatures = {fn.name: fn for fn in unit.functions}
+        if signatures is None:
+            signatures = {fn.name: fn for fn in unit.functions}
+        self.signatures = signatures
         self.current: Function | None = None
 
     def error(self, message: str) -> None:
         name = self.current.name if self.current is not None else ""
         self.errors.append(SemanticError(name, message))
 
-    def run(self) -> list[SemanticError]:
+    def check_names(self) -> None:
         seen = set()
         for fn in self.unit.functions:
             if fn.name in BUILTINS:
@@ -90,9 +93,6 @@ class _Checker:
             if fn.name in seen:
                 self.errors.append(SemanticError("", f"duplicate function {fn.name!r}"))
             seen.add(fn.name)
-        for fn in self.unit.functions:
-            self.check_function(fn)
-        return self.errors
 
     def check_function(self, fn: Function) -> None:
         self.current = fn
@@ -307,9 +307,29 @@ def _always_returns(stmt: Stmt) -> bool:
     return False
 
 
-def validate(unit: SourceUnit) -> list[SemanticError]:
-    """All semantic errors in the unit; empty list means it compiles."""
-    return _Checker(unit).run()
+def validate(unit: SourceUnit, base: BaseProgram | None = None) -> list[SemanticError]:
+    """All semantic errors in the unit, the unit-level ones first, then each
+    function's in function order; an empty list means it compiles.
+
+    With `base`, the run's BaseProgram, `unit` must be a patch of
+    `base.unit`: same functions, same signatures. The signature table is
+    then the base's, and each of the base's own functions is checked once
+    per run and its errors reused; only the bodies a patch changed are
+    checked again."""
+    checker = _Checker(unit, None if base is None else base.functions)
+    checker.check_names()
+    for fn in unit.functions:
+        if base is None or not base.owns(fn):
+            checker.check_function(fn)
+            continue
+        found = base.errors.get(fn.name)
+        if found is None:
+            start = len(checker.errors)
+            checker.check_function(fn)
+            base.errors[fn.name] = checker.errors[start:]
+        else:
+            checker.errors.extend(found)
+    return checker.errors
 
 
 def check_call(unit: SourceUnit, call: Call) -> list[SemanticError]:

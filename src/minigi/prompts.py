@@ -23,6 +23,7 @@ variants become edits with no payload, which later fail the validity rung.
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 from dataclasses import dataclass, field
@@ -45,7 +46,10 @@ class PromptCategory(Enum):
     DETAILED = "detailed"
 
 
+@functools.cache
 def _load_template(name: str) -> str:
+    """A packaged template's text, read once per process: the installed
+    files do not change while it runs."""
     return (resources.files("minigi") / "templates" / name).read_text(encoding="utf-8")
 
 
@@ -56,7 +60,9 @@ def default_example_change() -> str:
 
 @dataclass(frozen=True)
 class PromptTemplate:
-    """Prompt settings of a run, stored as the run record's `llm.prompt`."""
+    """Prompt settings of a run, stored as the run record's `llm.prompt`.
+    Construction refuses a text field that is not a string and a
+    `variant_count` that is not an integer of at least 1."""
 
     project_name: str = ""
     language: str = "MiniLang"
@@ -64,8 +70,14 @@ class PromptTemplate:
     variant_count: int = DEFAULT_VARIANT_COUNT
 
     def __post_init__(self):
-        if self.variant_count < 1:
-            raise ValueError("variant count must be at least 1")
+        for name in ("project_name", "language", "code_label"):
+            value = getattr(self, name)
+            if type(value) is not str:
+                raise ValueError(f"{name} must be a string, got {value!r}")
+        if type(self.variant_count) is not int or self.variant_count < 1:  # a JSON true is no count
+            raise ValueError(
+                f"variant_count must be an integer of at least 1, got {self.variant_count!r}"
+            )
 
 
 _PLACEHOLDER = re.compile(r"<(code|projectname|count|language|codelabel|example)>")

@@ -17,10 +17,17 @@ and the next append sends a new request: local search sends
 ceil(draws/variant_count) requests only while no move is accepted, random
 sampling always.
 
-LLM edits repeat their payload texts, so each driver run (one
-`random_sampling` call, one local-search run per method) owns a payload
-memo and passes it to every patch application, which then parses each
-distinct payload once per run. The memo lives no longer than the run.
+Each driver run (one `random_sampling` call, one local-search run per
+method) builds one `BaseProgram` from its base program and tests and
+passes it to every evaluation and to the patch application of an
+accepted move. It holds the work the run's evaluations share: each
+distinct LLM payload parsed once, and for each function of the base
+program, keyed on the identity of the base's own `Function` object, its
+canonical text, semantic errors and compiled closures, plus each test's
+checked and compiled harness call. A patch leaves every function it does
+not edit as the base's own object, so an evaluation prints, validates
+and compiles only the functions its patch changed. The object lives no
+longer than the run, and it changes no record.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from minigi.evaluation import EvaluationResult, ExternalToolchain, evaluate
-from minigi.lang.ast import SourceUnit
+from minigi.lang.ast import BaseProgram, SourceUnit
 from minigi.lang.interpreter import DEFAULT_STEP_BUDGET, TestCase
 from minigi.llm import LlmClientBase
 from minigi.operators import (
@@ -39,7 +46,7 @@ from minigi.operators import (
     sample_insert_edit,
     sample_statement_edit,
 )
-from minigi.patches import Patch, PayloadMemo, apply_patch, serialize_patch
+from minigi.patches import Patch, apply_patch, serialize_patch
 from minigi.prompts import PromptCategory, PromptTemplate, make_llm_edits
 
 FAMILIES = ("statement", "insert", "llm-simple", "llm-medium", "llm-detailed")
@@ -181,10 +188,10 @@ def random_sampling(
     check_targets(unit, hot)
     check_families(cfg.families, llm)
     records: list[EvalRecord] = []
-    payloads: PayloadMemo = {}
+    base = BaseProgram(unit, tests)
     for family in cfg.families:
         for index, patch in enumerate(_draw_family(unit, hot, cfg, llm, family)):
-            result = evaluate(unit, patch, tests, toolchain, cfg.step_budget, payloads)
+            result = evaluate(unit, patch, tests, toolchain, cfg.step_budget, base)
             _record(family, index, patch, result, sink, records)
     return records
 
@@ -296,7 +303,8 @@ def _one_ls_run(unit, tests, cfg, toolchain, llm, method, records, sink) -> None
     run_seed = f"{cfg.seed}:ls:{cfg.family}:{method}"
     rng = random.Random(run_seed)
     empty = Patch(unit.name, (), run_seed)
-    baseline = evaluate(unit, empty, tests, toolchain, cfg.step_budget)
+    base = BaseProgram(unit, tests)
+    baseline = evaluate(unit, empty, tests, toolchain, cfg.step_budget, base)
     if not baseline.passed:
         raise SearchSetupError(
             f"unpatched program fails its tests ({baseline.tests_failed} failing); "
@@ -305,13 +313,12 @@ def _one_ls_run(unit, tests, cfg, toolchain, llm, method, records, sink) -> None
     _record(run_id, 0, empty, baseline, sink, records)
     assert baseline.runtime is not None
     state = SearchState(empty, baseline.runtime, unit)
-    payloads: PayloadMemo = {}
     for index in range(1, cfg.evals_per_run):
         neighbor = propose_neighbor(state, cfg.family, rng, method, llm)
-        result = evaluate(unit, neighbor, tests, toolchain, cfg.step_budget, payloads)
+        result = evaluate(unit, neighbor, tests, toolchain, cfg.step_budget, base)
         _record(run_id, index, neighbor, result, sink, records)
         if result.runtime is not None and result.runtime < state.current_runtime:
             state.current_patch = neighbor
             state.current_runtime = result.runtime
-            state.current_unit = apply_patch(unit, neighbor, payloads)
+            state.current_unit = apply_patch(unit, neighbor, base.payloads)
             state.llm_queue.clear()

@@ -455,6 +455,22 @@ def _zero_prompt_variants(record):
     record["llm"] = _llm_section(prompt={"variant_count": 0})
 
 
+def _fractional_prompt_variants(record):
+    record["llm"] = _llm_section(prompt={"variant_count": 2.5})
+
+
+def _prompt_variants_as_true(record):
+    record["llm"] = _llm_section(prompt={"variant_count": True})
+
+
+def _prompt_variants_in_quotes(record):
+    record["llm"] = _llm_section(prompt={"variant_count": "5"})
+
+
+def _project_name_as_number(record):
+    record["llm"] = _llm_section(prompt={"project_name": 5})
+
+
 def _negative_retries(record):
     record["llm"] = _llm_section(client={"max_retries": -1})
 
@@ -499,7 +515,14 @@ def _timeout_in_words(record):
 
 @pytest.mark.parametrize("tamper, complaint", [
     (_drop_budget, "run record: missing key 'budget'"),
-    (_zero_prompt_variants, "llm.prompt: variant count must be at least 1"),
+    (_zero_prompt_variants, "llm.prompt: variant_count must be an integer of at least 1, got 0"),
+    (_fractional_prompt_variants,
+     "llm.prompt: variant_count must be an integer of at least 1, got 2.5"),
+    (_prompt_variants_as_true,
+     "llm.prompt: variant_count must be an integer of at least 1, got True"),
+    (_prompt_variants_in_quotes,
+     "llm.prompt: variant_count must be an integer of at least 1, got '5'"),
+    (_project_name_as_number, "llm.prompt: project_name must be a string, got 5"),
     (_negative_retries, "llm.client: max_retries must be an integer of at least 0, got -1"),
     (_retries_as_true, "llm.client: max_retries must be an integer of at least 0, got True"),
     (_zero_request_timeout,

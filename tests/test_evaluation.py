@@ -14,7 +14,7 @@ from minigi.evaluation import (
     InfrastructureError,
     evaluate,
 )
-from minigi.lang.ast import StatementId
+from minigi.lang.ast import BaseProgram, StatementId
 from minigi.patches import Edit, EditKind, InsertionPoint, Patch
 
 from oracles import sort_call_steps, sort_planted_cost
@@ -101,8 +101,9 @@ def test_evaluation_is_bit_deterministic(bench_sort):
 
 
 def test_the_payload_memo_changes_no_result(bench_sort):
-    """A payload memo that already holds every payload, as a run's does
-    after its first evaluations, gives the results a fresh memo gives."""
+    """A run's payload memo (`BaseProgram.payloads`) that already holds
+    every payload, as it does after the run's first evaluations, gives the
+    results a fresh memo gives."""
     unit, tests = bench_sort
     body = sid("max2")
     payloads = [
@@ -121,10 +122,10 @@ def test_the_payload_memo_changes_no_result(bench_sort):
     assert [r.classification.value for r in fresh] == [
         "Passed", "CompiledOnly", "ValidOnly", "Invalid", "Invalid",
     ]
-    memo: dict = {}
+    base = BaseProgram(unit, tests)
     for _ in range(2):
-        assert [evaluate(unit, patch, tests, payloads=memo) for patch in patches] == fresh
-    assert list(memo) == payloads[:4]
+        assert [evaluate(unit, patch, tests, base=base) for patch in patches] == fresh
+    assert list(base.payloads) == payloads[:4]
 
 
 def test_ladder_invariants_enforced(bench_sort):

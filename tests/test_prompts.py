@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
+import minigi.prompts as prompts
 from minigi.lang.ast import block_ids
 from minigi.llm import LlmClientConfig, MockLlmClient
 from minigi.patches import EditKind, apply_edit
@@ -212,3 +215,45 @@ def test_prompt_code_is_canonical_block_text(bench_sort):
 
     code = extract_code_blocks(captured["prompt"])[0]
     parse_block(code)
+
+
+def test_build_prompt_reads_each_template_once_per_process():
+    """The pinned text of every category, built repeatedly: each packaged
+    template is read from disk on its first use only."""
+    code = "{\n    return n;\n}\n"
+    template = PromptTemplate(project_name="p", language="L", code_label="l", variant_count=3)
+    request = "Give me 3 different L implementations of this method body:\n```\n{\n    return n;\n}\n```\n"
+    medium = (
+        request + "This code belongs to project p.\n"
+        "Wrap all code in curly braces, if it is not already.\n"
+        "Do not include any method or class declarations.\n"
+        "label all code as l.\n"
+    )
+    example = default_example_change().rstrip("\n")
+    pinned = {
+        PromptCategory.SIMPLE: request,
+        PromptCategory.MEDIUM: medium,
+        PromptCategory.DETAILED: medium + "Here is an example of a useful change:\n" + example + "\n",
+    }
+    assert example.startswith("Before:\n```\n{\n") and example.endswith("}\n```")
+    prompts._load_template.cache_clear()
+    for _ in range(4):
+        for category, text in pinned.items():
+            assert build_prompt(template, category, code) == text
+    assert prompts._load_template.cache_info().misses == 4  # three categories and the example
+    assert prompts._load_template.cache_info().hits == 4 * 4 - 4
+
+
+@pytest.mark.parametrize("settings, complaint", [
+    ({"variant_count": 0}, "variant_count must be an integer of at least 1, got 0"),
+    ({"variant_count": 2.5}, "variant_count must be an integer of at least 1, got 2.5"),
+    ({"variant_count": True}, "variant_count must be an integer of at least 1, got True"),
+    ({"variant_count": "5"}, "variant_count must be an integer of at least 1, got '5'"),
+    ({"project_name": None}, "project_name must be a string, got None"),
+    ({"language": 1}, "language must be a string, got 1"),
+    ({"code_label": ["x"]}, "code_label must be a string, got ['x']"),
+])
+def test_prompt_template_refuses_values_of_the_wrong_type(settings, complaint):
+    with pytest.raises(ValueError) as raised:
+        PromptTemplate(**settings)
+    assert str(raised.value) == complaint
