@@ -142,11 +142,14 @@ def evaluate(
 
     `base` is the run's BaseProgram (see the module docstring), built
     from this very `unit` and `tests` object; ValueError for one built
-    from another program. It changes no result."""
-    if base is not None and (base.unit is not unit or base.tests is not tests):
+    from another program. It changes no result; without it one is built
+    for this evaluation alone."""
+    if base is None:
+        base = BaseProgram(unit, tests)
+    elif base.unit is not unit or base.tests is not tests:
         raise ValueError("evaluate takes the BaseProgram of its own program and tests")
     try:
-        patched = apply_patch(unit, patch, None if base is None else base.payloads)
+        patched = apply_patch(unit, patch, base.payloads)
     except ApplyError:
         return EvaluationResult(Classification.INVALID)
     digest = source_digest(patched, base)
@@ -160,7 +163,7 @@ def _evaluate_builtin(
     tests: list[TestCase],
     step_budget: int,
     digest: str,
-    base: Optional[BaseProgram],
+    base: BaseProgram,
 ) -> EvaluationResult:
     if validate(patched, base):
         return EvaluationResult(Classification.VALID_ONLY, fingerprint=digest)
@@ -226,7 +229,7 @@ def _evaluate_external(
     tests: list[TestCase],
     toolchain: ExternalToolchain,
     digest: str,
-    base: Optional[BaseProgram],
+    base: BaseProgram,
 ) -> EvaluationResult:
     import subprocess
 

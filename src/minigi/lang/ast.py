@@ -247,17 +247,19 @@ class BaseProgram:
 
     An edit changes function bodies and nothing else (no name, parameter
     or return type), and patch application keeps every function it leaves
-    untouched as the base's own `Function` object. So whatever depends on one base function and
-    the (shared) signatures alone holds for every patch of the run: its
-    canonical text (`texts`, printer), its semantic errors (`errors`,
-    semantics) and its compiled closures (`compiled`, interpreter). Each
-    is keyed by function name and used only for the base's own object
-    (`owns`), never for an equal one, so an entry cannot outlive what it
-    was made from; a patched function is worked on afresh and nothing of
-    it is kept. `harness` holds each test's checked and compiled harness
-    call by position in `tests`, `machine` the interpreter state its
-    closures share, and `payloads` each LLM payload text parsed once (see
-    `patches.apply_patch`). The object lives no longer than its run."""
+    untouched as the base's own `Function` object. So whatever depends on
+    one base function and the (shared) signatures alone holds for every
+    patch of the run: its canonical text (`texts`, printer), its semantic
+    errors (`errors`, semantics) and its compiled closures (`compiled`,
+    interpreter). Each layer gets them through `reuse`, which keeps a
+    value by function name for the base's own object only, never for an
+    equal one, so an entry cannot outlive what it was made from; a patched
+    function is worked on afresh and nothing of it is kept. `harness`
+    holds each test's checked and compiled harness call by position in
+    `tests`, `machine` the interpreter state its closures share, and
+    `payloads` each LLM payload text parsed once (see
+    `patches.apply_patch`). The object lives no longer than its run; a
+    caller with no run builds one for its single call."""
 
     __slots__ = (
         "unit", "tests", "functions", "payloads", "texts", "errors", "compiled", "harness",
@@ -275,9 +277,16 @@ class BaseProgram:
         self.harness: dict[int, object] = {}
         self.machine = None
 
-    def owns(self, fn: Function) -> bool:
-        """Whether `fn` is the base program's own object, not a patched copy."""
-        return self.functions.get(fn.name) is fn
+    def reuse(self, store: dict, fn: Function, make):
+        """`make(fn)`, made once and kept in `store`, one of this object's
+        dicts, when `fn` is the base's own object; made afresh and not kept
+        for any other function. Nothing is kept when `make` raises."""
+        if self.functions.get(fn.name) is not fn:
+            return make(fn)
+        value = store.get(fn.name)
+        if value is None:
+            value = store[fn.name] = make(fn)
+        return value
 
 
 # --- statement addressing ---

@@ -11,10 +11,10 @@ node instead of once per step. A parent reads a variable or literal
 operand inline, a block of one statement runs as that statement, and
 what follows a `break`, `continue` or `return` in a block is compiled for
 its nesting but never runs. A compiled function is shared by the tests of
-its suite and, through `profile`, by profiling. Without a BaseProgram it
-lives for one `run_suite` call. With one (`ast.BaseProgram`, one per
-driver run), the closures of the base program's own functions and of each
-test's harness call are kept in it and reused by every suite of the run:
+its suite and, through `profile`, by profiling. The closures of the base
+program's own functions and of each test's harness call are kept in the
+run's `ast.BaseProgram` (one per driver run; a caller without one gets
+one for its single `run_suite` call) and reused by every suite of the run:
 a compiled body refers to no program, only to the run's one machine,
 which each suite points at its own functions, and a call finds its callee
 by name in the running program. What is compiled from a patched function
@@ -28,9 +28,8 @@ call names a function with as many parameters as it passes arguments,
 non-void function returns a value on every path. None of this is checked
 again while a program runs. The one input validation never sees is each
 test's harness call. It is checked with `semantics.check_call` and
-compiled before the test runs, once per `run_suite` call or, with a
-BaseProgram, once per run: a patch changes no signature, so the verdict
-holds for every patch. A call that fails the check is that test's
+compiled before the test runs, once per BaseProgram, that is once per
+run: a patch changes no signature, so the verdict holds for every patch. A call that fails the check is that test's
 RUNTIME_ERROR outcome.
 
 Variables. A call keeps all its variables in one dict. Blocks and `for`
@@ -233,15 +232,14 @@ _OPERATORS = {
 class _Machine:
     """What compiled closures share: the functions of the suite that is
     running, those compiled so far and the counters of the running test.
-    Without a BaseProgram a machine serves one `run_suite`; with one it
-    serves every suite of the run, and the base's own functions and the
-    harness calls stay compiled between suites."""
+    A machine serves every suite of its BaseProgram's run, and the base's
+    own functions and the harness calls stay compiled between suites."""
 
     __slots__ = (
         "base", "functions", "compiled", "budget", "profile", "steps", "calls", "weight", "inner"
     )
 
-    def __init__(self, base: BaseProgram | None):
+    def __init__(self, base: BaseProgram):
         self.base = base
         self.functions: dict[str, Function] = {}
         self.compiled: dict[str, tuple[int, Callable, int]] = {}
@@ -276,18 +274,15 @@ class _Machine:
         function compiled earlier is held to the same rule at each call."""
         entry = self.compiled.get(name)
         if entry is None:
-            fn, base = self.functions[name], self.base
-            owned = base is not None and base.owns(fn)
-            if owned:
-                entry = base.compiled.get(name)
-            if entry is None:
-                compiler = _Compiler(self, MAX_NESTING_WEIGHT - self.weight - 1)
-                lead, body, _flat = compiler.node(fn.body)
-                entry = (lead, body, compiler.deepest + 1)
-                if owned:
-                    base.compiled[name] = entry
+            base = self.base
+            entry = base.reuse(base.compiled, self.functions[name], self.compile)
             self.compiled[name] = entry
         return entry
+
+    def compile(self, fn: Function) -> tuple[int, Callable, int]:
+        compiler = _Compiler(self, MAX_NESTING_WEIGHT - self.weight - 1)
+        lead, body, _flat = compiler.node(fn.body)
+        return lead, body, compiler.deepest + 1
 
     def harness(self, unit: SourceUnit, test: TestCase) -> tuple[int, Callable, int] | str:
         """`test`'s harness call compiled: the steps it charges first, its
@@ -833,18 +828,17 @@ def run_suite(
     once per run, and each of the base's own functions, recognised by
     object identity, compiled once per run; both are kept in `base`,
     which lives no longer than the run. What is compiled from a patched
-    function is dropped when the suite ends. Outcomes are the same as
-    without `base`."""
+    function is dropped when the suite ends. Without `base` one is built
+    for this call alone; outcomes are the same either way."""
     if step_budget <= 0:
         raise ValueError("step budget must be positive")
     if base is None:
-        machine, harness = _Machine(None), {}
-    else:
-        if tests is not base.tests:
-            raise ValueError("run_suite takes the tests its BaseProgram was built with")
-        if base.machine is None:
-            base.machine = _Machine(base)
-        machine, harness = base.machine, base.harness
+        base = BaseProgram(unit, tests)
+    elif tests is not base.tests:
+        raise ValueError("run_suite takes the tests its BaseProgram was built with")
+    if base.machine is None:
+        base.machine = _Machine(base)
+    machine, harness = base.machine, base.harness
     machine.start(unit, step_budget, profile)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + _HOST_FRAMES)

@@ -158,23 +158,14 @@ def print_statement(stmt: Stmt, depth: int = 0) -> str:
     return "\n".join(_stmt_lines(stmt, depth))
 
 
-def _function_lines(fn: Function) -> list[str]:
+def _function_text(fn: Function) -> str:
     params = ", ".join(f"{p.name}: {_type(p.param_type)}" for p in fn.params)
     arrow = "" if fn.return_type is Type.VOID else f" -> {_type(fn.return_type)}"
     lines = [f"fn {fn.name}({params}){arrow} {{"]
     for child in fn.body.statements:
         lines.extend(_stmt_lines(child, 1))
     lines.append("}")
-    return lines
-
-
-def _function_text(fn: Function, base: BaseProgram | None) -> str:
-    if base is None or not base.owns(fn):
-        return "\n".join(_function_lines(fn))
-    text = base.texts.get(fn.name)
-    if text is None:
-        text = base.texts[fn.name] = "\n".join(_function_lines(fn))
-    return text
+    return "\n".join(lines)
 
 
 def print_canonical(unit: SourceUnit, base: BaseProgram | None = None) -> str:
@@ -182,7 +173,9 @@ def print_canonical(unit: SourceUnit, base: BaseProgram | None = None) -> str:
 
     With `base`, the run's BaseProgram, each of the base's own functions
     is printed once per run and its text reused."""
-    chunks = [_function_text(fn, base) for fn in unit.functions]
+    if base is None:
+        base = BaseProgram(unit, ())
+    chunks = [base.reuse(base.texts, fn, _function_text) for fn in unit.functions]
     return "\n\n".join(chunks) + "\n"
 
 

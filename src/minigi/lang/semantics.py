@@ -72,29 +72,31 @@ class _Scope:
         return True
 
 
+def _name_errors(unit: SourceUnit) -> list[SemanticError]:
+    errors = []
+    seen = set()
+    for fn in unit.functions:
+        if fn.name in BUILTINS:
+            errors.append(SemanticError("", f"function name {fn.name!r} is reserved"))
+        if fn.name in seen:
+            errors.append(SemanticError("", f"duplicate function {fn.name!r}"))
+        seen.add(fn.name)
+    return errors
+
+
 class _Checker:
-    def __init__(self, unit: SourceUnit, signatures: dict[str, Function] | None = None):
-        self.unit = unit
-        self.errors: list[SemanticError] = []
-        if signatures is None:
-            signatures = {fn.name: fn for fn in unit.functions}
+    def __init__(self, signatures: dict[str, Function]):
         self.signatures = signatures
+        self.errors: list[SemanticError] = []
         self.current: Function | None = None
 
     def error(self, message: str) -> None:
         name = self.current.name if self.current is not None else ""
         self.errors.append(SemanticError(name, message))
 
-    def check_names(self) -> None:
-        seen = set()
-        for fn in self.unit.functions:
-            if fn.name in BUILTINS:
-                self.errors.append(SemanticError("", f"function name {fn.name!r} is reserved"))
-            if fn.name in seen:
-                self.errors.append(SemanticError("", f"duplicate function {fn.name!r}"))
-            seen.add(fn.name)
-
-    def check_function(self, fn: Function) -> None:
+    def check_function(self, fn: Function) -> list[SemanticError]:
+        """`fn`'s errors, in a list of their own."""
+        self.errors = []
         self.current = fn
         scope = _Scope()
         for p in fn.params:
@@ -106,6 +108,7 @@ class _Checker:
         if fn.return_type is not Type.VOID and not _always_returns(fn.body):
             self.error("missing return on some control path")
         self.current = None
+        return self.errors
 
     # -- statements --
 
@@ -316,26 +319,19 @@ def validate(unit: SourceUnit, base: BaseProgram | None = None) -> list[Semantic
     then the base's, and each of the base's own functions is checked once
     per run and its errors reused; only the bodies a patch changed are
     checked again."""
-    checker = _Checker(unit, None if base is None else base.functions)
-    checker.check_names()
+    if base is None:
+        base = BaseProgram(unit, ())
+    checker = _Checker(base.functions)
+    errors = _name_errors(unit)
     for fn in unit.functions:
-        if base is None or not base.owns(fn):
-            checker.check_function(fn)
-            continue
-        found = base.errors.get(fn.name)
-        if found is None:
-            start = len(checker.errors)
-            checker.check_function(fn)
-            base.errors[fn.name] = checker.errors[start:]
-        else:
-            checker.errors.extend(found)
-    return checker.errors
+        errors.extend(base.reuse(base.errors, fn, checker.check_function))
+    return errors
 
 
 def check_call(unit: SourceUnit, call: Call) -> list[SemanticError]:
     """Errors in a call from outside the unit whose arguments are literals,
     such as a test's harness call; its value must be used, so it may not
     be void."""
-    checker = _Checker(unit)
+    checker = _Checker({fn.name: fn for fn in unit.functions})
     checker.infer(call, _Scope())
     return checker.errors
