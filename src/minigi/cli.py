@@ -301,7 +301,7 @@ def _settings(record: dict, unit, prefix: str = ""):
     if command == "ls" and len(record["families"]) != 1:
         raise ConfigError(f"{prefix}families: local search takes exactly one family")
     build("families", check_families, record["families"], llm)
-    build("methods", check_targets, unit, record["methods"])
+    build("methods", check_targets, unit, record["methods"], record["families"], command == "ls")
     if command == "sample":
         cfg = build(
             command, RandomSamplingConfig,

@@ -324,12 +324,6 @@ def get_statement(fn: Function, path: tuple[int, ...]) -> Stmt | None:
     return node
 
 
-def resolve(unit: SourceUnit, sid: StatementId) -> Stmt | None:
-    if not unit.has_function(sid.function):
-        return None
-    return get_statement(unit.function(sid.function), sid.path)
-
-
 def walk_statements(fn: Function) -> Iterator[tuple[tuple[int, ...], Stmt, Stmt | None]]:
     """Pre-order (path, statement, parent) triples; the body root comes first."""
 

@@ -7,7 +7,11 @@ climbing from `_parse_or` (loosest) to `_parse_primary`. Parsing either
 yields a complete AST or raises ParseError with the 1-based line/column of
 the offending token; there are no partial results. A nesting-depth guard
 turns pathological inputs (deeply nested parentheses from machine-generated
-code) into ParseError instead of a RecursionError.
+code) into ParseError instead of a RecursionError. It bounds the depth of
+the tree returned, not only the parser's own recursion: each operator of a
+left-deep chain such as `x + x + x` and each `[...]` of an index chain
+counts one level until the chain ends, since every later pass recurses
+into those nodes.
 """
 
 from __future__ import annotations
@@ -347,10 +351,14 @@ class _Parser:
             self._leave()
 
     def _binary_chain(self, sub, ops: tuple[str, ...]) -> Expr:
+        """A left-deep chain; each operator nests one level until it ends."""
         left = sub()
+        depth = self.depth
         while self.peek().kind == "punct" and self.peek().text in ops:
-            op = self.next().text
-            left = Binary(op, left, sub())
+            op = self.next()
+            self._enter(op)
+            left = Binary(op.text, left, sub())
+        self.depth = depth
         return left
 
     def _parse_or(self) -> Expr:
@@ -383,14 +391,15 @@ class _Parser:
         return self._parse_postfix()
 
     def _parse_postfix(self) -> Expr:
+        """An index chain; each `[` nests one level until the chain ends."""
         expr = self._parse_primary()
+        depth = self.depth
         while self.at_punct("["):
-            open_tok = self.next()
-            self._enter(open_tok)
+            self._enter(self.next())
             index = self.parse_expr()
-            self._leave()
             self.expect_punct("]")
             expr = Index(expr, index)
+        self.depth = depth
         return expr
 
     def _parse_primary(self) -> Expr:

@@ -1,18 +1,21 @@
 """Chat-completions transport with transcript recording and offline replay.
 
-Three modes share one interface:
+One call serves the mutation operator: `complete(prompt) -> text`. The
+client's config holds the model and temperature, so a request is the
+prompt alone. Three modes share that call:
 
   live    POSTs a chat-completions request (one user message, no system
           message) and records the exchange in the transcript store;
-  replay  serves responses from the transcript store by request digest and
+  replay  serves replies from the transcript store by request digest and
           never touches the network;
   mock    answers from a canned script or a deterministic default
           transformer, also recording transcripts so a mock run can later
           be replayed.
 
-Transcripts are one JSON document per exchange, named by the request
-digest, written atomically (tmp file + rename) and never overwritten, so
-a finished run can always be replayed exactly.
+Every failure is a ClientError whose message says what went wrong.
+Transcripts are one JSON document per distinct request, named by the
+request digest, written atomically (tmp file + rename) and never
+overwritten; replay serves from them. docs/logs.md lists their keys.
 """
 
 from __future__ import annotations
@@ -25,45 +28,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
-from minigi.prompts import (
-    DEFAULT_MODEL,
-    DEFAULT_TEMPERATURE,
-    LlmRequest,
-    LlmResponse,
-    extract_code_blocks,
-)
+from minigi.prompts import extract_code_blocks
 
 
 MODES = ("live", "replay", "mock")
 
 
 class ClientError(Exception):
-    pass
-
-
-class NetworkError(ClientError):
-    pass
-
-
-class RateLimitedError(ClientError):
-    pass
-
-
-class BadStatusError(ClientError):
-    def __init__(self, status: int, body: str):
-        super().__init__(f"HTTP {status}: {body[:200]}")
-        self.status = status
-
-
-class TimedOutError(ClientError):
-    pass
-
-
-class TranscriptMissError(ClientError):
-    pass
-
-
-class MockScriptExhaustedError(ClientError):
     pass
 
 
@@ -75,8 +46,8 @@ class LlmClientConfig:
 
     endpoint_url: str = "https://api.openai.com/v1/chat/completions"
     api_key_env_var: str = "OPENAI_API_KEY"
-    model: str = DEFAULT_MODEL
-    temperature: float = DEFAULT_TEMPERATURE
+    model: str = "gpt-3.5-turbo"
+    temperature: float = 0.7
     request_timeout: float = 60.0
     max_retries: int = 3
     transcript_dir: Optional[Union[str, Path]] = None
@@ -95,10 +66,11 @@ class LlmClientConfig:
             raise ValueError(f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
 
 
-def request_digest(request: LlmRequest) -> str:
-    """Stable digest of what the endpoint sees: model, temperature, prompt."""
+def request_digest(config: LlmClientConfig, prompt: str) -> str:
+    """Stable digest of what the endpoint sees: the config's model and
+    temperature, and the prompt."""
     payload = json.dumps(
-        {"model": request.model, "temperature": request.temperature, "prompt": request.prompt},
+        {"model": config.model, "temperature": config.temperature, "prompt": prompt},
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -135,26 +107,27 @@ class LlmClientBase:
             TranscriptStore(config.transcript_dir) if config.transcript_dir is not None else None
         )
 
-    def complete(self, request: LlmRequest) -> LlmResponse:
+    def complete(self, prompt: str) -> str:
+        """The model's reply to `prompt`, recorded when there is a store."""
         self.requests_made += 1
-        text = self._complete_text(request)
-        self._record(request, text)
-        return LlmResponse(text)
+        text = self._complete_text(prompt)
+        self._record(prompt, text)
+        return text
 
-    def _complete_text(self, request: LlmRequest) -> str:
+    def _complete_text(self, prompt: str) -> str:
         raise NotImplementedError
 
-    def _record(self, request: LlmRequest, response_text: str) -> None:
+    def _record(self, prompt: str, response_text: str) -> None:
         if self.store is None:
             return
-        digest = request_digest(request)
+        digest = request_digest(self.config, prompt)
         self.store.put(
             digest,
             {
                 "request_digest": digest,
-                "model": request.model,
-                "temperature": request.temperature,
-                "prompt": request.prompt,
+                "model": self.config.model,
+                "temperature": self.config.temperature,
+                "prompt": prompt,
                 "response": response_text,
                 "timestamp": time.time(),
             },
@@ -179,13 +152,13 @@ def _post_json(url: str, body: dict, headers: dict, timeout: float) -> tuple[int
     except urllib.error.HTTPError as exc:
         return exc.code, exc.read().decode("utf-8", "replace")
     except TimeoutError as exc:
-        raise TimedOutError(str(exc)) from None
+        raise ClientError(f"timed out: {exc}") from None
     except urllib.error.URLError as exc:
         if isinstance(exc.reason, TimeoutError):
-            raise TimedOutError(str(exc.reason)) from None
-        raise NetworkError(str(exc.reason)) from None
+            raise ClientError(f"timed out: {exc.reason}") from None
+        raise ClientError(f"network error: {exc.reason}") from None
     except (OSError, ValueError, http.client.HTTPException) as exc:  # ValueError: a malformed URL
-        raise NetworkError(str(exc)) from None
+        raise ClientError(f"network error: {exc}") from None
 
 
 class LiveLlmClient(LlmClientBase):
@@ -196,14 +169,14 @@ class LiveLlmClient(LlmClientBase):
     parameter. Rate limiting (HTTP 429) retries with exponential backoff.
     """
 
-    def _complete_text(self, request: LlmRequest) -> str:
+    def _complete_text(self, prompt: str) -> str:
         api_key = os.environ.get(self.config.api_key_env_var, "")
         if not api_key:
             raise ClientError(f"API key env var {self.config.api_key_env_var} is not set")
         body = {
-            "model": request.model,
-            "temperature": request.temperature,
-            "messages": [{"role": "user", "content": request.prompt}],
+            "model": self.config.model,
+            "temperature": self.config.temperature,
+            "messages": [{"role": "user", "content": prompt}],
         }
         headers = {"Authorization": f"Bearer {api_key}"}
         delay = 1.0
@@ -212,18 +185,17 @@ class LiveLlmClient(LlmClientBase):
                 self.config.endpoint_url, body, headers, self.config.request_timeout
             )
             if status == 429:
-                if attempt == self.config.max_retries:
-                    raise RateLimitedError("rate limited and retries exhausted")
-                time.sleep(delay)
-                delay *= 2
+                if attempt < self.config.max_retries:
+                    time.sleep(delay)
+                    delay *= 2
                 continue
             if status != 200:
-                raise BadStatusError(status, text)
+                raise ClientError(f"HTTP {status}: {text[:200]}")
             try:
                 return json.loads(text)["choices"][0]["message"]["content"]
             except (KeyError, IndexError, TypeError, ValueError) as exc:
-                raise BadStatusError(status, f"malformed response body: {exc}") from None
-        raise RateLimitedError("rate limited and retries exhausted")
+                raise ClientError(f"HTTP {status}: malformed response body: {exc}") from None
+        raise ClientError("rate limited and retries exhausted")
 
 
 class ReplayLlmClient(LlmClientBase):
@@ -234,24 +206,25 @@ class ReplayLlmClient(LlmClientBase):
         if self.store is None:
             raise ClientError("replay mode needs a transcript directory")
 
-    def _complete_text(self, request: LlmRequest) -> str:
-        record = self.store.get(request_digest(request))
+    def _complete_text(self, prompt: str) -> str:
+        digest = request_digest(self.config, prompt)
+        record = self.store.get(digest)
         if record is None:
-            raise TranscriptMissError(f"no transcript for digest {request_digest(request)}")
+            raise ClientError(f"no transcript for digest {digest}")
         return record["response"]
 
-    def _record(self, request: LlmRequest, response_text: str) -> None:
+    def _record(self, prompt: str, response_text: str) -> None:
         pass  # replay never writes
 
 
-MockScript = Union[Sequence[str], Callable[[LlmRequest], str]]
+MockScript = Union[Sequence[str], Callable[[str], str]]
 
 
 class MockLlmClient(LlmClientBase):
     """Deterministic stand-in for tests and offline runs.
 
-    `script` is either a list of response texts served in order or a
-    callable from request to response text. Without a script, a default
+    `script` is either a list of reply texts served in order or a
+    callable from prompt to reply text. Without a script, a default
     transformer answers with five variants derived from the code in the
     prompt: the block itself, the block wrapped in another brace level, an
     empty block, the block with its interior lines reversed, and one
@@ -263,22 +236,20 @@ class MockLlmClient(LlmClientBase):
         self._script = list(script) if isinstance(script, (list, tuple)) else script
         self._cursor = 0
 
-    def _complete_text(self, request: LlmRequest) -> str:
+    def _complete_text(self, prompt: str) -> str:
         if self._script is None:
-            return _default_mock_response(request)
+            return _default_mock_response(prompt)
         if callable(self._script):
-            return self._script(request)
+            return self._script(prompt)
         if self._cursor >= len(self._script):
-            raise MockScriptExhaustedError(
-                f"mock script exhausted after {self._cursor} responses"
-            )
+            raise ClientError(f"mock script exhausted after {self._cursor} responses")
         text = self._script[self._cursor]
         self._cursor += 1
         return text
 
 
-def _default_mock_response(request: LlmRequest) -> str:
-    blocks = extract_code_blocks(request.prompt)
+def _default_mock_response(prompt: str) -> str:
+    blocks = extract_code_blocks(prompt)
     code = blocks[0] if blocks else "{ }"
     lines = code.splitlines()
     interior = lines[1:-1] if len(lines) >= 2 else []
@@ -295,9 +266,9 @@ def _default_mock_response(request: LlmRequest) -> str:
     return "\n".join(parts)
 
 
-def make_client(config: LlmClientConfig, script: Optional[MockScript] = None) -> LlmClientBase:
+def make_client(config: LlmClientConfig) -> LlmClientBase:
     if config.mode == "live":
         return LiveLlmClient(config)
     if config.mode == "replay":
         return ReplayLlmClient(config)
-    return MockLlmClient(config, script)
+    return MockLlmClient(config)

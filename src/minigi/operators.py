@@ -8,9 +8,9 @@ only on the unit, the hot list and the RNG state, which makes every edit
 replayable from a logged seed. The hot list must name functions of the
 unit; the search drivers check that once per run (search.check_targets).
 
-RNG call order is part of the replay contract: kind, function (with up to
-10 redraws when the chosen function has no statements), source statement,
-then destination where the kind needs one.
+RNG call order is part of the replay contract: kind, function (uniform
+among the hot functions that have a statement), source statement, then
+destination where the kind needs one.
 """
 
 from __future__ import annotations
@@ -20,30 +20,24 @@ import random
 from minigi.lang.ast import Function, SourceUnit, list_statement_ids, insertion_slots
 from minigi.patches import Edit, EditKind, InsertionPoint, INSERT_KINDS, STATEMENT_KINDS
 
-MAX_EMPTY_REDRAWS = 10
-
 
 class NoTargetStatementsError(Exception):
     pass
 
 
-def _pick_function_with_statements(
-    functions: list[Function], rng: random.Random
-) -> Function:
-    fn = rng.choice(functions)
-    for _ in range(MAX_EMPTY_REDRAWS):
-        if list_statement_ids(fn):
-            return fn
-        fn = rng.choice(functions)
-    if list_statement_ids(fn):
-        return fn
-    raise NoTargetStatementsError(f"function {fn.name!r} has no statements")
+def statement_targets(unit: SourceUnit, hot: list[str]) -> list[Function]:
+    """The hot functions with a statement to draw, in `hot` order. Every
+    statement nests inside the body, so the body's list decides."""
+    return [fn for fn in map(unit.function, hot) if fn.body.statements]
 
 
 def sample_statement_edit(unit: SourceUnit, hot: list[str], rng: random.Random) -> Edit:
     """One uniform draw from the Statement family inside one hot function."""
     kind = rng.choice(STATEMENT_KINDS)
-    fn = _pick_function_with_statements([unit.function(name) for name in hot], rng)
+    targets = statement_targets(unit, hot)
+    if not targets:
+        raise NoTargetStatementsError(f"no statements in {', '.join(hot)}")
+    fn = rng.choice(targets)
     statements = list_statement_ids(fn)
     src = rng.choice(statements)
     if kind is EditKind.DELETE:

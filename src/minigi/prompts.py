@@ -15,8 +15,10 @@ templates/ with these placeholders:
     <codelabel>    label the model is told to mark code blocks with
     <example>      the canned example change (detailed only)
 
+The operator sends the rendered prompt through the client's one call,
+`complete(prompt) -> text`; the client holds the model and temperature.
 One request asks for `variant_count` variations at once; the fenced code
-blocks of the response, in order, are the variants. A response with fewer
+blocks of the reply, in order, are the variants. A reply with fewer
 blocks than requested still consumes the full variant budget: the missing
 variants become edits with no payload, which later fail the validity rung.
 """
@@ -26,18 +28,14 @@ from __future__ import annotations
 import functools
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from typing import Optional
 
-from minigi.lang.ast import SourceUnit, block_ids, resolve
+from minigi.lang.ast import SourceUnit, block_ids, get_statement
 from minigi.lang.printer import print_statement
 from minigi.patches import Edit, EditKind
-
-DEFAULT_VARIANT_COUNT = 5
-DEFAULT_TEMPERATURE = 0.7
-DEFAULT_MODEL = "gpt-3.5-turbo"
 
 
 class PromptCategory(Enum):
@@ -67,7 +65,7 @@ class PromptTemplate:
     project_name: str = ""
     language: str = "MiniLang"
     code_label: str = "minilang"
-    variant_count: int = DEFAULT_VARIANT_COUNT
+    variant_count: int = 5
 
     def __post_init__(self):
         for name in ("project_name", "language", "code_label"):
@@ -105,22 +103,15 @@ def build_prompt(template: PromptTemplate, category: PromptCategory, code: str) 
     )
 
 
-# -- requests and responses --
-
-
-@dataclass(frozen=True)
-class LlmRequest:
-    prompt: str
-    temperature: float = DEFAULT_TEMPERATURE
-    model: str = DEFAULT_MODEL
+# -- replies --
 
 
 def extract_code_blocks(text: str) -> tuple[str, ...]:
-    """Fenced code segments in order of appearance.
+    """Fenced code segments of a reply, in order of appearance.
 
     A fence is a line whose stripped form starts with three backticks; an
     opening fence may carry a language label, which is dropped. A fence
-    left unclosed at the end of the response extends to the end of the
+    left unclosed at the end of the reply extends to the end of the
     text (models routinely forget the closing fence).
     """
     blocks: list[str] = []
@@ -137,15 +128,6 @@ def extract_code_blocks(text: str) -> tuple[str, ...]:
     if current is not None:
         blocks.append("\n".join(current))
     return tuple(blocks)
-
-
-@dataclass(frozen=True)
-class LlmResponse:
-    raw_text: str
-    extracted_blocks: tuple[str, ...] = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "extracted_blocks", extract_code_blocks(self.raw_text))
 
 
 # -- the mutation operator --
@@ -169,23 +151,14 @@ def make_llm_edits(
     """
     if not hot:
         raise ValueError("empty hot-method list")
-    fn_name = rng.choice(hot)
-    fn = unit.function(fn_name)
+    fn = unit.function(rng.choice(hot))
     block_sid = rng.choice(block_ids(fn))
-    block = resolve(unit, block_sid)
-    assert block is not None
-    code = print_statement(block)
-    prompt = build_prompt(template, category, code)
-    request = LlmRequest(
-        prompt=prompt,
-        temperature=client.config.temperature,
-        model=client.config.model,
-    )
-    response = client.complete(request)
+    code = print_statement(get_statement(fn, block_sid.path))
+    blocks = extract_code_blocks(client.complete(build_prompt(template, category, code)))
     label = category.value
     edits = [
         Edit(EditKind.LLM_BLOCK_REPLACE, src=block_sid, payload=body, prompt_category=label)
-        for body in response.extracted_blocks[: template.variant_count]
+        for body in blocks[: template.variant_count]
     ]
     while len(edits) < template.variant_count:
         edits.append(

@@ -45,6 +45,7 @@ from minigi.operators import (
     NoTargetStatementsError,
     sample_insert_edit,
     sample_statement_edit,
+    statement_targets,
 )
 from minigi.patches import Patch, apply_patch, serialize_patch
 from minigi.prompts import PromptCategory, PromptTemplate, make_llm_edits
@@ -83,15 +84,24 @@ def check_families(families, llm: Optional[LlmSearchContext]) -> None:
             raise SearchSetupError(f"family {family!r} needs an LLM context")
 
 
-def check_targets(unit: SourceUnit, methods) -> None:
-    """SearchSetupError unless `methods` names at least one method and
-    every one is a function of `unit`; both drivers check their targets
-    here before the first draw."""
+def check_targets(unit: SourceUnit, methods, families=(), one_run_each: bool = False) -> None:
+    """SearchSetupError unless `methods` names at least one method, every
+    one a function of `unit`, and unless the Statement family, when in
+    `families`, has a statement to draw in every run: in one of the
+    methods when they share a run (sampling), in each method when each has
+    its own (`one_run_each`, local search). Both drivers check their
+    targets here before the first draw."""
     if not methods:
         raise SearchSetupError("empty target-method list")
     missing = [name for name in methods if not unit.has_function(name)]
     if missing:
         raise SearchSetupError(f"target methods not in program: {', '.join(missing)}")
+    if "statement" in families:
+        for hot in [[name] for name in methods] if one_run_each else [methods]:
+            if not statement_targets(unit, hot):
+                raise SearchSetupError(
+                    f"the statement family has no statement to draw in {', '.join(hot)}"
+                )
 
 
 def _check_counts(**counts) -> None:
@@ -185,7 +195,7 @@ def random_sampling(
     leaves its finished rows behind. `toolchain` selects the external
     backend; without one, patches run on the built-in one.
     """
-    check_targets(unit, hot)
+    check_targets(unit, hot, cfg.families)
     check_families(cfg.families, llm)
     records: list[EvalRecord] = []
     base = BaseProgram(unit, tests)
@@ -290,7 +300,7 @@ def local_search(
 ) -> list[EvalRecord]:
     """One hill-climbing run per target method, exactly `evals_per_run`
     evaluations each, the first on the unpatched program."""
-    check_targets(unit, cfg.runs)
+    check_targets(unit, cfg.runs, (cfg.family,), one_run_each=True)
     check_families((cfg.family,), llm)
     records: list[EvalRecord] = []
     for method in cfg.runs:

@@ -89,8 +89,8 @@ def test_criterion_1_pipeline_ladder_exactness(bench_sort):
     ]
     cursor = {"i": 0}
 
-    def scripted(request) -> str:
-        code = extract_code_blocks(request.prompt)[0]
+    def scripted(prompt) -> str:
+        code = extract_code_blocks(prompt)[0]
         kinds = responses_plan[cursor["i"]]
         cursor["i"] += 1
         parts = []

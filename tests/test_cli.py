@@ -278,6 +278,31 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
         assert not out_dir.exists()
 
 
+def test_statement_family_needs_a_statement_to_draw_in_every_run(tmp_path, capsys):
+    """Sampling draws among the target methods that have statements; a run
+    with none to draw from is refused before any file is written."""
+    program = tmp_path / "noop.ml"
+    program.write_text("fn noop() { } fn one(x: int) -> int { return x; }")
+    tests = tmp_path / "noop.tests"
+    tests.write_text("test same: one(1) == 1")
+    for seed in range(2, 7):
+        out_dir = tmp_path / f"seed{seed}"
+        assert run(
+            "sample", str(program), str(tests), "--family", "statement", "--budget", "1000",
+            "--methods", "noop,one", "--seed", str(seed), "--out-dir", str(out_dir),
+        ) == 0
+        assert len(read_records_csv(out_dir / "sample_log.csv")) == 1000
+    capsys.readouterr()
+    for command, methods in (("sample", "noop"), ("ls", "noop,one"), ("ls", "one,noop")):
+        out_dir = tmp_path / "refused"
+        assert run(
+            command, str(program), str(tests), "--family", "statement", "--methods", methods,
+            "--seed", "1", "--out-dir", str(out_dir),
+        ) == 2
+        assert "the statement family has no statement to draw in noop" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
 def test_exit_code_2_on_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main(["sample", "--nonsense-flag"])

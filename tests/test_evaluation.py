@@ -128,6 +128,21 @@ def test_the_payload_memo_changes_no_result(bench_sort):
     assert list(base.payloads) == payloads[:4]
 
 
+@pytest.mark.parametrize("expression, rung", [
+    ("x" + " + x" * 149, "Invalid"),
+    ("x" + " && x" * 149, "Invalid"),
+    ("x" + "[0]" * 150, "Invalid"),
+    ("x" + " + x" * 89, "CompiledOnly"),
+], ids=["sum-150", "conjunction-150", "index-150", "sum-90"])
+def test_a_payload_past_the_nesting_cap_is_invalid_not_a_crash(bench_max, expression, rung):
+    """A flat chain nests one level per operator or index, so a long one is
+    a parse error and the patch Invalid; no later pass recurses that deep."""
+    unit, tests = bench_max
+    edit = Edit(EditKind.LLM_BLOCK_REPLACE, src=sid("max2"),
+                payload="{ return " + expression + "; }", prompt_category="medium")
+    assert evaluate(unit, Patch("bench_max", (edit,)), tests).classification.value == rung
+
+
 def test_ladder_invariants_enforced(bench_sort):
     # a runtime is recorded if and only if the patch passed
     for classification in (

@@ -9,67 +9,65 @@ import threading
 import pytest
 
 from minigi import llm
+from minigi.reporting import RecordWriter
+from minigi.search import LlmSearchContext, RandomSamplingConfig, random_sampling
 from minigi.llm import (
-    BadStatusError,
+    ClientError,
     LiveLlmClient,
     LlmClientConfig,
     MockLlmClient,
-    MockScriptExhaustedError,
-    NetworkError,
-    RateLimitedError,
     ReplayLlmClient,
-    TranscriptMissError,
-    TimedOutError,
     TranscriptStore,
     make_client,
     request_digest,
 )
-from minigi.prompts import LlmRequest
+from minigi.prompts import PromptTemplate, extract_code_blocks
+
+from conftest import REPO_ROOT
+
+RECORDED_RUN = REPO_ROOT / "tests" / "data" / "recorded_llm_run"
 
 
 def test_mock_returns_canned_text_in_order():
     client = MockLlmClient(LlmClientConfig(mode="mock"), script=["one", "two"])
-    assert client.complete(LlmRequest("p1")).raw_text == "one"
-    assert client.complete(LlmRequest("p2")).raw_text == "two"
-    with pytest.raises(MockScriptExhaustedError):
-        client.complete(LlmRequest("p3"))
+    assert client.complete("p1") == "one"
+    assert client.complete("p2") == "two"
+    with pytest.raises(ClientError, match="^mock script exhausted after 2 responses$"):
+        client.complete("p3")
 
 
 def test_mock_callable_script_sees_request():
-    client = MockLlmClient(LlmClientConfig(mode="mock"), script=lambda r: r.prompt.upper())
-    assert client.complete(LlmRequest("abc")).raw_text == "ABC"
+    client = MockLlmClient(LlmClientConfig(mode="mock"), script=str.upper)
+    assert client.complete("abc") == "ABC"
 
 
 def test_default_mock_is_deterministic_and_covers_the_ladder():
     client = MockLlmClient(LlmClientConfig(mode="mock"))
-    request = LlmRequest("Rewrite this:\n```\n{\n    x = 1;\n}\n```\n")
-    first = client.complete(request)
-    second = client.complete(request)
-    assert first.raw_text == second.raw_text
-    assert len(first.extracted_blocks) == 4  # fifth variant is prose
+    prompt = "Rewrite this:\n```\n{\n    x = 1;\n}\n```\n"
+    first = client.complete(prompt)
+    assert first == client.complete(prompt)
+    assert len(extract_code_blocks(first)) == 4  # fifth variant is prose
 
 
 def test_mock_records_transcripts_and_replay_serves_them(tmp_path):
     config = LlmClientConfig(mode="mock", transcript_dir=tmp_path)
-    mock = MockLlmClient(config, script=["hello"])
-    request = LlmRequest("prompt text")
-    response = mock.complete(request)
+    response = MockLlmClient(config, script=["hello"]).complete("prompt text")
 
     replay = ReplayLlmClient(LlmClientConfig(mode="replay", transcript_dir=tmp_path))
-    served = replay.complete(request)
-    assert served.raw_text == response.raw_text
+    assert replay.complete("prompt text") == response == "hello"
+    assert replay.requests_made == 1
 
 
 def test_replay_miss_is_an_error(tmp_path):
-    replay = ReplayLlmClient(LlmClientConfig(mode="replay", transcript_dir=tmp_path))
-    with pytest.raises(TranscriptMissError):
-        replay.complete(LlmRequest("never recorded"))
+    config = LlmClientConfig(mode="replay", transcript_dir=tmp_path)
+    replay = ReplayLlmClient(config)
+    digest = request_digest(config, "never recorded")
+    with pytest.raises(ClientError, match=f"^no transcript for digest {digest}$"):
+        replay.complete("never recorded")
 
 
 def test_replay_requires_transcript_dir():
-    from minigi.llm import ClientError
-
-    with pytest.raises(ClientError):
+    with pytest.raises(ClientError, match="^replay mode needs a transcript directory$"):
         ReplayLlmClient(LlmClientConfig(mode="replay"))
 
 
@@ -81,11 +79,40 @@ def test_transcripts_are_append_only(tmp_path):
 
 
 def test_request_digest_depends_on_model_temperature_prompt():
-    base = LlmRequest("p", model="m", temperature=0.7)
-    assert request_digest(base) == request_digest(LlmRequest("p", model="m", temperature=0.7))
-    assert request_digest(base) != request_digest(LlmRequest("q", model="m", temperature=0.7))
-    assert request_digest(base) != request_digest(LlmRequest("p", model="x", temperature=0.7))
-    assert request_digest(base) != request_digest(LlmRequest("p", model="m", temperature=0.2))
+    config = LlmClientConfig(model="m", temperature=0.7)
+    digest = request_digest(config, "p")
+    assert digest == request_digest(LlmClientConfig(model="m", temperature=0.7), "p")
+    assert digest != request_digest(config, "q")
+    assert digest != request_digest(LlmClientConfig(model="x", temperature=0.7), "p")
+    assert digest != request_digest(LlmClientConfig(model="m", temperature=0.2), "p")
+
+
+def test_request_digest_is_pinned_so_old_transcripts_stay_replayable():
+    """The SHA-256 of the sorted-key JSON of model, temperature and prompt,
+    under the default config; a change here orphans every transcript."""
+    assert request_digest(LlmClientConfig(), "x") == (
+        "cbf7e6daf99f3364cd1083a516e38290363304bcc198cd6e4ea9d895716fe265"
+    )
+
+
+def test_transcripts_of_an_earlier_version_replay_its_whole_run(bench_max, tmp_path):
+    """tests/data/recorded_llm_run holds the log and transcripts of `minigi
+    sample` on bench_max (mock mode, seed 11, budget 10, the three LLM
+    families), recorded while requests were still objects. Replay serves
+    every request of that run from them and writes the same log."""
+    unit, tests = bench_max
+    client = ReplayLlmClient(
+        LlmClientConfig(mode="replay", transcript_dir=RECORDED_RUN / "transcripts")
+    )
+    cfg = RandomSamplingConfig(("llm-simple", "llm-medium", "llm-detailed"), 10, 11)
+    llm_context = LlmSearchContext(client, PromptTemplate(project_name="bench_max"))
+    log = tmp_path / "sample_log.csv"
+    with RecordWriter(log) as writer:
+        random_sampling(unit, tests, ["clamp_low", "max2"], cfg, llm=llm_context,
+                        sink=writer.write)
+    assert client.requests_made == 6  # one prompt twice: 5 transcripts
+    assert len(list((RECORDED_RUN / "transcripts").iterdir())) == 5
+    assert log.read_bytes() == (RECORDED_RUN / "sample_log.csv").read_bytes()
 
 
 def test_make_client_dispatch(tmp_path):
@@ -130,8 +157,7 @@ def test_live_request_shape(monkeypatch, tmp_path):
         transcript_dir=tmp_path,
     )
     client = LiveLlmClient(config)
-    response = client.complete(LlmRequest("the prompt", temperature=0.7, model="gpt-3.5-turbo"))
-    assert response.raw_text == "the answer"
+    assert client.complete("the prompt") == "the answer"
     assert captured["url"] == config.endpoint_url
     assert captured["body"] == {
         "model": "gpt-3.5-turbo",
@@ -140,18 +166,23 @@ def test_live_request_shape(monkeypatch, tmp_path):
     }
     assert captured["headers"]["Authorization"] == "Bearer sk-test"
     # the exchange was recorded
-    digest = request_digest(LlmRequest("the prompt", temperature=0.7, model="gpt-3.5-turbo"))
+    digest = request_digest(config, "the prompt")
     record = json.loads((tmp_path / f"{digest}.json").read_text())
-    assert record["response"] == "the answer"
+    assert record == {
+        "request_digest": digest,
+        "model": "gpt-3.5-turbo",
+        "temperature": 0.7,
+        "prompt": "the prompt",
+        "response": "the answer",
+        "timestamp": record["timestamp"],
+    }
 
 
 def test_live_missing_api_key(monkeypatch):
-    from minigi.llm import ClientError
-
     monkeypatch.delenv("NOPE_KEY", raising=False)
     client = LiveLlmClient(LlmClientConfig(mode="live", api_key_env_var="NOPE_KEY"))
-    with pytest.raises(ClientError):
-        client.complete(LlmRequest("p"))
+    with pytest.raises(ClientError, match="^API key env var NOPE_KEY is not set$"):
+        client.complete("p")
 
 
 def test_live_rate_limit_retries_then_fails(monkeypatch):
@@ -167,8 +198,8 @@ def test_live_rate_limit_retries_then_fails(monkeypatch):
     client = LiveLlmClient(
         LlmClientConfig(mode="live", api_key_env_var="TEST_API_KEY", max_retries=2)
     )
-    with pytest.raises(RateLimitedError):
-        client.complete(LlmRequest("p"))
+    with pytest.raises(ClientError, match="^rate limited and retries exhausted$"):
+        client.complete("p")
     assert calls["n"] == 3  # initial try + 2 retries
 
 
@@ -176,8 +207,8 @@ def test_live_bad_status(monkeypatch):
     monkeypatch.setattr(llm, "_post_json", lambda *a: (500, "boom"))
     monkeypatch.setenv("TEST_API_KEY", "k")
     client = LiveLlmClient(LlmClientConfig(mode="live", api_key_env_var="TEST_API_KEY"))
-    with pytest.raises(BadStatusError):
-        client.complete(LlmRequest("p"))
+    with pytest.raises(ClientError, match="^HTTP 500: boom$"):
+        client.complete("p")
 
 
 class _Endpoint(http.server.BaseHTTPRequestHandler):
@@ -221,25 +252,27 @@ def endpoint():
 
 @pytest.mark.parametrize("path, outcome", [
     ("/ok", "hi"),
-    ("/limited", RateLimitedError),
-    ("/broken", BadStatusError),
-    ("/malformed", BadStatusError),
-    ("/slow", TimedOutError),
+    ("/limited", "ClientError: rate limited"),
+    ("/broken", "ClientError: HTTP 500: boom"),
+    ("/malformed", "ClientError: HTTP 200"),
+    ("/slow", "ClientError: timed out"),
 ])
 def test_live_transport_maps_each_answer(monkeypatch, endpoint, path, outcome):
     """The standard-library transport against a local endpoint: a status or
-    body the client cannot use, and a timeout, are client errors."""
+    body the client cannot use, and a timeout, are client errors whose
+    message starts with the text after `ClientError: `."""
     monkeypatch.setattr("time.sleep", lambda s: None)
     monkeypatch.setenv("TEST_API_KEY", "k")
     client = LiveLlmClient(LlmClientConfig(
         mode="live", endpoint_url=endpoint + path, api_key_env_var="TEST_API_KEY",
         request_timeout=0.2, max_retries=1,
     ))
-    if isinstance(outcome, str):
-        assert client.complete(LlmRequest("p")).raw_text == outcome
+    error = outcome.removeprefix("ClientError: ")
+    if error == outcome:
+        assert client.complete("p") == outcome
     else:
-        with pytest.raises(outcome):
-            client.complete(LlmRequest("p"))
+        with pytest.raises(ClientError, match="^" + re.escape(error)):
+            client.complete("p")
 
 
 def test_live_transport_refused_connection_is_a_network_error(monkeypatch):
@@ -250,5 +283,5 @@ def test_live_transport_refused_connection_is_a_network_error(monkeypatch):
     client = LiveLlmClient(LlmClientConfig(
         mode="live", endpoint_url=f"http://127.0.0.1:{port}/v1", api_key_env_var="TEST_API_KEY",
     ))
-    with pytest.raises(NetworkError):
-        client.complete(LlmRequest("p"))
+    with pytest.raises(ClientError, match="^network error: "):
+        client.complete("p")

@@ -131,6 +131,28 @@ def test_deep_nesting_is_a_parse_error_not_a_crash():
     assert "nesting" in excinfo.value.message
 
 
+def _chain(link: str, n: int) -> str:
+    """A left-deep chain of n terms (`x + x + ...`), or n indexes (`x[0][0]...`)."""
+    return "x" + "[0]" * n if link == "[0]" else f" {link} ".join(["x"] * n)
+
+
+@pytest.mark.parametrize("link", ["+", "&&", "[0]"])
+def test_a_long_chain_nests_too_deep_although_its_text_is_flat(link):
+    """Each operator of a chain and each index counts one level: the parser
+    bounds the depth of the tree it returns, which every later pass recurses
+    into, not only its own recursion."""
+    block = "{ return " + _chain(link, 150) + "; }"
+    for parse in (parse_block, lambda text: parse_source("fn f() -> int " + text)):
+        with pytest.raises(ParseError) as excinfo:
+            parse(block)
+        assert excinfo.value.message == "nesting too deep"
+
+
+def test_a_ninety_term_sum_still_parses():
+    unit = parse_source("fn f(x: int) -> int { return " + _chain("+", 90) + "; }")
+    assert parse_block("{ return " + _chain("+", 90) + "; }") == unit.function("f").body
+
+
 def test_parse_block_basics():
     block = parse_block("{ x = 1; }")
     assert isinstance(block, Block)

@@ -9,7 +9,6 @@ from minigi.lang.ast import block_ids
 from minigi.llm import LlmClientConfig, MockLlmClient
 from minigi.patches import EditKind, apply_edit
 from minigi.prompts import (
-    LlmResponse,
     PromptCategory,
     PromptTemplate,
     build_prompt,
@@ -86,32 +85,29 @@ def test_placeholders_in_code_are_not_reexpanded():
 
 
 def test_extract_blocks_of_many_in_order():
-    resp = LlmResponse("intro\n```\nfirst\n```\nmiddle\n```\nsecond\n```\n")
-    assert resp.extracted_blocks == ("first", "second")
+    text = "intro\n```\nfirst\n```\nmiddle\n```\nsecond\n```\n"
+    assert extract_code_blocks(text) == ("first", "second")
 
 
 def test_extract_prose_only_is_no_code_block(bench_sort):
     unit, _ = bench_sort
     prose = "No code here, only words."
-    assert LlmResponse(prose).extracted_blocks == ()
+    assert extract_code_blocks(prose) == ()
     client = mock_client([prose])
     edits = make_llm_edits(unit, ["sort"], random.Random(0), client, minilang_template(), MEDIUM)
     assert [e.payload for e in edits] == [None] * 5
 
 
 def test_extract_strips_language_label():
-    resp = LlmResponse("```java\n{ return 1; }\n```\n")
-    assert resp.extracted_blocks == ("{ return 1; }",)
+    assert extract_code_blocks("```java\n{ return 1; }\n```\n") == ("{ return 1; }",)
 
 
 def test_extract_unclosed_fence_runs_to_end():
-    resp = LlmResponse("```\n{ x = 1;\ny = 2; }")
-    assert resp.extracted_blocks == ("{ x = 1;\ny = 2; }",)
+    assert extract_code_blocks("```\n{ x = 1;\ny = 2; }") == ("{ x = 1;\ny = 2; }",)
 
 
 def test_extract_indented_fences():
-    resp = LlmResponse("  ```\n  code\n  ```")
-    assert resp.extracted_blocks == ("  code",)
+    assert extract_code_blocks("  ```\n  code\n  ```") == ("  code",)
 
 
 # -- the operator --
@@ -156,8 +152,8 @@ def test_make_llm_edits_echo_keeps_original_fingerprint(bench_sort):
 
     unit, _ = bench_sort
 
-    def echo(request):
-        code = extract_code_blocks(request.prompt)[0]
+    def echo(prompt):
+        code = extract_code_blocks(prompt)[0]
         return "```\n" + code + "\n```"
 
     client = mock_client(echo)
@@ -172,7 +168,7 @@ def test_block_selection_uniform_over_blocks(bench_sort):
     unit, _ = bench_sort
     blocks = block_ids(unit.function("sort"))
     assert len(blocks) == 4  # root, outer body, inner body, then-block
-    client = mock_client(lambda req: "```\n{ }\n```")
+    client = mock_client(lambda prompt: "```\n{ }\n```")
     seen = set()
     counts = {}
     for seed in range(600):
@@ -189,7 +185,7 @@ def test_block_selection_uniform_over_blocks(bench_sort):
 
 def test_body_root_block_is_eligible(bench_sort):
     unit, _ = bench_sort
-    client = mock_client(lambda req: "```\n{ return a; }\n```")
+    client = mock_client(lambda prompt: "```\n{ return a; }\n```")
     for seed in range(200):
         edits = make_llm_edits(
             unit, ["sort"], random.Random(seed), client, minilang_template(1), MEDIUM
@@ -203,8 +199,8 @@ def test_prompt_code_is_canonical_block_text(bench_sort):
     unit, _ = bench_sort
     captured = {}
 
-    def capture(request):
-        captured["prompt"] = request.prompt
+    def capture(prompt):
+        captured["prompt"] = prompt
         return "```\n{ }\n```"
 
     client = mock_client(capture)

@@ -86,7 +86,7 @@ def test_each_logged_classic_patch_is_replayable_from_its_seed(bench_max):
 
 def test_llm_budget_of_ten_issues_exactly_two_requests(bench_sort):
     unit, tests = bench_sort
-    llm = mock_context(script=lambda req: "```\n{ }\n```\n" * 5)
+    llm = mock_context(script=lambda prompt: "```\n{ }\n```\n" * 5)
     cfg = RandomSamplingConfig(families=("llm-medium",), per_family_budget=10, seed=1)
     records = random_sampling(unit, tests, ["sort"], cfg, llm=llm)
     assert len(records) == 10
@@ -95,7 +95,7 @@ def test_llm_budget_of_ten_issues_exactly_two_requests(bench_sort):
 
 def test_llm_request_count_is_ceil_of_budget_over_variants(bench_sort):
     unit, tests = bench_sort
-    llm = mock_context(script=lambda req: "```\n{ }\n```")
+    llm = mock_context(script=lambda prompt: "```\n{ }\n```")
     cfg = RandomSamplingConfig(families=("llm-simple",), per_family_budget=7, seed=1)
     random_sampling(unit, tests, ["sort"], cfg, llm=llm)
     assert llm.client.requests_made == 2  # ceil(7 / 5)
@@ -229,7 +229,7 @@ def test_every_improving_eval_passed_and_acceptance_is_strict(bench_planted):
 def test_no_improvement_when_everything_fails(bench_max):
     unit, tests = bench_max
     # every rewrite from this mock is unparsable, so no neighbor ever passes
-    llm = mock_context(script=lambda req: "```\nnot ((( code\n```")
+    llm = mock_context(script=lambda prompt: "```\nnot ((( code\n```")
     cfg = LocalSearchConfig(family="llm-medium", runs=("max2",), evals_per_run=30, seed=1)
     records = local_search(unit, tests, cfg, llm=llm)
     baseline = records[0].runtime
@@ -363,7 +363,7 @@ GOLDEN_1000_UNIQUE = (184, 184, 75, 29)
 
 def test_llm_local_search_amortizes_requests(bench_sort):
     unit, tests = bench_sort
-    llm = mock_context(script=lambda req: "```\n{ }\n```\n" * 5)
+    llm = mock_context(script=lambda prompt: "```\n{ }\n```\n" * 5)
     cfg = LocalSearchConfig(family="llm-medium", runs=("sort",), evals_per_run=40, seed=2)
     records = local_search(unit, tests, cfg, llm=llm)
     appends = sum(1 for r in records[1:] if "llm(" in r.patch_line)
@@ -384,8 +384,8 @@ def test_llm_local_search_requests_again_after_an_accepted_move():
     records: list[EvalRecord] = []
     requests = []  # (evaluations logged when the request was sent, prompt)
 
-    def script(request):
-        requests.append((len(records), request.prompt))
+    def script(prompt):
+        requests.append((len(records), prompt))
         variants = ["{ return n; }"] + ["{ return n + 0; }"] * 4
         return "\n".join(f"```\n{v}\n```" for v in variants)
 
@@ -396,6 +396,23 @@ def test_llm_local_search_requests_again_after_an_accepted_move():
     first_append = next(i for i in range(2, len(records)) if edit_counts[i] == 2)
     assert [logged for logged, _ in requests[:2]] == [1, first_append]
     assert "return n;" in requests[1][1] and "var s" not in requests[1][1]
+
+
+def test_statement_runs_without_a_statement_to_draw_are_refused():
+    """Sampling needs a statement in one target method, local search in each."""
+    from minigi.lang import parse_source, parse_test_file
+
+    unit = parse_source("fn noop() { } fn one(x: int) -> int { return x; }", "noop")
+    tests = parse_test_file("test same: one(1) == 1")
+    records = random_sampling(
+        unit, tests, ["noop", "one"], RandomSamplingConfig(("statement",), 50, 1)
+    )
+    assert all("noop:" not in split_patch_line(r.patch_line)[1] for r in records)
+    with pytest.raises(SearchSetupError, match="no statement to draw in noop"):
+        random_sampling(unit, tests, ["noop"], RandomSamplingConfig(("statement",), 5, 1))
+    with pytest.raises(SearchSetupError, match="no statement to draw in noop"):
+        local_search(unit, tests, LocalSearchConfig("statement", ("one", "noop"), 5, 1))
+    assert len(local_search(unit, tests, LocalSearchConfig("insert", ("noop",), 5, 1))) == 5
 
 
 def _nested_ifs(depth: int) -> str:
@@ -409,7 +426,7 @@ def test_adversarial_rewrites_each_log_a_row_within_a_wall_bound():
     from minigi.lang import parse_block, parse_source, parse_test_file
     from minigi.lang.parser import MAX_NESTING, ParseError
 
-    depth = MAX_NESTING - 3
+    depth = MAX_NESTING - 4  # the body, the return, the call's argument and its `-` nest 4 levels
     parse_block(_nested_ifs(depth))
     with pytest.raises(ParseError):
         parse_block(_nested_ifs(depth + 1))
