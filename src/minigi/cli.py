@@ -394,21 +394,21 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         raise ConfigError("replay would overwrite the recorded logs; pick another --out-dir")
     mismatches = 0
     for meta_path in metas:
-        try:
-            record = read_run_meta(run_dir / meta_path.name.removesuffix(".meta.json"))
-        except ValueError as exc:
-            raise ConfigError(f"{meta_path}: not JSON: {exc}") from None
+        record = read_run_meta(run_dir / meta_path.name.removesuffix(".meta.json"))
         _check_record(record, meta_path)
         if record["llm"] is not None:
             record["llm"]["client"]["mode"] = "replay"
         log_name = record["log"]
+        try:
+            original = (run_dir / log_name).read_bytes()
+        except OSError as exc:
+            raise ConfigError(f"cannot read {run_dir / log_name}: {exc.strerror}") from None
         print(f"replaying {record['command']} run -> {out_dir / log_name}")
         unit = _load_program(record["program"])
         if source_digest(unit) != record["original_digest"]:
             raise ConfigError(f"{record['program']} changed since the run was recorded")
         tests = _load_tests(record["tests"])
         _execute(record, unit, tests, out_dir, _settings(record, unit, f"{meta_path}: "))
-        original = (run_dir / log_name).read_bytes()
         replayed = (out_dir / log_name).read_bytes()
         if original == replayed:
             print(f"{log_name}: identical")

@@ -39,7 +39,7 @@ import tempfile
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from minigi.lang.ast import BaseProgram, SourceUnit
 from minigi.lang.interpreter import (
@@ -51,9 +51,6 @@ from minigi.lang.interpreter import (
 from minigi.lang.printer import print_canonical, source_digest
 from minigi.lang.semantics import validate
 from minigi.patches import ApplyError, Patch, apply_patch
-
-if TYPE_CHECKING:
-    import subprocess
 
 
 class InfrastructureError(Exception):
@@ -187,13 +184,12 @@ def _substitute(cmd: str, mapping: dict[str, str]) -> list[str]:
     return out
 
 
-def _run_command(
-    argv: list[str], cwd: Path, timeout_ms: Optional[int] = None
-) -> subprocess.CompletedProcess:
+def _run_command(argv: list[str], cwd: Path, timeout_ms: Optional[int] = None):
     """Run one command in a process group of its own, reading no terminal
-    input. When it returns, times out or fails in any other way, its whole
-    process group is killed and the command reaped, so no descendant in
-    the group outlives the command."""
+    input: its CompletedProcess, or None when it outlives `timeout_ms`.
+    When it returns, times out or fails in any other way, its whole process
+    group is killed and the command reaped, so no descendant in the group
+    outlives the command."""
     import subprocess
 
     try:
@@ -217,6 +213,8 @@ def _run_command(
                     os.killpg(proc.pid, signal.SIGKILL)
                 proc.wait()
         return subprocess.CompletedProcess(argv, proc.returncode, stdout, stderr)
+    except subprocess.TimeoutExpired:
+        return None
     except FileNotFoundError as exc:
         raise InfrastructureError(f"command not found: {exc}") from None
     except OSError as exc:
@@ -231,8 +229,6 @@ def _evaluate_external(
     digest: str,
     base: BaseProgram,
 ) -> EvaluationResult:
-    import subprocess
-
     with tempfile.TemporaryDirectory(prefix="minigi-eval-") as tmp:
         workdir = Path(tmp)
         src = workdir / "original.ml"
@@ -245,12 +241,8 @@ def _evaluate_external(
             "WORKDIR": str(workdir),
         }
         argv = _substitute(toolchain.compile_cmd, mapping)
-        try:
-            proc = _run_command(argv, workdir, timeout_ms=toolchain.timeout_ms)
-            compiled = proc.returncode == 0
-        except subprocess.TimeoutExpired:
-            compiled = False
-        if not compiled:
+        proc = _run_command(argv, workdir, timeout_ms=toolchain.timeout_ms)
+        if proc is None or proc.returncode != 0:
             return EvaluationResult(Classification.VALID_ONLY, fingerprint=digest)
         failed = _run_external_tests(tests, toolchain, mapping, workdir)
         if failed:
@@ -268,8 +260,6 @@ def _run_external_tests(
     workdir: Path,
 ) -> int:
     """Failed-test count; a watchdog kill at timeout_ms counts as a failure."""
-    import subprocess
-
     per_test = "{TEST}" in toolchain.test_cmd
     names: list[Optional[str]] = [t.name for t in tests] if per_test else [None]
     failed = 0
@@ -278,12 +268,8 @@ def _run_external_tests(
         if name is not None:
             cmd_mapping["TEST"] = name
         argv = _substitute(toolchain.test_cmd, cmd_mapping)
-        try:
-            proc = _run_command(argv, workdir, timeout_ms=toolchain.timeout_ms)
-        except subprocess.TimeoutExpired:
-            failed += 1
-            continue
-        if proc.returncode != 0:
+        proc = _run_command(argv, workdir, timeout_ms=toolchain.timeout_ms)
+        if proc is None or proc.returncode != 0:
             failed += 1
     return failed
 
@@ -293,17 +279,14 @@ def _measure_external(
     mapping: dict[str, str],
     workdir: Path,
 ) -> int:
-    import subprocess
-
     samples = []
     for _ in range(toolchain.measure_repeats):
         argv = _substitute(toolchain.measure_cmd, mapping)
-        try:
-            proc = _run_command(argv, workdir, timeout_ms=toolchain.timeout_ms)
-        except subprocess.TimeoutExpired:
+        proc = _run_command(argv, workdir, timeout_ms=toolchain.timeout_ms)
+        if proc is None:
             raise InfrastructureError(
                 f"measure command outlived its {toolchain.timeout_ms} ms watchdog"
-            ) from None
+            )
         if proc.returncode != 0:
             raise InfrastructureError(
                 f"measure command failed ({proc.returncode}): {proc.stderr.strip()}"

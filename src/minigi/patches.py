@@ -6,11 +6,19 @@ the tree produced by its predecessors, so an earlier edit can strand a
 later one. A stranded edit makes the whole patch invalid (UnresolvableId)
 rather than being skipped silently.
 
-Application never mutates its input: trees are immutable, and rebuilding
-shares untouched subtrees. For the same reason one parsed LLM payload can
-be shared by every program it is applied to, so a run parses each
-distinct payload text once: its driver passes one payload memo to every
-application, and each text is looked up there before it is parsed.
+Each edit resolves each of its ids once, walking the path from the
+function body down to the statement it names and keeping that spine, and
+then rebuilds that spine once, bottom-up, around the new statement (or
+without the deleted one). Only a swap of two disjoint statements of one
+function resolves an id a second time, after its first substitution.
+
+Application never mutates its input: trees are immutable, rebuilding
+shares untouched subtrees, and every function an edit leaves untouched
+stays the input's own object, which BaseProgram's caches rely on. For
+the same reason one parsed LLM payload can be shared by every program it
+is applied to, so a run parses each distinct payload text once: its
+driver passes one payload memo to every application, and each text is
+looked up there before it is parsed.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from minigi.lang.ast import (
     ArrayLit,
@@ -36,7 +44,6 @@ from minigi.lang.ast import (
     Continue,
     For,
     While,
-    get_statement,
     stmt_children,
 )
 from minigi.lang.parser import ParseError, parse_block
@@ -158,7 +165,48 @@ def _parse_payload(payload: str, memo: PayloadMemo) -> Block:
     return parsed
 
 
-# -- tree surgery (pure; rebuilds the spine, shares the rest) --
+# -- tree surgery: resolve an id once, rebuild its spine once --
+
+
+def _resolve(
+    unit: SourceUnit,
+    at: Union[StatementId, InsertionPoint],
+    listed: bool = False,
+    block: bool = False,
+) -> tuple[Function, list[Stmt]]:
+    """The function `at` names and its spine: the statements on the path
+    from its body (first) down to the one `at` names (last). `listed`
+    requires that statement to sit in a block's statement list, `block`
+    requires a block, and an insertion point requires a block with its
+    index in range. Raises UnresolvableIdError otherwise."""
+    sid = at.block if isinstance(at, InsertionPoint) else at
+    for fn in unit.functions:
+        if fn.name == sid.function:
+            break
+    else:
+        raise UnresolvableIdError(sid, "function does not exist")
+    path = sid.path
+    if listed and not path:
+        raise UnresolvableIdError(sid, "body root is not a list statement")
+    spine: list[Stmt] = [fn.body]
+    last = len(path) - 1
+    for depth, idx in enumerate(path):
+        node = spine[-1]
+        if listed and depth == last and not isinstance(node, Block):
+            raise UnresolvableIdError(sid, "not inside a statement list")
+        children = stmt_children(node)
+        if idx < 0 or idx >= len(children):
+            if listed and depth < last:
+                raise UnresolvableIdError(sid, "not inside a statement list")
+            raise UnresolvableIdError(sid)
+        spine.append(children[idx])
+    target = spine[-1]
+    if block or isinstance(at, InsertionPoint):
+        if not isinstance(target, Block):
+            raise UnresolvableIdError(sid, "does not resolve to a block")
+        if isinstance(at, InsertionPoint) and not 0 <= at.index <= len(target.statements):
+            raise UnresolvableIdError(sid, f"insertion index {at.index} out of range")
+    return fn, spine
 
 
 def _rebuild(node: Stmt, index: int, new_child: Optional[Stmt]) -> Stmt:
@@ -185,85 +233,22 @@ def _rebuild(node: Stmt, index: int, new_child: Optional[Stmt]) -> Stmt:
     raise AssertionError(f"node {node!r} has no children")
 
 
-def _edit_at(root: Block, path: tuple[int, ...], leaf: Callable[[Stmt], Optional[Stmt]]) -> Block:
-    """`root` with the statement at `path` replaced by `leaf` of it; None
-    deletes it from its block. Only the spine down to it is rebuilt."""
-
-    def go(node: Stmt, rest: tuple[int, ...]) -> Optional[Stmt]:
-        if not rest:
-            return leaf(node)
-        idx = rest[0]
-        return _rebuild(node, idx, go(stmt_children(node)[idx], rest[1:]))
-
-    result = go(root, path)
-    assert isinstance(result, Block)
-    return result
-
-
-def _replace_at(root: Block, path: tuple[int, ...], new_stmt: Stmt) -> Block:
-    return _edit_at(root, path, lambda _: new_stmt)
-
-
-def _insert_at(root: Block, path: tuple[int, ...], index: int, stmt: Stmt) -> Block:
-    def insert(block: Stmt) -> Stmt:
-        assert isinstance(block, Block)
-        stmts = list(block.statements)
-        stmts.insert(index, stmt)
-        return Block(tuple(stmts))
-
-    return _edit_at(root, path, insert)
-
-
-# -- resolution helpers --
-
-
-def _function(unit: SourceUnit, sid: StatementId) -> Function:
-    if not unit.has_function(sid.function):
-        raise UnresolvableIdError(sid, "function does not exist")
-    return unit.function(sid.function)
-
-
-def _node_at(unit: SourceUnit, sid: StatementId) -> Stmt:
-    node = get_statement(_function(unit, sid), sid.path)
-    if node is None:
-        raise UnresolvableIdError(sid)
-    return node
-
-
-def _list_element_at(unit: SourceUnit, sid: StatementId) -> Stmt:
-    """Resolve sid and require it to sit in a block's statement list."""
-    fn = _function(unit, sid)
-    if not sid.path:
-        raise UnresolvableIdError(sid, "body root is not a list statement")
-    parent = get_statement(fn, sid.path[:-1])
-    if parent is None or not isinstance(parent, Block):
-        raise UnresolvableIdError(sid, "not inside a statement list")
-    node = get_statement(fn, sid.path)
-    if node is None:
-        raise UnresolvableIdError(sid)
-    return node
-
-
-def _block_at(unit: SourceUnit, sid: StatementId) -> Block:
-    node = _node_at(unit, sid)
-    if not isinstance(node, Block):
-        raise UnresolvableIdError(sid, "does not resolve to a block")
-    return node
-
-
-def _insertion_block(unit: SourceUnit, point: InsertionPoint) -> Block:
-    block = _block_at(unit, point.block)
-    if point.index < 0 or point.index > len(block.statements):
-        raise UnresolvableIdError(point.block, f"insertion index {point.index} out of range")
-    return block
-
-
-def _with_body(unit: SourceUnit, fn_name: str, body: Block) -> SourceUnit:
-    functions = tuple(
-        Function(fn.name, fn.params, fn.return_type, body) if fn.name == fn_name else fn
-        for fn in unit.functions
+def _splice(
+    unit: SourceUnit, fn: Function, path: tuple[int, ...], spine: list[Stmt],
+    leaf: Optional[Stmt],
+) -> SourceUnit:
+    """`unit` with the last statement of `spine`, resolved along `path` in
+    `fn`, replaced by `leaf`, or deleted from its block when `leaf` is
+    None. Only the spine is rebuilt, bottom-up; every other function stays
+    `unit`'s own object."""
+    node = leaf
+    for depth in reversed(range(len(path))):
+        node = _rebuild(spine[depth], path[depth], node)
+    assert isinstance(node, Block)
+    patched = Function(fn.name, fn.params, fn.return_type, node)
+    return SourceUnit(
+        unit.name, tuple(patched if f.name == fn.name else f for f in unit.functions)
     )
-    return SourceUnit(unit.name, functions)
 
 
 def _default_return(return_type: Type) -> Return:
@@ -289,81 +274,64 @@ def apply_edit(
     """`unit` with `edit` applied; an LLM payload is looked up in
     `payloads` (a fresh memo when None) before it is parsed."""
     k = edit.kind
-    if k is EditKind.DELETE:
-        assert edit.src is not None
-        _list_element_at(unit, edit.src)
-        fn = unit.function(edit.src.function)
-        return _with_body(unit, fn.name, _edit_at(fn.body, edit.src.path, lambda _: None))
-
-    if k is EditKind.COPY:
-        assert edit.src is not None and isinstance(edit.dst, InsertionPoint)
-        node = _node_at(unit, edit.src)
-        _insertion_block(unit, edit.dst)
-        fn = unit.function(edit.dst.block.function)
-        body = _insert_at(fn.body, edit.dst.block.path, edit.dst.index, node)
-        return _with_body(unit, fn.name, body)
-
-    if k is EditKind.REPLACE:
-        assert edit.src is not None and isinstance(edit.dst, StatementId)
-        node = _node_at(unit, edit.src)
-        _list_element_at(unit, edit.dst)
-        fn = unit.function(edit.dst.function)
-        return _with_body(unit, fn.name, _replace_at(fn.body, edit.dst.path, node))
-
+    src, dst = edit.src, edit.dst
     if k is EditKind.SWAP:
-        assert edit.src is not None and isinstance(edit.dst, StatementId)
-        return _apply_swap(unit, edit.src, edit.dst)
-
-    if k in INSERT_KINDS:
-        assert isinstance(edit.dst, InsertionPoint)
-        _insertion_block(unit, edit.dst)
-        fn = unit.function(edit.dst.block.function)
-        stmt: Stmt
-        if k is EditKind.INSERT_BREAK:
-            stmt = Break()
-        elif k is EditKind.INSERT_CONTINUE:
-            stmt = Continue()
-        else:
-            stmt = _default_return(fn.return_type)
-        body = _insert_at(fn.body, edit.dst.block.path, edit.dst.index, stmt)
-        return _with_body(unit, fn.name, body)
-
-    # LLM block replacement
-    assert edit.src is not None
-    block_sid = edit.src
-    _block_at(unit, block_sid)
-    if edit.payload is None:
-        raise PayloadUnparsableError("response contained no code block")
-    new_block = _parse_payload(edit.payload, {} if payloads is None else payloads)
-    fn = unit.function(block_sid.function)
-    return _with_body(unit, fn.name, _replace_at(fn.body, block_sid.path, new_block))
+        assert src is not None and isinstance(dst, StatementId)
+        return _apply_swap(unit, src, dst)
+    leaf: Stmt
+    if k is EditKind.DELETE:
+        assert src is not None
+        fn, spine = _resolve(unit, src, listed=True)
+        return _splice(unit, fn, src.path, spine, None)
+    if k is EditKind.REPLACE:
+        assert src is not None and isinstance(dst, StatementId)
+        leaf = _resolve(unit, src)[1][-1]
+        fn, spine = _resolve(unit, dst, listed=True)
+        return _splice(unit, fn, dst.path, spine, leaf)
+    if k is EditKind.LLM_BLOCK_REPLACE:
+        assert src is not None
+        fn, spine = _resolve(unit, src, block=True)
+        if edit.payload is None:
+            raise PayloadUnparsableError("response contained no code block")
+        leaf = _parse_payload(edit.payload, {} if payloads is None else payloads)
+        return _splice(unit, fn, src.path, spine, leaf)
+    # COPY and the insert kinds add one statement at an insertion point.
+    assert isinstance(dst, InsertionPoint)
+    if k is EditKind.COPY:
+        assert src is not None
+        leaf = _resolve(unit, src)[1][-1]
+    fn, spine = _resolve(unit, dst)
+    if k is EditKind.INSERT_BREAK:
+        leaf = Break()
+    elif k is EditKind.INSERT_CONTINUE:
+        leaf = Continue()
+    elif k is EditKind.INSERT_RETURN:
+        leaf = _default_return(fn.return_type)
+    stmts = spine[-1].statements  # a block: the resolver checked it
+    block = Block(stmts[: dst.index] + (leaf,) + stmts[dst.index :])
+    return _splice(unit, fn, dst.block.path, spine, block)
 
 
 def _apply_swap(unit: SourceUnit, src: StatementId, dst: StatementId) -> SourceUnit:
-    src_node = _list_element_at(unit, src)
-    dst_node = _list_element_at(unit, dst)
+    src_fn, src_spine = _resolve(unit, src, listed=True)
+    dst_fn, dst_spine = _resolve(unit, dst, listed=True)
+    src_node, dst_node = src_spine[-1], dst_spine[-1]
     if src.function != dst.function:
-        # Swapping across functions: substitute each side independently.
-        unit = _with_body(
-            unit, src.function,
-            _replace_at(unit.function(src.function).body, src.path, dst_node),
-        )
-        return _with_body(
-            unit, dst.function,
-            _replace_at(unit.function(dst.function).body, dst.path, src_node),
-        )
-    fn = unit.function(src.function)
+        # Swapping across functions: substitute each side independently;
+        # the first substitution leaves the other function as it was.
+        unit = _splice(unit, src_fn, src.path, src_spine, dst_node)
+        return _splice(unit, dst_fn, dst.path, dst_spine, src_node)
     if src.path == dst.path:
         return unit
     # When one side encloses the other, the outer substitution absorbs the
     # inner one: the enclosing statement is replaced by the enclosed subtree.
     if _is_prefix(src.path, dst.path):
-        return _with_body(unit, fn.name, _replace_at(fn.body, src.path, dst_node))
+        return _splice(unit, src_fn, src.path, src_spine, dst_node)
     if _is_prefix(dst.path, src.path):
-        return _with_body(unit, fn.name, _replace_at(fn.body, dst.path, src_node))
-    body = _replace_at(fn.body, src.path, dst_node)
-    body = _replace_at(body, dst.path, src_node)
-    return _with_body(unit, fn.name, body)
+        return _splice(unit, dst_fn, dst.path, dst_spine, src_node)
+    unit = _splice(unit, src_fn, src.path, src_spine, dst_node)
+    dst_fn, dst_spine = _resolve(unit, dst)  # the first splice rebuilt their common spine
+    return _splice(unit, dst_fn, dst.path, dst_spine, src_node)
 
 
 def apply_patch(

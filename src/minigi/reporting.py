@@ -248,23 +248,35 @@ class RecordWriter:
         self.close()
 
 
+def _unreadable(path: Union[str, Path], exc: Exception) -> ReportError:
+    why = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
+    return ReportError(f"cannot read {path}: {why}")
+
+
 def read_records_csv(path: Union[str, Path]) -> list[EvalRecord]:
+    """The records of a run log; ReportError for a file that cannot be
+    read or is no run log."""
     records: list[EvalRecord] = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != LOG_COLUMNS:
-            raise ReportError(f"row 1: bad header {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(LOG_COLUMNS):
-                raise ReportError(f"row {lineno}: expected {len(LOG_COLUMNS)} fields, got {len(row)}")
-            run_id, eval_index, patch_line, classification, runtime = row
-            try:
-                index = int(eval_index)
-                rt = int(runtime) if runtime else None
-            except ValueError as exc:
-                raise ReportError(f"row {lineno}: {exc}") from None
-            records.append(EvalRecord(run_id, index, patch_line, classification, rt))
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != LOG_COLUMNS:
+                raise ReportError(f"row 1: bad header {header!r}")
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(LOG_COLUMNS):
+                    raise ReportError(
+                        f"row {lineno}: expected {len(LOG_COLUMNS)} fields, got {len(row)}"
+                    )
+                run_id, eval_index, patch_line, classification, runtime = row
+                try:
+                    index = int(eval_index)
+                    rt = int(runtime) if runtime else None
+                except ValueError as exc:
+                    raise ReportError(f"row {lineno}: {exc}") from None
+                records.append(EvalRecord(run_id, index, patch_line, classification, rt))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable(path, exc) from None
     return records
 
 
@@ -283,7 +295,18 @@ def write_run_meta(log_path: Union[str, Path], meta: dict) -> None:
 
 
 def read_run_meta(log_path: Union[str, Path]) -> Optional[dict]:
+    """The run record beside `log_path`, or None when there is none;
+    ReportError naming the sidecar when it cannot be read or holds no
+    JSON object."""
     path = meta_path_for(log_path)
     if not path.exists():
         return None
-    return json.loads(path.read_text(encoding="utf-8"))
+    try:
+        meta = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable(path, exc) from None
+    except ValueError as exc:
+        raise ReportError(f"{path}: not JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ReportError(f"{path}: not a JSON object")
+    return meta

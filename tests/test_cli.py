@@ -431,6 +431,67 @@ def test_replay_refuses_to_overwrite_the_recorded_run(tmp_path, capsys):
     assert (run_dir / "sample_log.csv").read_bytes() == recorded
 
 
+def _missing_log(run_dir):
+    return ["report", "table2", str(run_dir / "absent.csv")], run_dir / "absent.csv"
+
+
+def _directory_as_log(run_dir):
+    (run_dir / "dir.csv").mkdir()
+    return ["report", "table2", str(run_dir / "dir.csv")], run_dir / "dir.csv"
+
+
+def _log_not_utf8(run_dir):
+    log = run_dir / "sample_log.csv"
+    log.write_bytes(log.read_bytes() + b"\xff\n")
+    return ["report", "table1", str(log)], log
+
+
+def _sidecar_not_json(run_dir):
+    meta = run_dir / "sample_log.csv.meta.json"
+    meta.write_text("notjson")
+    return ["report", "table1", str(run_dir / "sample_log.csv")], meta
+
+
+def _sidecar_not_an_object(run_dir):
+    meta = run_dir / "sample_log.csv.meta.json"
+    meta.write_text("[1,2]")
+    return ["report", "table1", str(run_dir / "sample_log.csv")], meta
+
+
+def _directory_as_sidecar(run_dir):
+    (run_dir / "x.csv.meta.json").mkdir()
+    return ["replay", str(run_dir), "--out-dir", str(run_dir.parent / "again")], (
+        run_dir / "x.csv.meta.json"
+    )
+
+
+def _recorded_log_missing(run_dir):
+    (run_dir / "sample_log.csv").unlink()
+    return ["replay", str(run_dir), "--out-dir", str(run_dir.parent / "again")], (
+        run_dir / "sample_log.csv"
+    )
+
+
+@pytest.mark.parametrize("breakage", [
+    _missing_log, _directory_as_log, _log_not_utf8, _sidecar_not_json,
+    _sidecar_not_an_object, _directory_as_sidecar, _recorded_log_missing,
+])
+def test_report_and_replay_refuse_a_file_they_cannot_read(tmp_path, capsys, breakage):
+    """A log or sidecar that is missing, a directory, not UTF-8, not JSON or
+    not a JSON object exits 2 with one error line naming it, never with a
+    traceback and exit 1, which means that the logs differ."""
+    run_dir = tmp_path / "run"
+    assert run(
+        "sample", MAX, MAX_TESTS, "--family", "insert", "--budget", "3",
+        "--seed", "4", "--methods", "max2", "--out-dir", str(run_dir),
+    ) == 0
+    argv, culprit = breakage(run_dir)
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(culprit) in err[0]
+
+
 def _drop_budget(record):
     del record["budget"]
 

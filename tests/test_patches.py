@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -11,8 +12,10 @@ from minigi.lang import (
     validate,
 )
 from minigi.lang.ast import StatementId, list_statement_ids
-from minigi.operators import sample_statement_edit
+from minigi.llm import LlmClientConfig, MockLlmClient
+from minigi.operators import sample_insert_edit, sample_statement_edit
 from minigi.patches import (
+    ApplyError,
     Edit,
     EditKind,
     InsertionPoint,
@@ -24,6 +27,9 @@ from minigi.patches import (
     serialize_patch,
     split_patch_line,
 )
+from minigi.prompts import PromptCategory, PromptTemplate, make_llm_edits
+
+from conftest import BENCHMARKS
 
 
 def sid(fn: str, *path: int) -> StatementId:
@@ -279,3 +285,48 @@ def test_serialization_round_trip_fields(bench_sort):
     assert split_patch_line(invalid_line)[2] == "invalid"
     empty = serialize_patch(Patch("bench_sort", (), "s"), digest)
     assert split_patch_line(empty)[1] == ""
+
+
+# Every outcome of the golden stream below, joined by newlines, hashed.
+GOLDEN_OUTCOMES = "aeb53225278446467af12f39f629f71adfb5e71c93ec0c07aeb7dc1c976f6602"
+
+
+def test_every_application_matches_the_golden_stream():
+    """2,400 drawn patches of one and two Statement, Insert and LLM edits on
+    every benchmark: each patch's digest, or its ApplyError's type and
+    text, hashes to a value fixed when the patch code was last rewritten.
+    Every applied program prints and parses back to itself."""
+    outcomes, refused = [], 0
+    for stem in ("bench_loop", "bench_max", "bench_planted", "bench_sort"):
+        unit = parse_source((BENCHMARKS / f"{stem}.ml").read_text(encoding="utf-8"), name=stem)
+        hot = [fn.name for fn in unit.functions]
+        client = MockLlmClient(LlmClientConfig())
+        template = PromptTemplate(project_name=stem)
+        memo: dict = {}
+        for family in ("statement", "insert", "llm-medium"):
+            draw = sample_statement_edit if family == "statement" else sample_insert_edit
+            for i in range(200):
+                rng = random.Random(f"{stem}:{family}:{i}")
+                if family != "llm-medium":
+                    first, second = draw(unit, hot, rng), draw(unit, hot, rng)
+                    patches = [(first,) if i % 2 == 0 else (first, second)]
+                elif i % 5 == 0:
+                    edits = make_llm_edits(
+                        unit, hot, rng, client, template, PromptCategory.MEDIUM
+                    )
+                    patches = [
+                        (e,) if j % 2 == 0 else (edits[0], e) for j, e in enumerate(edits)
+                    ]
+                else:
+                    patches = []
+                for edits in patches:
+                    try:
+                        patched = apply_patch(unit, Patch(stem, edits), memo)
+                    except ApplyError as exc:
+                        outcomes.append(f"{type(exc).__name__}: {exc}")
+                        refused += 1
+                        continue
+                    assert parse_source(print_canonical(patched), name=stem) == patched
+                    outcomes.append(source_digest(patched))
+    assert (len(outcomes), refused) == (2400, 266)
+    assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == GOLDEN_OUTCOMES
