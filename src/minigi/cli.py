@@ -101,12 +101,20 @@ class ConfigError(Exception):
 # -- option plumbing --
 
 
+def _read_text(path: str, what: str) -> str:
+    """The UTF-8 text of the `what` file at `path`, or a ConfigError
+    naming the file when it cannot be read or is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"cannot read {what}: {path}: not UTF-8 text") from None
+
+
 def _read_config_file(path: str, known: set[str]) -> dict[str, str]:
     values: dict[str, str] = {}
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from None
+    lines = _read_text(path, "config file").splitlines()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -122,10 +130,7 @@ def _read_config_file(path: str, known: set[str]) -> dict[str, str]:
 
 
 def _load_program(path: str):
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read program: {exc}") from None
+    text = _read_text(path, "program")
     try:
         return parse_source(text, name=Path(path).stem)
     except ParseError as exc:
@@ -133,10 +138,7 @@ def _load_program(path: str):
 
 
 def _load_tests(path: str):
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read tests: {exc}") from None
+    text = _read_text(path, "tests")
     try:
         return parse_test_file(text)
     except ParseError as exc:
@@ -377,7 +379,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     else:
         text = render_table2(aggregate_table2(records))
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write report: {exc}") from None
         print(f"wrote {args.out}")
     else:
         print(text, end="")

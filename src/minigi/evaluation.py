@@ -17,15 +17,16 @@ measurements, a hung measurement) raise InfrastructureError and are never
 misfiled as patch failures. `subprocess` loads on the first external
 command, so the builtin backend does not hold it in memory.
 
-A driver run passes every evaluation one `BaseProgram`, built from its
-base program and tests and living no longer than the run. It holds each
-LLM payload parsed once and, keyed on the identity of the base's own
-functions, their canonical text, semantic errors and compiled closures,
-plus each test's checked and compiled harness call. Patch application
-keeps every function a patch does not edit as the base's own object, so
-an evaluation prints, validates and compiles only the functions its
-patch changed, and the external backend prints the unpatched program
-once per run. No result depends on it.
+An evaluation takes its run's `BaseProgram`: the run's base program and
+tests, built once per driver run and living no longer than the run. The
+patch applies to that program and runs those tests. The BaseProgram also
+holds each LLM payload parsed once and, keyed on the identity of the
+base's own functions, their canonical text, semantic errors and compiled
+closures, plus each test's checked and compiled harness call. Patch
+application keeps every function a patch does not edit as the base's own
+object, so an evaluation prints, validates and compiles only the
+functions its patch changed, and the external backend prints the
+unpatched program once per run. No result depends on that reuse.
 """
 
 from __future__ import annotations
@@ -127,44 +128,33 @@ class ExternalToolchain:
 
 
 def evaluate(
-    unit: SourceUnit,
+    base: BaseProgram,
     patch: Patch,
-    tests: list[TestCase],
     toolchain: Optional[ExternalToolchain] = None,
     step_budget: int = DEFAULT_STEP_BUDGET,
-    base: Optional[BaseProgram] = None,
 ) -> EvaluationResult:
-    """Classify one patch: on `toolchain` when given, else on the built-in
-    backend, which is deterministic.
-
-    `base` is the run's BaseProgram (see the module docstring), built
-    from this very `unit` and `tests` object; ValueError for one built
-    from another program. It changes no result; without it one is built
-    for this evaluation alone."""
-    if base is None:
-        base = BaseProgram(unit, tests)
-    elif base.unit is not unit or base.tests is not tests:
-        raise ValueError("evaluate takes the BaseProgram of its own program and tests")
+    """Classify `patch` applied to the run's program `base.unit` against
+    its tests `base.tests` (see the module docstring): on `toolchain` when
+    given, else on the built-in backend, which is deterministic."""
     try:
-        patched = apply_patch(unit, patch, base.payloads)
+        patched = apply_patch(base.unit, patch, base.payloads)
     except ApplyError:
         return EvaluationResult(Classification.INVALID)
     digest = source_digest(patched, base)
     if toolchain is None:
-        return _evaluate_builtin(patched, tests, step_budget, digest, base)
-    return _evaluate_external(unit, patched, tests, toolchain, digest, base)
+        return _evaluate_builtin(patched, step_budget, digest, base)
+    return _evaluate_external(patched, toolchain, digest, base)
 
 
 def _evaluate_builtin(
     patched: SourceUnit,
-    tests: list[TestCase],
     step_budget: int,
     digest: str,
     base: BaseProgram,
 ) -> EvaluationResult:
     if validate(patched, base):
         return EvaluationResult(Classification.VALID_ONLY, fingerprint=digest)
-    outcomes = run_suite(patched, tests, step_budget, base=base)
+    outcomes = run_suite(patched, base.tests, step_budget, base=base)
     failed = sum(1 for o in outcomes if o.status is not Status.PASS)
     if failed:
         return EvaluationResult(
@@ -222,9 +212,7 @@ def _run_command(argv: list[str], cwd: Path, timeout_ms: Optional[int] = None):
 
 
 def _evaluate_external(
-    unit: SourceUnit,
     patched: SourceUnit,
-    tests: list[TestCase],
     toolchain: ExternalToolchain,
     digest: str,
     base: BaseProgram,
@@ -233,7 +221,7 @@ def _evaluate_external(
         workdir = Path(tmp)
         src = workdir / "original.ml"
         patched_file = workdir / "patched.ml"
-        src.write_text(print_canonical(unit, base), encoding="utf-8")
+        src.write_text(print_canonical(base.unit, base), encoding="utf-8")
         patched_file.write_text(print_canonical(patched, base), encoding="utf-8")
         mapping = {
             "SRC": str(src),
@@ -244,7 +232,7 @@ def _evaluate_external(
         proc = _run_command(argv, workdir, timeout_ms=toolchain.timeout_ms)
         if proc is None or proc.returncode != 0:
             return EvaluationResult(Classification.VALID_ONLY, fingerprint=digest)
-        failed = _run_external_tests(tests, toolchain, mapping, workdir)
+        failed = _run_external_tests(base.tests, toolchain, mapping, workdir)
         if failed:
             return EvaluationResult(
                 Classification.COMPILED_ONLY, tests_failed=failed, fingerprint=digest

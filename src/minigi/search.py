@@ -9,25 +9,28 @@ a strict runtime improvement that passes all tests, and reverts
 otherwise.
 
 Every evaluation is appended to the run log as one record; the log plus
-the seed and the LLM transcripts fully determine a rerun. An LLM request
-returns the prompt's `variant_count` edits at once; local search queues
-them and pops one per append. Queued edits were drawn against the program
-of the move they were requested for, so an accepted move discards them
-and the next append sends a new request: local search sends
-ceil(draws/variant_count) requests only while no move is accepted, random
-sampling always.
+the seed and the LLM transcripts fully determine a rerun. Every family
+draws through `_draw`: one draw is one edit for Statement and Insert, and
+one LLM request, returning the prompt's `variant_count` edits, for an LLM
+family. Random sampling turns each drawn edit into a patch of its own.
+Local search queues a draw's edits and pops one per append. Queued edits
+were drawn against the program of the move they were requested for, so
+an accepted move discards them and the next append draws again: local
+search sends ceil(draws/variant_count) requests only while no move is
+accepted, random sampling always.
 
 Each driver run (one `random_sampling` call, one local-search run per
-method) builds one `BaseProgram` from its base program and tests and
-passes it to every evaluation and to the patch application of an
-accepted move. It holds the work the run's evaluations share: each
-distinct LLM payload parsed once, and for each function of the base
-program, keyed on the identity of the base's own `Function` object, its
-canonical text, semantic errors and compiled closures, plus each test's
-checked and compiled harness call. A patch leaves every function it does
-not edit as the base's own object, so an evaluation prints, validates
-and compiles only the functions its patch changed. The object lives no
-longer than the run, and it changes no record.
+method) builds one `BaseProgram` from its base program and tests. Every
+evaluation of the run applies its patch to that program and runs its
+tests, and an accepted move's patch is applied to it too. It holds the
+work the run's evaluations share: each distinct LLM payload parsed once,
+and for each function of the base program, keyed on the identity of the
+base's own `Function` object, its canonical text, semantic errors and
+compiled closures, plus each test's checked and compiled harness call. A
+patch leaves every function it does not edit as the base's own object,
+so an evaluation prints, validates and compiles only the functions its
+patch changed. The object lives no longer than the run, and it changes
+no record.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from minigi.operators import (
     sample_statement_edit,
     statement_targets,
 )
-from minigi.patches import Patch, apply_patch, serialize_patch
+from minigi.patches import Edit, Patch, apply_patch, serialize_patch
 from minigi.prompts import PromptCategory, PromptTemplate, make_llm_edits
 
 FAMILIES = ("statement", "insert", "llm-simple", "llm-medium", "llm-detailed")
@@ -169,8 +172,21 @@ def _record(
         sink(rec)
 
 
-def _classic_sampler(family: str):
-    return sample_statement_edit if family == "statement" else sample_insert_edit
+def _draw(
+    family: str,
+    unit: SourceUnit,
+    hot: list[str],
+    rng: random.Random,
+    llm: Optional[LlmSearchContext],
+) -> list[Edit]:
+    """One draw of `family` against `unit`: a one-edit list for a classic
+    family, an LLM request's `variant_count` edits for an LLM family."""
+    if family == "statement":
+        return [sample_statement_edit(unit, hot, rng)]
+    if family == "insert":
+        return [sample_insert_edit(unit, hot, rng)]
+    assert llm is not None
+    return make_llm_edits(unit, hot, rng, llm.client, llm.prompt, family_category(family))
 
 
 # -- random sampling --
@@ -187,13 +203,14 @@ def random_sampling(
 ) -> list[EvalRecord]:
     """Draw and evaluate `per_family_budget` single-edit patches per family.
 
-    Families are independent: each gets its own RNG stream derived from
-    (seed, family), and classic draws additionally reseed per index so any
-    logged patch can be re-drawn in isolation. A family's patches are all
-    drawn first, then evaluated one at a time in draw order; each record
-    reaches the sink as soon as its evaluation ends, so an aborted run
-    leaves its finished rows behind. `toolchain` selects the external
-    backend; without one, patches run on the built-in one.
+    Families are independent: draw k of a family seeds its own RNG from
+    (seed, family, k), so any draw can be repeated in isolation. A classic
+    draw is one patch, whose index is k; an LLM draw is one request, its
+    seed marked "req", whose edits become consecutive patches. A family's
+    patches are all drawn first, then evaluated one at a time in draw
+    order; each record reaches the sink as soon as its evaluation ends, so
+    an aborted run leaves its finished rows behind. `toolchain` selects
+    the external backend; without one, patches run on the built-in one.
     """
     check_targets(unit, hot, cfg.families)
     check_families(cfg.families, llm)
@@ -201,7 +218,7 @@ def random_sampling(
     base = BaseProgram(unit, tests)
     for family in cfg.families:
         for index, patch in enumerate(_draw_family(unit, hot, cfg, llm, family)):
-            result = evaluate(unit, patch, tests, toolchain, cfg.step_budget, base)
+            result = evaluate(base, patch, toolchain, cfg.step_budget)
             _record(family, index, patch, result, sink, records)
     return records
 
@@ -213,25 +230,13 @@ def _draw_family(
     llm: Optional[LlmSearchContext],
     family: str,
 ) -> list[Patch]:
-    if not is_llm_family(family):
-        sampler = _classic_sampler(family)
-        patches = []
-        for i in range(cfg.per_family_budget):
-            seed = f"{cfg.seed}:{family}:{i}"
-            edit = sampler(unit, hot, random.Random(seed))
-            patches.append(Patch(unit.name, (edit,), seed))
-        return patches
-    assert llm is not None
-    category = family_category(family)
-    patches = []
-    request_index = 0
+    label = "req" if is_llm_family(family) else ""
+    patches: list[Patch] = []
+    draw = 0
     while len(patches) < cfg.per_family_budget:
-        rng = random.Random(f"{cfg.seed}:{family}:req{request_index}")
-        edits = make_llm_edits(unit, hot, rng, llm.client, llm.prompt, category)
-        request_index += 1
-        for edit in edits:
-            if len(patches) >= cfg.per_family_budget:
-                break
+        rng = random.Random(f"{cfg.seed}:{family}:{label}{draw}")
+        draw += 1
+        for edit in _draw(family, unit, hot, rng, llm)[: cfg.per_family_budget - len(patches)]:
             seed = f"{cfg.seed}:{family}:{len(patches)}"
             patches.append(Patch(unit.name, (edit,), seed))
     return patches
@@ -245,7 +250,7 @@ class SearchState:
     current_patch: Patch
     current_runtime: int
     current_unit: SourceUnit  # current_patch applied to the base program
-    llm_queue: deque = field(default_factory=deque)
+    queue: deque = field(default_factory=deque)  # edits drawn, not yet appended
 
 
 def propose_neighbor(
@@ -258,36 +263,23 @@ def propose_neighbor(
     """Add-or-remove-one-edit neighborhood.
 
     An empty current patch always appends. Otherwise a fair coin picks
-    between appending one freshly sampled edit (drawn against the current
-    patched program, so its ids resolve there) and removing one uniformly
-    chosen edit. If the target method has run out of statements to sample,
-    the append falls back to a removal.
+    between appending one edit and removing one uniformly chosen edit. An
+    append pops the next edit from the state's queue, drawing first when
+    the queue is empty, against the current patched program so that the
+    edit's ids resolve there. If the target method has run out of
+    statements to sample, the append falls back to a removal.
     """
     current = state.current_patch
-    append = current.is_empty() or rng.random() < 0.5
-    if append:
+    if current.is_empty() or rng.random() < 0.5:
         try:
-            edit = _draw_edit(state, family, rng, target_method, llm)
+            if not state.queue:
+                state.queue.extend(_draw(family, state.current_unit, [target_method], rng, llm))
+            return current.with_edit(state.queue.popleft())
         except NoTargetStatementsError:
             if current.is_empty():
                 raise
-            edit = None
-        if edit is not None:
-            return current.with_edit(edit)
     index = rng.randrange(len(current.edits))
     return current.without_edit(index)
-
-
-def _draw_edit(state, family, rng, target_method, llm):
-    if not is_llm_family(family):
-        return _classic_sampler(family)(state.current_unit, [target_method], rng)
-    assert llm is not None
-    if not state.llm_queue:
-        state.llm_queue.extend(make_llm_edits(
-            state.current_unit, [target_method], rng, llm.client, llm.prompt,
-            family_category(family),
-        ))
-    return state.llm_queue.popleft()
 
 
 def local_search(
@@ -314,7 +306,7 @@ def _one_ls_run(unit, tests, cfg, toolchain, llm, method, records, sink) -> None
     rng = random.Random(run_seed)
     empty = Patch(unit.name, (), run_seed)
     base = BaseProgram(unit, tests)
-    baseline = evaluate(unit, empty, tests, toolchain, cfg.step_budget, base)
+    baseline = evaluate(base, empty, toolchain, cfg.step_budget)
     if not baseline.passed:
         raise SearchSetupError(
             f"unpatched program fails its tests ({baseline.tests_failed} failing); "
@@ -325,10 +317,10 @@ def _one_ls_run(unit, tests, cfg, toolchain, llm, method, records, sink) -> None
     state = SearchState(empty, baseline.runtime, unit)
     for index in range(1, cfg.evals_per_run):
         neighbor = propose_neighbor(state, cfg.family, rng, method, llm)
-        result = evaluate(unit, neighbor, tests, toolchain, cfg.step_budget, base)
+        result = evaluate(base, neighbor, toolchain, cfg.step_budget)
         _record(run_id, index, neighbor, result, sink, records)
         if result.runtime is not None and result.runtime < state.current_runtime:
             state.current_patch = neighbor
             state.current_runtime = result.runtime
             state.current_unit = apply_patch(unit, neighbor, base.payloads)
-            state.llm_queue.clear()
+            state.queue.clear()

@@ -24,7 +24,7 @@ from minigi.lang import (
     source_digest,
     validate,
 )
-from minigi.lang.ast import StatementId, insertion_slots, list_statement_ids
+from minigi.lang.ast import BaseProgram, StatementId, insertion_slots, list_statement_ids
 from minigi.lang.interpreter import HARNESS_FRAME
 from minigi.llm import LlmClientConfig, MockLlmClient
 from minigi.operators import sample_statement_edit
@@ -284,7 +284,7 @@ def test_criterion_6_timeout_semantics(bench_loop):
     hang = Patch("bench_loop", (Edit(EditKind.DELETE, src=increment),))
 
     budget = 20_000
-    result = evaluate(unit, hang, tests, step_budget=budget)
+    result = evaluate(BaseProgram(unit, tests), hang, step_budget=budget)
     assert result.classification is Classification.COMPILED_ONLY
     assert result.tests_failed == 1  # the timeout counts as a test failure
 
@@ -306,7 +306,7 @@ def test_criterion_6_timeout_semantics(bench_loop):
         timeout_ms=10_000,
     )
     started = time.monotonic()
-    external_result = evaluate(unit, Patch("bench_loop"), tests, toolchain)
+    external_result = evaluate(BaseProgram(unit, tests), Patch("bench_loop"), toolchain)
     elapsed_ms = (time.monotonic() - started) * 1000.0
     assert external_result.classification is Classification.COMPILED_ONLY
     assert external_result.tests_failed == 1
@@ -367,7 +367,7 @@ def test_criterion_8_uniqueness_filter(bench_sort):
     # entirely, the repeat collapses in the Unique columns only
     records = []
     for index, patch in enumerate([noop_swap, delete, delete]):
-        result = evaluate(unit, patch, tests)
+        result = evaluate(BaseProgram(unit, tests), patch)
         records.append(
             EvalRecord(
                 "statement", index, serialize_patch(patch, result.fingerprint),

@@ -82,8 +82,8 @@ def test_evaluating_with_the_base_program_gives_the_fresh_result(name):
     base = BaseProgram(unit, tests)
     rungs = set()
     for patch in drawn_patches(unit):
-        fresh = evaluate(unit, patch, tests, step_budget=STEP_BUDGET)
-        shared = evaluate(unit, patch, tests, step_budget=STEP_BUDGET, base=base)
+        fresh = evaluate(BaseProgram(unit, tests), patch, step_budget=STEP_BUDGET)
+        shared = evaluate(base, patch, step_budget=STEP_BUDGET)
         assert fields(shared) == fields(fresh), patch
         rungs.add(fresh.classification.value)
     assert rungs == {"Invalid", "ValidOnly", "CompiledOnly", "Passed"}
@@ -147,8 +147,8 @@ def test_only_patched_functions_compile_again_and_none_is_kept(bench_sort, monke
                                       payload=payload, prompt_category="medium"),))
     base = BaseProgram(unit, tests)
     for _ in range(5):
-        assert evaluate(unit, patch, tests, base=base).passed
-        assert evaluate(unit, Patch("bench_sort"), tests, base=base).passed
+        assert evaluate(base, patch).passed
+        assert evaluate(base, Patch("bench_sort")).passed
     sort, max2 = unit.function("sort").body, unit.function("max2").body
     patched_max2 = [r for r in roots if type(r) is Block and r is not sort and r is not max2]
     assert sum(r is sort for r in roots) == 1
@@ -186,17 +186,14 @@ def test_each_harness_call_is_checked_once_per_run(bench_sort, monkeypatch):
     assert checked == 2 * [t.call for t in tests]  # one run per method
 
 
-def test_evaluate_refuses_a_base_program_of_another_program(bench_sort):
+def test_run_suite_refuses_a_base_program_of_other_tests(bench_sort):
     unit, tests = bench_sort
-    twin_unit, twin_tests = load_bench("bench_sort")  # equal, but other objects
-    assert twin_unit == unit
-    patch = Patch("bench_sort")
-    for base in (BaseProgram(twin_unit, tests), BaseProgram(unit, twin_tests)):
-        with pytest.raises(ValueError, match="BaseProgram"):
-            evaluate(unit, patch, tests, base=base)
+    _, twin_tests = load_bench("bench_sort")  # equal, but other objects
+    assert twin_tests == tests
     with pytest.raises(ValueError, match="BaseProgram"):
         run_suite(unit, tests, base=BaseProgram(unit, twin_tests))
-    assert evaluate(unit, patch, tests, base=BaseProgram(unit, tests)).passed
+    outcomes = run_suite(unit, tests, base=BaseProgram(unit, tests))
+    assert all(o.status is Status.PASS for o in outcomes)
 
 
 def test_a_base_program_serves_one_program_and_keeps_its_tests_apart():

@@ -492,6 +492,81 @@ def test_report_and_replay_refuse_a_file_they_cannot_read(tmp_path, capsys, brea
     assert len(err) == 1 and err[0].startswith("error: ") and str(culprit) in err[0]
 
 
+
+def _not_utf8(tmp_path, source: str) -> Path:
+    """A copy of `source` behind a byte that is not UTF-8."""
+    copy = tmp_path / f"latin1{Path(source).suffix}"
+    copy.write_bytes(b"\xff" + Path(source).read_bytes())
+    return copy
+
+
+def _program_not_utf8(tmp_path, out_dir):
+    program = _not_utf8(tmp_path, MAX)
+    return ["sample", str(program), MAX_TESTS, "--family", "statement",
+            "--seed", "1", "--out-dir", str(out_dir)], program
+
+
+def _tests_not_utf8(tmp_path, out_dir):
+    tests = _not_utf8(tmp_path, MAX_TESTS)
+    return ["ls", MAX, str(tests), "--family", "statement", "--methods", "max2",
+            "--seed", "1", "--out-dir", str(out_dir)], tests
+
+
+def _config_not_utf8(tmp_path, out_dir):
+    config = tmp_path / "latin1.conf"
+    config.write_bytes("seed = 1\n# caf\u00e9\n".encode("latin-1"))
+    return ["sample", MAX, MAX_TESTS, "--family", "statement", "--config", str(config),
+            "--out-dir", str(out_dir)], config
+
+
+def _profiled_program_not_utf8(tmp_path, out_dir):
+    program = _not_utf8(tmp_path, MAX)
+    return ["profile", str(program), MAX_TESTS, "--out-dir", str(out_dir)], program
+
+
+def _replayed_program_not_utf8(tmp_path, out_dir):
+    program = tmp_path / "bench_max.ml"
+    program.write_text(Path(MAX).read_text())
+    run_dir = tmp_path / "run"
+    assert run(
+        "sample", str(program), MAX_TESTS, "--family", "insert", "--budget", "3",
+        "--seed", "4", "--methods", "max2", "--out-dir", str(run_dir),
+    ) == 0
+    program.write_bytes(b"\xff" + program.read_bytes())
+    return ["replay", str(run_dir), "--out-dir", str(out_dir)], program
+
+
+@pytest.mark.parametrize("breakage", [
+    _program_not_utf8, _tests_not_utf8, _config_not_utf8, _profiled_program_not_utf8,
+    _replayed_program_not_utf8,
+])
+def test_an_input_that_is_not_utf8_is_a_config_error(tmp_path, capsys, breakage):
+    """A program, test or config file that is not UTF-8 exits 2 with one
+    error line naming it and writes nothing, never a traceback and exit 1,
+    which for replay means that the logs differ."""
+    out_dir = tmp_path / "out"
+    argv, culprit = breakage(tmp_path, out_dir)
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(culprit) in err[0]
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_report_out_that_cannot_be_written_is_a_config_error(tmp_path, capsys, where):
+    run_dir = tmp_path / "run"
+    assert run(
+        "ls", MAX, MAX_TESTS, "--family", "insert", "--evals", "5",
+        "--seed", "1", "--methods", "max2", "--out-dir", str(run_dir),
+    ) == 0
+    out = tmp_path / "missing" / "t.csv" if where == "missing" else run_dir
+    capsys.readouterr()
+    assert run("report", "table2", str(run_dir / "ls_log.csv"), "--out", str(out)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(out) in err[0]
+
+
 def _drop_budget(record):
     del record["budget"]
 

@@ -32,7 +32,7 @@ def delete(fn: str, *path: int) -> Edit:
 
 def test_empty_patch_passes_with_original_runtime(bench_sort):
     unit, tests = bench_sort
-    result = evaluate(unit, Patch("bench_sort"), tests)
+    result = evaluate(BaseProgram(unit, tests), Patch("bench_sort"))
     assert result.classification is Classification.PASSED
     assert result.passed
     assert result.runtime == 1009  # frozen S0, see test_interpreter
@@ -42,7 +42,7 @@ def test_empty_patch_passes_with_original_runtime(bench_sort):
 def test_unresolvable_patch_is_invalid(bench_sort):
     unit, tests = bench_sort
     patch = Patch("bench_sort", (delete("sort", 2), delete("sort", 2)))
-    result = evaluate(unit, patch, tests)
+    result = evaluate(BaseProgram(unit, tests), patch)
     assert result.classification is Classification.INVALID
     assert not result.passed and result.runtime is None
     assert result.fingerprint is None
@@ -51,7 +51,7 @@ def test_unresolvable_patch_is_invalid(bench_sort):
 def test_insert_break_outside_loop_is_valid_only(bench_sort):
     unit, tests = bench_sort
     edit = Edit(EditKind.INSERT_BREAK, dst=InsertionPoint(sid("max2"), 0))
-    result = evaluate(unit, Patch("bench_sort", (edit,)), tests)
+    result = evaluate(BaseProgram(unit, tests), Patch("bench_sort", (edit,)))
     assert result.classification is Classification.VALID_ONLY
     assert not result.passed and result.runtime is None
     assert result.fingerprint is not None  # it applied, so the patched program has a digest
@@ -62,7 +62,7 @@ def test_failing_tests_give_compiled_only(bench_sort):
     # Deleting the swap's temp decl breaks compilation; deleting the whole
     # if-statement compiles but sorts nothing.
     drop_if = Patch("bench_sort", (delete("sort", 1, 0, 0, 0, 1),))
-    result = evaluate(unit, drop_if, tests)
+    result = evaluate(BaseProgram(unit, tests), drop_if)
     assert result.classification is Classification.COMPILED_ONLY
     assert result.tests_failed == 3  # every sort test; max2 tests still pass
     assert result.runtime is None
@@ -71,7 +71,7 @@ def test_failing_tests_give_compiled_only(bench_sort):
 def test_infinite_loop_patch_times_out_as_compiled_only(bench_loop):
     unit, tests = bench_loop
     patch = Patch("bench_loop", (delete("count_to", 1, 0, 0),))  # drop the increment
-    result = evaluate(unit, patch, tests, step_budget=5000)
+    result = evaluate(BaseProgram(unit, tests), patch, step_budget=5000)
     assert result.classification is Classification.COMPILED_ONLY
     assert result.tests_failed == 1  # count_five loops forever; count_zero still passes
     assert result.passed is False
@@ -79,7 +79,7 @@ def test_infinite_loop_patch_times_out_as_compiled_only(bench_loop):
 
 def test_planted_statement_deletion_delta_matches_trip_count_oracle(bench_sort):
     unit, tests = bench_sort
-    result = evaluate(unit, Patch("bench_sort", (delete("sort", 1, 0, 0, 0, 0),)), tests)
+    result = evaluate(BaseProgram(unit, tests), Patch("bench_sort", (delete("sort", 1, 0, 0, 0, 0),)))
     assert result.classification is Classification.PASSED
     expected_delta = sum(
         sort_planted_cost(arr) for arr in ([3, 1, 2], [5, 4, 3, 2, 1], [2, 2, 1])
@@ -97,7 +97,7 @@ def test_planted_statement_deletion_delta_matches_trip_count_oracle(bench_sort):
 def test_evaluation_is_bit_deterministic(bench_sort):
     unit, tests = bench_sort
     patch = Patch("bench_sort", (delete("sort", 1, 0, 0, 0, 0),))
-    assert evaluate(unit, patch, tests) == evaluate(unit, patch, tests)
+    assert evaluate(BaseProgram(unit, tests), patch) == evaluate(BaseProgram(unit, tests), patch)
 
 
 def test_the_payload_memo_changes_no_result(bench_sort):
@@ -118,13 +118,13 @@ def test_the_payload_memo_changes_no_result(bench_sort):
                                   prompt_category="medium"),))
         for text in payloads
     ]
-    fresh = [evaluate(unit, patch, tests) for patch in patches]
+    fresh = [evaluate(BaseProgram(unit, tests), patch) for patch in patches]
     assert [r.classification.value for r in fresh] == [
         "Passed", "CompiledOnly", "ValidOnly", "Invalid", "Invalid",
     ]
     base = BaseProgram(unit, tests)
     for _ in range(2):
-        assert [evaluate(unit, patch, tests, base=base) for patch in patches] == fresh
+        assert [evaluate(base, patch) for patch in patches] == fresh
     assert list(base.payloads) == payloads[:4]
 
 
@@ -140,7 +140,7 @@ def test_a_payload_past_the_nesting_cap_is_invalid_not_a_crash(bench_max, expres
     unit, tests = bench_max
     edit = Edit(EditKind.LLM_BLOCK_REPLACE, src=sid("max2"),
                 payload="{ return " + expression + "; }", prompt_category="medium")
-    assert evaluate(unit, Patch("bench_max", (edit,)), tests).classification.value == rung
+    assert evaluate(BaseProgram(unit, tests), Patch("bench_max", (edit,))).classification.value == rung
 
 
 def test_ladder_invariants_enforced(bench_sort):
@@ -158,7 +158,7 @@ def test_ladder_invariants_enforced(bench_sort):
 
 def test_builtin_runtime_is_exact_steps(bench_sort):
     unit, tests = bench_sort
-    results = [evaluate(unit, Patch("bench_sort"), tests) for _ in range(2)]
+    results = [evaluate(BaseProgram(unit, tests), Patch("bench_sort")) for _ in range(2)]
     assert [r.runtime for r in results] == [1009, 1009]
 
 
@@ -166,7 +166,7 @@ def test_failing_program_has_no_runtime(bench_sort):
     unit, _ = bench_sort
     from minigi.lang import parse_test_file
 
-    result = evaluate(unit, Patch("bench_sort"), parse_test_file("test t: max2(1, 2) == 0"))
+    result = evaluate(BaseProgram(unit, parse_test_file("test t: max2(1, 2) == 0")), Patch("bench_sort"))
     assert result.classification is Classification.COMPILED_ONLY
     assert result.runtime is None
 
@@ -181,16 +181,16 @@ def tc(**kwargs) -> ExternalToolchain:
 
 
 def test_external_measure_parses_integer_ms(bench_sort):
-    unit, tests = bench_sort
-    result = evaluate(unit, Patch("bench_sort"), tests, tc())
+    base = BaseProgram(*bench_sort)
+    result = evaluate(base, Patch("bench_sort"), tc())
     assert result.classification is Classification.PASSED
     assert result.runtime == 421
-    assert evaluate(unit, Patch("bench_sort"), tests, tc(measure_repeats=3)).runtime == 421
+    assert evaluate(base, Patch("bench_sort"), tc(measure_repeats=3)).runtime == 421
 
 
 def test_external_compile_failure_is_valid_only(bench_sort):
     unit, tests = bench_sort
-    result = evaluate(unit, Patch("bench_sort"), tests, tc(compile_cmd="false"))
+    result = evaluate(BaseProgram(unit, tests), Patch("bench_sort"), tc(compile_cmd="false"))
     assert result.classification is Classification.VALID_ONLY
 
 
@@ -201,7 +201,7 @@ def test_external_per_test_command_counts_failures(bench_sort, tmp_path):
         "import sys\nsys.exit(0 if sys.argv[1].startswith('max') else 1)\n"
     )
     toolchain = tc(test_cmd=f"{PY} {script} {{TEST}}")
-    result = evaluate(unit, Patch("bench_sort"), tests, toolchain)
+    result = evaluate(BaseProgram(unit, tests), Patch("bench_sort"), toolchain)
     assert result.classification is Classification.COMPILED_ONLY
     assert result.tests_failed == 3  # the three sort tests
 
@@ -209,7 +209,7 @@ def test_external_per_test_command_counts_failures(bench_sort, tmp_path):
 def test_external_watchdog_kills_hung_test(bench_sort):
     unit, tests = bench_sort
     toolchain = tc(test_cmd=f"{PY} -c 'import time; time.sleep(60)'", timeout_ms=300)
-    result = evaluate(unit, Patch("bench_sort"), tests, toolchain)
+    result = evaluate(BaseProgram(unit, tests), Patch("bench_sort"), toolchain)
     assert result.classification is Classification.COMPILED_ONLY
     assert result.tests_failed == 1  # whole-suite command, one watchdog kill
 
@@ -218,7 +218,7 @@ def test_external_watchdog_kills_hung_compile(bench_sort):
     unit, tests = bench_sort
     toolchain = tc(compile_cmd="sleep 60", test_cmd="false", timeout_ms=300)
     started = time.monotonic()
-    result = evaluate(unit, Patch("bench_sort"), tests, toolchain)
+    result = evaluate(BaseProgram(unit, tests), Patch("bench_sort"), toolchain)
     assert time.monotonic() - started < 10
     assert result.classification is Classification.VALID_ONLY  # as a failed compile
     assert result.fingerprint is not None and result.tests_failed == 0
@@ -242,7 +242,7 @@ def test_external_watchdog_kills_the_whole_process_group(bench_sort, tmp_path):
     unit, tests = bench_sort
     pid_file = tmp_path / "sleep.pid"
     toolchain = tc(test_cmd=f"sh -c 'sleep 30 & echo $! > {pid_file}; wait'", timeout_ms=1000)
-    result = evaluate(unit, Patch("bench_sort"), tests, toolchain)
+    result = evaluate(BaseProgram(unit, tests), Patch("bench_sort"), toolchain)
     assert result.tests_failed == 1
     pid = int(pid_file.read_text())
     deadline = time.monotonic() + 2
@@ -256,7 +256,7 @@ def test_external_command_that_returns_leaves_no_background_child(bench_sort, tm
     unit, tests = bench_sort
     pid_file = tmp_path / "sleep.pid"
     toolchain = tc(test_cmd=f"sh -c 'sleep 30 >/dev/null 2>&1 & echo $! > {pid_file}'")
-    result = evaluate(unit, Patch("bench_sort"), tests, toolchain)
+    result = evaluate(BaseProgram(unit, tests), Patch("bench_sort"), toolchain)
     assert result.classification is Classification.PASSED
     pid = int(pid_file.read_text())
     deadline = time.monotonic() + 2
@@ -270,7 +270,7 @@ def test_external_hung_measurement_is_infrastructure(bench_sort):
     started = time.monotonic()
     with pytest.raises(InfrastructureError, match="watchdog"):
         evaluate(
-            unit, Patch("bench_sort"), tests,
+            BaseProgram(unit, tests), Patch("bench_sort"),
             tc(measure_cmd=f"{PY} -c 'import time; time.sleep(60)'", timeout_ms=300),
         )
     assert time.monotonic() - started < 10
@@ -288,7 +288,7 @@ def test_external_median_of_repeats(bench_sort, tmp_path):
         "print([500, 410, 430, 405, 420][n % 5])\n"
     )
     toolchain = tc(measure_cmd=f"{PY} {script}", measure_repeats=5)
-    result = evaluate(unit, Patch("bench_sort"), tests, toolchain)
+    result = evaluate(BaseProgram(unit, tests), Patch("bench_sort"), toolchain)
     assert result.runtime == 420  # median of the five samples
 
 
@@ -296,7 +296,7 @@ def test_external_command_not_found_is_infrastructure(bench_sort):
     unit, tests = bench_sort
     with pytest.raises(InfrastructureError):
         evaluate(
-            unit, Patch("bench_sort"), tests,
+            BaseProgram(unit, tests), Patch("bench_sort"),
             tc(compile_cmd="definitely-not-a-binary-xyz"),
         )
 
@@ -305,7 +305,7 @@ def test_external_unparsable_measurement_is_infrastructure(bench_sort):
     unit, tests = bench_sort
     with pytest.raises(InfrastructureError):
         evaluate(
-            unit, Patch("bench_sort"), tests,
+            BaseProgram(unit, tests), Patch("bench_sort"),
             tc(measure_cmd=f"{PY} -c 'print(\"fast\")'"),
         )
 
@@ -321,7 +321,7 @@ def test_external_working_copy_gets_both_files(bench_sort, tmp_path):
         "sys.exit(0)\n"
     )
     toolchain = tc(compile_cmd=f"{PY} {probe} {{SRC}} {{PATCHED_FILE}}")
-    result = evaluate(unit, Patch("bench_sort"), tests, toolchain)
+    result = evaluate(BaseProgram(unit, tests), Patch("bench_sort"), toolchain)
     assert result.classification is Classification.PASSED
 
 
@@ -330,6 +330,6 @@ def test_invalid_patch_never_reaches_the_toolchain(bench_sort):
     patch = Patch("bench_sort", (delete("sort", 2), delete("sort", 2)))
     # a compile command that would blow up if ever invoked
     result = evaluate(
-        unit, patch, tests, tc(compile_cmd="definitely-not-a-binary-xyz")
+        BaseProgram(unit, tests), patch, tc(compile_cmd="definitely-not-a-binary-xyz")
     )
     assert result.classification is Classification.INVALID

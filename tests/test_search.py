@@ -543,3 +543,43 @@ def test_a_repeated_unparsable_payload_raises_a_fresh_error_each_time(bench_sort
     assert len({str(exc) for exc in raised}) == 1
     assert str(raised[0]).startswith("payload does not parse: ")
     assert len({len(traceback.extract_tb(exc.__traceback__)) for exc in raised}) == 1
+
+
+DRAW_GOLDEN_STEMS = ("bench_loop", "bench_max", "bench_planted", "bench_sort")
+# Frozen with the rows below before the classic and LLM draws shared one path.
+DRAW_GOLDEN_ROWS = 3140
+DRAW_GOLDEN_SHA256 = "eee0033eff55fcda021d660dbcb902559b8f94cfcfc389557501dacea4a7a404"
+
+
+def test_every_family_draws_and_searches_the_rows_it_always_did():
+    """Sampling and two local-search runs per family and benchmark: every
+    logged row, joined, hashes to the frozen digest. A change to how a
+    family seeds its draws or queues its edits changes a row."""
+    from conftest import BENCHMARKS
+    from minigi.lang import parse_source, parse_test_file
+    from minigi.operators import statement_targets
+    from minigi.search import FAMILIES
+
+    lines = []
+    for stem in DRAW_GOLDEN_STEMS:
+        text = (BENCHMARKS / f"{stem}.ml").read_text(encoding="utf-8")
+        unit = parse_source(text, name=stem)
+        tests = parse_test_file((BENCHMARKS / f"{stem}.tests").read_text(encoding="utf-8"))
+        hot = [fn.name for fn in unit.functions]
+        runs = tuple(name for name in hot if statement_targets(unit, [name]))
+        for family in FAMILIES:
+            llm = LlmSearchContext(
+                MockLlmClient(LlmClientConfig()), PromptTemplate(project_name=stem)
+            )
+            cfg = RandomSamplingConfig((family,), 37, 5, 20_000)
+            records = random_sampling(unit, tests, hot, cfg, llm=llm)
+            for seed in (1, 2):
+                ls_cfg = LocalSearchConfig(family, runs, 40, seed, 20_000)
+                records += local_search(unit, tests, ls_cfg, llm=llm)
+            lines += [
+                f"{stem} {r.run_id} {r.eval_index} {r.patch_line} {r.classification} {r.runtime}"
+                for r in records
+            ]
+    text = "\n".join(lines)
+    assert len(lines) == DRAW_GOLDEN_ROWS
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DRAW_GOLDEN_SHA256
