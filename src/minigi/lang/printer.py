@@ -8,8 +8,6 @@ parse-then-print, which is what patch fingerprinting relies on.
 
 from __future__ import annotations
 
-import hashlib
-
 from minigi.lang.ast import (
     ArrayLit,
     Assign,
@@ -183,6 +181,9 @@ def source_digest(unit: SourceUnit, base: BaseProgram | None = None) -> str:
     """SHA-256 hex digest of the canonical printing (`base` as there).
 
     Digest equality is used as syntactic program equality; collision risk
-    is delegated to the 256-bit hash.
+    is delegated to the 256-bit hash. `hashlib` loads OpenSSL, so it is
+    imported on the first digest, not with the package.
     """
+    import hashlib
+
     return hashlib.sha256(print_canonical(unit, base).encode("utf-8")).hexdigest()

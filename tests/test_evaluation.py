@@ -194,6 +194,29 @@ def test_external_compile_failure_is_valid_only(bench_sort):
     assert result.classification is Classification.VALID_ONLY
 
 
+# A command's output is decoded as UTF-8 with U+FFFD for undecodable bytes,
+# so a toolchain that writes a byte such as 0xFF still gets its verdict.
+NOT_UTF8 = "sh -c \"printf '\\377' >&2; exit 1\""
+
+
+def test_external_compile_writing_non_utf8_fails_as_valid_only(bench_sort):
+    result = evaluate(BaseProgram(*bench_sort), Patch("bench_sort"), tc(compile_cmd=NOT_UTF8))
+    assert result.classification is Classification.VALID_ONLY
+
+
+def test_external_test_writing_non_utf8_fails_its_test(bench_sort):
+    result = evaluate(BaseProgram(*bench_sort), Patch("bench_sort"), tc(test_cmd=NOT_UTF8))
+    assert result.classification is Classification.COMPILED_ONLY
+    assert result.tests_failed == 1
+
+
+def test_external_measure_reads_its_integer_after_a_non_utf8_line(bench_sort):
+    toolchain = tc(measure_cmd="sh -c \"printf 'x\\377y\\n42\\n'\"")
+    result = evaluate(BaseProgram(*bench_sort), Patch("bench_sort"), toolchain)
+    assert result.classification is Classification.PASSED
+    assert result.runtime == 42
+
+
 def test_external_per_test_command_counts_failures(bench_sort, tmp_path):
     unit, tests = bench_sort
     script = tmp_path / "runner.py"

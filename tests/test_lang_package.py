@@ -8,6 +8,7 @@ is built, compared, hashed, printed and guarded against mutation.
 
 from __future__ import annotations
 
+import hashlib
 import subprocess
 import sys
 
@@ -16,6 +17,7 @@ import pytest
 from minigi.lang.ast import (
     ArrayLit,
     Assign,
+    BaseProgram,
     Binary,
     Block,
     BoolLit,
@@ -42,7 +44,8 @@ from minigi.lang.ast import (
 )
 from minigi.lang.interpreter import ExecutionOutcome, Status
 from minigi.lang.interpreter import TestCase as SuiteCase  # a Test* name would be collected
-from minigi.lang.parser import Token
+from minigi.lang.parser import Token, parse_source
+from minigi.lang.printer import print_canonical, source_digest
 from minigi.lang.semantics import SemanticError
 
 from conftest import REPO_ROOT
@@ -230,9 +233,11 @@ def test_semantic_error_keeps_its_own_str():
     assert str(StatementId("f", (0, 2))) == "f:0.2"
 
 
-def test_importing_the_language_loads_neither_dataclasses_nor_typing():
+def _modules_loaded_by(module: str) -> set[str]:
+    """Names in `sys.modules` after a fresh, isolated interpreter imports
+    `module` from this checkout."""
     code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import minigi.lang; "
+        f"import sys; sys.path.insert(0, sys.argv[1]); import {module}; "
         "print(' '.join(sorted(sys.modules)))"
     )
     result = subprocess.run(
@@ -241,24 +246,33 @@ def test_importing_the_language_loads_neither_dataclasses_nor_typing():
         text=True,
         check=True,
     )
-    modules = set(result.stdout.split())
+    return set(result.stdout.split())
+
+
+def test_importing_the_language_loads_neither_dataclasses_nor_typing():
+    modules = _modules_loaded_by("minigi.lang")
     assert "minigi.lang.interpreter" in modules
     assert not modules & {"dataclasses", "typing", "inspect"}
+
+
+def test_importing_the_language_loads_no_hash_library():
+    """OpenSSL's `_hashlib` loads with the first `source_digest`, which no
+    toolchain step computes, not with the package."""
+    modules = _modules_loaded_by("minigi.lang")
+    assert "minigi.lang.printer" in modules
+    assert not modules & {"hashlib", "_hashlib"}
+
+
+def test_source_digest_is_the_sha256_of_the_canonical_printing():
+    unit = parse_source((REPO_ROOT / "benchmarks" / "bench_max.ml").read_text(encoding="utf-8"))
+    expected = hashlib.sha256(print_canonical(unit).encode()).hexdigest()
+    assert source_digest(unit) == expected
+    assert source_digest(unit, BaseProgram(unit, ())) == expected
 
 
 def test_importing_the_cli_loads_no_http_client():
     """The LLM transport loads on the first live request; every other run
     keeps `urllib.request`, and so `http.client` and `ssl`, out of memory."""
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import minigi.cli; "
-        "print(' '.join(sorted(sys.modules)))"
-    )
-    result = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", code, str(REPO_ROOT / "src")],
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    modules = set(result.stdout.split())
+    modules = _modules_loaded_by("minigi.cli")
     assert "minigi.llm" in modules
     assert not modules & {"requests", "urllib.request", "http.client", "ssl"}
