@@ -105,8 +105,11 @@ class ExternalToolchain:
     runs in a process group of its own, and its whole process group is
     killed when it returns or times out. A descendant that starts a group
     or session of its own leaves the group and is outside this contract.
-    Construction refuses a command that is not a non-empty string and a
-    count that is not an integer of at least 1.
+    Each command is split into words by shell quoting rules (`shlex`) once,
+    at construction, and each placeholder is substituted within a word, so
+    a substituted path is never split. Construction refuses a command that
+    is not a non-empty string or does not split (an unbalanced quote, a
+    trailing backslash) and a count that is not an integer of at least 1.
     """
 
     compile_cmd: str
@@ -116,14 +119,32 @@ class ExternalToolchain:
     measure_repeats: int = 5
 
     def __post_init__(self):
+        words = {}
         for name in ("compile_cmd", "test_cmd", "measure_cmd"):
             value = getattr(self, name)
             if type(value) is not str or not value.strip():
                 raise ValueError(f"{name} must be a non-empty command, got {value!r}")
+            try:
+                words[name] = shlex.split(value)
+            except ValueError as exc:
+                raise ValueError(
+                    f"{name} must split into words by shell quoting rules ({exc}), got {value!r}"
+                ) from None
+        object.__setattr__(self, "_words", words)  # not a field: no record key, no compare
         for name in ("timeout_ms", "measure_repeats"):
             value = getattr(self, name)
             if type(value) is not int or value < 1:  # a JSON true is no count
                 raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+
+    def argv(self, command: str, mapping: dict[str, str]) -> list[str]:
+        """The words of `command` (a field name) with each `{KEY}` of
+        `mapping` replaced by its value."""
+        out = []
+        for word in self._words[command]:
+            for key, value in mapping.items():
+                word = word.replace("{" + key + "}", value)
+            out.append(word)
+        return out
 
 
 # -- evaluation --
@@ -164,16 +185,6 @@ def _evaluate_builtin(
         )
     steps = sum(o.steps_used for o in outcomes)
     return EvaluationResult(Classification.PASSED, runtime=steps, fingerprint=digest)
-
-
-def _substitute(cmd: str, mapping: dict[str, str]) -> list[str]:
-    tokens = shlex.split(cmd)
-    out = []
-    for token in tokens:
-        for key, value in mapping.items():
-            token = token.replace("{" + key + "}", value)
-        out.append(token)
-    return out
 
 
 def _run_command(argv: list[str], cwd: Path, timeout_ms: Optional[int] = None):
@@ -231,7 +242,7 @@ def _evaluate_external(
             "PATCHED_FILE": str(patched_file),
             "WORKDIR": str(workdir),
         }
-        argv = _substitute(toolchain.compile_cmd, mapping)
+        argv = toolchain.argv("compile_cmd", mapping)
         proc = _run_command(argv, workdir, timeout_ms=toolchain.timeout_ms)
         if proc is None or proc.returncode != 0:
             return EvaluationResult(Classification.VALID_ONLY, fingerprint=digest)
@@ -258,7 +269,7 @@ def _run_external_tests(
         cmd_mapping = dict(mapping)
         if name is not None:
             cmd_mapping["TEST"] = name
-        argv = _substitute(toolchain.test_cmd, cmd_mapping)
+        argv = toolchain.argv("test_cmd", cmd_mapping)
         proc = _run_command(argv, workdir, timeout_ms=toolchain.timeout_ms)
         if proc is None or proc.returncode != 0:
             failed += 1
@@ -272,7 +283,7 @@ def _measure_external(
 ) -> int:
     samples = []
     for _ in range(toolchain.measure_repeats):
-        argv = _substitute(toolchain.measure_cmd, mapping)
+        argv = toolchain.argv("measure_cmd", mapping)
         proc = _run_command(argv, workdir, timeout_ms=toolchain.timeout_ms)
         if proc is None:
             raise InfrastructureError(

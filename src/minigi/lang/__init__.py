@@ -13,7 +13,9 @@ step; those modules cost more than the rest of the package together.
 Record classes use `ast.record`, and annotations are left unevaluated
 (`from __future__ import annotations`). `hashlib` is loaded only by
 `source_digest`, on the first digest, which no toolchain step computes.
-tests/test_lang_package.py pins the imported modules.
+The parser compiles its token pattern at import, with `re`, which a
+step's `pathlib` loads anyway. tests/test_lang_package.py pins the
+imported modules.
 """
 
 from minigi.lang.ast import Block, Type

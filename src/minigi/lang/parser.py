@@ -1,20 +1,33 @@
 """Lexer and recursive-descent parser for MiniLang.
 
+Tokens. Source is ASCII, comments included. One pattern (`_TOKEN`) reads
+it: spaces, tabs, carriage returns, newlines and `//` comments to the end
+of the line are skipped; an integer is `[0-9]+`; a name is
+`[A-Za-z_][A-Za-z0-9_]*`, and a name in KEYWORDS is a keyword; the
+two-character operators are tried before the one-character ones. Any
+other character, every non-ASCII one included, is a ParseError at its
+line and column. Punctuation, keywords and integers never share a token
+text, so the parser tells tokens apart by their text alone.
+
 The grammar is the one the `_Parser` methods implement, read top-down:
 declarations (`parse_unit`, `parse_function`, `parse_type`), statements
-(`parse_statement` and the helpers it calls) and expressions by precedence
-climbing from `_parse_or` (loosest) to `_parse_primary`. Parsing either
-yields a complete AST or raises ParseError with the 1-based line/column of
-the offending token; there are no partial results. A nesting-depth guard
-turns pathological inputs (deeply nested parentheses from machine-generated
-code) into ParseError instead of a RecursionError. It bounds the depth of
-the tree returned, not only the parser's own recursion: each operator of a
+(`parse_statement` and the helpers it calls) and expressions, whose
+binary operators climb BINARY_LEVELS (loosest first) down to the unary
+operators, index chains and `_parse_primary`. The printer takes its
+precedences from the same table. Parsing either yields a complete AST or
+raises ParseError with the 1-based line/column of the offending token;
+there are no partial results. A nesting-depth guard turns pathological
+inputs (deeply nested parentheses from machine-generated code) into
+ParseError instead of a RecursionError. It bounds the depth of the tree
+returned, not only the parser's own recursion: each operator of a
 left-deep chain such as `x + x + x` and each `[...]` of an index chain
 counts one level until the chain ends, since every later pass recurses
 into those nodes.
 """
 
 from __future__ import annotations
+
+import re
 
 from minigi.lang.ast import (
     ArrayLit,
@@ -49,8 +62,21 @@ KEYWORDS = {
     "break", "continue", "return", "true", "false", "int", "bool",
 }
 
-_PUNCT2 = ("->", "==", "!=", "<=", ">=", "&&", "||")
-_PUNCT1 = "(){}[],;:+-*/%<>=!"
+# Binary operators by binding strength, loosest first; each level is a
+# left-associative chain. Unary `-` and `!` bind tighter, indexing tightest.
+BINARY_LEVELS = (
+    ("||",), ("&&",), ("==", "!="), ("<", "<=", ">", ">="), ("+", "-"), ("*", "/", "%"),
+)
+
+# `bad` takes any character the others refuse, so the matches tile the text.
+_TOKEN = re.compile(
+    r"(?P<skip>[ \t\r\n]+|//[\x00-\x09\x0b-\x7f]*)"
+    r"|(?P<int>[0-9]+)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<punct>->|==|!=|<=|>=|&&|\|\||[-(){}\[\],;:+*/%<>=!])"
+    r"|(?P<bad>.)",
+    re.DOTALL,
+)
 
 MAX_NESTING = 100
 
@@ -73,57 +99,24 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(text)
-
-    def advance(k: int) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance(1)
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                advance(1)
-            continue
-        start_line, start_col = line, col
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("int", text[i:j], start_line, start_col))
-            advance(j - i)
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", text[i:j], start_line, start_col))
-            advance(j - i)
-            continue
-        two = text[i : i + 2]
-        if two in _PUNCT2:
-            tokens.append(Token("punct", two, start_line, start_col))
-            advance(2)
-            continue
-        if ch in _PUNCT1:
-            tokens.append(Token("punct", ch, start_line, start_col))
-            advance(1)
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+    line, line_start = 1, 0  # line_start: offset of the current line's first character
+    for m in _TOKEN.finditer(text):
+        kind, start = m.lastgroup, m.start()
+        if kind == "skip":
+            newlines = m.group().count("\n")
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", start, m.end()) + 1
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", line, start - line_start + 1)
+        else:
+            tokens.append(Token(kind, m.group(), line, start - line_start + 1))
+    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens
+
+
+def _describe(tok: Token) -> str:
+    return "end of input" if tok.kind == "eof" else repr(tok.text)
 
 
 class _Parser:
@@ -142,37 +135,29 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def at_punct(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.text == text
+    def at(self, text: str) -> bool:
+        return self.tokens[self.pos].text == text
 
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.text == word
+    def accept(self, text: str) -> bool:
+        """Consume the next token when its text is `text`."""
+        if self.tokens[self.pos].text == text:
+            self.pos += 1
+            return True
+        return False
 
-    def expect_punct(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "punct" or tok.text != text:
-            raise ParseError(f"expected {text!r}, found {self._describe(tok)}", tok.line, tok.col)
-        return self.next()
-
-    def expect_keyword(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text != word:
-            raise ParseError(f"expected {word!r}, found {self._describe(tok)}", tok.line, tok.col)
-        return self.next()
+    def expect(self, text: str) -> Token:
+        tok = self.next()
+        if tok.text != text:
+            raise ParseError(f"expected {text!r}, found {_describe(tok)}", tok.line, tok.col)
+        return tok
 
     def expect_ident(self) -> Token:
-        tok = self.peek()
+        tok = self.next()
         if tok.kind != "ident":
-            raise ParseError(f"expected identifier, found {self._describe(tok)}", tok.line, tok.col)
+            raise ParseError(f"expected identifier, found {_describe(tok)}", tok.line, tok.col)
         if tok.text in KEYWORDS:
             raise ParseError(f"keyword {tok.text!r} cannot be used as a name", tok.line, tok.col)
-        return self.next()
-
-    @staticmethod
-    def _describe(tok: Token) -> str:
-        return "end of input" if tok.kind == "eof" else repr(tok.text)
+        return tok
 
     def _enter(self, tok: Token) -> None:
         self.depth += 1
@@ -182,206 +167,161 @@ class _Parser:
     def _leave(self) -> None:
         self.depth -= 1
 
+    def _parse_list(self, item, closer: str) -> tuple:
+        """Comma-separated `item`s up to `closer`, which is consumed."""
+        items = []
+        if not self.at(closer):
+            items.append(item())
+            while self.accept(","):
+                items.append(item())
+        self.expect(closer)
+        return tuple(items)
+
     # -- declarations --
 
     def parse_unit(self, name: str) -> SourceUnit:
         functions = []
-        while not self.peek().kind == "eof":
+        while self.peek().kind != "eof":
             functions.append(self.parse_function())
         return SourceUnit(name, tuple(functions))
 
     def parse_function(self) -> Function:
-        self.expect_keyword("fn")
+        self.expect("fn")
         name = self.expect_ident().text
-        self.expect_punct("(")
-        params: list[Param] = []
-        if not self.at_punct(")"):
-            while True:
-                pname = self.expect_ident().text
-                self.expect_punct(":")
-                params.append(Param(pname, self.parse_type()))
-                if self.at_punct(","):
-                    self.next()
-                    continue
-                break
-        self.expect_punct(")")
-        ret = Type.VOID
-        if self.at_punct("->"):
-            self.next()
-            ret = self.parse_type()
-        body = self.parse_braced_block()
-        return Function(name, tuple(params), ret, body)
+        self.expect("(")
+        params = self._parse_list(self._parse_param, ")")
+        ret = self.parse_type() if self.accept("->") else Type.VOID
+        return Function(name, params, ret, self.parse_braced_block())
+
+    def _parse_param(self) -> Param:
+        name = self.expect_ident().text
+        self.expect(":")
+        return Param(name, self.parse_type())
 
     def parse_type(self) -> Type:
         tok = self.peek()
-        if self.at_keyword("int"):
-            self.next()
-            if self.at_punct("["):
-                self.next()
-                self.expect_punct("]")
+        if self.accept("int"):
+            if self.accept("["):
+                self.expect("]")
                 return Type.INT_ARRAY
             return Type.INT
-        if self.at_keyword("bool"):
-            self.next()
+        if self.accept("bool"):
             return Type.BOOL
-        raise ParseError(f"expected a type, found {self._describe(tok)}", tok.line, tok.col)
+        raise ParseError(f"expected a type, found {_describe(tok)}", tok.line, tok.col)
 
     # -- statements --
 
     def parse_braced_block(self) -> Block:
-        open_tok = self.expect_punct("{")
-        self._enter(open_tok)
+        self._enter(self.expect("{"))
         statements = []
-        while not self.at_punct("}"):
-            if self.peek().kind == "eof":
-                tok = self.peek()
+        while not self.accept("}"):
+            tok = self.peek()
+            if tok.kind == "eof":
                 raise ParseError("unterminated block", tok.line, tok.col)
             statements.append(self.parse_statement())
-        self.next()
         self._leave()
         return Block(tuple(statements))
 
     def parse_statement(self) -> Stmt:
         tok = self.peek()
-        if self.at_punct("{"):
+        if tok.text == "{":
             return self.parse_braced_block()
-        if self.at_keyword("var"):
-            stmt = self.parse_var_decl()
-            self.expect_punct(";")
-            return stmt
-        if self.at_keyword("if"):
+        if tok.text == "if":
             return self.parse_if()
-        if self.at_keyword("while"):
-            self.next()
-            self.expect_punct("(")
-            cond = self.parse_expr()
-            self.expect_punct(")")
-            return While(cond, self.parse_braced_block())
-        if self.at_keyword("for"):
+        if tok.text == "for":
             return self.parse_for()
-        if self.at_keyword("break"):
-            self.next()
-            self.expect_punct(";")
-            return Break()
-        if self.at_keyword("continue"):
-            self.next()
-            self.expect_punct(";")
-            return Continue()
-        if self.at_keyword("return"):
-            self.next()
-            if self.at_punct(";"):
-                self.next()
-                return Return(None)
-            value = self.parse_expr()
-            self.expect_punct(";")
-            return Return(value)
-        if tok.kind == "ident" and tok.text in KEYWORDS:
+        if self.accept("while"):
+            return While(self._parse_condition(), self.parse_braced_block())
+        if tok.text == "var":
+            stmt = self.parse_var_decl()
+        elif self.accept("break"):
+            stmt = Break()
+        elif self.accept("continue"):
+            stmt = Continue()
+        elif self.accept("return"):
+            stmt = Return(None if self.at(";") else self.parse_expr())
+        elif tok.text in KEYWORDS:
             raise ParseError(f"unexpected keyword {tok.text!r}", tok.line, tok.col)
-        expr = self.parse_expr()
-        if self.at_punct("="):
-            self.next()
-            target = self._as_assign_target(expr, tok)
-            value = self.parse_expr()
-            self.expect_punct(";")
-            return Assign(target, value)
-        self.expect_punct(";")
-        return ExprStmt(expr)
+        else:
+            expr = self.parse_expr()
+            stmt = self._parse_assign_value(expr, tok) if self.accept("=") else ExprStmt(expr)
+        self.expect(";")
+        return stmt
 
     def parse_var_decl(self) -> VarDecl:
-        self.expect_keyword("var")
+        self.expect("var")
         name = self.expect_ident().text
-        self.expect_punct(":")
+        self.expect(":")
         var_type = self.parse_type()
-        self.expect_punct("=")
+        self.expect("=")
         return VarDecl(name, var_type, self.parse_expr())
 
     def parse_if(self) -> If:
-        self.expect_keyword("if")
-        self.expect_punct("(")
-        cond = self.parse_expr()
-        self.expect_punct(")")
+        self.expect("if")
+        cond = self._parse_condition()
         then_block = self.parse_braced_block()
         orelse: Stmt | None = None
-        if self.at_keyword("else"):
-            self.next()
-            if self.at_keyword("if"):
-                orelse = self.parse_if()
-            else:
-                orelse = self.parse_braced_block()
+        if self.accept("else"):
+            orelse = self.parse_if() if self.at("if") else self.parse_braced_block()
         return If(cond, then_block, orelse)
 
-    def parse_for(self) -> For:
-        self.expect_keyword("for")
-        self.expect_punct("(")
-        init: VarDecl | Assign
-        if self.at_keyword("var"):
-            init = self.parse_var_decl()
-        else:
-            init = self._parse_bare_assign()
-        self.expect_punct(";")
+    def _parse_condition(self) -> Expr:
+        self.expect("(")
         cond = self.parse_expr()
-        self.expect_punct(";")
+        self.expect(")")
+        return cond
+
+    def parse_for(self) -> For:
+        self.expect("for")
+        self.expect("(")
+        init = self.parse_var_decl() if self.at("var") else self._parse_bare_assign()
+        self.expect(";")
+        cond = self.parse_expr()
+        self.expect(";")
         update = self._parse_bare_assign()
-        self.expect_punct(")")
+        self.expect(")")
         return For(init, cond, update, self.parse_braced_block())
 
     def _parse_bare_assign(self) -> Assign:
         tok = self.peek()
-        expr = self.parse_expr()
-        self.expect_punct("=")
-        target = self._as_assign_target(expr, tok)
+        target = self.parse_expr()
+        self.expect("=")
+        return self._parse_assign_value(target, tok)
+
+    def _parse_assign_value(self, target: Expr, tok: Token) -> Assign:
+        """`target`, parsed from `tok` on, assigned the value after its `=`."""
+        if not isinstance(target.base if isinstance(target, Index) else target, Var):
+            raise ParseError("invalid assignment target", tok.line, tok.col)
         return Assign(target, self.parse_expr())
 
-    @staticmethod
-    def _as_assign_target(expr: Expr, tok: Token) -> Var | Index:
-        if isinstance(expr, Var):
-            return expr
-        if isinstance(expr, Index) and isinstance(expr.base, Var):
-            return expr
-        raise ParseError("invalid assignment target", tok.line, tok.col)
-
-    # -- expressions (precedence climbing) --
+    # -- expressions --
 
     def parse_expr(self) -> Expr:
         tok = self.peek()
         self._enter(tok)
         try:
-            return self._parse_or()
+            return self._parse_binary(0)
         finally:
             self._leave()
 
-    def _binary_chain(self, sub, ops: tuple[str, ...]) -> Expr:
-        """A left-deep chain; each operator nests one level until it ends."""
-        left = sub()
+    def _parse_binary(self, level: int) -> Expr:
+        """A left-deep chain of the operators of BINARY_LEVELS[level]; each
+        operator nests one level until the chain ends."""
+        if level == len(BINARY_LEVELS):
+            return self._parse_unary()
+        ops = BINARY_LEVELS[level]
+        left = self._parse_binary(level + 1)
         depth = self.depth
-        while self.peek().kind == "punct" and self.peek().text in ops:
+        while self.peek().text in ops:
             op = self.next()
             self._enter(op)
-            left = Binary(op.text, left, sub())
+            left = Binary(op.text, left, self._parse_binary(level + 1))
         self.depth = depth
         return left
 
-    def _parse_or(self) -> Expr:
-        return self._binary_chain(self._parse_and, ("||",))
-
-    def _parse_and(self) -> Expr:
-        return self._binary_chain(self._parse_equality, ("&&",))
-
-    def _parse_equality(self) -> Expr:
-        return self._binary_chain(self._parse_relational, ("==", "!="))
-
-    def _parse_relational(self) -> Expr:
-        return self._binary_chain(self._parse_additive, ("<", "<=", ">", ">="))
-
-    def _parse_additive(self) -> Expr:
-        return self._binary_chain(self._parse_multiplicative, ("+", "-"))
-
-    def _parse_multiplicative(self) -> Expr:
-        return self._binary_chain(self._parse_unary, ("*", "/", "%"))
-
     def _parse_unary(self) -> Expr:
         tok = self.peek()
-        if tok.kind == "punct" and tok.text in ("-", "!"):
+        if tok.text in ("-", "!"):
             self.next()
             self._enter(tok)
             try:
@@ -394,63 +334,51 @@ class _Parser:
         """An index chain; each `[` nests one level until the chain ends."""
         expr = self._parse_primary()
         depth = self.depth
-        while self.at_punct("["):
+        while self.at("["):
             self._enter(self.next())
             index = self.parse_expr()
-            self.expect_punct("]")
+            self.expect("]")
             expr = Index(expr, index)
         self.depth = depth
         return expr
 
     def _parse_primary(self) -> Expr:
-        tok = self.peek()
+        tok = self.next()
+        text = tok.text
         if tok.kind == "int":
-            self.next()
-            return IntLit(int(tok.text))
-        if self.at_keyword("true"):
-            self.next()
-            return BoolLit(True)
-        if self.at_keyword("false"):
-            self.next()
-            return BoolLit(False)
+            return IntLit(int(text))
         if tok.kind == "ident":
-            if tok.text in KEYWORDS:
-                raise ParseError(f"unexpected keyword {tok.text!r}", tok.line, tok.col)
-            self.next()
-            if self.at_punct("("):
-                self.next()
-                args = self._parse_args(")")
-                return Call(tok.text, args)
-            return Var(tok.text)
-        if self.at_punct("("):
-            open_tok = self.next()
-            self._enter(open_tok)
+            if text == "true" or text == "false":
+                return BoolLit(text == "true")
+            if text in KEYWORDS:
+                raise ParseError(f"unexpected keyword {text!r}", tok.line, tok.col)
+            if self.accept("("):
+                return Call(text, self._parse_list(self.parse_expr, ")"))
+            return Var(text)
+        if text == "(":
+            self._enter(tok)
             expr = self.parse_expr()
             self._leave()
-            self.expect_punct(")")
+            self.expect(")")
             return expr
-        if self.at_punct("["):
-            self.next()
-            return ArrayLit(self._parse_args("]"))
-        raise ParseError(f"expected an expression, found {self._describe(tok)}", tok.line, tok.col)
+        if text == "[":
+            return ArrayLit(self._parse_list(self.parse_expr, "]"))
+        raise ParseError(f"expected an expression, found {_describe(tok)}", tok.line, tok.col)
 
-    def _parse_args(self, closer: str) -> tuple[Expr, ...]:
-        args: list[Expr] = []
-        if not self.at_punct(closer):
-            while True:
-                args.append(self.parse_expr())
-                if self.at_punct(","):
-                    self.next()
-                    continue
-                break
-        self.expect_punct(closer)
-        return tuple(args)
+
+def _parse_whole(text: str, parse, what: str):
+    """`parse` applied to a parser of `text`, which must consume all of it."""
+    parser = _Parser(tokenize(text))
+    result = parse(parser)
+    tok = parser.peek()
+    if tok.kind != "eof":
+        raise ParseError(f"trailing input after {what}: {tok.text!r}", tok.line, tok.col)
+    return result
 
 
 def parse_source(text: str, name: str = "main") -> SourceUnit:
     """Parse a whole MiniLang file into a SourceUnit."""
-    parser = _Parser(tokenize(text))
-    return parser.parse_unit(name)
+    return _Parser(tokenize(text)).parse_unit(name)
 
 
 def parse_block(text: str) -> Block:
@@ -461,28 +389,14 @@ def parse_block(text: str) -> Block:
     The error from the unwrapped attempt is reported if both fail.
     """
     try:
-        return _parse_block_exact(text)
+        return _parse_whole(text, _Parser.parse_braced_block, "block")
     except ParseError as first_err:
         try:
-            return _parse_block_exact("{\n" + text + "\n}")
+            return _parse_whole("{\n" + text + "\n}", _Parser.parse_braced_block, "block")
         except ParseError:
             raise first_err from None
 
 
-def _parse_block_exact(text: str) -> Block:
-    parser = _Parser(tokenize(text))
-    block = parser.parse_braced_block()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input after block: {tok.text!r}", tok.line, tok.col)
-    return block
-
-
 def parse_expression(text: str) -> Expr:
     """Parse a single expression (used by the test-file reader)."""
-    parser = _Parser(tokenize(text))
-    expr = parser.parse_expr()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input after expression: {tok.text!r}", tok.line, tok.col)
-    return expr
+    return _parse_whole(text, _Parser.parse_expr, "expression")

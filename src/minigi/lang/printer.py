@@ -34,20 +34,14 @@ from minigi.lang.ast import (
     VarDecl,
     While,
 )
+from minigi.lang.parser import BINARY_LEVELS
 
 INDENT = "    "
 
-# Binding strength; higher binds tighter. Postfix/primary handled separately.
-_PRECEDENCE = {
-    "||": 1,
-    "&&": 2,
-    "==": 3, "!=": 3,
-    "<": 4, "<=": 4, ">": 4, ">=": 4,
-    "+": 5, "-": 5,
-    "*": 6, "/": 6, "%": 6,
-}
-_UNARY_PREC = 7
-_POSTFIX_PREC = 8
+# Binding strength from the parser's table; higher binds tighter.
+_PRECEDENCE = {op: level for level, ops in enumerate(BINARY_LEVELS, 1) for op in ops}
+_UNARY_PREC = len(BINARY_LEVELS) + 1
+_POSTFIX_PREC = len(BINARY_LEVELS) + 2
 
 
 def print_expr(expr: Expr) -> str:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -40,9 +41,10 @@ class ClientError(Exception):
 
 @dataclass(frozen=True)
 class LlmClientConfig:
-    """How a client reaches the model. Construction refuses a retry count
-    that is not an integer of at least 0, a timeout that is not a number
-    above 0 and a mode outside MODES."""
+    """How a client reaches the model. Construction refuses a model that is
+    not a non-empty string, a temperature that is not a finite number of at
+    least 0, a retry count that is not an integer of at least 0, a timeout
+    that is not a number above 0 and a mode outside MODES."""
 
     endpoint_url: str = "https://api.openai.com/v1/chat/completions"
     api_key_env_var: str = "OPENAI_API_KEY"
@@ -54,6 +56,13 @@ class LlmClientConfig:
     mode: str = "mock"  # one of MODES
 
     def __post_init__(self):
+        if type(self.model) is not str or not self.model:
+            raise ValueError(f"model must be a non-empty string, got {self.model!r}")
+        # NaN and infinity are no temperature, and JSON has neither; a JSON true is no number
+        if type(self.temperature) not in (int, float) or not 0 <= self.temperature < math.inf:
+            raise ValueError(
+                f"temperature must be a finite number of at least 0, got {self.temperature!r}"
+            )
         if type(self.max_retries) is not int or self.max_retries < 0:  # a JSON true is no count
             raise ValueError(
                 f"max_retries must be an integer of at least 0, got {self.max_retries!r}"

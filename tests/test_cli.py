@@ -266,6 +266,14 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
          "measure_repeats must be an integer of at least 1, got 0"),
         ("sample", [], "temperature = warm\n",
          "argument --temperature: invalid float value: 'warm'"),
+        ("sample", ["--family", "llm-medium", "--temperature", "nan"], "",
+         "llm.client: temperature must be a finite number of at least 0, got nan"),
+        ("ls", ["--family", "llm-medium", "--temperature", "-5"], "",
+         "llm.client: temperature must be a finite number of at least 0, got -5.0"),
+        ("sample", ["--family", "llm-medium"], "temperature = inf\n",
+         "llm.client: temperature must be a finite number of at least 0, got inf"),
+        ("sample", ["--family", "llm-medium", "--model", ""], "",
+         "llm.client: model must be a non-empty string, got ''"),
     ]:
         out_dir = tmp_path / "refused"
         conf = tmp_path / "refused.conf"
@@ -335,6 +343,55 @@ def test_exit_code_3_on_broken_external_toolchain(tmp_path, capsys):
     )
     assert code == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("key, command, problem", [
+    ("compile_cmd", 'python "unterminated {PATCHED_FILE}', "No closing quotation"),
+    ("test_cmd", "true 'it''s", "No closing quotation"),
+    ("measure_cmd", "echo 7 \\", "No escaped character"),
+], ids=["unbalanced-double", "unbalanced-single", "trailing-backslash"])
+def test_an_external_command_that_does_not_split_is_a_config_error(
+    tmp_path, capsys, key, command, problem
+):
+    """Commands are split by shell quoting rules once, when the run's
+    settings are built, so one that does not split exits 2 before any file
+    is written, never with a traceback after the log was started."""
+    commands = {"compile_cmd": "true", "test_cmd": "true", "measure_cmd": "echo 7", key: command}
+    config = tmp_path / "adapter.conf"
+    config.write_text("adapter = external\n" + "".join(f"{k} = {v}\n" for k, v in commands.items()))
+    out_dir = tmp_path / "out"
+    assert run(
+        "sample", MAX, MAX_TESTS, "--family", "statement", "--budget", "2",
+        "--seed", "1", "--config", str(config), "--out-dir", str(out_dir),
+    ) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: toolchain: ")
+    assert f"{key} must split into words by shell quoting rules ({problem})" in err[0]
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("culprit, old, new, position", [
+    ("program", "return y;", "return 2\u00b2;", "8:13"),
+    ("tests", "max2(7, 3)", "max2(7, 3\u00b2)", "1:10"),
+], ids=["program", "tests"])
+def test_a_non_ascii_character_in_an_input_is_a_config_error(
+    tmp_path, capsys, culprit, old, new, position
+):
+    """MiniLang source and test files are ASCII: a character that Python
+    calls a digit but int() refuses exits 2 with one error line naming the
+    file and the character's position, and writes nothing."""
+    files = {"program": Path(MAX), "tests": Path(MAX_TESTS)}
+    path = tmp_path / files[culprit].name
+    path.write_text(files[culprit].read_text().replace(old, new, 1), encoding="utf-8")
+    files[culprit] = path
+    out_dir = tmp_path / "out"
+    assert run(
+        "sample", str(files["program"]), str(files["tests"]), "--family", "statement",
+        "--seed", "1", "--out-dir", str(out_dir),
+    ) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {path}: {position}: unexpected character '\u00b2'"]
+    assert not out_dir.exists()
 
 
 def test_partial_results_survive_infrastructure_abort(tmp_path, capsys):
@@ -644,6 +701,30 @@ def _zero_request_timeout(record):
     record["llm"] = _llm_section(client={"request_timeout": 0})
 
 
+def _temperature_in_words(record):
+    record["llm"] = _llm_section(client={"temperature": "hot"})
+
+
+def _temperature_as_true(record):
+    record["llm"] = _llm_section(client={"temperature": True})
+
+
+def _negative_temperature(record):
+    record["llm"] = _llm_section(client={"temperature": -0.5})
+
+
+def _temperature_nan(record):
+    record["llm"] = _llm_section(client={"temperature": float("nan")})  # json writes NaN
+
+
+def _empty_model(record):
+    record["llm"] = _llm_section(client={"model": ""})
+
+
+def _model_as_number(record):
+    record["llm"] = _llm_section(client={"model": 4})
+
+
 def _budget_in_words(record):
     record["budget"] = "five"
 
@@ -688,6 +769,15 @@ def _timeout_in_words(record):
     (_retries_as_true, "llm.client: max_retries must be an integer of at least 0, got True"),
     (_zero_request_timeout,
      "llm.client: request_timeout must be a number above 0 seconds, got 0"),
+    (_temperature_in_words,
+     "llm.client: temperature must be a finite number of at least 0, got 'hot'"),
+    (_temperature_as_true,
+     "llm.client: temperature must be a finite number of at least 0, got True"),
+    (_negative_temperature,
+     "llm.client: temperature must be a finite number of at least 0, got -0.5"),
+    (_temperature_nan, "llm.client: temperature must be a finite number of at least 0, got nan"),
+    (_empty_model, "llm.client: model must be a non-empty string, got ''"),
+    (_model_as_number, "llm.client: model must be a non-empty string, got 4"),
     (_budget_in_words, 'budget: expected integer, got "five"'),
     (_log_outside_the_run, "log: a sample run logs to sample_log.csv"),
     (_zero_step_budget, "sample: step_budget must be an integer of at least 1, got 0"),

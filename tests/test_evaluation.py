@@ -143,6 +143,20 @@ def test_a_payload_past_the_nesting_cap_is_invalid_not_a_crash(bench_max, expres
     assert evaluate(BaseProgram(unit, tests), Patch("bench_max", (edit,))).classification.value == rung
 
 
+@pytest.mark.parametrize("payload", [
+    "{ return 2\u00b2; }",  # a digit to str.isdigit, which int() refuses
+    "{ return x\u00e9; }",  # a letter to str.isalpha
+], ids=["superscript-digit", "letter"])
+def test_a_payload_with_a_non_ascii_character_is_invalid_not_a_crash(bench_max, payload):
+    """An LLM payload is MiniLang source, which is ASCII: any other
+    character makes it unparsable, so the patch is Invalid."""
+    unit, tests = bench_max
+    edit = Edit(EditKind.LLM_BLOCK_REPLACE, src=sid("max2"), payload=payload,
+                prompt_category="medium")
+    result = evaluate(BaseProgram(unit, tests), Patch("bench_max", (edit,)))
+    assert result.classification is Classification.INVALID
+
+
 def test_ladder_invariants_enforced(bench_sort):
     # a runtime is recorded if and only if the patch passed
     for classification in (

@@ -457,6 +457,50 @@ FAILURE_POINTS = [
     ("fn f(a: int[]) -> int[] { var i: int = 0; a[i] = a[i + 1]; return a; }",
      "f([7]) == [7]", Status.RUNTIME_ERROR, 3 + 1 + 2 + 4 + 5,
      "index 1 out of bounds for length 1", None),
+    # the `else` branch: harness 2; f: body 1 + `var y` 2 + `if` 1 + `x > 0`
+    # 3 + else block 1 + `y = 2` 3 + `return y` 2
+    ("fn f(x: int) -> int { var y: int = 0; if (x > 0) { y = 1; } else { y = 2; } return y; }",
+     "f(0) == 2", Status.PASS, 2 + 13, None, {HARNESS_FRAME: 2, "f": 13}),
+    # the same program through its `then` branch costs the same 13 in f
+    ("fn f(x: int) -> int { var y: int = 0; if (x > 0) { y = 1; } else { y = 2; } return y; }",
+     "f(1) == 1", Status.PASS, 2 + 13, None, {HARNESS_FRAME: 2, "f": 13}),
+    # `!` costs 1 plus its operand, and `&&` then evaluates its right operand:
+    # harness 2 + body 1 + return 1 + `&&` 1 + `!` 1 + `x > 0` 3 + `x != 0` 3
+    ("fn f(x: int) -> bool { return !(x > 0) && x != 0; }",
+     "f(0) == false", Status.PASS, 2 + 1 + 1 + 1 + 1 + 3 + 3, None, None),
+    # `return;` in a void callee: harness 3; f: body 1 + `g(a);` 3 +
+    # `return a` 2; g: body 1 + `a[0] = 9` 5 + `return;` 1
+    ("fn g(a: int[]) { a[0] = 9; return; } fn f(a: int[]) -> int[] { g(a); return a; }",
+     "f([1]) == [9]", Status.PASS, 3 + 6 + 7, None, {HARNESS_FRAME: 3, "f": 6, "g": 7}),
+    # the element store itself is out of bounds, after its target 4 (with
+    # the statement's own step) and value 1: harness 4 + body 1 + 5
+    ("fn f(a: int[]) -> int[] { a[2] = 5; return a; }",
+     "f([1, 2]) == [1, 2]", Status.RUNTIME_ERROR, 4 + 1 + 5,
+     "index 2 out of bounds for length 2", None),
+    # `len` of an array literal: harness 2 + body 1 + return 1 + `len` 1 +
+    # `[x, x, 1]` 4
+    ("fn f(x: int) -> int { return len([x, x, 1]); }",
+     "f(4) == 3", Status.PASS, 2 + 1 + 1 + 1 + 4, None, None),
+    # an index whose base is a call: f charges body 1, return 1, `[...]` 1,
+    # call 1 and `n` 1 before g runs (7: body 1, return 1, `[n, n + 1]` 5),
+    # then the subscript `n` 1, which is out of bounds
+    ("fn g(n: int) -> int[] { return [n, n + 1]; } fn f(n: int) -> int { return g(n)[n]; }",
+     "f(2) == 0", Status.RUNTIME_ERROR, 2 + 5 + 7 + 1,
+     "index 2 out of bounds for length 2", {HARNESS_FRAME: 2, "f": 6, "g": 7}),
+    # an argument after a call argument is charged after that call: f
+    # charges body 1, return 1, `h(...)` 1, `g(x)` 1 and `x` 1; g 5 (body,
+    # return, `x * 2` 3); then `10 / x` 3 divides by zero before h is called
+    ("fn g(x: int) -> int { return x * 2; } fn h(a: int, b: int) -> int { return a - b; }"
+     " fn f(x: int) -> int { return h(g(x), 10 / x); }",
+     "f(0) == 0", Status.RUNTIME_ERROR, 2 + 5 + 5 + 3, "division by zero",
+     {HARNESS_FRAME: 2, "f": 8, "g": 5}),
+    # a `for` whose init calls g: harness 1; f: body 1 + `var s` 2 + `for` 1
+    # + init 2, g 3, then the check `i < 5` 3 and two iterations of body 6
+    # (block 1 + `s = s + i` 5), update 5 and check 3, then `return s` 2
+    ("fn g() -> int { return 3; } fn f() -> int { var s: int = 0;"
+     " for (var i: int = g(); i < 5; i = i + 1) { s = s + i; } return s; }",
+     "f() == 7", Status.PASS, 1 + 6 + 3 + 3 + 2 * 14 + 2, None,
+     {HARNESS_FRAME: 1, "f": 39, "g": 3}),
     # a profiled recursive call: f(n > 0) charges 12 of its own (body 1, if
     # 1 + `n == 0` 3, return 1, `+` 1, call 1 + `n - 1` 3, then `1` after
     # the call returns), f(0) 8 (5 + then block 1 + return 1 + call 1), g 3

@@ -174,3 +174,19 @@ def test_parse_block_rejects_declarations():
 def test_parse_block_rejects_trailing_garbage_after_retry():
     with pytest.raises(ParseError):
         parse_block("{ x = 1; } trailing words")
+
+
+@pytest.mark.parametrize("text, char, line, col", [
+    ("fn f() -> int {\n    return 2\u00b2;\n}", "\u00b2", 2, 13),
+    ("fn f() -> int { var caf\u00e9: int = 1; return 1; }", "\u00e9", 1, 24),
+    ("fn f() {\r\n\t// comment\r\n\tx = \u0663;\n}", "\u0663", 3, 6),
+    ("fn f() { // caf\u00e9\n}", "\u00e9", 1, 16),
+    ("fn f()\u00a0{ }", "\u00a0", 1, 7),
+], ids=["superscript-digit", "letter", "decimal-digit", "in-a-comment", "no-break-space"])
+def test_source_is_ascii_and_any_other_character_is_a_parse_error(text, char, line, col):
+    """A non-ASCII character never reaches a token, not even one that
+    Python counts as a digit, letter or space; it is reported where it is."""
+    with pytest.raises(ParseError) as excinfo:
+        parse_source(text)
+    assert excinfo.value.message == f"unexpected character {char!r}"
+    assert (excinfo.value.line, excinfo.value.col) == (line, col)

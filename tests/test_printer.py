@@ -64,6 +64,23 @@ def test_expression_print_parse_fixpoint():
         assert print_expr(parse_expression(printed)) == printed
 
 
+def test_statement_print_parse_fixpoint():
+    """`print` as a statement and a `for` whose init is an assignment, which
+    no benchmark holds, print to text that parses back to the same tree."""
+    cases = {
+        "{ print(x); }": "{\n    print(x);\n}",
+        "{print(a[0],len(a)+1);}": "{\n    print(a[0], len(a) + 1);\n}",
+        "{ for (i = 0; i < n; i = i + 1) { print(i); } }":
+            "{\n    for (i = 0; i < n; i = i + 1) {\n        print(i);\n    }\n}",
+        "{ for(a[0]=1;a[0]<3;a[0]=a[0]+1){} }":
+            "{\n    for (a[0] = 1; a[0] < 3; a[0] = a[0] + 1) {\n    }\n}",
+    }
+    for text, canonical in cases.items():
+        block = parse_block(text)
+        assert print_statement(block) == canonical
+        assert parse_block(canonical) == block
+
+
 def test_block_printing_shape():
     block = parse_block("{ x = 1; { y = 2; } }")
     assert print_statement(block, 0) == "{\n    x = 1;\n    {\n        y = 2;\n    }\n}"
