@@ -44,7 +44,9 @@ class LlmClientConfig:
     """How a client reaches the model. Construction refuses a model that is
     not a non-empty string, a temperature that is not a finite number of at
     least 0, a retry count that is not an integer of at least 0, a timeout
-    that is not a number above 0 and a mode outside MODES."""
+    that is not a finite number above 0 and a mode outside MODES. A finite
+    timeout the platform's sockets cannot hold fails each live request as
+    a ClientError."""
 
     endpoint_url: str = "https://api.openai.com/v1/chat/completions"
     api_key_env_var: str = "OPENAI_API_KEY"
@@ -67,9 +69,10 @@ class LlmClientConfig:
             raise ValueError(
                 f"max_retries must be an integer of at least 0, got {self.max_retries!r}"
             )
-        if type(self.request_timeout) not in (int, float) or not self.request_timeout > 0:
+        timeout = self.request_timeout
+        if type(timeout) not in (int, float) or not 0 < timeout < math.inf:
             raise ValueError(
-                f"request_timeout must be a number above 0 seconds, got {self.request_timeout!r}"
+                f"request_timeout must be a finite number above 0 seconds, got {timeout!r}"
             )
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
@@ -166,6 +169,8 @@ def _post_json(url: str, body: dict, headers: dict, timeout: float) -> tuple[int
         if isinstance(exc.reason, TimeoutError):
             raise ClientError(f"timed out: {exc.reason}") from None
         raise ClientError(f"network error: {exc.reason}") from None
+    except OverflowError as exc:  # a timeout beyond what a socket can hold
+        raise ClientError(f"request_timeout {timeout!r} s is out of range: {exc}") from None
     except (OSError, ValueError, http.client.HTTPException) as exc:  # ValueError: a malformed URL
         raise ClientError(f"network error: {exc}") from None
 

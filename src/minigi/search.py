@@ -31,6 +31,17 @@ patch leaves every function it does not edit as the base's own object,
 so an evaluation prints, validates and compiles only the functions its
 patch changed. The object lives no longer than the run, and it changes
 no record.
+
+Each local-search run also keeps, on the builtin backend, the verdict of
+every edit list it has evaluated, starting with the empty baseline. A
+neighbor whose edit list the run has seen before (a removal that returns
+to an earlier patch, a rejected neighbor proposed again) is logged with
+that verdict and its own patch instead of being evaluated again. A
+builtin verdict is a pure function of the base program, the edit list,
+the tests and the step budget, so this changes no record. The memo lives
+no longer than the run. The external backend measures runtime by wall
+clock, so it evaluates every neighbor; random sampling evaluates every
+patch.
 """
 
 from __future__ import annotations
@@ -315,9 +326,15 @@ def _one_ls_run(unit, tests, cfg, toolchain, llm, method, records, sink) -> None
     _record(run_id, 0, empty, baseline, sink, records)
     assert baseline.runtime is not None
     state = SearchState(empty, baseline.runtime, unit)
+    # Builtin verdicts by edit list; stays empty on the external backend.
+    verdicts = {empty.edits: baseline} if toolchain is None else {}
     for index in range(1, cfg.evals_per_run):
         neighbor = propose_neighbor(state, cfg.family, rng, method, llm)
-        result = evaluate(base, neighbor, toolchain, cfg.step_budget)
+        result = verdicts.get(neighbor.edits)
+        if result is None:
+            result = evaluate(base, neighbor, toolchain, cfg.step_budget)
+            if toolchain is None:
+                verdicts[neighbor.edits] = result
         _record(run_id, index, neighbor, result, sink, records)
         if result.runtime is not None and result.runtime < state.current_runtime:
             state.current_patch = neighbor

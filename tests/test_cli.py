@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import socket
 from pathlib import Path
 
 import pytest
@@ -253,7 +254,11 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
         ("sample", ["--family", "llm-medium", "--max-retries", "-1"], "",
          "max_retries must be an integer of at least 0, got -1"),
         ("ls", ["--family", "llm-medium", "--request-timeout", "0"], "",
-         "request_timeout must be a number above 0 seconds, got 0.0"),
+         "request_timeout must be a finite number above 0 seconds, got 0.0"),
+        ("ls", ["--family", "llm-medium", "--request-timeout", "inf"], "",
+         "llm.client: request_timeout must be a finite number above 0 seconds, got inf"),
+        ("sample", ["--family", "llm-medium"], "request_timeout = inf\n",
+         "llm.client: request_timeout must be a finite number above 0 seconds, got inf"),
         ("sample", ["--step-budget", "0", "--methods", "max2"], "",
          "step_budget must be an integer of at least 1, got 0"),
         ("sample", ["--budget", "-1"], "", "budget must be an integer of at least 1, got -1"),
@@ -284,6 +289,25 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
         ) == 2, flags + [config]
         assert complaint in capsys.readouterr().err
         assert not out_dir.exists()
+
+
+def test_a_live_timeout_no_socket_can_hold_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    """1e10 s is finite, so the run starts, but no socket can wait that
+    long: the first request fails as one client-error line, not as an
+    OverflowError traceback. (An infinite timeout is refused above.)"""
+    monkeypatch.setenv("TEST_API_KEY", "k")
+    with socket.socket() as probe:  # a port that nothing listens on
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    assert run(
+        "sample", MAX, MAX_TESTS, "--family", "llm-medium", "--budget", "1", "--seed", "1",
+        "--llm-mode", "live", "--endpoint", f"http://127.0.0.1:{port}/v1",
+        "--api-key-env", "TEST_API_KEY", "--request-timeout", "1e10",
+        "--out-dir", str(tmp_path / "out"),
+    ) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("infrastructure error: request_timeout 10000000000.0 s is out of range")
 
 
 def test_statement_family_needs_a_statement_to_draw_in_every_run(tmp_path, capsys):
@@ -701,6 +725,10 @@ def _zero_request_timeout(record):
     record["llm"] = _llm_section(client={"request_timeout": 0})
 
 
+def _infinite_request_timeout(record):
+    record["llm"] = _llm_section(client={"request_timeout": float("inf")})  # json writes Infinity
+
+
 def _temperature_in_words(record):
     record["llm"] = _llm_section(client={"temperature": "hot"})
 
@@ -768,7 +796,9 @@ def _timeout_in_words(record):
     (_negative_retries, "llm.client: max_retries must be an integer of at least 0, got -1"),
     (_retries_as_true, "llm.client: max_retries must be an integer of at least 0, got True"),
     (_zero_request_timeout,
-     "llm.client: request_timeout must be a number above 0 seconds, got 0"),
+     "llm.client: request_timeout must be a finite number above 0 seconds, got 0"),
+    (_infinite_request_timeout,
+     "llm.client: request_timeout must be a finite number above 0 seconds, got inf"),
     (_temperature_in_words,
      "llm.client: temperature must be a finite number of at least 0, got 'hot'"),
     (_temperature_as_true,

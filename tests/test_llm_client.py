@@ -128,10 +128,14 @@ def test_make_client_dispatch(tmp_path):
 @pytest.mark.parametrize("field, value, complaint", [
     ("max_retries", -1, "max_retries must be an integer of at least 0, got -1"),
     ("max_retries", 1.0, "max_retries must be an integer of at least 0, got 1.0"),
-    ("request_timeout", 0, "request_timeout must be a number above 0 seconds, got 0"),
-    ("request_timeout", -2.5, "request_timeout must be a number above 0 seconds, got -2.5"),
-    ("request_timeout", float("nan"), "request_timeout must be a number above 0 seconds"),
-    ("request_timeout", "60", "request_timeout must be a number above 0 seconds, got '60'"),
+    ("request_timeout", 0, "request_timeout must be a finite number above 0 seconds, got 0"),
+    ("request_timeout", -2.5,
+     "request_timeout must be a finite number above 0 seconds, got -2.5"),
+    ("request_timeout", float("nan"), "request_timeout must be a finite number above 0 seconds"),
+    ("request_timeout", float("inf"),
+     "request_timeout must be a finite number above 0 seconds, got inf"),
+    ("request_timeout", "60",
+     "request_timeout must be a finite number above 0 seconds, got '60'"),
     ("mode", "telepathy", "mode must be one of live, replay, mock, got 'telepathy'"),
 ])
 def test_client_config_refuses_bad_values(field, value, complaint):
@@ -272,6 +276,24 @@ def test_live_transport_maps_each_answer(monkeypatch, endpoint, path, outcome):
         assert client.complete("p") == outcome
     else:
         with pytest.raises(ClientError, match="^" + re.escape(error)):
+            client.complete("p")
+
+
+@pytest.mark.parametrize("timeout", [1e10, float("inf")])
+def test_a_timeout_no_socket_can_hold_is_a_client_error(monkeypatch, endpoint, timeout):
+    """A finite timeout can still be too long for the platform's sockets:
+    the request fails as a client error, not an OverflowError. The config
+    refuses infinity; the transport maps it the same way."""
+    monkeypatch.setenv("TEST_API_KEY", "k")
+    error = f"^request_timeout {re.escape(repr(timeout))} s is out of range: "
+    with pytest.raises(ClientError, match=error):
+        llm._post_json(endpoint + "/ok", {}, {}, timeout)
+    if timeout < float("inf"):
+        client = LiveLlmClient(LlmClientConfig(
+            mode="live", endpoint_url=endpoint + "/ok", api_key_env_var="TEST_API_KEY",
+            request_timeout=timeout,
+        ))
+        with pytest.raises(ClientError, match=error):
             client.complete("p")
 
 

@@ -253,7 +253,98 @@ def test_equal_runtime_neighbor_not_accepted(bench_max):
     ]
     assert noop_rows, "seed 7 never drew a no-op neighbor; pick another seed"
     for row in noop_rows:
-        assert row.runtime == baseline  # evaluated, passed, same runtime; rejected
+        # passed with the baseline's runtime (a repeat reuses its first verdict); rejected
+        assert row.runtime == baseline
+
+
+def count_evaluations(monkeypatch, events=None) -> list[tuple]:
+    """Every `search.evaluate` call's (patch seed, edits), in call order; a
+    local-search patch's seed names its run. Each call also appends "eval"
+    to `events` when given."""
+    import minigi.search as search
+
+    calls: list[tuple] = []
+    real_evaluate = search.evaluate
+
+    def evaluate(base, patch, *args, **kwargs):
+        calls.append((patch.seed, patch.edits))
+        if events is not None:
+            events.append("eval")
+        return real_evaluate(base, patch, *args, **kwargs)
+
+    monkeypatch.setattr(search, "evaluate", evaluate)
+    return calls
+
+
+def distinct_edit_lists(records) -> set[tuple[str, str]]:
+    return {(r.run_id, split_patch_line(r.patch_line)[1]) for r in records}
+
+
+@pytest.mark.parametrize("family", ["statement", "insert", "llm-medium"])
+def test_local_search_evaluates_each_distinct_edit_list_once_per_run(
+    bench_max, monkeypatch, family
+):
+    """On the builtin backend a neighbor whose edit list its run has
+    already evaluated is logged with that verdict, not evaluated again."""
+    unit, tests = bench_max
+    calls = count_evaluations(monkeypatch)
+    cfg = LocalSearchConfig(family, ("max2", "clamp_low"), 60, seed=3)
+    llm = mock_context() if family == "llm-medium" else None
+    records = local_search(unit, tests, cfg, llm=llm)
+    distinct = distinct_edit_lists(records)
+    assert len(distinct) < len(records)  # the runs do repeat edit lists
+    assert len(calls) == len(set(calls)) == len(distinct)
+
+
+def test_the_evaluation_memo_lives_no_longer_than_its_run(bench_planted, monkeypatch):
+    unit, tests = bench_planted
+    calls = count_evaluations(monkeypatch)
+    cfg = LocalSearchConfig("statement", ("poly_sum",), 80, seed=2)
+    first = local_search(unit, tests, cfg)
+    once = len(calls)
+    assert once < len(first)
+    assert local_search(unit, tests, cfg) == first
+    assert calls[once:] == calls[:once]
+
+
+def test_the_external_backend_evaluates_every_local_search_row(bench_max, monkeypatch):
+    """An external runtime is a wall-clock measurement, so even a repeated
+    edit list runs the toolchain again. The stand-in measure reports the
+    patched file's size, so deletions are accepted and removals return to
+    earlier patches."""
+    import sys
+
+    from minigi.evaluation import ExternalToolchain
+
+    unit, tests = bench_max
+    size = f"{sys.executable} -c 'import os, sys; print(os.path.getsize(sys.argv[1]))'"
+    toolchain = ExternalToolchain(
+        compile_cmd="true", test_cmd="true", measure_cmd=size + " {PATCHED_FILE}",
+        measure_repeats=1,
+    )
+    calls = count_evaluations(monkeypatch)
+    cfg = LocalSearchConfig("statement", ("max2",), 25, seed=3)
+    records = local_search(unit, tests, cfg, toolchain=toolchain)
+    assert len(distinct_edit_lists(records)) < len(records)
+    assert len(calls) == len(records)
+
+
+def test_local_search_sinks_each_record_before_the_next_evaluation(bench_max, monkeypatch):
+    """Every evaluation's record reaches the sink before the next
+    evaluation starts, whether or not a row needed an evaluation."""
+    unit, tests = bench_max
+    events: list[str] = []
+    sunk: list[EvalRecord] = []
+
+    def sink(record):
+        events.append("sink")
+        sunk.append(record)
+
+    count_evaluations(monkeypatch, events)
+    cfg = LocalSearchConfig("statement", ("max2", "clamp_low"), 30, seed=3)
+    records = local_search(unit, tests, cfg, sink=sink)
+    assert sunk == records
+    assert events[-1] == "sink" and ("eval", "eval") not in zip(events, events[1:])
 
 
 def test_propose_neighbor_empty_always_appends(bench_max):
