@@ -67,31 +67,18 @@ SAMPLE_LOG = "sample_log.csv"
 LS_LOG = "ls_log.csv"
 _LOGS = {"sample": SAMPLE_LOG, "ls": LS_LOG}
 
+_CONFIGS = {"sample": RandomSamplingConfig, "ls": LocalSearchConfig}
+
 # The keys `_run_record` writes, by command; docs/logs.md describes them.
-# Each nested section is one dataclass's fields.
+# The search settings are the command's config fields, and each nested
+# section is one dataclass's fields.
 _RECORD_KEYS = {
-    command: frozenset({
-        "command", "program", "tests", "seed", "families", "step_budget", "adapter",
-        "toolchain", "llm", "methods", "original_digest", "log", count,
-    })
-    for command, count in (("sample", "budget"), ("ls", "evals"))
+    command: frozenset(
+        {"command", "program", "tests", "adapter", "toolchain", "llm", "original_digest", "log"}
+        | {f.name for f in fields(config)}
+    )
+    for command, config in _CONFIGS.items()
 }
-
-
-# The JSON type `_run_record` writes for each top-level value that is not
-# checked otherwise: `command`, `adapter` and `log` name one of a few
-# choices, and `toolchain` and `llm` are sections.
-_RECORD_TYPES = {
-    "program": "string", "tests": "string", "seed": "integer", "families": "list of strings",
-    "step_budget": "integer", "methods": "list of strings", "original_digest": "string",
-    "budget": "integer", "evals": "integer",
-}
-
-
-def _json_type(value) -> str:
-    if type(value) is list:
-        return "list of strings" if all(type(v) is str for v in value) else "list"
-    return {int: "integer", str: "string"}.get(type(value), "other")  # a JSON true is no integer
 
 
 class ConfigError(Exception):
@@ -229,20 +216,18 @@ def _run_record(command: str, args: argparse.Namespace, unit, tests) -> dict:
         "methods": _hot_methods(args, unit, tests),
         "original_digest": source_digest(unit),
     }
-    if command == "sample":
-        record["budget"] = args.budget
-    else:
-        record["evals"] = args.evals
+    count = "budget" if command == "sample" else "evals"
+    record[count] = getattr(args, count)
     record["log"] = _LOGS[command]
     return record
 
 
 def _check_record(record, meta_path: Path) -> None:
     """ConfigError naming the sidecar unless `record` has exactly the keys
-    this version writes, at every level, each top-level value of the JSON
-    type written, the command's log name and an `adapter` that agrees with
-    its `toolchain`, so a malformed or older record is never run.
-    `_settings` then checks the values."""
+    this version writes, at every level, strings for the paths and the
+    digest, the command's log name and an `adapter` that agrees with its
+    `toolchain`, so a malformed or older record is never run. `_settings`
+    then checks the values of the settings."""
 
     def fail(where: str, problem: str):
         raise ConfigError(f"{meta_path}: {where}: {problem}")
@@ -261,9 +246,9 @@ def _check_record(record, meta_path: Path) -> None:
     if not isinstance(record, dict) or record.get("command") not in _RECORD_KEYS:
         raise ConfigError(f"{meta_path}: not the record of a sample or ls run")
     check("run record", record, _RECORD_KEYS[record["command"]])
-    for key, expected in _RECORD_TYPES.items():
-        if key in record and _json_type(record[key]) != expected:
-            fail(key, f"expected {expected}, got {json.dumps(record[key])}")
+    for key in ("program", "tests", "original_digest"):
+        if type(record[key]) is not str:
+            fail(key, f"expected string, got {json.dumps(record[key])}")
     if record["log"] != _LOGS[record["command"]]:
         fail("log", f"a {record['command']} run logs to {_LOGS[record['command']]}")
     toolchain, llm = record["toolchain"], record["llm"]
@@ -300,20 +285,10 @@ def _settings(record: dict, unit, prefix: str = ""):
             build("llm.prompt", PromptTemplate, **record["llm"]["prompt"]),
         )
     command = record["command"]
-    if command == "ls" and len(record["families"]) != 1:
-        raise ConfigError(f"{prefix}families: local search takes exactly one family")
-    build("families", check_families, record["families"], llm)
-    build("methods", check_targets, unit, record["methods"], record["families"], command == "ls")
-    if command == "sample":
-        cfg = build(
-            command, RandomSamplingConfig,
-            tuple(record["families"]), record["budget"], record["seed"], record["step_budget"],
-        )
-    else:
-        cfg = build(
-            command, LocalSearchConfig, record["families"][0], tuple(record["methods"]),
-            record["evals"], record["seed"], record["step_budget"],
-        )
+    config = _CONFIGS[command]
+    cfg = build(command, config, **{f.name: record[f.name] for f in fields(config)})
+    build("families", check_families, cfg, llm)
+    build("methods", check_targets, unit, cfg)
     return cfg, toolchain, llm
 
 
@@ -323,13 +298,10 @@ def _execute(record: dict, unit, tests, out_dir: Path, settings) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / record["log"]
     write_run_meta(log_path, record)
+    # Read from the module's globals on each run, so a rebound driver name takes effect.
+    run = random_sampling if record["command"] == "sample" else local_search
     with RecordWriter(log_path) as writer:
-        if record["command"] == "sample":
-            records = random_sampling(
-                unit, tests, record["methods"], cfg, toolchain, llm, sink=writer.write
-            )
-        else:
-            records = local_search(unit, tests, cfg, toolchain, llm, sink=writer.write)
+        records = run(unit, tests, cfg, toolchain, llm, sink=writer.write)
     print(f"wrote {len(records)} records to {log_path}")
     if record["command"] == "sample":
         print(render_table1(aggregate_table1(records, record["original_digest"])), end="")
@@ -490,14 +462,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample = sub.add_parser("sample", help="random sampling experiment")
     _add_run_flags(p_sample)
     p_sample.add_argument("--family", help=f"comma-separated families: {', '.join(FAMILIES)}")
-    p_sample.add_argument("--budget", type=int, default=RandomSamplingConfig.per_family_budget,
+    p_sample.add_argument("--budget", type=int, default=RandomSamplingConfig.budget,
                           help="patches per family (default %(default)s)")
     p_sample.set_defaults(func=_cmd_run)
 
     p_ls = sub.add_parser("ls", help="local search experiment")
     _add_run_flags(p_ls)
     p_ls.add_argument("--family", help="one family to search with")
-    p_ls.add_argument("--evals", type=int, default=LocalSearchConfig.evals_per_run,
+    p_ls.add_argument("--evals", type=int, default=LocalSearchConfig.evals,
                       help="evaluations per run (default %(default)s)")
     p_ls.set_defaults(func=_cmd_run)
 

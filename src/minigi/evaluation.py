@@ -44,6 +44,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence
 
+from minigi.checks import check_count
 from minigi.lang.ast import BaseProgram, SourceUnit
 from minigi.lang.interpreter import (
     DEFAULT_STEP_BUDGET,
@@ -131,10 +132,8 @@ class ExternalToolchain:
                     f"{name} must split into words by shell quoting rules ({exc}), got {value!r}"
                 ) from None
         object.__setattr__(self, "_words", words)  # not a field: no record key, no compare
-        for name in ("timeout_ms", "measure_repeats"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 1:  # a JSON true is no count
-                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+        check_count("timeout_ms", self.timeout_ms)
+        check_count("measure_repeats", self.measure_repeats)
 
     def argv(self, command: str, mapping: dict[str, str]) -> list[str]:
         """The words of `command` (a field name) with each `{KEY}` of

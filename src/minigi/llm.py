@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
+from minigi.checks import check_count
 from minigi.prompts import extract_code_blocks
 
 
@@ -65,10 +66,7 @@ class LlmClientConfig:
             raise ValueError(
                 f"temperature must be a finite number of at least 0, got {self.temperature!r}"
             )
-        if type(self.max_retries) is not int or self.max_retries < 0:  # a JSON true is no count
-            raise ValueError(
-                f"max_retries must be an integer of at least 0, got {self.max_retries!r}"
-            )
+        check_count("max_retries", self.max_retries, least=0)
         timeout = self.request_timeout
         if type(timeout) not in (int, float) or not 0 < timeout < math.inf:
             raise ValueError(

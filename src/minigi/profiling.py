@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
+from minigi.checks import check_count
 from minigi.lang.ast import SourceUnit
 from minigi.lang.interpreter import (
     DEFAULT_STEP_BUDGET,
@@ -46,8 +47,7 @@ def profile(
 ) -> HotMethodProfile:
     """Profile a passing program over its test suite; ValueError for a
     `top_k` below 1, which would slice the ranking from its end."""
-    if type(top_k) is not int or top_k < 1:
-        raise ValueError(f"top_k must be an integer of at least 1, got {top_k!r}")
+    check_count("top_k", top_k)
     errors = validate(unit)
     if errors:
         raise ProfileOnFailingProgramError(f"cannot profile an invalid program ({errors[0]})")

@@ -33,6 +33,7 @@ from enum import Enum
 from importlib import resources
 from typing import Optional
 
+from minigi.checks import check_count
 from minigi.lang.ast import SourceUnit, block_ids, get_statement
 from minigi.lang.printer import print_statement
 from minigi.patches import Edit, EditKind
@@ -72,10 +73,7 @@ class PromptTemplate:
             value = getattr(self, name)
             if type(value) is not str:
                 raise ValueError(f"{name} must be a string, got {value!r}")
-        if type(self.variant_count) is not int or self.variant_count < 1:  # a JSON true is no count
-            raise ValueError(
-                f"variant_count must be an integer of at least 1, got {self.variant_count!r}"
-            )
+        check_count("variant_count", self.variant_count)
 
 
 _PLACEHOLDER = re.compile(r"<(code|projectname|count|language|codelabel|example)>")

@@ -49,8 +49,9 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
+from minigi.checks import check_count
 from minigi.evaluation import EvaluationResult, ExternalToolchain, evaluate
 from minigi.lang.ast import BaseProgram, SourceUnit
 from minigi.lang.interpreter import DEFAULT_STEP_BUDGET, TestCase
@@ -88,65 +89,84 @@ class LlmSearchContext:
     prompt: PromptTemplate = PromptTemplate()
 
 
-def check_families(families, llm: Optional[LlmSearchContext]) -> None:
+@dataclass(frozen=True)
+class SearchConfig:
+    """The settings both drivers take, each named as the run record's key
+    that holds it (docs/logs.md); each driver's config adds its count.
+    Construction refuses `families` or `methods` that is not a list of
+    strings, a method named twice, a `seed` that is not an integer and a
+    count below 1, and stores both lists as tuples."""
+
+    families: tuple[str, ...]
+    methods: tuple[str, ...]  # target methods
+    seed: int = 0
+    step_budget: int = DEFAULT_STEP_BUDGET
+
+    def __post_init__(self):
+        for name in ("families", "methods"):
+            value = getattr(self, name)
+            if type(value) not in (list, tuple) or any(type(v) is not str for v in value):
+                raise ValueError(f"{name} must be a list of strings, got {value!r}")
+            object.__setattr__(self, name, tuple(value))
+        for index, name in enumerate(self.methods):
+            if name in self.methods[:index]:
+                raise ValueError(f"methods names {name!r} more than once")
+        if type(self.seed) is not int:  # a JSON true is no seed
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        check_count("step_budget", self.step_budget)
+
+
+@dataclass(frozen=True)
+class RandomSamplingConfig(SearchConfig):
+    budget: int = 1000  # patches per family
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.families:
+            raise ValueError("random sampling takes at least one family")
+        check_count("budget", self.budget)
+
+
+@dataclass(frozen=True)
+class LocalSearchConfig(SearchConfig):
+    evals: int = 100  # evaluations per method, the baseline included
+
+    def __post_init__(self):
+        super().__post_init__()
+        if len(self.families) != 1:
+            raise ValueError("local search takes exactly one family")
+        check_count("evals", self.evals)
+
+
+def check_families(cfg: SearchConfig, llm: Optional[LlmSearchContext]) -> None:
     """SearchSetupError unless every family is known and an LLM family has
     its context; both drivers check their families here."""
-    for family in families:
+    for family in cfg.families:
         if family not in FAMILIES:
             raise SearchSetupError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
         if is_llm_family(family) and llm is None:
             raise SearchSetupError(f"family {family!r} needs an LLM context")
 
 
-def check_targets(unit: SourceUnit, methods, families=(), one_run_each: bool = False) -> None:
-    """SearchSetupError unless `methods` names at least one method, every
-    one a function of `unit`, and unless the Statement family, when in
-    `families`, has a statement to draw in every run: in one of the
+def check_targets(unit: SourceUnit, cfg: SearchConfig) -> None:
+    """SearchSetupError unless `cfg.methods` names at least one method,
+    every one a function of `unit`, and unless the Statement family, when
+    in `cfg.families`, has a statement to draw in every run: in one of the
     methods when they share a run (sampling), in each method when each has
-    its own (`one_run_each`, local search). Both drivers check their
-    targets here before the first draw."""
-    if not methods:
+    its own (local search). Both drivers check their targets here before
+    the first draw."""
+    if not cfg.methods:
         raise SearchSetupError("empty target-method list")
-    missing = [name for name in methods if not unit.has_function(name)]
+    missing = [name for name in cfg.methods if not unit.has_function(name)]
     if missing:
         raise SearchSetupError(f"target methods not in program: {', '.join(missing)}")
-    if "statement" in families:
-        for hot in [[name] for name in methods] if one_run_each else [methods]:
+    if "statement" in cfg.families:
+        one_run_each = isinstance(cfg, LocalSearchConfig)
+        for hot in [[name] for name in cfg.methods] if one_run_each else [cfg.methods]:
             if not statement_targets(unit, hot):
                 raise SearchSetupError(
                     f"the statement family has no statement to draw in {', '.join(hot)}"
                 )
-
-
-def _check_counts(**counts) -> None:
-    for name, value in counts.items():
-        if type(value) is not int or value < 1:
-            raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
-
-
-@dataclass(frozen=True)
-class RandomSamplingConfig:
-    families: tuple[str, ...]
-    per_family_budget: int = 1000
-    seed: int = 0
-    step_budget: int = DEFAULT_STEP_BUDGET
-
-    def __post_init__(self):
-        if not self.families:
-            raise ValueError("random sampling takes at least one family")
-        _check_counts(budget=self.per_family_budget, step_budget=self.step_budget)
-
-
-@dataclass(frozen=True)
-class LocalSearchConfig:
-    family: str
-    runs: tuple[str, ...]  # target methods, one run each
-    evals_per_run: int = 100
-    seed: int = 0
-    step_budget: int = DEFAULT_STEP_BUDGET
-
-    def __post_init__(self):
-        _check_counts(evals=self.evals_per_run, step_budget=self.step_budget)
 
 
 @dataclass(frozen=True)
@@ -186,7 +206,7 @@ def _record(
 def _draw(
     family: str,
     unit: SourceUnit,
-    hot: list[str],
+    hot: Sequence[str],
     rng: random.Random,
     llm: Optional[LlmSearchContext],
 ) -> list[Edit]:
@@ -206,13 +226,12 @@ def _draw(
 def random_sampling(
     unit: SourceUnit,
     tests: list[TestCase],
-    hot: list[str],
     cfg: RandomSamplingConfig,
     toolchain: Optional[ExternalToolchain] = None,
     llm: Optional[LlmSearchContext] = None,
     sink: Optional[RecordSink] = None,
 ) -> list[EvalRecord]:
-    """Draw and evaluate `per_family_budget` single-edit patches per family.
+    """Draw and evaluate `budget` single-edit patches per family.
 
     Families are independent: draw k of a family seeds its own RNG from
     (seed, family, k), so any draw can be repeated in isolation. A classic
@@ -223,12 +242,12 @@ def random_sampling(
     an aborted run leaves its finished rows behind. `toolchain` selects
     the external backend; without one, patches run on the built-in one.
     """
-    check_targets(unit, hot, cfg.families)
-    check_families(cfg.families, llm)
+    check_targets(unit, cfg)
+    check_families(cfg, llm)
     records: list[EvalRecord] = []
     base = BaseProgram(unit, tests)
     for family in cfg.families:
-        for index, patch in enumerate(_draw_family(unit, hot, cfg, llm, family)):
+        for index, patch in enumerate(_draw_family(unit, cfg, llm, family)):
             result = evaluate(base, patch, toolchain, cfg.step_budget)
             _record(family, index, patch, result, sink, records)
     return records
@@ -236,7 +255,6 @@ def random_sampling(
 
 def _draw_family(
     unit: SourceUnit,
-    hot: list[str],
     cfg: RandomSamplingConfig,
     llm: Optional[LlmSearchContext],
     family: str,
@@ -244,10 +262,10 @@ def _draw_family(
     label = "req" if is_llm_family(family) else ""
     patches: list[Patch] = []
     draw = 0
-    while len(patches) < cfg.per_family_budget:
+    while len(patches) < cfg.budget:
         rng = random.Random(f"{cfg.seed}:{family}:{label}{draw}")
         draw += 1
-        for edit in _draw(family, unit, hot, rng, llm)[: cfg.per_family_budget - len(patches)]:
+        for edit in _draw(family, unit, cfg.methods, rng, llm)[: cfg.budget - len(patches)]:
             seed = f"{cfg.seed}:{family}:{len(patches)}"
             patches.append(Patch(unit.name, (edit,), seed))
     return patches
@@ -301,19 +319,20 @@ def local_search(
     llm: Optional[LlmSearchContext] = None,
     sink: Optional[RecordSink] = None,
 ) -> list[EvalRecord]:
-    """One hill-climbing run per target method, exactly `evals_per_run`
+    """One hill-climbing run per target method, exactly `evals`
     evaluations each, the first on the unpatched program."""
-    check_targets(unit, cfg.runs, (cfg.family,), one_run_each=True)
-    check_families((cfg.family,), llm)
+    check_targets(unit, cfg)
+    check_families(cfg, llm)
     records: list[EvalRecord] = []
-    for method in cfg.runs:
+    for method in cfg.methods:
         _one_ls_run(unit, tests, cfg, toolchain, llm, method, records, sink)
     return records
 
 
 def _one_ls_run(unit, tests, cfg, toolchain, llm, method, records, sink) -> None:
-    run_id = f"{cfg.family}/{method}"
-    run_seed = f"{cfg.seed}:ls:{cfg.family}:{method}"
+    (family,) = cfg.families
+    run_id = f"{family}/{method}"
+    run_seed = f"{cfg.seed}:ls:{family}:{method}"
     rng = random.Random(run_seed)
     empty = Patch(unit.name, (), run_seed)
     base = BaseProgram(unit, tests)
@@ -328,8 +347,8 @@ def _one_ls_run(unit, tests, cfg, toolchain, llm, method, records, sink) -> None
     state = SearchState(empty, baseline.runtime, unit)
     # Builtin verdicts by edit list; stays empty on the external backend.
     verdicts = {empty.edits: baseline} if toolchain is None else {}
-    for index in range(1, cfg.evals_per_run):
-        neighbor = propose_neighbor(state, cfg.family, rng, method, llm)
+    for index in range(1, cfg.evals):
+        neighbor = propose_neighbor(state, family, rng, method, llm)
         result = verdicts.get(neighbor.edits)
         if result is None:
             result = evaluate(base, neighbor, toolchain, cfg.step_budget)

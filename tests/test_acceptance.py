@@ -106,8 +106,8 @@ def test_criterion_1_pipeline_ladder_exactness(bench_sort):
 
     client = MockLlmClient(LlmClientConfig(mode="mock"), script=scripted)
     llm = LlmSearchContext(client, PromptTemplate(project_name="bench_sort"))
-    cfg = RandomSamplingConfig(families=("llm-medium",), per_family_budget=20, seed=13)
-    records = random_sampling(unit, tests, ["sort"], cfg, llm=llm)
+    cfg = RandomSamplingConfig(families=("llm-medium",), methods=["sort"], budget=20, seed=13)
+    records = random_sampling(unit, tests, cfg, llm=llm)
 
     assert len(records) == 20
     assert client.requests_made == 4
@@ -158,8 +158,8 @@ def test_criterion_2_brute_force_edit_space_oracle(bench_sort):
         edit: ladder_oracle(unit, Patch("bench_sort", (edit,)), tests) for edit in enumerated
     }
 
-    cfg = RandomSamplingConfig(families=("statement",), per_family_budget=1000, seed=0)
-    records = random_sampling(unit, tests, ["sort"], cfg)
+    cfg = RandomSamplingConfig(families=("statement",), methods=["sort"], budget=1000, seed=0)
+    records = random_sampling(unit, tests, cfg)
     assert len(records) == 1000
     agreements = 0
     for record in records:
@@ -190,7 +190,7 @@ def test_criterion_3_planted_improvement_recovery(bench_planted):
     recovered = 0
     for seed in range(10):
         cfg = LocalSearchConfig(
-            family="statement", runs=("poly_sum",), evals_per_run=100, seed=seed
+            families=("statement",), methods=("poly_sum",), evals=100, seed=seed
         )
         records = local_search(unit, tests, cfg)
         assert records[0].runtime == baseline

@@ -57,16 +57,18 @@ def drawn_patches(unit) -> list[Patch]:
     """Statement, insert and mock llm-medium draws over every function of
     `unit`, and two-edit patches joining consecutive draws of a family, as
     local search builds them."""
-    hot = [fn.name for fn in unit.functions]
     cfg = RandomSamplingConfig(
-        families=("statement", "insert", "llm-medium"), per_family_budget=DRAWS, seed=5
+        families=("statement", "insert", "llm-medium"),
+        methods=[fn.name for fn in unit.functions],
+        budget=DRAWS,
+        seed=5,
     )
     llm = LlmSearchContext(
         MockLlmClient(LlmClientConfig(mode="mock")), PromptTemplate(project_name="bench")
     )
     patches = []
     for family in cfg.families:
-        drawn = _draw_family(unit, hot, cfg, llm, family)
+        drawn = _draw_family(unit, cfg, llm, family)
         patches += drawn
         patches += [a.with_edit(b.edits[0]) for a, b in zip(drawn[::2], drawn[1::2])]
     return patches
@@ -176,12 +178,14 @@ def counting_harness_checks(monkeypatch) -> list:
 def test_each_harness_call_is_checked_once_per_run(bench_sort, monkeypatch):
     unit, tests = bench_sort
     checked = counting_harness_checks(monkeypatch)
-    cfg = RandomSamplingConfig(families=("statement", "insert"), per_family_budget=30, seed=2)
-    records = random_sampling(unit, tests, ["sort", "max2"], cfg)
+    cfg = RandomSamplingConfig(
+        families=("statement", "insert"), methods=["sort", "max2"], budget=30, seed=2
+    )
+    records = random_sampling(unit, tests, cfg)
     assert sum(r.classification != "Invalid" for r in records) > 20
     assert checked == [t.call for t in tests]
     checked.clear()
-    ls = LocalSearchConfig(family="statement", runs=("sort", "max2"), evals_per_run=20, seed=1)
+    ls = LocalSearchConfig(families=("statement",), methods=("sort", "max2"), evals=20, seed=1)
     local_search(unit, tests, ls)
     assert checked == 2 * [t.call for t in tests]  # one run per method
 

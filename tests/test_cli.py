@@ -1,15 +1,18 @@
 from __future__ import annotations
 
 import json
+import re
 import socket
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from minigi import cli
 from minigi.cli import main
 from minigi.reporting import read_records_csv
 
-from conftest import BENCHMARKS
+from conftest import BENCHMARKS, REPO_ROOT
 
 SORT = str(BENCHMARKS / "bench_sort.ml")
 SORT_TESTS = str(BENCHMARKS / "bench_sort.tests")
@@ -264,6 +267,9 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
         ("sample", ["--budget", "-1"], "", "budget must be an integer of at least 1, got -1"),
         ("ls", ["--evals", "0"], "", "evals must be an integer of at least 1, got 0"),
         ("sample", ["--methods", "max2,nothere"], "", "target methods not in program: nothere"),
+        ("sample", ["--methods", "max2,clamp_low,max2"], "",
+         "error: sample: methods names 'max2' more than once\n"),
+        ("ls", ["--methods", "max2,max2"], "", "error: ls: methods names 'max2' more than once\n"),
         ("ls", ["--family", "statement,insert"], "", "local search takes exactly one family"),
         ("sample", [], toolchain + "timeout_ms = -5\n",
          "timeout_ms must be an integer of at least 1, got -5"),
@@ -333,6 +339,29 @@ def test_statement_family_needs_a_statement_to_draw_in_every_run(tmp_path, capsy
         ) == 2
         assert "the statement family has no statement to draw in noop" in capsys.readouterr().err
         assert not out_dir.exists()
+
+
+def documented_record_keys(command: str) -> set[str]:
+    """The keys the two key tables of docs/logs.md give a `command` record:
+    every key in a row's first column, unless the row's value starts with
+    another command's "`name` only"."""
+    text = (REPO_ROOT / "docs" / "logs.md").read_text(encoding="utf-8")
+    keys = set()
+    for heading in ("These keys determine the log:", "These keys identify the run:"):
+        table = text.split(heading, 1)[1].split("\n\n")[1]
+        for row in table.splitlines()[2:]:
+            names, value = row.strip("|").split("|", 1)
+            only = re.match(r"\s*`(\w+)` only", value)
+            if only is None or only.group(1) == command:
+                keys |= set(re.findall(r"`(\w+)`", names))
+    return keys
+
+
+@pytest.mark.parametrize("command", ["sample", "ls"])
+def test_the_documented_record_keys_are_the_keys_a_record_holds(command):
+    config = {f.name for f in fields(cli._CONFIGS[command])}
+    assert config <= cli._RECORD_KEYS[command]
+    assert documented_record_keys(command) == cli._RECORD_KEYS[command]
 
 
 def test_exit_code_2_on_usage_error():
@@ -757,6 +786,30 @@ def _budget_in_words(record):
     record["budget"] = "five"
 
 
+def _seed_in_words(record):
+    record["seed"] = "x"
+
+
+def _seed_as_true(record):
+    record["seed"] = True
+
+
+def _families_as_one_string(record):
+    record["families"] = "insert"
+
+
+def _method_as_number(record):
+    record["methods"] = [1]
+
+
+def _method_named_twice(record):
+    record["methods"] = ["max2", "max2"]
+
+
+def _program_as_number(record):
+    record["program"] = 5
+
+
 def _log_outside_the_run(record):
     record["log"] = "../sample_log.csv"
 
@@ -808,7 +861,13 @@ def _timeout_in_words(record):
     (_temperature_nan, "llm.client: temperature must be a finite number of at least 0, got nan"),
     (_empty_model, "llm.client: model must be a non-empty string, got ''"),
     (_model_as_number, "llm.client: model must be a non-empty string, got 4"),
-    (_budget_in_words, 'budget: expected integer, got "five"'),
+    (_budget_in_words, "sample: budget must be an integer of at least 1, got 'five'"),
+    (_seed_in_words, "sample: seed must be an integer, got 'x'"),
+    (_seed_as_true, "sample: seed must be an integer, got True"),
+    (_families_as_one_string, "sample: families must be a list of strings, got 'insert'"),
+    (_method_as_number, "sample: methods must be a list of strings, got [1]"),
+    (_method_named_twice, "sample: methods names 'max2' more than once"),
+    (_program_as_number, "program: expected string, got 5"),
     (_log_outside_the_run, "log: a sample run logs to sample_log.csv"),
     (_zero_step_budget, "sample: step_budget must be an integer of at least 1, got 0"),
     (_negative_budget, "sample: budget must be an integer of at least 1, got -1"),

@@ -104,12 +104,13 @@ def test_transcripts_of_an_earlier_version_replay_its_whole_run(bench_max, tmp_p
     client = ReplayLlmClient(
         LlmClientConfig(mode="replay", transcript_dir=RECORDED_RUN / "transcripts")
     )
-    cfg = RandomSamplingConfig(("llm-simple", "llm-medium", "llm-detailed"), 10, 11)
+    cfg = RandomSamplingConfig(
+        ("llm-simple", "llm-medium", "llm-detailed"), ["clamp_low", "max2"], 11, budget=10
+    )
     llm_context = LlmSearchContext(client, PromptTemplate(project_name="bench_max"))
     log = tmp_path / "sample_log.csv"
     with RecordWriter(log) as writer:
-        random_sampling(unit, tests, ["clamp_low", "max2"], cfg, llm=llm_context,
-                        sink=writer.write)
+        random_sampling(unit, tests, cfg, llm=llm_context, sink=writer.write)
     assert client.requests_made == 6  # one prompt twice: 5 transcripts
     assert len(list((RECORDED_RUN / "transcripts").iterdir())) == 5
     assert log.read_bytes() == (RECORDED_RUN / "sample_log.csv").read_bytes()

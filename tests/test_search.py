@@ -35,8 +35,8 @@ def mock_context(script=None) -> LlmSearchContext:
 
 def test_sampling_respects_budget_and_indices(bench_max):
     unit, tests = bench_max
-    cfg = RandomSamplingConfig(families=("statement",), per_family_budget=10, seed=3)
-    records = random_sampling(unit, tests, ["max2"], cfg)
+    cfg = RandomSamplingConfig(families=("statement",), methods=["max2"], budget=10, seed=3)
+    records = random_sampling(unit, tests, cfg)
     assert len(records) == 10
     assert [r.eval_index for r in records] == list(range(10))
     assert all(r.run_id == "statement" for r in records)
@@ -44,9 +44,11 @@ def test_sampling_respects_budget_and_indices(bench_max):
 
 def test_sampling_is_replayable_bit_exactly(bench_max):
     unit, tests = bench_max
-    cfg = RandomSamplingConfig(families=("statement", "insert"), per_family_budget=10, seed=3)
-    first = random_sampling(unit, tests, ["max2", "clamp_low"], cfg)
-    second = random_sampling(unit, tests, ["max2", "clamp_low"], cfg)
+    cfg = RandomSamplingConfig(
+        families=("statement", "insert"), methods=["max2", "clamp_low"], budget=10, seed=3
+    )
+    first = random_sampling(unit, tests, cfg)
+    second = random_sampling(unit, tests, cfg)
     assert first == second
 
 
@@ -63,8 +65,8 @@ def test_sampling_sinks_each_record_before_the_next_evaluation(bench_max, monkey
 
     real_evaluate = search.evaluate
     monkeypatch.setattr(search, "evaluate", evaluate)
-    cfg = RandomSamplingConfig(families=("statement", "insert"), per_family_budget=5, seed=9)
-    records = random_sampling(unit, tests, ["max2"], cfg, sink=sunk.append)
+    cfg = RandomSamplingConfig(families=("statement", "insert"), methods=["max2"], budget=5, seed=9)
+    records = random_sampling(unit, tests, cfg, sink=sunk.append)
     assert sunk_before_each_evaluation == list(range(10))
     assert sunk == records
     assert [(r.run_id, r.eval_index) for r in records] == [
@@ -76,8 +78,8 @@ def test_each_logged_classic_patch_is_replayable_from_its_seed(bench_max):
     from minigi.operators import sample_statement_edit
 
     unit, tests = bench_max
-    cfg = RandomSamplingConfig(families=("statement",), per_family_budget=5, seed=11)
-    records = random_sampling(unit, tests, ["max2"], cfg)
+    cfg = RandomSamplingConfig(families=("statement",), methods=["max2"], budget=5, seed=11)
+    records = random_sampling(unit, tests, cfg)
     for record in records:
         seed, edits, _fp = split_patch_line(record.patch_line)
         redrawn = sample_statement_edit(unit, ["max2"], random.Random(seed))
@@ -87,8 +89,8 @@ def test_each_logged_classic_patch_is_replayable_from_its_seed(bench_max):
 def test_llm_budget_of_ten_issues_exactly_two_requests(bench_sort):
     unit, tests = bench_sort
     llm = mock_context(script=lambda prompt: "```\n{ }\n```\n" * 5)
-    cfg = RandomSamplingConfig(families=("llm-medium",), per_family_budget=10, seed=1)
-    records = random_sampling(unit, tests, ["sort"], cfg, llm=llm)
+    cfg = RandomSamplingConfig(families=("llm-medium",), methods=["sort"], budget=10, seed=1)
+    records = random_sampling(unit, tests, cfg, llm=llm)
     assert len(records) == 10
     assert llm.client.requests_made == 2  # ceil(10 / 5)
 
@@ -96,41 +98,40 @@ def test_llm_budget_of_ten_issues_exactly_two_requests(bench_sort):
 def test_llm_request_count_is_ceil_of_budget_over_variants(bench_sort):
     unit, tests = bench_sort
     llm = mock_context(script=lambda prompt: "```\n{ }\n```")
-    cfg = RandomSamplingConfig(families=("llm-simple",), per_family_budget=7, seed=1)
-    random_sampling(unit, tests, ["sort"], cfg, llm=llm)
+    cfg = RandomSamplingConfig(families=("llm-simple",), methods=["sort"], budget=7, seed=1)
+    random_sampling(unit, tests, cfg, llm=llm)
     assert llm.client.requests_made == 2  # ceil(7 / 5)
 
 
 def test_llm_family_needs_context(bench_sort):
     unit, tests = bench_sort
-    cfg = RandomSamplingConfig(families=("llm-medium",), per_family_budget=5, seed=1)
+    cfg = RandomSamplingConfig(families=("llm-medium",), methods=["sort"], budget=5, seed=1)
     with pytest.raises(SearchSetupError):
-        random_sampling(unit, tests, ["sort"], cfg)
+        random_sampling(unit, tests, cfg)
 
 
 def test_unknown_family_rejected(bench_sort):
     unit, tests = bench_sort
-    cfg = RandomSamplingConfig(families=("mystery",), per_family_budget=5, seed=1)
+    cfg = RandomSamplingConfig(families=("mystery",), methods=["sort"], budget=5, seed=1)
     with pytest.raises(SearchSetupError):
-        random_sampling(unit, tests, ["sort"], cfg)
+        random_sampling(unit, tests, cfg)
 
 
 def test_unknown_hot_method_rejected(bench_sort):
     """Both drivers check their target methods before the first draw."""
     unit, tests = bench_sort
-    cfg = RandomSamplingConfig(families=("statement",), per_family_budget=5, seed=1)
     for hot in (["nope"], [], ["sort", "nope"]):
         with pytest.raises(SearchSetupError):
-            random_sampling(unit, tests, hot, cfg)
+            random_sampling(unit, tests, RandomSamplingConfig(["statement"], hot, budget=5))
         with pytest.raises(SearchSetupError):
-            local_search(unit, tests, LocalSearchConfig("statement", tuple(hot), 5))
+            local_search(unit, tests, LocalSearchConfig(["statement"], hot, evals=5))
 
 
 @pytest.mark.parametrize("make", [
-    lambda: RandomSamplingConfig(("statement",), per_family_budget=0),
-    lambda: RandomSamplingConfig(("statement",), step_budget=0),
-    lambda: LocalSearchConfig("statement", ("sort",), evals_per_run=0),
-    lambda: LocalSearchConfig("statement", ("sort",), step_budget=-1),
+    lambda: RandomSamplingConfig(("statement",), ("sort",), budget=0),
+    lambda: RandomSamplingConfig(("statement",), ("sort",), step_budget=0),
+    lambda: LocalSearchConfig(("statement",), ("sort",), evals=0),
+    lambda: LocalSearchConfig(("statement",), ("sort",), step_budget=-1),
 ])
 def test_configs_refuse_counts_below_one(make):
     with pytest.raises(ValueError, match="must be an integer of at least 1"):
@@ -140,8 +141,8 @@ def test_configs_refuse_counts_below_one(make):
 def test_sink_sees_every_record_in_order(bench_max):
     unit, tests = bench_max
     seen: list[EvalRecord] = []
-    cfg = RandomSamplingConfig(families=("insert",), per_family_budget=8, seed=2)
-    records = random_sampling(unit, tests, ["max2"], cfg, sink=seen.append)
+    cfg = RandomSamplingConfig(families=("insert",), methods=["max2"], budget=8, seed=2)
+    records = random_sampling(unit, tests, cfg, sink=seen.append)
     assert seen == records
 
 
@@ -150,7 +151,7 @@ def test_sink_sees_every_record_in_order(bench_max):
 
 def test_local_search_budget_exact_first_eval_unpatched(bench_planted):
     unit, tests = bench_planted
-    cfg = LocalSearchConfig(family="statement", runs=("poly_sum",), evals_per_run=100, seed=0)
+    cfg = LocalSearchConfig(families=("statement",), methods=("poly_sum",), evals=100, seed=0)
     records = local_search(unit, tests, cfg)
     assert len(records) == 100
     assert records[0].eval_index == 0
@@ -162,9 +163,7 @@ def test_local_search_budget_exact_first_eval_unpatched(bench_planted):
 
 def test_local_search_multiple_runs(bench_max):
     unit, tests = bench_max
-    cfg = LocalSearchConfig(
-        family="insert", runs=("max2", "clamp_low"), evals_per_run=20, seed=5
-    )
+    cfg = LocalSearchConfig(families=("insert",), methods=("max2", "clamp_low"), evals=20, seed=5)
     records = local_search(unit, tests, cfg)
     assert len(records) == 40
     assert {r.run_id for r in records} == {"insert/max2", "insert/clamp_low"}
@@ -175,14 +174,14 @@ def test_local_search_requires_passing_baseline(bench_sort):
     from minigi.lang import parse_test_file
 
     failing = parse_test_file("test wrong: max2(1, 2) == 0")
-    cfg = LocalSearchConfig(family="statement", runs=("max2",), evals_per_run=5, seed=0)
+    cfg = LocalSearchConfig(families=("statement",), methods=("max2",), evals=5, seed=0)
     with pytest.raises(SearchSetupError):
         local_search(unit, failing, cfg)
 
 
 def test_local_search_unknown_method_rejected(bench_sort):
     unit, tests = bench_sort
-    cfg = LocalSearchConfig(family="statement", runs=("nope",), evals_per_run=5, seed=0)
+    cfg = LocalSearchConfig(families=("statement",), methods=("nope",), evals=5, seed=0)
     with pytest.raises(SearchSetupError):
         local_search(unit, tests, cfg)
 
@@ -198,7 +197,7 @@ def test_local_search_finds_planted_deletion(bench_planted):
     hits = 0
     for seed in range(10):
         cfg = LocalSearchConfig(
-            family="statement", runs=("poly_sum",), evals_per_run=100, seed=seed
+            families=("statement",), methods=("poly_sum",), evals=100, seed=seed
         )
         records = local_search(unit, tests, cfg)
         passing = [
@@ -214,7 +213,7 @@ def test_local_search_finds_planted_deletion(bench_planted):
 
 def test_every_improving_eval_passed_and_acceptance_is_strict(bench_planted):
     unit, tests = bench_planted
-    cfg = LocalSearchConfig(family="statement", runs=("poly_sum",), evals_per_run=100, seed=4)
+    cfg = LocalSearchConfig(families=("statement",), methods=("poly_sum",), evals=100, seed=4)
     records = local_search(unit, tests, cfg)
     baseline = records[0].runtime
     for record in records:
@@ -230,7 +229,7 @@ def test_no_improvement_when_everything_fails(bench_max):
     unit, tests = bench_max
     # every rewrite from this mock is unparsable, so no neighbor ever passes
     llm = mock_context(script=lambda prompt: "```\nnot ((( code\n```")
-    cfg = LocalSearchConfig(family="llm-medium", runs=("max2",), evals_per_run=30, seed=1)
+    cfg = LocalSearchConfig(families=("llm-medium",), methods=("max2",), evals=30, seed=1)
     records = local_search(unit, tests, cfg, llm=llm)
     baseline = records[0].runtime
     improving = [
@@ -243,7 +242,7 @@ def test_no_improvement_when_everything_fails(bench_max):
 def test_equal_runtime_neighbor_not_accepted(bench_max):
     """Self-swap neighbors leave runtime unchanged; strict < rejects them."""
     unit, tests = bench_max
-    cfg = LocalSearchConfig(family="statement", runs=("max2",), evals_per_run=60, seed=7)
+    cfg = LocalSearchConfig(families=("statement",), methods=("max2",), evals=60, seed=7)
     records = local_search(unit, tests, cfg)
     baseline = records[0].runtime
     # find a Swap(s,s) evaluation: fingerprint equals the original digest
@@ -288,7 +287,7 @@ def test_local_search_evaluates_each_distinct_edit_list_once_per_run(
     already evaluated is logged with that verdict, not evaluated again."""
     unit, tests = bench_max
     calls = count_evaluations(monkeypatch)
-    cfg = LocalSearchConfig(family, ("max2", "clamp_low"), 60, seed=3)
+    cfg = LocalSearchConfig((family,), ("max2", "clamp_low"), evals=60, seed=3)
     llm = mock_context() if family == "llm-medium" else None
     records = local_search(unit, tests, cfg, llm=llm)
     distinct = distinct_edit_lists(records)
@@ -299,7 +298,7 @@ def test_local_search_evaluates_each_distinct_edit_list_once_per_run(
 def test_the_evaluation_memo_lives_no_longer_than_its_run(bench_planted, monkeypatch):
     unit, tests = bench_planted
     calls = count_evaluations(monkeypatch)
-    cfg = LocalSearchConfig("statement", ("poly_sum",), 80, seed=2)
+    cfg = LocalSearchConfig(("statement",), ("poly_sum",), evals=80, seed=2)
     first = local_search(unit, tests, cfg)
     once = len(calls)
     assert once < len(first)
@@ -323,7 +322,7 @@ def test_the_external_backend_evaluates_every_local_search_row(bench_max, monkey
         measure_repeats=1,
     )
     calls = count_evaluations(monkeypatch)
-    cfg = LocalSearchConfig("statement", ("max2",), 25, seed=3)
+    cfg = LocalSearchConfig(("statement",), ("max2",), evals=25, seed=3)
     records = local_search(unit, tests, cfg, toolchain=toolchain)
     assert len(distinct_edit_lists(records)) < len(records)
     assert len(calls) == len(records)
@@ -341,7 +340,7 @@ def test_local_search_sinks_each_record_before_the_next_evaluation(bench_max, mo
         sunk.append(record)
 
     count_evaluations(monkeypatch, events)
-    cfg = LocalSearchConfig("statement", ("max2", "clamp_low"), 30, seed=3)
+    cfg = LocalSearchConfig(("statement",), ("max2", "clamp_low"), evals=30, seed=3)
     records = local_search(unit, tests, cfg, sink=sink)
     assert sunk == records
     assert events[-1] == "sink" and ("eval", "eval") not in zip(events, events[1:])
@@ -400,8 +399,10 @@ def test_statement_family_thousand_draw_golden_counts(bench_sort):
     from minigi.lang import source_digest
 
     unit, tests = bench_sort
-    cfg = RandomSamplingConfig(families=("statement",), per_family_budget=1000, seed=42)
-    records = random_sampling(unit, tests, ["sort", "max2"], cfg)
+    cfg = RandomSamplingConfig(
+        families=("statement",), methods=["sort", "max2"], budget=1000, seed=42
+    )
+    records = random_sampling(unit, tests, cfg)
     verdicts: dict[str, set[str]] = {}
     for record in records:
         digest = split_patch_line(record.patch_line)[2]
@@ -455,7 +456,7 @@ GOLDEN_1000_UNIQUE = (184, 184, 75, 29)
 def test_llm_local_search_amortizes_requests(bench_sort):
     unit, tests = bench_sort
     llm = mock_context(script=lambda prompt: "```\n{ }\n```\n" * 5)
-    cfg = LocalSearchConfig(family="llm-medium", runs=("sort",), evals_per_run=40, seed=2)
+    cfg = LocalSearchConfig(families=("llm-medium",), methods=("sort",), evals=40, seed=2)
     records = local_search(unit, tests, cfg, llm=llm)
     appends = sum(1 for r in records[1:] if "llm(" in r.patch_line)
     # every append pops one queued variant; requests refill five at a time
@@ -480,7 +481,7 @@ def test_llm_local_search_requests_again_after_an_accepted_move():
         variants = ["{ return n; }"] + ["{ return n + 0; }"] * 4
         return "\n".join(f"```\n{v}\n```" for v in variants)
 
-    cfg = LocalSearchConfig(family="llm-medium", runs=("f",), evals_per_run=12, seed=0)
+    cfg = LocalSearchConfig(families=("llm-medium",), methods=("f",), evals=12, seed=0)
     local_search(unit, tests, cfg, llm=mock_context(script), sink=records.append)
     assert records[1].runtime is not None and records[1].runtime < records[0].runtime
     edit_counts = [len(split_patch_line(r.patch_line)[1].split(" ; ")) for r in records]
@@ -496,14 +497,15 @@ def test_statement_runs_without_a_statement_to_draw_are_refused():
     unit = parse_source("fn noop() { } fn one(x: int) -> int { return x; }", "noop")
     tests = parse_test_file("test same: one(1) == 1")
     records = random_sampling(
-        unit, tests, ["noop", "one"], RandomSamplingConfig(("statement",), 50, 1)
+        unit, tests, RandomSamplingConfig(("statement",), ["noop", "one"], seed=1, budget=50)
     )
     assert all("noop:" not in split_patch_line(r.patch_line)[1] for r in records)
     with pytest.raises(SearchSetupError, match="no statement to draw in noop"):
-        random_sampling(unit, tests, ["noop"], RandomSamplingConfig(("statement",), 5, 1))
+        random_sampling(unit, tests, RandomSamplingConfig(("statement",), ["noop"], 1, budget=5))
     with pytest.raises(SearchSetupError, match="no statement to draw in noop"):
-        local_search(unit, tests, LocalSearchConfig("statement", ("one", "noop"), 5, 1))
-    assert len(local_search(unit, tests, LocalSearchConfig("insert", ("noop",), 5, 1))) == 5
+        local_search(unit, tests, LocalSearchConfig(("statement",), ("one", "noop"), 1, evals=5))
+    insert = LocalSearchConfig(("insert",), ("noop",), 1, evals=5)
+    assert len(local_search(unit, tests, insert)) == 5
 
 
 def _nested_ifs(depth: int) -> str:
@@ -530,9 +532,9 @@ def test_adversarial_rewrites_each_log_a_row_within_a_wall_bound():
     response = "\n".join(f"```\n{block}\n```" for block in blocks)
     unit = parse_source("fn f(n: int) -> int { return n; }", "adversary")
     tests = parse_test_file("test three: f(3) == 3")
-    cfg = RandomSamplingConfig(families=("llm-medium",), per_family_budget=10, seed=0)
+    cfg = RandomSamplingConfig(families=("llm-medium",), methods=["f"], budget=10, seed=0)
     started = time.monotonic()
-    records = random_sampling(unit, tests, ["f"], cfg, llm=mock_context(lambda _: response))
+    records = random_sampling(unit, tests, cfg, llm=mock_context(lambda _: response))
     assert time.monotonic() - started < 10.0
     assert [r.eval_index for r in records] == list(range(10))
     # per request: the three rewrites in order, then two variants without code
@@ -573,13 +575,15 @@ def digests(texts) -> list[str]:
 def test_sampling_parses_each_distinct_payload_once_per_run(bench_sort, monkeypatch):
     unit, tests = bench_sort
     parsed = count_parses(monkeypatch)
-    cfg = RandomSamplingConfig(families=("llm-medium",), per_family_budget=40, seed=3)
-    first = random_sampling(unit, tests, ["sort", "max2"], cfg, llm=mock_context())
+    cfg = RandomSamplingConfig(
+        families=("llm-medium",), methods=["sort", "max2"], budget=40, seed=3
+    )
+    first = random_sampling(unit, tests, cfg, llm=mock_context())
     logged = logged_payloads(first)
     assert len(logged) > 3 * len(set(logged))  # the mock repeats its payloads
     assert digests(parsed) == sorted(set(logged))
     # the memo lives no longer than its run: running it again parses them again
-    second = random_sampling(unit, tests, ["sort", "max2"], cfg, llm=mock_context())
+    second = random_sampling(unit, tests, cfg, llm=mock_context())
     assert second == first
     assert digests(parsed) == sorted(2 * list(set(logged)))
 
@@ -597,7 +601,7 @@ def test_local_search_parses_each_distinct_payload_once_across_moves(monkeypatch
     variants = ["{ return n; }"] + ["{ return n + 0; }"] * 3 + ["{ return ((( ; }"]
     response = "\n".join(f"```\n{v}\n```" for v in variants)
     parsed = count_parses(monkeypatch)
-    cfg = LocalSearchConfig(family="llm-medium", runs=("f",), evals_per_run=40, seed=0)
+    cfg = LocalSearchConfig(families=("llm-medium",), methods=("f",), evals=40, seed=0)
     records = local_search(unit, tests, cfg, llm=mock_context(lambda _: response))
     assert records[1].runtime is not None and records[1].runtime < records[0].runtime
     edit_counts = Counter(len(split_patch_line(r.patch_line)[1].split(" ; ")) for r in records)
@@ -626,8 +630,8 @@ def test_a_repeated_unparsable_payload_raises_a_fresh_error_each_time(bench_sort
     monkeypatch.setattr(evaluation, "apply_patch", apply_patch)
     client = MockLlmClient(LlmClientConfig(mode="mock"), script=["```\nnot ((( code\n```"] * 3)
     llm = LlmSearchContext(client, PromptTemplate(project_name="bench", variant_count=1))
-    cfg = RandomSamplingConfig(families=("llm-medium",), per_family_budget=3, seed=1)
-    records = random_sampling(unit, tests, ["sort"], cfg, llm=llm)
+    cfg = RandomSamplingConfig(families=("llm-medium",), methods=["sort"], budget=3, seed=1)
+    records = random_sampling(unit, tests, cfg, llm=llm)
     assert [r.classification for r in records] == ["Invalid"] * 3
     assert parsed == ["not ((( code"]
     assert len(raised) == 3 and len({id(exc) for exc in raised}) == 3
@@ -662,10 +666,10 @@ def test_every_family_draws_and_searches_the_rows_it_always_did():
             llm = LlmSearchContext(
                 MockLlmClient(LlmClientConfig()), PromptTemplate(project_name=stem)
             )
-            cfg = RandomSamplingConfig((family,), 37, 5, 20_000)
-            records = random_sampling(unit, tests, hot, cfg, llm=llm)
+            cfg = RandomSamplingConfig((family,), hot, 5, 20_000, budget=37)
+            records = random_sampling(unit, tests, cfg, llm=llm)
             for seed in (1, 2):
-                ls_cfg = LocalSearchConfig(family, runs, 40, seed, 20_000)
+                ls_cfg = LocalSearchConfig((family,), runs, seed, 20_000, evals=40)
                 records += local_search(unit, tests, ls_cfg, llm=llm)
             lines += [
                 f"{stem} {r.run_id} {r.eval_index} {r.patch_line} {r.classification} {r.runtime}"
