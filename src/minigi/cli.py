@@ -5,9 +5,11 @@ report (aggregate run logs into the two tables) and replay (re-execute a
 recorded run and compare logs byte for byte). Exit codes: 0 success,
 1 replay mismatch, 2 configuration error, 3 infrastructure error.
 
-Each option's default is read from the setting it fills. A --config file
-of key=value lines replaces defaults, so a flag wins over the file, which
-wins over the default, and each value is converted by its flag's type.
+Each option's default is read from the setting it fills. The parser is
+built once per process. The values of a --config file of key=value lines
+are read as the same flags, placed before the command line's own, so a
+flag wins over the file, which wins over the default, and a bad value in
+the file gets argparse's own message, as the same flag would.
 Every randomized command needs a seed: give one with --seed or a fresh
 one is drawn and printed. `sample` and `ls` resolve their options once
 into a run record, written as the log's .meta.json sidecar; `replay`
@@ -489,30 +491,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: Optional[argparse.ArgumentParser] = None  # built by the first _parse_args call
+
+
 def _parse_args(argv: Optional[list[str]]) -> argparse.Namespace:
-    """Flag > --config file > default. The file's values become the
-    subcommand's defaults, so each is converted by its flag's type and
-    checked against its flag's choices."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Flag > --config file > default. The parser is built once per
+    process and never changed. The file's values are read as the same
+    flags, one `--option=value` token per key that the subcommand takes,
+    placed right after the subcommand ahead of the command line's own, so
+    the command line's flag wins and a bad value is refused by argparse as
+    the same flag would be."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _PARSER.parse_args(argv)
     if getattr(args, "config", None) is None:
         return args
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    # One --config file may serve every subcommand, so a key that any of them takes is allowed.
-    known = {
-        action.dest
-        for sub in commands.choices.values()
-        for action in sub._actions
-        if action.option_strings and action.dest != "help"
+    commands = next(a for a in _PARSER._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        name: {a.dest: a.option_strings[0] for a in sub._actions
+               if a.option_strings and a.dest != "help"}
+        for name, sub in commands.choices.items()
     }
-    sub = commands.choices[args.command]
-    sub.set_defaults(**_read_config_file(args.config, known))
-    args = parser.parse_args(argv)
-    for action in sub._actions:
-        if action.choices is not None and getattr(args, action.dest) not in action.choices:
-            sub.error(f"argument {action.option_strings[0]}: invalid choice: "
-                      f"{getattr(args, action.dest)!r} (choose from {', '.join(action.choices)})")
-    return args
+    # One --config file may serve every subcommand, so a key that any of them takes is allowed.
+    known = {dest for taken in flags.values() for dest in taken}
+    taken = flags[args.command]
+    values = _read_config_file(args.config, known)
+    tokens = [f"{taken[key]}={value}" for key, value in values.items() if key in taken]
+    at = argv.index(args.command) + 1
+    return _PARSER.parse_args(argv[:at] + tokens + argv[at:])
 
 
 def main(argv: Optional[list[str]] = None) -> int:

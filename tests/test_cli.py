@@ -11,6 +11,7 @@ import pytest
 from minigi import cli
 from minigi.cli import main
 from minigi.reporting import read_records_csv
+from minigi.search import RandomSamplingConfig
 
 from conftest import BENCHMARKS, REPO_ROOT
 
@@ -209,6 +210,116 @@ def test_config_file_provides_defaults_flags_win(tmp_path):
         "--config", str(config), "--out-dir", str(out_b),
     ) == 0
     assert len(read_records_csv(out_b / "sample_log.csv")) == 3
+
+
+def test_one_process_builds_one_parser_and_no_call_leaks_into_the_next(tmp_path, capsys):
+    """The parser is built once per process and never changed: a --config
+    file's values, a usage error and --help leave nothing behind for the
+    next main() call in the same process."""
+    config = tmp_path / "budget.conf"
+    config.write_text("budget = 2\n")
+    argv = ["sample", MAX, MAX_TESTS, "--family", "statement", "--seed", "1"]
+
+    def logged_budget(out_dir: Path) -> int:
+        meta = json.loads((out_dir / "sample_log.csv.meta.json").read_text())
+        assert len(read_records_csv(out_dir / "sample_log.csv")) == meta["budget"]
+        return meta["budget"]
+
+    assert run(*argv, "--config", str(config), "--out-dir", str(tmp_path / "file")) == 0
+    parser = cli._PARSER
+    assert parser is not None
+    assert logged_budget(tmp_path / "file") == 2
+    assert run(*argv, "--out-dir", str(tmp_path / "default")) == 0
+    assert logged_budget(tmp_path / "default") == RandomSamplingConfig.budget
+    bad = tmp_path / "bad.conf"
+    bad.write_text("temperature = warm\n")
+    for index, (exits, code) in enumerate([
+        (["sample", "--nonsense-flag"], 2),
+        (["sample", "--help"], 0),
+        (["--help"], 0),
+        ([*argv, "--config", str(bad), "--out-dir", str(tmp_path / "bad")], 2),
+    ]):
+        assert run(*exits) == code, exits
+        out_dir = tmp_path / f"after{index}"
+        capsys.readouterr()
+        assert run(*argv, "--budget", "3", "--out-dir", str(out_dir)) == 0, exits
+        assert capsys.readouterr().out.startswith(f"wrote 3 records to {out_dir}")
+        assert logged_budget(out_dir) == 3
+    assert cli._PARSER is parser
+
+
+# Each option of `sample` and `ls`: (a value that differs from its default
+# and that a run accepts, its value on the base command line or None to
+# leave it at its default). `out_dir` differs per run; `config` is the file.
+RUN_OPTION_VALUES = {
+    "step_budget": ("500000", None), "top_k": ("1", None), "seed": ("7", "1"),
+    "adapter": ("external", "external"), "methods": ("clamp_low,max2", "max2"),
+    "llm_mode": ("replay", None), "model": ("gpt-4", None),
+    "endpoint": ("http://127.0.0.1:9/v1", None), "api_key_env": ("MINIGI_KEY", None),
+    "temperature": ("0.25", None), "variants": ("2", None),
+    "transcript_dir": ("other transcripts", "transcripts"),
+    "project_name": ("a project", None), "language": ("Mini Lang", None),
+    "code_label": ("-ml", None), "request_timeout": ("12.5", None), "max_retries": ("1", None),
+    "timeout_ms": ("5000", None), "measure_repeats": ("2", None),
+    "compile_cmd": ("true {PATCHED_FILE}", "true"), "test_cmd": ("true {WORKDIR}", "true"),
+    "measure_cmd": ("sh -c 'echo 11'", "echo 7"),
+}
+RUN_COMMAND_VALUES = {
+    "sample": {"family": ("statement,llm-simple", "llm-medium"), "budget": ("2", "1")},
+    "ls": {"family": ("llm-simple", "llm-medium"), "evals": ("3", "2")},
+}
+
+
+@pytest.mark.parametrize("command", ["sample", "ls"])
+def test_a_config_key_and_its_flag_are_the_same_setting(tmp_path, capsys, monkeypatch, command):
+    """For every option, `key = value` in a --config file and `--key value`
+    on the command line write byte-identical run records, also for values
+    with spaces or a leading `-`; a refused `-5` is refused alike. Each
+    value differs from its default, so a key the file lost would show."""
+    values = {**RUN_OPTION_VALUES, **RUN_COMMAND_VALUES[command]}
+    parser = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    options = {a.dest for a in parser.choices[command]._actions if a.option_strings}
+    assert options - {"help", "config", "out_dir"} == values.keys()
+    base = {key: pair[1] for key, pair in values.items() if pair[1] is not None}
+    monkeypatch.chdir(tmp_path)  # the relative transcript directories resolve here
+
+    def minigi(key: str, value: str, form: str, out_dir: Path) -> int:
+        # top_k picks the methods only when --methods is missing
+        dropped = {key, "methods"} if key == "top_k" else {key}
+        flags = {k: v for k, v in base.items() if k not in dropped}
+        argv = [command, MAX, MAX_TESTS]
+        for option, given in flags.items():
+            argv += [f"--{option.replace('_', '-')}", given]
+        flag = f"--{key.replace('_', '-')}"
+        if form == "flag":
+            # argparse reads `-ml` after a flag as another flag, but `-5` as a value
+            argv += [f"{flag}={value}"] if value == "-ml" else [flag, value]
+        else:
+            conf = tmp_path / "run.conf"
+            conf.write_text(f"{key} = {value}\n")
+            argv += ["--config", str(conf)]
+        if key != "out_dir":
+            argv += ["--out-dir", str(out_dir)]
+        return run(*argv)
+
+    # The base run leaves the mock transcripts that the replay-mode runs read.
+    assert minigi("out_dir", str(tmp_path / "base"), "flag", tmp_path / "base") == 0
+    for key in sorted(values.keys() | {"out_dir"}):
+        records = []
+        for form in ("flag", "file"):
+            out_dir = tmp_path / key / form
+            value = str(out_dir) if key == "out_dir" else values[key][0]
+            assert minigi(key, value, form, out_dir) == 0, (key, form, capsys.readouterr().err)
+            records.append((out_dir / f"{cli._LOGS[command]}.meta.json").read_bytes())
+        assert records[0] == records[1], key
+    capsys.readouterr()
+    for form in ("flag", "file"):
+        out_dir = tmp_path / "negative" / form
+        assert minigi("temperature", "-5", form, out_dir) == 2, form
+        assert "temperature must be a finite number of at least 0, got -5.0" in (
+            capsys.readouterr().err
+        )
+        assert not out_dir.exists()
 
 
 def test_exit_code_2_on_config_errors(tmp_path, capsys):

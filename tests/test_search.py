@@ -53,22 +53,21 @@ def test_sampling_is_replayable_bit_exactly(bench_max):
 
 
 def test_sampling_sinks_each_record_before_the_next_evaluation(bench_max, monkeypatch):
-    import minigi.search as search
-
+    """Every evaluation's record reaches the sink before the next
+    evaluation starts, whether or not a row needed an evaluation."""
     unit, tests = bench_max
+    events: list[str] = []
     sunk: list[EvalRecord] = []
-    sunk_before_each_evaluation: list[int] = []
 
-    def evaluate(*args, **kwargs):
-        sunk_before_each_evaluation.append(len(sunk))
-        return real_evaluate(*args, **kwargs)
+    def sink(record):
+        events.append("sink")
+        sunk.append(record)
 
-    real_evaluate = search.evaluate
-    monkeypatch.setattr(search, "evaluate", evaluate)
+    count_evaluations(monkeypatch, events)
     cfg = RandomSamplingConfig(families=("statement", "insert"), methods=["max2"], budget=5, seed=9)
-    records = random_sampling(unit, tests, cfg, sink=sunk.append)
-    assert sunk_before_each_evaluation == list(range(10))
+    records = random_sampling(unit, tests, cfg, sink=sink)
     assert sunk == records
+    assert events[-1] == "sink" and ("eval", "eval") not in zip(events, events[1:])
     assert [(r.run_id, r.eval_index) for r in records] == [
         (family, i) for family in ("statement", "insert") for i in range(5)
     ]
