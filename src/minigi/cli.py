@@ -6,10 +6,11 @@ recorded run and compare logs byte for byte). Exit codes: 0 success,
 1 replay mismatch, 2 configuration error, 3 infrastructure error.
 
 Each option's default is read from the setting it fills. The parser is
-built once per process. The values of a --config file of key=value lines
-are read as the same flags, placed before the command line's own, so a
-flag wins over the file, which wins over the default, and a bad value in
-the file gets argparse's own message, as the same flag would.
+built once per process, at import. The values of a --config file of
+key=value lines are read as the same flags, placed before the command
+line's own, so a flag wins over the file, which wins over the default,
+and a bad value in the file gets argparse's own message, as the same
+flag would.
 Every randomized command needs a seed: give one with --seed or a fresh
 one is drawn and printed. `sample` and `ls` resolve their options once
 into a run record, written as the log's .meta.json sidecar; `replay`
@@ -400,7 +401,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 # -- argument parsing --
 
 
-def _add_input_flags(p: argparse.ArgumentParser) -> None:
+def _input_flags() -> argparse.ArgumentParser:
+    """The flags of every command that reads a program and its tests."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("program", help="MiniLang source file (.ml)")
     p.add_argument("tests", help="test file (one `test name: call == literal` per line)")
     p.add_argument("--step-budget", type=int, default=DEFAULT_STEP_BUDGET,
@@ -409,10 +412,12 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
                    help="hot methods to target (default %(default)s)")
     p.add_argument("--out-dir", default="minigi-out", help="output directory (default %(default)s)")
     p.add_argument("--config", help="key=value file overriding defaults (flags win)")
+    return p
 
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    _add_input_flags(p)
+def _run_flags(inputs: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """The input flags plus the flags that `sample` and `ls` share."""
+    p = argparse.ArgumentParser(add_help=False, parents=[inputs])
     p.add_argument("--seed", type=int, help="RNG seed; drawn and printed when omitted")
     p.add_argument("--adapter", choices=["builtin", "external"], default="builtin",
                    help="evaluation backend (default %(default)s; external commands come "
@@ -448,28 +453,30 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
                    help="external adapter timing repeats, median taken (default %(default)s)")
     for name in ("compile_cmd", "test_cmd", "measure_cmd"):
         p.add_argument(f"--{name.replace('_', '-')}", dest=name, help=argparse.SUPPRESS)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The whole command line. Each subcommand takes its shared flags from
+    a parent parser, which argparse copies without building them again."""
     parser = argparse.ArgumentParser(
         prog="minigi",
         description="Search for runtime-improving patches with classic and LLM-backed edits.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    inputs = _input_flags()
+    runs = _run_flags(inputs)
 
-    p_profile = sub.add_parser("profile", help="identify hot methods")
-    _add_input_flags(p_profile)
+    p_profile = sub.add_parser("profile", help="identify hot methods", parents=[inputs])
     p_profile.set_defaults(func=_cmd_profile)
 
-    p_sample = sub.add_parser("sample", help="random sampling experiment")
-    _add_run_flags(p_sample)
+    p_sample = sub.add_parser("sample", help="random sampling experiment", parents=[runs])
     p_sample.add_argument("--family", help=f"comma-separated families: {', '.join(FAMILIES)}")
     p_sample.add_argument("--budget", type=int, default=RandomSamplingConfig.budget,
                           help="patches per family (default %(default)s)")
     p_sample.set_defaults(func=_cmd_run)
 
-    p_ls = sub.add_parser("ls", help="local search experiment")
-    _add_run_flags(p_ls)
+    p_ls = sub.add_parser("ls", help="local search experiment", parents=[runs])
     p_ls.add_argument("--family", help="one family to search with")
     p_ls.add_argument("--evals", type=int, default=LocalSearchConfig.evals,
                       help="evaluations per run (default %(default)s)")
@@ -491,19 +498,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PARSER: Optional[argparse.ArgumentParser] = None  # built by the first _parse_args call
+_PARSER = build_parser()  # shared by every main() call in the process; nothing changes it
 
 
 def _parse_args(argv: Optional[list[str]]) -> argparse.Namespace:
     """Flag > --config file > default. The parser is built once per
-    process and never changed. The file's values are read as the same
-    flags, one `--option=value` token per key that the subcommand takes,
-    placed right after the subcommand ahead of the command line's own, so
-    the command line's flag wins and a bad value is refused by argparse as
-    the same flag would be."""
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
+    process, at import, and never changed. The file's values are read as
+    the same flags, one `--option=value` token per key that the subcommand
+    takes, placed right after the subcommand ahead of the command line's
+    own, so the command line's flag wins and a bad value is refused by
+    argparse as the same flag would be."""
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _PARSER.parse_args(argv)
     if getattr(args, "config", None) is None:

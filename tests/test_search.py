@@ -53,8 +53,8 @@ def test_sampling_is_replayable_bit_exactly(bench_max):
 
 
 def test_sampling_sinks_each_record_before_the_next_evaluation(bench_max, monkeypatch):
-    """Every evaluation's record reaches the sink before the next
-    evaluation starts, whether or not a row needed an evaluation."""
+    """Each sampled record is evaluated once and reaches the sink before
+    the next evaluation starts."""
     unit, tests = bench_max
     events: list[str] = []
     sunk: list[EvalRecord] = []
@@ -68,6 +68,7 @@ def test_sampling_sinks_each_record_before_the_next_evaluation(bench_max, monkey
     records = random_sampling(unit, tests, cfg, sink=sink)
     assert sunk == records
     assert events[-1] == "sink" and ("eval", "eval") not in zip(events, events[1:])
+    assert events.count("eval") == len(records)
     assert [(r.run_id, r.eval_index) for r in records] == [
         (family, i) for family in ("statement", "insert") for i in range(5)
     ]
@@ -328,8 +329,8 @@ def test_the_external_backend_evaluates_every_local_search_row(bench_max, monkey
 
 
 def test_local_search_sinks_each_record_before_the_next_evaluation(bench_max, monkeypatch):
-    """Every evaluation's record reaches the sink before the next
-    evaluation starts, whether or not a row needed an evaluation."""
+    """Each sampled record is evaluated once and reaches the sink before
+    the next evaluation starts."""
     unit, tests = bench_max
     events: list[str] = []
     sunk: list[EvalRecord] = []
