@@ -5,12 +5,13 @@ report (aggregate run logs into the two tables) and replay (re-execute a
 recorded run and compare logs byte for byte). Exit codes: 0 success,
 1 replay mismatch, 2 configuration error, 3 infrastructure error.
 
-Each option's default is read from the setting it fills. The parser is
-built once per process, at import. The values of a --config file of
-key=value lines are read as the same flags, placed before the command
-line's own, so a flag wins over the file, which wins over the default,
-and a bad value in the file gets argparse's own message, as the same
-flag would.
+Each option that fills a setting keeps its value under that setting's
+field name, which is also its run-record key, and reads its default from
+the setting. The parser is built once per process, at import. The values
+of a --config file of key=value lines, each key an option's name with `_`
+for `-`, are read as the same flags, placed before the command line's
+own, so a flag wins over the file, which wins over the default, and a bad
+value in the file gets argparse's own message, as the same flag would.
 Every randomized command needs a seed: give one with --seed or a fresh
 one is drawn and printed. `sample` and `ls` resolve their options once
 into a run record, written as the log's .meta.json sidecar; `replay`
@@ -119,6 +120,12 @@ def _read_config_file(path: str, known: set[str]) -> dict[str, str]:
     return values
 
 
+def _unwritable(exc: OSError, path) -> ConfigError:
+    """The ConfigError for an output at `path` that cannot be written, such
+    as one under an --out-dir that is a regular file; it names the path."""
+    return ConfigError(f"cannot write {exc.filename or path}: {exc.strerror}")
+
+
 def _load_program(path: str):
     text = _read_text(path, "program")
     try:
@@ -140,44 +147,6 @@ def _resolve_seed(seed: Optional[int]) -> int:
         seed = random.SystemRandom().randrange(2**31)
         print(f"seed: {seed} (drawn; pass --seed {seed} to reproduce)")
     return seed
-
-
-def _toolchain_settings(args: argparse.Namespace) -> Optional[dict]:
-    """ExternalToolchain fields, or None for the builtin backend; each
-    field has the option of its name."""
-    if args.adapter == "builtin":
-        return None
-    return {f.name: getattr(args, f.name) for f in fields(ExternalToolchain)}
-
-
-def _adapter_name(toolchain: Optional[dict]) -> str:
-    """The record's `adapter` key, which the toolchain alone determines."""
-    return "builtin" if toolchain is None else "external"
-
-
-def _llm_settings(args: argparse.Namespace, families: list[str]) -> Optional[dict]:
-    """LlmClientConfig fields under "client", PromptTemplate fields under
-    "prompt"; None when no family asks an LLM."""
-    if not any(is_llm_family(f) for f in families):
-        return None
-    transcript_dir = args.transcript_dir or Path(args.out_dir) / "transcripts"
-    client = {
-        "endpoint_url": args.endpoint,
-        "api_key_env_var": args.api_key_env,
-        "model": args.model,
-        "temperature": args.temperature,
-        "request_timeout": args.request_timeout,
-        "max_retries": args.max_retries,
-        "transcript_dir": str(Path(transcript_dir).resolve()),
-        "mode": args.llm_mode,
-    }
-    prompt = {
-        "project_name": Path(args.program).stem if args.project_name is None else args.project_name,
-        "language": args.language,
-        "code_label": args.code_label,
-        "variant_count": args.variants,
-    }
-    return {"client": client, "prompt": prompt}
 
 
 def _profile(args: argparse.Namespace, unit, tests):
@@ -202,26 +171,38 @@ def _run_record(command: str, args: argparse.Namespace, unit, tests) -> dict:
     """Resolve every option that determines the run log, once.
 
     The record is written as the run's .meta.json and is all `replay`
-    needs; docs/logs.md lists its keys. `_settings` checks its values.
+    needs; docs/logs.md lists its keys. Each section holds the fields of
+    one settings class, each read from the option of its name unless it is
+    worked out from the input. `_settings` checks its values.
     """
-    families = [token.strip() for token in args.family.split(",")] if args.family else []
-    toolchain = _toolchain_settings(args)
+    families = [token.strip() for token in args.families.split(",")] if args.families else []
+    values = vars(args) | {
+        "seed": _resolve_seed(args.seed),
+        "families": families,
+        "methods": _hot_methods(args, unit, tests),
+    }
+
+    def section(settings) -> dict:
+        return {f.name: values[f.name] for f in fields(settings)}
+
     record = {
         "command": command,
         "program": str(Path(args.program).resolve()),
         "tests": str(Path(args.tests).resolve()),
-        "seed": _resolve_seed(args.seed),
-        "families": families,
-        "step_budget": args.step_budget,
-        "adapter": _adapter_name(toolchain),
-        "toolchain": toolchain,
-        "llm": _llm_settings(args, families),
-        "methods": _hot_methods(args, unit, tests),
+        "adapter": args.adapter,
+        "toolchain": None if args.adapter == "builtin" else section(ExternalToolchain),
+        "llm": None,
         "original_digest": source_digest(unit),
+        "log": _LOGS[command],
+        **section(_CONFIGS[command]),
     }
-    count = "budget" if command == "sample" else "evals"
-    record[count] = getattr(args, count)
-    record["log"] = _LOGS[command]
+    if any(is_llm_family(f) for f in families):
+        transcript_dir = args.transcript_dir or Path(args.out_dir) / "transcripts"
+        values["transcript_dir"] = str(Path(transcript_dir).resolve())
+        values["project_name"] = (
+            Path(args.program).stem if args.project_name is None else args.project_name
+        )
+        record["llm"] = {"client": section(LlmClientConfig), "prompt": section(PromptTemplate)}
     return record
 
 
@@ -257,7 +238,7 @@ def _check_record(record, meta_path: Path) -> None:
     toolchain, llm = record["toolchain"], record["llm"]
     if toolchain is not None:
         check("toolchain", toolchain, field_names(ExternalToolchain))
-    if record["adapter"] != _adapter_name(toolchain):
+    if record["adapter"] != ("builtin" if toolchain is None else "external"):
         raise ConfigError(f"{meta_path}: adapter {record['adapter']!r} disagrees with toolchain")
     if llm is not None:
         check("llm", llm, frozenset({"client", "prompt"}))
@@ -298,12 +279,16 @@ def _settings(record: dict, unit, prefix: str = ""):
 def _execute(record: dict, unit, tests, out_dir: Path, settings) -> int:
     """Run a resolved record, with the settings built from it, into `out_dir`."""
     cfg, toolchain, llm = settings
-    out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / record["log"]
-    write_run_meta(log_path, record)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_run_meta(log_path, record)
+        writer = RecordWriter(log_path)
+    except OSError as exc:
+        raise _unwritable(exc, log_path) from None
     # Read from the module's globals on each run, so a rebound driver name takes effect.
     run = random_sampling if record["command"] == "sample" else local_search
-    with RecordWriter(log_path) as writer:
+    with writer:
         records = run(unit, tests, cfg, toolchain, llm, sink=writer.write)
     print(f"wrote {len(records)} records to {log_path}")
     if record["command"] == "sample":
@@ -320,10 +305,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     unit = _load_program(args.program)
     tests = _load_tests(args.tests)
     prof = _profile(args, unit, tests)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out = out_dir / "profile.csv"
-    write_profile_csv(prof, out)
+    out = Path(args.out_dir) / "profile.csv"
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        write_profile_csv(prof, out)
+    except OSError as exc:
+        raise _unwritable(exc, out) from None
     for rank, name in enumerate(prof.hot_set, start=1):
         print(f"{rank}. {name} ({prof.costs[name]} steps)")
     print(f"wrote {out}")
@@ -357,7 +344,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         try:
             Path(args.out).write_text(text, encoding="utf-8")
         except OSError as exc:
-            raise ConfigError(f"cannot write report: {exc}") from None
+            raise _unwritable(exc, args.out) from None
         print(f"wrote {args.out}")
     else:
         print(text, end="")
@@ -423,17 +410,18 @@ def _run_flags(inputs: argparse.ArgumentParser) -> argparse.ArgumentParser:
                    help="evaluation backend (default %(default)s; external commands come "
                    "from --config)")
     p.add_argument("--methods", help="comma-separated target methods (skips profiling)")
-    p.add_argument("--llm-mode", choices=MODES, default=LlmClientConfig.mode,
+    p.add_argument("--llm-mode", dest="mode", choices=MODES, default=LlmClientConfig.mode,
                    help="LLM transport (default %(default)s)")
     p.add_argument("--model", default=LlmClientConfig.model,
                    help="model name (default %(default)s)")
-    p.add_argument("--endpoint", default=LlmClientConfig.endpoint_url,
+    p.add_argument("--endpoint", dest="endpoint_url", default=LlmClientConfig.endpoint_url,
                    help="chat-completions endpoint URL (default %(default)s)")
-    p.add_argument("--api-key-env", default=LlmClientConfig.api_key_env_var,
+    p.add_argument("--api-key-env", dest="api_key_env_var", default=LlmClientConfig.api_key_env_var,
                    help="environment variable holding the API key (default %(default)s)")
     p.add_argument("--temperature", type=float, default=LlmClientConfig.temperature,
                    help="sampling temperature (default %(default)s)")
-    p.add_argument("--variants", type=int, default=PromptTemplate.variant_count,
+    p.add_argument("--variants", dest="variant_count", type=int,
+                   default=PromptTemplate.variant_count,
                    help="variations requested per prompt (default %(default)s)")
     p.add_argument("--transcript-dir",
                    help="LLM transcript directory (default <out-dir>/transcripts)")
@@ -471,13 +459,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.set_defaults(func=_cmd_profile)
 
     p_sample = sub.add_parser("sample", help="random sampling experiment", parents=[runs])
-    p_sample.add_argument("--family", help=f"comma-separated families: {', '.join(FAMILIES)}")
+    p_sample.add_argument("--family", dest="families",
+                          help=f"comma-separated families: {', '.join(FAMILIES)}")
     p_sample.add_argument("--budget", type=int, default=RandomSamplingConfig.budget,
                           help="patches per family (default %(default)s)")
     p_sample.set_defaults(func=_cmd_run)
 
     p_ls = sub.add_parser("ls", help="local search experiment", parents=[runs])
-    p_ls.add_argument("--family", help="one family to search with")
+    p_ls.add_argument("--family", dest="families", help="one family to search with")
     p_ls.add_argument("--evals", type=int, default=LocalSearchConfig.evals,
                       help="evaluations per run (default %(default)s)")
     p_ls.set_defaults(func=_cmd_run)
@@ -513,16 +502,16 @@ def _parse_args(argv: Optional[list[str]]) -> argparse.Namespace:
     if getattr(args, "config", None) is None:
         return args
     commands = next(a for a in _PARSER._actions if isinstance(a, argparse._SubParsersAction))
-    flags = {
-        name: {a.dest: a.option_strings[0] for a in sub._actions
+    # A key is the option's name with `_` for `-`, whatever the `dest` it fills.
+    keys = {
+        name: {a.option_strings[0][2:].replace("-", "_") for a in sub._actions
                if a.option_strings and a.dest != "help"}
         for name, sub in commands.choices.items()
     }
     # One --config file may serve every subcommand, so a key that any of them takes is allowed.
-    known = {dest for taken in flags.values() for dest in taken}
-    taken = flags[args.command]
-    values = _read_config_file(args.config, known)
-    tokens = [f"{taken[key]}={value}" for key, value in values.items() if key in taken]
+    values = _read_config_file(args.config, set().union(*keys.values()))
+    tokens = [f"--{key.replace('_', '-')}={value}" for key, value in values.items()
+              if key in keys[args.command]]
     at = argv.index(args.command) + 1
     return _PARSER.parse_args(argv[:at] + tokens + argv[at:])
 

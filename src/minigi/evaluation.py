@@ -188,10 +188,11 @@ def _evaluate_builtin(
 
 def _run_command(argv: list[str], cwd: Path, timeout_ms: Optional[int] = None):
     """Run one command in a process group of its own, reading no terminal
-    input: its CompletedProcess, or None when it outlives `timeout_ms`.
-    When it returns, times out or fails in any other way, its whole process
-    group is killed and the command reaped, so no descendant in the group
-    outlives the command."""
+    input: its CompletedProcess, or None when it outlives `timeout_ms`. A
+    `timeout_ms` longer than the platform can wait for raises
+    InfrastructureError. When it returns, times out or fails in any other
+    way, its whole process group is killed and the command reaped, so no
+    descendant in the group outlives the command."""
     import subprocess
 
     try:
@@ -218,6 +219,8 @@ def _run_command(argv: list[str], cwd: Path, timeout_ms: Optional[int] = None):
         return subprocess.CompletedProcess(argv, proc.returncode, stdout, stderr)
     except subprocess.TimeoutExpired:
         return None
+    except OverflowError as exc:  # a watchdog beyond what the platform can wait for
+        raise InfrastructureError(f"timeout_ms {timeout_ms} is out of range: {exc}") from None
     except FileNotFoundError as exc:
         raise InfrastructureError(f"command not found: {exc}") from None
     except OSError as exc:

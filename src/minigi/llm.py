@@ -87,6 +87,10 @@ def request_digest(config: LlmClientConfig, prompt: str) -> str:
 
 
 class TranscriptStore:
+    """One JSON file per request digest. A file that cannot be read or
+    holds no object with a string `response`, and a file or directory that
+    cannot be written, is a ClientError naming the file."""
+
     def __init__(self, directory: Union[str, Path]):
         self.directory = Path(directory)
 
@@ -97,16 +101,31 @@ class TranscriptStore:
         path = self.path_for(digest)
         if not path.exists():
             return None
-        return json.loads(path.read_text(encoding="utf-8"))
+        try:
+            record = json.loads(path.read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise ClientError(f"cannot read transcript {path}: {exc.strerror}") from None
+        except UnicodeDecodeError:
+            raise ClientError(f"cannot read transcript {path}: not UTF-8 text") from None
+        except ValueError as exc:
+            raise ClientError(f"transcript {path}: not JSON: {exc}") from None
+        if not isinstance(record, dict):
+            raise ClientError(f"transcript {path}: not a JSON object")
+        if type(record.get("response")) is not str:
+            raise ClientError(f"transcript {path}: no string 'response'")
+        return record
 
     def put(self, digest: str, record: dict) -> None:
-        self.directory.mkdir(parents=True, exist_ok=True)
         path = self.path_for(digest)
-        if path.exists():  # append-only: first record wins
-            return
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(record, indent=2, sort_keys=True), encoding="utf-8")
-        tmp.replace(path)
+        try:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            if path.exists():  # append-only: first record wins
+                return
+            tmp = path.with_suffix(f".tmp.{os.getpid()}")
+            tmp.write_text(json.dumps(record, indent=2, sort_keys=True), encoding="utf-8")
+            tmp.replace(path)
+        except OSError as exc:
+            raise ClientError(f"cannot write transcript {path}: {exc.strerror}") from None
 
 
 class LlmClientBase:

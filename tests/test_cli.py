@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import socket
 from dataclasses import fields
@@ -10,6 +11,9 @@ import pytest
 
 from minigi import cli
 from minigi.cli import main
+from minigi.evaluation import ExternalToolchain
+from minigi.llm import LlmClientConfig
+from minigi.prompts import PromptTemplate
 from minigi.reporting import read_records_csv
 from minigi.search import RandomSamplingConfig
 
@@ -278,7 +282,8 @@ def test_a_config_key_and_its_flag_are_the_same_setting(tmp_path, capsys, monkey
     value differs from its default, so a key the file lost would show."""
     values = {**RUN_OPTION_VALUES, **RUN_COMMAND_VALUES[command]}
     parser = next(a for a in cli.build_parser()._actions if a.dest == "command")
-    options = {a.dest for a in parser.choices[command]._actions if a.option_strings}
+    options = {o[2:].replace("-", "_") for a in parser.choices[command]._actions
+               for o in a.option_strings if o.startswith("--")}
     assert options - {"help", "config", "out_dir"} == values.keys()
     base = {key: pair[1] for key, pair in values.items() if pair[1] is not None}
     monkeypatch.chdir(tmp_path)  # the relative transcript directories resolve here
@@ -320,6 +325,22 @@ def test_a_config_key_and_its_flag_are_the_same_setting(tmp_path, capsys, monkey
             capsys.readouterr().err
         )
         assert not out_dir.exists()
+
+
+# The record values that `_run_record` works out from the input; every other
+# field of a settings class is read from the option of its name.
+COMPUTED_KEYS = {"seed", "families", "methods", "transcript_dir", "project_name"}
+
+
+@pytest.mark.parametrize("command", ["sample", "ls"])
+def test_every_field_of_a_run_setting_is_an_option_of_its_name(command):
+    """A settings field without the option that fills it fails here, not
+    at the first run that reads it."""
+    parser = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    dests = {a.dest for a in parser.choices[command]._actions if a.option_strings}
+    for settings in (cli._CONFIGS[command], ExternalToolchain, LlmClientConfig, PromptTemplate):
+        names = {f.name for f in fields(settings)}
+        assert names - COMPUTED_KEYS <= dests, (settings.__name__, names - COMPUTED_KEYS - dests)
 
 
 def test_exit_code_2_on_config_errors(tmp_path, capsys):
@@ -482,18 +503,58 @@ def test_exit_code_2_on_usage_error():
 
 
 def test_exit_code_3_on_transcript_miss(tmp_path, capsys):
-    empty = tmp_path / "transcripts"
-    empty.mkdir()
-    code = run(
-        "sample", SORT, SORT_TESTS, "--family", "llm-medium", "--budget", "5",
-        "--seed", "1", "--llm-mode", "replay", "--transcript-dir", str(empty),
-        "--out-dir", str(tmp_path / "out"),
-    )
-    assert code == 3
-    assert "infrastructure" in capsys.readouterr().err
+    """A transcript that is missing, cannot be read or holds no reply, and
+    one that cannot be written, ends the run with exit code 3 and one
+    `infrastructure error:` line naming the file, never a traceback and
+    exit 1, which for replay means that the logs differ."""
+    argv = ["sample", SORT, SORT_TESTS, "--family", "llm-medium", "--budget", "1", "--seed", "1"]
+    recorded = tmp_path / "recorded"
+    assert run(*argv, "--transcript-dir", str(recorded), "--out-dir", str(tmp_path / "r")) == 0
+    (transcript,) = recorded.iterdir()  # the run's one request
+    digest = transcript.stem
+
+    def store(name: str, write) -> Path:
+        """A store holding the recorded request's file, as `write` leaves it."""
+        directory = tmp_path / name
+        directory.mkdir()
+        write(directory / transcript.name)
+        return directory
+
+    reads = {
+        "missing": (store("missing", lambda path: None), "no transcript"),
+        "directory": (store("directory", Path.mkdir), "Is a directory"),
+        "not-utf8": (store("not-utf8", lambda p: p.write_bytes(b"\xff{}")), "not UTF-8"),
+        "not-json": (store("not-json", lambda p: p.write_text("not json")), "not JSON"),
+        "not-object": (store("not-object", lambda p: p.write_text("[]")), "not a JSON object"),
+        "no-response": (
+            store("no-response", lambda p: p.write_text('{"response": 5}')),
+            "no string 'response'",
+        ),
+    }
+    a_file = tmp_path / "a-file"
+    a_file.write_text("")
+    # The store writes through `<digest>.tmp.<pid>`; a directory there fails the write.
+    tmp_taken = store("tmp-taken", lambda path: None)
+    (tmp_taken / f"{digest}.tmp.{os.getpid()}").mkdir()
+    writes = {"mkdir": (a_file, "File exists"), "write": (tmp_taken, "Is a directory")}
+    capsys.readouterr()
+    for case, (directory, problem) in {**reads, **writes}.items():
+        mode = "replay" if case in reads else "mock"
+        out_dir = tmp_path / "out" / case
+        assert run(
+            *argv, "--llm-mode", mode, "--transcript-dir", str(directory),
+            "--out-dir", str(out_dir),
+        ) == 3, case
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("infrastructure error: "), (case, err)
+        named = digest if case == "missing" else str(directory / transcript.name)
+        assert named in err[0] and problem in err[0], (case, err)
 
 
 def test_exit_code_3_on_broken_external_toolchain(tmp_path, capsys):
+    """A missing binary, and a watchdog longer than the platform can wait
+    for, end the run with exit code 3 and one `infrastructure error:`
+    line."""
     config = tmp_path / "adapter.conf"
     config.write_text(
         "adapter = external\n"
@@ -501,12 +562,20 @@ def test_exit_code_3_on_broken_external_toolchain(tmp_path, capsys):
         "test_cmd = true\n"
         "measure_cmd = true\n"
     )
-    code = run(
-        "sample", MAX, MAX_TESTS, "--family", "statement", "--budget", "2",
-        "--seed", "1", "--config", str(config), "--out-dir", str(tmp_path / "out"),
-    )
+    argv = ["sample", MAX, MAX_TESTS, "--family", "statement", "--budget", "2", "--seed", "1"]
+    code = run(*argv, "--config", str(config), "--out-dir", str(tmp_path / "out"))
     assert code == 3
-    capsys.readouterr()
+    assert "definitely-not-a-binary-xyz" in capsys.readouterr().err
+    config.write_text("adapter = external\ncompile_cmd = true\ntest_cmd = true\n"
+                      "measure_cmd = echo 7\n")
+    # 1e13 s: more than any platform's clock can count in nanoseconds
+    assert run(
+        *argv, "--config", str(config), "--timeout-ms", "10000000000000000",
+        "--out-dir", str(tmp_path / "forever"),
+    ) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith("infrastructure error: timeout_ms 10000000000000000 is out of range")
 
 
 @pytest.mark.parametrize("key, command, problem", [
@@ -772,6 +841,64 @@ def test_an_input_that_is_not_utf8_is_a_config_error(tmp_path, capsys, breakage)
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and str(culprit) in err[0]
     assert not out_dir.exists()
+
+
+def _file_as_out_dir(tmp_path, output: str):
+    out_dir = tmp_path / "a-file"
+    out_dir.write_text("")
+    return out_dir, out_dir
+
+
+def _out_dir_under_a_file(tmp_path, output: str):
+    (tmp_path / "a-file").write_text("")
+    out_dir = tmp_path / "a-file" / "out"
+    return out_dir, out_dir
+
+
+def _directory_as_output(tmp_path, output: str):
+    out_dir = tmp_path / "out"
+    (out_dir / output).mkdir(parents=True)
+    return out_dir, out_dir / output
+
+
+# Each command, and the file it writes into --out-dir.
+OUT_DIR_COMMANDS = {
+    "sample": ([MAX, MAX_TESTS, "--family", "insert", "--budget", "3", "--seed", "1"],
+               "sample_log.csv"),
+    "ls": ([MAX, MAX_TESTS, "--family", "insert", "--evals", "3", "--seed", "1",
+            "--methods", "max2"], "ls_log.csv"),
+    "profile": ([MAX, MAX_TESTS], "profile.csv"),
+    "replay": ([], "sample_log.csv"),  # the test records the sample run to replay
+}
+
+
+@pytest.mark.parametrize("command", OUT_DIR_COMMANDS)
+@pytest.mark.parametrize("breakage", [
+    _file_as_out_dir, _out_dir_under_a_file, _directory_as_output,
+])
+def test_an_out_dir_that_cannot_be_written_is_a_config_error(
+    tmp_path, capsys, monkeypatch, command, breakage
+):
+    """An --out-dir that is a regular file, lies under one, or holds a
+    directory where the output goes exits 2 with one error line naming the
+    path, before any evaluation; exit 1 would mean that replayed logs
+    differ."""
+    args, output = OUT_DIR_COMMANDS[command]
+    if command == "replay":
+        run_dir = tmp_path / "run"
+        assert run("sample", *OUT_DIR_COMMANDS["sample"][0], "--out-dir", str(run_dir)) == 0
+        args = [str(run_dir)]
+    out_dir, culprit = breakage(tmp_path, output)
+
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("evaluated into an out-dir that cannot be written")
+
+    monkeypatch.setattr(cli, "random_sampling", no_evaluation)
+    monkeypatch.setattr(cli, "local_search", no_evaluation)
+    capsys.readouterr()
+    assert run(command, *args, "--out-dir", str(out_dir)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(culprit) in err[0], err
 
 
 @pytest.mark.parametrize("where", ["missing", "directory"])
