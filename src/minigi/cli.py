@@ -48,6 +48,7 @@ from minigi.reporting import (
     ReportError,
     aggregate_table1,
     aggregate_table2,
+    meta_path_for,
     read_records_csv,
     read_run_meta,
     render_table1,
@@ -282,8 +283,14 @@ def _execute(record: dict, unit, tests, out_dir: Path, settings) -> int:
     log_path = out_dir / record["log"]
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+        # The record goes first, inside perfbench's set-up span, which ends
+        # when the writer is built; a log that cannot be opened takes it back.
         write_run_meta(log_path, record)
-        writer = RecordWriter(log_path)
+        try:
+            writer = RecordWriter(log_path)
+        except OSError:
+            meta_path_for(log_path).unlink(missing_ok=True)
+            raise
     except OSError as exc:
         raise _unwritable(exc, log_path) from None
     # Read from the module's globals on each run, so a rebound driver name takes effect.

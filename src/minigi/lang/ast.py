@@ -24,7 +24,8 @@ Child positions (the path alphabet) per statement kind:
 A statement is a "list statement" when its parent is a Block, i.e. it sits
 in a statement list and can be deleted, replaced or swapped. Structural
 blocks (if branches, loop bodies) are addressable but are not list
-statements.
+statements. `statement_sites` lists, in one walk, every id a draw can
+target in a function: its list statements and its blocks, in pre-order.
 
 `BaseProgram` is not a record: it is the store in which the printer, the
 validator and the interpreter keep, for one driver run, what they derive
@@ -33,7 +34,6 @@ from the run's unpatched program and its tests.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from enum import Enum
 
 
@@ -325,52 +325,23 @@ def stmt_children(stmt: Stmt) -> tuple[Stmt, ...]:
     return ()
 
 
-def get_statement(fn: Function, path: tuple[int, ...]) -> Stmt | None:
-    """Resolve a path against a function body; None when it falls off the tree."""
-    node: Stmt = fn.body
-    for idx in path:
+def statement_sites(fn: Function) -> tuple[list[StatementId], list[tuple[StatementId, Block]]]:
+    """What a draw can target in `fn`, from one pre-order walk of its body:
+    the ids of its list statements, and each of its blocks with its id, the
+    body root first. The walk keeps its own stack, so a function nested
+    past Python's recursion limit is walked like any other."""
+    statements: list[StatementId] = []
+    blocks: list[tuple[StatementId, Block]] = []
+    stack: list[tuple[tuple[int, ...], Stmt, bool]] = [((), fn.body, False)]
+    while stack:
+        path, node, listed = stack.pop()
+        sid = StatementId(fn.name, path)
+        if listed:
+            statements.append(sid)
+        is_block = isinstance(node, Block)
+        if is_block:
+            blocks.append((sid, node))
         children = stmt_children(node)
-        if idx < 0 or idx >= len(children):
-            return None
-        node = children[idx]
-    return node
-
-
-def walk_statements(fn: Function) -> Iterator[tuple[tuple[int, ...], Stmt, Stmt | None]]:
-    """Pre-order (path, statement, parent) triples; the body root comes first."""
-
-    def go(path: tuple[int, ...], node: Stmt, parent: Stmt | None):
-        yield path, node, parent
-        for i, child in enumerate(stmt_children(node)):
-            yield from go(path + (i,), child, node)
-
-    yield from go((), fn.body, None)
-
-
-def list_statement_ids(fn: Function) -> list[StatementId]:
-    """Ids of statements that sit in some block's statement list."""
-    return [
-        StatementId(fn.name, path)
-        for path, _stmt, parent in walk_statements(fn)
-        if parent is not None and isinstance(parent, Block)
-    ]
-
-
-def block_ids(fn: Function) -> list[StatementId]:
-    """Ids of every Block in the function, the body root included."""
-    return [
-        StatementId(fn.name, path)
-        for path, stmt, _parent in walk_statements(fn)
-        if isinstance(stmt, Block)
-    ]
-
-
-def insertion_slots(fn: Function) -> list[tuple[StatementId, int]]:
-    """All (block id, index) insertion positions, index in 0..len(block)."""
-    slots: list[tuple[StatementId, int]] = []
-    for path, stmt, _parent in walk_statements(fn):
-        if isinstance(stmt, Block):
-            sid = StatementId(fn.name, path)
-            slots.extend((sid, i) for i in range(len(stmt.statements) + 1))
-    return slots
-
+        for i in range(len(children) - 1, -1, -1):
+            stack.append((path + (i,), children[i], is_block))
+    return statements, blocks

@@ -20,9 +20,9 @@ there are no partial results. A nesting-depth guard turns pathological
 inputs (deeply nested parentheses from machine-generated code) into
 ParseError instead of a RecursionError. It bounds the depth of the tree
 returned, not only the parser's own recursion: each operator of a
-left-deep chain such as `x + x + x` and each `[...]` of an index chain
-counts one level until the chain ends, since every later pass recurses
-into those nodes.
+left-deep chain such as `x + x + x`, each `[...]` of an index chain and
+each `else if` arm of an if chain counts one level until the chain ends,
+since every later pass recurses into those nodes.
 """
 
 from __future__ import annotations
@@ -262,7 +262,12 @@ class _Parser:
         then_block = self.parse_braced_block()
         orelse: Stmt | None = None
         if self.accept("else"):
-            orelse = self.parse_if() if self.at("if") else self.parse_braced_block()
+            if self.at("if"):
+                self._enter(self.peek())  # an `else if` arm nests one level in the tree
+                orelse = self.parse_if()
+                self._leave()
+            else:
+                orelse = self.parse_braced_block()
         return If(cond, then_block, orelse)
 
     def _parse_condition(self) -> Expr:

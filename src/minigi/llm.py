@@ -87,9 +87,10 @@ def request_digest(config: LlmClientConfig, prompt: str) -> str:
 
 
 class TranscriptStore:
-    """One JSON file per request digest. A file that cannot be read or
-    holds no object with a string `response`, and a file or directory that
-    cannot be written, is a ClientError naming the file."""
+    """One JSON file per request digest. A missing file is no transcript.
+    A file that cannot be read (a store directory that is a regular file
+    included) or holds no object with a string `response`, and a file or
+    directory that cannot be written, is a ClientError naming the file."""
 
     def __init__(self, directory: Union[str, Path]):
         self.directory = Path(directory)
@@ -99,10 +100,10 @@ class TranscriptStore:
 
     def get(self, digest: str) -> Optional[dict]:
         path = self.path_for(digest)
-        if not path.exists():
-            return None
         try:
             record = json.loads(path.read_text(encoding="utf-8"))
+        except FileNotFoundError:
+            return None
         except OSError as exc:
             raise ClientError(f"cannot read transcript {path}: {exc.strerror}") from None
         except UnicodeDecodeError:

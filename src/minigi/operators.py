@@ -7,6 +7,8 @@ each hot method gets equal attention regardless of its size. Draws depend
 only on the unit, the hot list and the RNG state, which makes every edit
 replayable from a logged seed. The hot list must name functions of the
 unit; the search drivers check that once per run (search.check_targets).
+Each draw walks its function once (`ast.statement_sites`); its insertion
+points are the blocks' positions, index 0 to the block's length.
 
 RNG call order is part of the replay contract: kind, function (uniform
 among the hot functions that have a statement), source statement, then
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import random
 
-from minigi.lang.ast import Function, SourceUnit, list_statement_ids, insertion_slots
+from minigi.lang.ast import Block, Function, SourceUnit, StatementId, statement_sites
 from minigi.patches import Edit, EditKind, InsertionPoint, INSERT_KINDS, STATEMENT_KINDS
 
 
@@ -38,13 +40,12 @@ def sample_statement_edit(unit: SourceUnit, hot: list[str], rng: random.Random) 
     if not targets:
         raise NoTargetStatementsError(f"no statements in {', '.join(hot)}")
     fn = rng.choice(targets)
-    statements = list_statement_ids(fn)
+    statements, blocks = statement_sites(fn)
     src = rng.choice(statements)
     if kind is EditKind.DELETE:
         return Edit(kind, src=src)
     if kind is EditKind.COPY:
-        block, index = rng.choice(insertion_slots(fn))
-        return Edit(kind, src=src, dst=InsertionPoint(block, index))
+        return Edit(kind, src=src, dst=_insertion_point(blocks, rng))
     dst = rng.choice(statements)
     return Edit(kind, src=src, dst=dst)
 
@@ -53,5 +54,15 @@ def sample_insert_edit(unit: SourceUnit, hot: list[str], rng: random.Random) -> 
     """One uniform draw from the Insert family; every function has slots."""
     kind = rng.choice(INSERT_KINDS)
     fn = unit.function(rng.choice(hot))
-    block, index = rng.choice(insertion_slots(fn))
-    return Edit(kind, dst=InsertionPoint(block, index))
+    return Edit(kind, dst=_insertion_point(statement_sites(fn)[1], rng))
+
+
+def _insertion_point(
+    blocks: list[tuple[StatementId, Block]], rng: random.Random
+) -> InsertionPoint:
+    """One uniform draw among the positions of `blocks`: each block's
+    indexes 0 to its length, block by block."""
+    block, index = rng.choice(
+        [(sid, i) for sid, b in blocks for i in range(len(b.statements) + 1)]
+    )
+    return InsertionPoint(block, index)

@@ -34,7 +34,7 @@ from importlib import resources
 from typing import Optional
 
 from minigi.checks import check_count
-from minigi.lang.ast import SourceUnit, block_ids, get_statement
+from minigi.lang.ast import SourceUnit, statement_sites
 from minigi.lang.printer import print_statement
 from minigi.patches import Edit, EditKind
 
@@ -150,8 +150,8 @@ def make_llm_edits(
     if not hot:
         raise ValueError("empty hot-method list")
     fn = unit.function(rng.choice(hot))
-    block_sid = rng.choice(block_ids(fn))
-    code = print_statement(get_statement(fn, block_sid.path))
+    block_sid, block = rng.choice(statement_sites(fn)[1])
+    code = print_statement(block)
     blocks = extract_code_blocks(client.complete(build_prompt(template, category, code)))
     label = category.value
     edits = [

@@ -24,7 +24,7 @@ from minigi.lang import (
     source_digest,
     validate,
 )
-from minigi.lang.ast import BaseProgram, StatementId, insertion_slots, list_statement_ids
+from minigi.lang.ast import BaseProgram, StatementId, statement_sites
 from minigi.lang.interpreter import HARNESS_FRAME
 from minigi.llm import LlmClientConfig, MockLlmClient
 from minigi.operators import sample_statement_edit
@@ -142,7 +142,7 @@ def test_criterion_2_brute_force_edit_space_oracle(bench_sort):
     started = time.monotonic()
     unit, tests = bench_sort
     fn = unit.function("sort")
-    statements = list_statement_ids(fn)
+    statements, blocks = statement_sites(fn)
     assert len(statements) <= 12
 
     enumerated: list[Edit] = []
@@ -151,8 +151,10 @@ def test_criterion_2_brute_force_edit_space_oracle(bench_sort):
         for dst in statements:
             enumerated.append(Edit(EditKind.REPLACE, src=src, dst=dst))
             enumerated.append(Edit(EditKind.SWAP, src=src, dst=dst))
-        for block, index in insertion_slots(fn):
-            enumerated.append(Edit(EditKind.COPY, src=src, dst=InsertionPoint(block, index)))
+        for block_id, block in blocks:
+            for index in range(len(block.statements) + 1):
+                slot = InsertionPoint(block_id, index)
+                enumerated.append(Edit(EditKind.COPY, src=src, dst=slot))
 
     oracle: dict[Edit, Classification] = {
         edit: ladder_oracle(unit, Patch("bench_sort", (edit,)), tests) for edit in enumerated

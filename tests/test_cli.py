@@ -187,6 +187,24 @@ def test_replay_reproduces_run(tmp_path, capsys):
     assert original == replayed
 
 
+def test_replay_of_a_changed_log_differs(tmp_path, capsys):
+    """A recorded log with one row changed is reported `<log>: DIFFERS`,
+    and replay exits 1."""
+    run_dir = tmp_path / "run"
+    assert run(
+        "sample", MAX, MAX_TESTS, "--family", "statement", "--budget", "5",
+        "--seed", "3", "--out-dir", str(run_dir),
+    ) == 0
+    log = run_dir / "sample_log.csv"
+    rows = log.read_text(encoding="utf-8").splitlines(keepends=True)
+    rows[-1] = rows[-1].replace("\n", "0\n")  # the last row's runtime, tenfold
+    log.write_text("".join(rows), encoding="utf-8")
+    capsys.readouterr()
+    assert run("replay", str(run_dir), "--out-dir", str(tmp_path / "again")) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "sample_log.csv: DIFFERS" in out and "sample_log.csv: identical" not in out, out
+
+
 def test_replay_of_ls_run(tmp_path, capsys):
     run_dir = tmp_path / "run"
     assert run(
@@ -503,8 +521,9 @@ def test_exit_code_2_on_usage_error():
 
 
 def test_exit_code_3_on_transcript_miss(tmp_path, capsys):
-    """A transcript that is missing, cannot be read or holds no reply, and
-    one that cannot be written, ends the run with exit code 3 and one
+    """A transcript that is missing, cannot be read (a --transcript-dir
+    that is a regular file included) or holds no reply, and one that
+    cannot be written, ends the run with exit code 3 and one
     `infrastructure error:` line naming the file, never a traceback and
     exit 1, which for replay means that the logs differ."""
     argv = ["sample", SORT, SORT_TESTS, "--family", "llm-medium", "--budget", "1", "--seed", "1"]
@@ -520,8 +539,11 @@ def test_exit_code_3_on_transcript_miss(tmp_path, capsys):
         write(directory / transcript.name)
         return directory
 
+    a_file = tmp_path / "a-file"
+    a_file.write_text("")
     reads = {
         "missing": (store("missing", lambda path: None), "no transcript"),
+        "store-is-a-file": (a_file, "Not a directory"),
         "directory": (store("directory", Path.mkdir), "Is a directory"),
         "not-utf8": (store("not-utf8", lambda p: p.write_bytes(b"\xff{}")), "not UTF-8"),
         "not-json": (store("not-json", lambda p: p.write_text("not json")), "not JSON"),
@@ -531,8 +553,6 @@ def test_exit_code_3_on_transcript_miss(tmp_path, capsys):
             "no string 'response'",
         ),
     }
-    a_file = tmp_path / "a-file"
-    a_file.write_text("")
     # The store writes through `<digest>.tmp.<pid>`; a directory there fails the write.
     tmp_taken = store("tmp-taken", lambda path: None)
     (tmp_taken / f"{digest}.tmp.{os.getpid()}").mkdir()
@@ -881,8 +901,8 @@ def test_an_out_dir_that_cannot_be_written_is_a_config_error(
 ):
     """An --out-dir that is a regular file, lies under one, or holds a
     directory where the output goes exits 2 with one error line naming the
-    path, before any evaluation; exit 1 would mean that replayed logs
-    differ."""
+    path, before any evaluation, and leaves no file behind, not even the
+    run record; exit 1 would mean that replayed logs differ."""
     args, output = OUT_DIR_COMMANDS[command]
     if command == "replay":
         run_dir = tmp_path / "run"
@@ -896,9 +916,11 @@ def test_an_out_dir_that_cannot_be_written_is_a_config_error(
     monkeypatch.setattr(cli, "random_sampling", no_evaluation)
     monkeypatch.setattr(cli, "local_search", no_evaluation)
     capsys.readouterr()
+    before = sorted(tmp_path.rglob("*"))
     assert run(command, *args, "--out-dir", str(out_dir)) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and str(culprit) in err[0], err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("where", ["missing", "directory"])

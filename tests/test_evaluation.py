@@ -128,18 +128,31 @@ def test_the_payload_memo_changes_no_result(bench_sort):
     assert list(base.payloads) == payloads[:4]
 
 
-@pytest.mark.parametrize("expression, rung", [
-    ("x" + " + x" * 149, "Invalid"),
-    ("x" + " && x" * 149, "Invalid"),
-    ("x" + "[0]" * 150, "Invalid"),
-    ("x" + " + x" * 89, "CompiledOnly"),
-], ids=["sum-150", "conjunction-150", "index-150", "sum-90"])
-def test_a_payload_past_the_nesting_cap_is_invalid_not_a_crash(bench_max, expression, rung):
-    """A flat chain nests one level per operator or index, so a long one is
-    a parse error and the patch Invalid; no later pass recurses that deep."""
+def _else_if_payload(arms: int) -> str:
+    """max2's body as an if statement with `arms` `else if` arms, none of
+    which is ever taken."""
+    return (
+        "{ if (x > y) { return x; }"
+        + "".join(f" else if (x > y + {k}) {{ return x; }}" for k in range(arms))
+        + " return y; }"
+    )
+
+
+@pytest.mark.parametrize("payload, rung", [
+    ("{ return x" + " + x" * 149 + "; }", "Invalid"),
+    ("{ return x" + " && x" * 149 + "; }", "Invalid"),
+    ("{ return x" + "[0]" * 150 + "; }", "Invalid"),
+    ("{ return x" + " + x" * 89 + "; }", "CompiledOnly"),
+    (_else_if_payload(1000), "Invalid"),
+    (_else_if_payload(90), "Passed"),
+], ids=["sum-150", "conjunction-150", "index-150", "sum-90", "else-if-1000", "else-if-90"])
+def test_a_payload_past_the_nesting_cap_is_invalid_not_a_crash(bench_max, payload, rung):
+    """A flat chain nests one level per operator, index or `else if` arm,
+    so a long one is a parse error and the patch Invalid; no later pass
+    recurses that deep."""
     unit, tests = bench_max
-    edit = Edit(EditKind.LLM_BLOCK_REPLACE, src=sid("max2"),
-                payload="{ return " + expression + "; }", prompt_category="medium")
+    edit = Edit(EditKind.LLM_BLOCK_REPLACE, src=sid("max2"), payload=payload,
+                prompt_category="medium")
     assert evaluate(BaseProgram(unit, tests), Patch("bench_max", (edit,))).classification.value == rung
 
 

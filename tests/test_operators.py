@@ -7,7 +7,17 @@ from collections import Counter
 import pytest
 
 from minigi.lang import parse_source
-from minigi.lang.ast import insertion_slots, list_statement_ids
+from minigi.lang.ast import (
+    Block,
+    BoolLit,
+    Function,
+    If,
+    IntLit,
+    Return,
+    SourceUnit,
+    Type,
+    statement_sites,
+)
 from minigi.operators import (
     NoTargetStatementsError,
     sample_insert_edit,
@@ -25,11 +35,17 @@ from minigi.patches import (
 SINGLE = "fn f() -> int { return 1; }"
 
 
+def slots_of(fn) -> list:
+    """Every (block id, index) position of `fn`, index 0 to the block's length."""
+    return [(sid, i) for sid, block in statement_sites(fn)[1]
+            for i in range(len(block.statements) + 1)]
+
+
 def enumerate_statement_edits(unit, fn_name: str) -> set[Edit]:
     """Brute-force reachable set of Statement-family edits in one function."""
     fn = unit.function(fn_name)
-    statements = list_statement_ids(fn)
-    slots = insertion_slots(fn)
+    statements = statement_sites(fn)[0]
+    slots = slots_of(fn)
     edits: set[Edit] = set()
     for src in statements:
         edits.add(Edit(EditKind.DELETE, src=src))
@@ -94,7 +110,7 @@ def test_fresh_draws_always_apply(bench_sort, bench_max):
 
 def test_insertion_slot_count_is_statements_plus_one_per_block():
     unit = parse_source("fn f(x: int) { x = 1; x = 2; x = 3; }")
-    slots = insertion_slots(unit.function("f"))
+    slots = slots_of(unit.function("f"))
     assert len(slots) == 4  # one block with three statements
     assert [index for _sid, index in slots] == [0, 1, 2, 3]
 
@@ -103,7 +119,25 @@ def test_nested_blocks_contribute_slots(bench_sort):
     unit, _ = bench_sort
     # sort: root (3 stmts -> 4), outer body (1 -> 2), inner body (2 -> 3),
     # then-block (3 -> 4) = 13 slots
-    assert len(insertion_slots(unit.function("sort"))) == 13
+    assert len(slots_of(unit.function("sort"))) == 13
+
+
+def test_draws_walk_a_function_nested_past_the_recursion_limit():
+    """The walk keeps its own stack, so a function 1,000 ifs deep, past
+    Python's default recursion limit, gets Statement and Insert draws like
+    any other, and each applies to it."""
+    body = Block((Return(IntLit(0)),))
+    for _ in range(1000):
+        body = Block((If(BoolLit(True), body),))
+    unit = SourceUnit("deep", (Function("f", (), Type.INT, body),))
+    statements, blocks = statement_sites(unit.function("f"))
+    assert (len(statements), len(blocks)) == (1001, 1001)
+    assert len(statements[-1].path) == 2001  # the innermost return
+    for seed in range(20):
+        for draw in (sample_statement_edit, sample_insert_edit):
+            edit = draw(unit, ["f"], random.Random(seed))
+            assert isinstance(edit, Edit)
+            apply_edit(unit, edit)
 
 
 def test_empty_hot_function_raises_after_redraws():
@@ -153,7 +187,7 @@ def test_insert_edits_enumerate_all_slots():
     drawn = set()
     for seed in range(400):
         drawn.add(sample_insert_edit(unit, ["f"], random.Random(seed)))
-    slots = insertion_slots(unit.function("f"))
+    slots = slots_of(unit.function("f"))
     expected = {
         Edit(kind, dst=InsertionPoint(block, index))
         for kind in INSERT_KINDS

@@ -18,14 +18,14 @@ from minigi.lang.ast import (
     Return,
     VarDecl,
     While,
-    list_statement_ids,
+    statement_sites,
 )
 
 
 def test_minimal_program():
     unit = parse_source("fn f() -> int { return 1; }")
     assert len(unit.functions) == 1
-    assert len(list_statement_ids(unit.functions[0])) == 1
+    assert len(statement_sites(unit.functions[0])[0]) == 1
     fn = unit.functions[0]
     assert fn.name == "f"
     assert fn.return_type is Type.INT
@@ -50,7 +50,7 @@ def test_bench_sort_statement_count(bench_sort):
     # Counted by hand from benchmarks/bench_sort.ml: sort has 9 list
     # statements (3 top-level, the inner for, its 2 statements, 3 in the
     # swap branch), max2 has 3.
-    assert [len(list_statement_ids(fn)) for fn in unit.functions] == [9, 3]
+    assert [len(statement_sites(fn)[0]) for fn in unit.functions] == [9, 3]
 
 
 def test_param_and_type_parsing():
@@ -136,12 +136,21 @@ def _chain(link: str, n: int) -> str:
     return "x" + "[0]" * n if link == "[0]" else f" {link} ".join(["x"] * n)
 
 
-@pytest.mark.parametrize("link", ["+", "&&", "[0]"])
+def _else_if_block(arms: int) -> str:
+    """A block holding one if statement with `arms` `else if` arms and an `else`."""
+    return (
+        "{ if (x == 0) { return 0; }"
+        + "".join(f" else if (x == {k}) {{ return {k}; }}" for k in range(1, arms + 1))
+        + " else { return x; } }"
+    )
+
+
+@pytest.mark.parametrize("link", ["+", "&&", "[0]", "else if"])
 def test_a_long_chain_nests_too_deep_although_its_text_is_flat(link):
-    """Each operator of a chain and each index counts one level: the parser
-    bounds the depth of the tree it returns, which every later pass recurses
-    into, not only its own recursion."""
-    block = "{ return " + _chain(link, 150) + "; }"
+    """Each operator of a chain, each index and each `else if` arm counts one
+    level: the parser bounds the depth of the tree it returns, which every
+    later pass recurses into, not only its own recursion."""
+    block = _else_if_block(150) if link == "else if" else "{ return " + _chain(link, 150) + "; }"
     for parse in (parse_block, lambda text: parse_source("fn f() -> int " + text)):
         with pytest.raises(ParseError) as excinfo:
             parse(block)

@@ -11,7 +11,7 @@ from minigi.lang import (
     source_digest,
     validate,
 )
-from minigi.lang.ast import StatementId, list_statement_ids
+from minigi.lang.ast import StatementId, statement_sites
 from minigi.llm import LlmClientConfig, MockLlmClient
 from minigi.operators import sample_insert_edit, sample_statement_edit
 from minigi.patches import (
@@ -66,7 +66,7 @@ def test_self_replace_is_identity(bench_sort):
 
 def test_every_statement_is_deletable(bench_sort):
     unit, _ = bench_sort
-    ids = [s for fn in unit.functions for s in list_statement_ids(fn)]
+    ids = [s for fn in unit.functions for s in statement_sites(fn)[0]]
     assert len(ids) == 12
     digests = set()
     for s in ids:
@@ -135,6 +135,47 @@ def test_insert_break_and_continue():
     assert "break;" in print_canonical(brk)
     cont = apply_edit(unit, Edit(EditKind.INSERT_CONTINUE, dst=ip("f", (0, 0), 1)))
     assert "continue;" in print_canonical(cont)
+
+
+def _sign(then: str = "s = 0 - 1;", elif_: str = "s = 0; x = 1;", else_: str = "s = 1; x = 2;"):
+    """A function whose if statement has an `else if` arm and an `else`
+    branch, with the given statements in its three blocks."""
+    return (
+        "fn sign(x: int) -> int { var s: int = 0;"
+        f" if (x < 0) {{ {then} }} else if (x == 0) {{ {elif_} }} else {{ {else_} }}"
+        " return s; }"
+    )
+
+
+# Paths in `_sign()`: 1 the if, 1.0 its then block, 1.1 the `else if`,
+# 1.1.0 that arm's block and 1.1.1 the `else` block.
+@pytest.mark.parametrize("edit, blocks", [
+    (Edit(EditKind.DELETE, src=sid("sign", 1, 1, 1, 0)), {"else_": "x = 2;"}),
+    (Edit(EditKind.DELETE, src=sid("sign", 1, 1, 0, 0)), {"elif_": "x = 1;"}),
+    (Edit(EditKind.COPY, src=sid("sign", 2), dst=ip("sign", (1, 1, 1), 2)),
+     {"else_": "s = 1; x = 2; return s;"}),
+    (Edit(EditKind.COPY, src=sid("sign", 1, 0, 0), dst=ip("sign", (1, 1, 0), 0)),
+     {"elif_": "s = 0 - 1; s = 0; x = 1;"}),
+    (Edit(EditKind.INSERT_RETURN, dst=ip("sign", (1, 1, 1), 0)),
+     {"else_": "return 0; s = 1; x = 2;"}),
+    (Edit(EditKind.INSERT_BREAK, dst=ip("sign", (1, 1, 0), 2)),
+     {"elif_": "s = 0; x = 1; break;"}),
+    (Edit(EditKind.SWAP, src=sid("sign", 1, 1, 1, 0), dst=sid("sign", 1, 1, 1, 1)),
+     {"else_": "x = 2; s = 1;"}),
+    (Edit(EditKind.SWAP, src=sid("sign", 1, 1, 0, 0), dst=sid("sign", 1, 1, 1, 1)),
+     {"elif_": "x = 2; x = 1;", "else_": "s = 1; s = 0;"}),
+    (Edit(EditKind.SWAP, src=sid("sign", 1, 0, 0), dst=sid("sign", 1, 1, 1, 0)),
+     {"then": "s = 1;", "else_": "s = 0 - 1; x = 2;"}),
+], ids=[
+    "delete-else", "delete-else-if", "copy-else", "copy-else-if", "insert-else",
+    "insert-else-if", "swap-in-else", "swap-else-if-else", "swap-then-else",
+])
+def test_edits_inside_else_and_else_if_blocks(edit, blocks):
+    """An edit under an `else` or `else if` rebuilds the if's else branch:
+    only the named blocks change, and the printed program parses back."""
+    patched = apply_edit(parse_source(_sign()), edit)
+    assert patched == parse_source(_sign(**blocks))
+    assert parse_source(print_canonical(patched)) == patched
 
 
 @pytest.mark.parametrize(

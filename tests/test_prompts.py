@@ -5,7 +5,7 @@ import random
 import pytest
 
 import minigi.prompts as prompts
-from minigi.lang.ast import block_ids
+from minigi.lang.ast import statement_sites
 from minigi.llm import LlmClientConfig, MockLlmClient
 from minigi.patches import EditKind, apply_edit
 from minigi.prompts import (
@@ -166,7 +166,7 @@ def test_make_llm_edits_echo_keeps_original_fingerprint(bench_sort):
 
 def test_block_selection_uniform_over_blocks(bench_sort):
     unit, _ = bench_sort
-    blocks = block_ids(unit.function("sort"))
+    blocks = [sid for sid, _block in statement_sites(unit.function("sort"))[1]]
     assert len(blocks) == 4  # root, outer body, inner body, then-block
     client = mock_client(lambda prompt: "```\n{ }\n```")
     seen = set()

@@ -50,6 +50,16 @@ def test_loop_does_not_count_as_returning():
     assert any("missing return" in e for e in errors)
 
 
+def test_for_with_a_bare_assignment_init_needs_a_declared_variable():
+    """The init is checked as an assignment; only it names `i`."""
+    loop = "for (i = 0; n > 0; n = n - 1) { }"
+    assert check("fn f(n: int) { var i: int = 5; " + loop + " }") == []
+    assert check("fn f(n: int) { var i: bool = true; " + loop + " }") == [
+        "cannot assign int to bool target"
+    ]
+    assert check("fn f(n: int) { " + loop + " }") == ["assignment to undeclared variable 'i'"]
+
+
 def test_use_before_declare_rejected():
     assert any("unknown variable" in e for e in check("fn f() -> int { return y; }"))
 
