@@ -44,7 +44,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence
 
-from minigi.checks import check_count
+from minigi.checks import LONGEST_WAIT, check_count
 from minigi.lang.ast import BaseProgram, SourceUnit
 from minigi.lang.interpreter import (
     DEFAULT_STEP_BUDGET,
@@ -110,7 +110,9 @@ class ExternalToolchain:
     at construction, and each placeholder is substituted within a word, so
     a substituted path is never split. Construction refuses a command that
     is not a non-empty string or does not split (an unbalanced quote, a
-    trailing backslash) and a count that is not an integer of at least 1.
+    trailing backslash), a count that is not an integer of at least 1 and
+    a `timeout_ms` above `checks.LONGEST_WAIT`, which not every platform
+    can wait for.
     """
 
     compile_cmd: str
@@ -133,6 +135,8 @@ class ExternalToolchain:
                 ) from None
         object.__setattr__(self, "_words", words)  # not a field: no record key, no compare
         check_count("timeout_ms", self.timeout_ms)
+        if self.timeout_ms > LONGEST_WAIT:
+            raise ValueError(f"timeout_ms must be at most {LONGEST_WAIT}, got {self.timeout_ms}")
         check_count("measure_repeats", self.measure_repeats)
 
     def argv(self, command: str, mapping: dict[str, str]) -> list[str]:
@@ -188,11 +192,10 @@ def _evaluate_builtin(
 
 def _run_command(argv: list[str], cwd: Path, timeout_ms: Optional[int] = None):
     """Run one command in a process group of its own, reading no terminal
-    input: its CompletedProcess, or None when it outlives `timeout_ms`. A
-    `timeout_ms` longer than the platform can wait for raises
-    InfrastructureError. When it returns, times out or fails in any other
-    way, its whole process group is killed and the command reaped, so no
-    descendant in the group outlives the command."""
+    input: its CompletedProcess, or None when it outlives `timeout_ms`.
+    When it returns, times out or fails in any other way, its whole
+    process group is killed and the command reaped, so no descendant in
+    the group outlives the command."""
     import subprocess
 
     try:
@@ -219,8 +222,6 @@ def _run_command(argv: list[str], cwd: Path, timeout_ms: Optional[int] = None):
         return subprocess.CompletedProcess(argv, proc.returncode, stdout, stderr)
     except subprocess.TimeoutExpired:
         return None
-    except OverflowError as exc:  # a watchdog beyond what the platform can wait for
-        raise InfrastructureError(f"timeout_ms {timeout_ms} is out of range: {exc}") from None
     except FileNotFoundError as exc:
         raise InfrastructureError(f"command not found: {exc}") from None
     except OSError as exc:

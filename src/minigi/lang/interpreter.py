@@ -9,16 +9,20 @@ code generation" (1987): each node becomes a closure that calls the
 closures of its children, so the dispatch on node kinds happens once per
 node instead of once per step. A parent reads a variable or literal
 operand inline, a block of one statement runs as that statement, and
-what follows a `break`, `continue` or `return` in a block is compiled for
-its nesting but never runs. A compiled function is shared by the tests of
-its suite and, through `profile`, by profiling. The closures of the base
-program's own functions and of each test's harness call are kept in the
-run's `ast.BaseProgram` (one per driver run; a caller without one gets
-one for its single `run_suite` call) and reused by every suite of the run:
-a compiled body refers to no program, only to the run's one machine,
-which each suite points at its own functions, and a call finds its callee
-by name in the running program. What is compiled from a patched function
-is dropped when its suite ends.
+what follows a `break`, `continue` or `return` in a block is compiled
+for its nesting but never runs. A `continue` that ends the live
+statements of a loop body's own block runs as a flat step that sends no
+signal, since reaching the end of the body continues the loop as well;
+one inside an `if` or a nested block still signals. A compiled function
+is shared by the tests of its suite and, through `profile`, by
+profiling. The closures of the base program's own functions and of each
+test's harness call are kept in the run's `ast.BaseProgram` (one per
+driver run; a caller without one gets one for its single `run_suite`
+call) and reused by every suite of the run: a compiled body refers to no
+program, only to the run's one machine, which each suite points at its
+own functions, and a call finds its callee by name in the running
+program. What is compiled from a patched function is dropped when its
+suite ends.
 
 Precondition. `run_suite` runs only programs that `semantics.validate`
 accepts, and relies on it: names are declared before use, values have
@@ -54,9 +58,10 @@ The cost model is unchanged:
     body; `len` charges 1 plus its argument; `print` 1 plus arguments.
 
 Steps are charged through one method that adds to the counter and
-compares it with the budget. Reaching the budget clamps the counter to
-exactly the budget and reports a timeout, so `steps_used == budget` iff
-the run timed out; a finishing run always used strictly fewer steps.
+compares it with the budget, or by a flat loop (below) that does the
+same in a local. Reaching the budget clamps the counter to exactly the
+budget and reports a timeout, so `steps_used == budget` iff the run
+timed out; a finishing run always used strictly fewer steps.
 
 Fused charges. A node's fixed steps, its own and the leading steps of the
 operands it evaluates first, are charged in one call before it runs,
@@ -64,10 +69,16 @@ together with those of the nodes after it for as long as each node in
 between is flat: it charges nothing itself and can neither fail, branch,
 call nor return a signal. A loop charges its condition in one call per
 check, joined with the steps of its body and update where those are
-flat. This is exact: no failure point, branch or call lies between two
-merged charges, so a run reaches the budget, fails or ends after the
-same number of steps as when every node charges for itself, and
-timeouts, the steps at a runtime error, the profile's self costs and
+flat. A loop whose condition is flat and whose body and update join
+that one charge per iteration is flat inside: it reads the room left
+under the budget once on entry, adds each iteration's steps to a local
+and compares the local with the room, and it writes the machine's
+counter once, when it ends or when the local reaches the room, where it
+raises the timeout as the charge would have. Nothing a flat node runs
+reads the counter. This is exact: no failure point, branch or call lies
+between two merged charges, so a run reaches the budget, fails or ends
+after the same number of steps as when every node charges for itself,
+and timeouts, the steps at a runtime error, the profile's self costs and
 every logged runtime are the same.
 
 Division by zero, an out-of-bounds index and calls nested too deeply are
@@ -222,8 +233,8 @@ def _mod(left: int, right: int) -> int:
     return left - _div(left, right) * right
 
 
-_OPERATORS = {
-    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div, "%": _mod,
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div, "%": _mod}
+_COMPARISONS = {
     "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
     "==": operator.eq, "!=": operator.ne,
 }
@@ -398,8 +409,8 @@ def _read(e, closure) -> tuple[str, object]:
 
 
 def _binary(apply: Callable, left: tuple[str, object], right: tuple[str, object]) -> Callable:
-    """`apply` to two operands read as `_read` says (a literal on the left
-    through its closure). Only arithmetic leaves the 64-bit range."""
+    """`apply`, an arithmetic operator, to two operands read as `_read`
+    says (a literal on the left through its closure), wrapped to 64 bits."""
     (lk, a), (rk, b) = left, right
     if lk is _VAR and rk is _VAR:
 
@@ -440,6 +451,43 @@ def _binary(apply: Callable, left: tuple[str, object], right: tuple[str, object]
     return f
 
 
+def _compare(apply: Callable, left: tuple[str, object], right: tuple[str, object]) -> Callable:
+    """`apply`, a comparison, to two operands read as `_binary` reads them.
+    A comparison's bool needs no 64-bit wrap."""
+    (lk, a), (rk, b) = left, right
+    if lk is _VAR and rk is _VAR:
+
+        def f(env):
+            return apply(env[a], env[b])
+
+    elif lk is _VAR and rk is _LIT:
+
+        def f(env):
+            return apply(env[a], b)
+
+    elif lk is _VAR:
+
+        def f(env):
+            return apply(env[a], b(env))
+
+    elif rk is _VAR:
+
+        def f(env):
+            return apply(a(env), env[b])
+
+    elif rk is _LIT:
+
+        def f(env):
+            return apply(a(env), b)
+
+    else:
+
+        def f(env):
+            return apply(a(env), b(env))
+
+    return f
+
+
 def _index_error(k: int, array: list) -> MiniLangRuntimeError:
     return MiniLangRuntimeError(f"index {k} out of bounds for length {len(array)}")
 
@@ -466,13 +514,14 @@ class _Compiler:
         self.deepest = 0
         self.room = room  # levels of nesting that fit beside the active calls
 
-    def node(self, n) -> tuple[int, Callable, bool]:
+    def node(self, n, *context) -> tuple[int, Callable, bool]:
+        """`n` compiled one level deeper; `context` goes to its builder."""
         self.level += 1
         if self.level > self.deepest:
             self.deepest = self.level
             if self.level > self.room:
                 raise MiniLangRuntimeError("call depth exceeded")
-        compiled = _BUILDERS[type(n)](self, n)
+        compiled = _BUILDERS[type(n)](self, n, *context)
         self.level -= 1
         return compiled
 
@@ -545,7 +594,9 @@ class _Compiler:
         else:
             cost, reads_right = 1 + lc, (_FN, _charging(self.charge, rc, right))
         flat = lflat and rflat and op not in ("/", "%")
-        return cost, _binary(_OPERATORS[op], reads_left, reads_right), flat
+        if op in _COMPARISONS:
+            return cost, _compare(_COMPARISONS[op], reads_left, reads_right), flat
+        return cost, _binary(_ARITHMETIC[op], reads_left, reads_right), flat
 
     def index(self, e):
         cost, base, bflat = self.node(e.base)
@@ -622,13 +673,18 @@ class _Compiler:
 
     # -- statements --
 
-    def block(self, s):
+    def block(self, s, loop_body: bool = False):
+        """A block; as a loop's body, a `continue` that ends its live
+        statements is flat and sends no signal, since reaching the end of
+        the body continues the loop as well."""
         parts, ends = [], False
         for x in s.statements:
             compiled = self.node(x)
             if not ends:  # what follows a jump is compiled for its nesting only
-                parts.append(compiled)
                 ends = type(x) in _JUMPS
+                if loop_body and type(x) is Continue:
+                    compiled = compiled[0], _nothing, True
+                parts.append(compiled)
         if not parts:
             return 1, _nothing, True
         charges = _charges(parts)
@@ -714,12 +770,14 @@ class _Compiler:
         """A `while`, or a `for`: its init clause runs once and its update
         clause after each iteration. The condition's cost is charged once
         per check, joined with the update's and the body's where they are
-        flat."""
+        flat. When all three are flat the loop counts its steps in a local
+        and writes the machine's counter once, on leaving or on reaching
+        the budget: nothing it runs reads the counter."""
         clauses = type(s) is For
         init = self.node(s.init) if clauses else None
         cond = self.node(s.cond)
         update = self.node(s.update) if clauses else None
-        body = self.node(s.body)
+        body = self.node(s.body, True)
         if clauses:
             lead, checked = _charges([init, cond])  # checked: due before the first check
             body_due, updated, rechecked = _charges([body, update, cond])
@@ -727,7 +785,9 @@ class _Compiler:
         else:
             lead, checked, updated = cond[0], 0, 0
             body_due, rechecked = _charges([body, cond])
-        test, body, charge = cond[1], body[1], self.charge
+        test, flat, body, charge = cond[1], cond[2], body[1], self.charge
+        if flat and not updated and not rechecked:
+            return 1 + lead, self.flat_loop(init, checked, test, body_due, body, update), False
 
         def f(env):
             if init is not None:
@@ -747,6 +807,31 @@ class _Compiler:
                     charge(rechecked)
 
         return 1 + lead, f, False
+
+    def flat_loop(self, init, checked, test, due, body, update) -> Callable:
+        """A loop whose condition, body and update are flat, so each
+        iteration charges `due` at its start and nothing else. It stops
+        where `_Machine.charge` would: when the steps reach the room left
+        under the budget."""
+        m, charge = self.machine, self.charge
+
+        def f(env):
+            if init is not None:
+                init(env)
+            if checked:
+                charge(checked)
+            room, spent = m.budget - m.steps, 0
+            while test(env):
+                spent += due
+                if spent >= room:
+                    m.steps += spent
+                    raise _Timeout()
+                body(env)
+                if update is not None:
+                    update(env)
+            m.steps += spent
+
+        return f
 
     def jump(self, s):
         signal = _BREAK if type(s) is Break else _CONTINUE

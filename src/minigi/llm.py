@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
-from minigi.checks import check_count
+from minigi.checks import LONGEST_WAIT, check_count
 from minigi.prompts import extract_code_blocks
 
 
@@ -45,9 +45,9 @@ class LlmClientConfig:
     """How a client reaches the model. Construction refuses a model that is
     not a non-empty string, a temperature that is not a finite number of at
     least 0, a retry count that is not an integer of at least 0, a timeout
-    that is not a finite number above 0 and a mode outside MODES. A finite
-    timeout the platform's sockets cannot hold fails each live request as
-    a ClientError."""
+    that is not a finite number above 0 or is above `checks.LONGEST_WAIT`
+    seconds, which not every platform's sockets can hold, and a mode
+    outside MODES."""
 
     endpoint_url: str = "https://api.openai.com/v1/chat/completions"
     api_key_env_var: str = "OPENAI_API_KEY"
@@ -71,6 +71,10 @@ class LlmClientConfig:
         if type(timeout) not in (int, float) or not 0 < timeout < math.inf:
             raise ValueError(
                 f"request_timeout must be a finite number above 0 seconds, got {timeout!r}"
+            )
+        if timeout > LONGEST_WAIT:
+            raise ValueError(
+                f"request_timeout must be at most {LONGEST_WAIT} seconds, got {timeout!r}"
             )
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")

@@ -132,10 +132,10 @@ def counting_compiles(monkeypatch) -> list:
     roots: list = []
 
     class Compiler(interpreter._Compiler):
-        def node(self, n):
+        def node(self, n, *context):
             if self.level == 0:
                 roots.append(n)
-            return super().node(n)
+            return super().node(n, *context)
 
     monkeypatch.setattr(interpreter, "_Compiler", Compiler)
     return roots

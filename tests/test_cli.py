@@ -3,13 +3,13 @@ from __future__ import annotations
 import json
 import os
 import re
-import socket
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from minigi import cli
+from minigi.checks import LONGEST_WAIT
 from minigi.cli import main
 from minigi.evaluation import ExternalToolchain
 from minigi.llm import LlmClientConfig
@@ -447,23 +447,36 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
         assert not out_dir.exists()
 
 
-def test_a_live_timeout_no_socket_can_hold_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
-    """1e10 s is finite, so the run starts, but no socket can wait that
-    long: the first request fails as one client-error line, not as an
-    OverflowError traceback. (An infinite timeout is refused above.)"""
-    monkeypatch.setenv("TEST_API_KEY", "k")
-    with socket.socket() as probe:  # a port that nothing listens on
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-    assert run(
-        "sample", MAX, MAX_TESTS, "--family", "llm-medium", "--budget", "1", "--seed", "1",
-        "--llm-mode", "live", "--endpoint", f"http://127.0.0.1:{port}/v1",
-        "--api-key-env", "TEST_API_KEY", "--request-timeout", "1e10",
-        "--out-dir", str(tmp_path / "out"),
-    ) == 3
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("infrastructure error: request_timeout 10000000000.0 s is out of range")
+def test_a_wait_no_platform_can_hold_is_a_config_error(tmp_path, capsys):
+    """A watchdog or request timeout past LONGEST_WAIT (a C int of
+    milliseconds or seconds) is refused with one `error:` line before any
+    file is written; it used to fail the run's first command with exit 3
+    after the record and the log header were written. The longest wait
+    itself is accepted."""
+    config = tmp_path / "adapter.conf"
+    config.write_text(
+        "adapter = external\ncompile_cmd = true\ntest_cmd = true\nmeasure_cmd = echo 7\n"
+    )
+    external = ["--family", "statement", "--config", str(config), "--timeout-ms"]
+    llm = ["--family", "llm-medium", "--llm-mode", "live", "--request-timeout"]
+    for flags, value, complaint in [
+        (external, "2147483648", "toolchain: timeout_ms must be at most 2147483647, got 2147483648"),
+        (external, "10000000000000000",
+         "toolchain: timeout_ms must be at most 2147483647, got 10000000000000000"),
+        (llm, "2147483648", "llm.client: request_timeout must be at most 2147483647 seconds,"
+         " got 2147483648.0"),
+        (llm, "1e10", "llm.client: request_timeout must be at most 2147483647 seconds,"
+         " got 10000000000.0"),
+    ]:
+        out_dir = tmp_path / "refused"
+        assert run(
+            "sample", MAX, MAX_TESTS, "--budget", "1", "--seed", "1", *flags, value,
+            "--out-dir", str(out_dir),
+        ) == 2, value
+        assert capsys.readouterr().err.splitlines() == [f"error: {complaint}"]
+        assert not out_dir.exists()
+    assert ExternalToolchain("true", "true", "echo 7", LONGEST_WAIT).timeout_ms == LONGEST_WAIT
+    assert LlmClientConfig(request_timeout=LONGEST_WAIT).request_timeout == LONGEST_WAIT
 
 
 def test_statement_family_needs_a_statement_to_draw_in_every_run(tmp_path, capsys):
@@ -572,9 +585,8 @@ def test_exit_code_3_on_transcript_miss(tmp_path, capsys):
 
 
 def test_exit_code_3_on_broken_external_toolchain(tmp_path, capsys):
-    """A missing binary, and a watchdog longer than the platform can wait
-    for, end the run with exit code 3 and one `infrastructure error:`
-    line."""
+    """A missing binary ends the run with exit code 3 and one
+    `infrastructure error:` line."""
     config = tmp_path / "adapter.conf"
     config.write_text(
         "adapter = external\n"
@@ -585,17 +597,10 @@ def test_exit_code_3_on_broken_external_toolchain(tmp_path, capsys):
     argv = ["sample", MAX, MAX_TESTS, "--family", "statement", "--budget", "2", "--seed", "1"]
     code = run(*argv, "--config", str(config), "--out-dir", str(tmp_path / "out"))
     assert code == 3
-    assert "definitely-not-a-binary-xyz" in capsys.readouterr().err
-    config.write_text("adapter = external\ncompile_cmd = true\ntest_cmd = true\n"
-                      "measure_cmd = echo 7\n")
-    # 1e13 s: more than any platform's clock can count in nanoseconds
-    assert run(
-        *argv, "--config", str(config), "--timeout-ms", "10000000000000000",
-        "--out-dir", str(tmp_path / "forever"),
-    ) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1, err
-    assert err[0].startswith("infrastructure error: timeout_ms 10000000000000000 is out of range")
+    assert err[0].startswith("infrastructure error: command not found:")
+    assert "definitely-not-a-binary-xyz" in err[0]
 
 
 @pytest.mark.parametrize("key, command, problem", [

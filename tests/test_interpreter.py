@@ -17,7 +17,9 @@ from minigi.lang import (
 from minigi.lang.ast import (
     Binary,
     Block,
+    BoolLit,
     Call,
+    Continue,
     Function,
     If,
     Index,
@@ -28,8 +30,9 @@ from minigi.lang.ast import (
     StatementId,
     Type,
     Var,
+    While,
 )
-from minigi.lang.interpreter import HARNESS_FRAME, value_equal
+from minigi.lang.interpreter import HARNESS_FRAME, MAX_NESTING_WEIGHT, value_equal
 from minigi.llm import LlmClientConfig, MockLlmClient
 from minigi.operators import sample_insert_edit, sample_statement_edit
 from minigi.patches import ApplyError, Edit, EditKind, Patch, apply_patch
@@ -508,6 +511,46 @@ FAILURE_POINTS = [
      " fn f(n: int) -> int { if (n == 0) { return g(); } return f(n - 1) + 1; }",
      "f(2) == 9", Status.PASS, 2 + 12 + 12 + 8 + 3, None,
      {HARNESS_FRAME: 2, "f": 32, "g": 3}),
+    # a flat `while` that finishes: harness 2 + body 1 + `var i` 2 + while 1
+    # + four checks of 3 + three bodies of 6 (block 1 + `i = i + 1` 5) +
+    # `return i` 2
+    ("fn f(n: int) -> int { var i: int = 0; while (i < n) { i = i + 1; } return i; }",
+     "f(3) == 3", Status.PASS, 2 + 1 + 2 + 1 + 4 * 3 + 3 * 6 + 2, None,
+     {HARNESS_FRAME: 2, "f": 36}),
+    # a `for` with a flat update: harness 2 + body 1 + `var s` 2 + for 1 +
+    # init 2 + four checks of 3 (i = 0, 2, 4, 6) + three bodies of 6 and
+    # updates of 5 + `return s` 2
+    ("fn f(n: int) -> int { var s: int = 0;"
+     " for (var i: int = 0; i < n; i = i + 2) { s = s + i; } return s; }",
+     "f(5) == 6", Status.PASS, 2 + 1 + 2 + 3 + 4 * 3 + 3 * 11 + 2, None,
+     {HARNESS_FRAME: 2, "f": 53}),
+    # a `continue`-first body that finishes: harness 2 + body 1 + `var s` 2
+    # + for 1 + init 2 + four checks of 3 + three iterations of block 1,
+    # `continue` 1 and update 5 + `return s` 2; `s = s + i` never runs
+    ("fn f(n: int) -> int { var s: int = 0;"
+     " for (var i: int = 0; i < n; i = i + 1) { continue; s = s + i; } return s; }",
+     "f(3) == 0", Status.PASS, 2 + 1 + 2 + 3 + 4 * 3 + 3 * 7 + 2, None,
+     {HARNESS_FRAME: 2, "f": 41}),
+    # a flat loop in a profiled callee: harness 2; f: body 1 + return 1 +
+    # `*` 1 + call 1 + `n` 1, then `2` 1 after g returns; g: body 1 +
+    # `var s` 2 + while 1 + four checks of 3 + three bodies of 11 (block 1
+    # and two assignments of 5) + `return s` 2
+    ("fn g(n: int) -> int { var s: int = 0; while (n > 0) { s = s + n; n = n - 1; } return s; }"
+     " fn f(n: int) -> int { return g(n) * 2; }",
+     "f(3) == 12", Status.PASS, 2 + 6 + 51, None, {HARNESS_FRAME: 2, "f": 6, "g": 51}),
+    # Rows that never end time out at every budget, and `profile` is the
+    # one at budget `steps`.
+    # an empty-body loop in a callee: harness 2; f: body 1 + return 1 + `+`
+    # 1 + call 1 + `n` 1; g: body 1 + `var i` 2 + while 1 + the first check
+    # 3, then 4 per iteration (block 1 + check 3): 7 + 4 * 5 at budget 34
+    ("fn g(n: int) -> int { var i: int = 0; while (i < n) { } return i; }"
+     " fn f(n: int) -> int { return g(n) + 1; }",
+     "f(3) == 4", Status.TIMEOUT, 2 + 5 + 7 + 4 * 5, None, {HARNESS_FRAME: 2, "f": 5, "g": 27}),
+    # a `continue`-first body whose dead statement would end the loop: 5
+    # per iteration (block 1 + `continue` 1 + check 3) after harness 2, body
+    # 1, `var i` 2, while 1 and the first check 3
+    ("fn f(n: int) -> int { var i: int = 0; while (i < n) { continue; i = i + 1; } return i; }",
+     "f(3) == 3", Status.TIMEOUT, 2 + 7 + 5 * 4, None, {HARNESS_FRAME: 2, "f": 27}),
 ]
 
 
@@ -515,19 +558,63 @@ FAILURE_POINTS = [
 def test_every_budget_stops_exactly_at_the_failure_point(src, call, status, steps, error, profile):
     """Below the hand-derived step count every budget times out exactly at
     the budget, with the profile summing to it; above it the run ends the
-    same way after exactly that many steps. A charge moved across a failure
-    point or a branch shifts one of these counts."""
+    same way after exactly that many steps, or for a run that never ends
+    times out again. A charge moved across a failure point or a branch
+    shifts one of these counts."""
     unit = parse_source(src)
     assert validate(unit) == []
     test = parse_test_file(f"test t: {call}")[0]
     for budget in range(1, steps + 3):
         spent: dict[str, int] = {}
         outcome = run_suite(unit, [test], budget, spent)[0]
-        if budget <= steps:
+        if budget <= steps or status is Status.TIMEOUT:
             assert (outcome.status, outcome.steps_used) == (Status.TIMEOUT, budget), budget
             assert sum(spent.values()) == budget, (budget, spent)
+            if budget == steps and status is Status.TIMEOUT and profile is not None:
+                assert spent == profile
         else:
             assert (outcome.status, outcome.steps_used, outcome.error) == (status, steps, error)
             assert sum(spent.values()) == steps
             if profile is not None:
                 assert spent == profile
+
+
+@pytest.mark.parametrize("body, expected", [
+    ("if (i == 2) { continue; } s = s + i;", 1 + 3 + 4),
+    ("if (i == 2) { s = s + 10; continue; } s = s + i;", 1 + 10 + 3 + 4),
+    ("{ continue; } s = s + i;", 0),
+    ("if (i > 0) { if (i < 4) { continue; } } s = s + i;", 4),
+])
+def test_a_continue_nested_in_a_loop_body_skips_the_rest_of_the_iteration(body, expected):
+    """Only a `continue` that ends the live statements of the body's own
+    block may stop signalling; one inside an `if` or a nested block must
+    still skip what follows it in the body."""
+    src = ("fn f(n: int) -> int { var s: int = 0; var i: int = 0;"
+           f" while (i < n) {{ i = i + 1; {body} }} return s; }}")
+    outcome = one_test(src, f"test t: f(4) == {expected}")
+    assert (outcome.status, outcome.value) == (Status.PASS, expected)
+    for_src = ("fn f(n: int) -> int { var s: int = 0;"
+               f" for (var i: int = 1; i <= n; i = i + 1) {{ {body} }} return s; }}")
+    outcome = one_test(for_src, f"test t: f(4) == {expected}")
+    assert (outcome.status, outcome.value) == (Status.PASS, expected)
+
+
+@pytest.mark.parametrize("depth, status", [
+    (10, Status.PASS), (MAX_NESTING_WEIGHT, Status.RUNTIME_ERROR),
+])
+def test_dead_statements_after_a_loop_ending_continue_count_toward_the_nesting_weight(
+    depth, status
+):
+    """What follows the `continue` that ends a loop body never runs, but it
+    is compiled, so blocks nested past MAX_NESTING_WEIGHT behind it still
+    make the call fail with the depth error."""
+    dead = Block(())
+    for _ in range(depth):
+        dead = Block((dead,))
+    loop = While(BoolLit(True), Block((Continue(), dead)))
+    body = Block((If(BoolLit(False), Block((loop,))), Return(IntLit(1))))
+    unit = SourceUnit("deep", (Function("f", (), Type.INT, body),))
+    outcome = run_suite(unit, parse_test_file("test t: f() == 1"))[0]
+    assert outcome.status is status
+    if status is Status.RUNTIME_ERROR:
+        assert outcome.error == "call depth exceeded"
