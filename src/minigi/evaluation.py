@@ -28,7 +28,11 @@ closures, plus each test's checked and compiled harness call. Patch
 application keeps every function a patch does not edit as the base's own
 object, so an evaluation prints, validates and compiles only the
 functions its patch changed, and the external backend prints the
-unpatched program once per run. No result depends on that reuse.
+unpatched program once per run. The builtin backend also runs only the
+tests that can reach a changed function; every other test keeps the
+outcome, steps included, it had earlier in the run (see
+`interpreter.run_suite`). The external backend is a black box and runs
+every test. No result depends on that reuse.
 """
 
 from __future__ import annotations

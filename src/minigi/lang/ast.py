@@ -25,7 +25,8 @@ A statement is a "list statement" when its parent is a Block, i.e. it sits
 in a statement list and can be deleted, replaced or swapped. Structural
 blocks (if branches, loop bodies) are addressable but are not list
 statements. `statement_sites` lists, in one walk, every id a draw can
-target in a function: its list statements and its blocks, in pre-order.
+target in a function: its list statements and its blocks, in pre-order;
+`StatementSites` keeps that walk for each function object a run draws in.
 
 `BaseProgram` is not a record: it is the store in which the printer, the
 validator and the interpreter keep, for one driver run, what they derive
@@ -34,6 +35,7 @@ from the run's unpatched program and its tests.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from enum import Enum
 
 
@@ -270,12 +272,24 @@ class BaseProgram:
     holds each test's checked and compiled harness call by position in
     `tests`, `machine` the interpreter state its closures share, and
     `payloads` each LLM payload text parsed once (see
-    `patches.apply_patch`). The object lives no longer than its run; a
-    caller with no run builds one for its single call."""
+    `patches.apply_patch`).
+
+    `reach` and `outcomes` let a suite skip the tests a patch cannot
+    reach (see `interpreter.run_suite`). `reach` holds, by position in
+    `tests`, the names of the base functions each harness call can reach
+    through the base's static call graph, or is empty when every test
+    reaches every function; it is None until the first suite builds it.
+    `outcomes` holds, by step budget and then by test position, each
+    test's outcome from the first suite that ran it while every function
+    it reaches was the base's own object. A test keeps that outcome for
+    every patch that leaves those functions untouched: a function outside
+    its reach is never entered from it, since a call a patch adds sits in
+    a changed function. The object lives no longer than its run; a caller
+    with no run builds one for its single call."""
 
     __slots__ = (
         "unit", "tests", "functions", "payloads", "texts", "errors", "compiled", "harness",
-        "machine",
+        "machine", "reach", "outcomes",
     )
 
     def __init__(self, unit: SourceUnit, tests):
@@ -288,6 +302,8 @@ class BaseProgram:
         self.compiled: dict[str, tuple] = {}
         self.harness: dict[int, object] = {}
         self.machine = None
+        self.reach: list[frozenset[str]] | None = None
+        self.outcomes: dict[int, dict[int, object]] = {}
 
     def reuse(self, store: dict, fn: Function, make):
         """`make(fn)`, made once and kept in `store`, one of this object's
@@ -325,7 +341,10 @@ def stmt_children(stmt: Stmt) -> tuple[Stmt, ...]:
     return ()
 
 
-def statement_sites(fn: Function) -> tuple[list[StatementId], list[tuple[StatementId, Block]]]:
+Sites = tuple[list[StatementId], list[tuple[StatementId, Block]]]
+
+
+def statement_sites(fn: Function) -> Sites:
     """What a draw can target in `fn`, from one pre-order walk of its body:
     the ids of its list statements, and each of its blocks with its id, the
     body root first. The walk keeps its own stack, so a function nested
@@ -345,3 +364,26 @@ def statement_sites(fn: Function) -> tuple[list[StatementId], list[tuple[Stateme
         for i in range(len(children) - 1, -1, -1):
             stack.append((path + (i,), children[i], is_block))
     return statements, blocks
+
+
+SitesOf = Callable[[Function], Sites]  # `statement_sites` or a `StatementSites`
+
+
+class StatementSites:
+    """`statement_sites`, walked once per `Function` object and kept by
+    function name: asking for another object of a kept name walks that
+    object and keeps it instead. A driver run keeps one, so its draws walk
+    each function once for as long as the function stays the same object
+    (a local-search move that edits it makes a new one). Callers must not
+    change the lists it returns."""
+
+    __slots__ = ("kept",)
+
+    def __init__(self):
+        self.kept: dict[str, tuple[Function, Sites]] = {}
+
+    def __call__(self, fn: Function) -> Sites:
+        entry = self.kept.get(fn.name)
+        if entry is None or entry[0] is not fn:
+            entry = self.kept[fn.name] = (fn, statement_sites(fn))
+        return entry[1]

@@ -133,6 +133,7 @@ from minigi.lang.ast import (
     IntLit,
     Return,
     SourceUnit,
+    Stmt,
     Unary,
     Var,
     VarDecl,
@@ -896,7 +897,7 @@ def run_suite(
     profile: dict[str, int] | None = None,
     base: BaseProgram | None = None,
 ) -> list[ExecutionOutcome]:
-    """Run every test independently; no short-circuiting on failure.
+    """The outcome of every test, in order; no short-circuiting on failure.
 
     `unit` must pass `semantics.validate` (the precondition in the module
     docstring). A test whose harness call fails `semantics.check_call`
@@ -914,30 +915,102 @@ def run_suite(
     object identity, compiled once per run; both are kept in `base`,
     which lives no longer than the run. What is compiled from a patched
     function is dropped when the suite ends. Without `base` one is built
-    for this call alone; outcomes are the same either way."""
+    for this call alone; outcomes are the same either way.
+
+    Test selection. With `base` and without `profile`, a test runs only
+    when `unit` changes a function it can reach through the base's static
+    call graph (`base.reach`); every other test gets the outcome it had
+    under this step budget in the first suite that ran it with all those
+    functions the base's own (`base.outcomes`). That outcome is exact: a
+    test enters only functions in its reach, and those are the same
+    objects. A reused outcome keeps its steps, so a passing patch's
+    runtime is the same sum. When every test reaches every function,
+    every test runs and nothing is stored."""
     if step_budget <= 0:
         raise ValueError("step budget must be positive")
+    stored = None  # this budget's stored outcomes, when the suite selects
     if base is None:
         base = BaseProgram(unit, tests)
     elif tests is not base.tests:
         raise ValueError("run_suite takes the tests its BaseProgram was built with")
+    elif profile is None:
+        if base.reach is None:
+            base.reach = _reach(base)
+        if base.reach:
+            stored = base.outcomes.setdefault(step_budget, {})
     if base.machine is None:
         base.machine = _Machine(base)
     machine, harness = base.machine, base.harness
     machine.start(unit, step_budget, profile)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + _HOST_FRAMES)
+
+    def run(i: int, test: TestCase) -> ExecutionOutcome:
+        compiled = harness.get(i)
+        if compiled is None:
+            compiled = harness[i] = machine.harness(unit, test)
+        return machine.run(test, compiled)
+
     try:
+        if stored is None:
+            return [run(i, test) for i, test in enumerate(tests)]
+        own = base.functions
+        changed = {fn.name for fn in unit.functions if own.get(fn.name) is not fn}
         outcomes = []
-        for i, test in enumerate(tests):
-            compiled = harness.get(i)
-            if compiled is None:
-                compiled = harness[i] = machine.harness(unit, test)
-            outcomes.append(machine.run(test, compiled))
+        for i, (test, reach) in enumerate(zip(tests, base.reach)):
+            if not reach.isdisjoint(changed):
+                outcomes.append(run(i, test))
+                continue
+            outcome = stored.get(i)
+            if outcome is None:
+                outcome = stored[i] = run(i, test)
+            outcomes.append(outcome)
         return outcomes
     finally:
         sys.setrecursionlimit(limit)
         machine.finish()
+
+
+def _reach(base: BaseProgram) -> list[frozenset[str]]:
+    """Each test's reach: the names of the base functions its harness call
+    can reach through the calls the base's bodies make, by position in
+    `base.tests`; empty when every test reaches every function. Names the
+    base does not define are left out, so a harness call naming an unknown
+    function reaches nothing. Explicit stacks walk both the call graph and
+    the trees, since a mutant may nest past Python's recursion limit."""
+    functions = base.functions
+    callees: dict[str, set[str]] = {}  # each function's body walked once
+    reach = []
+    for test in base.tests:
+        seen: set[str] = set()
+        todo = list(_called_names(test.call))
+        while todo:
+            name = todo.pop()
+            if name in seen or name not in functions:
+                continue
+            seen.add(name)
+            if name not in callees:
+                callees[name] = _called_names(functions[name].body)
+            todo += callees[name]
+        reach.append(frozenset(seen))
+    if all(len(names) == len(functions) for names in reach):
+        return []
+    return reach
+
+
+def _called_names(root) -> set[str]:
+    """The name of every call in the tree `root`."""
+    names = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:
+            stack += node
+        elif isinstance(node, (Expr, Stmt)):
+            if type(node) is Call:
+                names.add(node.name)
+            stack += [getattr(node, field) for field in node.__match_args__]
+    return names
 
 
 # -- test-file format: `test <name>: <callExpr> == <literal>` --

@@ -7,7 +7,10 @@ each hot method gets equal attention regardless of its size. Draws depend
 only on the unit, the hot list and the RNG state, which makes every edit
 replayable from a logged seed. The hot list must name functions of the
 unit; the search drivers check that once per run (search.check_targets).
-Each draw walks its function once (`ast.statement_sites`); its insertion
+A draw reads its function's sites from `sites`, `ast.statement_sites` by
+default; the search drivers pass an `ast.StatementSites`, so a function
+is walked once per family of a sampling run, or once per accepted
+version in local search, and not once per draw. Its insertion
 points are the blocks' positions, index 0 to the block's length.
 
 RNG call order is part of the replay contract: kind, function (uniform
@@ -19,7 +22,14 @@ from __future__ import annotations
 
 import random
 
-from minigi.lang.ast import Block, Function, SourceUnit, StatementId, statement_sites
+from minigi.lang.ast import (
+    Block,
+    Function,
+    SitesOf,
+    SourceUnit,
+    StatementId,
+    statement_sites,
+)
 from minigi.patches import Edit, EditKind, InsertionPoint, INSERT_KINDS, STATEMENT_KINDS
 
 
@@ -33,14 +43,16 @@ def statement_targets(unit: SourceUnit, hot: list[str]) -> list[Function]:
     return [fn for fn in map(unit.function, hot) if fn.body.statements]
 
 
-def sample_statement_edit(unit: SourceUnit, hot: list[str], rng: random.Random) -> Edit:
+def sample_statement_edit(
+    unit: SourceUnit, hot: list[str], rng: random.Random, sites: SitesOf = statement_sites
+) -> Edit:
     """One uniform draw from the Statement family inside one hot function."""
     kind = rng.choice(STATEMENT_KINDS)
     targets = statement_targets(unit, hot)
     if not targets:
         raise NoTargetStatementsError(f"no statements in {', '.join(hot)}")
     fn = rng.choice(targets)
-    statements, blocks = statement_sites(fn)
+    statements, blocks = sites(fn)
     src = rng.choice(statements)
     if kind is EditKind.DELETE:
         return Edit(kind, src=src)
@@ -50,11 +62,13 @@ def sample_statement_edit(unit: SourceUnit, hot: list[str], rng: random.Random) 
     return Edit(kind, src=src, dst=dst)
 
 
-def sample_insert_edit(unit: SourceUnit, hot: list[str], rng: random.Random) -> Edit:
+def sample_insert_edit(
+    unit: SourceUnit, hot: list[str], rng: random.Random, sites: SitesOf = statement_sites
+) -> Edit:
     """One uniform draw from the Insert family; every function has slots."""
     kind = rng.choice(INSERT_KINDS)
     fn = unit.function(rng.choice(hot))
-    return Edit(kind, dst=_insertion_point(statement_sites(fn)[1], rng))
+    return Edit(kind, dst=_insertion_point(sites(fn)[1], rng))
 
 
 def _insertion_point(

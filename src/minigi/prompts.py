@@ -34,7 +34,7 @@ from importlib import resources
 from typing import Optional
 
 from minigi.checks import check_count
-from minigi.lang.ast import SourceUnit, statement_sites
+from minigi.lang.ast import SitesOf, SourceUnit, statement_sites
 from minigi.lang.printer import print_statement
 from minigi.patches import Edit, EditKind
 
@@ -138,6 +138,7 @@ def make_llm_edits(
     client,
     template: PromptTemplate,
     category: PromptCategory,
+    sites: SitesOf = statement_sites,
 ) -> list[Edit]:
     """Draw one block-rewrite request and turn it into up to N edits.
 
@@ -150,7 +151,7 @@ def make_llm_edits(
     if not hot:
         raise ValueError("empty hot-method list")
     fn = unit.function(rng.choice(hot))
-    block_sid, block = rng.choice(statement_sites(fn)[1])
+    block_sid, block = rng.choice(sites(fn)[1])
     code = print_statement(block)
     blocks = extract_code_blocks(client.complete(build_prompt(template, category, code)))
     label = category.value

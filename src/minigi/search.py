@@ -26,11 +26,21 @@ tests, and an accepted move's patch is applied to it too. It holds the
 work the run's evaluations share: each distinct LLM payload parsed once,
 and for each function of the base program, keyed on the identity of the
 base's own `Function` object, its canonical text, semantic errors and
-compiled closures, plus each test's checked and compiled harness call. A
-patch leaves every function it does not edit as the base's own object,
-so an evaluation prints, validates and compiles only the functions its
-patch changed. The object lives no longer than the run, and it changes
-no record.
+compiled closures, plus each test's checked and compiled harness call,
+each test's reach and its stored outcome. A patch leaves every function
+it does not edit as the base's own object, so an evaluation prints,
+validates and compiles only the functions its patch changed, and on the
+builtin backend runs only the tests that reach one of them; every other
+test keeps the outcome it had in the run (see
+`interpreter.run_suite`). The object lives no longer than the run, and
+it changes no record.
+
+Each driver run also walks each function it draws in once
+(`ast.StatementSites`): sampling draws against the base program, once
+per family, and local search against its current program, whose
+functions stay the same objects until a move that edits them is
+accepted. Draws see the same lists in the same order, so no record
+changes.
 
 Each local-search run also keeps, on the builtin backend, the verdict of
 every edit list it has evaluated, starting with the empty baseline. A
@@ -53,7 +63,7 @@ from typing import Callable, Optional, Sequence
 
 from minigi.checks import check_count
 from minigi.evaluation import EvaluationResult, ExternalToolchain, evaluate
-from minigi.lang.ast import BaseProgram, SourceUnit
+from minigi.lang.ast import BaseProgram, SourceUnit, StatementSites
 from minigi.lang.interpreter import DEFAULT_STEP_BUDGET, TestCase
 from minigi.llm import LlmClientBase
 from minigi.operators import (
@@ -209,15 +219,18 @@ def _draw(
     hot: Sequence[str],
     rng: random.Random,
     llm: Optional[LlmSearchContext],
+    sites: StatementSites,
 ) -> list[Edit]:
     """One draw of `family` against `unit`: a one-edit list for a classic
-    family, an LLM request's `variant_count` edits for an LLM family."""
+    family, an LLM request's `variant_count` edits for an LLM family. The
+    draw reads its function's statements and blocks from `sites`."""
     if family == "statement":
-        return [sample_statement_edit(unit, hot, rng)]
+        return [sample_statement_edit(unit, hot, rng, sites)]
     if family == "insert":
-        return [sample_insert_edit(unit, hot, rng)]
+        return [sample_insert_edit(unit, hot, rng, sites)]
     assert llm is not None
-    return make_llm_edits(unit, hot, rng, llm.client, llm.prompt, family_category(family))
+    category = family_category(family)
+    return make_llm_edits(unit, hot, rng, llm.client, llm.prompt, category, sites)
 
 
 # -- random sampling --
@@ -261,11 +274,12 @@ def _draw_family(
 ) -> list[Patch]:
     label = "req" if is_llm_family(family) else ""
     patches: list[Patch] = []
+    sites = StatementSites()
     draw = 0
     while len(patches) < cfg.budget:
         rng = random.Random(f"{cfg.seed}:{family}:{label}{draw}")
         draw += 1
-        for edit in _draw(family, unit, cfg.methods, rng, llm)[: cfg.budget - len(patches)]:
+        for edit in _draw(family, unit, cfg.methods, rng, llm, sites)[: cfg.budget - len(patches)]:
             seed = f"{cfg.seed}:{family}:{len(patches)}"
             patches.append(Patch(unit.name, (edit,), seed))
     return patches
@@ -280,6 +294,7 @@ class SearchState:
     current_runtime: int
     current_unit: SourceUnit  # current_patch applied to the base program
     queue: deque = field(default_factory=deque)  # edits drawn, not yet appended
+    sites: StatementSites = field(default_factory=StatementSites)  # draws' walks
 
 
 def propose_neighbor(
@@ -302,7 +317,9 @@ def propose_neighbor(
     if current.is_empty() or rng.random() < 0.5:
         try:
             if not state.queue:
-                state.queue.extend(_draw(family, state.current_unit, [target_method], rng, llm))
+                state.queue.extend(
+                    _draw(family, state.current_unit, [target_method], rng, llm, state.sites)
+                )
             return current.with_edit(state.queue.popleft())
         except NoTargetStatementsError:
             if current.is_empty():

@@ -8,11 +8,12 @@ from minigi.lang import parse_source, parse_test_file
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCHMARKS = REPO_ROOT / "benchmarks"
+DATA = REPO_ROOT / "tests" / "data"
 
 
-def load_bench(name: str):
-    unit = parse_source((BENCHMARKS / f"{name}.ml").read_text(encoding="utf-8"), name)
-    tests = parse_test_file((BENCHMARKS / f"{name}.tests").read_text(encoding="utf-8"))
+def load_bench(name: str, directory: Path = BENCHMARKS):
+    unit = parse_source((directory / f"{name}.ml").read_text(encoding="utf-8"), name)
+    tests = parse_test_file((directory / f"{name}.tests").read_text(encoding="utf-8"))
     return unit, tests
 
 
@@ -34,3 +35,10 @@ def bench_loop():
 @pytest.fixture(scope="session")
 def bench_max():
     return load_bench("bench_max")
+
+
+@pytest.fixture(scope="session")
+def call_chain():
+    """Functions that call each other (tests/data/call_chain.ml); none of
+    the benchmark programs has a call between functions."""
+    return load_bench("call_chain", DATA)

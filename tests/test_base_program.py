@@ -36,7 +36,8 @@ from minigi.lang.interpreter import (
     run_suite,
 )
 from minigi.llm import LlmClientConfig, MockLlmClient
-from minigi.patches import Edit, EditKind, Patch
+from minigi.patches import Edit, EditKind, Patch, apply_patch
+from minigi.profiling import profile
 from minigi.prompts import PromptTemplate
 from minigi.search import (
     LlmSearchContext,
@@ -47,7 +48,7 @@ from minigi.search import (
     random_sampling,
 )
 
-from conftest import load_bench
+from conftest import BENCHMARKS, DATA, load_bench
 
 DRAWS = 150  # per family and program
 STEP_BUDGET = 50_000  # keeps bench_loop's non-terminating mutants cheap
@@ -78,9 +79,16 @@ def fields(result) -> tuple:
     return result.classification, result.tests_failed, result.runtime, result.fingerprint
 
 
-@pytest.mark.parametrize("name", ["bench_sort", "bench_planted", "bench_loop", "bench_max"])
+# the benchmark programs, and one whose functions call each other
+PROGRAMS = {
+    "bench_sort": BENCHMARKS, "bench_planted": BENCHMARKS, "bench_loop": BENCHMARKS,
+    "bench_max": BENCHMARKS, "call_chain": DATA,
+}
+
+
+@pytest.mark.parametrize("name", list(PROGRAMS))
 def test_evaluating_with_the_base_program_gives_the_fresh_result(name):
-    unit, tests = load_bench(name)
+    unit, tests = load_bench(name, PROGRAMS[name])
     base = BaseProgram(unit, tests)
     rungs = set()
     for patch in drawn_patches(unit):
@@ -210,3 +218,130 @@ def test_a_base_program_serves_one_program_and_keeps_its_tests_apart():
     assert type(base.harness[0]) is tuple
     assert base.harness[1] == outcomes[1].error and base.harness[2] == outcomes[2].error
     assert run_suite(unit, tests, base=base) == outcomes
+
+
+# -- test selection: a suite runs only the tests a patch can reach --
+
+
+def counting_runs(monkeypatch) -> list:
+    """The name of every test the interpreter runs from now on."""
+    ran: list = []
+    real = interpreter._Machine.run
+
+    def run(self, test, harness):
+        ran.append(test.name)
+        return real(self, test, harness)
+
+    monkeypatch.setattr(interpreter._Machine, "run", run)
+    return ran
+
+
+def rewrite(program: str, function: str, payload: str, *more: tuple[str, str]) -> Patch:
+    """A patch replacing the body of `function` with `payload`, and of
+    each further (function, payload) pair."""
+    edits = [
+        Edit(EditKind.LLM_BLOCK_REPLACE, src=StatementId(name, ()), payload=body,
+             prompt_category="medium")
+        for name, body in ((function, payload),) + more
+    ]
+    return Patch(program, tuple(edits))
+
+
+def test_a_patch_of_one_function_runs_only_the_tests_that_reach_it(bench_sort, monkeypatch):
+    unit, tests = bench_sort
+    ran = counting_runs(monkeypatch)
+    base = BaseProgram(unit, tests)
+    max2 = rewrite("bench_sort", "max2", "{ if (y > x) { return y; } return x; }")
+    # the planted target: drop the refresh of `n` in the inner loop
+    sort = Patch("bench_sort", (Edit(EditKind.DELETE, src=StatementId("sort", (1, 0, 0, 0, 0))),))
+    assert evaluate(base, Patch("bench_sort")).passed
+    assert ran == [t.name for t in tests]  # the first suite runs every test
+    for patch, reached in [
+        (max2, ["max_left", "max_right"]),
+        (sort, ["sort_small", "sort_reverse", "sort_dup"]),
+    ]:
+        fresh = evaluate(BaseProgram(unit, tests), patch)
+        for _ in range(3):
+            ran.clear()
+            assert fields(evaluate(base, patch)) == fields(fresh)
+            assert ran == reached
+    assert evaluate(base, sort).runtime < evaluate(base, Patch("bench_sort")).runtime
+
+
+def test_a_patch_reruns_every_test_that_reaches_a_changed_function(call_chain, monkeypatch):
+    unit, tests = call_chain
+    ran = counting_runs(monkeypatch)
+    base = BaseProgram(unit, tests)
+    assert run_suite(unit, tests, base=base) == run_suite(unit, tests)
+    for patch, reached in [
+        (rewrite("call_chain", "leaf", "{ return 3 * x + 1; }"),
+         ["top_one", "mid_two", "leaf_three"]),
+        (rewrite("call_chain", "mid", "{ return 2 * leaf(x); }"), ["top_one", "mid_two"]),
+        (rewrite("call_chain", "is_odd", "{ if (n == 0) { return false; } return is_even(n - 1); }"),
+         ["even_four", "odd_three"]),
+        # a changed function calling into unchanged ones, which keep their outcomes
+        (rewrite("call_chain", "alone", "{ return leaf(x) - 3 * x + top(0) - 2; }"),
+         ["alone_five"]),
+        (rewrite("call_chain", "alone", "{ if (is_even(x)) { return 0; } return mid(x) - 28; }"),
+         ["alone_five"]),
+        (rewrite("call_chain", "alone", "{ return leaf(x); }"), ["alone_five"]),
+        (rewrite("call_chain", "leaf", "{ return alone(x) * 0 + 3 * x + 1; }",
+                 ("alone", "{ return x - 1; }")),
+         ["top_one", "mid_two", "leaf_three", "alone_five"]),
+    ]:
+        fresh = evaluate(BaseProgram(unit, tests), patch)
+        ran.clear()
+        shared = evaluate(base, patch)
+        assert ran == reached, patch
+        assert fields(shared) == fields(fresh), patch
+    assert fresh.passed and fresh.runtime != evaluate(base, Patch("call_chain")).runtime
+    assert sorted(base.outcomes) == [interpreter.DEFAULT_STEP_BUDGET]
+    assert sorted(base.outcomes[interpreter.DEFAULT_STEP_BUDGET]) == list(range(len(tests)))
+
+
+def test_stored_outcomes_serve_only_their_own_step_budget(call_chain):
+    unit, tests = call_chain
+    base = BaseProgram(unit, tests)
+    patch = rewrite("call_chain", "alone", "{ return x - 1; }")
+    for budget in (1000, 45, 20, 1000, 45, 20):
+        outcomes = run_suite(apply_patch(unit, patch), tests, budget, base=base)
+        assert outcomes == run_suite(apply_patch(unit, patch), tests, budget), budget
+    assert sorted(base.outcomes) == [20, 45, 1000]
+    assert [o.status for o in run_suite(unit, tests, 20, base=base)].count(Status.TIMEOUT) == 4
+
+
+def test_a_harness_call_naming_an_unknown_function_keeps_its_runtime_error(call_chain):
+    unit, _ = call_chain
+    tests = parse_test_file("test t: top(1) == 11\ntest u: nowhere(1) == 2\ntest v: alone(5) == 4")
+    base = BaseProgram(unit, tests)
+    for patch in [Patch("call_chain"), rewrite("call_chain", "top", "{ return 11; }")] * 2:
+        patched = apply_patch(unit, patch)
+        outcomes = run_suite(patched, tests, base=base)
+        assert outcomes == run_suite(patched, tests)
+        assert [o.status for o in outcomes] == [Status.PASS, Status.RUNTIME_ERROR, Status.PASS]
+        assert outcomes[1].steps_used == 0 and "nowhere" in outcomes[1].error
+    assert base.reach[1] == frozenset()
+
+
+def test_a_program_whose_tests_reach_every_function_stores_no_outcome(bench_loop):
+    unit, tests = bench_loop
+    base = BaseProgram(unit, tests)
+    for _ in range(2):
+        assert all(o.status is Status.PASS for o in run_suite(unit, tests, base=base))
+    assert base.reach == [] and base.outcomes == {}
+
+
+def test_profiled_costs_are_the_same_after_a_run_that_stored_outcomes(call_chain):
+    unit, tests = call_chain
+    base = BaseProgram(unit, tests)
+    fresh: dict = {}
+    run_suite(unit, tests, profile=fresh)
+    run_suite(unit, tests, base=base)
+    assert len(base.outcomes[interpreter.DEFAULT_STEP_BUDGET]) == len(tests)
+    after: dict = {}
+    assert run_suite(unit, tests, profile=after, base=base) == run_suite(unit, tests)
+    assert after == fresh
+    assert profile(unit, tests).costs == {
+        name: steps for name, steps in fresh.items() if name != interpreter.HARNESS_FRAME
+    }
+    assert set(profile(unit, tests).costs) == set(base.functions)

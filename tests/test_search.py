@@ -42,6 +42,32 @@ def test_sampling_respects_budget_and_indices(bench_max):
     assert all(r.run_id == "statement" for r in records)
 
 
+def test_a_run_walks_each_function_object_it_draws_in_once(bench_sort, monkeypatch):
+    import minigi.lang.ast as ast
+
+    unit, tests = bench_sort
+    walked = []
+    real = ast.statement_sites
+
+    def statement_sites(fn):
+        walked.append(fn)
+        return real(fn)
+
+    monkeypatch.setattr(ast, "statement_sites", statement_sites)
+    families = ("statement", "insert", "llm-medium")
+    cfg = RandomSamplingConfig(families=families, methods=["sort", "max2"], budget=40, seed=3)
+    random_sampling(unit, tests, cfg, llm=mock_context())
+    assert Counter(fn.name for fn in walked) == {"sort": 3, "max2": 3}  # once per family
+    assert all(unit.function(fn.name) is fn for fn in walked)
+    walked.clear()
+    ls = LocalSearchConfig(families=("statement",), methods=("sort",), evals=80, seed=1)
+    records = local_search(unit, tests, ls)
+    runtimes = [r.runtime for r in records if r.runtime is not None]
+    improvements = sum(b < min(runtimes[:i + 1]) for i, b in enumerate(runtimes[1:]))
+    assert improvements >= 1 and walked[0] is unit.function("sort")
+    assert len(walked) == len({id(fn) for fn in walked}) == 1 + improvements
+
+
 def test_sampling_is_replayable_bit_exactly(bench_max):
     unit, tests = bench_max
     cfg = RandomSamplingConfig(
