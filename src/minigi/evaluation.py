@@ -16,8 +16,9 @@ Failures of the toolchain itself (missing binaries, unparsable
 measurements, a hung measurement) raise InfrastructureError and are never
 misfiled as patch failures. A command's output is decoded as UTF-8, with
 U+FFFD for each undecodable byte, so a toolchain that writes other bytes
-still gets its verdict. `subprocess` loads on the first external command,
-so the builtin backend does not hold it in memory.
+still gets its verdict. `subprocess` loads on the first external command
+and `statistics` on the first external measurement, so the builtin backend
+holds neither in memory.
 
 An evaluation takes its run's `BaseProgram`: the run's base program and
 tests, built once per driver run and living no longer than the run. The
@@ -41,7 +42,6 @@ import contextlib
 import os
 import shlex
 import signal
-import statistics
 import tempfile
 from dataclasses import dataclass
 from enum import Enum
@@ -288,6 +288,8 @@ def _measure_external(
     mapping: dict[str, str],
     workdir: Path,
 ) -> int:
+    import statistics
+
     samples = []
     for _ in range(toolchain.measure_repeats):
         argv = toolchain.argv("measure_cmd", mapping)

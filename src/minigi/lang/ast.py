@@ -78,12 +78,22 @@ def record(cls):
 
     Only `__init__` is generated per class, from source, as `dataclasses`
     does, so construction, which the parser and patch application do for
-    every node they build, runs no per-call loop over the field names.
-    `__eq__`, `__hash__` and `__repr__` are defined once and shared by every
-    record class; they loop over the class's `__match_args__`. Generating
-    them too cost each toolchain process about 5 ms of `exec` at import
-    (Python 3.11, 2-vCPU Linux host), and no hot path compares, hashes or
-    prints a record.
+    every node they build, runs no per-call loop over the field names. It
+    sets each field with `object.__setattr__`, past the frozen
+    `__setattr__`. Writing `self.__dict__` instead builds a record in about
+    half the time but materialises that dict: on Python 3.11 and 3.12
+    every later field read is then two to six times slower and each record
+    about 60 B larger, and the compiler, validator and printer read each
+    node many times for each one that patch application builds.
+
+    `__eq__`, `__hash__` and `__repr__` are defined once and shared by
+    every record class; they loop over the class's `__match_args__`.
+    Generating them too cost each toolchain process about 5 ms of `exec`
+    at import (Python 3.11, 2-vCPU Linux host). Local search hashes and
+    compares records on its hot path: its verdict dict
+    (`search._one_ls_run`) looks up every neighbour's `Patch.edits` once
+    per logged row, which hashes each edit's `StatementId` through
+    `_record_hash`.
     """
     names = getattr(cls, "__match_args__", ()) + tuple(cls.__dict__.get("__annotations__", ()))
     params = "".join(f"{n}=_default_{n}, " if n in cls.__dict__ else f"{n}, " for n in names)

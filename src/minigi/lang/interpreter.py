@@ -74,12 +74,16 @@ that one charge per iteration is flat inside: it reads the room left
 under the budget once on entry, adds each iteration's steps to a local
 and compares the local with the room, and it writes the machine's
 counter once, when it ends or when the local reaches the room, where it
-raises the timeout as the charge would have. Nothing a flat node runs
-reads the counter. This is exact: no failure point, branch or call lies
-between two merged charges, so a run reaches the budget, fails or ends
-after the same number of steps as when every node charges for itself,
-and timeouts, the steps at a runtime error, the profile's self costs and
-every logged runtime are the same.
+raises the timeout as the charge would have. A flat loop tests a
+condition that compares a variable with a variable or a literal in its
+`while` statement itself, reading both operands as a parent reads them,
+and calls no closure for it; it never calls an empty body or the update
+a `while` lacks. Nothing a flat node runs reads the counter. This is
+exact: no failure point, branch or call lies between two merged charges,
+so a run reaches the budget, fails or ends after the same number of
+steps as when every node charges for itself, and timeouts, the steps at
+a runtime error, the profile's self costs and every logged runtime are
+the same.
 
 Division by zero, an out-of-bounds index and calls nested too deeply are
 the runtime errors a valid program can hit; they are reported in the
@@ -149,8 +153,9 @@ MAX_NESTING_WEIGHT = 2048  # the depth rule in the module docstring
 # One level of nesting compiles in at most three nested host calls (the
 # level's dispatch, its builder and a helper) and runs in at most two (its
 # closure and, for an operand whose steps could not join its parent's
-# charge, the closure that charges them); the frame a call adds to run its
-# body is the one its weight counts beyond its nesting. Active calls hold
+# charge, the closure that charges them, or for a flat loop the closure
+# that iterates); the frame a call adds to run its body is the one its
+# weight counts beyond its nesting. Active calls hold
 # at most two frames per unit of weight and a function being compiled at
 # most three per level of the room left beside them, so three frames per
 # unit of MAX_NESTING_WEIGHT bound both together.
@@ -773,7 +778,10 @@ class _Compiler:
         per check, joined with the update's and the body's where they are
         flat. When all three are flat the loop counts its steps in a local
         and writes the machine's counter once, on leaving or on reaching
-        the budget: nothing it runs reads the counter."""
+        the budget: nothing it runs reads the counter. Such a loop gets
+        the condition's operator and operands as `_read` reads them when
+        the condition compares a variable with a variable or a literal,
+        so `flat_loop` can test it without calling its closure."""
         clauses = type(s) is For
         init = self.node(s.init) if clauses else None
         cond = self.node(s.cond)
@@ -788,7 +796,11 @@ class _Compiler:
             body_due, rechecked = _charges([body, cond])
         test, flat, body, charge = cond[1], cond[2], body[1], self.charge
         if flat and not updated and not rechecked:
-            return 1 + lead, self.flat_loop(init, checked, test, body_due, body, update), False
+            c, reads = s.cond, None
+            if type(c) is Binary and c.op in _COMPARISONS and type(c.left) is Var:
+                reads = _COMPARISONS[c.op], (_VAR, c.left.name), _read(c.right, None)
+            f = self.flat_loop(init, checked, test, reads, body_due, body, update)
+            return 1 + lead, f, False
 
         def f(env):
             if init is not None:
@@ -809,28 +821,70 @@ class _Compiler:
 
         return 1 + lead, f, False
 
-    def flat_loop(self, init, checked, test, due, body, update) -> Callable:
+    def flat_loop(self, init, checked, test, reads, due, body, update) -> Callable:
         """A loop whose condition, body and update are flat, so each
         iteration charges `due` at its start and nothing else. It stops
         where `_Machine.charge` would: when the steps reach the room left
-        under the budget."""
+        under the budget. A condition that compares a variable with a
+        variable or a literal, given in `reads` as its operator and its
+        operands as `_read` reads them, is tested in the `while` statement
+        itself; any other runs its closure `test`. An empty body, which is
+        `_nothing`, and a missing update are never called."""
         m, charge = self.machine, self.charge
+        body = None if body is _nothing else body
+        apply, (lk, a), (rk, b) = reads or (None, (_FN, None), (_FN, None))
+        if lk is _VAR and rk is _VAR:
+
+            def iterate(env, room):
+                spent = 0
+                while apply(env[a], env[b]):
+                    spent += due
+                    if spent >= room:
+                        break
+                    if body is not None:
+                        body(env)
+                    if update is not None:
+                        update(env)
+                return spent
+
+        elif lk is _VAR and rk is _LIT:
+
+            def iterate(env, room):
+                spent = 0
+                while apply(env[a], b):
+                    spent += due
+                    if spent >= room:
+                        break
+                    if body is not None:
+                        body(env)
+                    if update is not None:
+                        update(env)
+                return spent
+
+        else:
+
+            def iterate(env, room):
+                spent = 0
+                while test(env):
+                    spent += due
+                    if spent >= room:
+                        break
+                    if body is not None:
+                        body(env)
+                    if update is not None:
+                        update(env)
+                return spent
 
         def f(env):
             if init is not None:
                 init(env)
             if checked:
                 charge(checked)
-            room, spent = m.budget - m.steps, 0
-            while test(env):
-                spent += due
-                if spent >= room:
-                    m.steps += spent
-                    raise _Timeout()
-                body(env)
-                if update is not None:
-                    update(env)
+            room = m.budget - m.steps
+            spent = iterate(env, room)
             m.steps += spent
+            if spent >= room:
+                raise _Timeout()
 
         return f
 

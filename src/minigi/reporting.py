@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import json
-import statistics
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -135,7 +134,10 @@ def aggregate_table1(records: Sequence[EvalRecord], original_digest: str) -> lis
 
 
 def aggregate_table2(records: Sequence[EvalRecord]) -> list[RunReport]:
-    """Local-search report; improvement is relative to each run's baseline."""
+    """Local-search report; improvement is relative to each run's baseline.
+    `statistics` loads here, not with the module: only `ls` tables need it."""
+    import statistics
+
     baselines: dict[str, int] = {}
     for row, record in enumerate(records, start=1):
         if record.eval_index == 0:

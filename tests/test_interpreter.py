@@ -538,6 +538,18 @@ FAILURE_POINTS = [
     ("fn g(n: int) -> int { var s: int = 0; while (n > 0) { s = s + n; n = n - 1; } return s; }"
      " fn f(n: int) -> int { return g(n) * 2; }",
      "f(3) == 12", Status.PASS, 2 + 6 + 51, None, {HARNESS_FRAME: 2, "f": 6, "g": 51}),
+    # a flat `while` whose header compares two variables with `>=`: harness
+    # 2 + body 1 + `var i` 2 + while 1 + four checks of 3 (i = 0 to 3) +
+    # three bodies of 6 + `return i` 2
+    ("fn f(n: int) -> int { var i: int = 0; while (n >= i) { i = i + 1; } return i; }",
+     "f(2) == 3", Status.PASS, 2 + 1 + 2 + 1 + 4 * 3 + 3 * 6 + 2, None,
+     {HARNESS_FRAME: 2, "f": 36}),
+    # a flat `for` with an empty body whose update ends the loop: harness 2
+    # + body 1 + for 1 + init 2 + four checks of 3 + three iterations of
+    # block 1 and update 5 + `return n` 2
+    ("fn f(n: int) -> int { for (var i: int = 0; i < n; i = i + 1) { } return n; }",
+     "f(3) == 3", Status.PASS, 2 + 1 + 1 + 2 + 4 * 3 + 3 * 6 + 2, None,
+     {HARNESS_FRAME: 2, "f": 36}),
     # Rows that never end time out at every budget, and `profile` is the
     # one at budget `steps`.
     # an empty-body loop in a callee: harness 2; f: body 1 + return 1 + `+`
@@ -551,6 +563,31 @@ FAILURE_POINTS = [
     # 1, `var i` 2, while 1 and the first check 3
     ("fn f(n: int) -> int { var i: int = 0; while (i < n) { continue; i = i + 1; } return i; }",
      "f(3) == 3", Status.TIMEOUT, 2 + 7 + 5 * 4, None, {HARNESS_FRAME: 2, "f": 27}),
+    # a header comparing a variable with a literal: harness 2, body 1,
+    # `var i` 2, while 1 and the first check 3, then 4 per iteration (block
+    # 1 + check 3)
+    ("fn f(n: int) -> int { var i: int = 0; while (i < 10) { } return i; }",
+     "f(3) == 3", Status.TIMEOUT, 2 + 7 + 4 * 3, None, {HARNESS_FRAME: 2, "f": 19}),
+    # `!=` between two variables that `i` steps over: 9 per iteration (block
+    # 1 + `i = i + 2` 5 + check 3) after harness 2, body 1, `var i` 2, while 1
+    # and the first check 3
+    ("fn f(n: int) -> int { var i: int = 0; while (i != n) { i = i + 2; } return i; }",
+     "f(3) == 4", Status.TIMEOUT, 2 + 7 + 9 * 3, None, {HARNESS_FRAME: 2, "f": 34}),
+    # a flat `for` with an empty body whose update leaves the condition
+    # alone: 9 per iteration (block 1 + update 5 + check 3) after harness 2,
+    # body 1, for 1, init 2 and the first check 3
+    ("fn f(n: int) -> int { for (var i: int = 0; i < n; n = n + 0) { } return n; }",
+     "f(3) == 3", Status.TIMEOUT, 2 + 7 + 9 * 3, None, {HARNESS_FRAME: 2, "f": 34}),
+    # a condition that is no comparison of a variable runs its closure: 5
+    # per iteration (block 1 + check 4: `!` 1 + `i >= n` 3) after harness 2,
+    # body 1, `var i` 2, while 1 and the first check 4
+    ("fn f(n: int) -> int { var i: int = 0; while (!(i >= n)) { } return i; }",
+     "f(3) == 3", Status.TIMEOUT, 2 + 8 + 5 * 3, None, {HARNESS_FRAME: 2, "f": 23}),
+    # a `bool` variable as the condition: 7 per iteration (block 1 +
+    # `i = i + 1` 5 + check 1) after harness 2, body 1, `var i` 2, while 1
+    # and the first check 1
+    ("fn f(b: bool) -> int { var i: int = 0; while (b) { i = i + 1; } return i; }",
+     "f(true) == 1", Status.TIMEOUT, 2 + 5 + 7 * 3, None, {HARNESS_FRAME: 2, "f": 26}),
 ]
 
 

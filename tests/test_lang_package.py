@@ -276,3 +276,12 @@ def test_importing_the_cli_loads_no_http_client():
     modules = _modules_loaded_by("minigi.cli")
     assert "minigi.llm" in modules
     assert not modules & {"requests", "urllib.request", "http.client", "ssl"}
+
+
+def test_importing_the_cli_loads_no_statistics():
+    """`statistics`, with `fractions` and `decimal`, loads where a median is
+    taken: in `ls` tables and external measurements, not with every run."""
+    modules = _modules_loaded_by("minigi.cli")
+    assert "minigi.reporting" in modules
+    assert "minigi.evaluation" in modules
+    assert "statistics" not in modules
