@@ -228,14 +228,15 @@ def _check_record(record, meta_path: Path) -> None:
     def field_names(section) -> frozenset[str]:
         return frozenset(f.name for f in fields(section))
 
-    if not isinstance(record, dict) or record.get("command") not in _RECORD_KEYS:
+    command = record.get("command") if isinstance(record, dict) else None
+    if type(command) is not str or command not in _RECORD_KEYS:  # a list is unhashable
         raise ConfigError(f"{meta_path}: not the record of a sample or ls run")
-    check("run record", record, _RECORD_KEYS[record["command"]])
+    check("run record", record, _RECORD_KEYS[command])
     for key in ("program", "tests", "original_digest"):
         if type(record[key]) is not str:
             fail(key, f"expected string, got {json.dumps(record[key])}")
-    if record["log"] != _LOGS[record["command"]]:
-        fail("log", f"a {record['command']} run logs to {_LOGS[record['command']]}")
+    if record["log"] != _LOGS[command]:
+        fail("log", f"a {command} run logs to {_LOGS[command]}")
     toolchain, llm = record["toolchain"], record["llm"]
     if toolchain is not None:
         check("toolchain", toolchain, field_names(ExternalToolchain))

@@ -12,7 +12,7 @@ is given. Without one, the built-in backend validates and interprets
 in-process and is bit-deterministic. With one, the external backend drives
 that toolchain inside a private working copy; its command contract
 (placeholders, exit codes, watchdog) is stated on ExternalToolchain.
-Failures of the toolchain itself (missing binaries, unparsable
+Failures of the toolchain itself (missing binaries, unparsable or negative
 measurements, a hung measurement) raise InfrastructureError and are never
 misfiled as patch failures. A command's output is decoded as UTF-8, with
 U+FFFD for each undecodable byte, so a toolchain that writes other bytes
@@ -20,20 +20,21 @@ still gets its verdict. `subprocess` loads on the first external command
 and `statistics` on the first external measurement, so the builtin backend
 holds neither in memory.
 
-An evaluation takes its run's `BaseProgram`: the run's base program and
-tests, built once per driver run and living no longer than the run. The
+An evaluation takes its run's `BaseProgram`: the base program and tests of
+one driver call, built once per call (one `search._Run`, shared by every
+family and method of the call) and living no longer than the call. The
 patch applies to that program and runs those tests. The BaseProgram also
 holds each LLM payload parsed once and, keyed on the identity of the
 base's own functions, their canonical text, semantic errors and compiled
 closures, plus each test's checked and compiled harness call. Patch
 application keeps every function a patch does not edit as the base's own
-object, so an evaluation prints, validates and compiles only the
-functions its patch changed, and the external backend prints the
-unpatched program once per run. The builtin backend also runs only the
-tests that can reach a changed function; every other test keeps the
-outcome, steps included, it had earlier in the run (see
-`interpreter.run_suite`). The external backend is a black box and runs
-every test. No result depends on that reuse.
+object, so an evaluation prints, validates and compiles only the functions
+its patch changed, and the external backend prints the unpatched program
+once per call. The builtin backend also runs only the tests that can reach
+a changed function; every other test keeps the outcome, steps included, it
+had earlier in the call (see `interpreter.run_suite`). The external
+backend is a black box and runs every test. No result depends on that
+reuse.
 """
 
 from __future__ import annotations
@@ -104,7 +105,8 @@ class ExternalToolchain:
     InfrastructureError. compile_cmd exiting non-zero, or outliving the
     `timeout_ms` watchdog, makes the patch ValidOnly. test_cmd exiting
     non-zero, or outliving the watchdog, fails that test. measure_cmd
-    prints an integer on its last stdout line; the median-low of
+    prints an integer of at least 0 on its last stdout line, or the run
+    stops with InfrastructureError; the median-low of
     `measure_repeats` runs is the runtime, and a measure_cmd outliving
     `timeout_ms` stops the run with InfrastructureError. Every command
     runs in a process group of its own, and its whole process group is
@@ -303,9 +305,12 @@ def _measure_external(
                 f"measure command failed ({proc.returncode}): {proc.stderr.strip()}"
             )
         try:
-            samples.append(int(proc.stdout.strip().splitlines()[-1]))
+            sample = int(proc.stdout.strip().splitlines()[-1])
         except (ValueError, IndexError):
             raise InfrastructureError(
                 f"measure command printed no integer: {proc.stdout!r}"
             ) from None
+        if sample < 0:  # no runtime is negative, and it would beat every baseline
+            raise InfrastructureError(f"measure command printed a negative runtime: {sample}")
+        samples.append(sample)
     return int(statistics.median_low(samples))

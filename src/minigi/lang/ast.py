@@ -26,11 +26,12 @@ in a statement list and can be deleted, replaced or swapped. Structural
 blocks (if branches, loop bodies) are addressable but are not list
 statements. `statement_sites` lists, in one walk, every id a draw can
 target in a function: its list statements and its blocks, in pre-order;
-`StatementSites` keeps that walk for each function object a run draws in.
+`StatementSites` keeps that walk for each function object a driver call
+draws in.
 
 `BaseProgram` is not a record: it is the store in which the printer, the
-validator and the interpreter keep, for one driver run, what they derive
-from the run's unpatched program and its tests.
+validator and the interpreter keep, for one driver call, what they derive
+from the call's unpatched program and its tests.
 """
 
 from __future__ import annotations
@@ -266,14 +267,15 @@ class SourceUnit:
 
 
 class BaseProgram:
-    """The unpatched program of one driver run, its tests, and the work each
-    layer does on them once for the whole run.
+    """The unpatched program of one driver call (`search._Run`, shared by
+    every family and method of the call), its tests, and the work each
+    layer does on them once for the whole call.
 
     An edit changes function bodies and nothing else (no name, parameter
     or return type), and patch application keeps every function it leaves
     untouched as the base's own `Function` object. So whatever depends on
     one base function and the (shared) signatures alone holds for every
-    patch of the run: its canonical text (`texts`, printer), its semantic
+    patch of the call: its canonical text (`texts`, printer), its semantic
     errors (`errors`, semantics) and its compiled closures (`compiled`,
     interpreter). Each layer gets them through `reuse`, which keeps a
     value by function name for the base's own object only, never for an
@@ -294,8 +296,8 @@ class BaseProgram:
     it reaches was the base's own object. A test keeps that outcome for
     every patch that leaves those functions untouched: a function outside
     its reach is never entered from it, since a call a patch adds sits in
-    a changed function. The object lives no longer than its run; a caller
-    with no run builds one for its single call."""
+    a changed function. The object lives no longer than its driver call;
+    a caller with no driver call builds one for its single evaluation."""
 
     __slots__ = (
         "unit", "tests", "functions", "payloads", "texts", "errors", "compiled", "harness",
@@ -382,9 +384,9 @@ SitesOf = Callable[[Function], Sites]  # `statement_sites` or a `StatementSites`
 class StatementSites:
     """`statement_sites`, walked once per `Function` object and kept by
     function name: asking for another object of a kept name walks that
-    object and keeps it instead. A driver run keeps one, so its draws walk
-    each function once for as long as the function stays the same object
-    (a local-search move that edits it makes a new one). Callers must not
+    object and keeps it instead. A driver call keeps one, so its draws
+    walk each function once for as long as the function stays the same
+    object (a local-search move that edits it makes a new one). Callers must not
     change the lists it returns."""
 
     __slots__ = ("kept",)

@@ -17,7 +17,7 @@ one inside an `if` or a nested block still signals. A compiled function
 is shared by the tests of its suite and, through `profile`, by
 profiling. The closures of the base program's own functions and of each
 test's harness call are kept in the run's `ast.BaseProgram` (one per
-driver run; a caller without one gets one for its single `run_suite`
+driver call; a caller without one gets one for its single `run_suite`
 call) and reused by every suite of the run: a compiled body refers to no
 program, only to the run's one machine, which each suite points at its
 own functions, and a call finds its callee by name in the running

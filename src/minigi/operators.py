@@ -6,12 +6,13 @@ first a hot function uniformly, then positions inside that function, so
 each hot method gets equal attention regardless of its size. Draws depend
 only on the unit, the hot list and the RNG state, which makes every edit
 replayable from a logged seed. The hot list must name functions of the
-unit; the search drivers check that once per run (search.check_targets).
+unit; the search drivers check that once per call (search.check_targets).
 A draw reads its function's sites from `sites`, `ast.statement_sites` by
-default; the search drivers pass an `ast.StatementSites`, so a function
-is walked once per family of a sampling run, or once per accepted
-version in local search, and not once per draw. Its insertion
-points are the blocks' positions, index 0 to the block's length.
+default; the search drivers pass one `ast.StatementSites` per driver
+call, so a function is walked once per sampling call, whatever its
+families, or once per accepted version in local search, and not once per
+draw. Its insertion points are the blocks' positions, index 0 to the
+block's length.
 
 RNG call order is part of the replay contract: kind, function (uniform
 among the hot functions that have a statement), source statement, then

@@ -10,48 +10,45 @@ otherwise.
 
 Every evaluation is appended to the run log as one record; the log plus
 the seed and the LLM transcripts fully determine a rerun. Every family
-draws through `_draw`: one draw is one edit for Statement and Insert, and
-one LLM request, returning the prompt's `variant_count` edits, for an LLM
-family. Random sampling turns each drawn edit into a patch of its own.
-Local search queues a draw's edits and pops one per append. Queued edits
-were drawn against the program of the move they were requested for, so
-an accepted move discards them and the next append draws again: local
-search sends ceil(draws/variant_count) requests only while no move is
-accepted, random sampling always.
+draws through `_Run.draw`: one draw is one edit for Statement and Insert,
+and one LLM request, returning the prompt's `variant_count` edits, for an
+LLM family. Random sampling turns each drawn edit into a patch of its
+own. Local search queues a draw's edits and pops one per append. Queued
+edits were drawn against the program of the move they were requested
+for, so an accepted move discards them and the next append draws again:
+local search sends ceil(draws/variant_count) requests only while no move
+is accepted, random sampling always.
 
-Each driver run (one `random_sampling` call, one local-search run per
-method) builds one `BaseProgram` from its base program and tests. Every
-evaluation of the run applies its patch to that program and runs its
-tests, and an accepted move's patch is applied to it too. It holds the
-work the run's evaluations share: each distinct LLM payload parsed once,
-and for each function of the base program, keyed on the identity of the
-base's own `Function` object, its canonical text, semantic errors and
-compiled closures, plus each test's checked and compiled harness call,
-each test's reach and its stored outcome. A patch leaves every function
-it does not edit as the base's own object, so an evaluation prints,
-validates and compiles only the functions its patch changed, and on the
-builtin backend runs only the tests that reach one of them; every other
-test keeps the outcome it had in the run (see
-`interpreter.run_suite`). The object lives no longer than the run, and
-it changes no record.
+Each driver call (one `random_sampling` or `local_search` call) builds
+one `_Run`, which checks the call's targets and families, draws, evaluates
+and logs for every family and method of the call. It holds one
+`BaseProgram` of the base program and tests: every evaluation applies its
+patch to that program, and an accepted move's patch is applied to it too.
+It keeps the work the call's evaluations share: each distinct LLM
+payload parsed once, and, keyed on the identity of the base's own
+`Function` objects, their canonical text, semantic errors and compiled
+closures, plus each test's checked and compiled harness call, reach and
+stored outcome, so an evaluation prints, validates and compiles only the
+functions its patch changed and, on the builtin backend, runs only the
+tests that reach one of them (see `interpreter.run_suite`). It also holds
+one `ast.StatementSites`, so the call walks each function object it draws
+in once: sampling draws against the base program, and local search
+against its current program, whose functions stay the same objects until
+a move that edits them is accepted. What both hold depends only on the
+base functions, the tests and the step budget, so sharing them between
+families and methods changes no record; they live no longer than the
+call.
 
-Each driver run also walks each function it draws in once
-(`ast.StatementSites`): sampling draws against the base program, once
-per family, and local search against its current program, whose
-functions stay the same objects until a move that edits them is
-accepted. Draws see the same lists in the same order, so no record
-changes.
-
-Each local-search run also keeps, on the builtin backend, the verdict of
-every edit list it has evaluated, starting with the empty baseline. A
-neighbor whose edit list the run has seen before (a removal that returns
-to an earlier patch, a rejected neighbor proposed again) is logged with
-that verdict and its own patch instead of being evaluated again. A
-builtin verdict is a pure function of the base program, the edit list,
-the tests and the step budget, so this changes no record. The memo lives
-no longer than the run. The external backend measures runtime by wall
-clock, so it evaluates every neighbor; random sampling evaluates every
-patch.
+Each local-search method run also keeps, on the builtin backend, the
+verdict of every edit list it has evaluated, starting with the empty
+baseline. A neighbor whose edit list the run has seen before (a removal
+that returns to an earlier patch, a rejected neighbor proposed again) is
+logged with that verdict and its own patch instead of being evaluated
+again. A builtin verdict is a pure function of the base program, the
+edit list, the tests and the step budget, so this changes no record. The
+memo lives no longer than the method's run. The external backend
+measures runtime by wall clock, so it evaluates every neighbor; random
+sampling evaluates every patch.
 """
 
 from __future__ import annotations
@@ -193,44 +190,55 @@ class EvalRecord:
 RecordSink = Callable[[EvalRecord], None]
 
 
-def _record(
-    run_id: str,
-    index: int,
-    patch: Patch,
-    result: EvaluationResult,
-    sink: Optional[RecordSink],
-    records: list[EvalRecord],
-) -> None:
-    rec = EvalRecord(
-        run_id=run_id,
-        eval_index=index,
-        patch_line=serialize_patch(patch, result.fingerprint),
-        classification=result.classification.value,
-        runtime=result.runtime,
-    )
-    records.append(rec)
-    if sink is not None:
-        sink(rec)
+class _Run:
+    """One driver call: its checked settings, one `BaseProgram`, one
+    `StatementSites` and the records logged so far (see the module
+    docstring). Evaluation goes through the module's `evaluate`, so
+    whoever rebinds that name sees every evaluation."""
 
+    __slots__ = ("unit", "cfg", "toolchain", "llm", "sink", "base", "sites", "records")
 
-def _draw(
-    family: str,
-    unit: SourceUnit,
-    hot: Sequence[str],
-    rng: random.Random,
-    llm: Optional[LlmSearchContext],
-    sites: StatementSites,
-) -> list[Edit]:
-    """One draw of `family` against `unit`: a one-edit list for a classic
-    family, an LLM request's `variant_count` edits for an LLM family. The
-    draw reads its function's statements and blocks from `sites`."""
-    if family == "statement":
-        return [sample_statement_edit(unit, hot, rng, sites)]
-    if family == "insert":
-        return [sample_insert_edit(unit, hot, rng, sites)]
-    assert llm is not None
-    category = family_category(family)
-    return make_llm_edits(unit, hot, rng, llm.client, llm.prompt, category, sites)
+    def __init__(
+        self, unit: SourceUnit, tests: list[TestCase], cfg: SearchConfig,
+        toolchain: Optional[ExternalToolchain], llm: Optional[LlmSearchContext],
+        sink: Optional[RecordSink],
+    ):
+        check_targets(unit, cfg)
+        check_families(cfg, llm)
+        self.unit = unit
+        self.cfg = cfg
+        self.toolchain = toolchain
+        self.llm = llm
+        self.sink = sink
+        self.base = BaseProgram(unit, tests)
+        self.sites = StatementSites()
+        self.records: list[EvalRecord] = []
+
+    def draw(
+        self, family: str, unit: SourceUnit, hot: Sequence[str], rng: random.Random
+    ) -> list[Edit]:
+        """One draw of `family` against `unit`: a one-edit list for a
+        classic family, an LLM request's `variant_count` edits for an LLM
+        family."""
+        if family == "statement":
+            return [sample_statement_edit(unit, hot, rng, self.sites)]
+        if family == "insert":
+            return [sample_insert_edit(unit, hot, rng, self.sites)]
+        llm, category = self.llm, family_category(family)
+        assert llm is not None
+        return make_llm_edits(unit, hot, rng, llm.client, llm.prompt, category, self.sites)
+
+    def evaluate(self, patch: Patch) -> EvaluationResult:
+        return evaluate(self.base, patch, self.toolchain, self.cfg.step_budget)
+
+    def log(self, run_id: str, index: int, patch: Patch, result: EvaluationResult) -> None:
+        rec = EvalRecord(
+            run_id, index, serialize_patch(patch, result.fingerprint),
+            result.classification.value, result.runtime,
+        )
+        self.records.append(rec)
+        if self.sink is not None:
+            self.sink(rec)
 
 
 # -- random sampling --
@@ -255,31 +263,22 @@ def random_sampling(
     an aborted run leaves its finished rows behind. `toolchain` selects
     the external backend; without one, patches run on the built-in one.
     """
-    check_targets(unit, cfg)
-    check_families(cfg, llm)
-    records: list[EvalRecord] = []
-    base = BaseProgram(unit, tests)
+    run = _Run(unit, tests, cfg, toolchain, llm, sink)
     for family in cfg.families:
-        for index, patch in enumerate(_draw_family(unit, cfg, llm, family)):
-            result = evaluate(base, patch, toolchain, cfg.step_budget)
-            _record(family, index, patch, result, sink, records)
-    return records
+        for index, patch in enumerate(_draw_family(run, family)):
+            run.log(family, index, patch, run.evaluate(patch))
+    return run.records
 
 
-def _draw_family(
-    unit: SourceUnit,
-    cfg: RandomSamplingConfig,
-    llm: Optional[LlmSearchContext],
-    family: str,
-) -> list[Patch]:
+def _draw_family(run: _Run, family: str) -> list[Patch]:
+    cfg, unit = run.cfg, run.unit
     label = "req" if is_llm_family(family) else ""
     patches: list[Patch] = []
-    sites = StatementSites()
     draw = 0
     while len(patches) < cfg.budget:
         rng = random.Random(f"{cfg.seed}:{family}:{label}{draw}")
         draw += 1
-        for edit in _draw(family, unit, cfg.methods, rng, llm, sites)[: cfg.budget - len(patches)]:
+        for edit in run.draw(family, unit, cfg.methods, rng)[: cfg.budget - len(patches)]:
             seed = f"{cfg.seed}:{family}:{len(patches)}"
             patches.append(Patch(unit.name, (edit,), seed))
     return patches
@@ -294,15 +293,10 @@ class SearchState:
     current_runtime: int
     current_unit: SourceUnit  # current_patch applied to the base program
     queue: deque = field(default_factory=deque)  # edits drawn, not yet appended
-    sites: StatementSites = field(default_factory=StatementSites)  # draws' walks
 
 
 def propose_neighbor(
-    state: SearchState,
-    family: str,
-    rng: random.Random,
-    target_method: str,
-    llm: Optional[LlmSearchContext] = None,
+    run: _Run, state: SearchState, family: str, rng: random.Random, target_method: str
 ) -> Patch:
     """Add-or-remove-one-edit neighborhood.
 
@@ -317,9 +311,7 @@ def propose_neighbor(
     if current.is_empty() or rng.random() < 0.5:
         try:
             if not state.queue:
-                state.queue.extend(
-                    _draw(family, state.current_unit, [target_method], rng, llm, state.sites)
-                )
+                state.queue.extend(run.draw(family, state.current_unit, [target_method], rng))
             return current.with_edit(state.queue.popleft())
         except NoTargetStatementsError:
             if current.is_empty():
@@ -338,42 +330,40 @@ def local_search(
 ) -> list[EvalRecord]:
     """One hill-climbing run per target method, exactly `evals`
     evaluations each, the first on the unpatched program."""
-    check_targets(unit, cfg)
-    check_families(cfg, llm)
-    records: list[EvalRecord] = []
+    run = _Run(unit, tests, cfg, toolchain, llm, sink)
     for method in cfg.methods:
-        _one_ls_run(unit, tests, cfg, toolchain, llm, method, records, sink)
-    return records
+        _one_ls_run(run, method)
+    return run.records
 
 
-def _one_ls_run(unit, tests, cfg, toolchain, llm, method, records, sink) -> None:
+def _one_ls_run(run: _Run, method: str) -> None:
+    unit, cfg = run.unit, run.cfg
     (family,) = cfg.families
     run_id = f"{family}/{method}"
     run_seed = f"{cfg.seed}:ls:{family}:{method}"
     rng = random.Random(run_seed)
     empty = Patch(unit.name, (), run_seed)
-    base = BaseProgram(unit, tests)
-    baseline = evaluate(base, empty, toolchain, cfg.step_budget)
+    baseline = run.evaluate(empty)
     if not baseline.passed:
         raise SearchSetupError(
             f"unpatched program fails its tests ({baseline.tests_failed} failing); "
             "local search needs a passing baseline"
         )
-    _record(run_id, 0, empty, baseline, sink, records)
+    run.log(run_id, 0, empty, baseline)
     assert baseline.runtime is not None
     state = SearchState(empty, baseline.runtime, unit)
     # Builtin verdicts by edit list; stays empty on the external backend.
-    verdicts = {empty.edits: baseline} if toolchain is None else {}
+    verdicts = {empty.edits: baseline} if run.toolchain is None else {}
     for index in range(1, cfg.evals):
-        neighbor = propose_neighbor(state, family, rng, method, llm)
+        neighbor = propose_neighbor(run, state, family, rng, method)
         result = verdicts.get(neighbor.edits)
         if result is None:
-            result = evaluate(base, neighbor, toolchain, cfg.step_budget)
-            if toolchain is None:
+            result = run.evaluate(neighbor)
+            if run.toolchain is None:
                 verdicts[neighbor.edits] = result
-        _record(run_id, index, neighbor, result, sink, records)
+        run.log(run_id, index, neighbor, result)
         if result.runtime is not None and result.runtime < state.current_runtime:
             state.current_patch = neighbor
             state.current_runtime = result.runtime
-            state.current_unit = apply_patch(unit, neighbor, base.payloads)
+            state.current_unit = apply_patch(unit, neighbor, run.base.payloads)
             state.queue.clear()

@@ -44,6 +44,7 @@ from minigi.search import (
     LocalSearchConfig,
     RandomSamplingConfig,
     _draw_family,
+    _Run,
     local_search,
     random_sampling,
 )
@@ -67,9 +68,10 @@ def drawn_patches(unit) -> list[Patch]:
     llm = LlmSearchContext(
         MockLlmClient(LlmClientConfig(mode="mock")), PromptTemplate(project_name="bench")
     )
+    run = _Run(unit, (), cfg, None, llm, None)
     patches = []
     for family in cfg.families:
-        drawn = _draw_family(unit, cfg, llm, family)
+        drawn = _draw_family(run, family)
         patches += drawn
         patches += [a.with_edit(b.edits[0]) for a, b in zip(drawn[::2], drawn[1::2])]
     return patches
@@ -195,7 +197,7 @@ def test_each_harness_call_is_checked_once_per_run(bench_sort, monkeypatch):
     checked.clear()
     ls = LocalSearchConfig(families=("statement",), methods=("sort", "max2"), evals=20, seed=1)
     local_search(unit, tests, ls)
-    assert checked == 2 * [t.call for t in tests]  # one run per method
+    assert checked == [t.call for t in tests]  # one BaseProgram for both methods
 
 
 def test_run_suite_refuses_a_base_program_of_other_tests(bench_sort):

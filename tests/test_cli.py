@@ -946,6 +946,10 @@ def _drop_budget(record):
     del record["budget"]
 
 
+def _command_as_list(record):
+    record["command"] = ["sample"]
+
+
 def _older_external_record(record):
     record["adapter"] = "external"
     record["toolchain"] = {
@@ -1103,6 +1107,7 @@ def _timeout_in_words(record):
 
 @pytest.mark.parametrize("tamper, complaint", [
     (_drop_budget, "run record: missing key 'budget'"),
+    (_command_as_list, "not the record of a sample or ls run"),
     (_zero_prompt_variants, "llm.prompt: variant_count must be an integer of at least 1, got 0"),
     (_fractional_prompt_variants,
      "llm.prompt: variant_count must be an integer of at least 1, got 2.5"),
@@ -1162,3 +1167,40 @@ def test_replay_of_a_malformed_record_is_a_config_error(tmp_path, capsys, tamper
     err = capsys.readouterr().err
     assert str(meta_path) in err and complaint in err
     assert not (tmp_path / "again").exists()
+
+
+def test_the_benchmark_tracer_sees_every_layer_and_restores_each_name(tmp_path, monkeypatch):
+    """perfbench/tracer.py times each layer by rebinding the names the
+    engine calls it through (`search.evaluate`, `search.apply_patch`, ...);
+    a refactor that calls a layer by another name would hide it."""
+    import importlib.util
+    import sys
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", REPO_ROOT / "perfbench" / "tracer.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    names = [target for targets in module.SPANS.values() for target in targets]
+    names += [(module.llm.LlmClientBase, "complete"), (module.llm.TranscriptStore, "put")]
+    originals = [getattr(owner, name) for owner, name in names]
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        assert all(getattr(owner, name) is not f for (owner, name), f in zip(names, originals))
+        assert run(
+            "sample", MAX, MAX_TESTS, "--family", "statement,insert", "--budget", "4",
+            "--seed", "3", "--out-dir", str(tmp_path),
+        ) == 0
+        assert run(
+            "ls", str(BENCHMARKS / "bench_planted.ml"), str(BENCHMARKS / "bench_planted.tests"),
+            "--family", "statement", "--methods", "poly_sum", "--evals", "20", "--seed", "1",
+            "--out-dir", str(tmp_path),
+        ) == 0
+    finally:
+        tracer.uninstall()
+    for layer in ("search", "draw", "eval", "apply", "digest", "validate", "interp", "log"):
+        assert tracer.layers[layer].calls > 0, layer
+    assert tracer.counts["search.accepted"] > 0  # counted off `search.apply_patch`
+    assert all(getattr(owner, name) is f for (owner, name), f in zip(names, originals))

@@ -360,6 +360,13 @@ def test_external_unparsable_measurement_is_infrastructure(bench_sort):
         )
 
 
+def test_external_negative_measurement_is_infrastructure(bench_sort):
+    """A negative runtime would be logged as Passed and beat every baseline."""
+    unit, tests = bench_sort
+    with pytest.raises(InfrastructureError, match="negative runtime: -5"):
+        evaluate(BaseProgram(unit, tests), Patch("bench_sort"), tc(measure_cmd="echo -5"))
+
+
 def test_external_working_copy_gets_both_files(bench_sort, tmp_path):
     unit, tests = bench_sort
     probe = tmp_path / "probe.py"

@@ -20,6 +20,7 @@ from minigi.search import (
     RandomSamplingConfig,
     SearchState,
     SearchSetupError,
+    _Run,
     local_search,
     propose_neighbor,
     random_sampling,
@@ -57,15 +58,18 @@ def test_a_run_walks_each_function_object_it_draws_in_once(bench_sort, monkeypat
     families = ("statement", "insert", "llm-medium")
     cfg = RandomSamplingConfig(families=families, methods=["sort", "max2"], budget=40, seed=3)
     random_sampling(unit, tests, cfg, llm=mock_context())
-    assert Counter(fn.name for fn in walked) == {"sort": 3, "max2": 3}  # once per family
+    assert Counter(fn.name for fn in walked) == {"sort": 1, "max2": 1}  # once per call
     assert all(unit.function(fn.name) is fn for fn in walked)
     walked.clear()
-    ls = LocalSearchConfig(families=("statement",), methods=("sort",), evals=80, seed=1)
+    ls = LocalSearchConfig(families=("statement",), methods=("sort", "max2"), evals=80, seed=1)
     records = local_search(unit, tests, ls)
-    runtimes = [r.runtime for r in records if r.runtime is not None]
-    improvements = sum(b < min(runtimes[:i + 1]) for i, b in enumerate(runtimes[1:]))
+    improvements = 0
+    for method in ls.methods:
+        rows = [r.runtime for r in records if r.run_id == f"statement/{method}"]
+        runtimes = [runtime for runtime in rows if runtime is not None]
+        improvements += sum(b < min(runtimes[:i + 1]) for i, b in enumerate(runtimes[1:]))
     assert improvements >= 1 and walked[0] is unit.function("sort")
-    assert len(walked) == len({id(fn) for fn in walked}) == 1 + improvements
+    assert len(walked) == len({id(fn) for fn in walked}) == len(ls.methods) + improvements
 
 
 def test_sampling_is_replayable_bit_exactly(bench_max):
@@ -372,20 +376,26 @@ def test_local_search_sinks_each_record_before_the_next_evaluation(bench_max, mo
     assert events[-1] == "sink" and ("eval", "eval") not in zip(events, events[1:])
 
 
+def ls_run(unit, tests, family) -> _Run:
+    return _Run(unit, tests, LocalSearchConfig((family,), ("max2",)), None, None, None)
+
+
 def test_propose_neighbor_empty_always_appends(bench_max):
-    unit, _ = bench_max
+    unit, tests = bench_max
+    run = ls_run(unit, tests, "statement")
     state = SearchState(current_patch=Patch("bench_max"), current_runtime=100, current_unit=unit)
     for seed in range(50):
-        neighbor = propose_neighbor(state, "statement", random.Random(seed), "max2")
+        neighbor = propose_neighbor(run, state, "statement", random.Random(seed), "max2")
         assert len(neighbor.edits) == 1
 
 
 def test_propose_neighbor_append_remove_split(bench_max):
-    unit, _ = bench_max
+    unit, tests = bench_max
+    run = ls_run(unit, tests, "statement")
     base = Patch("bench_max")
     rng = random.Random(123)
     edits = tuple(
-        propose_neighbor(SearchState(base, 100, unit), "statement", rng, "max2").edits[0]
+        propose_neighbor(run, SearchState(base, 100, unit), "statement", rng, "max2").edits[0]
         for _ in range(3)
     )
     current = Patch("bench_max", edits)
@@ -393,7 +403,7 @@ def test_propose_neighbor_append_remove_split(bench_max):
     counts = Counter()
     rng = random.Random(99)
     for _ in range(10_000):
-        neighbor = propose_neighbor(state, "statement", rng, "max2")
+        neighbor = propose_neighbor(run, state, "statement", rng, "max2")
         counts[len(neighbor.edits)] += 1
     appends, removals = counts[4], counts[2]
     assert appends + removals == 10_000
@@ -402,12 +412,12 @@ def test_propose_neighbor_append_remove_split(bench_max):
 
 
 def test_propose_neighbor_deterministic(bench_max):
-    unit, _ = bench_max
+    unit, tests = bench_max
     base = Patch("bench_max")
     state1 = SearchState(base, 100, unit)
     state2 = SearchState(base, 100, unit)
-    n1 = propose_neighbor(state1, "insert", random.Random(5), "max2")
-    n2 = propose_neighbor(state2, "insert", random.Random(5), "max2")
+    n1 = propose_neighbor(ls_run(unit, tests, "insert"), state1, "insert", random.Random(5), "max2")
+    n2 = propose_neighbor(ls_run(unit, tests, "insert"), state2, "insert", random.Random(5), "max2")
     assert n1 == n2
 
 
