@@ -22,19 +22,22 @@ holds neither in memory.
 
 An evaluation takes its run's `BaseProgram`: the base program and tests of
 one driver call, built once per call (one `search._Run`, shared by every
-family and method of the call) and living no longer than the call. The
+family and method of the call) and freed when the call returns. The
 patch applies to that program and runs those tests. The BaseProgram also
 holds each LLM payload parsed once and, keyed on the identity of the
 base's own functions, their canonical text, semantic errors and compiled
 closures, plus each test's checked and compiled harness call. Patch
 application keeps every function a patch does not edit as the base's own
-object, so an evaluation prints, validates and compiles only the functions
-its patch changed, and the external backend prints the unpatched program
-once per call. The builtin backend also runs only the tests that can reach
-a changed function; every other test keeps the outcome, steps included, it
-had earlier in the call (see `interpreter.run_suite`). The external
-backend is a black box and runs every test. No result depends on that
-reuse.
+object, and within an edited function rebuilds only the spine down to the
+edit, sharing every other subtree with the base or with a parsed payload.
+So an evaluation validates only the functions its patch changed, prints
+and compiles only their spines and new leaves (the printed lines and
+compiled closures of each shared subtree are kept by node), and the
+external backend prints the unpatched program once per call. The builtin
+backend also runs only the tests that can reach a changed function; every
+other test keeps the outcome, steps included, it had earlier in the call
+(see `interpreter.run_suite`). The external backend is a black box and
+runs every test. No result depends on that reuse.
 """
 
 from __future__ import annotations
@@ -169,7 +172,7 @@ def evaluate(
     its tests `base.tests` (see the module docstring): on `toolchain` when
     given, else on the built-in backend, which is deterministic."""
     try:
-        patched = apply_patch(base.unit, patch, base.payloads)
+        patched = apply_patch(base.unit, patch, base)
     except ApplyError:
         return EvaluationResult(Classification.INVALID)
     digest = source_digest(patched, base)

@@ -31,7 +31,7 @@ draws in.
 
 `BaseProgram` is not a record: it is the store in which the printer, the
 validator and the interpreter keep, for one driver call, what they derive
-from the call's unpatched program and its tests.
+from the call's unpatched program, its tests and its parsed LLM payloads.
 """
 
 from __future__ import annotations
@@ -266,6 +266,37 @@ class SourceUnit:
         return any(fn.name == name for fn in self.functions)
 
 
+# The children of each node class that has any, in field order.
+_CHILDREN: dict[type, Callable] = {
+    ArrayLit: lambda n: n.elements,
+    Unary: lambda n: (n.operand,),
+    Binary: lambda n: (n.left, n.right),
+    Index: lambda n: (n.base, n.index),
+    Call: lambda n: n.args,
+    Block: lambda n: n.statements,
+    VarDecl: lambda n: (n.init,),
+    Assign: lambda n: (n.target, n.value),
+    If: lambda n: (n.cond, n.then_block) if n.orelse is None else (n.cond, n.then_block, n.orelse),
+    While: lambda n: (n.cond, n.body),
+    For: lambda n: (n.init, n.cond, n.update, n.body),
+    Return: lambda n: () if n.value is None else (n.value,),
+    ExprStmt: lambda n: (n.expr,),
+    Function: lambda n: (n.body,),
+}
+
+
+def tree_nodes(root) -> list:
+    """Every node of the tree `root` (a function, a statement or an
+    expression), `root` first. The walk does not recurse, so a tree nested
+    past Python's recursion limit is walked like any other."""
+    nodes = [root]
+    for node in nodes:  # the list grows as the loop reads it
+        children = _CHILDREN.get(type(node))
+        if children is not None:
+            nodes += children(node)
+    return nodes
+
+
 class BaseProgram:
     """The unpatched program of one driver call (`search._Run`, shared by
     every family and method of the call), its tests, and the work each
@@ -279,12 +310,25 @@ class BaseProgram:
     errors (`errors`, semantics) and its compiled closures (`compiled`,
     interpreter). Each layer gets them through `reuse`, which keeps a
     value by function name for the base's own object only, never for an
-    equal one, so an entry cannot outlive what it was made from; a patched
-    function is worked on afresh and nothing of it is kept. `harness`
+    equal one, so an entry cannot outlive what it was made from. `harness`
     holds each test's checked and compiled harness call by position in
     `tests`, `machine` the interpreter state its closures share, and
-    `payloads` each LLM payload text parsed once (see
-    `patches.apply_patch`).
+    `payloads` each LLM payload text parsed once, or the message of its
+    parse error (see `patches.apply_patch`).
+
+    A patched function is worked on afresh, but only in part: patch
+    application rebuilds the spine from its body root down to each edit,
+    and every other subtree is a node of a base function or of a parsed
+    payload. Those nodes live as long as the call, and the call owns them:
+    `owned` holds their identities. A payload's nodes are marked when it
+    is parsed, and a base function's the first time `reuse` is asked for
+    a patch of it, so building the object walks nothing. For each owned
+    subtree the interpreter keeps its compiled closures and nesting depth
+    in `closures`, by (node identity, compile context), and the printer
+    its lines in `lines`, by (node identity, indent depth); a patched
+    function then compiles and prints only its spine and its new leaves.
+    Entries are keyed on identity and made only for owned nodes, never
+    for an equal one, so each entry's node outlives it.
 
     `reach` and `outcomes` let a suite skip the tests a patch cannot
     reach (see `interpreter.run_suite`). `reach` holds, by position in
@@ -296,19 +340,24 @@ class BaseProgram:
     it reaches was the base's own object. A test keeps that outcome for
     every patch that leaves those functions untouched: a function outside
     its reach is never entered from it, since a call a patch adds sits in
-    a changed function. The object lives no longer than its driver call;
-    a caller with no driver call builds one for its single evaluation."""
+    a changed function.
+
+    The object lives no longer than its driver call; a caller with no
+    driver call builds one for its single evaluation. Nothing it holds
+    refers back to it (the machine holds it only while a suite runs), so
+    reference counting frees it, with every tree, closure and entry it
+    keeps, as soon as its caller lets go of it."""
 
     __slots__ = (
         "unit", "tests", "functions", "payloads", "texts", "errors", "compiled", "harness",
-        "machine", "reach", "outcomes",
+        "machine", "reach", "outcomes", "owned", "closures", "lines",
     )
 
     def __init__(self, unit: SourceUnit, tests):
         self.unit = unit
         self.tests = tests
         self.functions = {fn.name: fn for fn in unit.functions}
-        self.payloads: dict = {}
+        self.payloads: dict[str, Block | str] = {}
         self.texts: dict[str, str] = {}
         self.errors: dict[str, list] = {}
         self.compiled: dict[str, tuple] = {}
@@ -316,17 +365,30 @@ class BaseProgram:
         self.machine = None
         self.reach: list[frozenset[str]] | None = None
         self.outcomes: dict[int, dict[int, object]] = {}
+        self.owned: set[int] = set()
+        self.closures: dict[tuple[int, tuple], tuple] = {}
+        self.lines: dict[tuple[int, int], list[str]] = {}
 
     def reuse(self, store: dict, fn: Function, make):
         """`make(fn)`, made once and kept in `store`, one of this object's
         dicts, when `fn` is the base's own object; made afresh and not kept
-        for any other function. Nothing is kept when `make` raises."""
-        if self.functions.get(fn.name) is not fn:
+        for any other function, after marking the nodes of the base
+        function it patches as owned (once). Nothing is kept when `make`
+        raises."""
+        own = self.functions.get(fn.name)
+        if own is not fn:
+            if own is not None and id(own) not in self.owned:
+                self.own(own)
             return make(fn)
         value = store.get(fn.name)
         if value is None:
             value = store[fn.name] = make(fn)
         return value
+
+    def own(self, root) -> None:
+        """Mark `root`, a parsed payload or a base function, and every node
+        under it as owned."""
+        self.owned.update(map(id, tree_nodes(root)))
 
 
 # --- statement addressing ---

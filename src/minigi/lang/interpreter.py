@@ -21,8 +21,14 @@ driver call; a caller without one gets one for its single `run_suite`
 call) and reused by every suite of the run: a compiled body refers to no
 program, only to the run's one machine, which each suite points at its
 own functions, and a call finds its callee by name in the running
-program. What is compiled from a patched function is dropped when its
-suite ends.
+program. The same holds for each subtree the run owns, a node of a base
+function or of a parsed payload: `_Compiler.node` keeps its closures and
+nesting depth in the BaseProgram, by node identity and compile context,
+so a patched function, whose only new nodes are the spine its patch
+rebuilt and the new leaves, compiles those and takes every other subtree
+as kept. A patched function's own compiled body is dropped when its
+suite ends. The machine holds the BaseProgram only while a suite runs,
+so nothing the BaseProgram keeps refers back to it.
 
 Precondition. `run_suite` runs only programs that `semantics.validate`
 accepts, and relies on it: names are declared before use, values have
@@ -95,10 +101,12 @@ MAX_NESTING_WEIGHT. A call weighs one more than the deepest nesting of
 statements and expressions in its function, which compiling measures, so
 the verdict is a function of the program alone. The first call compiles
 the callee only as deep as fits beside the active calls and fails when it
-does not fit, storing nothing; every later call, in this suite or (for a
-base function) a later one, applies the same condition to the stored
-weight, so a function refused under deep calls still runs when it is
-reached shallowly, with the same outcome as in a fresh suite. Compiling
+does not fit, keeping no compiled function; every later call, in this
+suite or (for a base function) a later one, applies the same condition to
+the stored weight, so a function refused under deep calls still runs when
+it is reached shallowly, with the same outcome as in a fresh suite. A
+kept subtree is held to the same rule at its kept depth, so it fails
+where compiling it would. Compiling
 a level of nesting takes at most _HOST_FRAMES_PER_LEVEL nested host calls
 and running it at most two, and `run_suite` lifts Python's recursion
 limit by enough frames for the whole weight, so the MiniLang limit is
@@ -137,12 +145,12 @@ from minigi.lang.ast import (
     IntLit,
     Return,
     SourceUnit,
-    Stmt,
     Unary,
     Var,
     VarDecl,
     While,
     record,
+    tree_nodes,
 )
 from minigi.lang.parser import ParseError, parse_expression
 from minigi.lang.semantics import check_call
@@ -247,17 +255,18 @@ _COMPARISONS = {
 
 
 class _Machine:
-    """What compiled closures share: the functions of the suite that is
-    running, those compiled so far and the counters of the running test.
-    A machine serves every suite of its BaseProgram's run, and the base's
-    own functions and the harness calls stay compiled between suites."""
+    """What compiled closures share: the BaseProgram and functions of the
+    suite that is running, those compiled so far and the counters of the
+    running test. A machine serves every suite of its BaseProgram's run,
+    and the base's own functions, the owned subtrees and the harness calls
+    stay compiled between suites."""
 
     __slots__ = (
         "base", "functions", "compiled", "budget", "profile", "steps", "calls", "weight", "inner"
     )
 
-    def __init__(self, base: BaseProgram):
-        self.base = base
+    def __init__(self):
+        self.base: BaseProgram | None = None
         self.functions: dict[str, Function] = {}
         self.compiled: dict[str, tuple[int, Callable, int]] = {}
         self.budget = 0
@@ -267,14 +276,19 @@ class _Machine:
         self.weight = 0  # summed weight of the active calls
         self.inner = [0]  # profiling: steps of the callees of each open call
 
-    def start(self, unit: SourceUnit, budget: int, profile: dict[str, int] | None) -> None:
+    def start(
+        self, base: BaseProgram, unit: SourceUnit, budget: int, profile: dict[str, int] | None
+    ) -> None:
+        self.base = base
         self.functions = {fn.name: fn for fn in unit.functions}
         self.budget = budget
         self.profile = profile
 
     def finish(self) -> None:
-        """Drop the suite's program and what was compiled from it alone;
-        the closures refer back to the machine."""
+        """Drop the suite's BaseProgram, its program and what was compiled
+        from it alone. The BaseProgram's closures refer to the machine, so
+        holding it between suites would make a reference cycle."""
+        self.base = None
         self.functions = {}
         self.compiled.clear()
         self.profile = None
@@ -514,21 +528,45 @@ class _Compiler:
     _BREAK, _CONTINUE or a 1-tuple."""
 
     def __init__(self, machine: _Machine, room: int):
+        base = machine.base
         self.machine = machine
         self.charge = machine.charge
+        self.owned, self.kept = base.owned, base.closures
         self.level = 0
         self.deepest = 0
         self.room = room  # levels of nesting that fit beside the active calls
 
     def node(self, n, *context) -> tuple[int, Callable, bool]:
-        """`n` compiled one level deeper; `context` goes to its builder."""
-        self.level += 1
+        """`n` compiled one level deeper; `context` goes to its builder.
+        A node the run owns is compiled once per context and kept with its
+        depth, the levels of nesting from it down to its deepest node. A
+        kept node is checked against the room at that depth and counts
+        toward `deepest` as compiling it would, so it fails exactly where
+        a fresh compile fails."""
+        level = self.level
+        owned = id(n) in self.owned
+        if owned:
+            key = (id(n), context)
+            kept = self.kept.get(key)
+            if kept is not None:
+                compiled, depth = kept
+                if level + depth > self.deepest:
+                    self.deepest = level + depth
+                    if self.deepest > self.room:
+                        raise MiniLangRuntimeError("call depth exceeded")
+                return compiled
+            outer, self.deepest = self.deepest, level  # from here `deepest` is n's own
+        self.level = level + 1
         if self.level > self.deepest:
             self.deepest = self.level
             if self.level > self.room:
                 raise MiniLangRuntimeError("call depth exceeded")
         compiled = _BUILDERS[type(n)](self, n, *context)
-        self.level -= 1
+        self.level = level
+        if owned:
+            self.kept[key] = compiled, self.deepest - level
+            if outer > self.deepest:
+                self.deepest = outer
         return compiled
 
     def operands(self, nodes) -> tuple[int, list[Callable], bool]:
@@ -967,9 +1005,11 @@ def run_suite(
     `base.tests`. Each test's harness call is then checked and compiled
     once per run, and each of the base's own functions, recognised by
     object identity, compiled once per run; both are kept in `base`,
-    which lives no longer than the run. What is compiled from a patched
-    function is dropped when the suite ends. Without `base` one is built
-    for this call alone; outcomes are the same either way.
+    which lives no longer than the run. A patched function compiles only
+    the nodes the run does not own (its rebuilt spine and new leaves) and
+    takes its other subtrees from `base`; its compiled body is dropped
+    when the suite ends. Without `base` one is built for this call alone;
+    outcomes are the same either way.
 
     Test selection. With `base` and without `profile`, a test runs only
     when `unit` changes a function it can reach through the base's static
@@ -993,9 +1033,9 @@ def run_suite(
         if base.reach:
             stored = base.outcomes.setdefault(step_budget, {})
     if base.machine is None:
-        base.machine = _Machine(base)
+        base.machine = _Machine()
     machine, harness = base.machine, base.harness
-    machine.start(unit, step_budget, profile)
+    machine.start(base, unit, step_budget, profile)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + _HOST_FRAMES)
 
@@ -1030,8 +1070,9 @@ def _reach(base: BaseProgram) -> list[frozenset[str]]:
     can reach through the calls the base's bodies make, by position in
     `base.tests`; empty when every test reaches every function. Names the
     base does not define are left out, so a harness call naming an unknown
-    function reaches nothing. Explicit stacks walk both the call graph and
-    the trees, since a mutant may nest past Python's recursion limit."""
+    function reaches nothing. Neither the walk of the call graph nor
+    `ast.tree_nodes` recurses, since a mutant may nest past Python's
+    recursion limit."""
     functions = base.functions
     callees: dict[str, set[str]] = {}  # each function's body walked once
     reach = []
@@ -1054,17 +1095,7 @@ def _reach(base: BaseProgram) -> list[frozenset[str]]:
 
 def _called_names(root) -> set[str]:
     """The name of every call in the tree `root`."""
-    names = set()
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if type(node) is tuple:
-            stack += node
-        elif isinstance(node, (Expr, Stmt)):
-            if type(node) is Call:
-                names.add(node.name)
-            stack += [getattr(node, field) for field in node.__match_args__]
-    return names
+    return {node.name for node in tree_nodes(root) if type(node) is Call}
 
 
 # -- test-file format: `test <name>: <callExpr> == <literal>` --

@@ -4,6 +4,14 @@ Formatting is fixed: four-space indents, one statement per line, a single
 space around binary operators, minimal parentheses. Equal ASTs therefore
 print to equal text, and the canonical text is a fixpoint of
 parse-then-print, which is what patch fingerprinting relies on.
+
+A subtree's lines depend on the subtree and its indent depth alone. So
+with a run's `ast.BaseProgram`, each of the base's own functions is
+printed once per run, and the lines of each statement the run owns (a
+node of a base function or of a parsed payload) once per indent depth,
+kept in the BaseProgram by node identity. A patched function then prints
+only the spine its patch rebuilt and the new leaves, and joins the kept
+lines of everything else.
 """
 
 from __future__ import annotations
@@ -87,12 +95,25 @@ def _clause_text(stmt) -> str:
     return _assign_text(stmt)
 
 
-def _stmt_lines(stmt: Stmt, depth: int) -> list[str]:
+def _stmt_lines(stmt: Stmt, depth: int, base: BaseProgram | None = None) -> list[str]:
+    """The lines of `stmt` indented `depth` levels. With `base`, the lines
+    of a statement the run owns are printed once per depth and kept in
+    `base.lines`. Callers must not change the list returned."""
+    if base is None or id(stmt) not in base.owned:
+        return _printed(stmt, depth, base)
+    key = (id(stmt), depth)
+    lines = base.lines.get(key)
+    if lines is None:
+        lines = base.lines[key] = _printed(stmt, depth, base)
+    return lines
+
+
+def _printed(stmt: Stmt, depth: int, base: BaseProgram | None) -> list[str]:
     pad = INDENT * depth
     if isinstance(stmt, Block):
         lines = [pad + "{"]
         for child in stmt.statements:
-            lines.extend(_stmt_lines(child, depth + 1))
+            lines.extend(_stmt_lines(child, depth + 1, base))
         lines.append(pad + "}")
         return lines
     if isinstance(stmt, VarDecl):
@@ -102,25 +123,25 @@ def _stmt_lines(stmt: Stmt, depth: int) -> list[str]:
     if isinstance(stmt, If):
         lines = [pad + f"if ({_expr(stmt.cond, 0)}) {{"]
         for child in stmt.then_block.statements:
-            lines.extend(_stmt_lines(child, depth + 1))
+            lines.extend(_stmt_lines(child, depth + 1, base))
         node = stmt.orelse
         while node is not None:
             if isinstance(node, If):
                 lines.append(pad + f"}} else if ({_expr(node.cond, 0)}) {{")
                 for child in node.then_block.statements:
-                    lines.extend(_stmt_lines(child, depth + 1))
+                    lines.extend(_stmt_lines(child, depth + 1, base))
                 node = node.orelse
             else:
                 lines.append(pad + "} else {")
                 for child in node.statements:
-                    lines.extend(_stmt_lines(child, depth + 1))
+                    lines.extend(_stmt_lines(child, depth + 1, base))
                 node = None
         lines.append(pad + "}")
         return lines
     if isinstance(stmt, While):
         lines = [pad + f"while ({_expr(stmt.cond, 0)}) {{"]
         for child in stmt.body.statements:
-            lines.extend(_stmt_lines(child, depth + 1))
+            lines.extend(_stmt_lines(child, depth + 1, base))
         lines.append(pad + "}")
         return lines
     if isinstance(stmt, For):
@@ -130,7 +151,7 @@ def _stmt_lines(stmt: Stmt, depth: int) -> list[str]:
         )
         lines = [pad + header]
         for child in stmt.body.statements:
-            lines.extend(_stmt_lines(child, depth + 1))
+            lines.extend(_stmt_lines(child, depth + 1, base))
         lines.append(pad + "}")
         return lines
     if isinstance(stmt, Break):
@@ -150,12 +171,12 @@ def print_statement(stmt: Stmt, depth: int = 0) -> str:
     return "\n".join(_stmt_lines(stmt, depth))
 
 
-def _function_text(fn: Function) -> str:
+def _function_text(fn: Function, base: BaseProgram) -> str:
     params = ", ".join(f"{p.name}: {_type(p.param_type)}" for p in fn.params)
     arrow = "" if fn.return_type is Type.VOID else f" -> {_type(fn.return_type)}"
     lines = [f"fn {fn.name}({params}){arrow} {{"]
     for child in fn.body.statements:
-        lines.extend(_stmt_lines(child, 1))
+        lines.extend(_stmt_lines(child, 1, base))
     lines.append("}")
     return "\n".join(lines)
 
@@ -164,10 +185,15 @@ def print_canonical(unit: SourceUnit, base: BaseProgram | None = None) -> str:
     """Canonical text of a whole unit; single trailing newline, LF endings.
 
     With `base`, the run's BaseProgram, each of the base's own functions
-    is printed once per run and its text reused."""
+    is printed once per run and its text reused, and a patched function
+    prints only what its patch rebuilt (see the module docstring)."""
     if base is None:
         base = BaseProgram(unit, ())
-    chunks = [base.reuse(base.texts, fn, _function_text) for fn in unit.functions]
+
+    def text(fn: Function) -> str:
+        return _function_text(fn, base)
+
+    chunks = [base.reuse(base.texts, fn, text) for fn in unit.functions]
     return "\n\n".join(chunks) + "\n"
 
 

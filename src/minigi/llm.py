@@ -13,9 +13,14 @@ prompt alone. Three modes share that call:
           be replayed.
 
 Every failure is a ClientError whose message says what went wrong.
-Transcripts are one JSON document per distinct request, named by the
-request digest, written atomically (tmp file + rename) and never
-overwritten; replay serves from them. docs/logs.md lists their keys.
+Transcripts are JSON documents named by the request digest, written
+atomically (tmp file + rename) and never overwritten; replay serves from
+them. A client counts the occurrences of each request: the first reply
+is written as `<digest>.json`, and the reply to occurrence k > 0 as
+`<digest>.<k>.json` only when it differs from the reply to occurrence
+k - 1. Replay serves occurrence k from the highest occurrence at or
+below k that has a transcript, which is exactly what was served live.
+docs/logs.md lists the keys.
 """
 
 from __future__ import annotations
@@ -90,20 +95,27 @@ def request_digest(config: LlmClientConfig, prompt: str) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def transcript_name(digest: str, occurrence: int) -> str:
+    """The name of the transcript of occurrence `occurrence` (from 0) of
+    the request `digest` within one client."""
+    return digest if occurrence == 0 else f"{digest}.{occurrence}"
+
+
 class TranscriptStore:
-    """One JSON file per request digest. A missing file is no transcript.
-    A file that cannot be read (a store directory that is a regular file
-    included) or holds no object with a string `response`, and a file or
-    directory that cannot be written, is a ClientError naming the file."""
+    """One JSON file per transcript name (`transcript_name`). A missing
+    file is no transcript. A file that cannot be read (a store directory
+    that is a regular file included) or holds no object with a string
+    `response`, and a file or directory that cannot be written, is a
+    ClientError naming the file."""
 
     def __init__(self, directory: Union[str, Path]):
         self.directory = Path(directory)
 
-    def path_for(self, digest: str) -> Path:
-        return self.directory / f"{digest}.json"
+    def path_for(self, name: str) -> Path:
+        return self.directory / f"{name}.json"
 
-    def get(self, digest: str) -> Optional[dict]:
-        path = self.path_for(digest)
+    def get(self, name: str) -> Optional[dict]:
+        path = self.path_for(name)
         try:
             record = json.loads(path.read_text(encoding="utf-8"))
         except FileNotFoundError:
@@ -120,8 +132,8 @@ class TranscriptStore:
             raise ClientError(f"transcript {path}: no string 'response'")
         return record
 
-    def put(self, digest: str, record: dict) -> None:
-        path = self.path_for(digest)
+    def put(self, name: str, record: dict) -> None:
+        path = self.path_for(name)
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             if path.exists():  # append-only: first record wins
@@ -140,6 +152,14 @@ class LlmClientBase:
         self.store = (
             TranscriptStore(config.transcript_dir) if config.transcript_dir is not None else None
         )
+        # request digest -> the occurrence of its latest request and the reply to it
+        self._latest: dict[str, tuple[int, str]] = {}
+
+    def _occurrence(self, digest: str) -> tuple[int, Optional[str]]:
+        """The occurrence, from 0, of a new request of `digest`, and the
+        reply to the one before it (None for the first)."""
+        latest = self._latest.get(digest)
+        return (0, None) if latest is None else (latest[0] + 1, latest[1])
 
     def complete(self, prompt: str) -> str:
         """The model's reply to `prompt`, recorded when there is a store."""
@@ -152,11 +172,17 @@ class LlmClientBase:
         raise NotImplementedError
 
     def _record(self, prompt: str, response_text: str) -> None:
+        """Write the transcript of this occurrence of `prompt`, unless the
+        reply is the previous occurrence's, which replay serves for it."""
         if self.store is None:
             return
         digest = request_digest(self.config, prompt)
+        occurrence, previous = self._occurrence(digest)
+        self._latest[digest] = occurrence, response_text
+        if response_text == previous:
+            return
         self.store.put(
-            digest,
+            transcript_name(digest, occurrence),
             {
                 "request_digest": digest,
                 "model": self.config.model,
@@ -235,7 +261,9 @@ class LiveLlmClient(LlmClientBase):
 
 
 class ReplayLlmClient(LlmClientBase):
-    """Serves recorded responses; a missing transcript is an error, not a call."""
+    """Serves recorded responses; a missing transcript is an error, not a
+    call. Occurrence k of a request is served from its own transcript when
+    there is one and otherwise gets the reply served to occurrence k - 1."""
 
     def __init__(self, config: LlmClientConfig):
         super().__init__(config)
@@ -244,10 +272,14 @@ class ReplayLlmClient(LlmClientBase):
 
     def _complete_text(self, prompt: str) -> str:
         digest = request_digest(self.config, prompt)
-        record = self.store.get(digest)
-        if record is None:
+        occurrence, served = self._occurrence(digest)
+        record = self.store.get(transcript_name(digest, occurrence))
+        if record is not None:
+            served = record["response"]
+        elif served is None:
             raise ClientError(f"no transcript for digest {digest}")
-        return record["response"]
+        self._latest[digest] = occurrence, served
+        return served
 
     def _record(self, prompt: str, response_text: str) -> None:
         pass  # replay never writes

@@ -17,8 +17,10 @@ shares untouched subtrees, and every function an edit leaves untouched
 stays the input's own object, which BaseProgram's caches rely on. For
 the same reason one parsed LLM payload can be shared by every program it
 is applied to, so a run parses each distinct payload text once: its
-driver passes one payload memo to every application, and each text is
-looked up there before it is parsed.
+driver passes its BaseProgram to every application, and each text is
+looked up in `BaseProgram.payloads` before it is parsed. A payload
+parsed there is marked as the run's own (`BaseProgram.own`), so the
+printer and the interpreter keep their work on it for the run.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from typing import Optional, Union
 
 from minigi.lang.ast import (
     ArrayLit,
+    BaseProgram,
     Block,
     BoolLit,
     Function,
@@ -146,19 +149,20 @@ class PayloadUnparsableError(ApplyError):
     pass
 
 
-# Payload text -> its parsed block, or the message of its parse error. An
-# error is kept as text so each failed application raises a fresh exception.
-PayloadMemo = dict[str, Union[Block, str]]
-
-
-def _parse_payload(payload: str, memo: PayloadMemo) -> Block:
-    """`payload` parsed as a block, parsing each text at most once per memo."""
+def _parse_payload(payload: str, base: Optional[BaseProgram]) -> Block:
+    """`payload` parsed as a block, parsing each text at most once per
+    `base`. Its memo, `base.payloads`, keeps a parse error as its message,
+    so each failed application raises a fresh exception."""
+    memo = {} if base is None else base.payloads
     parsed = memo.get(payload)
     if parsed is None:
         try:
             parsed = parse_block(payload)
         except ParseError as exc:
             parsed = f"payload does not parse: {exc}"
+        else:
+            if base is not None:
+                base.own(parsed)
         memo[payload] = parsed
     if isinstance(parsed, str):
         raise PayloadUnparsableError(parsed)
@@ -269,10 +273,11 @@ def _is_prefix(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
 
 
 def apply_edit(
-    unit: SourceUnit, edit: Edit, payloads: Optional[PayloadMemo] = None
+    unit: SourceUnit, edit: Edit, base: Optional[BaseProgram] = None
 ) -> SourceUnit:
-    """`unit` with `edit` applied; an LLM payload is looked up in
-    `payloads` (a fresh memo when None) before it is parsed."""
+    """`unit` with `edit` applied; an LLM payload is looked up in the
+    run's `base.payloads` before it is parsed (always parsed when `base`
+    is None)."""
     k = edit.kind
     src, dst = edit.src, edit.dst
     if k is EditKind.SWAP:
@@ -293,7 +298,7 @@ def apply_edit(
         fn, spine = _resolve(unit, src, block=True)
         if edit.payload is None:
             raise PayloadUnparsableError("response contained no code block")
-        leaf = _parse_payload(edit.payload, {} if payloads is None else payloads)
+        leaf = _parse_payload(edit.payload, base)
         return _splice(unit, fn, src.path, spine, leaf)
     # COPY and the insert kinds add one statement at an insertion point.
     assert isinstance(dst, InsertionPoint)
@@ -335,15 +340,15 @@ def _apply_swap(unit: SourceUnit, src: StatementId, dst: StatementId) -> SourceU
 
 
 def apply_patch(
-    unit: SourceUnit, patch: Patch, payloads: Optional[PayloadMemo] = None
+    unit: SourceUnit, patch: Patch, base: Optional[BaseProgram] = None
 ) -> SourceUnit:
     """Apply all edits in order; raises ApplyError on the first failure.
-    LLM payloads go through the memo `payloads`, as in `apply_edit`."""
+    LLM payloads go through the run's `base`, as in `apply_edit`."""
     if patch.base != unit.name:
         raise ValueError(f"patch targets {patch.base!r}, unit is {unit.name!r}")
     current = unit
     for edit in patch.edits:
-        current = apply_edit(current, edit, payloads)
+        current = apply_edit(current, edit, base)
     return current
 
 

@@ -28,16 +28,19 @@ It keeps the work the call's evaluations share: each distinct LLM
 payload parsed once, and, keyed on the identity of the base's own
 `Function` objects, their canonical text, semantic errors and compiled
 closures, plus each test's checked and compiled harness call, reach and
-stored outcome, so an evaluation prints, validates and compiles only the
-functions its patch changed and, on the builtin backend, runs only the
-tests that reach one of them (see `interpreter.run_suite`). It also holds
+stored outcome, and the printed lines and compiled closures of every
+subtree of a base function or payload. So an evaluation validates only
+the functions its patch changed, prints and compiles only their spines
+and new leaves and, on the builtin backend, runs only the tests that
+reach a changed function (see `interpreter.run_suite`). It also holds
 one `ast.StatementSites`, so the call walks each function object it draws
 in once: sampling draws against the base program, and local search
 against its current program, whose functions stay the same objects until
 a move that edits them is accepted. What both hold depends only on the
-base functions, the tests and the step budget, so sharing them between
-families and methods changes no record; they live no longer than the
-call.
+base functions, the payloads, the tests and the step budget, so sharing
+them between families and methods changes no record. Nothing in them
+refers back to the `_Run`, so reference counting frees them when the call
+returns.
 
 Each local-search method run also keeps, on the builtin backend, the
 verdict of every edit list it has evaluated, starting with the empty
@@ -365,5 +368,5 @@ def _one_ls_run(run: _Run, method: str) -> None:
         if result.runtime is not None and result.runtime < state.current_runtime:
             state.current_patch = neighbor
             state.current_runtime = result.runtime
-            state.current_unit = apply_patch(unit, neighbor, run.base.payloads)
+            state.current_unit = apply_patch(unit, neighbor, run.base)
             state.queue.clear()

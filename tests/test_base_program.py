@@ -2,11 +2,17 @@
 
 Every evaluation of a run shares one BaseProgram. These tests hold it to
 its contract: it changes no result, it reuses only the base's own
-functions and each test's harness call, and it keeps nothing of a
-patched program once that program's suite has ended.
+functions, the subtrees the run owns and each test's harness call, it
+keeps nothing of a patched program once that program's suite has ended,
+and reference counting frees it when its driver call returns.
 """
 
 from __future__ import annotations
+
+import gc
+import sys
+import types
+from collections import Counter
 
 import pytest
 
@@ -18,6 +24,7 @@ from minigi.lang.ast import (
     Binary,
     Block,
     Call,
+    Expr,
     Function,
     If,
     IntLit,
@@ -25,9 +32,11 @@ from minigi.lang.ast import (
     Return,
     SourceUnit,
     StatementId,
+    Stmt,
     Type,
     Unary,
     Var,
+    VarDecl,
 )
 from minigi.lang.interpreter import (
     MAX_NESTING_WEIGHT,
@@ -35,11 +44,14 @@ from minigi.lang.interpreter import (
     TestCase as SuiteCase,  # a Test* name would be collected
     run_suite,
 )
+from minigi.lang.printer import print_canonical
+from minigi.lang.semantics import validate
 from minigi.llm import LlmClientConfig, MockLlmClient
-from minigi.patches import Edit, EditKind, Patch, apply_patch
+from minigi.patches import ApplyError, Edit, EditKind, Patch, apply_patch
 from minigi.profiling import profile
 from minigi.prompts import PromptTemplate
 from minigi.search import (
+    FAMILIES,
     LlmSearchContext,
     LocalSearchConfig,
     RandomSamplingConfig,
@@ -55,14 +67,16 @@ DRAWS = 150  # per family and program
 STEP_BUDGET = 50_000  # keeps bench_loop's non-terminating mutants cheap
 
 
-def drawn_patches(unit) -> list[Patch]:
-    """Statement, insert and mock llm-medium draws over every function of
-    `unit`, and two-edit patches joining consecutive draws of a family, as
-    local search builds them."""
+def drawn_patches(
+    unit, families=("statement", "insert", "llm-medium"), draws=DRAWS
+) -> list[Patch]:
+    """Draws of `families` (mock LLM) over every function of `unit`, and
+    two-edit patches joining consecutive draws of a family, as local
+    search builds them."""
     cfg = RandomSamplingConfig(
-        families=("statement", "insert", "llm-medium"),
+        families=families,
         methods=[fn.name for fn in unit.functions],
-        budget=DRAWS,
+        budget=draws,
         seed=5,
     )
     llm = LlmSearchContext(
@@ -134,6 +148,134 @@ def test_a_base_function_refused_under_deep_calls_runs_when_reached_shallowly():
         assert run_suite(unit, tests, base=base) == fresh
         assert set(base.compiled) == {"deep", "rec"}
         assert base.compiled["deep"][2] > MAX_NESTING_WEIGHT // 2
+
+
+@pytest.mark.parametrize("name", list(PROGRAMS))
+def test_a_warm_base_program_runs_and_prints_as_an_uncached_one(name):
+    """Each patch of every family runs, through a BaseProgram warmed by
+    the patches before it, to the outcomes (status, steps, value, error)
+    that a suite with nothing kept gives, and prints to the same text."""
+    unit, tests = load_bench(name, PROGRAMS[name])
+    warm = BaseProgram(unit, tests)
+    statuses = Counter()
+    for patch in drawn_patches(unit, FAMILIES, draws=40):
+        try:
+            patched = apply_patch(unit, patch, warm)
+        except ApplyError:
+            continue
+        assert print_canonical(patched, warm) == print_canonical(patched), patch
+        if validate(patched, warm):
+            continue
+        outcomes = run_suite(patched, tests, STEP_BUDGET, base=warm)
+        assert outcomes == run_suite(patched, tests, STEP_BUDGET), patch
+        statuses.update(o.status for o in outcomes)
+    assert statuses[Status.PASS] and statuses[Status.FAIL]
+    # the run kept closures and lines of the subtrees it owns
+    assert warm.closures and warm.lines
+    assert {key for key, _ in warm.closures} <= warm.owned
+    assert {key for key, _ in warm.lines} <= warm.owned
+
+
+def test_a_kept_subtree_is_refused_under_deep_calls_as_a_fresh_compile_is():
+    """`deep` nests too deeply to be called under 100 active `rec` calls.
+    A patch deletes its first statement, so the patched body is a new
+    block around the base's own `return`, which the first shallow call
+    compiles and the run keeps. Every later suite takes that `return`
+    from the BaseProgram, and a call under deep calls is refused at the
+    kept depth, with the outcomes of a fresh `run_suite`."""
+    value: object = Var("x")
+    for _ in range(1500):  # deeper than the parser allows, as a mutant may be
+        value = Unary("-", value)
+    returned = Return(value)
+    x = (Param("x", Type.INT),)
+    deep = Function("deep", x, Type.INT, Block((VarDecl("y", Type.INT, IntLit(0)), returned)))
+    n = Var("n")
+    rec = Function("rec", (Param("n", Type.INT),), Type.INT, Block((
+        If(Binary("==", n, IntLit(0)), Block((Return(Call("deep", (IntLit(7),))),))),
+        Return(Call("rec", (Binary("-", n, IntLit(1)),))),
+    )))
+    unit = SourceUnit("deep", (deep, rec))
+    tests = [
+        SuiteCase("under_deep_calls", Call("rec", (IntLit(100),)), 7),
+        SuiteCase("shallow", Call("rec", (IntLit(0),)), 7),
+        SuiteCase("under_deep_calls_again", Call("rec", (IntLit(100),)), 7),
+    ]
+    patch = Patch("deep", (Edit(EditKind.DELETE, src=StatementId("deep", (0,))),))
+    base = BaseProgram(unit, tests)
+    for suite in range(3):
+        patched = apply_patch(unit, patch)  # a new spine each time, as in a run
+        assert patched.function("deep").body.statements[0] is returned
+        fresh = run_suite(patched, tests)
+        assert [o.status for o in fresh] == [
+            Status.RUNTIME_ERROR, Status.PASS, Status.RUNTIME_ERROR,
+        ]
+        assert fresh[0].error == "call depth exceeded"
+        assert run_suite(patched, tests, base=base) == fresh, suite
+        # the `return` and its 1,501 nested expressions, kept at their depth
+        assert base.closures[id(returned), ()][1] == 1502
+    # the patched body (1 level) and the kept `return` (1,502) fit beside
+    # active calls of weight MAX_NESTING_WEIGHT - 1504 and no heavier
+    fn = patched.function("deep")
+    verdicts = []
+    for weight in (MAX_NESTING_WEIGHT - 1504, MAX_NESTING_WEIGHT - 1503):
+        cold = BaseProgram(patched, tests)  # owns and keeps nothing
+        verdicts.append(compiled_weight(interpreter._Machine(), cold, fn, weight))
+        assert compiled_weight(base.machine, base, fn, weight) == verdicts[-1]
+    assert verdicts == [1504, "call depth exceeded"]
+
+
+def compiled_weight(machine, base: BaseProgram, fn: Function, weight: int) -> int | str:
+    """The weight of `fn` compiled beside active calls of `weight`, or the
+    error that refuses it, with the host frames `run_suite` allows."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + interpreter._HOST_FRAMES)
+    machine.start(base, base.unit, interpreter.DEFAULT_STEP_BUDGET, None)
+    machine.weight = weight
+    try:
+        return machine.compile(fn)[2]
+    except interpreter.MiniLangRuntimeError as exc:
+        return str(exc)
+    finally:
+        machine.finish()
+        sys.setrecursionlimit(limit)
+
+
+def test_a_driver_call_leaves_no_reference_cycle(bench_sort):
+    """With the collector off, both drivers and a bare `run_suite` leave no
+    BaseProgram, machine, tree or compiled closure for it to find: each
+    call's state is freed by reference counting when the call returns."""
+    unit, tests = bench_sort
+    llm = LlmSearchContext(
+        MockLlmClient(LlmClientConfig(mode="mock")), PromptTemplate(project_name="bench_sort")
+    )
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    try:
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        del gc.garbage[:]
+        records = random_sampling(unit, tests, RandomSamplingConfig(
+            families=("statement", "insert", "llm-medium"), methods=("sort", "max2"),
+            budget=20, seed=3,
+        ), llm=llm)
+        records += local_search(unit, tests, LocalSearchConfig(
+            families=("llm-medium",), methods=("sort", "max2"), evals=30, seed=3,
+        ), llm=llm)
+        assert run_suite(unit, tests)[0].status is Status.PASS
+        gc.collect()
+        found = Counter(
+            type(o).__name__ for o in gc.garbage
+            if isinstance(o, (BaseProgram, interpreter._Machine, Expr, Stmt, Function, SourceUnit))
+            or type(o) is types.FunctionType and o.__module__ == interpreter.__name__
+        )
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[:]
+        gc.collect()
+        if enabled:
+            gc.enable()
+    assert {r.classification for r in records} >= {"Passed", "CompiledOnly", "Invalid"}
+    assert not found, found
 
 
 def counting_compiles(monkeypatch) -> list:

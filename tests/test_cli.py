@@ -216,6 +216,35 @@ def test_replay_of_ls_run(tmp_path, capsys):
     assert "identical" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", [
+    ("sample", "--family", "llm-medium", "--budget", "40"),
+    ("ls", "--family", "llm-medium", "--evals", "40", "--methods", "max2,clamp_low"),
+])
+def test_replay_of_a_run_whose_replies_vary_per_occurrence(tmp_path, capsys, monkeypatch, command):
+    """The mock answers occurrence k of a prompt with k mod 3 extra empty
+    blocks ahead of its default variants, as a live endpoint at a nonzero
+    temperature answers a repeated prompt anew. Replay serves every
+    occurrence its own reply, so the run replays byte for byte."""
+    import minigi.llm as llm
+
+    seen: dict = {}
+    default = llm._default_mock_response
+
+    def respond(prompt: str) -> str:
+        k = seen[prompt] = seen.get(prompt, -1) + 1
+        return "```\n{ }\n```\n" * (k % 3) + default(prompt)
+
+    monkeypatch.setattr(llm, "_default_mock_response", respond)
+    run_dir = tmp_path / "run"
+    assert run(*command[:1], MAX, MAX_TESTS, *command[1:], "--seed", "5", "--llm-mode", "mock",
+               "--out-dir", str(run_dir)) == 0
+    transcripts = [path.name for path in (run_dir / "transcripts").iterdir()]
+    assert any(name.count(".") == 2 for name in transcripts)  # a repeat got its own reply
+    capsys.readouterr()
+    assert run("replay", str(run_dir), "--out-dir", str(tmp_path / "again")) == 0
+    assert f"{command[0]}_log.csv: identical" in capsys.readouterr().out
+
+
 def test_config_file_provides_defaults_flags_win(tmp_path):
     config = tmp_path / "run.conf"
     # `evals` is a key of `ls`; one file may serve several subcommands

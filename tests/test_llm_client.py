@@ -58,6 +58,31 @@ def test_mock_records_transcripts_and_replay_serves_them(tmp_path):
     assert replay.requests_made == 1
 
 
+def test_replay_serves_each_occurrence_of_a_prompt_its_own_reply(tmp_path):
+    """A prompt sent again gets a transcript of its own only when its reply
+    differs from the reply before it, and replay serves every occurrence
+    what was served live."""
+    config = LlmClientConfig(mode="mock", transcript_dir=tmp_path)
+    live = MockLlmClient(config, script=["A", "B"])
+    assert [live.complete("p"), live.complete("p")] == ["A", "B"]
+    replay = ReplayLlmClient(LlmClientConfig(mode="replay", transcript_dir=tmp_path))
+    assert [replay.complete("p"), replay.complete("p")] == ["A", "B"]
+
+    replies = ["A", "A", "B", "q1", "B", "B", "A", "q2", "A"]
+    prompts = ["p", "p", "p", "q", "p", "p", "p", "q", "p"]
+    run_dir = tmp_path / "run"
+    live = MockLlmClient(LlmClientConfig(mode="mock", transcript_dir=run_dir), script=replies)
+    assert [live.complete(p) for p in prompts] == replies
+    digest = request_digest(config, "p")
+    assert sorted(path.name for path in run_dir.iterdir()) == sorted(
+        # occurrences 2 and 5 of "p" change the reply; 1, 3, 4 and 6 repeat it
+        [f"{digest}.json", f"{digest}.2.json", f"{digest}.5.json",
+         f"{request_digest(config, 'q')}.json", f"{request_digest(config, 'q')}.1.json"]
+    )
+    replay = ReplayLlmClient(LlmClientConfig(mode="replay", transcript_dir=run_dir))
+    assert [replay.complete(p) for p in prompts] == replies
+
+
 def test_replay_miss_is_an_error(tmp_path):
     config = LlmClientConfig(mode="replay", transcript_dir=tmp_path)
     replay = ReplayLlmClient(config)

@@ -11,7 +11,7 @@ from minigi.lang import (
     source_digest,
     validate,
 )
-from minigi.lang.ast import StatementId, statement_sites
+from minigi.lang.ast import BaseProgram, StatementId, statement_sites
 from minigi.llm import LlmClientConfig, MockLlmClient
 from minigi.operators import sample_insert_edit, sample_statement_edit
 from minigi.patches import (
@@ -343,7 +343,7 @@ def test_every_application_matches_the_golden_stream():
         hot = [fn.name for fn in unit.functions]
         client = MockLlmClient(LlmClientConfig())
         template = PromptTemplate(project_name=stem)
-        memo: dict = {}
+        run = BaseProgram(unit, ())  # the payload memo of a run
         for family in ("statement", "insert", "llm-medium"):
             draw = sample_statement_edit if family == "statement" else sample_insert_edit
             for i in range(200):
@@ -362,7 +362,7 @@ def test_every_application_matches_the_golden_stream():
                     patches = []
                 for edits in patches:
                     try:
-                        patched = apply_patch(unit, Patch(stem, edits), memo)
+                        patched = apply_patch(unit, Patch(stem, edits), run)
                     except ApplyError as exc:
                         outcomes.append(f"{type(exc).__name__}: {exc}")
                         refused += 1
