@@ -32,6 +32,7 @@ from pathlib import Path
 from typing import Optional
 
 from minigi.evaluation import ExternalToolchain, InfrastructureError
+from minigi.lang.ast import BaseProgram
 from minigi.lang.interpreter import DEFAULT_STEP_BUDGET, parse_test_file
 from minigi.lang.parser import ParseError, parse_source
 from minigi.lang.printer import source_digest
@@ -150,25 +151,25 @@ def _resolve_seed(seed: Optional[int]) -> int:
     return seed
 
 
-def _profile(args: argparse.Namespace, unit, tests):
+def _profile(args: argparse.Namespace, base: BaseProgram):
     try:
-        return profile(unit, tests, args.top_k, args.step_budget)
+        return profile(base, args.top_k, args.step_budget)
     except ValueError as exc:  # profile refuses a top_k, the interpreter a step budget, below 1
         raise ConfigError(
             f"profile (top_k {args.top_k}, step_budget {args.step_budget}): {exc}"
         ) from None
 
 
-def _hot_methods(args: argparse.Namespace, unit, tests) -> list[str]:
+def _hot_methods(args: argparse.Namespace, base: BaseProgram) -> list[str]:
     if args.methods:
         return [m.strip() for m in args.methods.split(",") if m.strip()]
-    return _profile(args, unit, tests).hot_set
+    return _profile(args, base).hot_set
 
 
 # -- the run record --
 
 
-def _run_record(command: str, args: argparse.Namespace, unit, tests) -> dict:
+def _run_record(command: str, args: argparse.Namespace, base: BaseProgram) -> dict:
     """Resolve every option that determines the run log, once.
 
     The record is written as the run's .meta.json and is all `replay`
@@ -180,7 +181,7 @@ def _run_record(command: str, args: argparse.Namespace, unit, tests) -> dict:
     values = vars(args) | {
         "seed": _resolve_seed(args.seed),
         "families": families,
-        "methods": _hot_methods(args, unit, tests),
+        "methods": _hot_methods(args, base),
     }
 
     def section(settings) -> dict:
@@ -193,7 +194,7 @@ def _run_record(command: str, args: argparse.Namespace, unit, tests) -> dict:
         "adapter": args.adapter,
         "toolchain": None if args.adapter == "builtin" else section(ExternalToolchain),
         "llm": None,
-        "original_digest": source_digest(unit),
+        "original_digest": source_digest(base.unit, base),
         "log": _LOGS[command],
         **section(_CONFIGS[command]),
     }
@@ -278,8 +279,9 @@ def _settings(record: dict, unit, prefix: str = ""):
     return cfg, toolchain, llm
 
 
-def _execute(record: dict, unit, tests, out_dir: Path, settings) -> int:
-    """Run a resolved record, with the settings built from it, into `out_dir`."""
+def _execute(record: dict, base: BaseProgram, out_dir: Path, settings) -> int:
+    """Run a resolved record on the command's `base`, with the settings
+    built from it, into `out_dir`."""
     cfg, toolchain, llm = settings
     log_path = out_dir / record["log"]
     try:
@@ -297,7 +299,7 @@ def _execute(record: dict, unit, tests, out_dir: Path, settings) -> int:
     # Read from the module's globals on each run, so a rebound driver name takes effect.
     run = random_sampling if record["command"] == "sample" else local_search
     with writer:
-        records = run(unit, tests, cfg, toolchain, llm, sink=writer.write)
+        records = run(base, cfg, toolchain, llm, sink=writer.write)
     print(f"wrote {len(records)} records to {log_path}")
     if record["command"] == "sample":
         print(render_table1(aggregate_table1(records, record["original_digest"])), end="")
@@ -310,9 +312,7 @@ def _execute(record: dict, unit, tests, out_dir: Path, settings) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    unit = _load_program(args.program)
-    tests = _load_tests(args.tests)
-    prof = _profile(args, unit, tests)
+    prof = _profile(args, BaseProgram(_load_program(args.program), _load_tests(args.tests)))
     out = Path(args.out_dir) / "profile.csv"
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -326,11 +326,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    """`sample` and `ls`: resolve the run record, then execute it."""
-    unit = _load_program(args.program)
-    tests = _load_tests(args.tests)
-    record = _run_record(args.command, args, unit, tests)
-    return _execute(record, unit, tests, Path(args.out_dir), _settings(record, unit))
+    """`sample` and `ls`: resolve the run record, then execute it, both on
+    the command's one BaseProgram."""
+    base = BaseProgram(_load_program(args.program), _load_tests(args.tests))
+    record = _run_record(args.command, args, base)
+    return _execute(record, base, Path(args.out_dir), _settings(record, base.unit))
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -382,8 +382,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         unit = _load_program(record["program"])
         if source_digest(unit) != record["original_digest"]:
             raise ConfigError(f"{record['program']} changed since the run was recorded")
-        tests = _load_tests(record["tests"])
-        _execute(record, unit, tests, out_dir, _settings(record, unit, f"{meta_path}: "))
+        base = BaseProgram(unit, _load_tests(record["tests"]))
+        _execute(record, base, out_dir, _settings(record, unit, f"{meta_path}: "))
         replayed = (out_dir / log_name).read_bytes()
         if original == replayed:
             print(f"{log_name}: identical")

@@ -20,23 +20,24 @@ still gets its verdict. `subprocess` loads on the first external command
 and `statistics` on the first external measurement, so the builtin backend
 holds neither in memory.
 
-An evaluation takes its run's `BaseProgram`: the base program and tests of
-one driver call, built once per call (one `search._Run`, shared by every
-family and method of the call) and freed when the call returns. The
-patch applies to that program and runs those tests. The BaseProgram also
-holds each LLM payload parsed once and, keyed on the identity of the
-base's own functions, their canonical text, semantic errors and compiled
-closures, plus each test's checked and compiled harness call. Patch
-application keeps every function a patch does not edit as the base's own
-object, and within an edited function rebuilds only the spine down to the
-edit, sharing every other subtree with the base or with a parsed payload.
-So an evaluation validates only the functions its patch changed, prints
-and compiles only their spines and new leaves (the printed lines and
-compiled closures of each shared subtree are kept by node), and the
-external backend prints the unpatched program once per call. The builtin
-backend also runs only the tests that can reach a changed function; every
-other test keeps the outcome, steps included, it had earlier in the call
-(see `interpreter.run_suite`). The external backend is a black box and
+An evaluation takes its command's `BaseProgram`: the base program and
+tests of one `minigi` command, built once when the command loads its
+program, shared by its profile, its record's digest and every family and
+method of its driver call, and freed when the command ends. The patch
+applies to that program and runs those tests. The BaseProgram owns every
+node of the base's functions and of each LLM payload, parsed once, and
+keeps by node identity the printed lines and compiled closures of each
+owned subtree, the semantic errors of each of the base's own functions,
+and each test's checked and compiled harness call. Patch application
+keeps every function a patch does not edit as the base's own object, and
+within an edited function rebuilds only the spine down to the edit,
+sharing every other subtree with the base or with a parsed payload. So
+an evaluation validates only the functions its patch changed, prints and
+compiles only their spines and new leaves, and the external backend
+prints the unpatched program once per command. The builtin backend also
+runs only the tests that can reach a changed function; every other test
+keeps the outcome, steps included, it had earlier in the command (see
+`interpreter.run_suite`). The external backend is a black box and
 runs every test. No result depends on that reuse.
 """
 
@@ -168,7 +169,7 @@ def evaluate(
     toolchain: Optional[ExternalToolchain] = None,
     step_budget: int = DEFAULT_STEP_BUDGET,
 ) -> EvaluationResult:
-    """Classify `patch` applied to the run's program `base.unit` against
+    """Classify `patch` applied to the command's program `base.unit` against
     its tests `base.tests` (see the module docstring): on `toolchain` when
     given, else on the built-in backend, which is deterministic."""
     try:

@@ -30,8 +30,8 @@ target in a function: its list statements and its blocks, in pre-order;
 draws in.
 
 `BaseProgram` is not a record: it is the store in which the printer, the
-validator and the interpreter keep, for one driver call, what they derive
-from the call's unpatched program, its tests and its parsed LLM payloads.
+validator and the interpreter keep, for one command, what they derive
+from its unpatched program, its tests and its parsed LLM payloads.
 """
 
 from __future__ import annotations
@@ -298,58 +298,54 @@ def tree_nodes(root) -> list:
 
 
 class BaseProgram:
-    """The unpatched program of one driver call (`search._Run`, shared by
-    every family and method of the call), its tests, and the work each
-    layer does on them once for the whole call.
+    """The unpatched program of one command (`minigi sample`, `ls` or
+    `profile`, or one replayed record), its tests, and the work each layer
+    does on them once for the whole command: the profile, the record's
+    digest and every evaluation of the driver call share it.
 
     An edit changes function bodies and nothing else (no name, parameter
     or return type), and patch application keeps every function it leaves
-    untouched as the base's own `Function` object. So whatever depends on
-    one base function and the (shared) signatures alone holds for every
-    patch of the call: its canonical text (`texts`, printer), its semantic
-    errors (`errors`, semantics) and its compiled closures (`compiled`,
-    interpreter). Each layer gets them through `reuse`, which keeps a
-    value by function name for the base's own object only, never for an
-    equal one, so an entry cannot outlive what it was made from. `harness`
-    holds each test's checked and compiled harness call by position in
-    `tests`, `machine` the interpreter state its closures share, and
-    `payloads` each LLM payload text parsed once, or the message of its
-    parse error (see `patches.apply_patch`).
+    untouched as the base's own `Function` object and, within an edited
+    function, rebuilds only the spine from its body root down to each
+    edit: every other subtree is a node of a base function or of a parsed
+    payload. Those nodes live as long as the object, and the object owns
+    them: `owned` holds their identities. Every node of every base
+    function is marked when the object is built, and a payload's when it
+    is parsed. Each layer keeps its work on an owned node by the node's
+    identity: the interpreter a subtree's compiled closures and nesting
+    depth in `closures`, by (node identity, compile context), the printer
+    a subtree's lines in `lines`, by (node identity, indent depth), and
+    the validator a base function's semantic errors in `errors`, by
+    function identity (checking depends on the function's scope, so it is
+    kept per function, not per subtree). A patched function then compiles
+    and prints only its spine and its new leaves and is checked afresh,
+    and a base function is compiled, printed and checked once. Entries are
+    made only for owned nodes, never for an equal one, so each entry's
+    node outlives it.
 
-    A patched function is worked on afresh, but only in part: patch
-    application rebuilds the spine from its body root down to each edit,
-    and every other subtree is a node of a base function or of a parsed
-    payload. Those nodes live as long as the call, and the call owns them:
-    `owned` holds their identities. A payload's nodes are marked when it
-    is parsed, and a base function's the first time `reuse` is asked for
-    a patch of it, so building the object walks nothing. For each owned
-    subtree the interpreter keeps its compiled closures and nesting depth
-    in `closures`, by (node identity, compile context), and the printer
-    its lines in `lines`, by (node identity, indent depth); a patched
-    function then compiles and prints only its spine and its new leaves.
-    Entries are keyed on identity and made only for owned nodes, never
-    for an equal one, so each entry's node outlives it.
+    `harness` holds each test's checked and compiled harness call by
+    position in `tests`, `machine` the interpreter state its closures
+    share, and `payloads` each LLM payload text parsed once, or the
+    message of its parse error (see `patches.apply_patch`). `reach` and
+    `outcomes` let a suite skip the tests a patch cannot reach (see
+    `interpreter.run_suite`). `reach` holds, by position in `tests`, the
+    names of the base functions each harness call can reach through the
+    base's static call graph, or is empty when every test reaches every
+    function; it is None until the first suite builds it. `outcomes`
+    holds, by step budget and then by test position, each test's outcome
+    from the first suite that ran it while every function it reaches was
+    the base's own object. A test keeps that outcome for every patch that
+    leaves those functions untouched: a function outside its reach is
+    never entered from it, since a call a patch adds sits in a changed
+    function.
 
-    `reach` and `outcomes` let a suite skip the tests a patch cannot
-    reach (see `interpreter.run_suite`). `reach` holds, by position in
-    `tests`, the names of the base functions each harness call can reach
-    through the base's static call graph, or is empty when every test
-    reaches every function; it is None until the first suite builds it.
-    `outcomes` holds, by step budget and then by test position, each
-    test's outcome from the first suite that ran it while every function
-    it reaches was the base's own object. A test keeps that outcome for
-    every patch that leaves those functions untouched: a function outside
-    its reach is never entered from it, since a call a patch adds sits in
-    a changed function.
-
-    The object lives no longer than its driver call; a caller with no
-    driver call builds one for its single evaluation. Nothing it holds
-    refers back to it (the machine holds it only while a suite runs), so
+    The object lives no longer than its command. Nothing it holds refers
+    back to it (the machine holds it only while a suite runs), so
     reference counting frees it, with every tree, closure and entry it
     keeps, as soon as its caller lets go of it."""
 
     __slots__ = (
-        "unit", "tests", "functions", "payloads", "texts", "errors", "compiled", "harness",
+        "unit", "tests", "functions", "payloads", "errors", "harness",
         "machine", "reach", "outcomes", "owned", "closures", "lines",
     )
 
@@ -358,9 +354,7 @@ class BaseProgram:
         self.tests = tests
         self.functions = {fn.name: fn for fn in unit.functions}
         self.payloads: dict[str, Block | str] = {}
-        self.texts: dict[str, str] = {}
-        self.errors: dict[str, list] = {}
-        self.compiled: dict[str, tuple] = {}
+        self.errors: dict[int, list] = {}
         self.harness: dict[int, object] = {}
         self.machine = None
         self.reach: list[frozenset[str]] | None = None
@@ -368,22 +362,8 @@ class BaseProgram:
         self.owned: set[int] = set()
         self.closures: dict[tuple[int, tuple], tuple] = {}
         self.lines: dict[tuple[int, int], list[str]] = {}
-
-    def reuse(self, store: dict, fn: Function, make):
-        """`make(fn)`, made once and kept in `store`, one of this object's
-        dicts, when `fn` is the base's own object; made afresh and not kept
-        for any other function, after marking the nodes of the base
-        function it patches as owned (once). Nothing is kept when `make`
-        raises."""
-        own = self.functions.get(fn.name)
-        if own is not fn:
-            if own is not None and id(own) not in self.owned:
-                self.own(own)
-            return make(fn)
-        value = store.get(fn.name)
-        if value is None:
-            value = store[fn.name] = make(fn)
-        return value
+        for fn in unit.functions:
+            self.own(fn)
 
     def own(self, root) -> None:
         """Mark `root`, a parsed payload or a base function, and every node

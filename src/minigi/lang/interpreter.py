@@ -15,20 +15,21 @@ statements of a loop body's own block runs as a flat step that sends no
 signal, since reaching the end of the body continues the loop as well;
 one inside an `if` or a nested block still signals. A compiled function
 is shared by the tests of its suite and, through `profile`, by
-profiling. The closures of the base program's own functions and of each
-test's harness call are kept in the run's `ast.BaseProgram` (one per
-driver call; a caller without one gets one for its single `run_suite`
-call) and reused by every suite of the run: a compiled body refers to no
-program, only to the run's one machine, which each suite points at its
-own functions, and a call finds its callee by name in the running
-program. The same holds for each subtree the run owns, a node of a base
-function or of a parsed payload: `_Compiler.node` keeps its closures and
-nesting depth in the BaseProgram, by node identity and compile context,
-so a patched function, whose only new nodes are the spine its patch
-rebuilt and the new leaves, compiles those and takes every other subtree
-as kept. A patched function's own compiled body is dropped when its
-suite ends. The machine holds the BaseProgram only while a suite runs,
-so nothing the BaseProgram keeps refers back to it.
+profiling. Compiled closures refer to no program, only to the command's
+one machine, which each suite points at its own functions, and a call
+finds its callee by name in the running program. So the closures of
+each test's harness call and of each subtree the command's
+`ast.BaseProgram` owns (a node of a base function or of a parsed
+payload) are kept in the BaseProgram and reused by every suite of the
+command: `_Compiler.node` keeps a subtree's closures and nesting depth
+by node identity and compile context. A base function's body is such a
+subtree, so each suite compiles it as one kept hit, and a patched
+function, whose only new nodes are the spine its patch rebuilt and the
+new leaves, compiles those and takes every other subtree as kept. Each
+suite's table of compiled functions is dropped when the suite ends; a
+caller without a BaseProgram gets one for its single `run_suite` call.
+The machine holds the BaseProgram only while a suite runs, so nothing
+the BaseProgram keeps refers back to it.
 
 Precondition. `run_suite` runs only programs that `semantics.validate`
 accepts, and relies on it: names are declared before use, values have
@@ -39,7 +40,7 @@ non-void function returns a value on every path. None of this is checked
 again while a program runs. The one input validation never sees is each
 test's harness call. It is checked with `semantics.check_call` and
 compiled before the test runs, once per BaseProgram, that is once per
-run: a patch changes no signature, so the verdict holds for every patch. A call that fails the check is that test's
+command: a patch changes no signature, so the verdict holds for every patch. A call that fails the check is that test's
 RUNTIME_ERROR outcome.
 
 Variables. A call keeps all its variables in one dict. Blocks and `for`
@@ -101,11 +102,11 @@ MAX_NESTING_WEIGHT. A call weighs one more than the deepest nesting of
 statements and expressions in its function, which compiling measures, so
 the verdict is a function of the program alone. The first call compiles
 the callee only as deep as fits beside the active calls and fails when it
-does not fit, keeping no compiled function; every later call, in this
-suite or (for a base function) a later one, applies the same condition to
-the stored weight, so a function refused under deep calls still runs when
-it is reached shallowly, with the same outcome as in a fresh suite. A
-kept subtree is held to the same rule at its kept depth, so it fails
+does not fit, keeping no compiled function; every later call in this
+suite applies the same condition to the stored weight, so a function
+refused under deep calls still runs when it is reached shallowly, with
+the same outcome as in a fresh suite. A kept subtree, a base function's
+body among them, is held to the same rule at its kept depth, so it fails
 where compiling it would. Compiling
 a level of nesting takes at most _HOST_FRAMES_PER_LEVEL nested host calls
 and running it at most two, and `run_suite` lifts Python's recursion
@@ -257,9 +258,9 @@ _COMPARISONS = {
 class _Machine:
     """What compiled closures share: the BaseProgram and functions of the
     suite that is running, those compiled so far and the counters of the
-    running test. A machine serves every suite of its BaseProgram's run,
-    and the base's own functions, the owned subtrees and the harness calls
-    stay compiled between suites."""
+    running test. A machine serves every suite of its BaseProgram's
+    command, and the owned subtrees and the harness calls stay compiled
+    between suites."""
 
     __slots__ = (
         "base", "functions", "compiled", "budget", "profile", "steps", "calls", "weight", "inner"
@@ -305,9 +306,7 @@ class _Machine:
         function compiled earlier is held to the same rule at each call."""
         entry = self.compiled.get(name)
         if entry is None:
-            base = self.base
-            entry = base.reuse(base.compiled, self.functions[name], self.compile)
-            self.compiled[name] = entry
+            entry = self.compiled[name] = self.compile(self.functions[name])
         return entry
 
     def compile(self, fn: Function) -> tuple[int, Callable, int]:
@@ -538,7 +537,7 @@ class _Compiler:
 
     def node(self, n, *context) -> tuple[int, Callable, bool]:
         """`n` compiled one level deeper; `context` goes to its builder.
-        A node the run owns is compiled once per context and kept with its
+        A node the command owns is compiled once per context and kept with its
         depth, the levels of nesting from it down to its deepest node. A
         kept node is checked against the room at that depth and counts
         toward `deepest` as compiling it would, so it fails exactly where
@@ -1000,16 +999,16 @@ def run_suite(
     HARNESS_FRAME's. The process's recursion limit is lifted while the
     suite runs, so run one suite at a time per process.
 
-    With `base`, the run's BaseProgram, `unit` must be a patch of
+    With `base`, the command's BaseProgram, `unit` must be a patch of
     `base.unit` (same functions, same signatures) and `tests` must be
     `base.tests`. Each test's harness call is then checked and compiled
-    once per run, and each of the base's own functions, recognised by
-    object identity, compiled once per run; both are kept in `base`,
-    which lives no longer than the run. A patched function compiles only
-    the nodes the run does not own (its rebuilt spine and new leaves) and
-    takes its other subtrees from `base`; its compiled body is dropped
-    when the suite ends. Without `base` one is built for this call alone;
-    outcomes are the same either way.
+    once per command, and each subtree `base` owns, the body of each of
+    the base's own functions among them, compiled once per command; both
+    are kept in `base`, which lives no longer than the command. A patched
+    function compiles only the nodes `base` does not own (its rebuilt
+    spine and new leaves) and takes its other subtrees from `base`; its
+    compiled body is dropped when the suite ends. Without `base` one is
+    built for this call alone; outcomes are the same either way.
 
     Test selection. With `base` and without `profile`, a test runs only
     when `unit` changes a function it can reach through the base's static

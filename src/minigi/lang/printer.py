@@ -6,12 +6,12 @@ print to equal text, and the canonical text is a fixpoint of
 parse-then-print, which is what patch fingerprinting relies on.
 
 A subtree's lines depend on the subtree and its indent depth alone. So
-with a run's `ast.BaseProgram`, each of the base's own functions is
-printed once per run, and the lines of each statement the run owns (a
-node of a base function or of a parsed payload) once per indent depth,
-kept in the BaseProgram by node identity. A patched function then prints
-only the spine its patch rebuilt and the new leaves, and joins the kept
-lines of everything else.
+with a command's `ast.BaseProgram`, the lines of each node it owns (a
+base function, or a statement of a base function or of a parsed
+payload) are printed once per indent depth and kept in the BaseProgram
+by node identity. A base function is then printed once per command, and
+a patched function prints only the spine its patch rebuilt and the new
+leaves, and joins the kept lines of everything else.
 """
 
 from __future__ import annotations
@@ -95,10 +95,13 @@ def _clause_text(stmt) -> str:
     return _assign_text(stmt)
 
 
-def _stmt_lines(stmt: Stmt, depth: int, base: BaseProgram | None = None) -> list[str]:
-    """The lines of `stmt` indented `depth` levels. With `base`, the lines
-    of a statement the run owns are printed once per depth and kept in
-    `base.lines`. Callers must not change the list returned."""
+def _stmt_lines(
+    stmt: Stmt | Function, depth: int, base: BaseProgram | None = None
+) -> list[str]:
+    """The lines of `stmt`, a statement or a function, indented `depth`
+    levels. With `base`, the lines of a node it owns are printed once per
+    depth and kept in `base.lines`. Callers must not change the list
+    returned."""
     if base is None or id(stmt) not in base.owned:
         return _printed(stmt, depth, base)
     key = (id(stmt), depth)
@@ -108,7 +111,7 @@ def _stmt_lines(stmt: Stmt, depth: int, base: BaseProgram | None = None) -> list
     return lines
 
 
-def _printed(stmt: Stmt, depth: int, base: BaseProgram | None) -> list[str]:
+def _printed(stmt: Stmt | Function, depth: int, base: BaseProgram | None) -> list[str]:
     pad = INDENT * depth
     if isinstance(stmt, Block):
         lines = [pad + "{"]
@@ -164,6 +167,14 @@ def _printed(stmt: Stmt, depth: int, base: BaseProgram | None) -> list[str]:
         return [pad + f"return {_expr(stmt.value, 0)};"]
     if isinstance(stmt, ExprStmt):
         return [pad + _expr(stmt.expr, 0) + ";"]
+    if isinstance(stmt, Function):
+        params = ", ".join(f"{p.name}: {_type(p.param_type)}" for p in stmt.params)
+        arrow = "" if stmt.return_type is Type.VOID else f" -> {_type(stmt.return_type)}"
+        lines = [pad + f"fn {stmt.name}({params}){arrow} {{"]
+        for child in stmt.body.statements:
+            lines.extend(_stmt_lines(child, depth + 1, base))
+        lines.append(pad + "}")
+        return lines
     raise TypeError(f"unknown statement node {stmt!r}")
 
 
@@ -171,30 +182,19 @@ def print_statement(stmt: Stmt, depth: int = 0) -> str:
     return "\n".join(_stmt_lines(stmt, depth))
 
 
-def _function_text(fn: Function, base: BaseProgram) -> str:
-    params = ", ".join(f"{p.name}: {_type(p.param_type)}" for p in fn.params)
-    arrow = "" if fn.return_type is Type.VOID else f" -> {_type(fn.return_type)}"
-    lines = [f"fn {fn.name}({params}){arrow} {{"]
-    for child in fn.body.statements:
-        lines.extend(_stmt_lines(child, 1, base))
-    lines.append("}")
-    return "\n".join(lines)
-
-
 def print_canonical(unit: SourceUnit, base: BaseProgram | None = None) -> str:
     """Canonical text of a whole unit; single trailing newline, LF endings.
 
-    With `base`, the run's BaseProgram, each of the base's own functions
-    is printed once per run and its text reused, and a patched function
-    prints only what its patch rebuilt (see the module docstring)."""
-    if base is None:
-        base = BaseProgram(unit, ())
-
-    def text(fn: Function) -> str:
-        return _function_text(fn, base)
-
-    chunks = [base.reuse(base.texts, fn, text) for fn in unit.functions]
-    return "\n\n".join(chunks) + "\n"
+    With `base`, the command's BaseProgram, each of the base's own
+    functions is printed once per command and its lines reused, and a
+    patched function prints only what its patch rebuilt (see the module
+    docstring)."""
+    lines: list[str] = []
+    for fn in unit.functions:
+        if lines:
+            lines.append("")
+        lines.extend(_stmt_lines(fn, 0, base))
+    return "\n".join(lines) + "\n"
 
 
 def source_digest(unit: SourceUnit, base: BaseProgram | None = None) -> str:

@@ -314,17 +314,21 @@ def validate(unit: SourceUnit, base: BaseProgram | None = None) -> list[Semantic
     """All semantic errors in the unit, the unit-level ones first, then each
     function's in function order; an empty list means it compiles.
 
-    With `base`, the run's BaseProgram, `unit` must be a patch of
+    With `base`, the command's BaseProgram, `unit` must be a patch of
     `base.unit`: same functions, same signatures. The signature table is
     then the base's, and each of the base's own functions is checked once
-    per run and its errors reused; only the bodies a patch changed are
-    checked again."""
-    if base is None:
-        base = BaseProgram(unit, ())
-    checker = _Checker(base.functions)
+    per command and its errors kept in `base.errors`; only the bodies a
+    patch changed are checked again."""
+    checker = _Checker({fn.name: fn for fn in unit.functions} if base is None else base.functions)
     errors = _name_errors(unit)
     for fn in unit.functions:
-        errors.extend(base.reuse(base.errors, fn, checker.check_function))
+        if base is None or id(fn) not in base.owned:
+            errors.extend(checker.check_function(fn))
+            continue
+        kept = base.errors.get(id(fn))
+        if kept is None:
+            kept = base.errors[id(fn)] = checker.check_function(fn)
+        errors.extend(kept)
     return errors
 
 

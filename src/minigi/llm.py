@@ -196,8 +196,15 @@ class LlmClientBase:
 
 def _post_json(url: str, body: dict, headers: dict, timeout: float) -> tuple[int, str]:
     """POST `body` as JSON; the HTTP status and the response text. An error
-    status is returned, not raised. `urllib.request` loads here, on the
+    status is returned, not raised. A timeout that no socket can hold is
+    refused before a socket is opened, since `socket.create_connection`
+    closes its socket only on OSError. `urllib.request` loads here, on the
     first live request, so other modes do not hold it in memory."""
+    if not 0 < timeout <= LONGEST_WAIT:  # NaN fails both comparisons
+        raise ClientError(
+            f"request_timeout {timeout!r} s is out of range: "
+            f"a socket waits more than 0 and at most {LONGEST_WAIT} s"
+        )
     import http.client
     import urllib.error
     import urllib.request
@@ -217,8 +224,6 @@ def _post_json(url: str, body: dict, headers: dict, timeout: float) -> tuple[int
         if isinstance(exc.reason, TimeoutError):
             raise ClientError(f"timed out: {exc.reason}") from None
         raise ClientError(f"network error: {exc.reason}") from None
-    except OverflowError as exc:  # a timeout beyond what a socket can hold
-        raise ClientError(f"request_timeout {timeout!r} s is out of range: {exc}") from None
     except (OSError, ValueError, http.client.HTTPException) as exc:  # ValueError: a malformed URL
         raise ClientError(f"network error: {exc}") from None
 

@@ -16,11 +16,12 @@ Application never mutates its input: trees are immutable, rebuilding
 shares untouched subtrees, and every function an edit leaves untouched
 stays the input's own object, which BaseProgram's caches rely on. For
 the same reason one parsed LLM payload can be shared by every program it
-is applied to, so a run parses each distinct payload text once: its
-driver passes its BaseProgram to every application, and each text is
-looked up in `BaseProgram.payloads` before it is parsed. A payload
-parsed there is marked as the run's own (`BaseProgram.own`), so the
-printer and the interpreter keep their work on it for the run.
+is applied to, so a command parses each distinct payload text once: its
+driver passes the command's BaseProgram to every application, and each
+text is looked up in `BaseProgram.payloads` before it is parsed. A
+payload parsed there is marked as the command's own (`BaseProgram.own`),
+as every base function is from the start, so the printer and the
+interpreter keep their work on it for the command.
 """
 
 from __future__ import annotations
@@ -276,7 +277,7 @@ def apply_edit(
     unit: SourceUnit, edit: Edit, base: Optional[BaseProgram] = None
 ) -> SourceUnit:
     """`unit` with `edit` applied; an LLM payload is looked up in the
-    run's `base.payloads` before it is parsed (always parsed when `base`
+    command's `base.payloads` before it is parsed (always parsed when `base`
     is None)."""
     k = edit.kind
     src, dst = edit.src, edit.dst
@@ -343,7 +344,7 @@ def apply_patch(
     unit: SourceUnit, patch: Patch, base: Optional[BaseProgram] = None
 ) -> SourceUnit:
     """Apply all edits in order; raises ApplyError on the first failure.
-    LLM payloads go through the run's `base`, as in `apply_edit`."""
+    LLM payloads go through the command's `base`, as in `apply_edit`."""
     if patch.base != unit.name:
         raise ValueError(f"patch targets {patch.base!r}, unit is {unit.name!r}")
     current = unit

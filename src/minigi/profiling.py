@@ -16,12 +16,11 @@ from pathlib import Path
 from typing import Union
 
 from minigi.checks import check_count
-from minigi.lang.ast import SourceUnit
+from minigi.lang.ast import BaseProgram
 from minigi.lang.interpreter import (
     DEFAULT_STEP_BUDGET,
     HARNESS_FRAME,
     Status,
-    TestCase,
     run_suite,
 )
 from minigi.lang.semantics import validate
@@ -40,20 +39,19 @@ class HotMethodProfile:
 
 
 def profile(
-    unit: SourceUnit,
-    tests: list[TestCase],
-    top_k: int = DEFAULT_TOP_K,
-    step_budget: int = DEFAULT_STEP_BUDGET,
+    base: BaseProgram, top_k: int = DEFAULT_TOP_K, step_budget: int = DEFAULT_STEP_BUDGET
 ) -> HotMethodProfile:
-    """Profile a passing program over its test suite; ValueError for a
-    `top_k` below 1, which would slice the ranking from its end."""
+    """Profile a passing program, `base.unit`, over its test suite,
+    `base.tests`; ValueError for a `top_k` below 1, which would slice the
+    ranking from its end. The checks and compiles land in `base`, so the
+    command that profiled reuses them."""
     check_count("top_k", top_k)
-    errors = validate(unit)
+    errors = validate(base.unit, base)
     if errors:
         raise ProfileOnFailingProgramError(f"cannot profile an invalid program ({errors[0]})")
     costs: dict[str, int] = {}
-    outcomes = run_suite(unit, tests, step_budget, profile=costs)
-    failing = [t.name for t, o in zip(tests, outcomes) if o.status is not Status.PASS]
+    outcomes = run_suite(base.unit, base.tests, step_budget, profile=costs, base=base)
+    failing = [t.name for t, o in zip(base.tests, outcomes) if o.status is not Status.PASS]
     if failing:
         raise ProfileOnFailingProgramError(
             f"cannot profile a failing program (failing tests: {', '.join(failing)})"

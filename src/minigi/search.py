@@ -19,28 +19,29 @@ for, so an accepted move discards them and the next append draws again:
 local search sends ceil(draws/variant_count) requests only while no move
 is accepted, random sampling always.
 
+Both drivers take the command's `BaseProgram` of the base program and
+tests, the one its profile and its record's digest used: every
+evaluation applies its patch to that program, and an accepted move's
+patch is applied to it too. It keeps the work the command's evaluations
+share: each distinct LLM payload parsed once, the semantic errors of
+each of the base's own `Function` objects, each test's checked and
+compiled harness call, reach and stored outcome, and the printed lines
+and compiled closures of every node of a base function or payload. So an
+evaluation validates only the functions its patch changed, prints and
+compiles only their spines and new leaves and, on the builtin backend,
+runs only the tests that reach a changed function (see
+`interpreter.run_suite`). What it holds depends only on the base
+functions, the payloads, the tests and the step budget, so sharing it
+between families and methods changes no record.
+
 Each driver call (one `random_sampling` or `local_search` call) builds
-one `_Run`, which checks the call's targets and families, draws, evaluates
-and logs for every family and method of the call. It holds one
-`BaseProgram` of the base program and tests: every evaluation applies its
-patch to that program, and an accepted move's patch is applied to it too.
-It keeps the work the call's evaluations share: each distinct LLM
-payload parsed once, and, keyed on the identity of the base's own
-`Function` objects, their canonical text, semantic errors and compiled
-closures, plus each test's checked and compiled harness call, reach and
-stored outcome, and the printed lines and compiled closures of every
-subtree of a base function or payload. So an evaluation validates only
-the functions its patch changed, prints and compiles only their spines
-and new leaves and, on the builtin backend, runs only the tests that
-reach a changed function (see `interpreter.run_suite`). It also holds
-one `ast.StatementSites`, so the call walks each function object it draws
-in once: sampling draws against the base program, and local search
-against its current program, whose functions stay the same objects until
-a move that edits them is accepted. What both hold depends only on the
-base functions, the payloads, the tests and the step budget, so sharing
-them between families and methods changes no record. Nothing in them
-refers back to the `_Run`, so reference counting frees them when the call
-returns.
+one `_Run`, which checks the call's targets and families, draws,
+evaluates and logs for every family and method of the call. It holds one
+`ast.StatementSites`, so the call walks each function object it draws in
+once: sampling draws against the base program, and local search against
+its current program, whose functions stay the same objects until a move
+that edits them is accepted. Nothing the `_Run` holds refers back to it,
+so reference counting frees it when the call returns.
 
 Each local-search method run also keeps, on the builtin backend, the
 verdict of every edit list it has evaluated, starting with the empty
@@ -64,7 +65,7 @@ from typing import Callable, Optional, Sequence
 from minigi.checks import check_count
 from minigi.evaluation import EvaluationResult, ExternalToolchain, evaluate
 from minigi.lang.ast import BaseProgram, SourceUnit, StatementSites
-from minigi.lang.interpreter import DEFAULT_STEP_BUDGET, TestCase
+from minigi.lang.interpreter import DEFAULT_STEP_BUDGET
 from minigi.llm import LlmClientBase
 from minigi.operators import (
     NoTargetStatementsError,
@@ -194,26 +195,26 @@ RecordSink = Callable[[EvalRecord], None]
 
 
 class _Run:
-    """One driver call: its checked settings, one `BaseProgram`, one
-    `StatementSites` and the records logged so far (see the module
-    docstring). Evaluation goes through the module's `evaluate`, so
-    whoever rebinds that name sees every evaluation."""
+    """One driver call: its checked settings, the command's `BaseProgram`,
+    which the call holds and does not build, one `StatementSites` and the
+    records logged so far (see the module docstring). Evaluation goes
+    through the module's `evaluate`, so whoever rebinds that name sees
+    every evaluation."""
 
-    __slots__ = ("unit", "cfg", "toolchain", "llm", "sink", "base", "sites", "records")
+    __slots__ = ("base", "cfg", "toolchain", "llm", "sink", "sites", "records")
 
     def __init__(
-        self, unit: SourceUnit, tests: list[TestCase], cfg: SearchConfig,
+        self, base: BaseProgram, cfg: SearchConfig,
         toolchain: Optional[ExternalToolchain], llm: Optional[LlmSearchContext],
         sink: Optional[RecordSink],
     ):
-        check_targets(unit, cfg)
+        check_targets(base.unit, cfg)
         check_families(cfg, llm)
-        self.unit = unit
+        self.base = base
         self.cfg = cfg
         self.toolchain = toolchain
         self.llm = llm
         self.sink = sink
-        self.base = BaseProgram(unit, tests)
         self.sites = StatementSites()
         self.records: list[EvalRecord] = []
 
@@ -248,14 +249,14 @@ class _Run:
 
 
 def random_sampling(
-    unit: SourceUnit,
-    tests: list[TestCase],
+    base: BaseProgram,
     cfg: RandomSamplingConfig,
     toolchain: Optional[ExternalToolchain] = None,
     llm: Optional[LlmSearchContext] = None,
     sink: Optional[RecordSink] = None,
 ) -> list[EvalRecord]:
-    """Draw and evaluate `budget` single-edit patches per family.
+    """Draw and evaluate `budget` single-edit patches per family of
+    `base.unit`, each against the tests `base.tests`.
 
     Families are independent: draw k of a family seeds its own RNG from
     (seed, family, k), so any draw can be repeated in isolation. A classic
@@ -266,7 +267,7 @@ def random_sampling(
     an aborted run leaves its finished rows behind. `toolchain` selects
     the external backend; without one, patches run on the built-in one.
     """
-    run = _Run(unit, tests, cfg, toolchain, llm, sink)
+    run = _Run(base, cfg, toolchain, llm, sink)
     for family in cfg.families:
         for index, patch in enumerate(_draw_family(run, family)):
             run.log(family, index, patch, run.evaluate(patch))
@@ -274,7 +275,7 @@ def random_sampling(
 
 
 def _draw_family(run: _Run, family: str) -> list[Patch]:
-    cfg, unit = run.cfg, run.unit
+    cfg, unit = run.cfg, run.base.unit
     label = "req" if is_llm_family(family) else ""
     patches: list[Patch] = []
     draw = 0
@@ -324,23 +325,23 @@ def propose_neighbor(
 
 
 def local_search(
-    unit: SourceUnit,
-    tests: list[TestCase],
+    base: BaseProgram,
     cfg: LocalSearchConfig,
     toolchain: Optional[ExternalToolchain] = None,
     llm: Optional[LlmSearchContext] = None,
     sink: Optional[RecordSink] = None,
 ) -> list[EvalRecord]:
-    """One hill-climbing run per target method, exactly `evals`
-    evaluations each, the first on the unpatched program."""
-    run = _Run(unit, tests, cfg, toolchain, llm, sink)
+    """One hill-climbing run of `base.unit` per target method, exactly
+    `evals` evaluations each against `base.tests`, the first on the
+    unpatched program."""
+    run = _Run(base, cfg, toolchain, llm, sink)
     for method in cfg.methods:
         _one_ls_run(run, method)
     return run.records
 
 
 def _one_ls_run(run: _Run, method: str) -> None:
-    unit, cfg = run.unit, run.cfg
+    unit, cfg = run.base.unit, run.cfg
     (family,) = cfg.families
     run_id = f"{family}/{method}"
     run_seed = f"{cfg.seed}:ls:{family}:{method}"

@@ -17,6 +17,21 @@ def load_bench(name: str, directory: Path = BENCHMARKS):
     return unit, tests
 
 
+def counting_builds(monkeypatch) -> list[int]:
+    """The identity of each node the interpreter builds from now on, in
+    build order: one entry per call of one of its node builders."""
+    import minigi.lang.interpreter as interpreter
+
+    built: list[int] = []
+    for kind, build in list(interpreter._BUILDERS.items()):
+        def counted(compiler, n, *context, build=build):
+            built.append(id(n))
+            return build(compiler, n, *context)
+
+        monkeypatch.setitem(interpreter._BUILDERS, kind, counted)
+    return built
+
+
 @pytest.fixture(scope="session")
 def bench_sort():
     return load_bench("bench_sort")

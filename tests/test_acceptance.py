@@ -107,7 +107,7 @@ def test_criterion_1_pipeline_ladder_exactness(bench_sort):
     client = MockLlmClient(LlmClientConfig(mode="mock"), script=scripted)
     llm = LlmSearchContext(client, PromptTemplate(project_name="bench_sort"))
     cfg = RandomSamplingConfig(families=("llm-medium",), methods=["sort"], budget=20, seed=13)
-    records = random_sampling(unit, tests, cfg, llm=llm)
+    records = random_sampling(BaseProgram(unit, tests), cfg, llm=llm)
 
     assert len(records) == 20
     assert client.requests_made == 4
@@ -161,7 +161,7 @@ def test_criterion_2_brute_force_edit_space_oracle(bench_sort):
     }
 
     cfg = RandomSamplingConfig(families=("statement",), methods=["sort"], budget=1000, seed=0)
-    records = random_sampling(unit, tests, cfg)
+    records = random_sampling(BaseProgram(unit, tests), cfg)
     assert len(records) == 1000
     agreements = 0
     for record in records:
@@ -194,7 +194,7 @@ def test_criterion_3_planted_improvement_recovery(bench_planted):
         cfg = LocalSearchConfig(
             families=("statement",), methods=("poly_sum",), evals=100, seed=seed
         )
-        records = local_search(unit, tests, cfg)
+        records = local_search(BaseProgram(unit, tests), cfg)
         assert records[0].runtime == baseline
         improving = [
             baseline - r.runtime
@@ -391,14 +391,14 @@ def test_criterion_9_profiler_protocol(bench_sort):
     costs: dict[str, int] = {}
     run_suite(unit, tests, profile=costs)  # one run of the suite, self costs
     costs.pop(HARNESS_FRAME, None)
-    prof = profile(unit, tests, top_k=10)
+    prof = profile(BaseProgram(unit, tests), top_k=10)
     assert prof.costs == costs
     ranked = sorted(costs, key=lambda name: (-costs[name], name))
     assert prof.hot_set == ranked[:10] == ["sort", "max2"]
-    assert profile(unit, tests, top_k=1).hot_set == ["sort"]
+    assert profile(BaseProgram(unit, tests), top_k=1).hot_set == ["sort"]
 
     # equal self costs: the hot set breaks the tie by name
     tied = parse_source("\n".join(f"fn {n}() -> int {{ return 1; }}" for n in "bca"))
     tied_tests = parse_test_file("\n".join(f"test t{n}: {n}() == 1" for n in "bca"))
-    assert profile(tied, tied_tests, top_k=2).hot_set == ["a", "b"]
+    assert profile(BaseProgram(tied, tied_tests), top_k=2).hot_set == ["a", "b"]
     report_pass(9, "profiler protocol")

@@ -1,10 +1,12 @@
-"""A run's BaseProgram: the work done once per base function and per test.
+"""A command's BaseProgram: the work done once per owned node and per test.
 
-Every evaluation of a run shares one BaseProgram. These tests hold it to
-its contract: it changes no result, it reuses only the base's own
-functions, the subtrees the run owns and each test's harness call, it
-keeps nothing of a patched program once that program's suite has ended,
-and reference counting frees it when its driver call returns.
+Every evaluation of a command shares one BaseProgram, which owns every
+node of the base's functions from the moment it is built. These tests
+hold it to its contract: it changes no result, it keeps work only for
+the nodes it owns (the base's own functions and their subtrees, and each
+parsed payload) and for each test's harness call, it keeps nothing of a
+patched program once that program's suite has ended, and reference
+counting frees it when its caller lets go of it.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from minigi.lang.ast import (
     Unary,
     Var,
     VarDecl,
+    tree_nodes,
 )
 from minigi.lang.interpreter import (
     MAX_NESTING_WEIGHT,
@@ -61,7 +64,7 @@ from minigi.search import (
     random_sampling,
 )
 
-from conftest import BENCHMARKS, DATA, load_bench
+from conftest import BENCHMARKS, DATA, counting_builds, load_bench
 
 DRAWS = 150  # per family and program
 STEP_BUDGET = 50_000  # keeps bench_loop's non-terminating mutants cheap
@@ -82,7 +85,7 @@ def drawn_patches(
     llm = LlmSearchContext(
         MockLlmClient(LlmClientConfig(mode="mock")), PromptTemplate(project_name="bench")
     )
-    run = _Run(unit, (), cfg, None, llm, None)
+    run = _Run(BaseProgram(unit, ()), cfg, None, llm, None)
     patches = []
     for family in cfg.families:
         drawn = _draw_family(run, family)
@@ -113,10 +116,37 @@ def test_evaluating_with_the_base_program_gives_the_fresh_result(name):
         assert fields(shared) == fields(fresh), patch
         rungs.add(fresh.classification.value)
     assert rungs == {"Invalid", "ValidOnly", "CompiledOnly", "Passed"}
-    # what the run keeps belongs to the base program alone
-    assert set(base.compiled) <= set(base.functions)
-    assert set(base.texts) == set(base.errors) == set(base.functions)
+    # what the command keeps belongs to the nodes it owns alone: closures
+    # of no patched function, and the lines and errors of each base function
+    own = {id(fn) for fn in unit.functions}
+    assert {key for key, _ in base.closures} <= base.owned
+    assert {key for key, depth in base.lines if depth == 0} == set(base.errors) == own
     assert sorted(base.harness) == list(range(len(tests)))
+
+
+def kept_bodies(base: BaseProgram) -> dict:
+    """The kept closures and depth of each base function's body, by name."""
+    return {
+        fn.name: base.closures[id(fn.body), ()]
+        for fn in base.unit.functions if (id(fn.body), ()) in base.closures
+    }
+
+
+@pytest.mark.parametrize("name", list(PROGRAMS))
+def test_a_fresh_base_program_owns_every_base_node_and_has_computed_nothing(name):
+    unit, tests = load_bench(name, PROGRAMS[name])
+    base = BaseProgram(unit, tests)
+    assert base.owned == {id(node) for fn in unit.functions for node in tree_nodes(fn)}
+    assert base.unit is unit and base.tests is tests
+    assert base.functions == {fn.name: fn for fn in unit.functions}
+    assert base.payloads == base.errors == base.harness == base.outcomes == {}
+    assert base.closures == base.lines == {}
+    assert base.machine is None and base.reach is None
+    # every slot is one of those above
+    assert set(BaseProgram.__slots__) == {
+        "unit", "tests", "functions", "payloads", "errors", "harness", "machine", "reach",
+        "outcomes", "owned", "closures", "lines",
+    }
 
 
 def test_a_base_function_refused_under_deep_calls_runs_when_reached_shallowly():
@@ -146,8 +176,9 @@ def test_a_base_function_refused_under_deep_calls_runs_when_reached_shallowly():
     base = BaseProgram(unit, tests)
     for _ in range(3):
         assert run_suite(unit, tests, base=base) == fresh
-        assert set(base.compiled) == {"deep", "rec"}
-        assert base.compiled["deep"][2] > MAX_NESTING_WEIGHT // 2
+        kept = kept_bodies(base)
+        assert set(kept) == {"deep", "rec"}
+        assert kept["deep"][1] + 1 > MAX_NESTING_WEIGHT // 2  # a call weighs its depth + 1
 
 
 @pytest.mark.parametrize("name", list(PROGRAMS))
@@ -218,7 +249,7 @@ def test_a_kept_subtree_is_refused_under_deep_calls_as_a_fresh_compile_is():
     fn = patched.function("deep")
     verdicts = []
     for weight in (MAX_NESTING_WEIGHT - 1504, MAX_NESTING_WEIGHT - 1503):
-        cold = BaseProgram(patched, tests)  # owns and keeps nothing
+        cold = BaseProgram(patched, tests)  # has kept nothing yet
         verdicts.append(compiled_weight(interpreter._Machine(), cold, fn, weight))
         assert compiled_weight(base.machine, base, fn, weight) == verdicts[-1]
     assert verdicts == [1504, "call depth exceeded"]
@@ -254,11 +285,11 @@ def test_a_driver_call_leaves_no_reference_cycle(bench_sort):
         gc.collect()
         gc.set_debug(gc.DEBUG_SAVEALL)
         del gc.garbage[:]
-        records = random_sampling(unit, tests, RandomSamplingConfig(
+        records = random_sampling(BaseProgram(unit, tests), RandomSamplingConfig(
             families=("statement", "insert", "llm-medium"), methods=("sort", "max2"),
             budget=20, seed=3,
         ), llm=llm)
-        records += local_search(unit, tests, LocalSearchConfig(
+        records += local_search(BaseProgram(unit, tests), LocalSearchConfig(
             families=("llm-medium",), methods=("sort", "max2"), evals=30, seed=3,
         ), llm=llm)
         assert run_suite(unit, tests)[0].status is Status.PASS
@@ -279,14 +310,15 @@ def test_a_driver_call_leaves_no_reference_cycle(bench_sort):
 
 
 def counting_compiles(monkeypatch) -> list:
-    """The root node of every compile from now on: a function body, or a
-    test's harness call."""
+    """The root node of every compile from now on, a function body or a
+    test's harness call, with whether the compile built it (False when it
+    took it as kept)."""
     roots: list = []
 
     class Compiler(interpreter._Compiler):
         def node(self, n, *context):
             if self.level == 0:
-                roots.append(n)
+                roots.append((n, (id(n), context) not in self.kept))
             return super().node(n, *context)
 
     monkeypatch.setattr(interpreter, "_Compiler", Compiler)
@@ -304,15 +336,48 @@ def test_only_patched_functions_compile_again_and_none_is_kept(bench_sort, monke
         assert evaluate(base, patch).passed
         assert evaluate(base, Patch("bench_sort")).passed
     sort, max2 = unit.function("sort").body, unit.function("max2").body
-    patched_max2 = [r for r in roots if type(r) is Block and r is not sort and r is not max2]
-    assert sum(r is sort for r in roots) == 1
-    assert sum(r is max2 for r in roots) == 1
+    built = [r for r, fresh in roots if fresh]
+    patched_max2 = [r for r, _ in roots if type(r) is Block and r is not sort and r is not max2]
+    assert sum(r is sort for r in built) == 1
+    assert sum(r is max2 for r in built) == 1
     assert len(patched_max2) == 5  # once per suite of the patched program
-    assert [r for r in roots if type(r) is Call] == [t.call for t in tests]
-    assert set(base.compiled) == {"sort", "max2"}
+    # whose body is the payload's block, parsed once and owned, so built once
+    assert all(r is patched_max2[0] for r in patched_max2)
+    assert sum(r is patched_max2[0] for r in built) == 1
+    assert [r for r in built if type(r) is Call] == [t.call for t in tests]
+    assert set(kept_bodies(base)) == {"sort", "max2"}
     # the machine keeps no patched program between suites
     assert base.machine.functions == {} and base.machine.compiled == {}
     assert base.machine.profile is None
+
+
+def test_a_patched_caller_reaches_unchanged_callees_built_once_per_command(
+    call_chain, monkeypatch
+):
+    """Patches of `top` run the test of `top`, which calls the unchanged
+    `mid` and `leaf`, in suite after suite. Each suite compiles those
+    callees again, as every function it calls, but takes their bodies from
+    the BaseProgram: no node of `mid` or `leaf` is built twice in the
+    command, while the spine the deletion rebuilds in `top` is built in
+    every suite."""
+    unit, tests = call_chain
+    patches = [
+        rewrite("call_chain", "top", "{ var y: int = mid(x); return y + 3; }"),
+        rewrite("call_chain", "top", "{ return mid(x) + leaf(0) + 2; }"),
+        Patch("call_chain", (Edit(EditKind.DELETE, src=StatementId("top", (1,))),)),
+    ]
+    fresh = [fields(evaluate(BaseProgram(unit, tests), patch)) for patch in patches]
+    assert [f[0].value for f in fresh] == ["Passed", "Passed", "CompiledOnly"]
+    builds = counting_builds(monkeypatch)
+    base = BaseProgram(unit, tests)
+    for _ in range(4):
+        assert [fields(evaluate(base, patch)) for patch in patches] == fresh
+    built = Counter(builds)
+    callees = [n for name in ("mid", "leaf") for n in tree_nodes(unit.function(name))]
+    assert max(built[id(n)] for n in callees) == 1
+    assert built[id(unit.function("mid").body)] == built[id(unit.function("leaf").body)] == 1
+    assert built[id(unit.function("top").body)] == 0  # every patch replaces it
+    assert sum(n for key, n in built.items() if key not in base.owned) >= 4
 
 
 def counting_harness_checks(monkeypatch) -> list:
@@ -333,12 +398,12 @@ def test_each_harness_call_is_checked_once_per_run(bench_sort, monkeypatch):
     cfg = RandomSamplingConfig(
         families=("statement", "insert"), methods=["sort", "max2"], budget=30, seed=2
     )
-    records = random_sampling(unit, tests, cfg)
+    records = random_sampling(BaseProgram(unit, tests), cfg)
     assert sum(r.classification != "Invalid" for r in records) > 20
     assert checked == [t.call for t in tests]
     checked.clear()
     ls = LocalSearchConfig(families=("statement",), methods=("sort", "max2"), evals=20, seed=1)
-    local_search(unit, tests, ls)
+    local_search(BaseProgram(unit, tests), ls)
     assert checked == [t.call for t in tests]  # one BaseProgram for both methods
 
 
@@ -485,7 +550,7 @@ def test_profiled_costs_are_the_same_after_a_run_that_stored_outcomes(call_chain
     after: dict = {}
     assert run_suite(unit, tests, profile=after, base=base) == run_suite(unit, tests)
     assert after == fresh
-    assert profile(unit, tests).costs == {
+    assert profile(BaseProgram(unit, tests)).costs == {
         name: steps for name, steps in fresh.items() if name != interpreter.HARNESS_FRAME
     }
-    assert set(profile(unit, tests).costs) == set(base.functions)
+    assert set(profile(BaseProgram(unit, tests)).costs) == set(base.functions)

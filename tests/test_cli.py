@@ -8,16 +8,18 @@ from pathlib import Path
 
 import pytest
 
+import minigi.search as search
 from minigi import cli
 from minigi.checks import LONGEST_WAIT
 from minigi.cli import main
 from minigi.evaluation import ExternalToolchain
+from minigi.lang.ast import BaseProgram, tree_nodes
 from minigi.llm import LlmClientConfig
 from minigi.prompts import PromptTemplate
 from minigi.reporting import read_records_csv
 from minigi.search import RandomSamplingConfig
 
-from conftest import BENCHMARKS, REPO_ROOT
+from conftest import BENCHMARKS, REPO_ROOT, counting_builds
 
 SORT = str(BENCHMARKS / "bench_sort.ml")
 SORT_TESTS = str(BENCHMARKS / "bench_sort.tests")
@@ -214,6 +216,84 @@ def test_replay_of_ls_run(tmp_path, capsys):
     capsys.readouterr()
     assert run("replay", str(run_dir), "--out-dir", str(tmp_path / "again")) == 0
     assert "identical" in capsys.readouterr().out
+
+
+def counting_base_programs(monkeypatch) -> list:
+    """Every BaseProgram built from now on."""
+    built: list = []
+    real = BaseProgram.__init__
+
+    def init(self, unit, tests):
+        built.append(self)
+        real(self, unit, tests)
+
+    monkeypatch.setattr(BaseProgram, "__init__", init)
+    return built
+
+
+# Each command without --methods, so that `sample` and `ls` profile first.
+ONE_BASE_COMMANDS = {
+    "profile": (),
+    "sample": ("--family", "statement,insert,llm-medium", "--budget", "10", "--seed", "6"),
+    "ls": ("--family", "statement", "--evals", "10", "--seed", "6"),
+}
+
+
+@pytest.mark.parametrize("command", list(ONE_BASE_COMMANDS))
+def test_a_command_builds_one_base_program(tmp_path, capsys, monkeypatch, command):
+    """The profile, the record's digest and every evaluation of a command
+    share the BaseProgram it built when it loaded its program."""
+    built = counting_base_programs(monkeypatch)
+    out_dir = str(tmp_path / "run")
+    assert run(command, SORT, SORT_TESTS, *ONE_BASE_COMMANDS[command], "--out-dir", out_dir) == 0
+    assert len(built) == 1
+    base = built[0]
+    assert base.unit.name == "bench_sort" and len(base.tests) == 5
+    own = {id(fn) for fn in base.unit.functions}
+    assert set(base.errors) == own and base.closures and base.harness  # the profile's work
+    if command != "profile":  # the record's digest printed each base function
+        assert {key for key, depth in base.lines if depth == 0} == own
+
+
+def test_replay_builds_one_base_program_per_record(tmp_path, capsys, monkeypatch):
+    run_dir = tmp_path / "run"
+    for command in ("sample", "ls"):
+        assert run(command, SORT, SORT_TESTS, *ONE_BASE_COMMANDS[command],
+                   "--out-dir", str(run_dir)) == 0
+    built = counting_base_programs(monkeypatch)
+    assert run("replay", str(run_dir), "--out-dir", str(tmp_path / "again")) == 0
+    assert capsys.readouterr().out.count("identical") == 2
+    assert len(built) == 2
+
+
+@pytest.mark.parametrize("command", ["sample", "ls"])
+def test_after_profiling_the_first_evaluation_builds_no_base_node(
+    tmp_path, capsys, monkeypatch, command
+):
+    """Profiling compiles every base function the tests reach into the
+    command's BaseProgram, so the driver's first evaluation builds only the
+    nodes its patch made: none for the unpatched baseline of `ls`."""
+    built = counting_builds(monkeypatch)
+    evaluations = []  # (base, result, builds before it, builds after it)
+    real = search.evaluate
+
+    def evaluate(base, patch, *args):
+        start = len(built)
+        result = real(base, patch, *args)
+        evaluations.append((base, result, start, len(built)))
+        return result
+
+    monkeypatch.setattr(search, "evaluate", evaluate)
+    assert run(command, SORT, SORT_TESTS, *ONE_BASE_COMMANDS[command],
+               "--out-dir", str(tmp_path)) == 0
+    base, result, start, end = evaluations[0]
+    profiled, first = set(built[:start]), set(built[start:end])
+    harness = {id(n) for t in base.tests for n in tree_nodes(t.call)}
+    assert profiled and profiled <= base.owned | harness
+    assert result.classification.value in ("CompiledOnly", "Passed")  # its tests ran
+    assert not first & base.owned
+    if command == "ls":
+        assert first == set()
 
 
 @pytest.mark.parametrize("command", [

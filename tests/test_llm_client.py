@@ -9,6 +9,7 @@ import threading
 import pytest
 
 from minigi import llm
+from minigi.lang.ast import BaseProgram
 from minigi.reporting import RecordWriter
 from minigi.search import LlmSearchContext, RandomSamplingConfig, random_sampling
 from minigi.llm import (
@@ -135,7 +136,7 @@ def test_transcripts_of_an_earlier_version_replay_its_whole_run(bench_max, tmp_p
     llm_context = LlmSearchContext(client, PromptTemplate(project_name="bench_max"))
     log = tmp_path / "sample_log.csv"
     with RecordWriter(log) as writer:
-        random_sampling(unit, tests, cfg, llm=llm_context, sink=writer.write)
+        random_sampling(BaseProgram(unit, tests), cfg, llm=llm_context, sink=writer.write)
     assert client.requests_made == 6  # one prompt twice: 5 transcripts
     assert len(list((RECORDED_RUN / "transcripts").iterdir())) == 5
     assert log.read_bytes() == (RECORDED_RUN / "sample_log.csv").read_bytes()

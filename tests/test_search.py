@@ -10,6 +10,7 @@ from collections import Counter
 import pytest
 
 from minigi.lang import source_digest
+from minigi.lang.ast import BaseProgram
 from minigi.llm import LlmClientConfig, MockLlmClient
 from minigi.patches import Patch, PayloadUnparsableError, split_patch_line
 from minigi.prompts import PromptTemplate
@@ -37,7 +38,7 @@ def mock_context(script=None) -> LlmSearchContext:
 def test_sampling_respects_budget_and_indices(bench_max):
     unit, tests = bench_max
     cfg = RandomSamplingConfig(families=("statement",), methods=["max2"], budget=10, seed=3)
-    records = random_sampling(unit, tests, cfg)
+    records = random_sampling(BaseProgram(unit, tests), cfg)
     assert len(records) == 10
     assert [r.eval_index for r in records] == list(range(10))
     assert all(r.run_id == "statement" for r in records)
@@ -57,12 +58,12 @@ def test_a_run_walks_each_function_object_it_draws_in_once(bench_sort, monkeypat
     monkeypatch.setattr(ast, "statement_sites", statement_sites)
     families = ("statement", "insert", "llm-medium")
     cfg = RandomSamplingConfig(families=families, methods=["sort", "max2"], budget=40, seed=3)
-    random_sampling(unit, tests, cfg, llm=mock_context())
+    random_sampling(BaseProgram(unit, tests), cfg, llm=mock_context())
     assert Counter(fn.name for fn in walked) == {"sort": 1, "max2": 1}  # once per call
     assert all(unit.function(fn.name) is fn for fn in walked)
     walked.clear()
     ls = LocalSearchConfig(families=("statement",), methods=("sort", "max2"), evals=80, seed=1)
-    records = local_search(unit, tests, ls)
+    records = local_search(BaseProgram(unit, tests), ls)
     improvements = 0
     for method in ls.methods:
         rows = [r.runtime for r in records if r.run_id == f"statement/{method}"]
@@ -77,8 +78,8 @@ def test_sampling_is_replayable_bit_exactly(bench_max):
     cfg = RandomSamplingConfig(
         families=("statement", "insert"), methods=["max2", "clamp_low"], budget=10, seed=3
     )
-    first = random_sampling(unit, tests, cfg)
-    second = random_sampling(unit, tests, cfg)
+    first = random_sampling(BaseProgram(unit, tests), cfg)
+    second = random_sampling(BaseProgram(unit, tests), cfg)
     assert first == second
 
 
@@ -95,7 +96,7 @@ def test_sampling_sinks_each_record_before_the_next_evaluation(bench_max, monkey
 
     count_evaluations(monkeypatch, events)
     cfg = RandomSamplingConfig(families=("statement", "insert"), methods=["max2"], budget=5, seed=9)
-    records = random_sampling(unit, tests, cfg, sink=sink)
+    records = random_sampling(BaseProgram(unit, tests), cfg, sink=sink)
     assert sunk == records
     assert events[-1] == "sink" and ("eval", "eval") not in zip(events, events[1:])
     assert events.count("eval") == len(records)
@@ -109,7 +110,7 @@ def test_each_logged_classic_patch_is_replayable_from_its_seed(bench_max):
 
     unit, tests = bench_max
     cfg = RandomSamplingConfig(families=("statement",), methods=["max2"], budget=5, seed=11)
-    records = random_sampling(unit, tests, cfg)
+    records = random_sampling(BaseProgram(unit, tests), cfg)
     for record in records:
         seed, edits, _fp = split_patch_line(record.patch_line)
         redrawn = sample_statement_edit(unit, ["max2"], random.Random(seed))
@@ -120,7 +121,7 @@ def test_llm_budget_of_ten_issues_exactly_two_requests(bench_sort):
     unit, tests = bench_sort
     llm = mock_context(script=lambda prompt: "```\n{ }\n```\n" * 5)
     cfg = RandomSamplingConfig(families=("llm-medium",), methods=["sort"], budget=10, seed=1)
-    records = random_sampling(unit, tests, cfg, llm=llm)
+    records = random_sampling(BaseProgram(unit, tests), cfg, llm=llm)
     assert len(records) == 10
     assert llm.client.requests_made == 2  # ceil(10 / 5)
 
@@ -129,7 +130,7 @@ def test_llm_request_count_is_ceil_of_budget_over_variants(bench_sort):
     unit, tests = bench_sort
     llm = mock_context(script=lambda prompt: "```\n{ }\n```")
     cfg = RandomSamplingConfig(families=("llm-simple",), methods=["sort"], budget=7, seed=1)
-    random_sampling(unit, tests, cfg, llm=llm)
+    random_sampling(BaseProgram(unit, tests), cfg, llm=llm)
     assert llm.client.requests_made == 2  # ceil(7 / 5)
 
 
@@ -137,24 +138,25 @@ def test_llm_family_needs_context(bench_sort):
     unit, tests = bench_sort
     cfg = RandomSamplingConfig(families=("llm-medium",), methods=["sort"], budget=5, seed=1)
     with pytest.raises(SearchSetupError):
-        random_sampling(unit, tests, cfg)
+        random_sampling(BaseProgram(unit, tests), cfg)
 
 
 def test_unknown_family_rejected(bench_sort):
     unit, tests = bench_sort
     cfg = RandomSamplingConfig(families=("mystery",), methods=["sort"], budget=5, seed=1)
     with pytest.raises(SearchSetupError):
-        random_sampling(unit, tests, cfg)
+        random_sampling(BaseProgram(unit, tests), cfg)
 
 
 def test_unknown_hot_method_rejected(bench_sort):
     """Both drivers check their target methods before the first draw."""
     unit, tests = bench_sort
+    base = BaseProgram(unit, tests)
     for hot in (["nope"], [], ["sort", "nope"]):
         with pytest.raises(SearchSetupError):
-            random_sampling(unit, tests, RandomSamplingConfig(["statement"], hot, budget=5))
+            random_sampling(base, RandomSamplingConfig(["statement"], hot, budget=5))
         with pytest.raises(SearchSetupError):
-            local_search(unit, tests, LocalSearchConfig(["statement"], hot, evals=5))
+            local_search(base, LocalSearchConfig(["statement"], hot, evals=5))
 
 
 @pytest.mark.parametrize("make", [
@@ -172,7 +174,7 @@ def test_sink_sees_every_record_in_order(bench_max):
     unit, tests = bench_max
     seen: list[EvalRecord] = []
     cfg = RandomSamplingConfig(families=("insert",), methods=["max2"], budget=8, seed=2)
-    records = random_sampling(unit, tests, cfg, sink=seen.append)
+    records = random_sampling(BaseProgram(unit, tests), cfg, sink=seen.append)
     assert seen == records
 
 
@@ -182,7 +184,7 @@ def test_sink_sees_every_record_in_order(bench_max):
 def test_local_search_budget_exact_first_eval_unpatched(bench_planted):
     unit, tests = bench_planted
     cfg = LocalSearchConfig(families=("statement",), methods=("poly_sum",), evals=100, seed=0)
-    records = local_search(unit, tests, cfg)
+    records = local_search(BaseProgram(unit, tests), cfg)
     assert len(records) == 100
     assert records[0].eval_index == 0
     seed, edits, _ = split_patch_line(records[0].patch_line)
@@ -194,7 +196,7 @@ def test_local_search_budget_exact_first_eval_unpatched(bench_planted):
 def test_local_search_multiple_runs(bench_max):
     unit, tests = bench_max
     cfg = LocalSearchConfig(families=("insert",), methods=("max2", "clamp_low"), evals=20, seed=5)
-    records = local_search(unit, tests, cfg)
+    records = local_search(BaseProgram(unit, tests), cfg)
     assert len(records) == 40
     assert {r.run_id for r in records} == {"insert/max2", "insert/clamp_low"}
 
@@ -206,14 +208,14 @@ def test_local_search_requires_passing_baseline(bench_sort):
     failing = parse_test_file("test wrong: max2(1, 2) == 0")
     cfg = LocalSearchConfig(families=("statement",), methods=("max2",), evals=5, seed=0)
     with pytest.raises(SearchSetupError):
-        local_search(unit, failing, cfg)
+        local_search(BaseProgram(unit, failing), cfg)
 
 
 def test_local_search_unknown_method_rejected(bench_sort):
     unit, tests = bench_sort
     cfg = LocalSearchConfig(families=("statement",), methods=("nope",), evals=5, seed=0)
     with pytest.raises(SearchSetupError):
-        local_search(unit, tests, cfg)
+        local_search(BaseProgram(unit, tests), cfg)
 
 
 def test_local_search_finds_planted_deletion(bench_planted):
@@ -229,7 +231,7 @@ def test_local_search_finds_planted_deletion(bench_planted):
         cfg = LocalSearchConfig(
             families=("statement",), methods=("poly_sum",), evals=100, seed=seed
         )
-        records = local_search(unit, tests, cfg)
+        records = local_search(BaseProgram(unit, tests), cfg)
         passing = [
             r.runtime
             for r in records
@@ -244,7 +246,7 @@ def test_local_search_finds_planted_deletion(bench_planted):
 def test_every_improving_eval_passed_and_acceptance_is_strict(bench_planted):
     unit, tests = bench_planted
     cfg = LocalSearchConfig(families=("statement",), methods=("poly_sum",), evals=100, seed=4)
-    records = local_search(unit, tests, cfg)
+    records = local_search(BaseProgram(unit, tests), cfg)
     baseline = records[0].runtime
     for record in records:
         if record.runtime is not None:
@@ -260,7 +262,7 @@ def test_no_improvement_when_everything_fails(bench_max):
     # every rewrite from this mock is unparsable, so no neighbor ever passes
     llm = mock_context(script=lambda prompt: "```\nnot ((( code\n```")
     cfg = LocalSearchConfig(families=("llm-medium",), methods=("max2",), evals=30, seed=1)
-    records = local_search(unit, tests, cfg, llm=llm)
+    records = local_search(BaseProgram(unit, tests), cfg, llm=llm)
     baseline = records[0].runtime
     improving = [
         r for r in records[1:] if r.runtime is not None and r.runtime < baseline
@@ -273,7 +275,7 @@ def test_equal_runtime_neighbor_not_accepted(bench_max):
     """Self-swap neighbors leave runtime unchanged; strict < rejects them."""
     unit, tests = bench_max
     cfg = LocalSearchConfig(families=("statement",), methods=("max2",), evals=60, seed=7)
-    records = local_search(unit, tests, cfg)
+    records = local_search(BaseProgram(unit, tests), cfg)
     baseline = records[0].runtime
     # find a Swap(s,s) evaluation: fingerprint equals the original digest
     original = source_digest(unit)
@@ -319,7 +321,7 @@ def test_local_search_evaluates_each_distinct_edit_list_once_per_run(
     calls = count_evaluations(monkeypatch)
     cfg = LocalSearchConfig((family,), ("max2", "clamp_low"), evals=60, seed=3)
     llm = mock_context() if family == "llm-medium" else None
-    records = local_search(unit, tests, cfg, llm=llm)
+    records = local_search(BaseProgram(unit, tests), cfg, llm=llm)
     distinct = distinct_edit_lists(records)
     assert len(distinct) < len(records)  # the runs do repeat edit lists
     assert len(calls) == len(set(calls)) == len(distinct)
@@ -329,10 +331,10 @@ def test_the_evaluation_memo_lives_no_longer_than_its_run(bench_planted, monkeyp
     unit, tests = bench_planted
     calls = count_evaluations(monkeypatch)
     cfg = LocalSearchConfig(("statement",), ("poly_sum",), evals=80, seed=2)
-    first = local_search(unit, tests, cfg)
+    first = local_search(BaseProgram(unit, tests), cfg)
     once = len(calls)
     assert once < len(first)
-    assert local_search(unit, tests, cfg) == first
+    assert local_search(BaseProgram(unit, tests), cfg) == first
     assert calls[once:] == calls[:once]
 
 
@@ -353,7 +355,7 @@ def test_the_external_backend_evaluates_every_local_search_row(bench_max, monkey
     )
     calls = count_evaluations(monkeypatch)
     cfg = LocalSearchConfig(("statement",), ("max2",), evals=25, seed=3)
-    records = local_search(unit, tests, cfg, toolchain=toolchain)
+    records = local_search(BaseProgram(unit, tests), cfg, toolchain=toolchain)
     assert len(distinct_edit_lists(records)) < len(records)
     assert len(calls) == len(records)
 
@@ -371,13 +373,14 @@ def test_local_search_sinks_each_record_before_the_next_evaluation(bench_max, mo
 
     count_evaluations(monkeypatch, events)
     cfg = LocalSearchConfig(("statement",), ("max2", "clamp_low"), evals=30, seed=3)
-    records = local_search(unit, tests, cfg, sink=sink)
+    records = local_search(BaseProgram(unit, tests), cfg, sink=sink)
     assert sunk == records
     assert events[-1] == "sink" and ("eval", "eval") not in zip(events, events[1:])
 
 
 def ls_run(unit, tests, family) -> _Run:
-    return _Run(unit, tests, LocalSearchConfig((family,), ("max2",)), None, None, None)
+    cfg = LocalSearchConfig((family,), ("max2",))
+    return _Run(BaseProgram(unit, tests), cfg, None, None, None)
 
 
 def test_propose_neighbor_empty_always_appends(bench_max):
@@ -438,7 +441,7 @@ def test_statement_family_thousand_draw_golden_counts(bench_sort):
     cfg = RandomSamplingConfig(
         families=("statement",), methods=["sort", "max2"], budget=1000, seed=42
     )
-    records = random_sampling(unit, tests, cfg)
+    records = random_sampling(BaseProgram(unit, tests), cfg)
     verdicts: dict[str, set[str]] = {}
     for record in records:
         digest = split_patch_line(record.patch_line)[2]
@@ -493,7 +496,7 @@ def test_llm_local_search_amortizes_requests(bench_sort):
     unit, tests = bench_sort
     llm = mock_context(script=lambda prompt: "```\n{ }\n```\n" * 5)
     cfg = LocalSearchConfig(families=("llm-medium",), methods=("sort",), evals=40, seed=2)
-    records = local_search(unit, tests, cfg, llm=llm)
+    records = local_search(BaseProgram(unit, tests), cfg, llm=llm)
     appends = sum(1 for r in records[1:] if "llm(" in r.patch_line)
     # every append pops one queued variant; requests refill five at a time
     assert llm.client.requests_made == -(-appends // 5)  # ceil
@@ -518,7 +521,7 @@ def test_llm_local_search_requests_again_after_an_accepted_move():
         return "\n".join(f"```\n{v}\n```" for v in variants)
 
     cfg = LocalSearchConfig(families=("llm-medium",), methods=("f",), evals=12, seed=0)
-    local_search(unit, tests, cfg, llm=mock_context(script), sink=records.append)
+    local_search(BaseProgram(unit, tests), cfg, llm=mock_context(script), sink=records.append)
     assert records[1].runtime is not None and records[1].runtime < records[0].runtime
     edit_counts = [len(split_patch_line(r.patch_line)[1].split(" ; ")) for r in records]
     first_append = next(i for i in range(2, len(records)) if edit_counts[i] == 2)
@@ -532,16 +535,17 @@ def test_statement_runs_without_a_statement_to_draw_are_refused():
 
     unit = parse_source("fn noop() { } fn one(x: int) -> int { return x; }", "noop")
     tests = parse_test_file("test same: one(1) == 1")
+    base = BaseProgram(unit, tests)
     records = random_sampling(
-        unit, tests, RandomSamplingConfig(("statement",), ["noop", "one"], seed=1, budget=50)
+        base, RandomSamplingConfig(("statement",), ["noop", "one"], seed=1, budget=50)
     )
     assert all("noop:" not in split_patch_line(r.patch_line)[1] for r in records)
     with pytest.raises(SearchSetupError, match="no statement to draw in noop"):
-        random_sampling(unit, tests, RandomSamplingConfig(("statement",), ["noop"], 1, budget=5))
+        random_sampling(base, RandomSamplingConfig(("statement",), ["noop"], 1, budget=5))
     with pytest.raises(SearchSetupError, match="no statement to draw in noop"):
-        local_search(unit, tests, LocalSearchConfig(("statement",), ("one", "noop"), 1, evals=5))
+        local_search(base, LocalSearchConfig(("statement",), ("one", "noop"), 1, evals=5))
     insert = LocalSearchConfig(("insert",), ("noop",), 1, evals=5)
-    assert len(local_search(unit, tests, insert)) == 5
+    assert len(local_search(base, insert)) == 5
 
 
 def _nested_ifs(depth: int) -> str:
@@ -570,7 +574,7 @@ def test_adversarial_rewrites_each_log_a_row_within_a_wall_bound():
     tests = parse_test_file("test three: f(3) == 3")
     cfg = RandomSamplingConfig(families=("llm-medium",), methods=["f"], budget=10, seed=0)
     started = time.monotonic()
-    records = random_sampling(unit, tests, cfg, llm=mock_context(lambda _: response))
+    records = random_sampling(BaseProgram(unit, tests), cfg, llm=mock_context(lambda _: response))
     assert time.monotonic() - started < 10.0
     assert [r.eval_index for r in records] == list(range(10))
     # per request: the three rewrites in order, then two variants without code
@@ -614,12 +618,12 @@ def test_sampling_parses_each_distinct_payload_once_per_run(bench_sort, monkeypa
     cfg = RandomSamplingConfig(
         families=("llm-medium",), methods=["sort", "max2"], budget=40, seed=3
     )
-    first = random_sampling(unit, tests, cfg, llm=mock_context())
+    first = random_sampling(BaseProgram(unit, tests), cfg, llm=mock_context())
     logged = logged_payloads(first)
     assert len(logged) > 3 * len(set(logged))  # the mock repeats its payloads
     assert digests(parsed) == sorted(set(logged))
     # the memo lives no longer than its run: running it again parses them again
-    second = random_sampling(unit, tests, cfg, llm=mock_context())
+    second = random_sampling(BaseProgram(unit, tests), cfg, llm=mock_context())
     assert second == first
     assert digests(parsed) == sorted(2 * list(set(logged)))
 
@@ -638,7 +642,7 @@ def test_local_search_parses_each_distinct_payload_once_across_moves(monkeypatch
     response = "\n".join(f"```\n{v}\n```" for v in variants)
     parsed = count_parses(monkeypatch)
     cfg = LocalSearchConfig(families=("llm-medium",), methods=("f",), evals=40, seed=0)
-    records = local_search(unit, tests, cfg, llm=mock_context(lambda _: response))
+    records = local_search(BaseProgram(unit, tests), cfg, llm=mock_context(lambda _: response))
     assert records[1].runtime is not None and records[1].runtime < records[0].runtime
     edit_counts = Counter(len(split_patch_line(r.patch_line)[1].split(" ; ")) for r in records)
     assert edit_counts[2] > 10  # appends to the accepted one-edit patch
@@ -667,7 +671,7 @@ def test_a_repeated_unparsable_payload_raises_a_fresh_error_each_time(bench_sort
     client = MockLlmClient(LlmClientConfig(mode="mock"), script=["```\nnot ((( code\n```"] * 3)
     llm = LlmSearchContext(client, PromptTemplate(project_name="bench", variant_count=1))
     cfg = RandomSamplingConfig(families=("llm-medium",), methods=["sort"], budget=3, seed=1)
-    records = random_sampling(unit, tests, cfg, llm=llm)
+    records = random_sampling(BaseProgram(unit, tests), cfg, llm=llm)
     assert [r.classification for r in records] == ["Invalid"] * 3
     assert parsed == ["not ((( code"]
     assert len(raised) == 3 and len({id(exc) for exc in raised}) == 3
@@ -703,10 +707,10 @@ def test_every_family_draws_and_searches_the_rows_it_always_did():
                 MockLlmClient(LlmClientConfig()), PromptTemplate(project_name=stem)
             )
             cfg = RandomSamplingConfig((family,), hot, 5, 20_000, budget=37)
-            records = random_sampling(unit, tests, cfg, llm=llm)
+            records = random_sampling(BaseProgram(unit, tests), cfg, llm=llm)
             for seed in (1, 2):
                 ls_cfg = LocalSearchConfig((family,), runs, seed, 20_000, evals=40)
-                records += local_search(unit, tests, ls_cfg, llm=llm)
+                records += local_search(BaseProgram(unit, tests), ls_cfg, llm=llm)
             lines += [
                 f"{stem} {r.run_id} {r.eval_index} {r.patch_line} {r.classification} {r.runtime}"
                 for r in records
