@@ -13,7 +13,7 @@ step; those modules cost more than the rest of the package together.
 Record classes use `ast.record`, and annotations are left unevaluated
 (`from __future__ import annotations`). `hashlib` is loaded only by
 `source_digest`, on the first digest, which no toolchain step computes.
-The parser compiles its token pattern at import, with `re`, which a
+The parser compiles its token patterns at import, with `re`, which a
 step's `pathlib` loads anyway. tests/test_lang_package.py pins the
 imported modules.
 """

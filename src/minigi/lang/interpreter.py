@@ -1113,7 +1113,9 @@ def _literal_value(expr: Expr) -> object:
 
 
 def parse_test_file(text: str) -> list[TestCase]:
-    """Parse a `.tests` file; raises ParseError with the offending line number."""
+    """Parse a `.tests` file; raises ParseError with the offending line
+    number, and for an error in a test's expression the column of the
+    offending token in that line."""
     tests: list[TestCase] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -1125,10 +1127,12 @@ def parse_test_file(text: str) -> list[TestCase]:
         name = head.strip()
         if not sep or not name:
             raise ParseError("missing `:` after test name", lineno, 1)
+        body = rest.lstrip()  # `line` ends with `rest` and has no trailing space
         try:
-            expr = parse_expression(rest.strip())
+            expr = parse_expression(body)
         except ParseError as exc:
-            raise ParseError(exc.message, lineno, exc.col) from None
+            indent = len(raw) - len(raw.lstrip())
+            raise ParseError(exc.message, lineno, indent + len(line) - len(body) + exc.col) from None
         if not (isinstance(expr, Binary) and expr.op == "=="):
             raise ParseError("test body must be `<call> == <literal>`", lineno, 1)
         if not isinstance(expr.left, Call):

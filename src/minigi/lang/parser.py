@@ -1,13 +1,19 @@
 """Lexer and recursive-descent parser for MiniLang.
 
 Tokens. Source is ASCII, comments included. One pattern (`_TOKEN`) reads
-it: spaces, tabs, carriage returns, newlines and `//` comments to the end
-of the line are skipped; an integer is `[0-9]+`; a name is
+it in one pass, one match per token: spaces, tabs, carriage returns,
+newlines and `//` comments to the end of the line are folded into the
+match of the token after them; an integer is `[0-9]+`; a name is
 `[A-Za-z_][A-Za-z0-9_]*`, and a name in KEYWORDS is a keyword; the
-two-character operators are tried before the one-character ones. Any
-other character, every non-ASCII one included, is a ParseError at its
-line and column. Punctuation, keywords and integers never share a token
-text, so the parser tells tokens apart by their text alone.
+two-character operators are tried before the one-character ones. A token
+is its text alone, a plain string, and the end of input is "". The parser
+tells tokens apart by their text: punctuation, keywords and integers never
+share one, an integer starts with a digit and a name with a letter or
+`_`. Any other character, every non-ASCII one included, is a ParseError
+at its line and column, and the first such character in the text is the
+error reported, wherever the parse stopped. Positions are kept by token
+number; the line and column of an error are found from its token's
+offset in the text only when the error is raised.
 
 The grammar is the one the `_Parser` methods implement, read top-down:
 declarations (`parse_unit`, `parse_function`, `parse_type`), statements
@@ -54,7 +60,6 @@ from minigi.lang.ast import (
     Var,
     VarDecl,
     While,
-    record,
 )
 
 KEYWORDS = {
@@ -68,15 +73,17 @@ BINARY_LEVELS = (
     ("||",), ("&&",), ("==", "!="), ("<", "<=", ">", ">="), ("+", "-"), ("*", "/", "%"),
 )
 
-# `bad` takes any character the others refuse, so the matches tile the text.
-_TOKEN = re.compile(
-    r"(?P<skip>[ \t\r\n]+|//[\x00-\x09\x0b-\x7f]*)"
-    r"|(?P<int>[0-9]+)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<punct>->|==|!=|<=|>=|&&|\|\||[-(){}\[\],;:+*/%<>=!])"
-    r"|(?P<bad>.)",
-    re.DOTALL,
-)
+# One match per token: the spaces, tabs, line breaks and `//` comments
+# before it, then the token (group 1). `.` takes any character no token
+# starts with, and `\Z` the empty end-of-input token, so the matches tile
+# the text and the last one is "" at its end.
+_SKIP = r"(?:[ \t\r\n]+|//[\x00-\x09\x0b-\x7f]*)*"
+_VALID = r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|->|==|!=|<=|>=|&&|\|\||[-(){}\[\],;:+*/%<>=!]"
+_TOKEN = re.compile(f"{_SKIP}({_VALID}|.|\\Z)", re.DOTALL)
+_VALID_TOKEN = re.compile(_VALID)
+
+_DIGITS = frozenset("0123456789")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 MAX_NESTING = 100
 
@@ -89,80 +96,78 @@ class ParseError(Exception):
         self.col = col
 
 
-@record
-class Token:
-    kind: str  # "ident", "int", "punct", "eof"
-    text: str
-    line: int
-    col: int
+def tokenize(text: str) -> list[str]:
+    """The text of each token of `text`, in order, ending with "" (end of
+    input). A character that no token takes is a token of its own here;
+    the parser never accepts it, and `_Parser.error` reports it."""
+    return _TOKEN.findall(text)
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, line_start = 1, 0  # line_start: offset of the current line's first character
-    for m in _TOKEN.finditer(text):
-        kind, start = m.lastgroup, m.start()
-        if kind == "skip":
-            newlines = m.group().count("\n")
-            if newlines:
-                line += newlines
-                line_start = text.rindex("\n", start, m.end()) + 1
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}", line, start - line_start + 1)
-        else:
-            tokens.append(Token(kind, m.group(), line, start - line_start + 1))
-    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
-    return tokens
-
-
-def _describe(tok: Token) -> str:
-    return "end of input" if tok.kind == "eof" else repr(tok.text)
+def _describe(tok: str) -> str:
+    return repr(tok) if tok else "end of input"
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    """A parser of `text`. It reads the token texts by position, and an
+    error names its token by position too (see `error`)."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = tokenize(text)
         self.pos = 0
         self.depth = 0
 
     # -- token plumbing --
 
-    def peek(self) -> Token:
+    def error(self, message: str, at: int) -> ParseError:
+        """The ParseError for `message` at token number `at`, with the line
+        and column of its first character. A character that no token takes
+        is reported instead, the first one in the text, wherever it is: no
+        input that holds one parses."""
+        text, offset = self.text, len(self.text)
+        for i, m in enumerate(_TOKEN.finditer(text)):
+            tok = m[1]
+            if tok and not _VALID_TOKEN.match(tok):
+                message, offset = f"unexpected character {tok!r}", m.start(1)
+                break
+            if i == at:
+                offset = m.start(1)
+        line_start = text.rfind("\n", 0, offset) + 1
+        return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
+
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def at(self, text: str) -> bool:
-        return self.tokens[self.pos].text == text
+        return self.tokens[self.pos] == text
 
     def accept(self, text: str) -> bool:
         """Consume the next token when its text is `text`."""
-        if self.tokens[self.pos].text == text:
+        if self.tokens[self.pos] == text:
             self.pos += 1
             return True
         return False
 
-    def expect(self, text: str) -> Token:
-        tok = self.next()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {_describe(tok)}", tok.line, tok.col)
+    def expect(self, text: str) -> None:
+        tok = self.tokens[self.pos]
+        if tok != text:
+            raise self.error(f"expected {text!r}, found {_describe(tok)}", self.pos)
+        self.pos += 1
+
+    def expect_ident(self) -> str:
+        tok = self.tokens[self.pos]
+        if tok[:1] not in _NAME_START:
+            raise self.error(f"expected identifier, found {_describe(tok)}", self.pos)
+        if tok in KEYWORDS:
+            raise self.error(f"keyword {tok!r} cannot be used as a name", self.pos)
+        self.pos += 1
         return tok
 
-    def expect_ident(self) -> Token:
-        tok = self.next()
-        if tok.kind != "ident":
-            raise ParseError(f"expected identifier, found {_describe(tok)}", tok.line, tok.col)
-        if tok.text in KEYWORDS:
-            raise ParseError(f"keyword {tok.text!r} cannot be used as a name", tok.line, tok.col)
-        return tok
-
-    def _enter(self, tok: Token) -> None:
+    def _enter(self, at: int) -> None:
+        """Count one level of nesting, opened by token number `at`."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ParseError("nesting too deep", tok.line, tok.col)
+            raise self.error("nesting too deep", at)
 
     def _leave(self) -> None:
         self.depth -= 1
@@ -181,25 +186,24 @@ class _Parser:
 
     def parse_unit(self, name: str) -> SourceUnit:
         functions = []
-        while self.peek().kind != "eof":
+        while self.tokens[self.pos]:
             functions.append(self.parse_function())
         return SourceUnit(name, tuple(functions))
 
     def parse_function(self) -> Function:
         self.expect("fn")
-        name = self.expect_ident().text
+        name = self.expect_ident()
         self.expect("(")
         params = self._parse_list(self._parse_param, ")")
         ret = self.parse_type() if self.accept("->") else Type.VOID
         return Function(name, params, ret, self.parse_braced_block())
 
     def _parse_param(self) -> Param:
-        name = self.expect_ident().text
+        name = self.expect_ident()
         self.expect(":")
         return Param(name, self.parse_type())
 
     def parse_type(self) -> Type:
-        tok = self.peek()
         if self.accept("int"):
             if self.accept("["):
                 self.expect("]")
@@ -207,32 +211,34 @@ class _Parser:
             return Type.INT
         if self.accept("bool"):
             return Type.BOOL
-        raise ParseError(f"expected a type, found {_describe(tok)}", tok.line, tok.col)
+        raise self.error(f"expected a type, found {_describe(self.peek())}", self.pos)
 
     # -- statements --
 
     def parse_braced_block(self) -> Block:
-        self._enter(self.expect("{"))
+        opener = self.pos
+        self.expect("{")
+        self._enter(opener)
         statements = []
         while not self.accept("}"):
-            tok = self.peek()
-            if tok.kind == "eof":
-                raise ParseError("unterminated block", tok.line, tok.col)
+            if not self.tokens[self.pos]:
+                raise self.error("unterminated block", self.pos)
             statements.append(self.parse_statement())
         self._leave()
         return Block(tuple(statements))
 
     def parse_statement(self) -> Stmt:
-        tok = self.peek()
-        if tok.text == "{":
+        start = self.pos
+        tok = self.tokens[start]
+        if tok == "{":
             return self.parse_braced_block()
-        if tok.text == "if":
+        if tok == "if":
             return self.parse_if()
-        if tok.text == "for":
+        if tok == "for":
             return self.parse_for()
         if self.accept("while"):
             return While(self._parse_condition(), self.parse_braced_block())
-        if tok.text == "var":
+        if tok == "var":
             stmt = self.parse_var_decl()
         elif self.accept("break"):
             stmt = Break()
@@ -240,17 +246,17 @@ class _Parser:
             stmt = Continue()
         elif self.accept("return"):
             stmt = Return(None if self.at(";") else self.parse_expr())
-        elif tok.text in KEYWORDS:
-            raise ParseError(f"unexpected keyword {tok.text!r}", tok.line, tok.col)
+        elif tok in KEYWORDS:
+            raise self.error(f"unexpected keyword {tok!r}", start)
         else:
             expr = self.parse_expr()
-            stmt = self._parse_assign_value(expr, tok) if self.accept("=") else ExprStmt(expr)
+            stmt = self._parse_assign_value(expr, start) if self.accept("=") else ExprStmt(expr)
         self.expect(";")
         return stmt
 
     def parse_var_decl(self) -> VarDecl:
         self.expect("var")
-        name = self.expect_ident().text
+        name = self.expect_ident()
         self.expect(":")
         var_type = self.parse_type()
         self.expect("=")
@@ -263,7 +269,7 @@ class _Parser:
         orelse: Stmt | None = None
         if self.accept("else"):
             if self.at("if"):
-                self._enter(self.peek())  # an `else if` arm nests one level in the tree
+                self._enter(self.pos)  # an `else if` arm nests one level in the tree
                 orelse = self.parse_if()
                 self._leave()
             else:
@@ -288,22 +294,22 @@ class _Parser:
         return For(init, cond, update, self.parse_braced_block())
 
     def _parse_bare_assign(self) -> Assign:
-        tok = self.peek()
+        start = self.pos
         target = self.parse_expr()
         self.expect("=")
-        return self._parse_assign_value(target, tok)
+        return self._parse_assign_value(target, start)
 
-    def _parse_assign_value(self, target: Expr, tok: Token) -> Assign:
-        """`target`, parsed from `tok` on, assigned the value after its `=`."""
+    def _parse_assign_value(self, target: Expr, start: int) -> Assign:
+        """`target`, parsed from token number `start` on, assigned the value
+        after its `=`."""
         if not isinstance(target.base if isinstance(target, Index) else target, Var):
-            raise ParseError("invalid assignment target", tok.line, tok.col)
+            raise self.error("invalid assignment target", start)
         return Assign(target, self.parse_expr())
 
     # -- expressions --
 
     def parse_expr(self) -> Expr:
-        tok = self.peek()
-        self._enter(tok)
+        self._enter(self.pos)
         try:
             return self._parse_binary(0)
         finally:
@@ -317,20 +323,22 @@ class _Parser:
         ops = BINARY_LEVELS[level]
         left = self._parse_binary(level + 1)
         depth = self.depth
-        while self.peek().text in ops:
-            op = self.next()
-            self._enter(op)
-            left = Binary(op.text, left, self._parse_binary(level + 1))
+        tokens = self.tokens
+        while tokens[self.pos] in ops:
+            op = tokens[self.pos]
+            self._enter(self.pos)
+            self.pos += 1
+            left = Binary(op, left, self._parse_binary(level + 1))
         self.depth = depth
         return left
 
     def _parse_unary(self) -> Expr:
-        tok = self.peek()
-        if tok.text in ("-", "!"):
-            self.next()
-            self._enter(tok)
+        tok = self.tokens[self.pos]
+        if tok == "-" or tok == "!":
+            self._enter(self.pos)
+            self.pos += 1
             try:
-                return Unary(tok.text, self._parse_unary())
+                return Unary(tok, self._parse_unary())
             finally:
                 self._leave()
         return self._parse_postfix()
@@ -340,7 +348,8 @@ class _Parser:
         expr = self._parse_primary()
         depth = self.depth
         while self.at("["):
-            self._enter(self.next())
+            self._enter(self.pos)
+            self.pos += 1
             index = self.parse_expr()
             self.expect("]")
             expr = Index(expr, index)
@@ -348,42 +357,44 @@ class _Parser:
         return expr
 
     def _parse_primary(self) -> Expr:
-        tok = self.next()
-        text = tok.text
-        if tok.kind == "int":
-            return IntLit(int(text))
-        if tok.kind == "ident":
-            if text == "true" or text == "false":
-                return BoolLit(text == "true")
-            if text in KEYWORDS:
-                raise ParseError(f"unexpected keyword {text!r}", tok.line, tok.col)
+        start = self.pos
+        tok = self.tokens[start]
+        self.pos += 1
+        first = tok[:1]
+        if first in _DIGITS:
+            return IntLit(int(tok))
+        if first in _NAME_START:
+            if tok == "true" or tok == "false":
+                return BoolLit(tok == "true")
+            if tok in KEYWORDS:
+                raise self.error(f"unexpected keyword {tok!r}", start)
             if self.accept("("):
-                return Call(text, self._parse_list(self.parse_expr, ")"))
-            return Var(text)
-        if text == "(":
-            self._enter(tok)
+                return Call(tok, self._parse_list(self.parse_expr, ")"))
+            return Var(tok)
+        if tok == "(":
+            self._enter(start)
             expr = self.parse_expr()
             self._leave()
             self.expect(")")
             return expr
-        if text == "[":
+        if tok == "[":
             return ArrayLit(self._parse_list(self.parse_expr, "]"))
-        raise ParseError(f"expected an expression, found {_describe(tok)}", tok.line, tok.col)
+        raise self.error(f"expected an expression, found {_describe(tok)}", start)
 
 
 def _parse_whole(text: str, parse, what: str):
     """`parse` applied to a parser of `text`, which must consume all of it."""
-    parser = _Parser(tokenize(text))
+    parser = _Parser(text)
     result = parse(parser)
     tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input after {what}: {tok.text!r}", tok.line, tok.col)
+    if tok:
+        raise parser.error(f"trailing input after {what}: {tok!r}", parser.pos)
     return result
 
 
 def parse_source(text: str, name: str = "main") -> SourceUnit:
     """Parse a whole MiniLang file into a SourceUnit."""
-    return _Parser(tokenize(text)).parse_unit(name)
+    return _Parser(text).parse_unit(name)
 
 
 def parse_block(text: str) -> Block:

@@ -739,7 +739,7 @@ def test_an_external_command_that_does_not_split_is_a_config_error(
 
 @pytest.mark.parametrize("culprit, old, new, position", [
     ("program", "return y;", "return 2\u00b2;", "8:13"),
-    ("tests", "max2(7, 3)", "max2(7, 3\u00b2)", "1:10"),
+    ("tests", "max2(7, 3)", "max2(7, 3\u00b2)", "1:25"),
 ], ids=["program", "tests"])
 def test_a_non_ascii_character_in_an_input_is_a_config_error(
     tmp_path, capsys, culprit, old, new, position

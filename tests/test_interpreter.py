@@ -332,6 +332,23 @@ def test_test_file_parsing_and_errors():
         parse_test_file("not a test line")
 
 
+@pytest.mark.parametrize("text, position, message", [
+    ("test a: max2(1, 2) == @", (1, 23), "unexpected character '@'"),
+    ("test a: max2(1, 2 == 3", (1, 23), "expected ')', found end of input"),
+    ("test a: max2(1, 2) == 3 4", (1, 25), "trailing input after expression: '4'"),
+    ("// max2\n\n   \t test  b :   max2(1, $) == 3  ", (3, 26), "unexpected character '$'"),
+    ("test a: max2(1, 2) == 2\ntest c:max2(,1) == 1", (2, 13), "expected an expression, found ','"),
+], ids=["bad-character", "missing-paren", "trailing-input", "leading-spaces", "second-line"])
+def test_a_test_file_error_in_an_expression_names_its_column_in_the_line(text, position, message):
+    with pytest.raises(ParseError) as excinfo:
+        parse_test_file(text)
+    assert (excinfo.value.line, excinfo.value.col) == position
+    assert excinfo.value.message == message
+    line = text.splitlines()[position[0] - 1]
+    if message.startswith("unexpected character"):
+        assert line[position[1] - 1] == message[-2]
+
+
 RECURSION_IN_LOOPS = """
 fn f(n: int) -> int {
     for (var i: int = 0; i < 1; i = i + 1) {

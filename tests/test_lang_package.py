@@ -2,8 +2,9 @@
 
 Toolchain processes import the package once per compile or test step, so
 what it loads is pinned here. Its record classes (AST nodes, outcomes,
-tokens, semantic errors) are values: the parity table fixes how each one
-is built, compared, hashed, printed and guarded against mutation.
+semantic errors) are values: the parity table fixes how each one
+is built, compared, hashed, printed and guarded against mutation, and
+that its instances carry no `__dict__`.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from minigi.lang.ast import (
 )
 from minigi.lang.interpreter import ExecutionOutcome, Status
 from minigi.lang.interpreter import TestCase as SuiteCase  # a Test* name would be collected
-from minigi.lang.parser import Token, parse_source
+from minigi.lang.parser import parse_source
 from minigi.lang.printer import print_canonical, source_digest
 from minigi.lang.semantics import SemanticError
 
@@ -121,7 +122,6 @@ RECORDS = [
         ("t", Call("f", (ONE,)), True),
         "TestCase(name='t', call=Call(name='f', args=(IntLit(value=1),)), expected=True)",
     ),
-    (Token, ("ident", "a", 3, 4), "Token(kind='ident', text='a', line=3, col=4)"),
     (SemanticError, ("f", "bad"), "SemanticError(function='f', message='bad')"),
 ]
 
@@ -152,14 +152,13 @@ FIELDS = {
     StatementId: ("function", "path"),
     ExecutionOutcome: ("status", "steps_used", "value", "error"),
     SuiteCase: ("name", "call", "expected"),
-    Token: ("kind", "text", "line", "col"),
     SemanticError: ("function", "message"),
 }
 
 
 def test_the_parity_table_covers_every_record_class():
     assert [row[0] for row in RECORDS] == list(FIELDS)
-    assert len(FIELDS) == 28
+    assert len(FIELDS) == 27
 
 
 @pytest.mark.parametrize("cls,args,text", RECORDS, ids=[row[0].__name__ for row in RECORDS])
@@ -197,6 +196,20 @@ def test_record_class_parity(cls, args, text):
         assert getattr(node, name) is getattr(twin, name)
     with pytest.raises(AttributeError):
         node.no_such_field = 1
+
+    # Each field lives in a slot; there is no instance dict to fall back on.
+    assert not hasattr(node, "__dict__")
+    assert cls.__slots__ == tuple(n for n in names if n not in FIELDS.get(cls.__base__, ()))
+
+
+@pytest.mark.parametrize("cls", list(FIELDS), ids=[cls.__name__ for cls in FIELDS])
+def test_no_record_method_reads_the_class_cell(cls):
+    """`record` returns a new class rebuilt from the decorated one, and a
+    method's `__class__` cell, which zero-argument `super()` and a bare
+    `__class__` read, would still name the old class."""
+    for name, value in vars(cls).items():
+        code = getattr(value, "__code__", None)
+        assert code is None or "__class__" not in code.co_freevars, name
 
 
 def test_defaults_are_kept():
