@@ -48,6 +48,7 @@ init clauses push no scope: validation forbids shadowing and enforces
 declare-before-use, so a name in scope is never hidden, and a
 declaration that reuses the name of a dead variable (from a sibling
 block or an earlier loop iteration) overwrites it before it is read.
+`semantics` checks a function with one dict of names on the same rule.
 
 The cost model is unchanged:
 

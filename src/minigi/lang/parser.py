@@ -28,12 +28,18 @@ ParseError instead of a RecursionError. It bounds the depth of the tree
 returned, not only the parser's own recursion: each operator of a
 left-deep chain such as `x + x + x`, each `[...]` of an index chain and
 each `else if` arm of an if chain counts one level until the chain ends,
-since every later pass recurses into those nodes.
+since every later pass recurses into those nodes. A level costs the
+descent up to twelve Python frames (a call or an array literal inside
+an expression passes through every binary level), so the recursion limit
+is lifted by that much while a text is parsed and the guard always fires
+first. An integer literal longer than Python's default int-string limit
+(4,300 digits, a fixed bound) is a ParseError too.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 
 from minigi.lang.ast import (
     ArrayLit,
@@ -86,6 +92,8 @@ _DIGITS = frozenset("0123456789")
 _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 MAX_NESTING = 100
+_NESTING_FRAMES = 12 * MAX_NESTING  # the recursion limit's lift while parsing
+MAX_LITERAL_DIGITS = 4300  # sys.int_info.default_max_str_digits
 
 
 class ParseError(Exception):
@@ -362,6 +370,10 @@ class _Parser:
         self.pos += 1
         first = tok[:1]
         if first in _DIGITS:
+            if len(tok) > MAX_LITERAL_DIGITS:
+                raise self.error(
+                    f"integer literal longer than {MAX_LITERAL_DIGITS} digits", start
+                )
             return IntLit(int(tok))
         if first in _NAME_START:
             if tok == "true" or tok == "false":
@@ -383,9 +395,15 @@ class _Parser:
 
 
 def _parse_whole(text: str, parse, what: str):
-    """`parse` applied to a parser of `text`, which must consume all of it."""
+    """`parse` applied to a parser of `text`, which must consume all of it,
+    with the recursion limit lifted for MAX_NESTING levels."""
     parser = _Parser(text)
-    result = parse(parser)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + _NESTING_FRAMES)
+    try:
+        result = parse(parser)
+    finally:
+        sys.setrecursionlimit(limit)
     tok = parser.peek()
     if tok:
         raise parser.error(f"trailing input after {what}: {tok!r}", parser.pos)
@@ -394,7 +412,7 @@ def _parse_whole(text: str, parse, what: str):
 
 def parse_source(text: str, name: str = "main") -> SourceUnit:
     """Parse a whole MiniLang file into a SourceUnit."""
-    return _Parser(text).parse_unit(name)
+    return _parse_whole(text, lambda parser: parser.parse_unit(name), "unit")
 
 
 def parse_block(text: str) -> Block:

@@ -52,10 +52,6 @@ _UNARY_PREC = len(BINARY_LEVELS) + 1
 _POSTFIX_PREC = len(BINARY_LEVELS) + 2
 
 
-def print_expr(expr: Expr) -> str:
-    return _expr(expr, 0)
-
-
 def _expr(expr: Expr, parent_prec: int) -> str:
     if isinstance(expr, IntLit):
         return str(expr.value)

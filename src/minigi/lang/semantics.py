@@ -7,6 +7,14 @@ function's return type) and an all-paths-return analysis for non-void
 functions. The interpreter runs only programs that pass `validate` with
 no errors and checks none of these rules again; `check_call` applies the
 same rules to a call made from outside the program, a test's harness call.
+
+A function is checked in one walk of its body, which also finds whether
+each statement returns on every path. The names visible at each point
+are one dict from name to type. A block, and a `for` around its init
+clause, pops the dict back to its length on entry when it exits: that is
+exact because shadowing is refused, so a block's own names are the
+newest entries, and `popitem` takes the newest first. The interpreter
+keeps one dict of variables per call on the same rule (its "Variables").
 """
 
 from __future__ import annotations
@@ -51,25 +59,15 @@ class SemanticError:
         return f"{self.function or '<unit>'}: {self.message}"
 
 
-class _Scope:
-    def __init__(self, parent: _Scope | None = None):
-        self.parent = parent
-        self.names: dict[str, Type] = {}
+_Names = dict[str, Type]  # the names visible at a point of a function
 
-    def lookup(self, name: str) -> Type | None:
-        scope: _Scope | None = self
-        while scope is not None:
-            if name in scope.names:
-                return scope.names[name]
-            scope = scope.parent
-        return None
-
-    def declare(self, name: str, t: Type) -> bool:
-        """False when the name is already visible (shadowing is rejected)."""
-        if self.lookup(name) is not None:
-            return False
-        self.names[name] = t
-        return True
+# The operand type and the result type of each binary operator but `==`
+# and `!=`, which take two operands of any one type and give a bool.
+_BINARY = {
+    **dict.fromkeys(("+", "-", "*", "/", "%"), (Type.INT, Type.INT)),
+    **dict.fromkeys(("<", "<=", ">", ">="), (Type.INT, Type.BOOL)),
+    **dict.fromkeys(("&&", "||"), (Type.BOOL, Type.BOOL)),
+}
 
 
 def _name_errors(unit: SourceUnit) -> list[SemanticError]:
@@ -98,63 +96,74 @@ class _Checker:
         """`fn`'s errors, in a list of their own."""
         self.errors = []
         self.current = fn
-        scope = _Scope()
+        scope: _Names = {}
         for p in fn.params:
             if p.name in BUILTINS:
                 self.error(f"parameter name {p.name!r} is reserved")
-            elif not scope.declare(p.name, p.param_type):
+            elif p.name in scope:
                 self.error(f"duplicate parameter {p.name!r}")
-        self.check_block(fn.body, scope, loop_depth=0)
-        if fn.return_type is not Type.VOID and not _always_returns(fn.body):
+            else:
+                scope[p.name] = p.param_type
+        returns = self.check_block(fn.body, scope, in_loop=False)
+        if fn.return_type is not Type.VOID and not returns:
             self.error("missing return on some control path")
         self.current = None
         return self.errors
 
-    # -- statements --
+    # -- statements: each returns whether it returns on every path, as a `return`,
+    # a block holding one and an `if` whose branches both do; never a loop --
 
-    def check_block(self, block: Block, parent: _Scope, loop_depth: int) -> None:
-        scope = _Scope(parent)
+    def check_block(self, block: Block, scope: _Names, in_loop: bool) -> bool:
+        entry = len(scope)
+        returns = False
         for stmt in block.statements:
-            self.check_stmt(stmt, scope, loop_depth)
+            returns |= self.check_stmt(stmt, scope, in_loop)
+        while len(scope) > entry:  # the block's own names are the newest
+            scope.popitem()
+        return returns
 
-    def check_stmt(self, stmt: Stmt, scope: _Scope, loop_depth: int) -> None:
+    def check_stmt(self, stmt: Stmt, scope: _Names, in_loop: bool) -> bool:
         if isinstance(stmt, Block):
-            self.check_block(stmt, scope, loop_depth)
-        elif isinstance(stmt, VarDecl):
+            return self.check_block(stmt, scope, in_loop)
+        if isinstance(stmt, VarDecl):
             self.check_decl(stmt, scope)
         elif isinstance(stmt, Assign):
             self.check_assign(stmt, scope)
         elif isinstance(stmt, If):
             self.require(stmt.cond, Type.BOOL, scope, "if condition")
-            self.check_block(stmt.then_block, scope, loop_depth)
+            returns = self.check_block(stmt.then_block, scope, in_loop)
             if stmt.orelse is not None:
-                self.check_stmt(stmt.orelse, scope, loop_depth)
+                return self.check_stmt(stmt.orelse, scope, in_loop) and returns
         elif isinstance(stmt, While):
             self.require(stmt.cond, Type.BOOL, scope, "while condition")
-            self.check_block(stmt.body, scope, loop_depth + 1)
+            self.check_block(stmt.body, scope, in_loop=True)
         elif isinstance(stmt, For):
-            inner = _Scope(scope)
+            entry = len(scope)
             if isinstance(stmt.init, VarDecl):
-                self.check_decl(stmt.init, inner)
+                self.check_decl(stmt.init, scope)
             else:
-                self.check_assign(stmt.init, inner)
-            self.require(stmt.cond, Type.BOOL, inner, "for condition")
-            self.check_assign(stmt.update, inner)
-            self.check_block(stmt.body, inner, loop_depth + 1)
+                self.check_assign(stmt.init, scope)
+            self.require(stmt.cond, Type.BOOL, scope, "for condition")
+            self.check_assign(stmt.update, scope)
+            self.check_block(stmt.body, scope, in_loop=True)
+            if len(scope) > entry:  # the init clause's name
+                scope.popitem()
         elif isinstance(stmt, Break):
-            if loop_depth == 0:
+            if not in_loop:
                 self.error("break outside a loop")
         elif isinstance(stmt, Continue):
-            if loop_depth == 0:
+            if not in_loop:
                 self.error("continue outside a loop")
         elif isinstance(stmt, Return):
             self.check_return(stmt, scope)
+            return True
         elif isinstance(stmt, ExprStmt):
             self.infer(stmt.expr, scope, allow_void_call=True)
         else:
             raise TypeError(f"unknown statement node {stmt!r}")
+        return False
 
-    def check_decl(self, stmt: VarDecl, scope: _Scope) -> None:
+    def check_decl(self, stmt: VarDecl, scope: _Names) -> None:
         got = self.infer(stmt.init, scope)
         if got is not None and got is not stmt.var_type:
             self.error(
@@ -162,32 +171,29 @@ class _Checker:
             )
         if stmt.name in BUILTINS:
             self.error(f"variable name {stmt.name!r} is reserved")
-        elif not scope.declare(stmt.name, stmt.var_type):
+        elif stmt.name in scope:
             self.error(f"redeclaration of {stmt.name!r}")
-
-    def check_assign(self, stmt: Assign, scope: _Scope) -> None:
-        value_t = self.infer(stmt.value, scope)
-        if isinstance(stmt.target, Var):
-            target_t = scope.lookup(stmt.target.name)
-            if target_t is None:
-                self.error(f"assignment to undeclared variable {stmt.target.name!r}")
-                return
         else:
-            base = stmt.target.base
-            assert isinstance(base, Var)
-            base_t = scope.lookup(base.name)
-            if base_t is None:
-                self.error(f"assignment to undeclared variable {base.name!r}")
+            scope[stmt.name] = stmt.var_type
+
+    def check_assign(self, stmt: Assign, scope: _Names) -> None:
+        value_t = self.infer(stmt.value, scope)
+        target = stmt.target
+        name = target.base.name if isinstance(target, Index) else target.name
+        target_t = scope.get(name)
+        if target_t is None:
+            self.error(f"assignment to undeclared variable {name!r}")
+            return
+        if isinstance(target, Index):
+            if target_t is not Type.INT_ARRAY:
+                self.error(f"{name!r} is not an array")
                 return
-            if base_t is not Type.INT_ARRAY:
-                self.error(f"{base.name!r} is not an array")
-                return
-            self.require(stmt.target.index, Type.INT, scope, "array index")
+            self.require(target.index, Type.INT, scope, "array index")
             target_t = Type.INT
         if value_t is not None and value_t is not target_t:
             self.error(f"cannot assign {value_t.value} to {target_t.value} target")
 
-    def check_return(self, stmt: Return, scope: _Scope) -> None:
+    def check_return(self, stmt: Return, scope: _Names) -> None:
         assert self.current is not None
         want = self.current.return_type
         if stmt.value is None:
@@ -203,9 +209,7 @@ class _Checker:
 
     # -- expressions --
 
-    def require(
-        self, expr: Expr, want: Type, scope: _Scope, what: str, subject: str = ""
-    ) -> None:
+    def require(self, expr: Expr, want: Type, scope: _Names, what: str, subject: str = "") -> None:
         """Check that `expr` has type `want`. `what` names the operand in the
         error; a `{}` in it stands for `subject`, quoted, and is filled in
         only when the error fires, so a passing check formats nothing."""
@@ -214,7 +218,7 @@ class _Checker:
             what = what.format(repr(subject))
             self.error(f"{what} has type {got.value}, expected {want.value}")
 
-    def infer(self, expr: Expr, scope: _Scope, allow_void_call: bool = False) -> Type | None:
+    def infer(self, expr: Expr, scope: _Names, allow_void_call: bool = False) -> Type | None:
         """Expression type, or None when a nested error already fired."""
         if isinstance(expr, IntLit):
             return Type.INT
@@ -225,7 +229,7 @@ class _Checker:
                 self.require(el, Type.INT, scope, "array element")
             return Type.INT_ARRAY
         if isinstance(expr, Var):
-            t = scope.lookup(expr.name)
+            t = scope.get(expr.name)
             if t is None:
                 self.error(f"unknown variable {expr.name!r}")
             return t
@@ -245,27 +249,20 @@ class _Checker:
             return self.infer_call(expr, scope, allow_void_call)
         raise TypeError(f"unknown expression node {expr!r}")
 
-    def infer_binary(self, expr: Binary, scope: _Scope) -> Type | None:
+    def infer_binary(self, expr: Binary, scope: _Names) -> Type | None:
         op = expr.op
-        if op in ("&&", "||"):
-            self.require(expr.left, Type.BOOL, scope, "operand of {}", op)
-            self.require(expr.right, Type.BOOL, scope, "operand of {}", op)
-            return Type.BOOL
-        if op in ("==", "!="):
+        if op == "==" or op == "!=":
             lt = self.infer(expr.left, scope)
             rt = self.infer(expr.right, scope)
             if lt is not None and rt is not None and lt is not rt:
                 self.error(f"cannot compare {lt.value} with {rt.value}")
             return Type.BOOL
-        if op in ("<", "<=", ">", ">="):
-            self.require(expr.left, Type.INT, scope, "operand of {}", op)
-            self.require(expr.right, Type.INT, scope, "operand of {}", op)
-            return Type.BOOL
-        self.require(expr.left, Type.INT, scope, "operand of {}", op)
-        self.require(expr.right, Type.INT, scope, "operand of {}", op)
-        return Type.INT
+        operand, result = _BINARY[op]
+        self.require(expr.left, operand, scope, "operand of {}", op)
+        self.require(expr.right, operand, scope, "operand of {}", op)
+        return result
 
-    def infer_call(self, expr: Call, scope: _Scope, allow_void_call: bool) -> Type | None:
+    def infer_call(self, expr: Call, scope: _Names, allow_void_call: bool) -> Type | None:
         if expr.name == "len":
             if len(expr.args) != 1:
                 self.error("len takes exactly one argument")
@@ -297,19 +294,6 @@ class _Checker:
         return fn.return_type
 
 
-def _always_returns(stmt: Stmt) -> bool:
-    if isinstance(stmt, Return):
-        return True
-    if isinstance(stmt, Block):
-        return any(_always_returns(s) for s in stmt.statements)
-    if isinstance(stmt, If):
-        if stmt.orelse is None:
-            return False
-        return _always_returns(stmt.then_block) and _always_returns(stmt.orelse)
-    # Loops may run zero iterations; never counted as returning.
-    return False
-
-
 def validate(unit: SourceUnit, base: BaseProgram | None = None) -> list[SemanticError]:
     """All semantic errors in the unit, the unit-level ones first, then each
     function's in function order; an empty list means it compiles.
@@ -337,5 +321,5 @@ def check_call(unit: SourceUnit, call: Call) -> list[SemanticError]:
     such as a test's harness call; its value must be used, so it may not
     be void."""
     checker = _Checker({fn.name: fn for fn in unit.functions})
-    checker.infer(call, _Scope())
+    checker.infer(call, {})
     return checker.errors

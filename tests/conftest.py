@@ -19,13 +19,19 @@ def load_bench(name: str, directory: Path = BENCHMARKS):
 
 def counting_builds(monkeypatch) -> list[int]:
     """The identity of each node the interpreter builds from now on, in
-    build order: one entry per call of one of its node builders."""
+    build order: one entry per call of one of its node builders.
+
+    Each counted node is kept alive for the rest of the test, so a node
+    freed mid-command cannot have its address reused by a later node and
+    make two recorded identities stand for different nodes."""
     import minigi.lang.interpreter as interpreter
 
     built: list[int] = []
+    kept: list[object] = []
     for kind, build in list(interpreter._BUILDERS.items()):
         def counted(compiler, n, *context, build=build):
             built.append(id(n))
+            kept.append(n)
             return build(compiler, n, *context)
 
         monkeypatch.setitem(interpreter._BUILDERS, kind, counted)

@@ -761,6 +761,25 @@ def test_a_non_ascii_character_in_an_input_is_a_config_error(
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("value, status, err", [
+    ("clamp_low(" * 85 + "y" + ", y)" * 85, 0, None),  # y, as before
+    ("1" * 5000, 2, "8:12: integer literal longer than 4300 digits"),
+], ids=["calls-85", "literal-5000"])
+def test_profile_reads_deep_calls_and_refuses_a_long_literal(tmp_path, capsys, value, status, err):
+    """A program whose function returns 85 nested calls is profiled; one
+    whose literal is past Python's int-string limit exits 2 with one
+    error line at the literal, never a traceback."""
+    program = tmp_path / "bench_max.ml"
+    text = Path(MAX).read_text().replace("return y;", f"return {value};", 1)
+    program.write_text(text)
+    out_dir = tmp_path / "out"
+    capsys.readouterr()
+    assert run("profile", str(program), MAX_TESTS, "--out-dir", str(out_dir)) == status
+    if err is not None:
+        assert capsys.readouterr().err.splitlines() == [f"error: {program}: {err}"]
+        assert not out_dir.exists()
+
+
 def test_partial_results_survive_infrastructure_abort(tmp_path, capsys):
     flaky = tmp_path / "flaky_measure.py"
     marker = tmp_path / "calls"

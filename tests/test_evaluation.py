@@ -156,6 +156,22 @@ def test_a_payload_past_the_nesting_cap_is_invalid_not_a_crash(bench_max, payloa
     assert evaluate(BaseProgram(unit, tests), Patch("bench_max", (edit,))).classification.value == rung
 
 
+@pytest.mark.parametrize("payload, rung", [
+    ("{ if (x > y) { return x; } return " + "clamp_low(" * 85 + "y" + ", y)" * 85 + "; }",
+     "Passed"),
+    ("{ return " + "[" * 85 + "]" * 85 + "; }", "ValidOnly"),
+    ("{ return " + "1" * 5000 + "; }", "Invalid"),
+], ids=["calls-85", "arrays-85", "literal-5000"])
+def test_a_payload_of_deep_calls_or_a_long_literal_gets_a_verdict(bench_max, payload, rung):
+    """Nested calls and array literals, which cost the parser a dozen
+    frames a level, and a literal past Python's int-string limit are
+    classified like any other payload, never raised out of `evaluate`."""
+    unit, tests = bench_max
+    edit = Edit(EditKind.LLM_BLOCK_REPLACE, src=sid("max2"), payload=payload,
+                prompt_category="medium")
+    assert evaluate(BaseProgram(unit, tests), Patch("bench_max", (edit,))).classification.value == rung
+
+
 @pytest.mark.parametrize("payload", [
     "{ return 2\u00b2; }",  # a digit to str.isdigit, which int() refuses
     "{ return x\u00e9; }",  # a letter to str.isalpha

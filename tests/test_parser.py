@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -15,6 +16,7 @@ from minigi.lang import (
 from minigi.lang.ast import (
     Assign,
     Binary,
+    ExprStmt,
     For,
     If,
     IntLit,
@@ -24,7 +26,7 @@ from minigi.lang.ast import (
     statement_sites,
 )
 from minigi.lang.parser import parse_expression
-from minigi.lang.printer import print_canonical, print_expr, print_statement
+from minigi.lang.printer import print_canonical, print_statement
 
 
 def test_minimal_program():
@@ -160,6 +162,39 @@ def test_a_long_chain_nests_too_deep_although_its_text_is_flat(link):
         with pytest.raises(ParseError) as excinfo:
             parse(block)
         assert excinfo.value.message == "nesting too deep"
+
+
+def _nested(kind: str, n: int) -> str:
+    """n nested calls, or n nested array literals."""
+    return "f(" * n + "x" + ")" * n if kind == "calls" else "[" * n + "]" * n
+
+
+@pytest.mark.parametrize("kind", ["calls", "arrays"])
+def test_nested_calls_and_array_literals_reach_the_nesting_cap_before_the_host_stack(kind):
+    """A level of a nested call or array literal costs the recursive descent
+    about a dozen Python frames, more than the host's default recursion
+    limit allows for 85 levels: the parser lifts that limit while it
+    parses, so such text parses up to the cap, then is a ParseError, and
+    the limit is put back either way."""
+    limit = sys.getrecursionlimit()
+    for n in (85, 98):
+        block = parse_block("{ return " + _nested(kind, n) + "; }")
+        assert parse_block(print_statement(block)) == block
+        assert sys.getrecursionlimit() == limit
+    with pytest.raises(ParseError) as excinfo:
+        parse_block("{ return " + _nested(kind, 200) + "; }")
+    assert excinfo.value.message == "nesting too deep"
+    assert sys.getrecursionlimit() == limit
+
+
+def test_an_integer_literal_past_the_int_string_limit_is_a_parse_error():
+    """Python refuses to read an integer of more than 4,300 digits; the
+    parser refuses the literal first, at its own position."""
+    assert parse_block("{ return " + "9" * 4300 + "; }").statements[0].value.value > 0
+    with pytest.raises(ParseError) as excinfo:
+        parse_block("{\n  x = 0;\n  return " + "1" * 5000 + "; }")
+    assert excinfo.value.message == "integer literal longer than 4300 digits"
+    assert (excinfo.value.line, excinfo.value.col) == (3, 10)
 
 
 def test_a_ninety_term_sum_still_parses():
@@ -386,7 +421,7 @@ def _outcome(kind: str, text: str) -> str:
             return print_canonical(parse_source(text))
         if kind == "block":
             return print_statement(parse_block(text))
-        return print_expr(parse_expression(text))
+        return print_statement(ExprStmt(parse_expression(text))).removesuffix(";")
     except ParseError as exc:
         assert str(exc) == f"{exc.line}:{exc.col}: {exc.message}"
         return "error " + str(exc)

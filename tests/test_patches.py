@@ -328,16 +328,10 @@ def test_serialization_round_trip_fields(bench_sort):
     assert split_patch_line(empty)[1] == ""
 
 
-# Every outcome of the golden stream below, joined by newlines, hashed.
-GOLDEN_OUTCOMES = "aeb53225278446467af12f39f629f71adfb5e71c93ec0c07aeb7dc1c976f6602"
-
-
-def test_every_application_matches_the_golden_stream():
+def golden_stream():
     """2,400 drawn patches of one and two Statement, Insert and LLM edits on
-    every benchmark: each patch's digest, or its ApplyError's type and
-    text, hashes to a value fixed when the patch code was last rewritten.
-    Every applied program prints and parses back to itself."""
-    outcomes, refused = [], 0
+    every benchmark, in a fixed order: for each, its base unit, the
+    BaseProgram its run shares, and the patched unit or the ApplyError."""
     for stem in ("bench_loop", "bench_max", "bench_planted", "bench_sort"):
         unit = parse_source((BENCHMARKS / f"{stem}.ml").read_text(encoding="utf-8"), name=stem)
         hot = [fn.name for fn in unit.functions]
@@ -362,12 +356,57 @@ def test_every_application_matches_the_golden_stream():
                     patches = []
                 for edits in patches:
                     try:
-                        patched = apply_patch(unit, Patch(stem, edits), run)
+                        yield unit, run, apply_patch(unit, Patch(stem, edits), run)
                     except ApplyError as exc:
-                        outcomes.append(f"{type(exc).__name__}: {exc}")
-                        refused += 1
-                        continue
-                    assert parse_source(print_canonical(patched), name=stem) == patched
-                    outcomes.append(source_digest(patched))
+                        yield unit, run, exc
+
+
+# Every outcome of the golden stream, joined by newlines, hashed.
+GOLDEN_OUTCOMES = "aeb53225278446467af12f39f629f71adfb5e71c93ec0c07aeb7dc1c976f6602"
+
+
+def test_every_application_matches_the_golden_stream():
+    """Each patch's digest, or its ApplyError's type and text, hashes to a
+    value fixed when the patch code was last rewritten. Every applied
+    program prints and parses back to itself."""
+    outcomes, refused = [], 0
+    for _, _, patched in golden_stream():
+        if isinstance(patched, ApplyError):
+            outcomes.append(f"{type(patched).__name__}: {patched}")
+            refused += 1
+            continue
+        assert parse_source(print_canonical(patched), name=patched.name) == patched
+        outcomes.append(source_digest(patched))
     assert (len(outcomes), refused) == (2400, 266)
     assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == GOLDEN_OUTCOMES
+
+
+# Every applied program's semantic errors, one line per program, hashed.
+GOLDEN_ERRORS = "a646900ae45b834420be0237ad46743f72b868909983b17b0edcd4e5771ac415"
+
+
+def test_every_applied_program_validates_as_in_the_golden_stream():
+    """The full error list of each applied program of the golden stream, in
+    order and with each error's function, hashes to a value fixed before
+    the checker was last rewritten. The run's warm BaseProgram, whose kept
+    errors every earlier patch has filled, gives the same list as a fresh
+    one and as no BaseProgram at all."""
+    lines, rejected, kinds = [], 0, set()  # kinds: each message up to its first quote
+    for unit, run, patched in golden_stream():
+        if isinstance(patched, ApplyError):
+            continue
+        errors = validate(patched, run)
+        assert errors == validate(patched, BaseProgram(unit, ())) == validate(patched)
+        lines.append(" | ".join(map(str, errors)))
+        rejected += bool(errors)
+        kinds.update(e.message.split("'")[0] for e in errors)
+    assert (len(lines), rejected) == (2134, 901)
+    assert kinds == {
+        "assignment to undeclared variable ",
+        "break outside a loop",
+        "continue outside a loop",
+        "missing return on some control path",
+        "redeclaration of ",
+        "unknown variable ",
+    }
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GOLDEN_ERRORS

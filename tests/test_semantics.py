@@ -3,6 +3,8 @@ from __future__ import annotations
 import pytest
 
 from minigi.lang import parse_source, validate
+from minigi.lang.parser import BINARY_LEVELS
+from minigi.lang.semantics import _BINARY
 
 
 def check(src: str) -> list[str]:
@@ -121,7 +123,18 @@ LABELLED_ERRORS = [
     ("fn f() -> int { return -true; }", "operand of unary '-' has type bool, expected int"),
     ("fn f() -> bool { return !1; }", "operand of '!' has type int, expected bool"),
     ("fn f() -> int { return 1 + true; }", "operand of '+' has type bool, expected int"),
+    ("fn f() -> int { return 1 - true; }", "operand of '-' has type bool, expected int"),
+    ("fn f() -> int { return false * 2; }", "operand of '*' has type bool, expected int"),
+    ("fn f() -> int { return 1 / true; }", "operand of '/' has type bool, expected int"),
+    ("fn f(a: int[]) -> int { return a % 2; }", "operand of '%' has type int[], expected int"),
     ("fn f() -> bool { return true < 1; }", "operand of '<' has type bool, expected int"),
+    ("fn f() -> bool { return 1 <= false; }", "operand of '<=' has type bool, expected int"),
+    ("fn f(a: int[]) -> bool { return a > 1; }", "operand of '>' has type int[], expected int"),
+    ("fn f() -> bool { return 0 >= true; }", "operand of '>=' has type bool, expected int"),
+    ("fn f() -> bool { return 1 == true; }", "cannot compare int with bool"),
+    ("fn f(a: int[]) -> bool { return false != a; }", "cannot compare bool with int[]"),
+    ("fn f() -> int { return 1 < 2; }", "return type bool, expected int"),
+    ("fn f() -> bool { return 1 * 2; }", "return type int, expected bool"),
     ("fn f() -> bool { return 1 && true; }", "operand of '&&' has type int, expected bool"),
     ("fn f() -> bool { return false || 0; }", "operand of '||' has type int, expected bool"),
     ("fn f() -> int[] { return [1, true]; }", "array element has type bool, expected int"),
@@ -138,6 +151,51 @@ LABELLED_ERRORS = [
 ]
 
 
+def test_every_binary_operator_the_parser_reads_is_typed():
+    """Comparison for equality takes any one type; every other operator
+    has an entry in the checker's table."""
+    assert {op for level in BINARY_LEVELS for op in level} == set(_BINARY) | {"==", "!="}
+
+
 @pytest.mark.parametrize("src, message", LABELLED_ERRORS)
 def test_operand_type_errors_name_the_operand(src, message):
     assert check(src) == [message]
+
+
+SCOPE_EXITS = [
+    # A name declared in a nested block is unknown after the block...
+    ("fn f() -> int { { var x: int = 1; } return x; }", ["unknown variable 'x'"]),
+    ("fn f() { if (true) { var x: int = 1; } x = 2; }",
+     ["assignment to undeclared variable 'x'"]),
+    # ...and may be declared again there.
+    ("fn f() -> int { { var x: int = 1; } var x: bool = true; return 0; }", []),
+    ("fn f() -> int { while (true) { var x: int = 1; } var x: int = 2; return x; }", []),
+    # A for loop's init name is unknown after the loop.
+    ("fn f() -> int { for (var i: int = 0; i < 3; i = i + 1) { } return i; }",
+     ["unknown variable 'i'"]),
+    # A then-block's name is unknown in the else-block.
+    ("fn f(c: bool) -> int { if (c) { var y: int = 1; } else { return y; } return 0; }",
+     ["unknown variable 'y'"]),
+    # The names declared before a block stay visible after it.
+    ("fn f(p: int) -> int { var a: int = p; { var b: int = a; } { var c: int = a; } return a; }",
+     []),
+    # An else-if chain that returns on every arm returns on every path.
+    ("fn f(x: int) -> int { if (x > 0) { return 1; } else if (x < 0) { return 2; } "
+     "else { return 0; } }", []),
+    ("fn f(x: int) -> int { if (x > 0) { return 1; } else if (x < 0) { return 2; } }",
+     ["missing return on some control path"]),
+    # A return nested in a plain block returns on every path.
+    ("fn f() -> int { { { return 1; } } }", []),
+    # A loop never counts as returning, even one that cannot exit.
+    ("fn f() -> int { while (true) { return 1; } }", ["missing return on some control path"]),
+    ("fn f() -> int { for (var i: int = 0; true; i = i + 1) { return i; } }",
+     ["missing return on some control path"]),
+    # The missing-return error comes after every other error of its function.
+    ("fn f() -> int { while (true) { break; } x = 1; }",
+     ["assignment to undeclared variable 'x'", "missing return on some control path"]),
+]
+
+
+@pytest.mark.parametrize("src, messages", SCOPE_EXITS)
+def test_names_leave_scope_with_their_block(src, messages):
+    assert check(src) == messages
