@@ -7,10 +7,14 @@ Compile step. `run_suite` compiles each `Function` into nested Python
 closures on its first call, after Feeley & Lapalme, "Using closures for
 code generation" (1987): each node becomes a closure that calls the
 closures of its children, so the dispatch on node kinds happens once per
-node instead of once per step. A parent reads a variable or literal
-operand inline, a block of one statement runs as that statement, and
-what follows a `break`, `continue` or `return` in a block is compiled
-for its nesting but never runs. A `continue` that ends the live
+node instead of once per step. Operands follow one rule: a binary
+operator or comparison reads a variable on its left by name and, after
+it, a variable or a literal on its right inline, and every other pair of
+operands runs both closures; an index of a variable by a variable, `len`
+of a variable and a store of a literal read theirs inline as well. A
+block of one statement runs as that statement, and what follows a
+`break`, `continue` or `return` in a block is compiled for its nesting
+but never runs. A `continue` that ends the live
 statements of a loop body's own block runs as a flat step that sends no
 signal, since reaching the end of the body continues the loop as well;
 one inside an `if` or a nested block still signals. A compiled function
@@ -50,7 +54,7 @@ declaration that reuses the name of a dead variable (from a sibling
 block or an earlier loop iteration) overwrites it before it is read.
 `semantics` checks a function with one dict of names on the same rule.
 
-The cost model is unchanged:
+The cost model:
 
   * every expression node costs 1 step when its evaluation starts, plus
     the cost of the sub-expressions it actually evaluates (so `&&`/`||`
@@ -83,11 +87,11 @@ under the budget once on entry, adds each iteration's steps to a local
 and compares the local with the room, and it writes the machine's
 counter once, when it ends or when the local reaches the room, where it
 raises the timeout as the charge would have. A flat loop tests a
-condition that compares a variable with a variable or a literal in its
-`while` statement itself, reading both operands as a parent reads them,
-and calls no closure for it; it never calls an empty body or the update
-a `while` lacks. Nothing a flat node runs reads the counter. This is
-exact: no failure point, branch or call lies between two merged charges,
+condition that compares two variables in its `while` statement itself,
+reading both by name, and calls no closure for it; any other condition
+runs its closure. It never calls an empty body or the update a `while`
+lacks. Nothing a flat node runs reads the counter. This is exact: no
+failure point, branch or call lies between two merged charges,
 so a run reaches the budget, fails or ends after the same number of
 steps as when every node charges for itself, and timeouts, the steps at
 a runtime error, the profile's self costs and every logged runtime are
@@ -414,96 +418,68 @@ def _nothing(env) -> None:
     """An empty block."""
 
 
-_VAR, _LIT, _FN = "var", "lit", "fn"
+def _binary(apply: Callable, e: Binary, left: Callable, right: Callable) -> Callable:
+    """`apply`, an arithmetic operator, to the operands of `e`, wrapped to
+    64 bits. A variable on the left is read by name, and after it a
+    variable or a literal on the right is read inline; any other pair runs
+    both closures, `left` and `right`."""
+    if type(e.left) is not Var:
 
+        def f(env):
+            v = apply(left(env), right(env))
+            return v if _MIN_INT <= v <= _MAX_INT else _wrap(v)
 
-def _read(e, closure) -> tuple[str, object]:
-    """How a parent reads operand `e`: a variable by name and a literal as
-    its value, inline, and anything else through its closure."""
-    kind = type(e)
+        return f
+    a, kind = e.left.name, type(e.right)
     if kind is Var:
-        return _VAR, e.name
-    if kind is IntLit or kind is BoolLit:
-        return _LIT, e.value
-    return _FN, closure
-
-
-def _binary(apply: Callable, left: tuple[str, object], right: tuple[str, object]) -> Callable:
-    """`apply`, an arithmetic operator, to two operands read as `_read`
-    says (a literal on the left through its closure), wrapped to 64 bits."""
-    (lk, a), (rk, b) = left, right
-    if lk is _VAR and rk is _VAR:
+        b = e.right.name
 
         def f(env):
             v = apply(env[a], env[b])
             return v if _MIN_INT <= v <= _MAX_INT else _wrap(v)
 
-    elif lk is _VAR and rk is _LIT:
+    elif kind is IntLit or kind is BoolLit:
+        b = e.right.value
 
         def f(env):
             v = apply(env[a], b)
             return v if _MIN_INT <= v <= _MAX_INT else _wrap(v)
 
-    elif lk is _VAR:
-
-        def f(env):
-            v = apply(env[a], b(env))
-            return v if _MIN_INT <= v <= _MAX_INT else _wrap(v)
-
-    elif rk is _VAR:
-
-        def f(env):
-            v = apply(a(env), env[b])
-            return v if _MIN_INT <= v <= _MAX_INT else _wrap(v)
-
-    elif rk is _LIT:
-
-        def f(env):
-            v = apply(a(env), b)
-            return v if _MIN_INT <= v <= _MAX_INT else _wrap(v)
-
     else:
 
         def f(env):
-            v = apply(a(env), b(env))
+            v = apply(env[a], right(env))
             return v if _MIN_INT <= v <= _MAX_INT else _wrap(v)
 
     return f
 
 
-def _compare(apply: Callable, left: tuple[str, object], right: tuple[str, object]) -> Callable:
-    """`apply`, a comparison, to two operands read as `_binary` reads them.
-    A comparison's bool needs no 64-bit wrap."""
-    (lk, a), (rk, b) = left, right
-    if lk is _VAR and rk is _VAR:
+def _compare(apply: Callable, e: Binary, left: Callable, right: Callable) -> Callable:
+    """`apply`, a comparison, to the operands of `e` read as `_binary`
+    reads them. A comparison's bool needs no 64-bit wrap."""
+    if type(e.left) is not Var:
+
+        def f(env):
+            return apply(left(env), right(env))
+
+        return f
+    a, kind = e.left.name, type(e.right)
+    if kind is Var:
+        b = e.right.name
 
         def f(env):
             return apply(env[a], env[b])
 
-    elif lk is _VAR and rk is _LIT:
+    elif kind is IntLit or kind is BoolLit:
+        b = e.right.value
 
         def f(env):
             return apply(env[a], b)
 
-    elif lk is _VAR:
-
-        def f(env):
-            return apply(env[a], b(env))
-
-    elif rk is _VAR:
-
-        def f(env):
-            return apply(a(env), env[b])
-
-    elif rk is _LIT:
-
-        def f(env):
-            return apply(a(env), b)
-
     else:
 
         def f(env):
-            return apply(a(env), b(env))
+            return apply(env[a], right(env))
 
     return f
 
@@ -619,9 +595,9 @@ class _Compiler:
 
     def binary(self, e):
         op = e.op
-        lc, left, lflat = self.node(e.left)
-        rc, right, rflat = self.node(e.right)
         if op in ("&&", "||"):
+            lc, left, _flat = self.node(e.left)
+            rc, right, _flat = self.node(e.right)
             charge, decided = self.charge, op == "||"  # the left value that skips the right
 
             def f(env):
@@ -632,23 +608,14 @@ class _Compiler:
                 return right(env)
 
             return 1 + lc, f, False
-        reads_left = (_VAR, e.left.name) if type(e.left) is Var else (_FN, left)
-        if lflat:
-            cost, reads_right = 1 + lc + rc, _read(e.right, right)
-        else:
-            cost, reads_right = 1 + lc, (_FN, _charging(self.charge, rc, right))
-        flat = lflat and rflat and op not in ("/", "%")
+        cost, (left, right), flat = self.operands((e.left, e.right))
+        flat = flat and op not in ("/", "%")
         if op in _COMPARISONS:
-            return cost, _compare(_COMPARISONS[op], reads_left, reads_right), flat
-        return cost, _binary(_ARITHMETIC[op], reads_left, reads_right), flat
+            return 1 + cost, _compare(_COMPARISONS[op], e, left, right), flat
+        return 1 + cost, _binary(_ARITHMETIC[op], e, left, right), flat
 
     def index(self, e):
-        cost, base, bflat = self.node(e.base)
-        kc, subscript, _flat = self.node(e.index)
-        if bflat:
-            cost += kc
-        else:
-            subscript = _charging(self.charge, kc, subscript)
+        cost, (base, subscript), _flat = self.operands((e.base, e.index))
         if type(e.base) is Var and type(e.index) is Var:
             a, k = e.base.name, e.index.name
 
@@ -817,9 +784,8 @@ class _Compiler:
         flat. When all three are flat the loop counts its steps in a local
         and writes the machine's counter once, on leaving or on reaching
         the budget: nothing it runs reads the counter. Such a loop gets
-        the condition's operator and operands as `_read` reads them when
-        the condition compares a variable with a variable or a literal,
-        so `flat_loop` can test it without calling its closure."""
+        the condition's node, so `flat_loop` can test a comparison of two
+        variables without calling its closure."""
         clauses = type(s) is For
         init = self.node(s.init) if clauses else None
         cond = self.node(s.cond)
@@ -834,10 +800,7 @@ class _Compiler:
             body_due, rechecked = _charges([body, cond])
         test, flat, body, charge = cond[1], cond[2], body[1], self.charge
         if flat and not updated and not rechecked:
-            c, reads = s.cond, None
-            if type(c) is Binary and c.op in _COMPARISONS and type(c.left) is Var:
-                reads = _COMPARISONS[c.op], (_VAR, c.left.name), _read(c.right, None)
-            f = self.flat_loop(init, checked, test, reads, body_due, body, update)
+            f = self.flat_loop(init, checked, s.cond, test, body_due, body, update)
             return 1 + lead, f, False
 
         def f(env):
@@ -859,37 +822,25 @@ class _Compiler:
 
         return 1 + lead, f, False
 
-    def flat_loop(self, init, checked, test, reads, due, body, update) -> Callable:
+    def flat_loop(self, init, checked, cond, test, due, body, update) -> Callable:
         """A loop whose condition, body and update are flat, so each
         iteration charges `due` at its start and nothing else. It stops
         where `_Machine.charge` would: when the steps reach the room left
-        under the budget. A condition that compares a variable with a
-        variable or a literal, given in `reads` as its operator and its
-        operands as `_read` reads them, is tested in the `while` statement
-        itself; any other runs its closure `test`. An empty body, which is
-        `_nothing`, and a missing update are never called."""
+        under the budget. A condition `cond` that compares two variables is
+        tested in the `while` statement itself, reading both by name; any
+        other runs its closure `test`. An empty body, which is `_nothing`,
+        and a missing update are never called."""
         m, charge = self.machine, self.charge
         body = None if body is _nothing else body
-        apply, (lk, a), (rk, b) = reads or (None, (_FN, None), (_FN, None))
-        if lk is _VAR and rk is _VAR:
+        if (
+            type(cond) is Binary and cond.op in _COMPARISONS
+            and type(cond.left) is Var and type(cond.right) is Var
+        ):
+            apply, a, b = _COMPARISONS[cond.op], cond.left.name, cond.right.name
 
             def iterate(env, room):
                 spent = 0
                 while apply(env[a], env[b]):
-                    spent += due
-                    if spent >= room:
-                        break
-                    if body is not None:
-                        body(env)
-                    if update is not None:
-                        update(env)
-                return spent
-
-        elif lk is _VAR and rk is _LIT:
-
-            def iterate(env, room):
-                spent = 0
-                while apply(env[a], b):
                     spent += due
                     if spent >= room:
                         break

@@ -108,70 +108,56 @@ def _stmt_lines(
 
 
 def _printed(stmt: Stmt | Function, depth: int, base: BaseProgram | None) -> list[str]:
+    """A statement without a body is one line. A braced statement is an
+    opening line, its block's statements one level deeper and a closing
+    `}`; an `if` puts each `else if` and `else` line and block in between."""
     pad = INDENT * depth
+    orelse = None  # what follows `block` in an `if` chain
     if isinstance(stmt, Block):
-        lines = [pad + "{"]
-        for child in stmt.statements:
-            lines.extend(_stmt_lines(child, depth + 1, base))
-        lines.append(pad + "}")
-        return lines
-    if isinstance(stmt, VarDecl):
+        head, block = "{", stmt
+    elif isinstance(stmt, VarDecl):
         return [pad + _clause_text(stmt) + ";"]
-    if isinstance(stmt, Assign):
+    elif isinstance(stmt, Assign):
         return [pad + _assign_text(stmt) + ";"]
-    if isinstance(stmt, If):
-        lines = [pad + f"if ({_expr(stmt.cond, 0)}) {{"]
-        for child in stmt.then_block.statements:
-            lines.extend(_stmt_lines(child, depth + 1, base))
-        node = stmt.orelse
-        while node is not None:
-            if isinstance(node, If):
-                lines.append(pad + f"}} else if ({_expr(node.cond, 0)}) {{")
-                for child in node.then_block.statements:
-                    lines.extend(_stmt_lines(child, depth + 1, base))
-                node = node.orelse
-            else:
-                lines.append(pad + "} else {")
-                for child in node.statements:
-                    lines.extend(_stmt_lines(child, depth + 1, base))
-                node = None
-        lines.append(pad + "}")
-        return lines
-    if isinstance(stmt, While):
-        lines = [pad + f"while ({_expr(stmt.cond, 0)}) {{"]
-        for child in stmt.body.statements:
-            lines.extend(_stmt_lines(child, depth + 1, base))
-        lines.append(pad + "}")
-        return lines
-    if isinstance(stmt, For):
-        header = (
+    elif isinstance(stmt, If):
+        head, block, orelse = f"if ({_expr(stmt.cond, 0)}) {{", stmt.then_block, stmt.orelse
+    elif isinstance(stmt, While):
+        head, block = f"while ({_expr(stmt.cond, 0)}) {{", stmt.body
+    elif isinstance(stmt, For):
+        head = (
             f"for ({_clause_text(stmt.init)}; {_expr(stmt.cond, 0)}; "
             f"{_assign_text(stmt.update)}) {{"
         )
-        lines = [pad + header]
-        for child in stmt.body.statements:
-            lines.extend(_stmt_lines(child, depth + 1, base))
-        lines.append(pad + "}")
-        return lines
-    if isinstance(stmt, Break):
+        block = stmt.body
+    elif isinstance(stmt, Break):
         return [pad + "break;"]
-    if isinstance(stmt, Continue):
+    elif isinstance(stmt, Continue):
         return [pad + "continue;"]
-    if isinstance(stmt, Return):
+    elif isinstance(stmt, Return):
         if stmt.value is None:
             return [pad + "return;"]
         return [pad + f"return {_expr(stmt.value, 0)};"]
-    if isinstance(stmt, ExprStmt):
+    elif isinstance(stmt, ExprStmt):
         return [pad + _expr(stmt.expr, 0) + ";"]
-    if isinstance(stmt, Function):
+    elif isinstance(stmt, Function):
         params = ", ".join(f"{p.name}: {_type(p.param_type)}" for p in stmt.params)
         arrow = "" if stmt.return_type is Type.VOID else f" -> {_type(stmt.return_type)}"
-        lines = [pad + f"fn {stmt.name}({params}){arrow} {{"]
-        for child in stmt.body.statements:
+        head, block = f"fn {stmt.name}({params}){arrow} {{", stmt.body
+    else:
+        raise TypeError(f"unknown statement node {stmt!r}")
+    lines = [pad + head]
+    while True:
+        for child in block.statements:
             lines.extend(_stmt_lines(child, depth + 1, base))
-        lines.append(pad + "}")
-        return lines
-    raise TypeError(f"unknown statement node {stmt!r}")
+        if orelse is None:
+            lines.append(pad + "}")
+            return lines
+        if isinstance(orelse, If):
+            lines.append(pad + f"}} else if ({_expr(orelse.cond, 0)}) {{")
+            block, orelse = orelse.then_block, orelse.orelse
+        else:
+            lines.append(pad + "} else {")
+            block, orelse = orelse, None
 
 
 def print_statement(stmt: Stmt, depth: int = 0) -> str:

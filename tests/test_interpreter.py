@@ -567,6 +567,21 @@ FAILURE_POINTS = [
     ("fn f(n: int) -> int { for (var i: int = 0; i < n; i = i + 1) { } return n; }",
      "f(3) == 3", Status.PASS, 2 + 1 + 1 + 2 + 4 * 3 + 3 * 6 + 2, None,
      {HARNESS_FRAME: 2, "f": 36}),
+    # an expression left operand against a variable in an `if` condition,
+    # then a read out of bounds: harness 4 (call 1 + `[1]` 2 + `2` 1); f:
+    # body 1 + `var i` 2 + if 1 + `i + 1 < n` 5 + then block 1 + return 1
+    # + `a[n]` 3
+    ("fn f(a: int[], n: int) -> int { var i: int = 0; if (i + 1 < n) { return a[n]; } return 0; }",
+     "f([1], 2) == 0", Status.RUNTIME_ERROR, 4 + 14, "index 2 out of bounds for length 1",
+     {HARNESS_FRAME: 4, "f": 14}),
+    # an expression left operand against a literal: harness 2 + body 1 +
+    # return 1 + `+` 1 + `x * 2` 3 + `1` 1
+    ("fn f(x: int) -> int { return x * 2 + 1; }",
+     "f(3) == 7", Status.PASS, 2 + 7, None, {HARNESS_FRAME: 2, "f": 7}),
+    # a division by zero on the left of a literal, so the literal is never
+    # charged: harness 2 + body 1 + return 1 + `+` 1 + `10 / x` 3
+    ("fn f(x: int) -> int { return 10 / x + 1; }",
+     "f(0) == 0", Status.RUNTIME_ERROR, 2 + 6, "division by zero", {HARNESS_FRAME: 2, "f": 6}),
     # Rows that never end time out at every budget, and `profile` is the
     # one at budget `steps`.
     # an empty-body loop in a callee: harness 2; f: body 1 + return 1 + `+`
@@ -605,6 +620,11 @@ FAILURE_POINTS = [
     # and the first check 1
     ("fn f(b: bool) -> int { var i: int = 0; while (b) { i = i + 1; } return i; }",
      "f(true) == 1", Status.TIMEOUT, 2 + 5 + 7 * 3, None, {HARNESS_FRAME: 2, "f": 26}),
+    # an empty-body loop whose header has an expression on the left runs
+    # the condition's closure: 6 per iteration (block 1 + check 5) after
+    # harness 2, body 1, `var i` 2, while 1 and the first check 5
+    ("fn f(n: int) -> int { var i: int = 0; while (i + 1 < n) { } return i; }",
+     "f(3) == 3", Status.TIMEOUT, 2 + 9 + 6 * 3, None, {HARNESS_FRAME: 2, "f": 27}),
 ]
 
 
