@@ -71,9 +71,11 @@ The cost model:
 
 Steps are charged through one method that adds to the counter and
 compares it with the budget, or by a flat loop (below) that does the
-same in a local. Reaching the budget clamps the counter to exactly the
-budget and reports a timeout, so `steps_used == budget` iff the run
-timed out; a finishing run always used strictly fewer steps.
+same in a local, or that sets the counter to the budget at its first
+check when that check shows the loop never ends. Reaching the budget
+clamps the counter to exactly the budget and reports a timeout, so
+`steps_used == budget` iff the run timed out; a finishing run always
+used strictly fewer steps.
 
 Fused charges. A node's fixed steps, its own and the leading steps of the
 operands it evaluates first, are charged in one call before it runs,
@@ -90,12 +92,21 @@ raises the timeout as the charge would have. A flat loop tests a
 condition that compares two variables in its `while` statement itself,
 reading both by name, and calls no closure for it; any other condition
 runs its closure. It never calls an empty body or the update a `while`
-lacks. Nothing a flat node runs reads the counter. This is exact: no
-failure point, branch or call lies between two merged charges,
-so a run reaches the budget, fails or ends after the same number of
-steps as when every node charges for itself, and timeouts, the steps at
-a runtime error, the profile's self costs and every logged runtime are
-the same.
+lacks. Nothing a flat node runs reads the counter. A flat loop whose
+body and update assign no variable its condition reads, as when a
+mutant deletes a loop's increment, is decided at its first check: flat
+statements write only variables and a flat condition reads only
+variables and the lengths of the arrays they hold, so the condition has
+the same value at every check. False ends the loop as usual; true means
+that it never ends, and the loop sets the counter to the budget and
+raises the timeout without iterating. This is exact: no failure point,
+branch or call lies between two merged charges, so a run reaches the
+budget, fails or ends after the same number of steps as when every node
+charges for itself; a loop decided at its first check would have
+reached the budget, since each of its iterations charges at least one
+step, and a timeout reports the budget and charges the profile up to it
+whatever the counter holds. So timeouts, the steps at a runtime error,
+the profile's self costs and every logged runtime are the same.
 
 Division by zero, an out-of-bounds index and calls nested too deeply are
 the runtime errors a valid program can hit; they are reported in the
@@ -484,6 +495,29 @@ def _compare(apply: Callable, e: Binary, left: Callable, right: Callable) -> Cal
     return f
 
 
+def _invariant(s: While | For) -> bool:
+    """Whether no statement of the flat loop `s` that runs in an iteration,
+    in its body or its `for` update, assigns a variable that its condition
+    reads; statements after a `break`, `continue` or `return` never run, as
+    in `_Compiler.block`. A flat body or update writes only variables, by
+    declarations and by stores to a variable, and a flat condition reads
+    only variables and the lengths of arrays they hold, so such a loop's
+    condition has the same value at every check. A declaration in the body
+    names no variable the condition reads: validation forbids shadowing."""
+    reads = {x.name for x in tree_nodes(s.cond) if type(x) is Var}
+    todo = [s.body, s.update] if type(s) is For else [s.body]
+    while todo:
+        x = todo.pop()
+        if type(x) is Block:
+            for statement in x.statements:
+                todo.append(statement)
+                if type(statement) in _JUMPS:
+                    break
+        elif type(x) is Assign and x.target.name in reads:
+            return False
+    return True
+
+
 def _index_error(k: int, array: list) -> MiniLangRuntimeError:
     return MiniLangRuntimeError(f"index {k} out of bounds for length {len(array)}")
 
@@ -783,9 +817,10 @@ class _Compiler:
         per check, joined with the update's and the body's where they are
         flat. When all three are flat the loop counts its steps in a local
         and writes the machine's counter once, on leaving or on reaching
-        the budget: nothing it runs reads the counter. Such a loop gets
-        the condition's node, so `flat_loop` can test a comparison of two
-        variables without calling its closure."""
+        the budget: nothing it runs reads the counter. Such a loop goes to
+        `flat_loop` with its node, so that it can be decided at its first
+        check when it writes nothing its condition reads, and otherwise
+        test a comparison of two variables without calling its closure."""
         clauses = type(s) is For
         init = self.node(s.init) if clauses else None
         cond = self.node(s.cond)
@@ -800,7 +835,7 @@ class _Compiler:
             body_due, rechecked = _charges([body, cond])
         test, flat, body, charge = cond[1], cond[2], body[1], self.charge
         if flat and not updated and not rechecked:
-            f = self.flat_loop(init, checked, s.cond, test, body_due, body, update)
+            f = self.flat_loop(s, init, checked, test, body_due, body, update)
             return 1 + lead, f, False
 
         def f(env):
@@ -822,16 +857,33 @@ class _Compiler:
 
         return 1 + lead, f, False
 
-    def flat_loop(self, init, checked, cond, test, due, body, update) -> Callable:
-        """A loop whose condition, body and update are flat, so each
+    def flat_loop(self, s, init, checked, test, due, body, update) -> Callable:
+        """The loop `s`, whose condition, body and update are flat, so each
         iteration charges `due` at its start and nothing else. It stops
         where `_Machine.charge` would: when the steps reach the room left
-        under the budget. A condition `cond` that compares two variables is
-        tested in the `while` statement itself, reading both by name; any
-        other runs its closure `test`. An empty body, which is `_nothing`,
-        and a missing update are never called."""
+        under the budget. When its body and update write no variable its
+        condition reads (`_invariant`), the first check decides the loop:
+        false ends it, and true means every later check is true as well, so
+        the loop sets the counter to the budget and times out without
+        iterating. Otherwise a condition that compares two variables is
+        tested in the `while` statement itself, reading both by name, and
+        any other runs its closure `test`. An empty body, which is
+        `_nothing`, and a missing update are never called."""
         m, charge = self.machine, self.charge
+        if _invariant(s):
+
+            def f(env):
+                if init is not None:
+                    init(env)
+                if checked:
+                    charge(checked)
+                if test(env):
+                    m.steps = m.budget
+                    raise _Timeout()
+
+            return f
         body = None if body is _nothing else body
+        cond = s.cond
         if (
             type(cond) is Binary and cond.op in _COMPARISONS
             and type(cond.left) is Var and type(cond.right) is Var

@@ -77,6 +77,19 @@ def test_infinite_loop_patch_times_out_as_compiled_only(bench_loop):
     assert result.passed is False
 
 
+def test_infinite_loop_patch_times_out_without_iterating(bench_loop):
+    """The loop without its increment writes nothing its condition reads,
+    so its first check decides it; iterating to 10**9 steps would take
+    minutes."""
+    unit, tests = bench_loop
+    patch = Patch("bench_loop", (delete("count_to", 1, 0, 0),))
+    started = time.monotonic()
+    result = evaluate(BaseProgram(unit, tests), patch, step_budget=10**9)
+    assert result.classification is Classification.COMPILED_ONLY
+    assert result.tests_failed == 1
+    assert time.monotonic() - started < 0.5
+
+
 def test_planted_statement_deletion_delta_matches_trip_count_oracle(bench_sort):
     unit, tests = bench_sort
     result = evaluate(BaseProgram(unit, tests), Patch("bench_sort", (delete("sort", 1, 0, 0, 0, 0),)))

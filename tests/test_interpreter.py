@@ -625,6 +625,46 @@ FAILURE_POINTS = [
     # harness 2, body 1, `var i` 2, while 1 and the first check 5
     ("fn f(n: int) -> int { var i: int = 0; while (i + 1 < n) { } return i; }",
      "f(3) == 3", Status.TIMEOUT, 2 + 9 + 6 * 3, None, {HARNESS_FRAME: 2, "f": 27}),
+    # a body that writes only `s`, which the condition does not read: 9 per
+    # iteration (block 1 + `s = s + i` 5 + check 3) after harness 2, body 1,
+    # `var s` 2, `var i` 2, while 1 and the first check 3
+    ("fn f(n: int) -> int { var s: int = 0; var i: int = 0;"
+     " while (i < n) { s = s + i; } return s; }",
+     "f(3) == 3", Status.TIMEOUT, 2 + 9 + 9 * 3, None, {HARNESS_FRAME: 2, "f": 36}),
+    # an update that writes only `s`: 9 per iteration (block 1 + update 5 +
+    # check 3) after harness 2, body 1, `var s` 2, for 1, init 2 and the
+    # first check 3
+    ("fn f(n: int) -> int { var s: int = 0;"
+     " for (var i: int = 0; i < n; s = s + 1) { } return s; }",
+     "f(3) == 3", Status.TIMEOUT, 2 + 9 + 9 * 3, None, {HARNESS_FRAME: 2, "f": 36}),
+    # a loop that writes nothing its condition reads, false at its first
+    # check, so it runs no iteration: harness 2 + body 1 + `var i` 2 +
+    # while 1 + check 3 + `return i` 2
+    ("fn f(n: int) -> int { var i: int = 0; while (i > n) { } return i; }",
+     "f(3) == 0", Status.PASS, 2 + 9, None, {HARNESS_FRAME: 2, "f": 9}),
+    # the same with a `for` whose init calls g, so its first check is
+    # charged apart from the init: harness 2; f: body 1 + `var s` 2 + for 1
+    # + init 2, g 3 (body, return, `3`), then the check `i < n` 3 and
+    # `return s` 2
+    ("fn g() -> int { return 3; } fn f(n: int) -> int { var s: int = 0;"
+     " for (var i: int = g(); i < n; s = s + 1) { } return s; }",
+     "f(2) == 0", Status.PASS, 2 + 11 + 3, None, {HARNESS_FRAME: 2, "f": 11, "g": 3}),
+]
+
+# The loop of each never-ending row of FAILURE_POINTS whose body and update
+# write no variable that its condition reads, so its first check decides
+# it, and a twin of that loop whose body also writes a name the condition
+# reads, without changing it, so the twin iterates step by step.
+INVARIANT_LOOPS = [
+    ("while (i < n) { }", "while (i < n) { i = i + 0; }"),
+    ("while (i < n) { continue; i = i + 1; }", "while (i < n) { i = i + 0; continue; i = i + 1; }"),
+    ("while (i < 10) { }", "while (i < 10) { i = i + 0; }"),
+    ("while (!(i >= n)) { }", "while (!(i >= n)) { i = i + 0; }"),
+    ("while (b) { i = i + 1; }", "while (b) { i = i + 1; b = b; }"),
+    ("while (i + 1 < n) { }", "while (i + 1 < n) { i = i + 0; }"),
+    ("while (i < n) { s = s + i; }", "while (i < n) { s = s + i; i = i + 0; }"),
+    ("for (var i: int = 0; i < n; s = s + 1) { }",
+     "for (var i: int = 0; i < n; s = s + 1) { i = i + 0; }"),
 ]
 
 
@@ -651,6 +691,42 @@ def test_every_budget_stops_exactly_at_the_failure_point(src, call, status, step
             assert sum(spent.values()) == steps
             if profile is not None:
                 assert spent == profile
+
+
+def _invariant_row(loop: str) -> tuple:
+    """The one row of FAILURE_POINTS that runs `loop`, which never ends."""
+    [row] = [row for row in FAILURE_POINTS if loop in row[0]]
+    assert row[2] is Status.TIMEOUT
+    return row
+
+
+@pytest.mark.parametrize("loop, twin", INVARIANT_LOOPS)
+def test_a_loop_decided_at_its_first_check_ends_as_its_iterating_twin(loop, twin):
+    """A never-ending loop that writes nothing its condition reads times
+    out without iterating, and its twin, whose body writes a condition
+    variable with the value it has, iterates step by step to the budget.
+    Both must reach every budget with the same outcome and profile."""
+    src, call, _status, steps, _error, _profile = _invariant_row(loop)
+    units = parse_source(src), parse_source(src.replace(loop, twin))
+    assert [validate(unit) for unit in units] == [[], []]
+    test = parse_test_file(f"test t: {call}")[0]
+    for budget in range(1, steps + 3):
+        runs = []
+        for unit in units:
+            spent: dict[str, int] = {}
+            outcome = run_suite(unit, [test], budget, spent)[0]
+            runs.append((outcome.status, outcome.steps_used, spent))
+        assert runs[0] == runs[1], budget
+
+
+@pytest.mark.parametrize("loop, _twin", INVARIANT_LOOPS)
+def test_a_loop_decided_at_its_first_check_does_not_iterate_to_a_large_budget(loop, _twin):
+    """At a budget of 10**9 steps, iterating would take tens of seconds."""
+    src, call, _status, _steps, _error, _profile = _invariant_row(loop)
+    started = time.monotonic()
+    outcome = one_test(src, f"test t: {call}", 10**9)
+    assert (outcome.status, outcome.steps_used) == (Status.TIMEOUT, 10**9)
+    assert time.monotonic() - started < 0.5
 
 
 @pytest.mark.parametrize("body, expected", [
