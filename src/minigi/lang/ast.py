@@ -105,11 +105,9 @@ def record(cls):
     `__eq__`, `__hash__` and `__repr__` are defined once and shared by
     every record class; they loop over the class's `__match_args__`.
     Generating them too cost each toolchain process about 5 ms of `exec`
-    at import (Python 3.11, 2-vCPU Linux host). Local search hashes and
-    compares records on its hot path: its verdict dict
-    (`search._one_ls_run`) looks up every neighbour's `Patch.edits` once
-    per logged row, which hashes each edit's `StatementId` through
-    `_record_hash`.
+    at import (Python 3.11, 2-vCPU Linux host). Local search's verdict
+    dict (`search._one_ls_run`), looked up once per logged row, is keyed
+    by each patch's log text, a string, so it hashes no record.
     """
     own = tuple(cls.__dict__.get("__annotations__", ()))
     names = getattr(cls, "__match_args__", ()) + own

@@ -22,12 +22,19 @@ text is looked up in `BaseProgram.payloads` before it is parsed. A
 payload parsed there is marked as the command's own (`BaseProgram.own`),
 as every base function is from the start, so the printer and the
 interpreter keep their work on it for the command.
+
+Each edit builds its run-log text once, when it is made, and each patch
+the join of its edits' texts (`Edit.text`, `Patch.text`; the forms are
+in docs/logs.md). The patch line reuses that text, and local search
+keys its verdict memo by it, so a repeated row neither rebuilds an
+edit's text nor hashes its fields. Equality and hashing of edits and
+patches stay by their fields.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Union
 
@@ -84,40 +91,33 @@ class Edit:
     dst: Optional[Union[StatementId, InsertionPoint]] = None
     payload: Optional[str] = None  # LLM replacement text; None = no code block
     prompt_category: Optional[str] = None
+    # The edit as the run log writes it (docs/logs.md), built once at
+    # construction; equality and hashing stay by the fields above.
+    text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        k = self.kind
+        k, src, dst = self.kind, self.src, self.dst
         if k is EditKind.DELETE:
-            ok = self.src is not None and self.dst is None
+            ok, text = src is not None and dst is None, f"delete({src})"
         elif k is EditKind.COPY:
-            ok = self.src is not None and isinstance(self.dst, InsertionPoint)
-        elif k in (EditKind.REPLACE, EditKind.SWAP):
-            ok = self.src is not None and isinstance(self.dst, StatementId)
+            ok, text = src is not None and isinstance(dst, InsertionPoint), f"copy({src}->{dst})"
+        elif k is EditKind.REPLACE:
+            ok, text = src is not None and isinstance(dst, StatementId), f"replace({src}->{dst})"
+        elif k is EditKind.SWAP:
+            ok, text = src is not None and isinstance(dst, StatementId), f"swap({src}<->{dst})"
         elif k in INSERT_KINDS:
-            ok = self.src is None and isinstance(self.dst, InsertionPoint)
+            ok, text = src is None and isinstance(dst, InsertionPoint), f"{k.value}({dst})"
         else:  # LLM_BLOCK_REPLACE; payload may be None (blockless draw)
-            ok = self.src is not None and self.dst is None and self.prompt_category is not None
+            ok = src is not None and dst is None and self.prompt_category is not None
+            payload = self.payload
+            digest = "none" if payload is None else hashlib.sha256(payload.encode()).hexdigest()
+            text = f"llm({src},{self.prompt_category},{digest})"
         if not ok:
             raise ValueError(f"malformed {k.value} edit")
+        object.__setattr__(self, "text", text)
 
     def serialize(self) -> str:
-        k = self.kind
-        if k is EditKind.DELETE:
-            return f"delete({self.src})"
-        if k is EditKind.COPY:
-            return f"copy({self.src}->{self.dst})"
-        if k is EditKind.REPLACE:
-            return f"replace({self.src}->{self.dst})"
-        if k is EditKind.SWAP:
-            return f"swap({self.src}<->{self.dst})"
-        if k in INSERT_KINDS:
-            return f"{k.value}({self.dst})"
-        digest = "none" if self.payload is None else _payload_digest(self.payload)
-        return f"llm({self.src},{self.prompt_category},{digest})"
-
-
-def _payload_digest(payload: str) -> str:
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return self.text
 
 
 @dataclass(frozen=True)
@@ -125,6 +125,12 @@ class Patch:
     base: str  # SourceUnit name the patch targets
     edits: tuple[Edit, ...] = ()
     seed: str = ""
+    # The edits' texts joined by " ; ", the patch line's edits field, built
+    # once at construction; equality and hashing stay by the fields above.
+    text: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "text", " ; ".join([e.text for e in self.edits]))
 
     def is_empty(self) -> bool:
         return not self.edits
@@ -359,8 +365,7 @@ def serialize_patch(patch: Patch, digest: Optional[str]) -> str:
     `digest` is the patched program's canonical digest (its fingerprint),
     or None when the patch did not apply (written as the token `invalid`).
     """
-    edits = " ; ".join(e.serialize() for e in patch.edits)
-    return f"{patch.seed} | {edits} | {digest if digest is not None else 'invalid'}"
+    return f"{patch.seed} | {patch.text} | {digest if digest is not None else 'invalid'}"
 
 
 def split_patch_line(line: str) -> tuple[str, str, str]:

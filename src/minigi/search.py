@@ -45,14 +45,17 @@ so reference counting frees it when the call returns.
 
 Each local-search method run also keeps, on the builtin backend, the
 verdict of every edit list it has evaluated, starting with the empty
-baseline. A neighbor whose edit list the run has seen before (a removal
-that returns to an earlier patch, a rejected neighbor proposed again) is
-logged with that verdict and its own patch instead of being evaluated
-again. A builtin verdict is a pure function of the base program, the
-edit list, the tests and the step budget, so this changes no record. The
-memo lives no longer than the method's run. The external backend
-measures runtime by wall clock, so it evaluates every neighbor; random
-sampling evaluates every patch.
+baseline, keyed by the list's log text (`Patch.text`, the edits field of
+its patch line), which the patch builds once. A neighbor whose edit list
+the run has seen before (a removal that returns to an earlier patch, a
+rejected neighbor proposed again) is logged with that verdict and its
+own patch instead of being evaluated again. The text names every field
+of every edit, and an LLM payload by its SHA-256 as the log and replay
+do, so equal texts are equal edit lists. A builtin verdict is a pure
+function of the base program, the edit list, the tests and the step
+budget, so this changes no record. The memo lives no longer than the
+method's run. The external backend measures runtime by wall clock, so it
+evaluates every neighbor; random sampling evaluates every patch.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ from typing import Callable, Optional, Sequence
 
 from minigi.checks import check_count
 from minigi.evaluation import EvaluationResult, ExternalToolchain, evaluate
-from minigi.lang.ast import BaseProgram, SourceUnit, StatementSites
+from minigi.lang.ast import BaseProgram, SourceUnit, StatementSites, record
 from minigi.lang.interpreter import DEFAULT_STEP_BUDGET
 from minigi.llm import LlmClientBase
 from minigi.operators import (
@@ -180,7 +183,7 @@ def check_targets(unit: SourceUnit, cfg: SearchConfig) -> None:
                 )
 
 
-@dataclass(frozen=True)
+@record
 class EvalRecord:
     """One run-log row; the CSV schema is documented in docs/logs.md."""
 
@@ -356,15 +359,16 @@ def _one_ls_run(run: _Run, method: str) -> None:
     run.log(run_id, 0, empty, baseline)
     assert baseline.runtime is not None
     state = SearchState(empty, baseline.runtime, unit)
-    # Builtin verdicts by edit list; stays empty on the external backend.
-    verdicts = {empty.edits: baseline} if run.toolchain is None else {}
+    # Builtin verdicts by the edit list's log text (see the module
+    # docstring); stays empty on the external backend.
+    verdicts = {empty.text: baseline} if run.toolchain is None else {}
     for index in range(1, cfg.evals):
         neighbor = propose_neighbor(run, state, family, rng, method)
-        result = verdicts.get(neighbor.edits)
+        result = verdicts.get(neighbor.text)
         if result is None:
             result = run.evaluate(neighbor)
             if run.toolchain is None:
-                verdicts[neighbor.edits] = result
+                verdicts[neighbor.text] = result
         run.log(run_id, index, neighbor, result)
         if result.runtime is not None and result.runtime < state.current_runtime:
             state.current_patch = neighbor

@@ -331,7 +331,8 @@ def test_serialization_round_trip_fields(bench_sort):
 def golden_stream():
     """2,400 drawn patches of one and two Statement, Insert and LLM edits on
     every benchmark, in a fixed order: for each, its base unit, the
-    BaseProgram its run shares, and the patched unit or the ApplyError."""
+    BaseProgram its run shares, the patch, and the patched unit or the
+    ApplyError."""
     for stem in ("bench_loop", "bench_max", "bench_planted", "bench_sort"):
         unit = parse_source((BENCHMARKS / f"{stem}.ml").read_text(encoding="utf-8"), name=stem)
         hot = [fn.name for fn in unit.functions]
@@ -355,10 +356,11 @@ def golden_stream():
                 else:
                     patches = []
                 for edits in patches:
+                    patch = Patch(stem, edits)
                     try:
-                        yield unit, run, apply_patch(unit, Patch(stem, edits), run)
+                        yield unit, run, patch, apply_patch(unit, patch, run)
                     except ApplyError as exc:
-                        yield unit, run, exc
+                        yield unit, run, patch, exc
 
 
 # Every outcome of the golden stream, joined by newlines, hashed.
@@ -370,7 +372,7 @@ def test_every_application_matches_the_golden_stream():
     value fixed when the patch code was last rewritten. Every applied
     program prints and parses back to itself."""
     outcomes, refused = [], 0
-    for _, _, patched in golden_stream():
+    for _, _, _, patched in golden_stream():
         if isinstance(patched, ApplyError):
             outcomes.append(f"{type(patched).__name__}: {patched}")
             refused += 1
@@ -392,7 +394,7 @@ def test_every_applied_program_validates_as_in_the_golden_stream():
     errors every earlier patch has filled, gives the same list as a fresh
     one and as no BaseProgram at all."""
     lines, rejected, kinds = [], 0, set()  # kinds: each message up to its first quote
-    for unit, run, patched in golden_stream():
+    for unit, run, _, patched in golden_stream():
         if isinstance(patched, ApplyError):
             continue
         errors = validate(patched, run)
@@ -410,3 +412,22 @@ def test_every_applied_program_validates_as_in_the_golden_stream():
         "unknown variable ",
     }
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GOLDEN_ERRORS
+
+
+# Every patch line of the golden stream, joined by newlines, hashed; fixed
+# before edits and patches carried their text.
+GOLDEN_LINES = "dab886efc5766a0f381515423b5272873771e91cb04ff39496d8523b49744b17"
+
+
+def test_every_patch_line_matches_the_golden_stream():
+    """The patch line of each patch of the golden stream, with its digest or
+    `invalid`, hashes to a fixed value, and the stream writes every edit
+    kind, an LLM edit without a code block among them."""
+    lines, kinds = [], set()
+    for _, _, patch, patched in golden_stream():
+        digest = None if isinstance(patched, ApplyError) else source_digest(patched)
+        lines.append(serialize_patch(patch, digest))
+        kinds.update(e.kind for e in patch.edits)
+    assert kinds == set(EditKind)
+    assert any(",none)" in line for line in lines)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GOLDEN_LINES

@@ -10,9 +10,18 @@ from collections import Counter
 import pytest
 
 from minigi.lang import source_digest
-from minigi.lang.ast import BaseProgram
+from minigi.lang.ast import BaseProgram, StatementId
 from minigi.llm import LlmClientConfig, MockLlmClient
-from minigi.patches import Patch, PayloadUnparsableError, split_patch_line
+from minigi.patches import (
+    INSERT_KINDS,
+    Edit,
+    EditKind,
+    InsertionPoint,
+    Patch,
+    PayloadUnparsableError,
+    serialize_patch,
+    split_patch_line,
+)
 from minigi.prompts import PromptTemplate
 from minigi.search import (
     EvalRecord,
@@ -27,6 +36,7 @@ from minigi.search import (
     random_sampling,
 )
 
+from conftest import REPO_ROOT
 from oracles import poly_sum_call_steps, poly_sum_planted_cost
 
 
@@ -325,6 +335,96 @@ def test_local_search_evaluates_each_distinct_edit_list_once_per_run(
     distinct = distinct_edit_lists(records)
     assert len(distinct) < len(records)  # the runs do repeat edit lists
     assert len(calls) == len(set(calls)) == len(distinct)
+
+
+def test_equal_llm_payloads_share_one_verdict_and_a_different_one_gets_its_own(monkeypatch):
+    """The memo knows an edit list by its log text, which names an LLM
+    payload by its SHA-256: one reply's two equal code blocks become two
+    edit objects with one text and are evaluated once, and its different
+    block is evaluated on its own."""
+    import minigi.search as search
+    from minigi.lang import parse_source, parse_test_file
+
+    unit = parse_source("fn f(n: int) -> int { var s: int = 0; s = s + n; return s; }", "f")
+    tests = parse_test_file("test five: f(5) == 5")
+    slower = "{ var s: int = 0; s = s + n; s = s + 0; return s; }"  # passes, not accepted
+    wrong = "{ return n + 1; }"  # fails its test
+    reply = "\n".join(f"```\n{code}\n```" for code in (slower, slower, wrong))
+    drawn = []
+    real_make_llm_edits = search.make_llm_edits
+
+    def make_llm_edits(*args, **kwargs):
+        edits = real_make_llm_edits(*args, **kwargs)
+        drawn.extend(edits)
+        return edits
+
+    monkeypatch.setattr(search, "make_llm_edits", make_llm_edits)
+    calls = count_evaluations(monkeypatch)
+    client = MockLlmClient(LlmClientConfig(mode="mock"), script=lambda _: reply)
+    llm = LlmSearchContext(client, PromptTemplate(project_name="f", variant_count=3))
+    cfg = LocalSearchConfig(("llm-medium",), ("f",), evals=4, seed=0)
+    records = local_search(BaseProgram(unit, tests), cfg, llm=llm)
+    first, again, other = drawn
+    assert first is not again and first.text == again.text != other.text
+    assert [edits for _, edits in calls] == [(), (first,), (other,)]
+    assert calls[1][1][0] is first
+    assert records[1].patch_line == records[2].patch_line != records[3].patch_line
+    assert [r.classification for r in records] == ["Passed", "Passed", "Passed", "CompiledOnly"]
+    assert records[0].runtime < records[1].runtime == records[2].runtime
+
+
+def test_a_neighbor_carries_the_join_of_its_edits_texts():
+    a, b, c = (
+        Edit(EditKind.DELETE, src=StatementId("f", (0,))),
+        Edit(EditKind.INSERT_BREAK, dst=InsertionPoint(StatementId("f", (1,)), 0)),
+        Edit(EditKind.LLM_BLOCK_REPLACE, src=StatementId("f", ()), prompt_category="simple"),
+    )
+    empty = Patch("u", (), "s")
+    full = empty.with_edit(a).with_edit(b).with_edit(c)
+    assert empty.text == ""
+    assert full.text == "delete(f:0) ; insert_break(f:1+0) ; llm(f:root,simple,none)"
+    assert full.without_edit(1).text == f"{a.text} ; {c.text}"
+    assert full.without_edit(0).without_edit(0).without_edit(0).text == ""
+    assert split_patch_line(serialize_patch(full, None))[1] == full.text
+    # equality and hashing stay by the fields
+    assert full.without_edit(1) == empty.with_edit(a).with_edit(c)
+    assert hash(full.without_edit(2)) == hash(Patch("u", (a, b), "s"))
+    assert full != Patch("u", full.edits, "t")
+
+
+def test_every_edit_kind_is_written_as_docs_logs_md_documents_it():
+    """Each form the log's documentation gives, its placeholders filled in
+    order with the edit's ids, point, category and payload digest."""
+    text = (REPO_ROOT / "docs" / "logs.md").read_text(encoding="utf-8")
+    sentence = re.search(r"The edits are written (.*?)\.\n", text, re.S).group(1)
+    forms = dict(re.findall(r"`(\w+)\(([^`]*)\)`", sentence))
+    src, dst = StatementId("f", (0, 2)), StatementId("f", ())
+    point = InsertionPoint(StatementId("f", (1,)), 3)
+    payload = "{ return 1; }"
+    edits = [
+        Edit(EditKind.DELETE, src=src),
+        Edit(EditKind.COPY, src=src, dst=point),
+        Edit(EditKind.REPLACE, src=src, dst=dst),
+        Edit(EditKind.SWAP, src=src, dst=dst),
+        *(Edit(kind, dst=point) for kind in INSERT_KINDS),
+        Edit(EditKind.LLM_BLOCK_REPLACE, src=src, payload=payload, prompt_category="medium"),
+    ]
+    assert {e.kind.value for e in edits} == set(forms) == {k.value for k in EditKind}
+    assert (str(src), str(dst), str(point)) == ("f:0.2", "f:root", "f:1+3")
+    for edit in edits:
+        values = {
+            "id": iter([str(src), str(dst)]),
+            "point": iter([str(point)]),
+            "category": iter(["medium"]),
+            "payload": iter([hashlib.sha256(payload.encode("utf-8")).hexdigest()]),
+        }
+        args = re.sub(
+            r"id|point|category|payload", lambda m: next(values[m.group()]),
+            forms[edit.kind.value],
+        )
+        assert edit.serialize() == edit.text == f"{edit.kind.value}({args})"
+    blockless = Edit(EditKind.LLM_BLOCK_REPLACE, src=src, prompt_category="medium")
+    assert blockless.serialize() == "llm(f:0.2,medium,none)"
 
 
 def test_the_evaluation_memo_lives_no_longer_than_its_run(bench_planted, monkeypatch):
