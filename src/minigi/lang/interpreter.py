@@ -70,12 +70,11 @@ The cost model:
     body; `len` charges 1 plus its argument; `print` 1 plus arguments.
 
 Steps are charged through one method that adds to the counter and
-compares it with the budget, or by a flat loop (below) that does the
-same in a local, or that sets the counter to the budget at its first
-check when that check shows the loop never ends. Reaching the budget
-clamps the counter to exactly the budget and reports a timeout, so
-`steps_used == budget` iff the run timed out; a finishing run always
-used strictly fewer steps.
+compares it with the budget, or by a loop (below) that sets the counter
+to the budget at its first check when that check shows the loop never
+ends. Reaching the budget clamps the counter to exactly the budget and
+reports a timeout, so `steps_used == budget` iff the run timed out; a
+finishing run always used strictly fewer steps.
 
 Fused charges. A node's fixed steps, its own and the leading steps of the
 operands it evaluates first, are charged in one call before it runs,
@@ -83,21 +82,13 @@ together with those of the nodes after it for as long as each node in
 between is flat: it charges nothing itself and can neither fail, branch,
 call nor return a signal. A loop charges its condition in one call per
 check, joined with the steps of its body and update where those are
-flat. A loop whose condition is flat and whose body and update join
-that one charge per iteration is flat inside: it reads the room left
-under the budget once on entry, adds each iteration's steps to a local
-and compares the local with the room, and it writes the machine's
-counter once, when it ends or when the local reaches the room, where it
-raises the timeout as the charge would have. A flat loop tests a
-condition that compares two variables in its `while` statement itself,
-reading both by name, and calls no closure for it; any other condition
-runs its closure. It never calls an empty body or the update a `while`
-lacks. Nothing a flat node runs reads the counter. A flat loop whose
-body and update assign no variable its condition reads, as when a
-mutant deletes a loop's increment, is decided at its first check: flat
-statements write only variables and a flat condition reads only
-variables and the lengths of the arrays they hold, so the condition has
-the same value at every check. False ends the loop as usual; true means
+flat, so a loop whose condition, body and update are all flat charges
+once per iteration. Nothing a flat node runs reads the counter. Such a
+loop whose body and update assign no variable its condition reads, as
+when a mutant deletes a loop's increment, is decided at its first
+check: flat statements write only variables and a flat condition reads
+only variables and the lengths of the arrays they hold, so the condition
+has the same value at every check. False ends the loop as usual; true means
 that it never ends, and the loop sets the counter to the budget and
 raises the timeout without iterating. This is exact: no failure point,
 branch or call lies between two merged charges, so a run reaches the
@@ -178,12 +169,11 @@ MAX_NESTING_WEIGHT = 2048  # the depth rule in the module docstring
 # One level of nesting compiles in at most three nested host calls (the
 # level's dispatch, its builder and a helper) and runs in at most two (its
 # closure and, for an operand whose steps could not join its parent's
-# charge, the closure that charges them, or for a flat loop the closure
-# that iterates); the frame a call adds to run its body is the one its
-# weight counts beyond its nesting. Active calls hold
-# at most two frames per unit of weight and a function being compiled at
-# most three per level of the room left beside them, so three frames per
-# unit of MAX_NESTING_WEIGHT bound both together.
+# charge, the closure that charges them); the frame a call adds to run
+# its body is the one its weight counts beyond its nesting. Active calls
+# hold at most two frames per unit of weight and a function being compiled
+# at most three per level of the room left beside them, so three frames
+# per unit of MAX_NESTING_WEIGHT bound both together.
 _HOST_FRAMES_PER_LEVEL = 3
 _HOST_FRAMES = _HOST_FRAMES_PER_LEVEL * MAX_NESTING_WEIGHT + 256
 
@@ -496,14 +486,16 @@ def _compare(apply: Callable, e: Binary, left: Callable, right: Callable) -> Cal
 
 
 def _invariant(s: While | For) -> bool:
-    """Whether no statement of the flat loop `s` that runs in an iteration,
-    in its body or its `for` update, assigns a variable that its condition
+    """Whether no statement of the loop `s` that runs in an iteration, in
+    its body or its `for` update, assigns a variable that its condition
     reads; statements after a `break`, `continue` or `return` never run, as
-    in `_Compiler.block`. A flat body or update writes only variables, by
-    declarations and by stores to a variable, and a flat condition reads
-    only variables and the lengths of arrays they hold, so such a loop's
-    condition has the same value at every check. A declaration in the body
-    names no variable the condition reads: validation forbids shadowing."""
+    in `_Compiler.block`. `_Compiler.loop` asks only when the condition,
+    body and update are flat. A flat body or update writes only variables,
+    by declarations and by stores to a variable, and a flat condition reads
+    only variables and the lengths of arrays they hold, so then the
+    condition has the same value at every check and the first check
+    decides the loop. A declaration in the body names no variable the
+    condition reads: validation forbids shadowing."""
     reads = {x.name for x in tree_nodes(s.cond) if type(x) is Var}
     todo = [s.body, s.update] if type(s) is For else [s.body]
     while todo:
@@ -815,12 +807,11 @@ class _Compiler:
         """A `while`, or a `for`: its init clause runs once and its update
         clause after each iteration. The condition's cost is charged once
         per check, joined with the update's and the body's where they are
-        flat. When all three are flat the loop counts its steps in a local
-        and writes the machine's counter once, on leaving or on reaching
-        the budget: nothing it runs reads the counter. Such a loop goes to
-        `flat_loop` with its node, so that it can be decided at its first
-        check when it writes nothing its condition reads, and otherwise
-        test a comparison of two variables without calling its closure."""
+        flat. A loop whose condition, body and update are all flat and
+        whose body and update write no variable its condition reads
+        (`_invariant`) is decided at its first check: false ends it, and
+        true means every later check is true as well, so the loop sets the
+        counter to the budget and times out without iterating."""
         clauses = type(s) is For
         init = self.node(s.init) if clauses else None
         cond = self.node(s.cond)
@@ -834,8 +825,18 @@ class _Compiler:
             lead, checked, updated = cond[0], 0, 0
             body_due, rechecked = _charges([body, cond])
         test, flat, body, charge = cond[1], cond[2], body[1], self.charge
-        if flat and not updated and not rechecked:
-            f = self.flat_loop(s, init, checked, test, body_due, body, update)
+        if flat and not updated and not rechecked and _invariant(s):
+            m = self.machine
+
+            def f(env):
+                if init is not None:
+                    init(env)
+                if checked:
+                    charge(checked)
+                if test(env):
+                    m.steps = m.budget
+                    raise _Timeout()
+
             return 1 + lead, f, False
 
         def f(env):
@@ -856,78 +857,6 @@ class _Compiler:
                     charge(rechecked)
 
         return 1 + lead, f, False
-
-    def flat_loop(self, s, init, checked, test, due, body, update) -> Callable:
-        """The loop `s`, whose condition, body and update are flat, so each
-        iteration charges `due` at its start and nothing else. It stops
-        where `_Machine.charge` would: when the steps reach the room left
-        under the budget. When its body and update write no variable its
-        condition reads (`_invariant`), the first check decides the loop:
-        false ends it, and true means every later check is true as well, so
-        the loop sets the counter to the budget and times out without
-        iterating. Otherwise a condition that compares two variables is
-        tested in the `while` statement itself, reading both by name, and
-        any other runs its closure `test`. An empty body, which is
-        `_nothing`, and a missing update are never called."""
-        m, charge = self.machine, self.charge
-        if _invariant(s):
-
-            def f(env):
-                if init is not None:
-                    init(env)
-                if checked:
-                    charge(checked)
-                if test(env):
-                    m.steps = m.budget
-                    raise _Timeout()
-
-            return f
-        body = None if body is _nothing else body
-        cond = s.cond
-        if (
-            type(cond) is Binary and cond.op in _COMPARISONS
-            and type(cond.left) is Var and type(cond.right) is Var
-        ):
-            apply, a, b = _COMPARISONS[cond.op], cond.left.name, cond.right.name
-
-            def iterate(env, room):
-                spent = 0
-                while apply(env[a], env[b]):
-                    spent += due
-                    if spent >= room:
-                        break
-                    if body is not None:
-                        body(env)
-                    if update is not None:
-                        update(env)
-                return spent
-
-        else:
-
-            def iterate(env, room):
-                spent = 0
-                while test(env):
-                    spent += due
-                    if spent >= room:
-                        break
-                    if body is not None:
-                        body(env)
-                    if update is not None:
-                        update(env)
-                return spent
-
-        def f(env):
-            if init is not None:
-                init(env)
-            if checked:
-                charge(checked)
-            room = m.budget - m.steps
-            spent = iterate(env, room)
-            m.steps += spent
-            if spent >= room:
-                raise _Timeout()
-
-        return f
 
     def jump(self, s):
         signal = _BREAK if type(s) is Break else _CONTINUE

@@ -116,9 +116,6 @@ class Edit:
             raise ValueError(f"malformed {k.value} edit")
         object.__setattr__(self, "text", text)
 
-    def serialize(self) -> str:
-        return self.text
-
 
 @dataclass(frozen=True)
 class Patch:

@@ -167,7 +167,7 @@ def test_criterion_2_brute_force_edit_space_oracle(bench_sort):
     for record in records:
         seed, edits, _digest = split_patch_line(record.patch_line)
         edit = sample_statement_edit(unit, ["sort"], random.Random(seed))
-        assert edit.serialize() == edits, f"logged seed {seed} re-draws another edit"
+        assert edit.text == edits, f"logged seed {seed} re-draws another edit"
         assert edit in oracle, f"sampled edit outside the enumerated space: {edit}"
         assert record.classification == oracle[edit].value, f"{edit}"
         agreements += 1

@@ -590,6 +590,13 @@ FAILURE_POINTS = [
     ("fn g(n: int) -> int { var i: int = 0; while (i < n) { } return i; }"
      " fn f(n: int) -> int { return g(n) + 1; }",
      "f(3) == 4", Status.TIMEOUT, 2 + 5 + 7 + 4 * 5, None, {HARNESS_FRAME: 2, "f": 5, "g": 27}),
+    # a loop in a callee that writes what its condition reads, so it is
+    # charged per iteration to the budget: harness 2; f as above 5; g: body
+    # 1 + `var i` 2 + while 1 + the first check 3, then 9 per iteration
+    # (block 1 + `i = i + 2` 5 + check 3)
+    ("fn g(n: int) -> int { var i: int = 0; while (i != n) { i = i + 2; } return i; }"
+     " fn f(n: int) -> int { return g(n) + 1; }",
+     "f(3) == 4", Status.TIMEOUT, 2 + 5 + 7 + 9 * 3, None, {HARNESS_FRAME: 2, "f": 5, "g": 34}),
     # a `continue`-first body whose dead statement would end the loop: 5
     # per iteration (block 1 + `continue` 1 + check 3) after harness 2, body
     # 1, `var i` 2, while 1 and the first check 3
@@ -610,9 +617,9 @@ FAILURE_POINTS = [
     # body 1, for 1, init 2 and the first check 3
     ("fn f(n: int) -> int { for (var i: int = 0; i < n; n = n + 0) { } return n; }",
      "f(3) == 3", Status.TIMEOUT, 2 + 7 + 9 * 3, None, {HARNESS_FRAME: 2, "f": 34}),
-    # a condition that is no comparison of a variable runs its closure: 5
-    # per iteration (block 1 + check 4: `!` 1 + `i >= n` 3) after harness 2,
-    # body 1, `var i` 2, while 1 and the first check 4
+    # a condition that is no comparison of two operands: 5 per iteration
+    # (block 1 + check 4: `!` 1 + `i >= n` 3) after harness 2, body 1,
+    # `var i` 2, while 1 and the first check 4
     ("fn f(n: int) -> int { var i: int = 0; while (!(i >= n)) { } return i; }",
      "f(3) == 3", Status.TIMEOUT, 2 + 8 + 5 * 3, None, {HARNESS_FRAME: 2, "f": 23}),
     # a `bool` variable as the condition: 7 per iteration (block 1 +
@@ -620,9 +627,9 @@ FAILURE_POINTS = [
     # and the first check 1
     ("fn f(b: bool) -> int { var i: int = 0; while (b) { i = i + 1; } return i; }",
      "f(true) == 1", Status.TIMEOUT, 2 + 5 + 7 * 3, None, {HARNESS_FRAME: 2, "f": 26}),
-    # an empty-body loop whose header has an expression on the left runs
-    # the condition's closure: 6 per iteration (block 1 + check 5) after
-    # harness 2, body 1, `var i` 2, while 1 and the first check 5
+    # an empty-body loop whose header has an expression on the left: 6 per
+    # iteration (block 1 + check 5) after harness 2, body 1, `var i` 2,
+    # while 1 and the first check 5
     ("fn f(n: int) -> int { var i: int = 0; while (i + 1 < n) { } return i; }",
      "f(3) == 3", Status.TIMEOUT, 2 + 9 + 6 * 3, None, {HARNESS_FRAME: 2, "f": 27}),
     # a body that writes only `s`, which the condition does not read: 9 per

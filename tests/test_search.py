@@ -124,7 +124,7 @@ def test_each_logged_classic_patch_is_replayable_from_its_seed(bench_max):
     for record in records:
         seed, edits, _fp = split_patch_line(record.patch_line)
         redrawn = sample_statement_edit(unit, ["max2"], random.Random(seed))
-        assert redrawn.serialize() == edits
+        assert redrawn.text == edits
 
 
 def test_llm_budget_of_ten_issues_exactly_two_requests(bench_sort):
@@ -422,9 +422,9 @@ def test_every_edit_kind_is_written_as_docs_logs_md_documents_it():
             r"id|point|category|payload", lambda m: next(values[m.group()]),
             forms[edit.kind.value],
         )
-        assert edit.serialize() == edit.text == f"{edit.kind.value}({args})"
+        assert edit.text == f"{edit.kind.value}({args})"
     blockless = Edit(EditKind.LLM_BLOCK_REPLACE, src=src, prompt_category="medium")
-    assert blockless.serialize() == "llm(f:0.2,medium,none)"
+    assert blockless.text == "llm(f:0.2,medium,none)"
 
 
 def test_the_evaluation_memo_lives_no_longer_than_its_run(bench_planted, monkeypatch):
