@@ -14,17 +14,21 @@ prompt alone. Three modes share that call:
 
 Every failure is a ClientError whose message says what went wrong.
 Transcripts are JSON documents named by the request digest, written
-atomically (tmp file + rename) and never overwritten; replay serves from
-them. A client counts the occurrences of each request: the first reply
-is written as `<digest>.json`, and the reply to occurrence k > 0 as
-`<digest>.<k>.json` only when it differs from the reply to occurrence
-k - 1. Replay serves occurrence k from the highest occurrence at or
-below k that has a transcript, which is exactly what was served live.
-docs/logs.md lists the keys.
+atomically (a tmp file renamed into place; a failed write or rename
+removes the tmp file) and never overwritten; replay serves from them.
+docs/logs.md lists the keys. A client counts the occurrences of each
+request: the first reply is written as `<digest>.json`, and the reply to
+occurrence k > 0 as `<digest>.<k>.json` only when it differs from the
+reply to occurrence k - 1. Replay serves occurrence k from the highest
+occurrence at or below k that has a transcript, which is exactly what
+was served live. The count lives in the client's `_latest`, keyed by
+prompt text, which also holds each prompt's request digest, so a client
+digests each distinct prompt once.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -134,13 +138,18 @@ class TranscriptStore:
 
     def put(self, name: str, record: dict) -> None:
         path = self.path_for(name)
+        tmp = path.with_suffix(f".tmp.{os.getpid()}")
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             if path.exists():  # append-only: first record wins
                 return
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
-            tmp.write_text(json.dumps(record, indent=2, sort_keys=True), encoding="utf-8")
-            tmp.replace(path)
+            try:
+                tmp.write_text(json.dumps(record, indent=2, sort_keys=True), encoding="utf-8")
+                tmp.replace(path)
+            except BaseException:
+                with contextlib.suppress(OSError):
+                    tmp.unlink(missing_ok=True)
+                raise
         except OSError as exc:
             raise ClientError(f"cannot write transcript {path}: {exc.strerror}") from None
 
@@ -152,14 +161,19 @@ class LlmClientBase:
         self.store = (
             TranscriptStore(config.transcript_dir) if config.transcript_dir is not None else None
         )
-        # request digest -> the occurrence of its latest request and the reply to it
-        self._latest: dict[str, tuple[int, str]] = {}
+        # prompt -> its request digest, the occurrence of its latest request
+        # and the reply to it
+        self._latest: dict[str, tuple[str, int, str]] = {}
 
-    def _occurrence(self, digest: str) -> tuple[int, Optional[str]]:
-        """The occurrence, from 0, of a new request of `digest`, and the
-        reply to the one before it (None for the first)."""
-        latest = self._latest.get(digest)
-        return (0, None) if latest is None else (latest[0] + 1, latest[1])
+    def _occurrence(self, prompt: str) -> tuple[str, int, Optional[str]]:
+        """The request digest of `prompt`, the occurrence, from 0, of a new
+        request of it, and the reply to the one before it (None for the
+        first). Only a prompt's first request computes its digest."""
+        latest = self._latest.get(prompt)
+        if latest is None:
+            return request_digest(self.config, prompt), 0, None
+        digest, occurrence, reply = latest
+        return digest, occurrence + 1, reply
 
     def complete(self, prompt: str) -> str:
         """The model's reply to `prompt`, recorded when there is a store."""
@@ -176,9 +190,8 @@ class LlmClientBase:
         reply is the previous occurrence's, which replay serves for it."""
         if self.store is None:
             return
-        digest = request_digest(self.config, prompt)
-        occurrence, previous = self._occurrence(digest)
-        self._latest[digest] = occurrence, response_text
+        digest, occurrence, previous = self._occurrence(prompt)
+        self._latest[prompt] = digest, occurrence, response_text
         if response_text == previous:
             return
         self.store.put(
@@ -276,14 +289,13 @@ class ReplayLlmClient(LlmClientBase):
             raise ClientError("replay mode needs a transcript directory")
 
     def _complete_text(self, prompt: str) -> str:
-        digest = request_digest(self.config, prompt)
-        occurrence, served = self._occurrence(digest)
+        digest, occurrence, served = self._occurrence(prompt)
         record = self.store.get(transcript_name(digest, occurrence))
         if record is not None:
             served = record["response"]
         elif served is None:
             raise ClientError(f"no transcript for digest {digest}")
-        self._latest[digest] = occurrence, served
+        self._latest[prompt] = digest, occurrence, served
         return served
 
     def _record(self, prompt: str, response_text: str) -> None:

@@ -21,6 +21,17 @@ One request asks for `variant_count` variations at once; the fenced code
 blocks of the reply, in order, are the variants. A reply with fewer
 blocks than requested still consumes the full variant budget: the missing
 variants become edits with no payload, which later fail the validity rung.
+
+A driver call passes the operator one `LlmRequests` dict. Keyed by the
+drawn block object, its id and the category, it keeps the block, its
+rendered prompt, the last reply and that reply's edits. A draw of a kept
+key sends the kept prompt, without printing the block or rendering the
+template, and reuses the kept edits when the reply equals the kept one;
+a reply that differs gets edits of its own. Every draw still sends its
+request, so the client counts and records each one. The prompt depends
+only on the block, the category and the template, and the edits only on
+the reply, the block id, the category and the template, so a dict kept
+for one template changes no edit.
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ from importlib import resources
 from typing import Optional
 
 from minigi.checks import check_count
-from minigi.lang.ast import SitesOf, SourceUnit, statement_sites
+from minigi.lang.ast import Block, SitesOf, SourceUnit, StatementId, statement_sites
 from minigi.lang.printer import print_statement
 from minigi.patches import Edit, EditKind
 
@@ -130,6 +141,13 @@ def extract_code_blocks(text: str) -> tuple[str, ...]:
 
 # -- the mutation operator --
 
+# (id(block), block id, category) -> the block, its prompt, the last reply
+# to it and the edits of that reply; holding the block keeps its id from
+# being reused while the entry lives (see the module docstring)
+LlmRequests = dict[
+    tuple[int, StatementId, PromptCategory], tuple[Block, str, str, tuple[Edit, ...]]
+]
+
 
 def make_llm_edits(
     unit: SourceUnit,
@@ -139,6 +157,7 @@ def make_llm_edits(
     template: PromptTemplate,
     category: PromptCategory,
     sites: SitesOf = statement_sites,
+    requests: Optional[LlmRequests] = None,
 ) -> list[Edit]:
     """Draw one block-rewrite request and turn it into up to N edits.
 
@@ -147,20 +166,26 @@ def make_llm_edits(
     sent; each returned variant becomes a block-replacement edit. Exactly
     `variant_count` edits come back so request accounting stays exact:
     missing variants are payload-less edits that fail validity later.
+    `requests` keeps each distinct request's prompt and edits for the
+    draws that share it (see the module docstring).
     """
     if not hot:
         raise ValueError("empty hot-method list")
+    if requests is None:
+        requests = {}
     fn = unit.function(rng.choice(hot))
     block_sid, block = rng.choice(sites(fn)[1])
-    code = print_statement(block)
-    blocks = extract_code_blocks(client.complete(build_prompt(template, category, code)))
+    key = (id(block), block_sid, category)
+    kept = requests.get(key)
+    prompt = build_prompt(template, category, print_statement(block)) if kept is None else kept[1]
+    reply = client.complete(prompt)
+    if kept is not None and kept[2] == reply:
+        return list(kept[3])
     label = category.value
-    edits = [
+    blocks = extract_code_blocks(reply)[: template.variant_count]
+    edits = tuple(
         Edit(EditKind.LLM_BLOCK_REPLACE, src=block_sid, payload=body, prompt_category=label)
-        for body in blocks[: template.variant_count]
-    ]
-    while len(edits) < template.variant_count:
-        edits.append(
-            Edit(EditKind.LLM_BLOCK_REPLACE, src=block_sid, payload=None, prompt_category=label)
-        )
-    return edits
+        for body in blocks + (None,) * (template.variant_count - len(blocks))
+    )
+    requests[key] = block, prompt, reply, edits
+    return list(edits)

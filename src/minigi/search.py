@@ -40,8 +40,13 @@ evaluates and logs for every family and method of the call. It holds one
 `ast.StatementSites`, so the call walks each function object it draws in
 once: sampling draws against the base program, and local search against
 its current program, whose functions stay the same objects until a move
-that edits them is accepted. Nothing the `_Run` holds refers back to it,
-so reference counting frees it when the call returns.
+that edits them is accepted. It also holds one `prompts.LlmRequests`,
+which keeps each distinct LLM request's prompt, last reply and edits, so
+a draw that repeats a request neither prints its block, renders its
+prompt nor builds its edits again; the request itself is still sent, and
+a block that an accepted move rebuilt is a new object and gets a new
+entry. Nothing the `_Run` holds refers back to it, so reference counting
+frees it when the call returns.
 
 Each local-search method run also keeps, on the builtin backend, the
 verdict of every edit list it has evaluated, starting with the empty
@@ -77,7 +82,7 @@ from minigi.operators import (
     statement_targets,
 )
 from minigi.patches import Edit, Patch, apply_patch, serialize_patch
-from minigi.prompts import PromptCategory, PromptTemplate, make_llm_edits
+from minigi.prompts import LlmRequests, PromptCategory, PromptTemplate, make_llm_edits
 
 FAMILIES = ("statement", "insert", "llm-simple", "llm-medium", "llm-detailed")
 
@@ -199,12 +204,12 @@ RecordSink = Callable[[EvalRecord], None]
 
 class _Run:
     """One driver call: its checked settings, the command's `BaseProgram`,
-    which the call holds and does not build, one `StatementSites` and the
-    records logged so far (see the module docstring). Evaluation goes
-    through the module's `evaluate`, so whoever rebinds that name sees
-    every evaluation."""
+    which the call holds and does not build, one `StatementSites`, one
+    `LlmRequests` and the records logged so far (see the module
+    docstring). Evaluation goes through the module's `evaluate`, so
+    whoever rebinds that name sees every evaluation."""
 
-    __slots__ = ("base", "cfg", "toolchain", "llm", "sink", "sites", "records")
+    __slots__ = ("base", "cfg", "toolchain", "llm", "sink", "sites", "requests", "records")
 
     def __init__(
         self, base: BaseProgram, cfg: SearchConfig,
@@ -219,6 +224,7 @@ class _Run:
         self.llm = llm
         self.sink = sink
         self.sites = StatementSites()
+        self.requests: LlmRequests = {}
         self.records: list[EvalRecord] = []
 
     def draw(
@@ -233,7 +239,9 @@ class _Run:
             return [sample_insert_edit(unit, hot, rng, self.sites)]
         llm, category = self.llm, family_category(family)
         assert llm is not None
-        return make_llm_edits(unit, hot, rng, llm.client, llm.prompt, category, self.sites)
+        return make_llm_edits(
+            unit, hot, rng, llm.client, llm.prompt, category, self.sites, self.requests
+        )
 
     def evaluate(self, patch: Patch) -> EvaluationResult:
         return evaluate(self.base, patch, self.toolchain, self.cfg.step_budget)

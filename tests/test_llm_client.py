@@ -84,6 +84,25 @@ def test_replay_serves_each_occurrence_of_a_prompt_its_own_reply(tmp_path):
     assert [replay.complete(p) for p in prompts] == replies
 
 
+def test_a_client_digests_each_distinct_prompt_once(tmp_path, monkeypatch):
+    """Recording and replay count occurrences by prompt text, so a prompt
+    sent again reuses the digest of its first request."""
+    digested = []
+
+    def counting(config, prompt):
+        digested.append(prompt)
+        return request_digest(config, prompt)
+
+    monkeypatch.setattr(llm, "request_digest", counting)
+    prompts = ["p", "q", "p", "p", "q"]
+    live = MockLlmClient(LlmClientConfig(mode="mock", transcript_dir=tmp_path), script=str.upper)
+    assert [live.complete(p) for p in prompts] == ["P", "Q", "P", "P", "Q"]
+    replay = ReplayLlmClient(LlmClientConfig(mode="replay", transcript_dir=tmp_path))
+    assert [replay.complete(p) for p in prompts] == ["P", "Q", "P", "P", "Q"]
+    assert digested == ["p", "q", "p", "q"]
+    assert live.requests_made == replay.requests_made == 5
+
+
 def test_replay_miss_is_an_error(tmp_path):
     config = LlmClientConfig(mode="replay", transcript_dir=tmp_path)
     replay = ReplayLlmClient(config)
@@ -102,6 +121,35 @@ def test_transcripts_are_append_only(tmp_path):
     store.put("d1", {"response": "first"})
     store.put("d1", {"response": "second"})
     assert store.get("d1")["response"] == "first"
+
+
+def _fail_rename(self, target):
+    raise PermissionError(13, "Permission denied")
+
+
+def _fail_after_writing(self, data, encoding=None):
+    with open(self, "w", encoding=encoding) as handle:
+        handle.write(data[: len(data) // 2])
+    raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("step, fail, strerror", [
+    ("replace", _fail_rename, "Permission denied"),
+    ("write_text", _fail_after_writing, "No space left on device"),
+])
+def test_a_failed_transcript_write_leaves_no_tmp_file(tmp_path, monkeypatch, step, fail, strerror):
+    """A write or rename that fails removes the tmp file it left and
+    raises a ClientError naming the transcript; the store keeps working."""
+    store = TranscriptStore(tmp_path)
+    monkeypatch.setattr(llm.Path, step, fail)
+    with pytest.raises(ClientError) as raised:
+        store.put("abc", {"response": "r"})
+    assert str(raised.value) == f"cannot write transcript {tmp_path / 'abc.json'}: {strerror}"
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.undo()
+    store.put("abc", {"response": "r"})
+    assert [path.name for path in tmp_path.iterdir()] == ["abc.json"]
+    assert store.get("abc")["response"] == "r"
 
 
 def test_request_digest_depends_on_model_temperature_prompt():

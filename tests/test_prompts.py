@@ -253,3 +253,94 @@ def test_prompt_template_refuses_values_of_the_wrong_type(settings, complaint):
     with pytest.raises(ValueError) as raised:
         PromptTemplate(**settings)
     assert str(raised.value) == complaint
+
+
+# -- one driver call's requests --
+
+
+def test_a_repeated_request_is_sent_each_time_and_edits_follow_its_own_reply(bench_sort):
+    """Draws of one block share a kept prompt, but each is sent, and a
+    reply that differs from the kept one gets edits of its own payloads."""
+    unit, _ = bench_sort
+    one, two, prose = "```\n{ x = 1; }\n```", "```\n{ }\n```\n```\n{ x = 2; }\n```", "none"
+    replies = [one, one, two, one, prose, prose, one]
+    client = mock_client(replies)
+    requests = {}
+    for reply in replies:
+        edits = make_llm_edits(
+            unit, ["sort"], random.Random(0), client, minilang_template(), MEDIUM,
+            statement_sites, requests,
+        )
+        blocks = extract_code_blocks(reply)
+        assert [e.payload for e in edits] == list(blocks) + [None] * (5 - len(blocks))
+    assert client.requests_made == len(replies)
+    assert len(requests) == 1
+
+
+@pytest.mark.parametrize("bench", ["bench_sort", "bench_planted"])
+@pytest.mark.parametrize("category", list(PromptCategory))
+def test_shared_requests_change_no_edit(bench, category, request):
+    """Every category draws the same edits, texts included, with one dict
+    kept across draws as with a fresh dict per draw."""
+    unit, _ = request.getfixturevalue(bench)
+    hot = [fn.name for fn in unit.functions]
+    fresh, shared = MockLlmClient(LlmClientConfig()), MockLlmClient(LlmClientConfig())
+    requests = {}
+    for seed in list(range(30)) * 2:
+        expected = make_llm_edits(unit, hot, random.Random(seed), fresh, JAVA, category)
+        edits = make_llm_edits(
+            unit, hot, random.Random(seed), shared, JAVA, category, statement_sites, requests
+        )
+        assert edits == expected
+        assert [e.text for e in edits] == [e.text for e in expected]
+    assert fresh.requests_made == shared.requests_made == 60
+    assert len(requests) < 30
+
+
+def test_a_kept_request_holds_its_block():
+    """The entry keeps the drawn block alive, so no other block can take
+    its id while the entry lives."""
+    from minigi.lang import parse_source
+    from minigi.lang.printer import print_statement
+
+    unit = parse_source("fn f(n: int) -> int { return n; }", "one")
+    requests = {}
+    make_llm_edits(
+        unit, ["f"], random.Random(0), mock_client(["```\n{ }\n```"]), minilang_template(1),
+        MEDIUM, statement_sites, requests,
+    )
+    ((key, entry),) = requests.items()
+    block = unit.function("f").body
+    assert key == (id(block), statement_sites(unit.function("f"))[1][0][0], MEDIUM)
+    assert entry[0] is block
+    del unit, block
+    assert id(entry[0]) == key[0]
+    assert entry[1] == build_prompt(minilang_template(1), MEDIUM, print_statement(entry[0]))
+    assert entry[2] == "```\n{ }\n```"
+    assert [e.payload for e in entry[3]] == ["{ }"]
+
+
+def test_a_kept_block_at_a_new_id_gets_edits_of_that_id():
+    """A move that deletes a statement before a nested block keeps the
+    block object at a shifted id; a draw of it there targets the new id."""
+    from minigi.lang import parse_source
+    from minigi.patches import Edit, Patch, apply_patch
+
+    source = "fn f(n: int) -> int { var s: int = 0; s = 1; if (n > 0) { s = n; } return s; }"
+    unit = parse_source(source, "shift")
+    deletion = Edit(EditKind.DELETE, src=statement_sites(unit.function("f"))[0][1])
+    moved = apply_patch(unit, Patch("shift", (deletion,)))
+
+    def nested(fn):  # draw only the if's block
+        return [], statement_sites(fn)[1][1:]
+
+    (_, block), (_, same) = (nested(u.function("f"))[1][0] for u in (unit, moved))
+    assert block is same
+    client, requests = mock_client(lambda prompt: "```\n{ }\n```"), {}
+    for current, sid in ((unit, "f:2.0"), (moved, "f:1.0")):
+        (edit,) = make_llm_edits(
+            current, ["f"], random.Random(0), client, minilang_template(1), MEDIUM,
+            nested, requests,
+        )
+        assert str(edit.src) == sid
+    assert [str(key[1]) for key in requests] == ["f:2.0", "f:1.0"]

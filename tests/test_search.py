@@ -629,6 +629,41 @@ def test_llm_local_search_requests_again_after_an_accepted_move():
     assert "return n;" in requests[1][1] and "var s" not in requests[1][1]
 
 
+def test_a_request_after_an_accepted_move_renders_the_rebuilt_block():
+    """The run keeps each request's prompt by block object: the accepted
+    move rebuilds the drawn body, so every later request, sent again for
+    each draw, renders the new body's text, never the kept old one."""
+    from minigi.lang import parse_block, parse_source, parse_test_file
+    from minigi.lang.printer import print_statement
+    from minigi.prompts import PromptCategory, build_prompt
+
+    unit = parse_source(
+        "fn f(n: int) -> int { var s: int = 0; s = s + n; s = s + 0; return s; }", "slow"
+    )
+    tests = parse_test_file("test five: f(5) == 5")
+    records: list[EvalRecord] = []
+    requests = []  # (evaluations logged when the request was sent, prompt)
+
+    def script(prompt):
+        requests.append((len(records), prompt))
+        variants = ["{ return n; }"] + ["{ return n + 0; }"] * 4
+        return "\n".join(f"```\n{v}\n```" for v in variants)
+
+    llm = mock_context(script)
+    cfg = LocalSearchConfig(families=("llm-medium",), methods=("f",), evals=40, seed=0)
+    local_search(BaseProgram(unit, tests), cfg, llm=llm, sink=records.append)
+    assert records[1].runtime < records[0].runtime  # the one accepted move
+    assert all(r.runtime is None or r.runtime >= records[1].runtime for r in records[2:])
+    old, new = (
+        build_prompt(llm.prompt, PromptCategory.MEDIUM, print_statement(body))
+        for body in (unit.function("f").body, parse_block("{ return n; }"))
+    )
+    assert [prompt for _, prompt in requests] == [old] + [new] * (len(requests) - 1)
+    assert requests[0][0] == 1 and all(logged > 1 for logged, _ in requests[1:])
+    assert len(requests) > 2  # the rebuilt body is requested more than once
+    assert llm.client.requests_made == len(requests)
+
+
 def test_statement_runs_without_a_statement_to_draw_are_refused():
     """Sampling needs a statement in one target method, local search in each."""
     from minigi.lang import parse_source, parse_test_file
