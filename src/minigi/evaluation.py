@@ -5,7 +5,10 @@ payload parses), Compiled when the patched program passes semantic
 validation, and Passed when every unit test passes; a test that exceeds
 its budget counts as a failure. Runtime is recorded only for passing
 patches: interpreter steps on the built-in backend, milliseconds on the
-external one.
+external one. A patch's rung is all a run log records, so the tests stop
+at the first one that does not pass, on both backends (the external one
+in its per-test mode), and a verdict below Passed carries its `reason`:
+what stopped the patch, as data, not text.
 
 Two backends implement the ladder, chosen by whether an ExternalToolchain
 is given. Without one, the built-in backend validates and interprets
@@ -38,7 +41,7 @@ prints the unpatched program once per command. The builtin backend also
 runs only the tests that can reach a changed function; every other test
 keeps the outcome, steps included, it had earlier in the command (see
 `interpreter.run_suite`). The external backend is a black box and
-runs every test. No result depends on that reuse.
+runs each test it reaches. No result depends on that reuse.
 """
 
 from __future__ import annotations
@@ -51,18 +54,19 @@ import tempfile
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from minigi.checks import LONGEST_WAIT, check_count
-from minigi.lang.ast import BaseProgram, SourceUnit
+from minigi.lang.ast import BaseProgram, SourceUnit, record
 from minigi.lang.interpreter import (
     DEFAULT_STEP_BUDGET,
+    ExecutionOutcome,
     Status,
     TestCase,
     run_suite,
 )
 from minigi.lang.printer import print_canonical, source_digest
-from minigi.lang.semantics import validate
+from minigi.lang.semantics import SemanticError, validate
 from minigi.patches import ApplyError, Patch, apply_patch
 
 
@@ -77,10 +81,64 @@ class Classification(Enum):
     PASSED = "Passed"
 
 
+# -- why a patch stopped below Passed --
+#
+# Local search's verdict memo keeps each result alive, so a builtin reason
+# refers only to objects its evaluation made anyway: it formats no text and
+# keeps no exception or traceback.
+
+
+@record
+class ApplyFailure:
+    """Invalid: the message of the ApplyError the patch raised."""
+
+    message: str
+
+
+_STATUS_TEXT = {
+    Status.FAIL: "fail",
+    Status.TIMEOUT: "timeout",
+    Status.RUNTIME_ERROR: "runtime error",
+}
+
+
+@record
+class FailedTest:
+    """CompiledOnly on the builtin backend: the first test, in file order,
+    that did not pass, and its outcome."""
+
+    test: str
+    outcome: ExecutionOutcome
+
+    def __str__(self) -> str:
+        return f"test {self.test}: {_STATUS_TEXT[self.outcome.status]}"
+
+
+@record
+class CommandFailure:
+    """ValidOnly or CompiledOnly on the external backend: the command that
+    stopped the patch (`compile_cmd` or `test_cmd`), the test it ran in
+    per-test mode, and its exit status, None when the watchdog killed it."""
+
+    command: str
+    test: Optional[str]
+    exit_status: Optional[int]
+
+    def __str__(self) -> str:
+        what = self.command if self.test is None else f"{self.command} for test {self.test}"
+        if self.exit_status is None:
+            return f"{what}: outlived its watchdog"
+        return f"{what}: exit status {self.exit_status}"
+
+
+# The first SemanticError stops a builtin patch at ValidOnly.
+Reason = Union[ApplyFailure, SemanticError, FailedTest, CommandFailure]
+
+
 @dataclass(frozen=True)
 class EvaluationResult:
     classification: Classification
-    tests_failed: int = 0
+    reason: Optional[Reason] = None  # what stopped the patch; None if and only if it passed
     runtime: Optional[int] = None  # Passed only: steps (builtin) or milliseconds (external)
     fingerprint: Optional[str] = None  # canonical digest of the patched program
 
@@ -91,6 +149,8 @@ class EvaluationResult:
     def __post_init__(self):
         if (self.runtime is not None) != self.passed:
             raise ValueError("a runtime is recorded if and only if the patch passed")
+        if (self.reason is None) != self.passed:
+            raise ValueError("a reason is recorded if and only if the patch did not pass")
 
 
 # -- the external backend's commands --
@@ -108,7 +168,8 @@ class ExternalToolchain:
     Exit codes: measure_cmd must exit 0, or the run stops with
     InfrastructureError. compile_cmd exiting non-zero, or outliving the
     `timeout_ms` watchdog, makes the patch ValidOnly. test_cmd exiting
-    non-zero, or outliving the watchdog, fails that test. measure_cmd
+    non-zero, or outliving the watchdog, fails that test, and in per-test
+    mode no test after it is spawned. measure_cmd
     prints an integer of at least 0 on its last stdout line, or the run
     stops with InfrastructureError; the median-low of
     `measure_repeats` runs is the runtime, and a measure_cmd outliving
@@ -174,8 +235,9 @@ def evaluate(
     given, else on the built-in backend, which is deterministic."""
     try:
         patched = apply_patch(base.unit, patch, base)
-    except ApplyError:
-        return EvaluationResult(Classification.INVALID)
+    except ApplyError as exc:
+        # str() of a one-argument exception is that argument, the same object
+        return EvaluationResult(Classification.INVALID, ApplyFailure(str(exc)))
     digest = source_digest(patched, base)
     if toolchain is None:
         return _evaluate_builtin(patched, step_budget, digest, base)
@@ -188,14 +250,13 @@ def _evaluate_builtin(
     digest: str,
     base: BaseProgram,
 ) -> EvaluationResult:
-    if validate(patched, base):
-        return EvaluationResult(Classification.VALID_ONLY, fingerprint=digest)
+    errors = validate(patched, base)
+    if errors:
+        return EvaluationResult(Classification.VALID_ONLY, errors[0], fingerprint=digest)
     outcomes = run_suite(patched, base.tests, step_budget, base=base)
-    failed = sum(1 for o in outcomes if o.status is not Status.PASS)
-    if failed:
-        return EvaluationResult(
-            Classification.COMPILED_ONLY, tests_failed=failed, fingerprint=digest
-        )
+    if outcomes and outcomes[-1].status is not Status.PASS:  # the suite stopped there
+        failure = FailedTest(base.tests[len(outcomes) - 1].name, outcomes[-1])
+        return EvaluationResult(Classification.COMPILED_ONLY, failure, fingerprint=digest)
     steps = sum(o.steps_used for o in outcomes)
     return EvaluationResult(Classification.PASSED, runtime=steps, fingerprint=digest)
 
@@ -257,13 +318,12 @@ def _evaluate_external(
         }
         argv = toolchain.argv("compile_cmd", mapping)
         proc = _run_command(argv, workdir, timeout_ms=toolchain.timeout_ms)
-        if proc is None or proc.returncode != 0:
-            return EvaluationResult(Classification.VALID_ONLY, fingerprint=digest)
-        failed = _run_external_tests(base.tests, toolchain, mapping, workdir)
-        if failed:
-            return EvaluationResult(
-                Classification.COMPILED_ONLY, tests_failed=failed, fingerprint=digest
-            )
+        failure = _command_failure("compile_cmd", None, proc)
+        if failure is not None:
+            return EvaluationResult(Classification.VALID_ONLY, failure, fingerprint=digest)
+        failure = _run_external_tests(base.tests, toolchain, mapping, workdir)
+        if failure is not None:
+            return EvaluationResult(Classification.COMPILED_ONLY, failure, fingerprint=digest)
         ms = _measure_external(toolchain, mapping, workdir)
         return EvaluationResult(Classification.PASSED, runtime=ms, fingerprint=digest)
 
@@ -273,20 +333,32 @@ def _run_external_tests(
     toolchain: ExternalToolchain,
     mapping: dict[str, str],
     workdir: Path,
-) -> int:
-    """Failed-test count; a watchdog kill at timeout_ms counts as a failure."""
+) -> Optional[CommandFailure]:
+    """The first test_cmd that failed, or None when every one passed; a
+    watchdog kill at timeout_ms is a failure. In per-test mode no test
+    after the first failing one is spawned."""
     per_test = "{TEST}" in toolchain.test_cmd
     names: list[Optional[str]] = [t.name for t in tests] if per_test else [None]
-    failed = 0
     for name in names:
         cmd_mapping = dict(mapping)
         if name is not None:
             cmd_mapping["TEST"] = name
         argv = toolchain.argv("test_cmd", cmd_mapping)
         proc = _run_command(argv, workdir, timeout_ms=toolchain.timeout_ms)
-        if proc is None or proc.returncode != 0:
-            failed += 1
-    return failed
+        failure = _command_failure("test_cmd", name, proc)
+        if failure is not None:
+            return failure
+    return None
+
+
+def _command_failure(command: str, test: Optional[str], proc) -> Optional[CommandFailure]:
+    """What stopped the patch when `proc`, the CompletedProcess of
+    `command` or None when the watchdog killed it, did not exit 0."""
+    if proc is None:
+        return CommandFailure(command, test, None)
+    if proc.returncode != 0:
+        return CommandFailure(command, test, proc.returncode)
+    return None
 
 
 def _measure_external(

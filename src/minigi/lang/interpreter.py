@@ -921,7 +921,10 @@ def run_suite(
     profile: dict[str, int] | None = None,
     base: BaseProgram | None = None,
 ) -> list[ExecutionOutcome]:
-    """The outcome of every test, in order; no short-circuiting on failure.
+    """The tests' outcomes in file order, up to and including the first
+    that does not pass; no test after it runs. With `profile` every test
+    runs, since a profile charges each test's self cost, and every outcome
+    is returned.
 
     `unit` must pass `semantics.validate` (the precondition in the module
     docstring). A test whose harness call fails `semantics.check_call`
@@ -950,8 +953,9 @@ def run_suite(
     functions the base's own (`base.outcomes`). That outcome is exact: a
     test enters only functions in its reach, and those are the same
     objects. A reused outcome keeps its steps, so a passing patch's
-    runtime is the same sum. When every test reaches every function,
-    every test runs and nothing is stored."""
+    runtime is the same sum, and a reused outcome that does not pass
+    stops the suite as a run one does. When every test reaches every
+    function, no outcome is reused and nothing is stored."""
     if step_budget <= 0:
         raise ValueError("step budget must be positive")
     stored = None  # this budget's stored outcomes, when the suite selects
@@ -978,19 +982,22 @@ def run_suite(
         return machine.run(test, compiled)
 
     try:
-        if stored is None:
+        if profile is not None:
             return [run(i, test) for i, test in enumerate(tests)]
-        own = base.functions
-        changed = {fn.name for fn in unit.functions if own.get(fn.name) is not fn}
+        if stored is not None:
+            own = base.functions
+            changed = {fn.name for fn in unit.functions if own.get(fn.name) is not fn}
         outcomes = []
-        for i, (test, reach) in enumerate(zip(tests, base.reach)):
-            if not reach.isdisjoint(changed):
-                outcomes.append(run(i, test))
-                continue
-            outcome = stored.get(i)
-            if outcome is None:
-                outcome = stored[i] = run(i, test)
+        for i, test in enumerate(tests):
+            if stored is None or not base.reach[i].isdisjoint(changed):
+                outcome = run(i, test)
+            else:
+                outcome = stored.get(i)
+                if outcome is None:
+                    outcome = stored[i] = run(i, test)
             outcomes.append(outcome)
+            if outcome.status is not Status.PASS:
+                break
         return outcomes
     finally:
         sys.setrecursionlimit(limit)

@@ -110,16 +110,32 @@ class TranscriptStore:
     file is no transcript. A file that cannot be read (a store directory
     that is a regular file included) or holds no object with a string
     `response`, and a file or directory that cannot be written, is a
-    ClientError naming the file."""
+    ClientError naming the file.
+
+    `get` lists the directory once, at its first call, and answers a name
+    that listing lacks as no transcript without opening a file: most
+    occurrences of a replayed request have none. A directory that does
+    not exist lists as empty; one that cannot be listed is the ClientError
+    of the file asked for. `put` adds what it writes to the listing."""
 
     def __init__(self, directory: Union[str, Path]):
         self.directory = Path(directory)
+        self._listed: Optional[set[str]] = None  # file names, once listed
 
     def path_for(self, name: str) -> Path:
         return self.directory / f"{name}.json"
 
     def get(self, name: str) -> Optional[dict]:
         path = self.path_for(name)
+        if self._listed is None:
+            try:
+                self._listed = set(os.listdir(self.directory))
+            except FileNotFoundError:
+                self._listed = set()
+            except OSError as exc:
+                raise ClientError(f"cannot read transcript {path}: {exc.strerror}") from None
+        if path.name not in self._listed:
+            return None
         try:
             record = json.loads(path.read_text(encoding="utf-8"))
         except FileNotFoundError:
@@ -146,6 +162,8 @@ class TranscriptStore:
             try:
                 tmp.write_text(json.dumps(record, indent=2, sort_keys=True), encoding="utf-8")
                 tmp.replace(path)
+                if self._listed is not None:
+                    self._listed.add(path.name)
             except BaseException:
                 with contextlib.suppress(OSError):
                     tmp.unlink(missing_ok=True)

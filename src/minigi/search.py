@@ -361,7 +361,7 @@ def _one_ls_run(run: _Run, method: str) -> None:
     baseline = run.evaluate(empty)
     if not baseline.passed:
         raise SearchSetupError(
-            f"unpatched program fails its tests ({baseline.tests_failed} failing); "
+            f"unpatched program fails its tests ({baseline.reason}); "
             "local search needs a passing baseline"
         )
     run.log(run_id, 0, empty, baseline)

@@ -288,7 +288,9 @@ def test_criterion_6_timeout_semantics(bench_loop):
     budget = 20_000
     result = evaluate(BaseProgram(unit, tests), hang, step_budget=budget)
     assert result.classification is Classification.COMPILED_ONLY
-    assert result.tests_failed == 1  # the timeout counts as a test failure
+    # the timeout counts as a test failure
+    assert result.reason.test == "count_five"
+    assert result.reason.outcome.status is Status.TIMEOUT
 
     from minigi.patches import apply_patch
 
@@ -311,7 +313,8 @@ def test_criterion_6_timeout_semantics(bench_loop):
     external_result = evaluate(BaseProgram(unit, tests), Patch("bench_loop"), toolchain)
     elapsed_ms = (time.monotonic() - started) * 1000.0
     assert external_result.classification is Classification.COMPILED_ONLY
-    assert external_result.tests_failed == 1
+    assert external_result.reason.command == "test_cmd"
+    assert external_result.reason.exit_status is None  # the watchdog's kill
     assert 9_500 <= elapsed_ms <= 10_500, elapsed_ms
     report_pass(6, "timeout semantics")
 

@@ -19,7 +19,7 @@ from collections import Counter
 import pytest
 
 import minigi.lang.interpreter as interpreter
-from minigi.evaluation import evaluate
+from minigi.evaluation import Classification, FailedTest, evaluate
 from minigi.lang import parse_source, parse_test_file
 from minigi.lang.ast import (
     BaseProgram,
@@ -47,7 +47,7 @@ from minigi.lang.interpreter import (
     TestCase as SuiteCase,  # a Test* name would be collected
     run_suite,
 )
-from minigi.lang.printer import print_canonical
+from minigi.lang.printer import print_canonical, source_digest
 from minigi.lang.semantics import validate
 from minigi.llm import LlmClientConfig, MockLlmClient
 from minigi.patches import ApplyError, Edit, EditKind, Patch, apply_patch
@@ -65,6 +65,7 @@ from minigi.search import (
 )
 
 from conftest import BENCHMARKS, DATA, counting_builds, load_bench
+from test_patches import golden_stream
 
 DRAWS = 150  # per family and program
 STEP_BUDGET = 50_000  # keeps bench_loop's non-terminating mutants cheap
@@ -95,7 +96,7 @@ def drawn_patches(
 
 
 def fields(result) -> tuple:
-    return result.classification, result.tests_failed, result.runtime, result.fingerprint
+    return result.classification, result.reason, result.runtime, result.fingerprint
 
 
 # the benchmark programs, and one whose functions call each other
@@ -122,6 +123,54 @@ def test_evaluating_with_the_base_program_gives_the_fresh_result(name):
     assert {key for key, _ in base.closures} <= base.owned
     assert {key for key, depth in base.lines if depth == 0} == set(base.errors) == own
     assert sorted(base.harness) == list(range(len(tests)))
+
+
+def full_suite_fields(unit, tests, patch: Patch, budget: int) -> tuple:
+    """The classification, runtime and fingerprint of `patch`, and the
+    first test that did not pass with its outcome, from a suite that runs
+    every test: a profiled one."""
+    try:
+        patched = apply_patch(unit, patch)
+    except ApplyError:
+        return Classification.INVALID, None, None, None
+    digest = source_digest(patched)
+    if validate(patched):
+        return Classification.VALID_ONLY, None, digest, None
+    outcomes = run_suite(patched, tests, budget, profile={})
+    for test, outcome in zip(tests, outcomes):
+        if outcome.status is not Status.PASS:
+            return Classification.COMPILED_ONLY, None, digest, (test.name, outcome)
+    return Classification.PASSED, sum(o.steps_used for o in outcomes), digest, None
+
+
+def ladder_fields(result) -> tuple:
+    failed = result.reason
+    first = (failed.test, failed.outcome) if isinstance(failed, FailedTest) else None
+    return result.classification, result.runtime, result.fingerprint, first
+
+
+def test_a_suite_that_stops_at_its_first_failing_test_gives_the_full_suite_verdict():
+    """Each patch of the golden stream (`test_patches.py`) and each draw
+    of every family on every program is classified, timed and fingerprinted
+    by `evaluate`, whose suites stop at their first failing test and reuse
+    stored outcomes, as a suite that runs every test would. The reason of a
+    CompiledOnly verdict is that suite's first failing test and outcome."""
+    streams = {name: [] for name in PROGRAMS}
+    for _, _, patch, _ in golden_stream():
+        streams[patch.base].append(patch)
+    for name in PROGRAMS:
+        unit, _ = load_bench(name, PROGRAMS[name])
+        streams[name] += drawn_patches(unit, FAMILIES, draws=40)
+    assert sum(map(len, streams.values())) == 3900
+    rungs = Counter()
+    for name, patches in streams.items():
+        unit, tests = load_bench(name, PROGRAMS[name])
+        base = BaseProgram(unit, tests)
+        for patch in patches:
+            full = full_suite_fields(unit, tests, patch, STEP_BUDGET)
+            assert ladder_fields(evaluate(base, patch, step_budget=STEP_BUDGET)) == full, patch
+            rungs[full[0]] += 1
+    assert all(rungs[c] > 100 for c in Classification), rungs
 
 
 def kept_bodies(base: BaseProgram) -> dict:
@@ -153,7 +202,9 @@ def test_a_base_function_refused_under_deep_calls_runs_when_reached_shallowly():
     """`deep` nests too deeply to be called under 100 active `rec` calls, so
     its first compile is refused; a shallow call later in the same suite
     compiles it, and every later suite holds it to the same depth rule at
-    call time. Each suite gives the outcomes a fresh `run_suite` gives."""
+    call time. Each suite gives the outcomes a fresh `run_suite` gives.
+    The first test's error stops a suite, so the suites that reach the
+    later tests are profiled, which runs every test."""
     value: object = Var("x")
     for _ in range(1500):  # deeper than the parser allows, as a mutant may be
         value = Unary("-", value)
@@ -170,15 +221,17 @@ def test_a_base_function_refused_under_deep_calls_runs_when_reached_shallowly():
         SuiteCase("shallow", Call("rec", (IntLit(0),)), 7),
         SuiteCase("under_deep_calls_again", Call("rec", (IntLit(100),)), 7),
     ]
-    fresh = run_suite(unit, tests)
+    fresh = run_suite(unit, tests, profile={})
     assert [o.status for o in fresh] == [Status.RUNTIME_ERROR, Status.PASS, Status.RUNTIME_ERROR]
     assert fresh[0].error == "call depth exceeded"
+    assert run_suite(unit, tests) == fresh[:1]
     base = BaseProgram(unit, tests)
     for _ in range(3):
-        assert run_suite(unit, tests, base=base) == fresh
+        assert run_suite(unit, tests, profile={}, base=base) == fresh
         kept = kept_bodies(base)
         assert set(kept) == {"deep", "rec"}
         assert kept["deep"][1] + 1 > MAX_NESTING_WEIGHT // 2  # a call weighs its depth + 1
+        assert run_suite(unit, tests, base=base) == fresh[:1]
 
 
 @pytest.mark.parametrize("name", list(PROGRAMS))
@@ -213,7 +266,8 @@ def test_a_kept_subtree_is_refused_under_deep_calls_as_a_fresh_compile_is():
     block around the base's own `return`, which the first shallow call
     compiles and the run keeps. Every later suite takes that `return`
     from the BaseProgram, and a call under deep calls is refused at the
-    kept depth, with the outcomes of a fresh `run_suite`."""
+    kept depth, with the outcomes of a fresh `run_suite`. The suites are
+    profiled, so the tests after the first one's error run."""
     value: object = Var("x")
     for _ in range(1500):  # deeper than the parser allows, as a mutant may be
         value = Unary("-", value)
@@ -236,12 +290,13 @@ def test_a_kept_subtree_is_refused_under_deep_calls_as_a_fresh_compile_is():
     for suite in range(3):
         patched = apply_patch(unit, patch)  # a new spine each time, as in a run
         assert patched.function("deep").body.statements[0] is returned
-        fresh = run_suite(patched, tests)
+        fresh = run_suite(patched, tests, profile={})
         assert [o.status for o in fresh] == [
             Status.RUNTIME_ERROR, Status.PASS, Status.RUNTIME_ERROR,
         ]
         assert fresh[0].error == "call depth exceeded"
-        assert run_suite(patched, tests, base=base) == fresh, suite
+        assert run_suite(patched, tests, profile={}, base=base) == fresh, suite
+        assert run_suite(patched, tests, base=base) == fresh[:1], suite
         # the `return` and its 1,501 nested expressions, kept at their depth
         assert base.closures[id(returned), ()][1] == 1502
     # the patched body (1 level) and the kept `return` (1,502) fit beside
@@ -421,12 +476,15 @@ def test_a_base_program_serves_one_program_and_keeps_its_tests_apart():
     unit = parse_source("fn f(a: int) -> int { return a + 1; }", "one")
     tests = parse_test_file("test t: f(1) == 2\ntest u: f(true) == 2\ntest v: g(1) == 2")
     base = BaseProgram(unit, tests)
-    outcomes = run_suite(unit, tests, base=base)
-    assert outcomes == run_suite(unit, tests)
+    # u's error stops the suite; a profiled suite runs v as well
+    assert run_suite(unit, tests, base=base) == run_suite(unit, tests)
+    outcomes = run_suite(unit, tests, profile={}, base=base)
+    assert outcomes == run_suite(unit, tests, profile={})
     assert [o.status for o in outcomes] == [Status.PASS] + 2 * [Status.RUNTIME_ERROR]
     assert type(base.harness[0]) is tuple
     assert base.harness[1] == outcomes[1].error and base.harness[2] == outcomes[2].error
-    assert run_suite(unit, tests, base=base) == outcomes
+    assert run_suite(unit, tests, base=base) == outcomes[:2]
+    assert run_suite(unit, tests, profile={}, base=base) == outcomes
 
 
 # -- test selection: a suite runs only the tests a patch can reach --
@@ -516,7 +574,19 @@ def test_stored_outcomes_serve_only_their_own_step_budget(call_chain):
         outcomes = run_suite(apply_patch(unit, patch), tests, budget, base=base)
         assert outcomes == run_suite(apply_patch(unit, patch), tests, budget), budget
     assert sorted(base.outcomes) == [20, 45, 1000]
-    assert [o.status for o in run_suite(unit, tests, 20, base=base)].count(Status.TIMEOUT) == 4
+    # each stored outcome is the one a full suite gives under its budget;
+    # the suites stopped at even_four's timeout under 45 and top_one's under 20
+    assert [sorted(base.outcomes[b]) for b in (20, 45, 1000)] == [[0], [0, 1, 2, 3], [0, 1, 2, 3, 4]]
+    full = {budget: run_suite(unit, tests, budget, profile={}) for budget in base.outcomes}
+    for budget, stored in base.outcomes.items():
+        assert all(outcome == full[budget][i] for i, outcome in stored.items()), budget
+    assert [o.status for o in full[20]].count(Status.TIMEOUT) == 4
+    # an unpatched suite takes them under its own budget: a timeout under
+    # 20 and 45, where every test passes under 1000
+    for budget in (20, 45, 1000):
+        assert run_suite(unit, tests, budget, base=base) == run_suite(unit, tests, budget)
+    assert run_suite(unit, tests, 20, base=base) == full[20][:1]
+    assert run_suite(unit, tests, 45, base=base) == full[45][:4]
 
 
 def test_a_harness_call_naming_an_unknown_function_keeps_its_runtime_error(call_chain):
@@ -527,8 +597,12 @@ def test_a_harness_call_naming_an_unknown_function_keeps_its_runtime_error(call_
         patched = apply_patch(unit, patch)
         outcomes = run_suite(patched, tests, base=base)
         assert outcomes == run_suite(patched, tests)
-        assert [o.status for o in outcomes] == [Status.PASS, Status.RUNTIME_ERROR, Status.PASS]
+        assert [o.status for o in outcomes] == [Status.PASS, Status.RUNTIME_ERROR]
         assert outcomes[1].steps_used == 0 and "nowhere" in outcomes[1].error
+        # the error stops the suite; a profiled one runs v too
+        profiled = run_suite(patched, tests, profile={}, base=base)
+        assert profiled[:2] == outcomes
+        assert [o.status for o in profiled] == [Status.PASS, Status.RUNTIME_ERROR, Status.PASS]
     assert base.reach[1] == frozenset()
 
 

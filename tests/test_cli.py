@@ -325,6 +325,40 @@ def test_replay_of_a_run_whose_replies_vary_per_occurrence(tmp_path, capsys, mon
     assert f"{command[0]}_log.csv: identical" in capsys.readouterr().out
 
 
+def test_replay_opens_only_the_transcripts_that_exist(tmp_path, capsys, monkeypatch):
+    """Replay lists its store once and answers an occurrence that has no
+    file from that listing: of the transcript names CI's `ls` of
+    bench_planted asks for, it opens just those of the files recorded."""
+    import minigi.llm as llm
+
+    run_dir = tmp_path / "run"
+    assert run(
+        "ls", str(BENCHMARKS / "bench_planted.ml"), str(BENCHMARKS / "bench_planted.tests"),
+        "--family", "llm-medium", "--llm-mode", "mock", "--evals", "100", "--seed", "11",
+        "--out-dir", str(run_dir),
+    ) == 0
+    recorded = sorted(path.name for path in (run_dir / "transcripts").iterdir())
+    asked, opened = [], []
+    get, read_text = llm.TranscriptStore.get, llm.Path.read_text
+
+    def counted_get(self, name):
+        asked.append(name)
+        return get(self, name)
+
+    def counted_read_text(self, *args, **kwargs):
+        if self.parent.name == "transcripts":
+            opened.append(self.name)
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(llm.TranscriptStore, "get", counted_get)
+    monkeypatch.setattr(llm.Path, "read_text", counted_read_text)
+    capsys.readouterr()
+    assert run("replay", str(run_dir), "--out-dir", str(tmp_path / "again")) == 0
+    assert "ls_log.csv: identical" in capsys.readouterr().out
+    assert sorted(opened) == recorded
+    assert len(asked) > len(opened)  # the occurrences with no transcript of their own
+
+
 def test_config_file_provides_defaults_flags_win(tmp_path):
     config = tmp_path / "run.conf"
     # `evals` is a key of `ls`; one file may serve several subcommands

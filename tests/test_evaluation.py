@@ -8,14 +8,20 @@ from pathlib import Path
 import pytest
 
 from minigi.evaluation import (
+    ApplyFailure,
     Classification,
+    CommandFailure,
     EvaluationResult,
     ExternalToolchain,
+    FailedTest,
     InfrastructureError,
     evaluate,
 )
+from minigi.lang import parse_source
 from minigi.lang.ast import BaseProgram, StatementId
-from minigi.patches import Edit, EditKind, InsertionPoint, Patch
+from minigi.lang.interpreter import ExecutionOutcome, Status, run_suite
+from minigi.lang.semantics import SemanticError
+from minigi.patches import Edit, EditKind, InsertionPoint, Patch, apply_patch
 
 from oracles import sort_call_steps, sort_planted_cost
 
@@ -36,7 +42,15 @@ def test_empty_patch_passes_with_original_runtime(bench_sort):
     assert result.classification is Classification.PASSED
     assert result.passed
     assert result.runtime == 1009  # frozen S0, see test_interpreter
-    assert result.tests_failed == 0
+    assert result.reason is None
+
+
+def test_a_program_without_tests_passes_in_no_steps():
+    unit = parse_source("fn f() -> int { return 1; }", "alone")
+    result = evaluate(BaseProgram(unit, []), Patch("alone"))
+    assert (result.classification, result.reason, result.runtime) == (
+        Classification.PASSED, None, 0,
+    )
 
 
 def test_unresolvable_patch_is_invalid(bench_sort):
@@ -46,6 +60,7 @@ def test_unresolvable_patch_is_invalid(bench_sort):
     assert result.classification is Classification.INVALID
     assert not result.passed and result.runtime is None
     assert result.fingerprint is None
+    assert result.reason == ApplyFailure("sort:2: does not resolve")
 
 
 def test_insert_break_outside_loop_is_valid_only(bench_sort):
@@ -55,6 +70,7 @@ def test_insert_break_outside_loop_is_valid_only(bench_sort):
     assert result.classification is Classification.VALID_ONLY
     assert not result.passed and result.runtime is None
     assert result.fingerprint is not None  # it applied, so the patched program has a digest
+    assert result.reason == SemanticError("max2", "break outside a loop")
 
 
 def test_failing_tests_give_compiled_only(bench_sort):
@@ -64,8 +80,18 @@ def test_failing_tests_give_compiled_only(bench_sort):
     drop_if = Patch("bench_sort", (delete("sort", 1, 0, 0, 0, 1),))
     result = evaluate(BaseProgram(unit, tests), drop_if)
     assert result.classification is Classification.COMPILED_ONLY
-    assert result.tests_failed == 3  # every sort test; max2 tests still pass
     assert result.runtime is None
+    # the suite stops at the first sort test; run with a profile, every
+    # sort test fails and the max2 tests still pass
+    assert result.reason == FailedTest(
+        "sort_small", ExecutionOutcome(Status.FAIL, result.reason.outcome.steps_used, [3, 1, 2])
+    )
+    outcomes = run_suite(apply_patch(unit, drop_if), tests, profile={})
+    assert [(t.name, o.status) for t, o in zip(tests, outcomes)] == [
+        ("sort_small", Status.FAIL), ("sort_reverse", Status.FAIL), ("sort_dup", Status.FAIL),
+        ("max_left", Status.PASS), ("max_right", Status.PASS),
+    ]
+    assert result.reason.outcome == outcomes[0]
 
 
 def test_infinite_loop_patch_times_out_as_compiled_only(bench_loop):
@@ -73,7 +99,10 @@ def test_infinite_loop_patch_times_out_as_compiled_only(bench_loop):
     patch = Patch("bench_loop", (delete("count_to", 1, 0, 0),))  # drop the increment
     result = evaluate(BaseProgram(unit, tests), patch, step_budget=5000)
     assert result.classification is Classification.COMPILED_ONLY
-    assert result.tests_failed == 1  # count_five loops forever; count_zero still passes
+    # count_five loops forever and stops the suite; count_zero still passes
+    assert result.reason == FailedTest("count_five", ExecutionOutcome(Status.TIMEOUT, 5000))
+    outcomes = run_suite(apply_patch(unit, patch), tests, 5000, profile={})
+    assert [o.status for o in outcomes] == [Status.TIMEOUT, Status.PASS]
     assert result.passed is False
 
 
@@ -86,7 +115,7 @@ def test_infinite_loop_patch_times_out_without_iterating(bench_loop):
     started = time.monotonic()
     result = evaluate(BaseProgram(unit, tests), patch, step_budget=10**9)
     assert result.classification is Classification.COMPILED_ONLY
-    assert result.tests_failed == 1
+    assert result.reason == FailedTest("count_five", ExecutionOutcome(Status.TIMEOUT, 10**9))
     assert time.monotonic() - started < 0.5
 
 
@@ -200,15 +229,21 @@ def test_a_payload_with_a_non_ascii_character_is_invalid_not_a_crash(bench_max, 
 
 
 def test_ladder_invariants_enforced(bench_sort):
-    # a runtime is recorded if and only if the patch passed
+    # a runtime is recorded if and only if the patch passed, and a reason
+    # if and only if it did not
+    reason = ApplyFailure("f:0: does not resolve")
     for classification in (
         Classification.INVALID, Classification.VALID_ONLY, Classification.COMPILED_ONLY
     ):
         with pytest.raises(ValueError):
-            EvaluationResult(classification, tests_failed=1, runtime=10)
-        assert not EvaluationResult(classification).passed
+            EvaluationResult(classification, reason, runtime=10)
+        with pytest.raises(ValueError):
+            EvaluationResult(classification)
+        assert not EvaluationResult(classification, reason).passed
     with pytest.raises(ValueError):
         EvaluationResult(Classification.PASSED)
+    with pytest.raises(ValueError):
+        EvaluationResult(Classification.PASSED, reason, runtime=10)
     assert EvaluationResult(Classification.PASSED, runtime=10).passed
 
 
@@ -225,6 +260,7 @@ def test_failing_program_has_no_runtime(bench_sort):
     result = evaluate(BaseProgram(unit, parse_test_file("test t: max2(1, 2) == 0")), Patch("bench_sort"))
     assert result.classification is Classification.COMPILED_ONLY
     assert result.runtime is None
+    assert str(result.reason) == "test t: fail"
 
 
 # -- external adapter --
@@ -248,6 +284,8 @@ def test_external_compile_failure_is_valid_only(bench_sort):
     unit, tests = bench_sort
     result = evaluate(BaseProgram(unit, tests), Patch("bench_sort"), tc(compile_cmd="false"))
     assert result.classification is Classification.VALID_ONLY
+    assert result.reason == CommandFailure("compile_cmd", None, 1)
+    assert str(result.reason) == "compile_cmd: exit status 1"
 
 
 # A command's output is decoded as UTF-8 with U+FFFD for undecodable bytes,
@@ -263,7 +301,7 @@ def test_external_compile_writing_non_utf8_fails_as_valid_only(bench_sort):
 def test_external_test_writing_non_utf8_fails_its_test(bench_sort):
     result = evaluate(BaseProgram(*bench_sort), Patch("bench_sort"), tc(test_cmd=NOT_UTF8))
     assert result.classification is Classification.COMPILED_ONLY
-    assert result.tests_failed == 1
+    assert result.reason == CommandFailure("test_cmd", None, 1)  # the whole-suite command
 
 
 def test_external_measure_reads_its_integer_after_a_non_utf8_line(bench_sort):
@@ -273,16 +311,40 @@ def test_external_measure_reads_its_integer_after_a_non_utf8_line(bench_sort):
     assert result.runtime == 42
 
 
-def test_external_per_test_command_counts_failures(bench_sort, tmp_path):
-    unit, tests = bench_sort
+def per_test_runner(tmp_path: Path, failing: str) -> tuple[ExternalToolchain, Path]:
+    """A per-test toolchain whose test command appends its test's name to
+    a file, the second returned, and fails the tests whose names start
+    with `failing` (exit status 3)."""
+    spawned = tmp_path / "spawned.txt"
     script = tmp_path / "runner.py"
     script.write_text(
-        "import sys\nsys.exit(0 if sys.argv[1].startswith('max') else 1)\n"
+        "import sys\n"
+        f"with open({str(spawned)!r}, 'a') as fh:\n"
+        "    fh.write(sys.argv[1] + '\\n')\n"
+        f"sys.exit(3 if sys.argv[1].startswith({failing!r}) else 0)\n"
     )
-    toolchain = tc(test_cmd=f"{PY} {script} {{TEST}}")
+    return tc(test_cmd=f"{PY} {script} {{TEST}}"), spawned
+
+
+def test_external_per_test_command_stops_at_the_first_failing_test(bench_sort, tmp_path):
+    unit, tests = bench_sort
+    names = [t.name for t in tests]
+    assert names == ["sort_small", "sort_reverse", "sort_dup", "max_left", "max_right"]
+    toolchain, spawned = per_test_runner(tmp_path, "sort_rev")
     result = evaluate(BaseProgram(unit, tests), Patch("bench_sort"), toolchain)
     assert result.classification is Classification.COMPILED_ONLY
-    assert result.tests_failed == 3  # the three sort tests
+    assert result.reason == CommandFailure("test_cmd", "sort_reverse", 3)
+    assert str(result.reason) == "test_cmd for test sort_reverse: exit status 3"
+    # no test after the first failing one is spawned
+    assert spawned.read_text().split() == ["sort_small", "sort_reverse"]
+
+
+def test_external_per_test_command_spawns_every_test_of_a_passing_patch(bench_sort, tmp_path):
+    unit, tests = bench_sort
+    toolchain, spawned = per_test_runner(tmp_path, "no test")
+    result = evaluate(BaseProgram(unit, tests), Patch("bench_sort"), toolchain)
+    assert result.classification is Classification.PASSED and result.reason is None
+    assert spawned.read_text().split() == [t.name for t in tests]
 
 
 def test_external_watchdog_kills_hung_test(bench_sort):
@@ -290,7 +352,8 @@ def test_external_watchdog_kills_hung_test(bench_sort):
     toolchain = tc(test_cmd=f"{PY} -c 'import time; time.sleep(60)'", timeout_ms=300)
     result = evaluate(BaseProgram(unit, tests), Patch("bench_sort"), toolchain)
     assert result.classification is Classification.COMPILED_ONLY
-    assert result.tests_failed == 1  # whole-suite command, one watchdog kill
+    assert result.reason == CommandFailure("test_cmd", None, None)  # the watchdog's kill
+    assert str(result.reason) == "test_cmd: outlived its watchdog"
 
 
 def test_external_watchdog_kills_hung_compile(bench_sort):
@@ -300,7 +363,8 @@ def test_external_watchdog_kills_hung_compile(bench_sort):
     result = evaluate(BaseProgram(unit, tests), Patch("bench_sort"), toolchain)
     assert time.monotonic() - started < 10
     assert result.classification is Classification.VALID_ONLY  # as a failed compile
-    assert result.fingerprint is not None and result.tests_failed == 0
+    assert result.fingerprint is not None
+    assert result.reason == CommandFailure("compile_cmd", None, None)
 
 
 def _alive(pid: int) -> bool:
@@ -322,7 +386,7 @@ def test_external_watchdog_kills_the_whole_process_group(bench_sort, tmp_path):
     pid_file = tmp_path / "sleep.pid"
     toolchain = tc(test_cmd=f"sh -c 'sleep 30 & echo $! > {pid_file}; wait'", timeout_ms=1000)
     result = evaluate(BaseProgram(unit, tests), Patch("bench_sort"), toolchain)
-    assert result.tests_failed == 1
+    assert result.reason == CommandFailure("test_cmd", None, None)
     pid = int(pid_file.read_text())
     deadline = time.monotonic() + 2
     while _alive(pid) and time.monotonic() < deadline:

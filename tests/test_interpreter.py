@@ -206,8 +206,9 @@ def test_print_charges_its_arguments_without_affecting_outcome():
 
 def test_harness_calls_that_fail_the_call_check_are_outcomes():
     """The harness call is the one input validation never sees. An ill-typed
-    one is that test's runtime error, checked before it runs, and the other
-    tests still run."""
+    one is that test's runtime error, checked before it runs. It stops the
+    suite as any test that does not pass does; in its own suite, or in a
+    profiled one, which runs every test, the other tests still run."""
     unit = parse_source(
         "fn f(x: int) -> int { return x + 1; } fn g(a: int[]) -> int { return a[0] + 1; }"
         " fn h() { }"
@@ -220,7 +221,7 @@ def test_harness_calls_that_fail_the_call_check_are_outcomes():
         "test void: h() == 0\n"
         "test fine: f(1) == 2"
     )
-    outcomes = run_suite(unit, tests)
+    outcomes = run_suite(unit, tests, profile={})
     assert [(o.status, o.steps_used, o.error) for o in outcomes[:5]] == [
         (Status.RUNTIME_ERROR, 0, "unknown function 'k'"),
         (Status.RUNTIME_ERROR, 0, "call to 'f' with 2 arguments, expected 1"),
@@ -229,6 +230,9 @@ def test_harness_calls_that_fail_the_call_check_are_outcomes():
         (Status.RUNTIME_ERROR, 0, "void call to 'h' used as a value"),
     ]
     assert outcomes[5].status is Status.PASS and outcomes[5].steps_used == 7
+    assert run_suite(unit, tests) == outcomes[:1]
+    for i, test in enumerate(tests):
+        assert run_suite(unit, [test]) == [outcomes[i]], test.name
 
 
 # Each call keeps its variables in one dict; validation makes that sound.
@@ -307,11 +311,29 @@ def test_valid_mutants_hit_only_language_errors(name):
                     assert LANGUAGE_ERRORS.fullmatch(outcome.error), outcome.error
 
 
-def test_suite_runs_all_tests_without_short_circuit():
+def test_a_suite_stops_at_its_first_test_that_does_not_pass():
     unit = parse_source("fn f(x: int) -> int { return x; }")
     tests = parse_test_file("test a: f(1) == 2\ntest b: f(3) == 3")
     outcomes = run_suite(unit, tests)
-    assert [o.status for o in outcomes] == [Status.FAIL, Status.PASS]
+    assert [o.status for o in outcomes] == [Status.FAIL]
+    assert [o.status for o in run_suite(unit, tests[::-1])] == [Status.PASS, Status.FAIL]
+    assert [o.status for o in run_suite(unit, tests, profile={})] == [Status.FAIL, Status.PASS]
+
+
+def test_a_profiled_suite_runs_and_charges_every_test():
+    """A profile needs each test's self costs, so a failing test does not
+    stop a profiled suite. Per test, the harness charges 2 (call and
+    literal) and `f` 3 (body, return and `x`); `g` charges 6 (body, return,
+    `+`, the call of `f`, `x` and `1`)."""
+    unit = parse_source("fn f(x: int) -> int { return x; } fn g(x: int) -> int { return f(x) + 1; }")
+    tests = parse_test_file("test a: f(1) == 2\ntest b: f(3) == 3\ntest c: g(3) == 4")
+    costs: dict[str, int] = {}
+    outcomes = run_suite(unit, tests, profile=costs)
+    assert [(o.status, o.steps_used) for o in outcomes] == [
+        (Status.FAIL, 5), (Status.PASS, 5), (Status.PASS, 11),
+    ]
+    assert costs == {"f": 3 * 3, "g": 6, HARNESS_FRAME: 3 * 2}
+    assert run_suite(unit, tests) == outcomes[:1]
 
 
 def test_test_file_parsing_and_errors():

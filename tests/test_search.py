@@ -213,12 +213,28 @@ def test_local_search_multiple_runs(bench_max):
 
 def test_local_search_requires_passing_baseline(bench_sort):
     unit, _ = bench_sort
-    from minigi.lang import parse_test_file
+    from minigi.lang import parse_source, parse_test_file
 
-    failing = parse_test_file("test wrong: max2(1, 2) == 0")
+    failing = parse_test_file(
+        "test right: max2(1, 2) == 2\ntest wrong: max2(1, 2) == 0\ntest also_wrong: max2(3, 2) == 0"
+    )
     cfg = LocalSearchConfig(families=("statement",), methods=("max2",), evals=5, seed=0)
-    with pytest.raises(SearchSetupError):
+    # the error names the first failing test and how it failed
+    expected = (
+        "unpatched program fails its tests (test wrong: fail); "
+        "local search needs a passing baseline"
+    )
+    with pytest.raises(SearchSetupError) as caught:
         local_search(BaseProgram(unit, failing), cfg)
+    assert str(caught.value) == expected
+    for body, how in [
+        ("while (true) { } return x;", "timeout"),
+        ("return x / (y - y);", "runtime error"),
+    ]:
+        broken = parse_source(f"fn max2(x: int, y: int) -> int {{ {body} }}", "broken")
+        with pytest.raises(SearchSetupError) as caught:
+            local_search(BaseProgram(broken, failing), cfg)
+        assert str(caught.value) == expected.replace("wrong: fail", f"right: {how}")
 
 
 def test_local_search_unknown_method_rejected(bench_sort):
@@ -574,8 +590,8 @@ GOLDEN_PARTITION_SIZES = (184, 691, 125, 0)
 #
 # Every program carries one classification (asserted above), so the unique
 # ladder is the verdicts of the 184 programs: 46 CompiledOnly + 29 Passed
-# = 75 compiled, and 109 ValidOnly. All 75 compiling programs run every test
-# without a runtime error or timeout; the 46 fail only on a wrong result.
+# = 75 compiled, and 109 ValidOnly. No test of the 75 compiling programs
+# ends in a runtime error or timeout; the 46 fail only on a wrong result.
 # The first semantic error of each of the 109 breaks a rule documented in
 # lang/semantics.py: 63 declare-before-use (61 "unknown variable", 2
 # "assignment to undeclared variable"), 40 no-shadowing ("redeclaration")
