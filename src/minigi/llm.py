@@ -2,15 +2,17 @@
 
 One call serves the mutation operator: `complete(prompt) -> text`. The
 client's config holds the model and temperature, so a request is the
-prompt alone. Three modes share that call:
+prompt alone. One client class, `LlmClientBase`, serves the three modes;
+they differ only in where a reply comes from:
 
-  live    POSTs a chat-completions request (one user message, no system
-          message) and records the exchange in the transcript store;
-  replay  serves replies from the transcript store by request digest and
-          never touches the network;
-  mock    answers from a canned script or a deterministic default
-          transformer, also recording transcripts so a mock run can later
-          be replayed.
+  live    a chat-completions request (one user message, no system
+          message) POSTed to the endpoint (`_live_reply`);
+  mock    a canned script or a deterministic default transformer
+          (`_mock_reply`);
+  replay  the transcript store, by request digest, never the network.
+
+Live and mock replies are recorded in the store, so either run can later
+be replayed; replay never writes.
 
 Every failure is a ClientError whose message says what went wrong.
 Transcripts are JSON documents named by the request digest, written
@@ -55,8 +57,8 @@ class LlmClientConfig:
     not a non-empty string, a temperature that is not a finite number of at
     least 0, a retry count that is not an integer of at least 0, a timeout
     that is not a finite number above 0 or is above `checks.LONGEST_WAIT`
-    seconds, which not every platform's sockets can hold, and a mode
-    outside MODES."""
+    seconds, which not every platform's sockets can hold, a mode outside
+    MODES, and replay mode without a transcript directory."""
 
     endpoint_url: str = "https://api.openai.com/v1/chat/completions"
     api_key_env_var: str = "OPENAI_API_KEY"
@@ -87,6 +89,8 @@ class LlmClientConfig:
             )
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
+        if self.mode == "replay" and self.transcript_dir is None:
+            raise ValueError("replay mode needs a transcript directory")
 
 
 def request_digest(config: LlmClientConfig, prompt: str) -> str:
@@ -173,56 +177,52 @@ class TranscriptStore:
 
 
 class LlmClientBase:
-    def __init__(self, config: LlmClientConfig):
+    """The one client. `reply` answers a prompt in live and mock mode; in
+    replay mode it is None and the transcript store answers."""
+
+    def __init__(self, config: LlmClientConfig, reply: Optional[Callable[[str], str]]):
         self.config = config
         self.requests_made = 0
         self.store = (
             TranscriptStore(config.transcript_dir) if config.transcript_dir is not None else None
         )
+        self._reply = reply
         # prompt -> its request digest, the occurrence of its latest request
         # and the reply to it
         self._latest: dict[str, tuple[str, int, str]] = {}
 
-    def _occurrence(self, prompt: str) -> tuple[str, int, Optional[str]]:
-        """The request digest of `prompt`, the occurrence, from 0, of a new
-        request of it, and the reply to the one before it (None for the
-        first). Only a prompt's first request computes its digest."""
-        latest = self._latest.get(prompt)
-        if latest is None:
-            return request_digest(self.config, prompt), 0, None
-        digest, occurrence, reply = latest
-        return digest, occurrence + 1, reply
-
     def complete(self, prompt: str) -> str:
-        """The model's reply to `prompt`, recorded when there is a store."""
+        """The model's reply to `prompt`, recorded when there is a store. A
+        reply equal to the previous occurrence's gets no transcript, since
+        replay serves that reply for it."""
         self.requests_made += 1
-        text = self._complete_text(prompt)
-        self._record(prompt, text)
-        return text
-
-    def _complete_text(self, prompt: str) -> str:
-        raise NotImplementedError
-
-    def _record(self, prompt: str, response_text: str) -> None:
-        """Write the transcript of this occurrence of `prompt`, unless the
-        reply is the previous occurrence's, which replay serves for it."""
         if self.store is None:
-            return
-        digest, occurrence, previous = self._occurrence(prompt)
-        self._latest[prompt] = digest, occurrence, response_text
-        if response_text == previous:
-            return
-        self.store.put(
-            transcript_name(digest, occurrence),
-            {
-                "request_digest": digest,
-                "model": self.config.model,
-                "temperature": self.config.temperature,
-                "prompt": prompt,
-                "response": response_text,
-                "timestamp": time.time(),
-            },
-        )
+            return self._reply(prompt)
+        latest = self._latest.get(prompt)
+        if latest is None:  # only a prompt's first request computes its digest
+            digest, occurrence, previous = request_digest(self.config, prompt), 0, None
+        else:
+            digest, occurrence, previous = latest
+            occurrence += 1
+        name = transcript_name(digest, occurrence)
+        if self._reply is None:
+            record = self.store.get(name)
+            if record is None and previous is None:
+                raise ClientError(f"no transcript for digest {digest}")
+            reply = previous if record is None else record["response"]
+        else:
+            reply = self._reply(prompt)
+            if reply != previous:
+                self.store.put(name, {
+                    "request_digest": digest,
+                    "model": self.config.model,
+                    "temperature": self.config.temperature,
+                    "prompt": prompt,
+                    "response": reply,
+                    "timestamp": time.time(),
+                })
+        self._latest[prompt] = digest, occurrence, reply
+        return reply
 
 
 def _post_json(url: str, body: dict, headers: dict, timeout: float) -> tuple[int, str]:
@@ -259,72 +259,49 @@ def _post_json(url: str, body: dict, headers: dict, timeout: float) -> tuple[int
         raise ClientError(f"network error: {exc}") from None
 
 
-class LiveLlmClient(LlmClientBase):
-    """Talks to any chat-completions-compatible endpoint.
+def _live_reply(config: LlmClientConfig, prompt: str) -> str:
+    """The reply of any chat-completions-compatible endpoint.
 
     The wire format is one user-role message carrying the whole prompt;
     variations are requested inside the prompt text, not via an n-choices
     parameter. Rate limiting (HTTP 429) retries with exponential backoff.
+    A reply whose content is not a string (a refusal or tool call sends
+    null) is a malformed body.
     """
-
-    def _complete_text(self, prompt: str) -> str:
-        api_key = os.environ.get(self.config.api_key_env_var, "")
-        if not api_key:
-            raise ClientError(f"API key env var {self.config.api_key_env_var} is not set")
-        body = {
-            "model": self.config.model,
-            "temperature": self.config.temperature,
-            "messages": [{"role": "user", "content": prompt}],
-        }
-        headers = {"Authorization": f"Bearer {api_key}"}
-        delay = 1.0
-        for attempt in range(self.config.max_retries + 1):
-            status, text = _post_json(
-                self.config.endpoint_url, body, headers, self.config.request_timeout
-            )
-            if status == 429:
-                if attempt < self.config.max_retries:
-                    time.sleep(delay)
-                    delay *= 2
-                continue
-            if status != 200:
-                raise ClientError(f"HTTP {status}: {text[:200]}")
-            try:
-                return json.loads(text)["choices"][0]["message"]["content"]
-            except (KeyError, IndexError, TypeError, ValueError) as exc:
-                raise ClientError(f"HTTP {status}: malformed response body: {exc}") from None
-        raise ClientError("rate limited and retries exhausted")
-
-
-class ReplayLlmClient(LlmClientBase):
-    """Serves recorded responses; a missing transcript is an error, not a
-    call. Occurrence k of a request is served from its own transcript when
-    there is one and otherwise gets the reply served to occurrence k - 1."""
-
-    def __init__(self, config: LlmClientConfig):
-        super().__init__(config)
-        if self.store is None:
-            raise ClientError("replay mode needs a transcript directory")
-
-    def _complete_text(self, prompt: str) -> str:
-        digest, occurrence, served = self._occurrence(prompt)
-        record = self.store.get(transcript_name(digest, occurrence))
-        if record is not None:
-            served = record["response"]
-        elif served is None:
-            raise ClientError(f"no transcript for digest {digest}")
-        self._latest[prompt] = digest, occurrence, served
-        return served
-
-    def _record(self, prompt: str, response_text: str) -> None:
-        pass  # replay never writes
+    api_key = os.environ.get(config.api_key_env_var, "")
+    if not api_key:
+        raise ClientError(f"API key env var {config.api_key_env_var} is not set")
+    body = {
+        "model": config.model,
+        "temperature": config.temperature,
+        "messages": [{"role": "user", "content": prompt}],
+    }
+    headers = {"Authorization": f"Bearer {api_key}"}
+    delay = 1.0
+    for attempt in range(config.max_retries + 1):
+        status, text = _post_json(config.endpoint_url, body, headers, config.request_timeout)
+        if status == 429:
+            if attempt < config.max_retries:
+                time.sleep(delay)
+                delay *= 2
+            continue
+        if status != 200:
+            raise ClientError(f"HTTP {status}: {text[:200]}")
+        try:
+            content = json.loads(text)["choices"][0]["message"]["content"]
+            if type(content) is not str:
+                raise TypeError(f"content is not a string: {json.dumps(content)[:200]}")
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise ClientError(f"HTTP {status}: malformed response body: {exc}") from None
+        return content
+    raise ClientError("rate limited and retries exhausted")
 
 
 MockScript = Union[Sequence[str], Callable[[str], str]]
 
 
-class MockLlmClient(LlmClientBase):
-    """Deterministic stand-in for tests and offline runs.
+def _mock_reply(script: Optional[MockScript]) -> Callable[[str], str]:
+    """A deterministic stand-in for tests and offline runs.
 
     `script` is either a list of reply texts served in order or a
     callable from prompt to reply text. Without a script, a default
@@ -333,22 +310,21 @@ class MockLlmClient(LlmClientBase):
     empty block, the block with its interior lines reversed, and one
     prose-only variant. That mix exercises every rung of the ladder.
     """
+    if script is None:
+        return _default_mock_response
+    if callable(script):
+        return script
+    replies = list(script)
+    served = 0
 
-    def __init__(self, config: LlmClientConfig, script: Optional[MockScript] = None):
-        super().__init__(config)
-        self._script = list(script) if isinstance(script, (list, tuple)) else script
-        self._cursor = 0
+    def next_reply(prompt: str) -> str:
+        nonlocal served
+        if served == len(replies):
+            raise ClientError(f"mock script exhausted after {served} responses")
+        served += 1
+        return replies[served - 1]
 
-    def _complete_text(self, prompt: str) -> str:
-        if self._script is None:
-            return _default_mock_response(prompt)
-        if callable(self._script):
-            return self._script(prompt)
-        if self._cursor >= len(self._script):
-            raise ClientError(f"mock script exhausted after {self._cursor} responses")
-        text = self._script[self._cursor]
-        self._cursor += 1
-        return text
+    return next_reply
 
 
 def _default_mock_response(prompt: str) -> str:
@@ -369,9 +345,10 @@ def _default_mock_response(prompt: str) -> str:
     return "\n".join(parts)
 
 
-def make_client(config: LlmClientConfig) -> LlmClientBase:
+def make_client(config: LlmClientConfig, script: Optional[MockScript] = None) -> LlmClientBase:
+    """The client of `config.mode`; `script` is the mock's (see `_mock_reply`)."""
     if config.mode == "live":
-        return LiveLlmClient(config)
+        return LlmClientBase(config, lambda prompt: _live_reply(config, prompt))
     if config.mode == "replay":
-        return ReplayLlmClient(config)
-    return MockLlmClient(config)
+        return LlmClientBase(config, None)
+    return LlmClientBase(config, _mock_reply(script))

@@ -26,7 +26,7 @@ from minigi.lang import (
 )
 from minigi.lang.ast import BaseProgram, StatementId, statement_sites
 from minigi.lang.interpreter import HARNESS_FRAME
-from minigi.llm import LlmClientConfig, MockLlmClient
+from minigi.llm import LlmClientConfig, make_client
 from minigi.operators import sample_statement_edit
 from minigi.patches import (
     ApplyError,
@@ -104,7 +104,7 @@ def test_criterion_1_pipeline_ladder_exactness(bench_sort):
         parts.append("That is all I can offer.")
         return "\n".join(parts)
 
-    client = MockLlmClient(LlmClientConfig(mode="mock"), script=scripted)
+    client = make_client(LlmClientConfig(mode="mock"), script=scripted)
     llm = LlmSearchContext(client, PromptTemplate(project_name="bench_sort"))
     cfg = RandomSamplingConfig(families=("llm-medium",), methods=["sort"], budget=20, seed=13)
     records = random_sampling(BaseProgram(unit, tests), cfg, llm=llm)

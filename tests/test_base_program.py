@@ -49,7 +49,7 @@ from minigi.lang.interpreter import (
 )
 from minigi.lang.printer import print_canonical, source_digest
 from minigi.lang.semantics import validate
-from minigi.llm import LlmClientConfig, MockLlmClient
+from minigi.llm import LlmClientConfig, make_client
 from minigi.patches import ApplyError, Edit, EditKind, Patch, apply_patch
 from minigi.profiling import profile
 from minigi.prompts import PromptTemplate
@@ -84,7 +84,7 @@ def drawn_patches(
         seed=5,
     )
     llm = LlmSearchContext(
-        MockLlmClient(LlmClientConfig(mode="mock")), PromptTemplate(project_name="bench")
+        make_client(LlmClientConfig(mode="mock")), PromptTemplate(project_name="bench")
     )
     run = _Run(BaseProgram(unit, ()), cfg, None, llm, None)
     patches = []
@@ -332,7 +332,7 @@ def test_a_driver_call_leaves_no_reference_cycle(bench_sort):
     call's state is freed by reference counting when the call returns."""
     unit, tests = bench_sort
     llm = LlmSearchContext(
-        MockLlmClient(LlmClientConfig(mode="mock")), PromptTemplate(project_name="bench_sort")
+        make_client(LlmClientConfig(mode="mock")), PromptTemplate(project_name="bench_sort")
     )
     enabled, flags = gc.isenabled(), gc.get_debug()
     gc.disable()

@@ -325,6 +325,49 @@ def test_replay_of_a_run_whose_replies_vary_per_occurrence(tmp_path, capsys, mon
     assert f"{command[0]}_log.csv: identical" in capsys.readouterr().out
 
 
+def test_a_live_run_replays_identical(tmp_path, capsys, monkeypatch):
+    """A live run against a stubbed transport, which answers occurrences 2
+    and 3 of a prompt with an extra empty block ahead of the default
+    variants, then 4 and 5 without it, and so on. Each changed reply gets
+    its own transcript, and replay serves every occurrence without a
+    request and writes the same log."""
+    import minigi.llm as llm
+
+    seen: dict = {}
+
+    def post(url, body, headers, timeout):
+        assert url == "http://127.0.0.1:9/v1/chat/completions"
+        assert headers["Authorization"] == "Bearer sk-stub"
+        prompt = body["messages"][0]["content"]
+        k = seen[prompt] = seen.get(prompt, -1) + 1
+        content = "```\n{ }\n```\n" * (k // 2 % 2) + llm._default_mock_response(prompt)
+        return 200, json.dumps({"choices": [{"message": {"content": content}}]})
+
+    monkeypatch.setattr(llm, "_post_json", post)
+    monkeypatch.setenv("STUB_KEY", "sk-stub")
+    run_dir = tmp_path / "run"
+    assert run(
+        "sample", MAX, MAX_TESTS, "--family", "llm-medium", "--budget", "40", "--seed", "5",
+        "--llm-mode", "live", "--endpoint", "http://127.0.0.1:9/v1/chat/completions",
+        "--api-key-env", "STUB_KEY", "--out-dir", str(run_dir),
+    ) == 0
+    assert max(seen.values()) >= 2  # some prompt got a changed reply
+    config = LlmClientConfig()
+    expected = []
+    for prompt, last in seen.items():
+        digest = llm.request_digest(config, prompt)
+        expected += [f"{digest}.json"] + [f"{digest}.{k}.json" for k in range(2, last + 1, 2)]
+    assert sorted(path.name for path in (run_dir / "transcripts").iterdir()) == sorted(expected)
+
+    def refuse(*args):
+        raise AssertionError("replay sent a request")
+
+    monkeypatch.setattr(llm, "_post_json", refuse)
+    capsys.readouterr()
+    assert run("replay", str(run_dir), "--out-dir", str(tmp_path / "again")) == 0
+    assert "sample_log.csv: identical" in capsys.readouterr().out
+
+
 def test_replay_opens_only_the_transcripts_that_exist(tmp_path, capsys, monkeypatch):
     """Replay lists its store once and answers an occurrence that has no
     file from that listing: of the transcript names CI's `ls` of
@@ -1173,6 +1216,10 @@ def _project_name_as_number(record):
     record["llm"] = _llm_section(prompt={"project_name": 5})
 
 
+def _replay_without_transcript_dir(record):
+    record["llm"] = _llm_section(client={"transcript_dir": None})
+
+
 def _negative_retries(record):
     record["llm"] = _llm_section(client={"max_retries": -1})
 
@@ -1278,6 +1325,7 @@ def _timeout_in_words(record):
     (_prompt_variants_in_quotes,
      "llm.prompt: variant_count must be an integer of at least 1, got '5'"),
     (_project_name_as_number, "llm.prompt: project_name must be a string, got 5"),
+    (_replay_without_transcript_dir, "llm.client: replay mode needs a transcript directory"),
     (_negative_retries, "llm.client: max_retries must be an integer of at least 0, got -1"),
     (_retries_as_true, "llm.client: max_retries must be an integer of at least 0, got True"),
     (_zero_request_timeout,

@@ -33,7 +33,7 @@ from minigi.lang.ast import (
     While,
 )
 from minigi.lang.interpreter import HARNESS_FRAME, MAX_NESTING_WEIGHT, value_equal
-from minigi.llm import LlmClientConfig, MockLlmClient
+from minigi.llm import LlmClientConfig, make_client
 from minigi.operators import sample_insert_edit, sample_statement_edit
 from minigi.patches import ApplyError, Edit, EditKind, Patch, apply_patch
 from minigi.prompts import PromptCategory, PromptTemplate, make_llm_edits
@@ -282,7 +282,7 @@ def test_valid_mutants_hit_only_language_errors(name):
 
     unit, tests = load_bench(name)
     hot = [fn.name for fn in unit.functions]
-    client = MockLlmClient(LlmClientConfig(mode="mock"))
+    client = make_client(LlmClientConfig(mode="mock"))
     template = PromptTemplate(project_name=name)
     rng = random.Random(f"mutants:{name}")
     mutants = []

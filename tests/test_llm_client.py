@@ -14,10 +14,7 @@ from minigi.reporting import RecordWriter
 from minigi.search import LlmSearchContext, RandomSamplingConfig, random_sampling
 from minigi.llm import (
     ClientError,
-    LiveLlmClient,
     LlmClientConfig,
-    MockLlmClient,
-    ReplayLlmClient,
     TranscriptStore,
     make_client,
     request_digest,
@@ -30,7 +27,7 @@ RECORDED_RUN = REPO_ROOT / "tests" / "data" / "recorded_llm_run"
 
 
 def test_mock_returns_canned_text_in_order():
-    client = MockLlmClient(LlmClientConfig(mode="mock"), script=["one", "two"])
+    client = make_client(LlmClientConfig(mode="mock"), script=["one", "two"])
     assert client.complete("p1") == "one"
     assert client.complete("p2") == "two"
     with pytest.raises(ClientError, match="^mock script exhausted after 2 responses$"):
@@ -38,12 +35,12 @@ def test_mock_returns_canned_text_in_order():
 
 
 def test_mock_callable_script_sees_request():
-    client = MockLlmClient(LlmClientConfig(mode="mock"), script=str.upper)
+    client = make_client(LlmClientConfig(mode="mock"), script=str.upper)
     assert client.complete("abc") == "ABC"
 
 
 def test_default_mock_is_deterministic_and_covers_the_ladder():
-    client = MockLlmClient(LlmClientConfig(mode="mock"))
+    client = make_client(LlmClientConfig(mode="mock"))
     prompt = "Rewrite this:\n```\n{\n    x = 1;\n}\n```\n"
     first = client.complete(prompt)
     assert first == client.complete(prompt)
@@ -52,9 +49,9 @@ def test_default_mock_is_deterministic_and_covers_the_ladder():
 
 def test_mock_records_transcripts_and_replay_serves_them(tmp_path):
     config = LlmClientConfig(mode="mock", transcript_dir=tmp_path)
-    response = MockLlmClient(config, script=["hello"]).complete("prompt text")
+    response = make_client(config, script=["hello"]).complete("prompt text")
 
-    replay = ReplayLlmClient(LlmClientConfig(mode="replay", transcript_dir=tmp_path))
+    replay = make_client(LlmClientConfig(mode="replay", transcript_dir=tmp_path))
     assert replay.complete("prompt text") == response == "hello"
     assert replay.requests_made == 1
 
@@ -64,15 +61,15 @@ def test_replay_serves_each_occurrence_of_a_prompt_its_own_reply(tmp_path):
     differs from the reply before it, and replay serves every occurrence
     what was served live."""
     config = LlmClientConfig(mode="mock", transcript_dir=tmp_path)
-    live = MockLlmClient(config, script=["A", "B"])
+    live = make_client(config, script=["A", "B"])
     assert [live.complete("p"), live.complete("p")] == ["A", "B"]
-    replay = ReplayLlmClient(LlmClientConfig(mode="replay", transcript_dir=tmp_path))
+    replay = make_client(LlmClientConfig(mode="replay", transcript_dir=tmp_path))
     assert [replay.complete("p"), replay.complete("p")] == ["A", "B"]
 
     replies = ["A", "A", "B", "q1", "B", "B", "A", "q2", "A"]
     prompts = ["p", "p", "p", "q", "p", "p", "p", "q", "p"]
     run_dir = tmp_path / "run"
-    live = MockLlmClient(LlmClientConfig(mode="mock", transcript_dir=run_dir), script=replies)
+    live = make_client(LlmClientConfig(mode="mock", transcript_dir=run_dir), script=replies)
     assert [live.complete(p) for p in prompts] == replies
     digest = request_digest(config, "p")
     assert sorted(path.name for path in run_dir.iterdir()) == sorted(
@@ -80,7 +77,7 @@ def test_replay_serves_each_occurrence_of_a_prompt_its_own_reply(tmp_path):
         [f"{digest}.json", f"{digest}.2.json", f"{digest}.5.json",
          f"{request_digest(config, 'q')}.json", f"{request_digest(config, 'q')}.1.json"]
     )
-    replay = ReplayLlmClient(LlmClientConfig(mode="replay", transcript_dir=run_dir))
+    replay = make_client(LlmClientConfig(mode="replay", transcript_dir=run_dir))
     assert [replay.complete(p) for p in prompts] == replies
 
 
@@ -95,9 +92,9 @@ def test_a_client_digests_each_distinct_prompt_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(llm, "request_digest", counting)
     prompts = ["p", "q", "p", "p", "q"]
-    live = MockLlmClient(LlmClientConfig(mode="mock", transcript_dir=tmp_path), script=str.upper)
+    live = make_client(LlmClientConfig(mode="mock", transcript_dir=tmp_path), script=str.upper)
     assert [live.complete(p) for p in prompts] == ["P", "Q", "P", "P", "Q"]
-    replay = ReplayLlmClient(LlmClientConfig(mode="replay", transcript_dir=tmp_path))
+    replay = make_client(LlmClientConfig(mode="replay", transcript_dir=tmp_path))
     assert [replay.complete(p) for p in prompts] == ["P", "Q", "P", "P", "Q"]
     assert digested == ["p", "q", "p", "q"]
     assert live.requests_made == replay.requests_made == 5
@@ -105,15 +102,10 @@ def test_a_client_digests_each_distinct_prompt_once(tmp_path, monkeypatch):
 
 def test_replay_miss_is_an_error(tmp_path):
     config = LlmClientConfig(mode="replay", transcript_dir=tmp_path)
-    replay = ReplayLlmClient(config)
+    replay = make_client(config)
     digest = request_digest(config, "never recorded")
     with pytest.raises(ClientError, match=f"^no transcript for digest {digest}$"):
         replay.complete("never recorded")
-
-
-def test_replay_requires_transcript_dir():
-    with pytest.raises(ClientError, match="^replay mode needs a transcript directory$"):
-        ReplayLlmClient(LlmClientConfig(mode="replay"))
 
 
 def test_transcripts_are_append_only(tmp_path):
@@ -175,7 +167,7 @@ def test_transcripts_of_an_earlier_version_replay_its_whole_run(bench_max, tmp_p
     families), recorded while requests were still objects. Replay serves
     every request of that run from them and writes the same log."""
     unit, tests = bench_max
-    client = ReplayLlmClient(
+    client = make_client(
         LlmClientConfig(mode="replay", transcript_dir=RECORDED_RUN / "transcripts")
     )
     cfg = RandomSamplingConfig(
@@ -190,12 +182,32 @@ def test_transcripts_of_an_earlier_version_replay_its_whole_run(bench_max, tmp_p
     assert log.read_bytes() == (RECORDED_RUN / "sample_log.csv").read_bytes()
 
 
-def test_make_client_dispatch(tmp_path):
-    assert isinstance(make_client(LlmClientConfig(mode="mock")), MockLlmClient)
-    assert isinstance(
-        make_client(LlmClientConfig(mode="replay", transcript_dir=tmp_path)), ReplayLlmClient
-    )
-    assert isinstance(make_client(LlmClientConfig(mode="live")), LiveLlmClient)
+def test_make_client_dispatch(tmp_path, monkeypatch):
+    """Each mode takes its replies from its own source: mock from the
+    default transformer, replay from the store without writing, live from
+    the endpoint."""
+    prompt = "Rewrite this:\n```\n{\n    x = 1;\n}\n```\n"
+    mock = make_client(LlmClientConfig(mode="mock"))
+    assert mock.complete(prompt) == llm._default_mock_response(prompt)
+
+    config = LlmClientConfig(mode="replay", transcript_dir=tmp_path)
+    digest = request_digest(config, prompt)
+    TranscriptStore(tmp_path).put(digest, {"response": "stored"})
+    replay = make_client(config)
+    assert [replay.complete(prompt), replay.complete(prompt)] == ["stored", "stored"]
+    assert [path.name for path in tmp_path.iterdir()] == [f"{digest}.json"]
+
+    posted = []
+
+    def fake_post(url, body, headers, timeout):
+        posted.append(body["messages"][0]["content"])
+        return 200, json.dumps({"choices": [{"message": {"content": "sent"}}]})
+
+    monkeypatch.setattr(llm, "_post_json", fake_post)
+    monkeypatch.setenv("TEST_API_KEY", "k")
+    live = make_client(LlmClientConfig(mode="live", api_key_env_var="TEST_API_KEY"))
+    assert live.complete(prompt) == "sent"
+    assert posted == [prompt]
     with pytest.raises(ValueError):
         make_client(LlmClientConfig(mode="telepathy"))
 
@@ -215,6 +227,7 @@ def test_make_client_dispatch(tmp_path):
     ("request_timeout", 1e10,
      "request_timeout must be at most 2147483647 seconds, got 10000000000.0"),
     ("mode", "telepathy", "mode must be one of live, replay, mock, got 'telepathy'"),
+    ("mode", "replay", "replay mode needs a transcript directory"),
 ])
 def test_client_config_refuses_bad_values(field, value, complaint):
     with pytest.raises(ValueError, match=re.escape(complaint)):
@@ -239,7 +252,7 @@ def test_live_request_shape(monkeypatch, tmp_path):
         api_key_env_var="TEST_API_KEY",
         transcript_dir=tmp_path,
     )
-    client = LiveLlmClient(config)
+    client = make_client(config)
     assert client.complete("the prompt") == "the answer"
     assert captured["url"] == config.endpoint_url
     assert captured["body"] == {
@@ -263,7 +276,7 @@ def test_live_request_shape(monkeypatch, tmp_path):
 
 def test_live_missing_api_key(monkeypatch):
     monkeypatch.delenv("NOPE_KEY", raising=False)
-    client = LiveLlmClient(LlmClientConfig(mode="live", api_key_env_var="NOPE_KEY"))
+    client = make_client(LlmClientConfig(mode="live", api_key_env_var="NOPE_KEY"))
     with pytest.raises(ClientError, match="^API key env var NOPE_KEY is not set$"):
         client.complete("p")
 
@@ -278,7 +291,7 @@ def test_live_rate_limit_retries_then_fails(monkeypatch):
     monkeypatch.setattr(llm, "_post_json", always_429)
     monkeypatch.setattr("time.sleep", lambda s: None)
     monkeypatch.setenv("TEST_API_KEY", "k")
-    client = LiveLlmClient(
+    client = make_client(
         LlmClientConfig(mode="live", api_key_env_var="TEST_API_KEY", max_retries=2)
     )
     with pytest.raises(ClientError, match="^rate limited and retries exhausted$"):
@@ -289,9 +302,25 @@ def test_live_rate_limit_retries_then_fails(monkeypatch):
 def test_live_bad_status(monkeypatch):
     monkeypatch.setattr(llm, "_post_json", lambda *a: (500, "boom"))
     monkeypatch.setenv("TEST_API_KEY", "k")
-    client = LiveLlmClient(LlmClientConfig(mode="live", api_key_env_var="TEST_API_KEY"))
+    client = make_client(LlmClientConfig(mode="live", api_key_env_var="TEST_API_KEY"))
     with pytest.raises(ClientError, match="^HTTP 500: boom$"):
         client.complete("p")
+
+
+@pytest.mark.parametrize("content", [None, ["a", "b"], 5])
+def test_live_reply_that_is_not_a_string_is_a_client_error(monkeypatch, tmp_path, content):
+    """An endpoint sends null content for a refusal or a tool call; such a
+    reply is a malformed body, and no transcript is written for it."""
+    body = json.dumps({"choices": [{"message": {"content": content}}]})
+    monkeypatch.setattr(llm, "_post_json", lambda *a: (200, body))
+    monkeypatch.setenv("TEST_API_KEY", "k")
+    client = make_client(
+        LlmClientConfig(mode="live", api_key_env_var="TEST_API_KEY", transcript_dir=tmp_path)
+    )
+    error = f"HTTP 200: malformed response body: content is not a string: {json.dumps(content)}"
+    with pytest.raises(ClientError, match="^" + re.escape(error) + "$"):
+        client.complete("p")
+    assert list(tmp_path.iterdir()) == []
 
 
 class _Endpoint(http.server.BaseHTTPRequestHandler):
@@ -346,7 +375,7 @@ def test_live_transport_maps_each_answer(monkeypatch, endpoint, path, outcome):
     message starts with the text after `ClientError: `."""
     monkeypatch.setattr("time.sleep", lambda s: None)
     monkeypatch.setenv("TEST_API_KEY", "k")
-    client = LiveLlmClient(LlmClientConfig(
+    client = make_client(LlmClientConfig(
         mode="live", endpoint_url=endpoint + path, api_key_env_var="TEST_API_KEY",
         request_timeout=0.2, max_retries=1,
     ))
@@ -375,7 +404,7 @@ def test_live_transport_refused_connection_is_a_network_error(monkeypatch):
     with socket.socket() as probe:  # a port that nothing listens on
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
-    client = LiveLlmClient(LlmClientConfig(
+    client = make_client(LlmClientConfig(
         mode="live", endpoint_url=f"http://127.0.0.1:{port}/v1", api_key_env_var="TEST_API_KEY",
     ))
     with pytest.raises(ClientError, match="^network error: "):

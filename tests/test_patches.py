@@ -12,7 +12,7 @@ from minigi.lang import (
     validate,
 )
 from minigi.lang.ast import BaseProgram, StatementId, statement_sites
-from minigi.llm import LlmClientConfig, MockLlmClient
+from minigi.llm import LlmClientConfig, make_client
 from minigi.operators import sample_insert_edit, sample_statement_edit
 from minigi.patches import (
     ApplyError,
@@ -336,7 +336,7 @@ def golden_stream():
     for stem in ("bench_loop", "bench_max", "bench_planted", "bench_sort"):
         unit = parse_source((BENCHMARKS / f"{stem}.ml").read_text(encoding="utf-8"), name=stem)
         hot = [fn.name for fn in unit.functions]
-        client = MockLlmClient(LlmClientConfig())
+        client = make_client(LlmClientConfig())
         template = PromptTemplate(project_name=stem)
         run = BaseProgram(unit, ())  # the payload memo of a run
         for family in ("statement", "insert", "llm-medium"):

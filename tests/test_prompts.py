@@ -6,7 +6,7 @@ import pytest
 
 import minigi.prompts as prompts
 from minigi.lang.ast import statement_sites
-from minigi.llm import LlmClientConfig, MockLlmClient
+from minigi.llm import LlmClientBase, LlmClientConfig, make_client
 from minigi.patches import EditKind, apply_edit
 from minigi.prompts import (
     PromptCategory,
@@ -113,8 +113,8 @@ def test_extract_indented_fences():
 # -- the operator --
 
 
-def mock_client(script) -> MockLlmClient:
-    return MockLlmClient(LlmClientConfig(mode="mock"), script=script)
+def mock_client(script) -> LlmClientBase:
+    return make_client(LlmClientConfig(mode="mock"), script=script)
 
 
 def minilang_template(count: int = 5) -> PromptTemplate:
@@ -284,7 +284,7 @@ def test_shared_requests_change_no_edit(bench, category, request):
     kept across draws as with a fresh dict per draw."""
     unit, _ = request.getfixturevalue(bench)
     hot = [fn.name for fn in unit.functions]
-    fresh, shared = MockLlmClient(LlmClientConfig()), MockLlmClient(LlmClientConfig())
+    fresh, shared = make_client(LlmClientConfig()), make_client(LlmClientConfig())
     requests = {}
     for seed in list(range(30)) * 2:
         expected = make_llm_edits(unit, hot, random.Random(seed), fresh, JAVA, category)

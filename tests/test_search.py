@@ -11,7 +11,7 @@ import pytest
 
 from minigi.lang import source_digest
 from minigi.lang.ast import BaseProgram, StatementId
-from minigi.llm import LlmClientConfig, MockLlmClient
+from minigi.llm import LlmClientConfig, make_client
 from minigi.patches import (
     INSERT_KINDS,
     Edit,
@@ -41,7 +41,7 @@ from oracles import poly_sum_call_steps, poly_sum_planted_cost
 
 
 def mock_context(script=None) -> LlmSearchContext:
-    client = MockLlmClient(LlmClientConfig(mode="mock"), script=script)
+    client = make_client(LlmClientConfig(mode="mock"), script=script)
     return LlmSearchContext(client, PromptTemplate(project_name="bench"))
 
 
@@ -376,7 +376,7 @@ def test_equal_llm_payloads_share_one_verdict_and_a_different_one_gets_its_own(m
 
     monkeypatch.setattr(search, "make_llm_edits", make_llm_edits)
     calls = count_evaluations(monkeypatch)
-    client = MockLlmClient(LlmClientConfig(mode="mock"), script=lambda _: reply)
+    client = make_client(LlmClientConfig(mode="mock"), script=lambda _: reply)
     llm = LlmSearchContext(client, PromptTemplate(project_name="f", variant_count=3))
     cfg = LocalSearchConfig(("llm-medium",), ("f",), evals=4, seed=0)
     records = local_search(BaseProgram(unit, tests), cfg, llm=llm)
@@ -819,7 +819,7 @@ def test_a_repeated_unparsable_payload_raises_a_fresh_error_each_time(bench_sort
             raise
 
     monkeypatch.setattr(evaluation, "apply_patch", apply_patch)
-    client = MockLlmClient(LlmClientConfig(mode="mock"), script=["```\nnot ((( code\n```"] * 3)
+    client = make_client(LlmClientConfig(mode="mock"), script=["```\nnot ((( code\n```"] * 3)
     llm = LlmSearchContext(client, PromptTemplate(project_name="bench", variant_count=1))
     cfg = RandomSamplingConfig(families=("llm-medium",), methods=["sort"], budget=3, seed=1)
     records = random_sampling(BaseProgram(unit, tests), cfg, llm=llm)
@@ -855,7 +855,7 @@ def test_every_family_draws_and_searches_the_rows_it_always_did():
         runs = tuple(name for name in hot if statement_targets(unit, [name]))
         for family in FAMILIES:
             llm = LlmSearchContext(
-                MockLlmClient(LlmClientConfig()), PromptTemplate(project_name=stem)
+                make_client(LlmClientConfig()), PromptTemplate(project_name=stem)
             )
             cfg = RandomSamplingConfig((family,), hot, 5, 20_000, budget=37)
             records = random_sampling(BaseProgram(unit, tests), cfg, llm=llm)
