@@ -31,7 +31,7 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
-from minigi.evaluation import ExternalToolchain, InfrastructureError
+from minigi.evaluation import ExternalToolchain, InfrastructureError, original_digest
 from minigi.lang.ast import BaseProgram
 from minigi.lang.interpreter import DEFAULT_STEP_BUDGET, parse_test_file
 from minigi.lang.parser import ParseError, parse_source
@@ -194,7 +194,7 @@ def _run_record(command: str, args: argparse.Namespace, base: BaseProgram) -> di
         "adapter": args.adapter,
         "toolchain": None if args.adapter == "builtin" else section(ExternalToolchain),
         "llm": None,
-        "original_digest": source_digest(base.unit, base),
+        "original_digest": original_digest(base),
         "log": _LOGS[command],
         **section(_CONFIGS[command]),
     }
@@ -380,9 +380,11 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             raise ConfigError(f"cannot read {run_dir / log_name}: {exc.strerror}") from None
         print(f"replaying {record['command']} run -> {out_dir / log_name}")
         unit = _load_program(record["program"])
-        if source_digest(unit) != record["original_digest"]:
+        digest = source_digest(unit)
+        if digest != record["original_digest"]:
             raise ConfigError(f"{record['program']} changed since the run was recorded")
         base = BaseProgram(unit, _load_tests(record["tests"]))
+        base.digest = digest  # the command's one digest of its program
         _execute(record, base, out_dir, _settings(record, unit, f"{meta_path}: "))
         replayed = (out_dir / log_name).read_bytes()
         if original == replayed:

@@ -42,6 +42,17 @@ runs only the tests that can reach a changed function; every other test
 keeps the outcome, steps included, it had earlier in the command (see
 `interpreter.run_suite`). The external backend is a black box and
 runs each test it reaches. No result depends on that reuse.
+
+A patch whose program prints as the unpatched one (an LLM reply that
+echoes its block, a swap of two equal statements) is evaluated as the
+base's own object. Printing is canonical and a tree holds no positions,
+so equal digests are equal programs. On the builtin backend such a patch
+then takes the base's kept semantic errors and every stored test
+outcome, and gets the unpatched program's verdict and runtime without
+validating or running anything again; the external backend runs its
+commands for it as for any patch, since its runtime is wall-clock. The
+unpatched digest is computed once per command (`original_digest`), and
+the run record's `original_digest` is that same value.
 """
 
 from __future__ import annotations
@@ -239,9 +250,21 @@ def evaluate(
         # str() of a one-argument exception is that argument, the same object
         return EvaluationResult(Classification.INVALID, ApplyFailure(str(exc)))
     digest = source_digest(patched, base)
+    if digest == original_digest(base):
+        # Printing is canonical and a tree holds no positions, so the patch
+        # reproduces the base program: evaluate the base's own object.
+        patched = base.unit
     if toolchain is None:
         return _evaluate_builtin(patched, step_budget, digest, base)
     return _evaluate_external(patched, toolchain, digest, base)
+
+
+def original_digest(base: BaseProgram) -> str:
+    """The source digest of the unpatched program `base.unit`, computed
+    once per command and kept in `base.digest`."""
+    if base.digest is None:
+        base.digest = source_digest(base.unit, base)
+    return base.digest
 
 
 def _evaluate_builtin(
@@ -264,35 +287,40 @@ def _evaluate_builtin(
 def _run_command(argv: list[str], cwd: Path, timeout_ms: Optional[int] = None):
     """Run one command in a process group of its own, reading no terminal
     input: its CompletedProcess, or None when it outlives `timeout_ms`.
-    When it returns, times out or fails in any other way, its whole
-    process group is killed and the command reaped, so no descendant in
-    the group outlives the command."""
+    The verdict is the command's own exit: its output goes to temporary
+    files, not pipes, so a descendant that keeps them open does not hold
+    the wait. When the command exits, times out or fails in any other
+    way, its whole process group is killed and the command reaped, so no
+    descendant in the group outlives the command."""
     import subprocess
+    import threading
 
     try:
-        with subprocess.Popen(
-            argv,
-            cwd=cwd,
-            stdin=subprocess.DEVNULL,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            encoding="utf-8",
-            errors="replace",
-            process_group=0,
-        ) as proc:
-            try:
-                stdout, stderr = proc.communicate(
-                    timeout=None if timeout_ms is None else timeout_ms / 1000.0
-                )
-            finally:
-                # The group keeps its id while any member lives, even after
-                # the command itself has been reaped.
-                with contextlib.suppress(ProcessLookupError):
-                    os.killpg(proc.pid, signal.SIGKILL)
-                proc.wait()
-        return subprocess.CompletedProcess(argv, proc.returncode, stdout, stderr)
-    except subprocess.TimeoutExpired:
-        return None
+        text = dict(mode="w+", encoding="utf-8", errors="replace")
+        with tempfile.TemporaryFile(**text) as out, tempfile.TemporaryFile(**text) as err:
+            with subprocess.Popen(
+                argv, cwd=cwd, stdin=subprocess.DEVNULL, stdout=out, stderr=err,
+                process_group=0,
+            ) as proc:
+                # `Popen.wait` with a timeout polls, sleeping up to 50 ms
+                # between checks; a thread blocked in `wait()` ends the
+                # join as soon as the command exits.
+                waiter = threading.Thread(target=proc.wait)
+                waiter.start()
+                try:
+                    waiter.join(None if timeout_ms is None else timeout_ms / 1000.0)
+                    timed_out = waiter.is_alive()
+                finally:
+                    # The group keeps its id while any member lives, even
+                    # after the command itself has been reaped.
+                    with contextlib.suppress(ProcessLookupError):
+                        os.killpg(proc.pid, signal.SIGKILL)
+                    waiter.join()
+            if timed_out:
+                return None
+            out.seek(0)
+            err.seek(0)
+            return subprocess.CompletedProcess(argv, proc.returncode, out.read(), err.read())
     except FileNotFoundError as exc:
         raise InfrastructureError(f"command not found: {exc}") from None
     except OSError as exc:

@@ -344,18 +344,22 @@ class BaseProgram:
     `harness` holds each test's checked and compiled harness call by
     position in `tests`, `machine` the interpreter state its closures
     share, and `payloads` each LLM payload text parsed once, or the
-    message of its parse error (see `patches.apply_patch`). `reach` and
-    `outcomes` let a suite skip the tests a patch cannot reach (see
-    `interpreter.run_suite`). `reach` holds, by position in `tests`, the
-    names of the base functions each harness call can reach through the
-    base's static call graph, or is empty when every test reaches every
-    function; it is None until the first suite builds it. `outcomes`
-    holds, by step budget and then by test position, each test's outcome
-    from the first suite that ran it while every function it reaches was
-    the base's own object. A test keeps that outcome for every patch that
-    leaves those functions untouched: a function outside its reach is
-    never entered from it, since a call a patch adds sits in a changed
-    function.
+    message of its parse error (see `patches.apply_patch`). `digest` is
+    the unpatched program's source digest, None until the command first
+    asks for it (see `evaluation.original_digest`): the run record's
+    `original_digest`, and what each evaluation compares its patched
+    program's digest with, so a patch that reproduces the base is
+    evaluated as `unit` itself. `reach` and `outcomes` let a suite skip
+    the tests a patch cannot reach (see `interpreter.run_suite`). `reach`
+    holds, by position in `tests`, the names of the base functions each
+    harness call can reach through the base's static call graph; it is
+    None until the first suite builds it. `outcomes` holds, by step
+    budget and then by test position, each test's outcome from the first
+    suite that ran it while every function it reaches was the base's own
+    object. A test keeps that outcome for every patch that leaves those
+    functions untouched: a function outside its reach is never entered
+    from it, since a call a patch adds sits in a changed function. So the
+    unpatched program itself takes every stored outcome.
 
     The object lives no longer than its command. Nothing it holds refers
     back to it (the machine holds it only while a suite runs), so
@@ -364,7 +368,7 @@ class BaseProgram:
 
     __slots__ = (
         "unit", "tests", "functions", "payloads", "errors", "harness",
-        "machine", "reach", "outcomes", "owned", "closures", "lines",
+        "machine", "digest", "reach", "outcomes", "owned", "closures", "lines",
     )
 
     def __init__(self, unit: SourceUnit, tests):
@@ -375,6 +379,7 @@ class BaseProgram:
         self.errors: dict[int, list] = {}
         self.harness: dict[int, object] = {}
         self.machine = None
+        self.digest: str | None = None
         self.reach: list[frozenset[str]] | None = None
         self.outcomes: dict[int, dict[int, object]] = {}
         self.owned: set[int] = set()

@@ -946,28 +946,27 @@ def run_suite(
     compiled body is dropped when the suite ends. Without `base` one is
     built for this call alone; outcomes are the same either way.
 
-    Test selection. With `base` and without `profile`, a test runs only
-    when `unit` changes a function it can reach through the base's static
-    call graph (`base.reach`); every other test gets the outcome it had
-    under this step budget in the first suite that ran it with all those
-    functions the base's own (`base.outcomes`). That outcome is exact: a
-    test enters only functions in its reach, and those are the same
-    objects. A reused outcome keeps its steps, so a passing patch's
-    runtime is the same sum, and a reused outcome that does not pass
-    stops the suite as a run one does. When every test reaches every
-    function, no outcome is reused and nothing is stored."""
+    Test selection. Without `profile`, a test runs only when `unit`
+    changes a function it can reach through the base's static call graph
+    (`base.reach`); every other test gets the outcome it had under this
+    step budget in the first suite that ran it with all those functions
+    the base's own (`base.outcomes`). That outcome is exact: a test enters
+    only functions in its reach, and those are the same objects. A reused
+    outcome keeps its steps, so a passing patch's runtime is the same sum,
+    and a reused outcome that does not pass stops the suite as a run one
+    does. `base.unit` itself changes no
+    function, so its suite takes every stored outcome and runs only the
+    tests no suite has run yet under this budget. On a program of one
+    function, every patch that changes it runs every test, and only the
+    unpatched program reuses outcomes."""
     if step_budget <= 0:
         raise ValueError("step budget must be positive")
-    stored = None  # this budget's stored outcomes, when the suite selects
     if base is None:
         base = BaseProgram(unit, tests)
     elif tests is not base.tests:
         raise ValueError("run_suite takes the tests its BaseProgram was built with")
-    elif profile is None:
-        if base.reach is None:
-            base.reach = _reach(base)
-        if base.reach:
-            stored = base.outcomes.setdefault(step_budget, {})
+    if profile is None and base.reach is None:
+        base.reach = _reach(base)
     if base.machine is None:
         base.machine = _Machine()
     machine, harness = base.machine, base.harness
@@ -984,12 +983,12 @@ def run_suite(
     try:
         if profile is not None:
             return [run(i, test) for i, test in enumerate(tests)]
-        if stored is not None:
-            own = base.functions
-            changed = {fn.name for fn in unit.functions if own.get(fn.name) is not fn}
+        stored = base.outcomes.setdefault(step_budget, {})
+        own = base.functions
+        changed = {fn.name for fn in unit.functions if own.get(fn.name) is not fn}
         outcomes = []
         for i, test in enumerate(tests):
-            if stored is None or not base.reach[i].isdisjoint(changed):
+            if not base.reach[i].isdisjoint(changed):
                 outcome = run(i, test)
             else:
                 outcome = stored.get(i)
@@ -1006,12 +1005,11 @@ def run_suite(
 
 def _reach(base: BaseProgram) -> list[frozenset[str]]:
     """Each test's reach: the names of the base functions its harness call
-    can reach through the calls the base's bodies make, by position in
-    `base.tests`; empty when every test reaches every function. Names the
-    base does not define are left out, so a harness call naming an unknown
-    function reaches nothing. Neither the walk of the call graph nor
-    `ast.tree_nodes` recurses, since a mutant may nest past Python's
-    recursion limit."""
+    can reach through the calls the base's bodies make, one set per test,
+    by position in `base.tests`. Names the base does not define are left
+    out, so a harness call naming an unknown function reaches nothing.
+    Neither the walk of the call graph nor `ast.tree_nodes` recurses,
+    since a mutant may nest past Python's recursion limit."""
     functions = base.functions
     callees: dict[str, set[str]] = {}  # each function's body walked once
     reach = []
@@ -1027,8 +1025,6 @@ def _reach(base: BaseProgram) -> list[frozenset[str]]:
                 callees[name] = _called_names(functions[name].body)
             todo += callees[name]
         reach.append(frozenset(seen))
-    if all(len(names) == len(functions) for names in reach):
-        return []
     return reach
 
 

@@ -25,14 +25,17 @@ evaluation applies its patch to that program, and an accepted move's
 patch is applied to it too. It keeps the work the command's evaluations
 share: each distinct LLM payload parsed once, the semantic errors of
 each of the base's own `Function` objects, each test's checked and
-compiled harness call, reach and stored outcome, and the printed lines
-and compiled closures of every node of a base function or payload. So an
-evaluation validates only the functions its patch changed, prints and
-compiles only their spines and new leaves and, on the builtin backend,
-runs only the tests that reach a changed function (see
-`interpreter.run_suite`). What it holds depends only on the base
-functions, the payloads, the tests and the step budget, so sharing it
-between families and methods changes no record.
+compiled harness call, reach and stored outcome, the unpatched
+program's digest, and the printed lines and compiled closures of every
+node of a base function or payload. So an evaluation validates only the
+functions its patch changed, prints and compiles only their spines and
+new leaves and, on the builtin backend, runs only the tests that reach a
+changed function (see `interpreter.run_suite`); a patch that reproduces
+the unpatched program, as an echoed LLM block does, is evaluated as the
+base itself and reuses every stored outcome (see `evaluation`). What it
+holds depends only on the base functions, the payloads, the tests and
+the step budget, so sharing it between families and methods changes no
+record.
 
 Each driver call (one `random_sampling` or `local_search` call) builds
 one `_Run`, which checks the call's targets and families, draws,

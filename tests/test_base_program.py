@@ -11,6 +11,7 @@ counting frees it when its caller lets go of it.
 
 from __future__ import annotations
 
+import functools
 import gc
 import sys
 import types
@@ -19,7 +20,7 @@ from collections import Counter
 import pytest
 
 import minigi.lang.interpreter as interpreter
-from minigi.evaluation import Classification, FailedTest, evaluate
+from minigi.evaluation import Classification, FailedTest, evaluate, original_digest
 from minigi.lang import parse_source, parse_test_file
 from minigi.lang.ast import (
     BaseProgram,
@@ -106,12 +107,30 @@ PROGRAMS = {
 }
 
 
+@functools.cache
+def every_stream() -> dict[str, list[Patch]]:
+    """By program, each patch of the golden stream (`test_patches.py`) and
+    each draw of every family; built once per session, and never changed."""
+    streams = {name: [] for name in PROGRAMS}
+    for _, _, patch, _ in golden_stream():
+        streams[patch.base].append(patch)
+    for name in PROGRAMS:
+        unit, _ = load_bench(name, PROGRAMS[name])
+        streams[name] += drawn_patches(unit, FAMILIES, draws=40)
+    assert sum(map(len, streams.values())) == 3900
+    return streams
+
+
 @pytest.mark.parametrize("name", list(PROGRAMS))
 def test_evaluating_with_the_base_program_gives_the_fresh_result(name):
+    """`evaluate` with the command's BaseProgram, warmed by the patches
+    before it, gives the verdict, reason, runtime and fingerprint of a
+    fresh one, a patch that reproduces the base (evaluated as the base
+    itself) among them."""
     unit, tests = load_bench(name, PROGRAMS[name])
     base = BaseProgram(unit, tests)
     rungs = set()
-    for patch in drawn_patches(unit):
+    for patch in drawn_patches(unit) + every_stream()[name]:
         fresh = evaluate(BaseProgram(unit, tests), patch, step_budget=STEP_BUDGET)
         shared = evaluate(base, patch, step_budget=STEP_BUDGET)
         assert fields(shared) == fields(fresh), patch
@@ -150,18 +169,11 @@ def ladder_fields(result) -> tuple:
 
 
 def test_a_suite_that_stops_at_its_first_failing_test_gives_the_full_suite_verdict():
-    """Each patch of the golden stream (`test_patches.py`) and each draw
-    of every family on every program is classified, timed and fingerprinted
+    """Each patch of every stream is classified, timed and fingerprinted
     by `evaluate`, whose suites stop at their first failing test and reuse
     stored outcomes, as a suite that runs every test would. The reason of a
     CompiledOnly verdict is that suite's first failing test and outcome."""
-    streams = {name: [] for name in PROGRAMS}
-    for _, _, patch, _ in golden_stream():
-        streams[patch.base].append(patch)
-    for name in PROGRAMS:
-        unit, _ = load_bench(name, PROGRAMS[name])
-        streams[name] += drawn_patches(unit, FAMILIES, draws=40)
-    assert sum(map(len, streams.values())) == 3900
+    streams = every_stream()
     rungs = Counter()
     for name, patches in streams.items():
         unit, tests = load_bench(name, PROGRAMS[name])
@@ -171,6 +183,28 @@ def test_a_suite_that_stops_at_its_first_failing_test_gives_the_full_suite_verdi
             assert ladder_fields(evaluate(base, patch, step_budget=STEP_BUDGET)) == full, patch
             rungs[full[0]] += 1
     assert all(rungs[c] > 100 for c in Classification), rungs
+
+
+def test_a_patch_has_the_bases_digest_exactly_when_it_reproduces_the_base():
+    """Printing is canonical and a tree holds no positions, so a patched
+    program has the unpatched program's digest if and only if it is equal
+    to it: `evaluate` may then evaluate the base's own object. Every
+    stream holds such patches: echoed LLM blocks, and swaps and replaces
+    of equal statements."""
+    reproduced = Counter()
+    for name, patches in every_stream().items():
+        unit, tests = load_bench(name, PROGRAMS[name])
+        base = BaseProgram(unit, tests)
+        for patch in patches:
+            try:
+                patched = apply_patch(unit, patch, base)
+            except ApplyError:
+                continue
+            same = source_digest(patched, base) == original_digest(base)
+            assert same == (patched == unit), patch
+            reproduced[name] += same
+    assert reproduced.keys() == PROGRAMS.keys(), reproduced
+    assert sum(reproduced.values()) > 300, reproduced
 
 
 def kept_bodies(base: BaseProgram) -> dict:
@@ -190,11 +224,11 @@ def test_a_fresh_base_program_owns_every_base_node_and_has_computed_nothing(name
     assert base.functions == {fn.name: fn for fn in unit.functions}
     assert base.payloads == base.errors == base.harness == base.outcomes == {}
     assert base.closures == base.lines == {}
-    assert base.machine is None and base.reach is None
+    assert base.machine is None and base.digest is None and base.reach is None
     # every slot is one of those above
     assert set(BaseProgram.__slots__) == {
-        "unit", "tests", "functions", "payloads", "errors", "harness", "machine", "reach",
-        "outcomes", "owned", "closures", "lines",
+        "unit", "tests", "functions", "payloads", "errors", "harness", "machine", "digest",
+        "reach", "outcomes", "owned", "closures", "lines",
     }
 
 
@@ -544,8 +578,12 @@ def test_a_patch_reruns_every_test_that_reaches_a_changed_function(call_chain, m
         (rewrite("call_chain", "leaf", "{ return 3 * x + 1; }"),
          ["top_one", "mid_two", "leaf_three"]),
         (rewrite("call_chain", "mid", "{ return 2 * leaf(x); }"), ["top_one", "mid_two"]),
-        (rewrite("call_chain", "is_odd", "{ if (n == 0) { return false; } return is_even(n - 1); }"),
+        (rewrite("call_chain", "is_odd", "{ if (0 == n) { return false; } return is_even(n - 1); }"),
          ["even_four", "odd_three"]),
+        # a rewrite that reproduces the base is evaluated as the base, whose
+        # every outcome is stored
+        (rewrite("call_chain", "is_odd", "{ if (n == 0) { return false; } return is_even(n - 1); }"),
+         []),
         # a changed function calling into unchanged ones, which keep their outcomes
         (rewrite("call_chain", "alone", "{ return leaf(x) - 3 * x + top(0) - 2; }"),
          ["alone_five"]),
@@ -606,12 +644,34 @@ def test_a_harness_call_naming_an_unknown_function_keeps_its_runtime_error(call_
     assert base.reach[1] == frozenset()
 
 
-def test_a_program_whose_tests_reach_every_function_stores_no_outcome(bench_loop):
+def test_a_program_of_one_function_stores_its_outcomes_for_the_unpatched_program(
+    bench_loop, monkeypatch
+):
+    """Every test reaches the one function, so every patch that changes it
+    runs every test, and the unpatched program, run or reproduced by a
+    patch, takes the outcomes its first suite stored."""
     unit, tests = bench_loop
+    expected = run_suite(unit, tests)
+    ran = counting_runs(monkeypatch)
     base = BaseProgram(unit, tests)
-    for _ in range(2):
-        assert all(o.status is Status.PASS for o in run_suite(unit, tests, base=base))
-    assert base.reach == [] and base.outcomes == {}
+    assert run_suite(unit, tests, base=base) == expected
+    assert ran == [t.name for t in tests]
+    assert base.reach == [frozenset({"count_to"})] * len(tests)
+    assert base.outcomes == {interpreter.DEFAULT_STEP_BUDGET: dict(enumerate(expected))}
+    s = StatementId("count_to", (1,))
+    for patch, reached in [
+        (Patch("bench_loop"), []),
+        (Patch("bench_loop", (Edit(EditKind.SWAP, src=s, dst=s),)), []),
+        (rewrite("bench_loop", "count_to", "{ return n; }"), [t.name for t in tests]),
+    ]:
+        fresh = evaluate(BaseProgram(unit, tests), patch)
+        ran.clear()
+        assert fields(evaluate(base, patch)) == fields(fresh), patch
+        assert ran == reached, patch
+        assert fresh.passed
+    ran.clear()
+    assert run_suite(unit, tests, base=base) == expected
+    assert ran == []
 
 
 def test_profiled_costs_are_the_same_after_a_run_that_stored_outcomes(call_chain):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import minigi.search as search
-from minigi import cli
+from minigi import cli, evaluation
 from minigi.checks import LONGEST_WAIT
 from minigi.cli import main
 from minigi.evaluation import ExternalToolchain
@@ -231,6 +231,29 @@ def counting_base_programs(monkeypatch) -> list:
     return built
 
 
+def counting_digests(monkeypatch) -> tuple[list, list]:
+    """The program of every source digest taken from now on, and the
+    result of every evaluation."""
+    digested: list = []
+    for module in (cli, evaluation):
+        real = module.source_digest
+
+        def source_digest(unit, base=None, real=real):
+            digested.append(unit)
+            return real(unit, base)
+
+        monkeypatch.setattr(module, "source_digest", source_digest)
+    evaluated: list = []
+    real_evaluate = search.evaluate
+
+    def evaluate(*args, **kwargs):
+        evaluated.append(real_evaluate(*args, **kwargs))
+        return evaluated[-1]
+
+    monkeypatch.setattr(search, "evaluate", evaluate)
+    return digested, evaluated
+
+
 # Each command without --methods, so that `sample` and `ls` profile first.
 ONE_BASE_COMMANDS = {
     "profile": (),
@@ -242,17 +265,29 @@ ONE_BASE_COMMANDS = {
 @pytest.mark.parametrize("command", list(ONE_BASE_COMMANDS))
 def test_a_command_builds_one_base_program(tmp_path, capsys, monkeypatch, command):
     """The profile, the record's digest and every evaluation of a command
-    share the BaseProgram it built when it loaded its program."""
+    share the BaseProgram it built when it loaded its program, which
+    digests the unpatched program once, for the record and for every
+    evaluation."""
     built = counting_base_programs(monkeypatch)
-    out_dir = str(tmp_path / "run")
-    assert run(command, SORT, SORT_TESTS, *ONE_BASE_COMMANDS[command], "--out-dir", out_dir) == 0
+    digested, evaluated = counting_digests(monkeypatch)
+    out_dir = tmp_path / "run"
+    args = ONE_BASE_COMMANDS[command]
+    assert run(command, SORT, SORT_TESTS, *args, "--out-dir", str(out_dir)) == 0
     assert len(built) == 1
     base = built[0]
     assert base.unit.name == "bench_sort" and len(base.tests) == 5
     own = {id(fn) for fn in base.unit.functions}
     assert set(base.errors) == own and base.closures and base.harness  # the profile's work
-    if command != "profile":  # the record's digest printed each base function
-        assert {key for key, depth in base.lines if depth == 0} == own
+    if command == "profile":
+        assert digested == [] and base.digest is None
+        return
+    # the record's digest printed each base function
+    assert {key for key, depth in base.lines if depth == 0} == own
+    # one digest for the record, and one of each patched program
+    assert len(digested) == 1 + sum(r.fingerprint is not None for r in evaluated)
+    record = json.loads((out_dir / f"{command}_log.csv.meta.json").read_text())
+    assert base.digest == record["original_digest"]
+    assert any(r.fingerprint == base.digest for r in evaluated)  # a patch reproduced the base
 
 
 def test_replay_builds_one_base_program_per_record(tmp_path, capsys, monkeypatch):
@@ -261,9 +296,12 @@ def test_replay_builds_one_base_program_per_record(tmp_path, capsys, monkeypatch
         assert run(command, SORT, SORT_TESTS, *ONE_BASE_COMMANDS[command],
                    "--out-dir", str(run_dir)) == 0
     built = counting_base_programs(monkeypatch)
+    digested, evaluated = counting_digests(monkeypatch)
     assert run("replay", str(run_dir), "--out-dir", str(tmp_path / "again")) == 0
     assert capsys.readouterr().out.count("identical") == 2
     assert len(built) == 2
+    # each record's program is digested once, for its check and its evaluations
+    assert len(digested) == 2 + sum(r.fingerprint is not None for r in evaluated)
 
 
 @pytest.mark.parametrize("command", ["sample", "ls"])

@@ -408,6 +408,24 @@ def test_external_command_that_returns_leaves_no_background_child(bench_sort, tm
     assert not _alive(pid), f"background sleep {pid} outlived its command"
 
 
+def test_external_command_is_judged_by_its_own_exit(bench_sort, tmp_path):
+    """A background child that keeps the command's output open holds
+    neither the verdict nor the wait: the command exits 0, so its test
+    passes well inside the watchdog, and the child dies with its group."""
+    unit, tests = bench_sort
+    pid_file = tmp_path / "sleep.pid"
+    toolchain = tc(test_cmd=f"sh -c 'sleep 30 & echo $! > {pid_file}; exit 0'", timeout_ms=5000)
+    started = time.monotonic()
+    result = evaluate(BaseProgram(unit, tests), Patch("bench_sort"), toolchain)
+    assert result.classification is Classification.PASSED
+    assert time.monotonic() - started < 2.5
+    pid = int(pid_file.read_text())
+    deadline = time.monotonic() + 2
+    while _alive(pid) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert not _alive(pid), f"background sleep {pid} outlived its command"
+
+
 def test_external_hung_measurement_is_infrastructure(bench_sort):
     unit, tests = bench_sort
     started = time.monotonic()
